@@ -42,17 +42,21 @@ def test_reduced_round_passes(small):
 
 def test_corrupted_answer_fails_operations(small):
     workload, inputs = small
-    rnd = harness.run_round(workload, inputs, corrupt=workload.corruption)
+    rnd = harness.run_round(workload, inputs, corrupt=True)
     assert rnd.done == inputs.ops
     assert 0 < rnd.failed < rnd.done, rnd.failures
+    if workload.name == "discriminant-identity":
+        # the corrupted lambda_P fails the identity and the reference comparison
+        assert {what.split(" for ")[0] for what in rnd.failures} == {
+            "Delta_P^2 = +-Delta_M lambda_P", "full adjoint determinants"}, rnd.failures
 
 
 def test_program_fault_fails_the_rest_of_the_round():
-    def round_(inputs, rnd, corrupt=None):
+    def round_(inputs, rnd, corrupt=False):
         rnd.check(True, "first")
         raise ArithmeticError("fault in the program")
 
-    workload = Workload("faulty", lambda seed, small=False: None, round_, "none", 1)
+    workload = Workload("faulty", lambda seed, timed, small=False: None, round_, 1)
 
     class Inputs:
         ops = 5
@@ -86,8 +90,8 @@ def test_benchmark_json_matches_the_code():
     assert [w["name"] for w in spec["workloads"]] == list(run.WORKLOADS)
     assert set(run.WORKLOADS) == set(WORKLOADS)
     assert [(m["name"], m["unit"]) for m in spec["per_layer"]] == tracer.per_layer_metrics()
-    workload = Workload("empty", lambda seed, small=False: type("I", (), {"ops": 1}),
-                        lambda inputs, rnd, corrupt=None: rnd.check(True, "ok"), "none", 1)
+    workload = Workload("empty", lambda seed, timed, small=False: type("I", (), {"ops": 1}),
+                        lambda inputs, rnd, corrupt=False: rnd.check(True, "ok"), 1)
     result, _ = harness.timed_run(workload, 0, 0)
     assert [(m["name"], m["unit"]) for m in spec["end_to_end"]] == [
         (name, value["unit"]) for name, value in result["metrics"].items()]
@@ -103,3 +107,19 @@ def test_no_result_without_the_program(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert done.returncode != 0
     assert done.stdout == ""
+
+
+def test_clock_counts_program_time_in_yardstick_loops():
+    yardstick = harness.Yardstick()
+    clock = harness.Clock(yardstick)
+    with yardstick.ticking():
+        for _ in range(8):
+            with clock.timed():
+                sum(Fraction(1, k) for k in range(1, 4000))
+    wall, cpu = clock.seconds()
+    # the sections ran about 0.2 s, so the timer split them too
+    assert yardstick.probes >= 4
+    # each stretch is divided by a probe no quicker than the quickest
+    quickest_wall, quickest_cpu = yardstick.quickest
+    assert 0 < wall <= clock.wall * harness.YARDSTICK_S / quickest_wall * (1 + 1e-9)
+    assert 0 < cpu <= clock.cpu * harness.YARDSTICK_S / quickest_cpu * (1 + 1e-9)

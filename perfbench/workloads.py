@@ -1,19 +1,21 @@
 """The benchmark's workloads: inputs made from a seed, and rounds of checks.
 
-Each workload has a `setup(seed, small=False)` that builds its inputs and a
-`round(inputs, rnd, corrupt=None)` that runs one whole round of operations,
-recording every check in `rnd` (a `harness.Round`) and timing the calls into
-the program inside `rnd.timed()`.  The benchmark's own reference values
-(`independent`) are computed outside the timed sections.  `small=True`
-gives the reduced inputs of the benchmark's tests, and `corrupt` names the
-one deliberate corruption of a program answer that each workload's checks
-must catch.
+Each workload has a `setup(seed, timed, small=False)` that builds its inputs
+and a `round(inputs, rnd, corrupt=False)` that runs one whole round of
+operations, recording every check in `rnd` (a `harness.Round`).  Only the
+calls into the program are timed, inside `timed()` in a set-up and
+`rnd.timed()` in a round; the benchmark's own random draws and reference
+values (`independent`) are made outside them.  `small=True` gives the
+reduced inputs of the benchmark's tests, and `corrupt=True` applies the one
+deliberate corruption of a program answer that each workload's checks must
+catch.
 
 The program is called through its modules (`measures.res_normalized`, not a
 name imported from it) so that a traced run sees every call.
 """
 
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -36,7 +38,6 @@ class Workload:
     name: str
     setup: Callable
     round: Callable
-    corruption: str
     #: the length of one round on the machine the benchmark was set on; a
     #: run of S seconds makes S // round_s rounds, at least one
     round_s: float
@@ -86,20 +87,22 @@ def _sum(ms):
 # indicators restricted through every block parabolic and its opposite
 
 
-def setup_gl3(seed, small=False):
+def setup_gl3(seed, timed=nullcontext, small=False):
     rng = random.Random(seed)
-    ctx = PrimeContext(2, 1)
-    unit = measures.unit_measure(Ambient.general_linear(3), ctx)
-    labels = [rep for rep, _ in unit.items()]
-    basis = measures.ad_symmetrized_basis(labels, ctx)
+    order = independent.gl_order(3, 2)
+    with timed():
+        ctx = PrimeContext(2, 1)
+        unit = measures.unit_measure(Ambient.general_linear(3), ctx)
+        labels = [rep for rep, _ in unit.items()]
+        basis = measures.ad_symmetrized_basis(labels, ctx)
     shapes = []
     for blocks in ((2, 1),) if small else ((2, 1), (1, 2), (1, 1, 1)):
-        upper = BlockParabolic(3, blocks, "upper")
-        sides = [(parab, measures.ParabolicTransversal(parab, ctx))
-                 for parab in (upper, upper.opposite())]
-        # the indicators sum to 1_{K_0}, whose restriction is |GL_3(F_2)| units
-        target = measures.unit_measure(Ambient.levi(upper), ctx).scale(
-            independent.gl_order(3, 2))
+        with timed():
+            upper = BlockParabolic(3, blocks, "upper")
+            sides = [(parab, measures.ParabolicTransversal(parab, ctx))
+                     for parab in (upper, upper.opposite())]
+            # the indicators sum to 1_{K_0}, whose restriction is |GL_3(F_2)| units
+            target = measures.unit_measure(Ambient.levi(upper), ctx).scale(order)
         shapes.append(SimpleNamespace(
             blocks=blocks, sides=sides, target=target,
             chars=_characters(rng, blocks, 4)))
@@ -108,7 +111,7 @@ def setup_gl3(seed, small=False):
     return SimpleNamespace(ops=ops, labels=labels, basis=basis, shapes=shapes, grid=grid)
 
 
-def round_gl3(inp, rnd, corrupt=None):
+def round_gl3(inp, rnd, corrupt=False):
     rnd.check(len(inp.labels) == independent.gl_order(3, 2), "|K_0 / K_1| = |GL_3(F_2)|")
     rnd.check(len(inp.basis) == independent.gl_class_number(3, 2),
               "K_0 orbits = classes of GL_3(F_2)")
@@ -119,7 +122,7 @@ def round_gl3(inp, rnd, corrupt=None):
             for h in inp.basis:
                 with rnd.timed():
                     res.append(measures.res_normalized(h, parab, transversal))
-            if corrupt == "drop-coset" and not restricted:
+            if corrupt and not restricted:
                 res[0] = _drop_one_coset(res[0])
             with rnd.timed():
                 total = _sum(res)
@@ -144,26 +147,28 @@ def round_gl3(inp, rnd, corrupt=None):
 # K_0 diag(3,1) K_0 through both Borels
 
 
-def setup_gl2(seed, small=False):
+def setup_gl2(seed, timed=nullcontext, small=False):
     rng = random.Random(seed)
-    ctx = PrimeContext(3, 1)
-    unit = measures.unit_measure(Ambient.general_linear(2), ctx)
-    k0_labels = [rep for rep, _ in unit.items()]
-    dc_labels = measures.double_coset_labels(2, ctx, (1, 0))
-    k0_basis = measures.ad_symmetrized_basis(k0_labels, ctx)
-    basis = k0_basis + measures.ad_symmetrized_basis(dc_labels, ctx)
-    borel = BlockParabolic(2, (1, 1), "upper")
-    sides = [(parab, InducedModel(parab, ctx, measures.ParabolicTransversal(parab, ctx)))
-             for parab in (borel, borel.opposite())]
-    target = measures.unit_measure(Ambient.levi(borel), ctx).scale(independent.gl_order(2, 3))
-    constant_terms = []
-    for p in (2, 3):
-        c = PrimeContext(p, 1)
-        constant_terms.append(SimpleNamespace(
-            h=measures.double_coset_measure(2, c, (1, 0)),
-            transversal=measures.ParabolicTransversal(borel, c),
-            plain=oracles.constant_term_oracle_gl2(c, normalized=False),
-            normalized=oracles.constant_term_oracle_gl2(c, normalized=True)))
+    order = independent.gl_order(2, 3)
+    with timed():
+        ctx = PrimeContext(3, 1)
+        unit = measures.unit_measure(Ambient.general_linear(2), ctx)
+        k0_labels = [rep for rep, _ in unit.items()]
+        dc_labels = measures.double_coset_labels(2, ctx, (1, 0))
+        k0_basis = measures.ad_symmetrized_basis(k0_labels, ctx)
+        basis = k0_basis + measures.ad_symmetrized_basis(dc_labels, ctx)
+        borel = BlockParabolic(2, (1, 1), "upper")
+        sides = [(parab, InducedModel(parab, ctx, measures.ParabolicTransversal(parab, ctx)))
+                 for parab in (borel, borel.opposite())]
+        target = measures.unit_measure(Ambient.levi(borel), ctx).scale(order)
+        constant_terms = []
+        for p in (2, 3):
+            c = PrimeContext(p, 1)
+            constant_terms.append(SimpleNamespace(
+                h=measures.double_coset_measure(2, c, (1, 0)),
+                transversal=measures.ParabolicTransversal(borel, c),
+                plain=oracles.constant_term_oracle_gl2(c, normalized=False),
+                normalized=oracles.constant_term_oracle_gl2(c, normalized=True)))
     chars = _characters(rng, (1, 1), 1 if small else 4)
     grid = _grid(rng, 3, 2)
     ops = 3 + 2 * (1 + len(basis) * (len(chars) + len(grid))) + 2 * len(constant_terms)
@@ -173,13 +178,12 @@ def setup_gl2(seed, small=False):
         chars=chars, grid=grid)
 
 
-def round_gl2(inp, rnd, corrupt=None):
+def round_gl2(inp, rnd, corrupt=False):
     order = independent.gl_order(2, 3)
     rnd.check(len(inp.k0_labels) == order, "|K_0 / K_1| = |GL_2(F_3)|")
     rnd.check(len(inp.dc_labels) == 4 * order, "K_0 diag(3,1) K_0 = 4 K_0 cosets")
     rnd.check(len(inp.k0_basis) == independent.gl_class_number(2, 3),
               "K_0 orbits = classes of GL_2(F_3)")
-    mutate = corrupt == "mutate-normalization"
     for parab, model in inp.sides:
         res = []
         for h in inp.basis:
@@ -200,7 +204,7 @@ def round_gl2(inp, rnd, corrupt=None):
             for gamma in inp.grid:
                 with rnd.timed():
                     ok, _, _ = orbital.descent_check(h, gamma, parab, r,
-                                                     mutate_normalization=mutate)
+                                                     mutate_normalization=corrupt)
                 rnd.check(ok, f"descent through {parab} at {gamma.entries}")
     for ct in inp.constant_terms:
         with rnd.timed():
@@ -220,16 +224,17 @@ def round_gl2(inp, rnd, corrupt=None):
 FIELDS = ((2, 2), (2, 3), (2, 5), (3, 2), (3, 3))
 
 
-def setup_ff(seed, small=False):
+def setup_ff(seed, timed=nullcontext, small=False):
     rng = random.Random(seed)
     fields = ((2, 2), (2, 3), (3, 2)) if small else FIELDS
-    elements = {(n, q): matrices.enumerate_gln_fq(n, q) for n, q in fields}
-    cases = [
-        (n, q, blocks, combo)
-        for n, q in fields
-        for blocks in groups.compositions(n)
-        for combo in product(*(list(unipotent.partitions_of(b)) for b in blocks))
-    ]
+    with timed():
+        elements = {(n, q): matrices.enumerate_gln_fq(n, q) for n, q in fields}
+        cases = [
+            (n, q, blocks, combo)
+            for n, q in fields
+            for blocks in groups.compositions(n)
+            for combo in product(*(list(unipotent.partitions_of(b)) for b in blocks))
+        ]
     # the answers may not depend on the order the cases run in
     rng.shuffle(cases)
     return SimpleNamespace(ops=2 * len(fields) + 2 * len(cases), elements=elements, cases=cases)
@@ -243,7 +248,7 @@ def _is_unipotent(g):
     return True
 
 
-def round_ff(inp, rnd, corrupt=None):
+def round_ff(inp, rnd, corrupt=False):
     for (n, q), elements in inp.elements.items():
         count = 0
         for start in range(0, len(elements), 100):
@@ -256,7 +261,7 @@ def round_ff(inp, rnd, corrupt=None):
             ok, upper, lower = unipotent.check_heart_independence(n, blocks, combo, q)
             hearts = unipotent.heart(upper), unipotent.heart(lower)
         lower_heart = hearts[0] and independent.strictly_dominated(hearts[0][0])
-        if corrupt == "dominated-heart" and lower_heart:
+        if corrupt and lower_heart:
             hearts = ((lower_heart,), hearts[1])
         case = f"GL_{n}(F_{q}), blocks {blocks}, classes {combo}"
         rnd.check(ok and hearts[0] == hearts[1], f"{case}: orientations agree")
@@ -274,7 +279,9 @@ def round_ff(inp, rnd, corrupt=None):
 # points of every block parabolic of GL_2 .. GL_4, both orientations
 
 
-def _random_levi_element(parab, rng):
+def _random_levi_rows(parab, rng):
+    """The rows of a random element of the Levi of parab: nonsingular blocks
+    with entries in [-9, 9], zeros elsewhere."""
     n = parab.n
     rows = [[Fraction(0)] * n for _ in range(n)]
     for lo, hi in parab.block_ranges:
@@ -286,46 +293,53 @@ def _random_levi_element(parab, rng):
         for i in range(size):
             for j in range(size):
                 rows[lo + i][lo + j] = block[i][j]
-    return matrices.QMat(rows)
+    return rows
 
 
-def setup_disc(seed, small=False):
+def setup_disc(seed, timed=nullcontext, small=False):
     rng = random.Random(seed)
-    points = []
-    for n in (2, 3, 4):
-        for blocks in groups.compositions(n):
-            for orientation in ("upper", "lower"):
-                parab = BlockParabolic(n, blocks, orientation)
-                points.extend((parab, _random_levi_element(parab, rng))
-                              for _ in range(10 if small else 200))
-    sample = points[:: 5 if small else 40]
-    return SimpleNamespace(ops=len(points) + len(sample), points=points, sample=sample)
+    with timed():
+        parabs = [BlockParabolic(n, blocks, orientation)
+                  for n in (2, 3, 4)
+                  for blocks in groups.compositions(n)
+                  for orientation in ("upper", "lower")]
+    drawn = [(parab, _random_levi_rows(parab, rng))
+             for parab in parabs for _ in range(10 if small else 200)]
+    with timed():
+        points = [(parab, matrices.QMat(rows)) for parab, rows in drawn]
+    every = 5 if small else 40
+    # (-1)^dim U with dim U = sum_{i<j} n_i n_j, and at every `every`-th point
+    # the full adjoint determinants, all made apart from the program
+    references = []
+    for k, (parab, rows) in enumerate(drawn):
+        blocks = parab.blocks
+        dim_radical = sum(a * b for i, a in enumerate(blocks) for b in blocks[i + 1:])
+        full = (independent.discriminants(parab.n, blocks, parab.orientation, rows)[:3]
+                if k % every == 0 else None)
+        references.append((-1 if dim_radical % 2 else 1, full))
+    return SimpleNamespace(ops=len(points) + len(points[::every]), points=points,
+                           references=references)
 
 
-def round_disc(inp, rnd, corrupt=None):
-    for parab, m in inp.points:
+def round_disc(inp, rnd, corrupt=False):
+    for (parab, m), (sign, full) in zip(inp.points, inp.references):
         with rnd.timed():
-            ok = groups.discriminant_square_identity(parab, m)
-        rnd.check(ok, f"Delta_P^2 = +-Delta_M lambda_P for {parab}")
-    for parab, m in inp.sample:
-        with rnd.timed():
-            got = (groups.discriminant_delta(SubgroupSpec.parabolic(parab), m),
-                   groups.discriminant_delta(SubgroupSpec.levi(parab), m),
-                   groups.modulus_lambda(parab, m))
-        d_p, d_m, lam, sign = independent.discriminants(
-            parab.n, parab.blocks, parab.orientation, m.rows)
-        if corrupt == "flip-sign":
-            sign = -sign
-        rnd.check(got == (d_p, d_m, lam) and d_p * d_p == sign * d_m * lam,
-                  f"full adjoint determinants for {parab}")
+            d_p = groups.discriminant_delta(SubgroupSpec.parabolic(parab), m)
+            d_m = groups.discriminant_delta(SubgroupSpec.levi(parab), m)
+            lam = groups.modulus_lambda(parab, m)
+        if corrupt and full is not None:
+            lam = -lam
+        rnd.check(d_p * d_p == sign * d_m * lam, f"Delta_P^2 = +-Delta_M lambda_P for {parab}")
+        if full is not None:
+            rnd.check((d_p, d_m, lam) == full, f"full adjoint determinants for {parab}")
 
 
 WORKLOADS = {
     w.name: w
     for w in (
-        Workload("gl3-restriction", setup_gl3, round_gl3, "drop-coset", 20),
-        Workload("gl2-induction-descent", setup_gl2, round_gl2, "mutate-normalization", 15),
-        Workload("ff-induced-classes", setup_ff, round_ff, "dominated-heart", 10),
-        Workload("discriminant-identity", setup_disc, round_disc, "flip-sign", 5),
+        Workload("gl3-restriction", setup_gl3, round_gl3, 18),
+        Workload("gl2-induction-descent", setup_gl2, round_gl2, 12),
+        Workload("ff-induced-classes", setup_ff, round_ff, 7),
+        Workload("discriminant-identity", setup_disc, round_disc, 4),
     )
 }
