@@ -156,7 +156,7 @@ def verify_induced_character_identity(
     """
     model = model or InducedModel(parab, h.ctx)
     if res_m is None:
-        res_m = res_unnormalized(h, parab, model.transversal)
+        res_m = res_unnormalized(h, parab)
     if res_m_normalized is None:
         from cocenter.measures import normalize_on_levi
 

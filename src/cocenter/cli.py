@@ -36,11 +36,11 @@ from cocenter.characters import (
 )
 from cocenter.measures import (
     Ambient,
-    ParabolicTransversal,
-    RestrictionTable,
     ad_symmetrized_basis,
     double_coset_labels,
     double_coset_measure,
+    res_normalized,
+    res_unnormalized,
     unit_measure,
 )
 from cocenter.orbital import (
@@ -201,14 +201,12 @@ def run_restriction(config: RunConfig):
     ctx = PrimeContext(config.p, config.m)
     parab = BlockParabolic(config.n, config.blocks, "upper")
     opp = parab.opposite()
-    table_up = RestrictionTable(parab, ctx)
-    table_low = RestrictionTable(opp, ctx)
     basis = _level_one_basis(config, ctx)
     grid = gamma_grid(config.p, config.n, config.grid_window)
     chars = [_character_for_blocks(config.blocks, z) for z in config.character_params]
     for idx, h in enumerate(basis):
-        up = table_up.apply(h, normalized=True)
-        low = table_low.apply(h, normalized=True)
+        up = res_normalized(h, parab)
+        low = res_normalized(h, opp)
         for c_idx, chi in enumerate(chars):
             lhs = character_pairing(chi, up)
             rhs = character_pairing(chi, low)
@@ -248,7 +246,7 @@ def _constant_term_row(p: int, config: RunConfig):
     ctx = PrimeContext(p, 1)
     parab = BlockParabolic(2, (1, 1), "upper")
     h = double_coset_measure(2, ctx, (1, 0), config.guard)
-    got = RestrictionTable(parab, ctx).apply(h, normalized=True)
+    got = res_normalized(h, parab)
     expected = constant_term_oracle_gl2(ctx, normalized=True)
     ok = got == expected
     from cocenter.measures import measure_to_jsonable
@@ -268,14 +266,12 @@ def run_characters(config: RunConfig):
     rows = []
     ctx = PrimeContext(config.p, config.m)
     parab = BlockParabolic(config.n, config.blocks, "upper")
-    tv = ParabolicTransversal(parab, ctx)
-    model = InducedModel(parab, ctx, tv)
-    table = RestrictionTable(parab, ctx, tv)
+    model = InducedModel(parab, ctx)
     basis = _level_one_basis(config, ctx)
     chars = [_character_for_blocks(config.blocks, z) for z in config.character_params]
     for idx, h in enumerate(basis):
-        res_plain = table.apply(h)
-        res_norm = table.apply(h, normalized=True)
+        res_plain = res_unnormalized(h, parab)
+        res_norm = res_normalized(h, parab)
         for c_idx, chi in enumerate(chars):
             lhs = trace_induced(h, chi, model, normalized=False)
             rhs = character_pairing(chi, res_plain)
@@ -305,9 +301,8 @@ def run_orbital(config: RunConfig):
              f"Haar(G): K_{config.m} mass 1", f"Haar(T): T meet K_{config.m} mass 1")
     )
     for orientation, par in (("upper", parab), ("lower", opp)):
-        table = RestrictionTable(par, ctx)
         for idx, h in enumerate(basis):
-            rm = table.apply(h, normalized=True)
+            rm = res_normalized(h, par)
             for gam in grid:
                 ok, lhs, rhs = descent_check(
                     h, gam, par, rm, mutate_normalization=config.mutate_normalization
@@ -318,8 +313,7 @@ def run_orbital(config: RunConfig):
                          f"{orientation}/h{idx}/gamma-val({vals})", ok, lhs, rhs)
                 )
     chars = [_character_for_blocks(config.blocks, z) for z in config.character_params]
-    table = RestrictionTable(parab, ctx)
-    res_list = [table.apply(h, normalized=True) for h in basis]
+    res_list = [res_normalized(h, parab) for h in basis]
     omat = [[orbital_integral(rm, gam).value for gam in grid] for rm in res_list]
     xmat = [[character_pairing(chi, rm) for chi in chars] for rm in res_list]
     ro, rx = separation_rank(omat), separation_rank(xmat)

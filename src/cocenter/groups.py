@@ -189,21 +189,6 @@ class SubgroupSpec:
         return self.parab.positions("P")
 
 
-def ad_matrix(g: QMat, positions, out_positions=None) -> QMat:
-    """Matrix of X -> g X g^-1 from span(positions) to span(out_positions).
-
-    Ad(g) E_kl = g E_kl g^-1 has (i, j) entry g[i, k] * (g^-1)[l, j]; rows
-    index output coordinates, columns the input basis.  When the span is not
-    Ad(g)-stable this is the composition with the coordinate projection.
-    """
-    ginv = g.inverse()
-    if out_positions is None:
-        out_positions = positions
-    return QMat(
-        [[g[i, k] * ginv[l, j] for (k, l) in positions] for (i, j) in out_positions]
-    )
-
-
 def _list_det(rows) -> Fraction:
     """Determinant of a list-of-lists of Fractions, in place."""
     n = len(rows)
@@ -245,26 +230,11 @@ def _is_diagonal_block_element(spec: SubgroupSpec, g: QMat) -> bool:
     return spec.parab.levi_contains(g)
 
 
-def _det_on_positions(g: QMat, positions, split_key=None) -> Fraction:
-    """det of the projected conjugation action on the given coordinates.
-
-    When split_key is given it must be constant on conjugation-stable groups
-    of coordinates; the determinant is then the product over groups.
-    """
+def _det_on_positions(g: QMat, positions) -> Fraction:
+    """det of the projected conjugation action on the given coordinates."""
     if not positions:
         return Fraction(1)
-    ginv = g.inverse()
-    if split_key is None:
-        return _conj_action_det(g, ginv, positions, False)
-    groups = {}
-    for pos in positions:
-        groups.setdefault(split_key(pos), []).append(pos)
-    det = Fraction(1)
-    for pos_group in groups.values():
-        det *= _conj_action_det(g, ginv, pos_group, False)
-        if det == 0:
-            return det
-    return det
+    return _conj_action_det(g, g.inverse(), positions, False)
 
 
 def _blockwise_inverse(g: QMat, ranges) -> QMat:

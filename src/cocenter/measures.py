@@ -3,15 +3,19 @@
 A measure is a finite linear combination of reference-Haar restrictions to
 level cosets: h = sum c_x * mu|_{x K}, where K is the principal congruence
 subgroup of the ambient group (K_m on G, K_m meet P on P, K_m meet M on M)
-and mu gives each level coset mass 1.  The restriction map to a Levi is the
-concrete three step recipe: conjugate over a transversal of P\\G/K_m chosen
-inside K_0, restrict each conjugate to P coset by coset, push to M along
-the block projection.  Its normalized variant twists by |lambda_P|^(1/2).
+and mu gives each level coset mass 1.  The restriction map to a Levi is
+defined by a three step recipe: conjugate over a transversal of P\\G/K_m
+chosen inside K_0, restrict each conjugate to P coset by coset, push to M
+along the block projection, and sum.  Restriction is only taken of
+measures invariant under conjugation by K_0, so every conjugate equals the
+measure itself and the sum collapses to one step:
 
-All transversal elements lie in K_0 and K_m is normal in K_0, so every step
-stays at level m and is exactly computable; K_m has the exact factorization
-(K_m meet U-)(K_m meet M)(K_m meet U), which makes the block projection
-carry level cosets of P to level cosets of M.
+    res_P h = |P\\G/K_m| * push_M(h restricted to P),
+
+with |P\\G/K_m| = |GL_n(Z/p^m)| / |P(Z/p^m)| in closed form.  Its
+normalized variant twists by |lambda_P|^(1/2).  K_m has the exact
+factorization (K_m meet U-)(K_m meet M)(K_m meet U), which makes the block
+projection carry level cosets of P to level cosets of M.
 """
 
 from __future__ import annotations
@@ -368,46 +372,36 @@ class ParabolicTransversal:
         """Index of the double coset containing k in K_0."""
         return self.lookup[mat_mod(k, self.ctx.modulus, self.ctx.p)]
 
-    def perturbed_reps(self):
-        """A different valid transversal of the same double cosets.
 
-        Each representative g is replaced by q g kappa with q a unipotent of
-        P meet K_0 and kappa in K_m, staying inside K_0 and inside the same
-        double coset.
-        """
-        n = self.parab.n
-        radical = self.parab.positions("U")
-        q_rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        if radical:
-            q_rows[radical[0][0]][radical[0][1]] = Fraction(1)
-        q = QMat(q_rows)
-        bump_rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        bump_rows[n - 1][0] += self.ctx.modulus
-        if n == 1:
-            bump_rows[0][0] = Fraction(1 + self.ctx.modulus)
-        kappa = QMat(bump_rows)
-        return [q * g * kappa for g in self.reps]
+def parabolic_double_coset_count(parab: BlockParabolic, ctx: PrimeContext) -> int:
+    """|P\\G/K_m| = |GL_n(Z/p^m)| / |P(Z/p^m)|.
+
+    G = P K_0, so the double cosets are the orbits of P(Z/p^m) acting on
+    GL_n(Z/p^m) by left multiplication, and that action is free.
+    """
+    p, m = ctx.p, ctx.m
+    order_p = p ** (m * len(parab.positions("U")))
+    for size in parab.blocks:
+        order_p *= glnzm_order(size, p, m)
+    return glnzm_order(parab.n, p, m) // order_p
 
 
 def res_unnormalized(
-    h: HeckeMeasure, parab: BlockParabolic, transversal: ParabolicTransversal | None = None,
-    reps=None,
+    h: HeckeMeasure, parab: BlockParabolic, transversal: ParabolicTransversal | None = None
 ) -> HeckeMeasure:
-    """Parabolic restriction to the Levi: conjugate, restrict, push, sum.
+    """Parabolic restriction to the Levi: |P\\G/K_m| * push_M(h restricted to P).
 
-    Requires the conjugation-invariance flag: the per-term decomposition is
-    only level-exact for measures fixed by conjugation pullback from K_0.
+    Requires the conjugation-invariance flag: each term g of the transversal
+    sum restricts the pullback of h by g in K_0, which is h itself.  A
+    transversal is not needed; one that is passed must belong to the same
+    parabolic and level.
     """
     if not h.biinvariant:
         raise DomainError("restriction needs a conjugation-invariant measure")
-    if transversal is None:
-        transversal = ParabolicTransversal(parab, h.ctx)
-    if reps is None:
-        reps = transversal.reps
-    out = HeckeMeasure.zero(Ambient.levi(parab), h.ctx)
-    for g in reps:
-        out = out + pushforward_to_levi(restrict_to_parabolic(ad_pullback(h, g), parab), parab)
-    return out
+    if transversal is not None and (transversal.parab != parab or transversal.ctx != h.ctx):
+        raise DomainError("transversal of another parabolic or level")
+    pushed = pushforward_to_levi(restrict_to_parabolic(h, parab), parab)
+    return pushed.scale(parabolic_double_coset_count(parab, h.ctx))
 
 
 def normalize_on_levi(h_m: HeckeMeasure, parab: BlockParabolic) -> HeckeMeasure:
@@ -425,60 +419,10 @@ def normalize_on_levi(h_m: HeckeMeasure, parab: BlockParabolic) -> HeckeMeasure:
 
 
 def res_normalized(
-    h: HeckeMeasure, parab: BlockParabolic, transversal: ParabolicTransversal | None = None,
-    reps=None,
+    h: HeckeMeasure, parab: BlockParabolic, transversal: ParabolicTransversal | None = None
 ) -> HeckeMeasure:
     """Normalized restriction: res followed by the |lambda_P|^(1/2) twist."""
-    return normalize_on_levi(res_unnormalized(h, parab, transversal, reps), parab)
-
-
-class RestrictionTable:
-    """Precomputed coset-level action of the restriction map.
-
-    res is linear in the measure, and its effect on the indicator of a
-    single G coset depends only on the coset; tabulating that once makes
-    sweeps over a basis of measures cheap.  Rows are built lazily.
-    """
-
-    def __init__(self, parab: BlockParabolic, ctx: PrimeContext, transversal=None):
-        self.parab = parab
-        self.ctx = ctx
-        self.transversal = transversal or ParabolicTransversal(parab, ctx)
-        self.ambient_m = Ambient.levi(parab)
-        self._rows = {}
-
-    def _row(self, rep: QMat):
-        key = rep.entries()
-        row = self._rows.get(key)
-        if row is None:
-            row = []
-            for g in self.transversal.reps:
-                found = coset_meets_parabolic(
-                    canonical_rep(Ambient.general_linear(rep.n), g * rep * g.inverse(), self.ctx),
-                    self.parab,
-                    self.ctx,
-                )
-                if found is not None:
-                    m_rep = canonical_rep(self.ambient_m, self.parab.levi_project(found), self.ctx)
-                    row.append(m_rep)
-            self._rows[key] = row
-        return row
-
-    def apply(self, h: HeckeMeasure, normalized=False) -> HeckeMeasure:
-        if not h.biinvariant:
-            raise DomainError("restriction needs a conjugation-invariant measure")
-        acc = {}
-        for rep, c in h.items():
-            for m_rep in self._row(rep):
-                key = m_rep.entries()
-                if key in acc:
-                    acc[key] = (m_rep, acc[key][1] + c)
-                else:
-                    acc[key] = (m_rep, c)
-        out = HeckeMeasure(self.ambient_m, self.ctx, acc)
-        if normalized:
-            out = normalize_on_levi(out, self.parab)
-        return out
+    return normalize_on_levi(res_unnormalized(h, parab, transversal), parab)
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +520,8 @@ def ad_orbits(reps, ctx: PrimeContext):
         return []
     n = reps[0].n
     level = ctx.m + max(label_spread(r, ctx.p) for r in reps)
-    gens = k0_quotient_generators(n, ctx.p, level)
-    gens = gens + [g.inverse() for g in gens]
+    pairs = [(g, g.inverse()) for g in k0_quotient_generators(n, ctx.p, level)]
+    pairs += [(ginv, g) for g, ginv in pairs]
     ambient = Ambient.general_linear(n)
     key_of = {}
     rep_of = {}
@@ -594,8 +538,8 @@ def ad_orbits(reps, ctx: PrimeContext):
         frontier = [rc]
         while frontier:
             cur = frontier.pop()
-            for g in gens:
-                nxt = canonical_rep(ambient, g * cur * g.inverse(), ctx)
+            for g, ginv in pairs:
+                nxt = canonical_rep(ambient, g * cur * ginv, ctx)
                 nk = nxt.entries()
                 assert nk in rep_of, "conjugation left the support universe"
                 if nk not in orbit:
@@ -653,16 +597,22 @@ def hermite_reps_with_divisors(n: int, p: int, divisors):
     """All Hermite forms whose lattice has the given elementary divisors.
 
     These are exactly the representatives of the left K_0 cosets inside the
-    double coset K_0 diag(p^divisors) K_0.
+    double coset K_0 diag(p^divisors) K_0.  A Hermite diagonal need not
+    permute the divisors ([[p, 1], [0, p]] lies in K_0 diag(p^2, 1) K_0), so
+    every diagonal with exponents at most max(divisors) and the right sum is
+    tried, and the Smith exponents decide membership.
     """
     import itertools as _it
 
-    divisors = tuple(sorted(divisors, reverse=True))
+    divisors = tuple(divisors)
     if any(d < 0 for d in divisors):
         raise DomainError("only nonnegative divisor exponents are enumerated")
     target = tuple(sorted(divisors))
+    total = sum(divisors)
     out = []
-    for diag in set(_it.permutations(divisors)):
+    for diag in _it.product(range(max(divisors), -1, -1), repeat=n):
+        if sum(diag) != total:
+            continue
         # row i entries right of the pivot are reduced mod p^(a_i)
         ranges = [list(range(p ** diag[i])) for i in range(n)]
         uppers = _it.product(*[
@@ -719,6 +669,9 @@ def measure_to_jsonable(h: HeckeMeasure) -> dict:
 
 
 def measure_from_jsonable(data: dict) -> HeckeMeasure:
+    """Inverse of `measure_to_jsonable`.  The biinvariant flag of a measure
+    on G is checked with `is_ad_invariant`, not believed: restriction and
+    the induced trace rely on it."""
     amb = data["ambient"]
     n = amb["n"]
     if amb["group"] == "G":
@@ -733,4 +686,7 @@ def measure_from_jsonable(data: dict) -> HeckeMeasure:
         entries = [Fraction(x) for x in row["rep"]]
         mat = QMat([entries[i * n : (i + 1) * n] for i in range(n)])
         pairs.append((mat, RootP.parse(row["coeff"], ctx.p)))
-    return HeckeMeasure.from_pairs(ambient, ctx, pairs, data.get("biinvariant", False))
+    h = HeckeMeasure.from_pairs(ambient, ctx, pairs, data.get("biinvariant", False))
+    if h.biinvariant and ambient.kind == "G" and not is_ad_invariant(h):
+        raise DomainError("biinvariant flag set on a measure that is not conjugation-invariant")
+    return h

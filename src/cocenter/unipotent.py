@@ -105,15 +105,16 @@ def levi_generators(parab: BlockParabolic, q: int):
 def conjugation_closure(seeds, gens, guard=DEFAULT_GROUP_ORDER_GUARD):
     """Closure of a set of matrices under conjugation by the given
     generators (and hence by the group they generate)."""
-    gens = gens + [g.inverse() for g in gens]
+    pairs = [(g, g.inverse()) for g in gens]
+    pairs += [(ginv, g) for g, ginv in pairs]
     seen = set(seeds)
     frontier = list(seen)
     while frontier:
         if len(seen) > guard:
             raise ResourceGuardError("conjugation closure exceeds guard")
         cur = frontier.pop()
-        for g in gens:
-            nxt = g * cur * g.inverse()
+        for g, ginv in pairs:
+            nxt = g * cur * ginv
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)

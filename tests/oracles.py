@@ -3,13 +3,21 @@
 Each oracle recomputes a quantity through a code path disjoint from the one
 it checks: full adjoint matrices instead of block splitting, exhaustive
 mod p^m scans instead of Iwasawa reductions, cell-by-cell integration
-instead of ball intersections.
+instead of ball intersections, the transversal sum instead of its
+one-step collapse.
 """
 
 from fractions import Fraction
 
 from cocenter.exactnum import padic_valuation
 from cocenter.matrices import QMat, congruence_equiv, glnzm_order
+from cocenter.measures import (
+    Ambient,
+    HeckeMeasure,
+    ad_pullback,
+    pushforward_to_levi,
+    restrict_to_parabolic,
+)
 
 
 def matrix_unit(n, k, l):
@@ -90,3 +98,33 @@ def grid_scan_orbital_gl2(h, gamma, use_value=True):
         return bare
     delta = (g1 / g2 - 1) * (g2 / g1 - 1)
     return bare * Fraction(p) ** (-padic_valuation(delta, p))
+
+
+def perturbed_reps(transversal):
+    """A different valid transversal of the same double cosets P\\G/K_m.
+
+    Each representative g is replaced by q g kappa with q a unipotent of
+    P meet K_0 and kappa in K_m, staying inside K_0 and inside the same
+    double coset.
+    """
+    n = transversal.parab.n
+    radical = transversal.parab.positions("U")
+    q_rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    if radical:
+        q_rows[radical[0][0]][radical[0][1]] = Fraction(1)
+    q = QMat(q_rows)
+    bump_rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    bump_rows[n - 1][0] += transversal.ctx.modulus
+    if n == 1:
+        bump_rows[0][0] = Fraction(1 + transversal.ctx.modulus)
+    kappa = QMat(bump_rows)
+    return [q * g * kappa for g in transversal.reps]
+
+
+def restriction_over_transversal(h, parab, reps):
+    """Unnormalized restriction by its defining recipe: conjugate h by each
+    transversal representative in K_0, restrict to P, push to M, sum."""
+    out = HeckeMeasure.zero(Ambient.levi(parab), h.ctx)
+    for g in reps:
+        out = out + pushforward_to_levi(restrict_to_parabolic(ad_pullback(h, g), parab), parab)
+    return out

@@ -31,10 +31,10 @@ from cocenter.matrices import PrimeContext, QMat
 from cocenter.measures import (
     Ambient,
     ParabolicTransversal,
-    RestrictionTable,
     ad_symmetrized_basis,
     double_coset_labels,
     double_coset_measure,
+    normalize_on_levi,
     res_normalized,
     res_unnormalized,
     unit_measure,
@@ -60,6 +60,8 @@ from cocenter.unipotent import (
     heart,
     partitions_of,
 )
+
+from tests.oracles import perturbed_reps, restriction_over_transversal
 
 CHARACTER_PARAMS = [
     (Fraction(1), Fraction(1), Fraction(1)),
@@ -180,20 +182,19 @@ def test_criterion_3_parabolic_independence(ctx2, borel2, level_basis_gl2, gl3_s
             ok = ok and orbital_integral(up, gam).value == orbital_integral(lowm, gam).value
             pairings += 1
         ok = ok and up == lowm
-        # transversal independence: a perturbed transversal gives the same class
+        # transversal independence: the defining sum over a perturbed
+        # transversal gives the same class
         tv = ParabolicTransversal(borel2, ctx2)
-        alt = res_normalized(h, borel2, tv, reps=tv.perturbed_reps())
-        ok = ok and alt == up
+        alt = restriction_over_transversal(h, borel2, perturbed_reps(tv))
+        ok = ok and normalize_on_levi(alt, borel2) == up
     ctx3, _, basis3 = gl3_setup
     grid3 = gamma_grid(2, 3, (-2, 2))
     for blocks in ((2, 1), (1, 2), (1, 1, 1)):
         parab = BlockParabolic(3, blocks, "upper")
-        table_up = RestrictionTable(parab, ctx3)
-        table_low = RestrictionTable(parab.opposite(), ctx3)
         chars = _chars(blocks)
         for h in basis3:
-            up = table_up.apply(h, normalized=True)
-            lowm = table_low.apply(h, normalized=True)
+            up = res_normalized(h, parab)
+            lowm = res_normalized(h, parab.opposite())
             for chi in chars:
                 ok = ok and character_pairing(chi, up) == character_pairing(chi, lowm)
                 pairings += 1
@@ -313,15 +314,14 @@ def test_criterion_7_saturation_suite():
 
 
 @pytest.fixture(scope="module")
-def separation_matrices(ctx2, borel2, level_basis_gl2):
+def separation_matrices(ctx2, borel2, transversal_gl2, level_basis_gl2):
     grid = gamma_grid(2, 2, (-2, 2))
-    table = RestrictionTable(borel2, ctx2)
     chars = [
         UnramifiedCharacter((1, 1), z)
         for z in [(1, 1), (2, 1), (1, 2), (Fraction(1, 2), 3), (3, Fraction(2, 7)), (5, 1)]
     ]
     omat = [[orbital_integral(h, gam).value for gam in grid] for h in level_basis_gl2]
-    model = InducedModel(borel2, ctx2, table.transversal)
+    model = InducedModel(borel2, ctx2, transversal_gl2)
     xmat = [
         [trace_induced(h, chi, model, normalized=True) for chi in chars]
         for h in level_basis_gl2

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -11,9 +12,20 @@ from cocenter.cli import (
     main,
     render_csv,
     render_json,
+    run_characters,
+    run_orbital,
+    run_restriction,
     run_saturate,
     run_unipotent,
 )
+
+# sha256 of the JSON reports of the default configuration; any change in a
+# report of these suites shows up here
+REPORT_DIGESTS = {
+    "restriction": (run_restriction, "17c4f8ca60315e3d1d1f70389c69cb57306fd233e28c3630c1bed85fb6d158a5"),
+    "characters": (run_characters, "c415d7beef8c65e571b849c6f0529ff25b8561e5d46ee251221f35b480a25c3d"),
+    "orbital": (run_orbital, "078161848abc7ba2ce1eed450a701cd181e0f2eee252cfdeacec40fca7c1da78"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +76,13 @@ def test_reports_deterministic(small_config):
     rows_b = run_unipotent(small_config)
     assert render_json(rows_a) == render_json(rows_b)
     assert render_csv(rows_a) == render_csv(rows_b)
+
+
+@pytest.mark.parametrize("suite", sorted(REPORT_DIGESTS))
+def test_reports_byte_identical(suite):
+    run, digest = REPORT_DIGESTS[suite]
+    report = render_json(run(RunConfig().validate()))
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
 def test_main_exit_codes(tmp_path):

@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from cocenter.exactnum import LevelError
-from cocenter.groups import BlockParabolic
-from cocenter.matrices import PrimeContext, QMat
+from cocenter.exactnum import DomainError, LevelError
+from cocenter.groups import BlockParabolic, compositions
+from cocenter.matrices import PrimeContext, QMat, glnzm_order
 from cocenter.measures import (
     Ambient,
     HeckeMeasure,
     ParabolicTransversal,
-    RestrictionTable,
     ad_pullback,
     ad_symmetrized_basis,
     canonical_rep,
@@ -21,6 +20,8 @@ from cocenter.measures import (
     is_ad_invariant,
     measure_from_jsonable,
     measure_to_jsonable,
+    normalize_on_levi,
+    parabolic_double_coset_count,
     pushforward_to_levi,
     res_normalized,
     res_unnormalized,
@@ -29,7 +30,11 @@ from cocenter.measures import (
 )
 from cocenter.oracles import constant_term_oracle_gl2
 
-from tests.oracles import meets_parabolic_oracle_integral
+from tests.oracles import (
+    meets_parabolic_oracle_integral,
+    perturbed_reps,
+    restriction_over_transversal,
+)
 
 
 def test_unit_measure_shapes(ctx2, unit_gl2):
@@ -184,23 +189,71 @@ def test_mass_bookkeeping_against_trace_route(ctx2, borel2, transversal_gl2, lev
     assert len(hearts) > 1
 
 
-def test_restriction_table_matches_direct(ctx2, borel2, transversal_gl2, level_basis_gl2):
-    table = RestrictionTable(borel2, ctx2, transversal_gl2)
-    for h in level_basis_gl2:
-        assert table.apply(h) == res_unnormalized(h, borel2, transversal_gl2)
-        assert table.apply(h, normalized=True) == res_normalized(
-            h, borel2, transversal_gl2
-        )
+def _assert_res_matches_oracle(h, parab, reps):
+    plain = restriction_over_transversal(h, parab, reps)
+    assert res_unnormalized(h, parab) == plain
+    assert res_normalized(h, parab) == normalize_on_levi(plain, parab)
+
+
+def _level_basis(ctx):
+    ambient = Ambient.general_linear(2)
+    k0_labels = [rep for rep, _ in unit_measure(ambient, ctx).items()]
+    d_labels = double_coset_labels(2, ctx, (1, 0))
+    return ad_symmetrized_basis(k0_labels, ctx) + ad_symmetrized_basis(d_labels, ctx)
+
+
+def test_res_matches_transversal_oracle():
+    """The one-step restriction equals the conjugate-restrict-push sum over
+    a transversal of P\\G/K_m, original and perturbed, on the GL_2 level
+    bases and the diagonal double coset for p in {2, 3}, both Borels."""
+    for p in (2, 3):
+        ctx = PrimeContext(p, 1)
+        measures = _level_basis(ctx) + [double_coset_measure(2, ctx, (1, 0))]
+        for parab in (BlockParabolic(2, (1, 1), "upper"), BlockParabolic(2, (1, 1), "lower")):
+            tv = ParabolicTransversal(parab, ctx)
+            assert parabolic_double_coset_count(parab, ctx) == len(tv)
+            for reps in (tv.reps, perturbed_reps(tv)):
+                for h in measures:
+                    _assert_res_matches_oracle(h, parab, reps)
+    ctx4 = PrimeContext(2, 2)
+    borel = BlockParabolic(2, (1, 1), "upper")
+    tv = ParabolicTransversal(borel, ctx4)
+    # P^1(Z/4) has p^(m-1) (p + 1) = 6 points
+    assert parabolic_double_coset_count(borel, ctx4) == len(tv) == 6
+    _assert_res_matches_oracle(unit_measure(Ambient.general_linear(2), ctx4), borel, tv.reps)
+
+
+def test_res_matches_transversal_oracle_gl3(ctx2):
+    """The same comparison for the six K_0 orbit indicators of GL_3(Q_2)
+    through every block parabolic of GL_3, both orientations."""
+    unit3 = unit_measure(Ambient.general_linear(3), ctx2)
+    basis = ad_symmetrized_basis([rep for rep, _ in unit3.items()], ctx2)
+    assert len(basis) == 6
+    for blocks in compositions(3):
+        if len(blocks) == 1:
+            continue
+        for orientation in ("upper", "lower"):
+            parab = BlockParabolic(3, blocks, orientation)
+            tv = ParabolicTransversal(parab, ctx2)
+            assert parabolic_double_coset_count(parab, ctx2) == len(tv)
+            for h in basis:
+                _assert_res_matches_oracle(h, parab, tv.reps)
 
 
 def test_res_transversal_independence(ctx2, borel2, transversal_gl2, level_basis_gl2):
     """On an abelian Levi the restriction is a measure, so changing the
-    transversal must not change it at all."""
-    alt = transversal_gl2.perturbed_reps()
+    transversal must not change the defining sum at all.  A transversal
+    handed to res must belong to its parabolic and level."""
+    alt = perturbed_reps(transversal_gl2)
     for h in level_basis_gl2:
-        assert res_unnormalized(h, borel2, transversal_gl2) == res_unnormalized(
-            h, borel2, transversal_gl2, reps=alt
-        )
+        assert restriction_over_transversal(
+            h, borel2, transversal_gl2.reps
+        ) == restriction_over_transversal(h, borel2, alt)
+    h = level_basis_gl2[0]
+    with pytest.raises(DomainError):
+        res_unnormalized(h, borel2.opposite(), transversal_gl2)
+    with pytest.raises(DomainError):
+        res_normalized(h, borel2, ParabolicTransversal(borel2, PrimeContext(2, 2)))
 
 
 def test_ad_symmetrized_basis_dimensions(ctx2, level_basis_gl2):
@@ -216,6 +269,33 @@ def test_double_coset_measure_counts(ctx2):
     assert is_ad_invariant(h2)
     h3 = double_coset_measure(2, PrimeContext(3, 1), (1, 0))
     assert len(h3) == 4 * 48
+
+
+def test_double_coset_counts_beyond_adjacent_divisors():
+    """K_0 diag(p^a, p^b) K_0 has (p + 1) p^(a - b - 1) left K_0 cosets
+    (a > b), each split into |GL_2(Z/p)| level cosets; when a - b >= 2 some
+    Hermite forms, like [[p, 1], [0, p]], have a diagonal that does not
+    permute the divisors."""
+    expected = {2: (36, 72, 18), 3: (576, 1728, 192)}
+    for p, counts in expected.items():
+        ctx = PrimeContext(p, 1)
+        for (a, b), count in zip(((2, 0), (3, 0), (2, 1)), counts):
+            assert count == (p + 1) * p ** (a - b - 1) * glnzm_order(2, p, 1)
+            h = double_coset_measure(2, ctx, (a, b))
+            assert len(h) == count
+            if p == 2:
+                assert is_ad_invariant(h)
+
+
+def test_measure_from_jsonable_rejects_forged_flag(ctx2):
+    forged = HeckeMeasure.delta(Ambient.general_linear(2), ctx2, QMat([[1, 1], [0, 1]]))
+    assert not is_ad_invariant(forged)
+    blob = measure_to_jsonable(forged)
+    blob["biinvariant"] = True
+    with pytest.raises(DomainError):
+        measure_from_jsonable(json.loads(json.dumps(blob)))
+    blob["biinvariant"] = False
+    assert measure_from_jsonable(blob) == forged
 
 
 def test_serialization_round_trip(ctx2, borel2, level_basis_gl2):
