@@ -3,9 +3,10 @@
 Only one dimensional unramified characters of the Levi are modeled: they
 make every trace exactly computable while fully exercising the coset
 bookkeeping.  The induced representation at level m acts on functions
-supported on the double cosets P g K_m, and the trace of a measure equals
-the character pairing of its parabolic restriction; both sides are computed
-through independent code paths and compared in Q(sqrt p).
+supported on the double cosets P g K_m.  Its trace is chi paired with the
+trace measure T(h) on M, read off the split of each product g_i x; this
+equals the character pairing of the parabolic restriction, and both sides
+are computed through independent code paths and compared in Q(sqrt p).
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from cocenter.exactnum import DomainError, RootP, padic_norm_halfpower, padic_valuation
-from cocenter.groups import BlockParabolic, iwasawa_decompose, modulus_lambda
+from cocenter.exactnum import DEFAULT_GROUP_ORDER_GUARD, DomainError, RootP, padic_valuation
+from cocenter.groups import BlockParabolic, iwasawa_decompose
 from cocenter.matrices import PrimeContext, QMat, lift_mod, mat_mod
-from cocenter.measures import HeckeMeasure, ParabolicTransversal, res_unnormalized
+from cocenter.measures import Ambient, HeckeMeasure, ParabolicTransversal, normalize_on_levi
+from cocenter.measures import res_unnormalized
 
 
 @dataclass(frozen=True)
@@ -68,13 +70,20 @@ class InducedModel:
 
     Basis functions are indexed by the double cosets P g K_m; for a one
     dimensional inflated character the dimension equals the number of
-    double cosets.
+    double cosets.  A transversal that is passed must belong to the same
+    parabolic and level; otherwise one is enumerated under the guard.
     """
 
-    def __init__(self, parab: BlockParabolic, ctx: PrimeContext, transversal=None):
+    def __init__(self, parab: BlockParabolic, ctx: PrimeContext, transversal=None,
+                 guard=DEFAULT_GROUP_ORDER_GUARD):
+        if transversal is None:
+            transversal = ParabolicTransversal(parab, ctx, guard)
+        elif transversal.parab != parab or transversal.ctx != ctx:
+            raise DomainError("transversal of another parabolic or level")
         self.parab = parab
         self.ctx = ctx
-        self.transversal = transversal or ParabolicTransversal(parab, ctx)
+        self.transversal = transversal
+        self.rep_inverses = [g.inverse() for g in transversal.reps]
 
     @property
     def dim(self) -> int:
@@ -90,53 +99,45 @@ class InducedModel:
         parab, ctx = self.parab, self.ctx
         q, k = iwasawa_decompose(y, parab, ctx.p)
         idx = self.transversal.locate(k)
-        g_l = self.transversal.reps[idx]
-        prod = mat_mod(k * g_l.inverse(), ctx.modulus, ctx.p)
-        n = parab.n
-        assert all(
-            prod[i][j] == 0 for i in range(n) for j in range(n) if not parab.in_parabolic(i, j)
-        )
-        q2 = lift_mod(prod, n)
-        return idx, q * q2
+        prod = mat_mod(k * self.rep_inverses[idx], ctx.modulus, ctx.p)
+        if any(prod[i][j] != 0 for i, j in parab.positions("G/P")):
+            raise DomainError("transversal lookup names a double coset that k misses")
+        return idx, q * lift_mod(prod, parab.n)
 
 
-def hecke_action_matrix(
-    h: HeckeMeasure, chi: UnramifiedCharacter, model: InducedModel, normalized=False
-):
-    """Matrix of the h action on the level invariants of the induced module.
+def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:
+    """The M-measure T(h) = sum_i sum_x c_x delta[proj_M q_ix] of the trace.
 
-    Entry (i, l) accumulates c_x tau(q) over support points x with
-    g_i x in P g_l K_m, where tau is the inflated character, times the
-    |lambda_P|^(1/2) twist in the normalized model.
+    Split g_i x = q_ix g_l kappa for each transversal rep g_i and support
+    point x; the terms l = i make the trace of h on the induction of any
+    character of M/(M meet K_m).  Each is well defined up to M meet K_m,
+    because g_i lies in K_0, which normalizes K_m.
     """
     if h.ambient.kind != "G":
         raise DomainError("the induced module is acted on by measures on G")
     if not h.biinvariant:
         raise DomainError("trace needs a conjugation-invariant measure")
-    ctx, parab = model.ctx, model.parab
-    dim = model.dim
-    zero = RootP.rational(0, ctx.p)
-    matrix = [[zero for _ in range(dim)] for _ in range(dim)]
+    if h.ctx != model.ctx:
+        raise DomainError("measure and induced model at different levels")
+    parab = model.parab
+    pairs = []
     for i, g_i in enumerate(model.transversal.reps):
         for rep, c in h.items():
             l, q_part = model.locate_with_parabolic_part(g_i * rep)
-            weight = RootP.rational(chi.value(parab, q_part, ctx.p), ctx.p)
-            if normalized:
-                weight = weight * padic_norm_halfpower(
-                    modulus_lambda(parab, q_part), ctx.p, 1
-                )
-            matrix[i][l] = matrix[i][l] + c * weight
-    return matrix
+            if l == i:
+                pairs.append((parab.levi_project(q_part), c))
+    return HeckeMeasure.from_pairs(Ambient.levi(parab), model.ctx, pairs)
 
 
 def trace_induced(
     h: HeckeMeasure, chi: UnramifiedCharacter, model: InducedModel, normalized=False
 ) -> RootP:
-    m = hecke_action_matrix(h, chi, model, normalized)
-    out = RootP.rational(0, model.ctx.p)
-    for i in range(len(m)):
-        out = out + m[i][i]
-    return out
+    """Trace of h on the induction of chi (times |lambda_P|^(1/2) when
+    normalized): chi paired with T(h), as Ad(u) is unipotent on Lie P."""
+    t = trace_measure(h, model)
+    if normalized:
+        t = normalize_on_levi(t, model.parab)
+    return character_pairing(chi, t)
 
 
 def verify_induced_character_identity(
@@ -152,18 +153,18 @@ def verify_induced_character_identity(
     Unnormalized: trace of the induction of chi equals the pairing of chi
     with the plain restriction.  Normalized: trace of the induction of
     chi * |lambda_P|^(1/2) equals the pairing with the normalized
-    restriction.  Returns (ok, details).
+    restriction.  Both traces pair with one trace measure.  Returns (ok,
+    details).
     """
     model = model or InducedModel(parab, h.ctx)
     if res_m is None:
         res_m = res_unnormalized(h, parab)
     if res_m_normalized is None:
-        from cocenter.measures import normalize_on_levi
-
         res_m_normalized = normalize_on_levi(res_m, parab)
-    lhs_plain = trace_induced(h, chi, model, normalized=False)
+    t = trace_measure(h, model)
+    lhs_plain = character_pairing(chi, t)
     rhs_plain = character_pairing(chi, res_m)
-    lhs_norm = trace_induced(h, chi, model, normalized=True)
+    lhs_norm = character_pairing(chi, normalize_on_levi(t, model.parab))
     rhs_norm = character_pairing(chi, res_m_normalized)
     ok = lhs_plain == rhs_plain and lhs_norm == rhs_norm
     return ok, {

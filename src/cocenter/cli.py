@@ -32,13 +32,14 @@ from cocenter.characters import (
     InducedModel,
     UnramifiedCharacter,
     character_pairing,
-    trace_induced,
+    trace_measure,
 )
 from cocenter.measures import (
     Ambient,
     ad_symmetrized_basis,
     double_coset_labels,
     double_coset_measure,
+    normalize_on_levi,
     res_normalized,
     res_unnormalized,
     unit_measure,
@@ -266,20 +267,22 @@ def run_characters(config: RunConfig):
     rows = []
     ctx = PrimeContext(config.p, config.m)
     parab = BlockParabolic(config.n, config.blocks, "upper")
-    model = InducedModel(parab, ctx)
+    model = InducedModel(parab, ctx, guard=config.guard)
     basis = _level_one_basis(config, ctx)
     chars = [_character_for_blocks(config.blocks, z) for z in config.character_params]
     for idx, h in enumerate(basis):
         res_plain = res_unnormalized(h, parab)
         res_norm = res_normalized(h, parab)
+        trace_plain = trace_measure(h, model)
+        trace_norm = normalize_on_levi(trace_plain, parab)
         for c_idx, chi in enumerate(chars):
-            lhs = trace_induced(h, chi, model, normalized=False)
+            lhs = character_pairing(chi, trace_plain)
             rhs = character_pairing(chi, res_plain)
             rows.append(
                 _row("characters", "induced-character-trace", f"h{idx}/chi{c_idx}",
                      lhs == rhs, lhs, rhs)
             )
-            lhs_n = trace_induced(h, chi, model, normalized=True)
+            lhs_n = character_pairing(chi, trace_norm)
             rhs_n = character_pairing(chi, res_norm)
             rows.append(
                 _row("characters", "induced-character-trace/normalized",

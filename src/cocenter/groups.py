@@ -356,13 +356,9 @@ def chevalley_map(g: QMat) -> ChevalleyPoint:
     return ChevalleyPoint(coeffs)
 
 
-_W0_CACHE = {}
-
-
-def antidiagonal_permutation(n: int) -> QMat:
-    if n not in _W0_CACHE:
-        _W0_CACHE[n] = QMat([[int(i + j == n - 1) for j in range(n)] for i in range(n)])
-    return _W0_CACHE[n]
+def _reverse_indices(g: QMat) -> QMat:
+    """w0 g w0 for the longest permutation w0: rows and columns reversed."""
+    return QMat([row[::-1] for row in g.rows[::-1]])
 
 
 def iwasawa_decompose(g: QMat, parab: BlockParabolic, p: int):
@@ -377,9 +373,8 @@ def iwasawa_decompose(g: QMat, parab: BlockParabolic, p: int):
     if parab.orientation == "upper":
         q, k = hermite_padic(g, p)
         return q, k
-    w0 = antidiagonal_permutation(g.n)
-    h, k = hermite_padic(w0 * g * w0, p)
-    return w0 * h * w0, w0 * k * w0
+    h, k = hermite_padic(_reverse_indices(g), p)
+    return _reverse_indices(h), _reverse_indices(k)
 
 
 def jordan_type(u: FFMatrix):

@@ -4,20 +4,32 @@ Each oracle recomputes a quantity through a code path disjoint from the one
 it checks: full adjoint matrices instead of block splitting, exhaustive
 mod p^m scans instead of Iwasawa reductions, cell-by-cell integration
 instead of ball intersections, the transversal sum instead of its
-one-step collapse.
+one-step collapse, the full action matrix of the induced module instead
+of the trace measure.
 """
 
 from fractions import Fraction
 
-from cocenter.exactnum import padic_valuation
+from cocenter.exactnum import DomainError, RootP, padic_norm_halfpower, padic_valuation
+from cocenter.groups import modulus_lambda
 from cocenter.matrices import QMat, congruence_equiv, glnzm_order
 from cocenter.measures import (
     Ambient,
     HeckeMeasure,
     ad_pullback,
+    ad_symmetrized_basis,
+    double_coset_labels,
     pushforward_to_levi,
     restrict_to_parabolic,
+    unit_measure,
 )
+
+
+def gl2_level_basis(ctx):
+    """Conjugation-orbit indicators on K_0 and on K_0 diag(p,1) K_0 in GL_2."""
+    k0_labels = [rep for rep, _ in unit_measure(Ambient.general_linear(2), ctx).items()]
+    d_labels = double_coset_labels(2, ctx, (1, 0))
+    return ad_symmetrized_basis(k0_labels, ctx) + ad_symmetrized_basis(d_labels, ctx)
 
 
 def matrix_unit(n, k, l):
@@ -128,3 +140,30 @@ def restriction_over_transversal(h, parab, reps):
     for g in reps:
         out = out + pushforward_to_levi(restrict_to_parabolic(ad_pullback(h, g), parab), parab)
     return out
+
+
+def hecke_action_matrix(h, chi, model, normalized=False):
+    """Matrix of the h action on the level invariants of the induced module.
+
+    Entry (i, l) accumulates c_x tau(q) over support points x with
+    g_i x in P g_l K_m, where tau is the inflated character, times the
+    |lambda_P|^(1/2) twist in the normalized model.
+    """
+    if h.ambient.kind != "G":
+        raise DomainError("the induced module is acted on by measures on G")
+    if not h.biinvariant:
+        raise DomainError("trace needs a conjugation-invariant measure")
+    ctx, parab = model.ctx, model.parab
+    dim = model.dim
+    zero = RootP.rational(0, ctx.p)
+    matrix = [[zero for _ in range(dim)] for _ in range(dim)]
+    for i, g_i in enumerate(model.transversal.reps):
+        for rep, c in h.items():
+            l, q_part = model.locate_with_parabolic_part(g_i * rep)
+            weight = RootP.rational(chi.value(parab, q_part, ctx.p), ctx.p)
+            if normalized:
+                weight = weight * padic_norm_halfpower(
+                    modulus_lambda(parab, q_part), ctx.p, 1
+                )
+            matrix[i][l] = matrix[i][l] + c * weight
+    return matrix

@@ -6,11 +6,11 @@ from cocenter.characters import (
     InducedModel,
     UnramifiedCharacter,
     character_pairing,
-    hecke_action_matrix,
     trace_induced,
+    trace_measure,
     verify_induced_character_identity,
 )
-from cocenter.exactnum import DomainError, RootP
+from cocenter.exactnum import DomainError, ResourceGuardError, RootP
 from cocenter.groups import BlockParabolic
 from cocenter.matrices import PrimeContext, QMat
 from cocenter.measures import (
@@ -21,6 +21,7 @@ from cocenter.measures import (
     res_unnormalized,
     unit_measure,
 )
+from tests.oracles import gl2_level_basis, hecke_action_matrix
 
 CHAR_PARAMS = [(1, 1), (2, 1), (Fraction(1, 2), 3), (3, 5)]
 
@@ -134,3 +135,83 @@ def test_gl3_levi_unit_smoke():
     chi = UnramifiedCharacter((2, 1), (3, Fraction(1, 2)))
     ok, details = verify_induced_character_identity(u3, chi, parab, model)
     assert ok, details
+
+
+def test_trace_induced_matches_action_matrix_oracle(ctx2, borel2, level_basis_gl2):
+    """The trace read off the trace measure equals the trace of the full
+    action matrix on the GL_2(Q_2) level basis, plain and normalized,
+    through both Borels."""
+    for parab in (borel2, borel2.opposite()):
+        model = InducedModel(parab, ctx2)
+        for h in level_basis_gl2:
+            for params in CHAR_PARAMS:
+                chi = UnramifiedCharacter((1, 1), params)
+                for normalized in (False, True):
+                    mat = hecke_action_matrix(h, chi, model, normalized)
+                    diagonal = sum((mat[i][i] for i in range(model.dim)), RootP.rational(0, 2))
+                    assert trace_induced(h, chi, model, normalized) == diagonal
+
+
+def test_trace_measure_equals_restriction():
+    """T(h) = res_P h as measures on M, not only after pairing with
+    characters: the GL_2 level bases for p in {2, 3} through both Borels
+    (38 cases) and the GL_3(Q_2) unit measure through (2,1), both
+    orientations."""
+    cases = 0
+    for p in (2, 3):
+        ctx = PrimeContext(p, 1)
+        basis = gl2_level_basis(ctx)
+        for parab in (BlockParabolic(2, (1, 1), "upper"), BlockParabolic(2, (1, 1), "lower")):
+            model = InducedModel(parab, ctx)
+            for h in basis:
+                assert trace_measure(h, model) == res_unnormalized(h, parab)
+                cases += 1
+    assert cases == 38
+    ctx = PrimeContext(2, 1)
+    unit3 = unit_measure(Ambient.general_linear(3), ctx)
+    for orientation in ("upper", "lower"):
+        parab = BlockParabolic(3, (2, 1), orientation)
+        assert trace_measure(unit3, InducedModel(parab, ctx)) == res_unnormalized(unit3, parab)
+
+
+def test_identity_check_splits_each_product_once(monkeypatch):
+    """One identity check splits each product g_i x once, for the plain and
+    the normalized trace together: dim * |supp h| splits."""
+    ctx = PrimeContext(3, 1)
+    borel = BlockParabolic(2, (1, 1), "upper")
+    model = InducedModel(borel, ctx)
+    h = gl2_level_basis(ctx)[-1]
+    calls = []
+    split = InducedModel.locate_with_parabolic_part
+
+    def counting_split(self, y):
+        calls.append(y)
+        return split(self, y)
+
+    monkeypatch.setattr(InducedModel, "locate_with_parabolic_part", counting_split)
+    ok, details = verify_induced_character_identity(
+        h, UnramifiedCharacter((1, 1), (2, 5)), borel, model
+    )
+    assert ok, details
+    assert len(calls) == model.dim * len(h) > 0
+
+
+def test_induced_model_validates_its_inputs(ctx2, borel2, transversal_gl2, unit_gl2):
+    """A transversal of another parabolic or level is refused, and so is a
+    measure of another level; the guard bounds the transversal
+    enumeration, and a split whose transversal lookup disagrees with its
+    reps raises instead of returning."""
+    with pytest.raises(DomainError):
+        InducedModel(borel2.opposite(), ctx2, transversal_gl2)
+    with pytest.raises(DomainError):
+        InducedModel(borel2, PrimeContext(2, 2), transversal_gl2)
+    with pytest.raises(DomainError):
+        trace_measure(unit_gl2, InducedModel(borel2, PrimeContext(2, 2)))
+    ctx3 = PrimeContext(3, 1)
+    assert InducedModel(borel2, ctx3, guard=48).dim == 4
+    with pytest.raises(ResourceGuardError):
+        InducedModel(borel2, ctx3, guard=47)
+    corrupted = ParabolicTransversal(borel2, ctx2)
+    corrupted.lookup = {key: (idx + 1) % len(corrupted) for key, idx in corrupted.lookup.items()}
+    with pytest.raises(DomainError):
+        InducedModel(borel2, ctx2, corrupted).locate_with_parabolic_part(QMat.identity(2))

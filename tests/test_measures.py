@@ -15,7 +15,6 @@ from cocenter.measures import (
     ad_symmetrized_basis,
     canonical_rep,
     coset_meets_parabolic,
-    double_coset_labels,
     double_coset_measure,
     is_ad_invariant,
     measure_from_jsonable,
@@ -31,6 +30,7 @@ from cocenter.measures import (
 from cocenter.oracles import constant_term_oracle_gl2
 
 from tests.oracles import (
+    gl2_level_basis,
     meets_parabolic_oracle_integral,
     perturbed_reps,
     restriction_over_transversal,
@@ -195,20 +195,13 @@ def _assert_res_matches_oracle(h, parab, reps):
     assert res_normalized(h, parab) == normalize_on_levi(plain, parab)
 
 
-def _level_basis(ctx):
-    ambient = Ambient.general_linear(2)
-    k0_labels = [rep for rep, _ in unit_measure(ambient, ctx).items()]
-    d_labels = double_coset_labels(2, ctx, (1, 0))
-    return ad_symmetrized_basis(k0_labels, ctx) + ad_symmetrized_basis(d_labels, ctx)
-
-
 def test_res_matches_transversal_oracle():
     """The one-step restriction equals the conjugate-restrict-push sum over
     a transversal of P\\G/K_m, original and perturbed, on the GL_2 level
     bases and the diagonal double coset for p in {2, 3}, both Borels."""
     for p in (2, 3):
         ctx = PrimeContext(p, 1)
-        measures = _level_basis(ctx) + [double_coset_measure(2, ctx, (1, 0))]
+        measures = gl2_level_basis(ctx) + [double_coset_measure(2, ctx, (1, 0))]
         for parab in (BlockParabolic(2, (1, 1), "upper"), BlockParabolic(2, (1, 1), "lower")):
             tv = ParabolicTransversal(parab, ctx)
             assert parabolic_double_coset_count(parab, ctx) == len(tv)
