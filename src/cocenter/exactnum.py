@@ -95,10 +95,6 @@ class RootP:
     def rational(cls, a, p: int) -> "RootP":
         return cls(a, 0, p)
 
-    @classmethod
-    def sqrt_p(cls, p: int) -> "RootP":
-        return cls(0, 1, p)
-
     def _coerce(self, other):
         if isinstance(other, RootP):
             if other.p != self.p and other.b != 0 and self.b != 0:
@@ -181,9 +177,6 @@ class RootP:
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def __str__(self):
         sign = "+" if self.b >= 0 else "-"

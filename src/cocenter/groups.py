@@ -71,9 +71,6 @@ class BlockParabolic:
             return bi[i] <= bi[j]
         return bi[i] >= bi[j]
 
-    def in_radical(self, i: int, j: int) -> bool:
-        return self.in_parabolic(i, j) and not self.in_levi(i, j)
-
     def dim_radical(self) -> int:
         return len(self.positions("U"))
 
@@ -180,13 +177,6 @@ class SubgroupSpec:
         if self.kind == "M":
             return self.parab.positions("G/M")
         return self.parab.positions("G/P")
-
-    def own_positions(self, n: int):
-        if self.kind == "T":
-            return [(i, j) for i in range(n) for j in range(n) if i == j]
-        if self.kind == "M":
-            return self.parab.positions("M")
-        return self.parab.positions("P")
 
 
 def _list_det(rows) -> Fraction:
@@ -380,24 +370,23 @@ def iwasawa_decompose(g: QMat, parab: BlockParabolic, p: int):
 def jordan_type(u: FFMatrix):
     """Partition of n listing the Jordan block sizes of a unipotent u.
 
-    Computed from the rank sequence of (u - 1)^k: the conjugate partition
-    has parts rank((u-1)^(k-1)) - rank((u-1)^k).
+    Computed from the rank sequence of N^k, N = u - 1: the conjugate
+    partition has parts rank(N^(k-1)) - rank(N^k), taken until the rank
+    reaches 0.  Once rank(N^k) = rank(N^(k+1)), N maps the image of N^k
+    onto itself, so a rank that stops falling above 0 means N is not
+    nilpotent; for most non-unipotent u that shows at the first rank.
     """
-    n = u.n
-    one = FFMatrix.identity(n, u.q)
-    nil = u - one
-    powers = [FFMatrix.identity(n, u.q)]
-    for _ in range(n):
-        powers.append(powers[-1] * nil)
-    if any(x != 0 for row in powers[n].rows for x in row):
-        raise DomainError("matrix is not unipotent")
-    ranks = [m.rank() for m in powers]
+    nil = u - FFMatrix.identity(u.n, u.q)
     conj = []
-    for k in range(1, n + 1):
-        d = ranks[k - 1] - ranks[k]
-        if d == 0:
-            break
-        conj.append(d)
+    rank, power = u.n, nil
+    while rank:
+        drop = rank - power.rank()
+        if drop == 0:
+            raise DomainError("matrix is not unipotent")
+        conj.append(drop)
+        rank -= drop
+        if rank:
+            power = power * nil
     # conjugate back to the block-size partition
     parts = []
     for k in range(1, (conj[0] if conj else 0) + 1):

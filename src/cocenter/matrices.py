@@ -101,9 +101,6 @@ class QMat:
         c = Fraction(c)
         return QMat([[c * x for x in row] for row in self.rows])
 
-    def transpose(self) -> "QMat":
-        return QMat(list(zip(*self.rows)))
-
     def det(self) -> Fraction:
         # fraction Gaussian elimination; n stays tiny here
         n = self.n
@@ -346,7 +343,10 @@ def enumerate_glnzm(n: int, ctx: PrimeContext, guard: int = DEFAULT_GROUP_ORDER_
         rows = tuple(flat[i * n : (i + 1) * n] for i in range(n))
         if det_mod(rows, modulus) % ctx.p != 0:
             out.append(rows)
-    assert len(out) == size
+    if len(out) != size:
+        raise RuntimeError(
+            f"enumerated {len(out)} elements of GL_{n}(Z/{modulus}), expected {size}"
+        )
     return out
 
 
@@ -394,18 +394,44 @@ class FFMatrix:
     def __getitem__(self, ij):
         return self.rows[ij[0]][ij[1]]
 
+    @classmethod
+    def _reduced(cls, rows, q: int) -> "FFMatrix":
+        """Wrap square rows of entries already in [0, q), q already prime."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", len(rows))
+        object.__setattr__(out, "q", q)
+        object.__setattr__(out, "rows", rows)
+        return out
+
+    def _check_same_shape(self, other: "FFMatrix") -> None:
+        if self.n != other.n or self.q != other.q:
+            raise DomainError(
+                f"{self.n} x {self.n} over F_{self.q} against "
+                f"{other.n} x {other.n} over F_{other.q}"
+            )
+
     def __mul__(self, other: "FFMatrix") -> "FFMatrix":
-        n, q = self.n, self.q
-        a, b = self.rows, other.rows
-        return FFMatrix(
-            [[sum(a[i][k] * b[k][j] for k in range(n)) % q for j in range(n)] for i in range(n)],
+        # both factors are valid, so the product needs no re-validation
+        self._check_same_shape(other)
+        q = self.q
+        cols = tuple(zip(*other.rows))
+        return FFMatrix._reduced(
+            tuple(
+                tuple(sum(x * y for x, y in zip(row, col)) % q for col in cols)
+                for row in self.rows
+            ),
             q,
         )
 
     def __sub__(self, other: "FFMatrix") -> "FFMatrix":
-        return FFMatrix(
-            [[self.rows[i][j] - other.rows[i][j] for j in range(self.n)] for i in range(self.n)],
-            self.q,
+        self._check_same_shape(other)
+        q = self.q
+        return FFMatrix._reduced(
+            tuple(
+                tuple((x - y) % q for x, y in zip(a, b))
+                for a, b in zip(self.rows, other.rows)
+            ),
+            q,
         )
 
     def rank(self) -> int:
@@ -470,5 +496,6 @@ def enumerate_gln_fq(n: int, q: int, guard: int = DEFAULT_GROUP_ORDER_GUARD):
         m = FFMatrix([flat[i * n : (i + 1) * n] for i in range(n)], q)
         if m.is_invertible():
             out.append(m)
-    assert len(out) == size
+    if len(out) != size:
+        raise RuntimeError(f"enumerated {len(out)} elements of GL_{n}(F_{q}), expected {size}")
     return out

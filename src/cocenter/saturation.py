@@ -52,10 +52,6 @@ def poly_mul(a, b):
     return poly_trim(out)
 
 
-def poly_scale(a, c):
-    return poly_trim([x * Fraction(c) for x in a])
-
-
 def poly_eval(a, t: Fraction) -> Fraction:
     out = Fraction(0)
     for c in reversed(a):
@@ -242,10 +238,6 @@ class ConstructibleSet:
 
     def __invert__(self):
         return ConstructibleSet(self.nvars, Node("not", (self.root,)))
-
-    @classmethod
-    def whole_space(cls, nvars: int) -> "ConstructibleSet":
-        return cls.equation(MPoly.constant(nvars, 0))
 
     @classmethod
     def single_point(cls, point) -> "ConstructibleSet":

@@ -7,6 +7,12 @@ replaced by dominance maximality of the Jordan type: nilpotent orbit
 closures of GL_n are governed by the dominance order on partitions.
 Output carries that bridge explicitly, and every number is the result of a
 finite enumeration, never of a formula taken on faith.
+
+The sweep is tallied class by class: each G(F_q) conjugacy class met by
+C * U is enumerated once, and its size is counted under the Jordan type of
+one representative, since the Jordan type is constant on a class.  Closures
+conjugate by the generators only, not by their inverses (see
+`conjugation_closure`).
 """
 
 from __future__ import annotations
@@ -104,9 +110,13 @@ def levi_generators(parab: BlockParabolic, q: int):
 
 def conjugation_closure(seeds, gens, guard=DEFAULT_GROUP_ORDER_GUARD):
     """Closure of a set of matrices under conjugation by the given
-    generators (and hence by the group they generate)."""
+    generators (and hence by the group they generate).
+
+    Conjugating by the inverses adds nothing: the closure is finite and
+    conjugation by g maps it into itself injectively, hence onto itself,
+    so it is already closed under conjugation by g^-1.
+    """
     pairs = [(g, g.inverse()) for g in gens]
-    pairs += [(ginv, g) for g, ginv in pairs]
     seen = set(seeds)
     frontier = list(seen)
     while frontier:
@@ -189,19 +199,28 @@ class InducedSet:
 
 def induced_set(parab: BlockParabolic, block_partitions, q: int,
                 guard=DEFAULT_GROUP_ORDER_GUARD) -> InducedSet:
-    """Exhaustive union of G conjugates of C * U, tallied by Jordan type."""
+    """Exhaustive union of G conjugates of C * U, tallied by Jordan type.
+
+    Swept one G conjugacy class at a time: each element of C * U that no
+    earlier class contains seeds a closure, which counts in full under the
+    Jordan type of its seed.  The guard on |GL_n(F_q)| bounds the sweep.
+    """
     if gln_fq_order(parab.n, q) > guard:
         raise ResourceGuardError("|GL_n(F_q)| exceeds guard")
     levi_class = build_class(parab, block_partitions, q, guard)
-    seeds = set()
-    for c in levi_class:
-        for urad in radical_elements(parab, q):
-            seeds.add(c * urad)
-    swept = conjugation_closure(seeds, gl_generators(parab.n, q), guard)
+    radical = radical_elements(parab, q)
+    gens = gl_generators(parab.n, q)
+    swept = set()
     histogram = {}
-    for element in swept:
-        lam = jordan_type(element)
-        histogram[lam] = histogram.get(lam, 0) + 1
+    for c in levi_class:
+        for urad in radical:
+            seed = c * urad
+            if seed in swept:
+                continue
+            orbit = conjugation_closure([seed], gens, guard)
+            lam = jordan_type(seed)
+            histogram[lam] = histogram.get(lam, 0) + len(orbit)
+            swept |= orbit
     classes = tuple(sorted(histogram.items()))
     return InducedSet(
         parab.n,

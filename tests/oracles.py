@@ -5,14 +5,15 @@ it checks: full adjoint matrices instead of block splitting, exhaustive
 mod p^m scans instead of Iwasawa reductions, cell-by-cell integration
 instead of ball intersections, the transversal sum instead of its
 one-step collapse, the full action matrix of the induced module instead
-of the trace measure.
+of the trace measure, a Jordan type per swept element instead of one per
+conjugacy class.
 """
 
 from fractions import Fraction
 
 from cocenter.exactnum import DomainError, RootP, padic_norm_halfpower, padic_valuation
 from cocenter.groups import modulus_lambda
-from cocenter.matrices import QMat, congruence_equiv, glnzm_order
+from cocenter.matrices import FFMatrix, QMat, congruence_equiv, glnzm_order
 from cocenter.measures import (
     Ambient,
     HeckeMeasure,
@@ -22,6 +23,12 @@ from cocenter.measures import (
     pushforward_to_levi,
     restrict_to_parabolic,
     unit_measure,
+)
+from cocenter.unipotent import (
+    gl_generators,
+    jordan_block_matrix,
+    levi_generators,
+    radical_elements,
 )
 
 
@@ -167,3 +174,69 @@ def hecke_action_matrix(h, chi, model, normalized=False):
                 )
             matrix[i][l] = matrix[i][l] + c * weight
     return matrix
+
+
+def jordan_type_all_powers(u):
+    """Jordan type of a unipotent u from all n powers of u - 1 and their
+    n + 1 ranks; raises DomainError when (u - 1)^n is not zero."""
+    n = u.n
+    one = FFMatrix.identity(n, u.q)
+    nil = u - one
+    powers = [FFMatrix.identity(n, u.q)]
+    for _ in range(n):
+        powers.append(powers[-1] * nil)
+    if any(x != 0 for row in powers[n].rows for x in row):
+        raise DomainError("matrix is not unipotent")
+    ranks = [m.rank() for m in powers]
+    conj = []
+    for k in range(1, n + 1):
+        d = ranks[k - 1] - ranks[k]
+        if d == 0:
+            break
+        conj.append(d)
+    parts = []
+    for k in range(1, (conj[0] if conj else 0) + 1):
+        size = sum(1 for c in conj if c >= k)
+        if size:
+            parts.append(size)
+    return tuple(sorted(parts, reverse=True))
+
+
+def closure_both_ways(seeds, gens):
+    """Closure of a set of matrices under conjugation by every generator
+    and by every generator's inverse."""
+    pairs = [(g, g.inverse()) for g in gens]
+    pairs += [(ginv, g) for g, ginv in pairs]
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        cur = frontier.pop()
+        for g, ginv in pairs:
+            nxt = g * cur * ginv
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+def induced_classes_by_element(parab, block_partitions, q):
+    """(classes, total) of the G(F_q) sweep of C * U, element by element.
+
+    The Levi class and the sweep are closed under the generators and their
+    inverses, and every swept element is given its own Jordan type.
+    """
+    n = parab.n
+    rows = [[0] * n for _ in range(n)]
+    for (lo, hi), partition in zip(parab.block_ranges, block_partitions):
+        block = jordan_block_matrix(partition, q)
+        for i in range(hi - lo):
+            for j in range(hi - lo):
+                rows[lo + i][lo + j] = block[i, j]
+    levi_class = closure_both_ways([FFMatrix(rows, q)], levi_generators(parab, q))
+    seeds = {c * u for c in levi_class for u in radical_elements(parab, q)}
+    swept = closure_both_ways(seeds, gl_generators(n, q))
+    histogram = {}
+    for element in swept:
+        lam = jordan_type_all_powers(element)
+        histogram[lam] = histogram.get(lam, 0) + 1
+    return tuple(sorted(histogram.items())), len(swept)

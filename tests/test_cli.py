@@ -25,6 +25,7 @@ REPORT_DIGESTS = {
     "restriction": (run_restriction, "17c4f8ca60315e3d1d1f70389c69cb57306fd233e28c3630c1bed85fb6d158a5"),
     "characters": (run_characters, "c415d7beef8c65e571b849c6f0529ff25b8561e5d46ee251221f35b480a25c3d"),
     "orbital": (run_orbital, "078161848abc7ba2ce1eed450a701cd181e0f2eee252cfdeacec40fca7c1da78"),
+    "unipotent": (run_unipotent, "03e75b3505d779904e6fee0d99174e25cb629cab6ce44b25abdafd22f01cafd8"),
 }
 
 

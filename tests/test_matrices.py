@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cocenter.exactnum import ResourceGuardError
+from cocenter.exactnum import DomainError, ResourceGuardError
 from cocenter.matrices import (
     FFMatrix,
     PrimeContext,
@@ -135,3 +135,30 @@ def test_ffmatrix_rank_and_inverse():
     g = FFMatrix([[1, 2], [3, 4]], 5)
     assert g.is_invertible()
     assert g * g.inverse() == FFMatrix.identity(2, 5)
+
+
+def test_ffmatrix_product_and_difference_entrywise():
+    rng = random.Random(7)
+    for n, q in ((1, 2), (2, 5), (3, 3)):
+        for _ in range(20):
+            a = [[rng.randrange(-2 * q, 2 * q) for _ in range(n)] for _ in range(n)]
+            b = [[rng.randrange(-2 * q, 2 * q) for _ in range(n)] for _ in range(n)]
+            prod = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+            diff = [[a[i][j] - b[i][j] for j in range(n)] for i in range(n)]
+            for got, want in (
+                (FFMatrix(a, q) * FFMatrix(b, q), FFMatrix(prod, q)),
+                (FFMatrix(a, q) - FFMatrix(b, q), FFMatrix(diff, q)),
+            ):
+                assert got == want and hash(got) == hash(want)
+                assert (got.n, got.q, got.rows) == (want.n, want.q, want.rows)
+
+
+def test_ffmatrix_arithmetic_refuses_mixed_shapes():
+    a = FFMatrix([[1, 2], [0, 1]], 5)
+    for other in (FFMatrix.identity(3, 5), FFMatrix([[1, 1], [0, 1]], 3)):
+        with pytest.raises(DomainError):
+            a * other
+        with pytest.raises(DomainError):
+            other * a
+        with pytest.raises(DomainError):
+            a - other

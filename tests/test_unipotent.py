@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from cocenter.exactnum import DomainError, ResourceGuardError
-from cocenter.groups import BlockParabolic, jordan_type
-from cocenter.matrices import FFMatrix
+from cocenter.groups import BlockParabolic, compositions, jordan_type
+from cocenter.matrices import FFMatrix, enumerate_gln_fq
 from cocenter.unipotent import (
     InducedSet,
     build_class,
@@ -19,6 +19,10 @@ from cocenter.unipotent import (
     partitions_of,
     richardson_prediction,
 )
+from tests.oracles import induced_classes_by_element, jordan_type_all_powers
+
+# (n, q) of the groups GL_n(F_q) checked against the element-by-element oracles
+ORACLE_CASES = ((2, 2), (2, 3), (2, 5), (3, 2))
 
 
 def test_dominance_order():
@@ -144,3 +148,31 @@ def test_different_levis_can_differ():
 def test_resource_guard():
     with pytest.raises(ResourceGuardError):
         induced_set(BlockParabolic(3, (2, 1), "upper"), [(1, 1), (1,)], 5, guard=10)
+
+
+def test_induced_set_matches_element_sweep_oracle():
+    """Class-by-class tallies equal a Jordan type taken per swept element,
+    with closures that also conjugate by inverses, on every Levi class of
+    every parabolic, both orientations."""
+    for n, q in ORACLE_CASES:
+        for blocks in compositions(n):
+            for combo in itertools.product(*(list(partitions_of(b)) for b in blocks)):
+                for orientation in ("upper", "lower"):
+                    parab = BlockParabolic(n, blocks, orientation)
+                    ind = induced_set(parab, combo, q)
+                    expected = induced_classes_by_element(parab, combo, q)
+                    assert (ind.classes, ind.total) == expected, (n, q, blocks, combo, orientation)
+
+
+def test_jordan_type_matches_all_powers_oracle():
+    """The early-exit rank sequence agrees with all n powers on every group
+    element, and refuses exactly the non-unipotent ones."""
+    for n, q in ORACLE_CASES:
+        for g in enumerate_gln_fq(n, q):
+            try:
+                expected = jordan_type_all_powers(g)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    jordan_type(g)
+            else:
+                assert jordan_type(g) == expected, g
