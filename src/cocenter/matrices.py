@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from cocenter.exactnum import (
     DEFAULT_GROUP_ORDER_GUARD,
@@ -416,10 +417,7 @@ class FFMatrix:
         q = self.q
         cols = tuple(zip(*other.rows))
         return FFMatrix._reduced(
-            tuple(
-                tuple(sum(x * y for x, y in zip(row, col)) % q for col in cols)
-                for row in self.rows
-            ),
+            tuple([tuple([sum(map(mul, row, col)) % q for col in cols]) for row in self.rows]),
             q,
         )
 
@@ -428,8 +426,7 @@ class FFMatrix:
         q = self.q
         return FFMatrix._reduced(
             tuple(
-                tuple((x - y) % q for x, y in zip(a, b))
-                for a, b in zip(self.rows, other.rows)
+                [tuple([(x - y) % q for x, y in zip(a, b)]) for a, b in zip(self.rows, other.rows)]
             ),
             q,
         )
