@@ -1,10 +1,11 @@
 """Block parabolics of GL_n: discriminants, modulus character, decompositions.
 
-Lie algebras are realized as matrix-entry coordinate spaces and the adjoint
-action is an explicit rational matrix on them, so every discriminant and
-modulus value is independently checkable by brute force.  Only GL_n is
-instantiated; the subgroup spec covers the diagonal torus, Levi subgroups
-of block parabolics, and the parabolics themselves.
+Lie algebras are realized as matrix-entry coordinate spaces.  On Levi
+elements, discriminants and the modulus come from block characteristic
+polynomials and determinants in integer arithmetic; elsewhere in P, from the
+adjoint action as an explicit rational matrix.  Full adjoint matrices are the
+oracle in tests/oracles.py.  Only GL_n is instantiated; the subgroup spec
+covers the diagonal torus, Levi subgroups and block parabolics.
 """
 
 from __future__ import annotations
@@ -13,9 +14,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from cocenter.exactnum import DomainError
-from cocenter.matrices import FFMatrix, QMat, hermite_padic
+from cocenter.matrices import (
+    FFMatrix, QMat, charpoly, det_int, det_rational, hermite_padic, integer_form,
+)
 
 
 @dataclass(frozen=True)
@@ -77,53 +81,44 @@ class BlockParabolic:
     @cached_property
     def _position_table(self):
         table = {key: [] for key in ("P", "M", "U", "G/P", "G/M")}
-        for i in range(self.n):
-            for j in range(self.n):
-                in_m = self.in_levi(i, j)
-                in_p = self.in_parabolic(i, j)
-                if in_p:
-                    table["P"].append((i, j))
-                else:
-                    table["G/P"].append((i, j))
-                if in_m:
-                    table["M"].append((i, j))
-                else:
-                    table["G/M"].append((i, j))
-                if in_p and not in_m:
-                    table["U"].append((i, j))
+        for i, j in itertools.product(range(self.n), repeat=2):
+            in_m, in_p = self.in_levi(i, j), self.in_parabolic(i, j)
+            table["P" if in_p else "G/P"].append((i, j))
+            table["M" if in_m else "G/M"].append((i, j))
+            if in_p and not in_m:
+                table["U"].append((i, j))
         return table
 
     def positions(self, pattern: str):
         """Coordinate positions of Lie P / Lie M / Lie U / complement spaces."""
         return self._position_table[pattern]
 
+    @cached_property
+    def _pair_table(self):
+        bi = self.block_index
+        return {key: sorted({(bi[i], bi[j]) for i, j in pos})
+                for key, pos in self._position_table.items()}
+
+    def block_pairs(self, pattern: str):
+        """Block pairs (a, b) whose Hom(V_b, V_a) tile the given positions."""
+        return self._pair_table[pattern]
+
     def contains(self, g: QMat) -> bool:
-        return all(
-            g[i, j] == 0
-            for i in range(self.n)
-            for j in range(self.n)
-            if not self.in_parabolic(i, j)
-        )
+        rows = g.rows
+        return all(rows[i][j] == 0 for i, j in self.positions("G/P"))
 
     def levi_contains(self, g: QMat) -> bool:
-        return all(
-            g[i, j] == 0 for i in range(self.n) for j in range(self.n) if not self.in_levi(i, j)
-        )
+        rows = g.rows
+        return all(rows[i][j] == 0 for i, j in self.positions("G/M"))
 
     def levi_project(self, g: QMat) -> QMat:
         """Projection P -> M killing the unipotent radical (diagonal blocks)."""
-        return QMat(
-            [
-                [g[i, j] if self.in_levi(i, j) else 0 for j in range(self.n)]
-                for i in range(self.n)
-            ]
-        )
+        bi = self.block_index
+        return QMat([[x if bi[i] == bi[j] else 0 for j, x in enumerate(row)]
+                     for i, row in enumerate(g.rows)])
 
     def levi_blocks(self, g: QMat):
-        out = []
-        for lo, hi in self.block_ranges:
-            out.append(QMat([[g[i, j] for j in range(lo, hi)] for i in range(lo, hi)]))
-        return out
+        return [QMat([row[lo:hi] for row in g.rows[lo:hi]]) for lo, hi in self.block_ranges]
 
     @classmethod
     def assemble_from_blocks(cls, blocks_mats, parab: "BlockParabolic") -> QMat:
@@ -179,26 +174,6 @@ class SubgroupSpec:
         return self.parab.positions("G/P")
 
 
-def _list_det(rows) -> Fraction:
-    """Determinant of a list-of-lists of Fractions, in place."""
-    n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if rows[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for r in range(c + 1, n):
-            if rows[r][c] != 0:
-                f = rows[r][c] * inv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    return det
-
-
 def _conj_action_det(g: QMat, ginv: QMat, positions, subtract_identity: bool) -> Fraction:
     """det of (the projected X -> g X g^-1, optionally minus identity) on
     the given coordinates; g and its inverse are both supplied."""
@@ -209,88 +184,82 @@ def _conj_action_det(g: QMat, ginv: QMat, positions, subtract_identity: bool) ->
         if subtract_identity:
             row[r] = row[r] - 1
         mat.append(row)
-    return _list_det(mat)
+    return det_rational(mat)
 
 
-def _is_diagonal_block_element(spec: SubgroupSpec, g: QMat) -> bool:
-    # fast path applies when conjugation by g preserves every coordinate
-    # block Hom(block_b, block_a) of the complement, i.e. g in M (or T)
-    if spec.kind == "T":
-        return True
-    return spec.parab.levi_contains(g)
+def _block_invariants(parab: BlockParabolic, g: QMat):
+    """(A, d, det A, chi) per diagonal block g_a = A / d of g in M, with A
+    integral and chi the coefficients of det(x - A), highest first."""
+    out = []
+    for lo, hi in parab.block_ranges:
+        a, d = integer_form([row[lo:hi] for row in g.rows[lo:hi]])
+        chi = charpoly(a)
+        if chi[-1] == 0:
+            raise DomainError("singular matrix")
+        out.append((a, d, (-1) ** (hi - lo) * chi[-1], chi))
+    return out
 
 
-def _det_on_positions(g: QMat, positions) -> Fraction:
-    """det of the projected conjugation action on the given coordinates."""
-    if not positions:
-        return Fraction(1)
-    return _conj_action_det(g, g.inverse(), positions, False)
+def _levi_delta(parab: BlockParabolic, g: QMat, pairs) -> Fraction:
+    """det(Ad g^-1 - 1) on the blocks Hom(V_b, V_a) of Lie G, (a, b) in
+    pairs, for g in M.
 
-
-def _blockwise_inverse(g: QMat, ranges) -> QMat:
-    """Inverse of a block diagonal matrix, block by block."""
-    n = g.n
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for lo, hi in ranges:
-        block = QMat([[g[i, j] for j in range(lo, hi)] for i in range(lo, hi)]).inverse()
-        for i in range(hi - lo):
-            for j in range(hi - lo):
-                rows[lo + i][lo + j] = block[i, j]
-    return QMat(rows)
+    There X -> g_a^-1 X g_b has eigenvalues mu_j / lambda_i, so the factor
+    is det chi_a(g_b) / det(g_a)^(n_b) with chi_a(x) = det(x - g_a).  With
+    g_a = A_a / d_a it is det N / (d_b^(n_a n_b) det(A_a)^(n_b)), where
+    N = d_b^(n_a) chi_(A_a)(d_a A_b / d_b) is integral; Horner forms N.
+    """
+    inv = _block_invariants(parab, g)
+    num = den = 1
+    for a, b in pairs:
+        (_, d_a, det_a, chi), (a_b, d_b, _, _) = inv[a], inv[b]
+        n_a, n_b = len(chi) - 1, len(a_b)
+        cols = list(zip(*a_b))
+        value = [[d_a**n_a * (i == j) for j in range(n_b)] for i in range(n_b)]
+        for k, c in enumerate(chi[1:], 1):
+            c *= d_a ** (n_a - k) * d_b**k
+            value = [[sum(map(mul, row, col)) + c * (i == j) for j, col in enumerate(cols)]
+                     for i, row in enumerate(value)]
+        num *= det_int(value)
+        if num == 0:
+            return Fraction(0)
+        den *= d_b ** (n_a * n_b) * det_a**n_b
+    return Fraction(num, den)
 
 
 def discriminant_delta(spec: SubgroupSpec, g: QMat) -> Fraction:
     """det(Ad g^-1 - 1) on the complementary coordinates of Lie G / Lie H."""
     if not spec.contains(g):
         raise DomainError("element not in the subgroup")
-    n = g.n
-    positions = spec.complement_positions(n)
-    if not positions:
+    if not spec.complement_positions(g.n):
         return Fraction(1)
+    if spec.kind == "T":
+        # the torus is the Levi of the Borel
+        spec = SubgroupSpec.levi(BlockParabolic(g.n, (1,) * g.n))
+    parab = spec.parab
+    if spec.kind == "M" or parab.levi_contains(g):
+        return _levi_delta(parab, g, parab.block_pairs("G/M" if spec.kind == "M" else "G/P"))
     # the adjoint of g^-1 is computed, so (g^-1, g) plays the (g, g^-1) role
-    if _is_diagonal_block_element(spec, g):
-        if spec.kind == "T":
-            # every off-diagonal position is its own eigencoordinate
-            det = Fraction(1)
-            for (i, j) in positions:
-                det *= g[j, j] / g[i, i] - 1
-                if det == 0:
-                    return det
-            return det
-        ranges = spec.parab.block_ranges
-        ginv = _blockwise_inverse(g, ranges)
-        bi = spec.parab.block_index
-        groups = {}
-        for (i, j) in positions:
-            groups.setdefault((bi[i], bi[j]), []).append((i, j))
-        det = Fraction(1)
-        for pos_group in groups.values():
-            det *= _conj_action_det(ginv, g, pos_group, True)
-            if det == 0:
-                return det
-        return det
-    ginv = g.inverse()
-    return _conj_action_det(ginv, g, positions, True)
+    return _conj_action_det(g.inverse(), g, parab.positions("G/P"), True)
 
 
 def modulus_lambda(parab: BlockParabolic, g: QMat) -> Fraction:
     """det of Ad g on Lie P; the algebraic avatar of the modulus character."""
     if not parab.contains(g):
         raise DomainError("element not in the parabolic")
-    if parab.levi_contains(g):
-        # conjugation on each Hom(V_b, V_a) radical block is a Kronecker
-        # product, whose determinant is det(g_a)^(n_b) / det(g_b)^(n_a);
-        # the Levi part contributes 1
-        blocks = parab.levi_blocks(g)
-        dets = [b.det() for b in blocks]
-        sizes = parab.blocks
-        bi = parab.block_index
-        pairs = {(bi[i], bi[j]) for (i, j) in parab.positions("U")}
-        lam = Fraction(1)
-        for a, b in pairs:
-            lam *= dets[a] ** sizes[b] / dets[b] ** sizes[a]
-        return lam
-    return _det_on_positions(g, parab.positions("P"))
+    if not parab.levi_contains(g):
+        return _conj_action_det(g, g.inverse(), parab.positions("P"), False)
+    # conjugation on each radical block Hom(V_b, V_a) is a Kronecker product, of
+    # determinant det(g_a)^(n_b) / det(g_b)^(n_a); the Levi part contributes 1
+    pairs = parab.block_pairs("U")
+    inv = _block_invariants(parab, g) if pairs else None
+    num = den = 1
+    for a, b in pairs:
+        (a_a, d_a, det_a, _), (a_b, d_b, det_b, _) = inv[a], inv[b]
+        n_a, n_b = len(a_a), len(a_b)
+        num *= det_a**n_b * d_b ** (n_a * n_b)
+        den *= det_b**n_a * d_a ** (n_a * n_b)
+    return Fraction(num, den)
 
 
 def is_regular(spec: SubgroupSpec, g: QMat) -> bool:
@@ -332,18 +301,13 @@ class ChevalleyPoint:
 
 
 def chevalley_map(g: QMat) -> ChevalleyPoint:
-    """Characteristic-polynomial coordinates (e_1, ..., e_n) of g."""
-    if not g.is_invertible():
+    """Characteristic-polynomial coordinates (e_1, ..., e_n) of g: for
+    g = A / d, e_k = (-1)^k c_(n-k) / d^k with det(x - A) = sum c_i x^i."""
+    a, d = integer_form(g.rows)
+    chi = charpoly(a)
+    if chi[-1] == 0:
         raise DomainError("singular matrix")
-    n = g.n
-    coeffs = []
-    for k in range(1, n + 1):
-        e_k = Fraction(0)
-        for subset in itertools.combinations(range(n), k):
-            minor = QMat([[g[i, j] for j in subset] for i in subset])
-            e_k += minor.det()
-        coeffs.append(e_k)
-    return ChevalleyPoint(coeffs)
+    return ChevalleyPoint(Fraction((-1) ** k * c, d**k) for k, c in enumerate(chi[1:], 1))
 
 
 def _reverse_indices(g: QMat) -> QMat:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from cocenter.exactnum import (
@@ -103,25 +103,7 @@ class QMat:
         return QMat([[c * x for x in row] for row in self.rows])
 
     def det(self) -> Fraction:
-        # fraction Gaussian elimination; n stays tiny here
-        n = self.n
-        m = [list(row) for row in self.rows]
-        det = Fraction(1)
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, n):
-                if m[r][c] != 0:
-                    f = m[r][c] * inv
-                    for k in range(c, n):
-                        m[r][k] -= f * m[c][k]
-        return det
+        return det_rational(self.rows)
 
     def inverse(self) -> "QMat":
         n = self.n
@@ -160,6 +142,57 @@ class QMat:
 
     def __repr__(self):
         return "QMat(%s)" % (list(list(map(str, r)) for r in self.rows),)
+
+
+def integer_form(rows):
+    """(A, d) with rows = A / d, A integral and d the lcm of the denominators."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def det_rational(rows) -> Fraction:
+    """Determinant of square rational rows: Bareiss on the integer form."""
+    a, d = integer_form(rows)
+    return Fraction(det_int(a), d ** len(a))
+
+
+def det_int(a) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination; divisions are exact and rows are replaced, never mutated."""
+    m = list(a)
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        piv, row_k = m[k][k], m[k]
+        for r in range(k + 1, n):
+            f = m[r][k]
+            m[r] = [(piv * x - f * y) // prev for x, y in zip(m[r], row_k)]
+        prev = piv
+    return sign * m[-1][-1] if n else 1
+
+
+def charpoly(a):
+    """Coefficients [1, c_(n-1), ..., c_0] of det(x - a), highest first.
+
+    Berkowitz's division-free recursion: bordering the leading k x k block
+    M by column c, row r and corner e multiplies the polynomial by the lower
+    triangular Toeplitz matrix with first column (1, -e, -rc, -rMc, ...).
+    """
+    poly = [1]
+    for k in range(len(a)):
+        lead = [row[:k] for row in a[:k]]
+        r, v = a[k][:k], [row[k] for row in a[:k]]
+        col = [1, -a[k][k]]
+        for _ in range(k):
+            col.append(-sum(map(mul, r, v)))
+            v = [sum(map(mul, row, v)) for row in lead]
+        poly = [sum(col[i - j] * poly[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+    return poly
 
 
 def gln_zp_membership(g: QMat, p: int) -> bool:
@@ -281,7 +314,8 @@ def coset_canonical_rep(g: QMat, ctx: PrimeContext) -> QMat:
         [[_reduce_mod_ppower(k[i, j], ctx.m, ctx.p) for j in range(g.n)] for i in range(g.n)]
     )
     # entries of k are p-integral, so the reduction is an integer lift mod p^m
-    assert all(x.denominator == 1 and 0 <= x < mod for x in lifted.entries())
+    if not all(x.denominator == 1 and 0 <= x < mod for x in lifted.entries()):
+        raise RuntimeError(f"Hermite cofactor of {g} is not p-integral")
     return h * lifted
 
 

@@ -637,7 +637,9 @@ def double_coset_measure(n: int, ctx: PrimeContext, divisors, guard=DEFAULT_GROU
     ambient = Ambient.general_linear(n)
     pairs = [(h * k, 1) for h in hermites for k in kappas]
     out = HeckeMeasure.from_pairs(ambient, ctx, pairs, biinvariant=True)
-    assert len(out) == len(hermites) * glnzm_order(n, ctx.p, ctx.m)
+    expected = len(hermites) * glnzm_order(n, ctx.p, ctx.m)
+    if len(out) != expected:
+        raise RuntimeError(f"{len(out)} level cosets in K_0 diag(p^{divisors}) K_0, not {expected}")
     return out
 
 

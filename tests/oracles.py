@@ -1,7 +1,8 @@
 """Brute-force oracles used only by the test suite.
 
 Each oracle recomputes a quantity through a code path disjoint from the one
-it checks: full adjoint matrices instead of block splitting, exhaustive
+it checks: Fraction elimination instead of the integer determinant kernel,
+full adjoint matrices instead of block characteristic polynomials, exhaustive
 mod p^m scans instead of Iwasawa reductions, cell-by-cell integration
 instead of ball intersections, the transversal sum instead of its
 one-step collapse, the full action matrix of the induced module instead
@@ -39,33 +40,65 @@ def gl2_level_basis(ctx):
     return ad_symmetrized_basis(k0_labels, ctx) + ad_symmetrized_basis(d_labels, ctx)
 
 
+def det_by_fraction_elimination(rows) -> Fraction:
+    """Determinant of square rational rows by Gaussian elimination over Q,
+    with row swaps; no integer form and no Bareiss division."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = 1 / m[c][c]
+        for r in range(c + 1, n):
+            if m[r][c] != 0:
+                f = m[r][c] * inv
+                for k in range(c, n):
+                    m[r][k] -= f * m[c][k]
+    return det
+
+
 def matrix_unit(n, k, l):
     return QMat([[1 if (i, j) == (k, l) else 0 for j in range(n)] for i in range(n)])
+
+
+def _sparse_product(a, b):
+    """Rows of the product of the row lists a and b, summing only the
+    nonzero terms."""
+    return [
+        [sum((x * b[t][j] for t, x in enumerate(row) if x), Fraction(0)) for j in range(len(b))]
+        for row in a
+    ]
+
+
+def _conjugation_matrix(left: QMat, right: QMat, positions):
+    """Column c: the image left E right of the matrix unit at positions[c],
+    read at the positions, from explicit matrix products."""
+    cols = []
+    for (k, l) in positions:
+        unit = matrix_unit(left.n, k, l).rows
+        image = _sparse_product(_sparse_product(left.rows, unit), right.rows)
+        cols.append([image[i][j] for (i, j) in positions])
+    return [list(row) for row in zip(*cols)]
 
 
 def full_ad_minus_one_det(g: QMat, positions):
     """det of (Ad g^-1 - 1) on the span of the given coordinate positions,
     computed from explicit matrix products g^-1 E g, no entry formulas."""
-    n = g.n
-    ginv = g.inverse()
-    cols = []
-    for (k, l) in positions:
-        image = ginv * matrix_unit(n, k, l) * g
-        cols.append([image[i, j] for (i, j) in positions])
-    size = len(positions)
-    mat = QMat([[cols[c][r] - (1 if r == c else 0) for c in range(size)] for r in range(size)])
-    return mat.det()
+    mat = _conjugation_matrix(g.inverse(), g, positions)
+    for r, row in enumerate(mat):
+        row[r] -= 1
+    return det_by_fraction_elimination(mat)
 
 
 def full_ad_det(g: QMat, positions):
     """det of Ad g on the span of the positions, via matrix products."""
-    n = g.n
-    cols = []
-    for (k, l) in positions:
-        image = g * matrix_unit(n, k, l) * g.inverse()
-        cols.append([image[i, j] for (i, j) in positions])
-    size = len(positions)
-    return QMat([[cols[c][r] for c in range(size)] for r in range(size)]).det()
+    return det_by_fraction_elimination(_conjugation_matrix(g, g.inverse(), positions))
 
 
 def meets_parabolic_oracle_integral(rep: QMat, parab, ctx):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,9 +18,9 @@ from cocenter.groups import (
     jordan_type,
     modulus_lambda,
 )
-from cocenter.matrices import FFMatrix, QMat, enumerate_gln_fq, gln_zp_membership
+from cocenter.matrices import FFMatrix, QMat, charpoly, enumerate_gln_fq, gln_zp_membership
 
-from tests.oracles import full_ad_det, full_ad_minus_one_det
+from tests.oracles import det_by_fraction_elimination, full_ad_det, full_ad_minus_one_det
 from tests.test_matrices import random_invertible
 
 
@@ -74,16 +75,107 @@ def test_delta_borel_matches_full_ad_oracle():
         assert got == full_ad_minus_one_det(g, borel.positions("G/P"))
 
 
+def _levi_from_blocks(parab, blocks):
+    n = parab.n
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for (lo, hi), block in zip(parab.block_ranges, blocks):
+        for i in range(hi - lo):
+            for j in range(hi - lo):
+                rows[lo + i][lo + j] = Fraction(block[i][j])
+    return QMat(rows)
+
+
+def _levi_families(parab, rng):
+    """Levi elements of parab: rational blocks, integer blocks, scalar
+    blocks with two equal scalars, and triangular blocks that share the
+    eigenvalue 2."""
+    sizes = parab.blocks
+    rational = [random_invertible(k, rng, (1, 2, 3, 4)).rows for k in sizes]
+    scalars = [rng.choice((1, -2, 3, Fraction(1, 2), Fraction(-5, 3))) for _ in sizes]
+    scalars[-1] = scalars[0]
+    scalar = [QMat.diagonal([c] * k).rows for c, k in zip(scalars, sizes)]
+    shared = [
+        [[2 if i == j == 0 else rng.randint(1, 4) if j >= i else 0 for j in range(k)]
+         for i in range(k)]
+        for k in sizes
+    ]
+    points = [_levi_from_blocks(parab, b) for b in (rational, scalar, shared)]
+    return points[:1] + [random_levi_element(parab, rng)] + points[1:]
+
+
+def _radical_element(parab, rng):
+    n = parab.n
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i, j in parab.positions("U"):
+        rows[i][j] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+    return QMat(rows)
+
+
 def test_delta_matches_oracle_on_levi_elements():
-    rng = random.Random(13)
-    for n, blocks in ((3, (2, 1)), (4, (2, 2)), (3, (1, 1, 1))):
-        parab = BlockParabolic(n, blocks, "upper")
-        for spec in (SubgroupSpec.levi(parab), SubgroupSpec.parabolic(parab)):
-            for _ in range(8):
-                m = random_levi_element(parab, rng)
-                assert discriminant_delta(spec, m) == full_ad_minus_one_det(
-                    m, spec.complement_positions(n)
+    """Every composition of GL_2 .. GL_5, both orientations: the block
+    characteristic polynomial path on Levi elements (rational, integer,
+    scalar and shared-eigenvalue blocks), and the general path on non-Levi
+    elements of P, against full adjoint determinants.  The upper and lower
+    parabolics share their Levi, so they share its points."""
+    rng = random.Random(47)
+    zero_seen = 0
+    for n in (2, 3, 4, 5):
+        for blocks in compositions(n):
+            upper = BlockParabolic(n, blocks, "upper")
+            levi = SubgroupSpec.levi(upper)
+            points = _levi_families(upper, rng)
+            for m in points:
+                d_m = discriminant_delta(levi, m)
+                assert d_m == full_ad_minus_one_det(m, upper.positions("G/M"))
+                zero_seen += d_m == 0
+            for parab in (upper, upper.opposite()):
+                par = SubgroupSpec.parabolic(parab)
+                g = points[0] * _radical_element(parab, rng)
+                for x in points + [g]:
+                    assert discriminant_delta(par, x) == full_ad_minus_one_det(
+                        x, parab.positions("G/P")
+                    )
+                    assert modulus_lambda(parab, x) == full_ad_det(x, parab.positions("P"))
+                if parab.positions("U"):
+                    assert not parab.levi_contains(g)
+                    with pytest.raises(DomainError):
+                        discriminant_delta(levi, g)
+        torus = SubgroupSpec.torus()
+        for entries in (
+            [Fraction(rng.randint(1, 9), rng.choice((1, 2, 3))) for _ in range(n)],
+            [Fraction(3, 2)] * 2 + [Fraction(rng.randint(1, 9)) for _ in range(n - 2)],
+        ):
+            t = QMat.diagonal(entries)
+            off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
+            assert discriminant_delta(torus, t) == full_ad_minus_one_det(t, off_diagonal)
+    assert zero_seen
+
+
+def test_charpoly_matches_principal_minors():
+    """Berkowitz coefficients against sums of principal minors, and the
+    Chevalley coordinates of rational matrices against the same sums."""
+    rng = random.Random(53)
+    for n in range(1, 6):
+        for _ in range(10):
+            a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            chi = charpoly(a)
+            assert chi[0] == 1 and len(chi) == n + 1
+            assert all(type(c) is int for c in chi)
+            for k in range(1, n + 1):
+                e_k = sum(
+                    det_by_fraction_elimination([[a[i][j] for j in sub] for i in sub])
+                    for sub in itertools.combinations(range(n), k)
                 )
+                assert chi[k] == (-1) ** k * e_k
+        g = random_invertible(n, rng, (1, 2, 3, 4))
+        minor_sums = [
+            sum(
+                det_by_fraction_elimination([[g[i, j] for j in sub] for i in sub])
+                for sub in itertools.combinations(range(n), k)
+            )
+            for k in range(1, n + 1)
+        ]
+        assert chevalley_map(g) == ChevalleyPoint(minor_sums)
 
 
 def test_modulus_examples_and_oracle():

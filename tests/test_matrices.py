@@ -13,10 +13,14 @@ from cocenter.matrices import (
     enumerate_gln_fq,
     enumerate_transversal_K0_mod_Km,
     gln_fq_order,
+    glnzm_order,
     gln_zp_membership,
     hermite_padic,
     in_level_subgroup,
 )
+from cocenter.measures import double_coset_measure
+
+from tests.oracles import det_by_fraction_elimination
 
 
 def random_invertible(n, rng, denominators=(1, 2, 3)):
@@ -65,6 +69,43 @@ def test_congruence_is_equivalence_and_right_invariant():
         assert congruence_equiv(x, x * k, ctx)
 
 
+def test_det_matches_fraction_elimination_oracle():
+    """The Bareiss kernel behind QMat.det against Fraction elimination on
+    integral, p-power and mixed denominators, singular matrices and
+    matrices whose elimination must swap rows."""
+    rng = random.Random(41)
+    zeros = nonzeros = swapped = 0
+    for n in range(1, 6):
+        for denominators in ((1,), (1, 2, 4, 8), (1, 2, 3, 5, 6, 9)):
+            for _ in range(12):
+                rows = [
+                    [Fraction(rng.randint(-7, 7), rng.choice(denominators)) for _ in range(n)]
+                    for _ in range(n)
+                ]
+                # the last row a combination of the others (a zero row when n = 1)
+                coeffs = [rng.randint(-2, 2) for _ in rows[:-1]]
+                singular = rows[:-1] + [
+                    [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
+                ]
+                # a triangular matrix with its rows permuted: zero leading pivots
+                triangular = [[x if j >= i else Fraction(0) for j, x in enumerate(row)]
+                              for i, row in enumerate(rows)]
+                for i in range(n):
+                    triangular[i][i] = triangular[i][i] or Fraction(1)
+                permuted = rng.sample(triangular, n)
+                if n > 1 and permuted == triangular:
+                    permuted = permuted[1:] + permuted[:1]
+                swapped += permuted[0][0] == 0
+                for case in (rows, singular, permuted):
+                    want = det_by_fraction_elimination(case)
+                    assert QMat(case).det() == want
+                    zeros += want == 0
+                    nonzeros += want != 0
+                assert det_by_fraction_elimination(singular) == 0
+                assert det_by_fraction_elimination(permuted) != 0
+    assert zeros and nonzeros and swapped
+
+
 def test_hermite_postconditions():
     rng = random.Random(7)
     for p in (2, 3):
@@ -90,6 +131,24 @@ def test_canonical_rep_idempotent_and_constant_on_cosets():
         k = QMat([[5, 4], [8, 1]])
         assert in_level_subgroup(k, ctx)
         assert coset_canonical_rep(g * k, ctx) == rep
+
+
+def test_canonical_rep_checks_the_integrality_of_its_lift(monkeypatch):
+    # a Hermite split whose cofactor is not p-integral must not pass
+    def broken_split(g, p):
+        return QMat.identity(2), QMat.diagonal([Fraction(1, 2), 1])
+
+    monkeypatch.setattr("cocenter.matrices.hermite_padic", broken_split)
+    with pytest.raises(RuntimeError):
+        coset_canonical_rep(QMat.identity(2), PrimeContext(2, 1))
+
+
+def test_double_coset_measure_checks_its_coset_count(monkeypatch):
+    monkeypatch.setattr(
+        "cocenter.measures.glnzm_order", lambda n, p, m: glnzm_order(n, p, m) + 1
+    )
+    with pytest.raises(RuntimeError):
+        double_coset_measure(2, PrimeContext(2, 1), (1, 0))
 
 
 def test_transversal_sizes():
