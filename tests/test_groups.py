@@ -75,31 +75,21 @@ def test_delta_borel_matches_full_ad_oracle():
         assert got == full_ad_minus_one_det(g, borel.positions("G/P"))
 
 
-def _levi_from_blocks(parab, blocks):
-    n = parab.n
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for (lo, hi), block in zip(parab.block_ranges, blocks):
-        for i in range(hi - lo):
-            for j in range(hi - lo):
-                rows[lo + i][lo + j] = Fraction(block[i][j])
-    return QMat(rows)
-
-
 def _levi_families(parab, rng):
     """Levi elements of parab: rational blocks, integer blocks, scalar
     blocks with two equal scalars, and triangular blocks that share the
     eigenvalue 2."""
     sizes = parab.blocks
-    rational = [random_invertible(k, rng, (1, 2, 3, 4)).rows for k in sizes]
+    rational = [random_invertible(k, rng, (1, 2, 3, 4)) for k in sizes]
     scalars = [rng.choice((1, -2, 3, Fraction(1, 2), Fraction(-5, 3))) for _ in sizes]
     scalars[-1] = scalars[0]
-    scalar = [QMat.diagonal([c] * k).rows for c, k in zip(scalars, sizes)]
+    scalar = [QMat.diagonal([c] * k) for c, k in zip(scalars, sizes)]
     shared = [
-        [[2 if i == j == 0 else rng.randint(1, 4) if j >= i else 0 for j in range(k)]
-         for i in range(k)]
+        QMat([[2 if i == j == 0 else rng.randint(1, 4) if j >= i else 0 for j in range(k)]
+              for i in range(k)])
         for k in sizes
     ]
-    points = [_levi_from_blocks(parab, b) for b in (rational, scalar, shared)]
+    points = [BlockParabolic.assemble_from_blocks(b, parab) for b in (rational, scalar, shared)]
     return points[:1] + [random_levi_element(parab, rng)] + points[1:]
 
 
