@@ -222,8 +222,8 @@ def run_restriction(config: RunConfig):
                 )
             )
         for g_idx, gam in enumerate(grid):
-            lhs = orbital_integral(up, gam).value
-            rhs = orbital_integral(low, gam).value
+            lhs = orbital_integral(up, gam, config.guard).value
+            rhs = orbital_integral(low, gam, config.guard).value
             rows.append(
                 _row(
                     "restriction",
@@ -308,7 +308,8 @@ def run_orbital(config: RunConfig):
             rm = res_normalized(h, par)
             for gam in grid:
                 ok, lhs, rhs = descent_check(
-                    h, gam, par, rm, mutate_normalization=config.mutate_normalization
+                    h, gam, par, rm, mutate_normalization=config.mutate_normalization,
+                    guard=config.guard,
                 )
                 vals = ",".join(str(v) for v in gam.valuations(config.p))
                 rows.append(
@@ -317,7 +318,7 @@ def run_orbital(config: RunConfig):
                 )
     chars = [_character_for_blocks(config.blocks, z) for z in config.character_params]
     res_list = [res_normalized(h, parab) for h in basis]
-    omat = [[orbital_integral(rm, gam).value for gam in grid] for rm in res_list]
+    omat = [[orbital_integral(rm, gam, config.guard).value for gam in grid] for rm in res_list]
     xmat = [[character_pairing(chi, rm) for chi in chars] for rm in res_list]
     ro, rx = separation_rank(omat), separation_rank(xmat)
     rows.append(_row("orbital", "separation-probe/rank-agreement", "level-basis",

@@ -4,6 +4,11 @@
 invertible ones.  Rational matrices stand in for p-adic ones: every element
 this package constructs is rational, and p-adic valuations are exact on Q.
 
+Two elimination kernels serve every field: `det_int` takes determinants by
+Bareiss's fraction-free elimination on integer forms, and `gauss_jordan`
+does all other elimination over a field (inverses over Q and F_q, ranks
+over F_q and Q(sqrt p)), given the field's inverse and canonical form.
+
 The p-adic column Hermite form computed here is the workhorse behind coset
 canonicalization and Iwasawa decomposition: for invertible rational g there
 is a unique upper triangular H with p-power diagonal and reduced entries
@@ -15,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from cocenter.exactnum import (
@@ -108,18 +113,8 @@ class QMat:
     def inverse(self) -> "QMat":
         n = self.n
         m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self.rows)]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
-                raise DomainError("singular matrix")
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-            inv = 1 / m[c][c]
-            m[c] = [x * inv for x in m[c]]
-            for r in range(n):
-                if r != c and m[r][c] != 0:
-                    f = m[r][c]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+        if gauss_jordan(m, n, lambda x: 1 / x, lambda x: x) < n:
+            raise DomainError("singular matrix")
         return QMat([row[n:] for row in m])
 
     def trace(self) -> Fraction:
@@ -176,6 +171,29 @@ def det_int(a) -> int:
     return sign * m[-1][-1] if n else 1
 
 
+def gauss_jordan(rows, ncols: int, inverse, reduce) -> int:
+    """Reduce a list of row lists over a field, in place, to reduced row
+    echelon form, pivoting only in the first ncols columns; returns the rank.
+
+    `inverse` inverts a nonzero entry and `reduce` maps every computed entry
+    to its canonical form, in which zero is the only falsy value.
+    """
+    rank = 0
+    for c in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = inverse(rows[rank][c])
+        top = rows[rank] = [reduce(x * inv) for x in rows[rank]]
+        for r, row in enumerate(rows):
+            f = row[c]
+            if f and r != rank:
+                rows[r] = [reduce(x - f * y) for x, y in zip(row, top)]
+        rank += 1
+    return rank
+
+
 def charpoly(a):
     """Coefficients [1, c_(n-1), ..., c_0] of det(x - a), highest first.
 
@@ -197,11 +215,12 @@ def charpoly(a):
 
 def gln_zp_membership(g: QMat, p: int) -> bool:
     """Membership in K_0 = GL_n(Z_p): integral entries, unit determinant."""
-    if not g.is_invertible():
+    det = g.det()
+    if det == 0:
         raise DomainError("singular matrix")
     if any(padic_valuation(x, p) < 0 for x in g.entries()):
         return False
-    return padic_valuation(g.det(), p) == 0
+    return padic_valuation(det, p) == 0
 
 
 def in_level_subgroup(g: QMat, ctx: PrimeContext) -> bool:
@@ -340,35 +359,9 @@ def lift_mod(rows, n: int) -> QMat:
     return QMat([[rows[i][j] for j in range(n)] for i in range(n)])
 
 
-def det_mod(rows, modulus: int) -> int:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = 1
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            # need an invertible pivot mod a prime power
-            if gcd(m[r][c], modulus) == 1:
-                piv = r
-                break
-        if piv is None:
-            # no unit pivot: determinant is a non-unit; exact value unneeded
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = (det * m[c][c]) % modulus
-        inv = pow(m[c][c], -1, modulus)
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = (m[r][c] * inv) % modulus
-                for k in range(c, n):
-                    m[r][k] = (m[r][k] - f * m[c][k]) % modulus
-    return det % modulus
-
-
 def enumerate_glnzm(n: int, ctx: PrimeContext, guard: int = DEFAULT_GROUP_ORDER_GUARD):
-    """All of GL_n(Z/p^m) as integer-entry tuples; guarded."""
+    """All of GL_n(Z/p^m) as integer-entry tuples, in lexicographic order;
+    guarded.  A determinant is a unit mod p^m exactly when p does not divide it."""
     size = glnzm_order(n, ctx.p, ctx.m)
     if size > guard:
         raise ResourceGuardError(f"|GL_{n}(Z/{ctx.modulus})| = {size} exceeds guard {guard}")
@@ -376,7 +369,7 @@ def enumerate_glnzm(n: int, ctx: PrimeContext, guard: int = DEFAULT_GROUP_ORDER_
     out = []
     for flat in itertools.product(range(modulus), repeat=n * n):
         rows = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-        if det_mod(rows, modulus) % ctx.p != 0:
+        if det_int(rows) % ctx.p:
             out.append(rows)
     if len(out) != size:
         raise RuntimeError(
@@ -465,40 +458,19 @@ class FFMatrix:
             q,
         )
 
+    def _gauss_jordan(self, rows) -> int:
+        q = self.q
+        return gauss_jordan(rows, self.n, lambda x: pow(x, -1, q), q.__rmod__)
+
     def rank(self) -> int:
-        n, q = self.n, self.q
-        m = [list(r) for r in self.rows]
-        rank, row = 0, 0
-        for c in range(n):
-            piv = next((r for r in range(row, n) if m[r][c] % q != 0), None)
-            if piv is None:
-                continue
-            m[row], m[piv] = m[piv], m[row]
-            inv = pow(m[row][c], -1, q)
-            m[row] = [(x * inv) % q for x in m[row]]
-            for r in range(n):
-                if r != row and m[r][c]:
-                    f = m[r][c]
-                    m[r] = [(x - f * y) % q for x, y in zip(m[r], m[row])]
-            rank += 1
-            row += 1
-        return rank
+        return self._gauss_jordan([list(r) for r in self.rows])
 
     def inverse(self) -> "FFMatrix":
-        n, q = self.n, self.q
+        n = self.n
         m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.rows)]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] % q != 0), None)
-            if piv is None:
-                raise DomainError("singular matrix")
-            m[c], m[piv] = m[piv], m[c]
-            inv = pow(m[c][c], -1, q)
-            m[c] = [(x * inv) % q for x in m[c]]
-            for r in range(n):
-                if r != c and m[r][c]:
-                    f = m[r][c]
-                    m[r] = [(x - f * y) % q for x, y in zip(m[r], m[c])]
-        return FFMatrix([row[n:] for row in m], q)
+        if self._gauss_jordan(m) < n:
+            raise DomainError("singular matrix")
+        return FFMatrix._reduced(tuple(tuple(row[n:]) for row in m), self.q)
 
     def is_invertible(self) -> bool:
         return self.rank() == self.n
@@ -519,14 +491,4 @@ class FFMatrix:
 
 def enumerate_gln_fq(n: int, q: int, guard: int = DEFAULT_GROUP_ORDER_GUARD):
     """All invertible n x n matrices over F_q, each exactly once; guarded."""
-    size = gln_fq_order(n, q)
-    if size > guard:
-        raise ResourceGuardError(f"|GL_{n}(F_{q})| = {size} exceeds guard {guard}")
-    out = []
-    for flat in itertools.product(range(q), repeat=n * n):
-        m = FFMatrix([flat[i * n : (i + 1) * n] for i in range(n)], q)
-        if m.is_invertible():
-            out.append(m)
-    if len(out) != size:
-        raise RuntimeError(f"enumerated {len(out)} elements of GL_{n}(F_{q}), expected {size}")
-    return out
+    return [FFMatrix._reduced(rows, q) for rows in enumerate_glnzm(n, PrimeContext(q, 1), guard)]

@@ -22,13 +22,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from cocenter.exactnum import (
+    DEFAULT_GROUP_ORDER_GUARD,
     DomainError,
     RootP,
     padic_norm_halfpower,
     padic_valuation,
 )
 from cocenter.groups import BlockParabolic, SubgroupSpec, discriminant_delta
-from cocenter.matrices import PrimeContext, QMat, enumerate_glnzm, glnzm_order, lift_mod
+from cocenter.matrices import PrimeContext, QMat, gauss_jordan, glnzm_order
+from cocenter.matrices import enumerate_transversal_K0_mod_Km
 from cocenter.measures import HeckeMeasure, label_spread
 
 
@@ -78,8 +80,9 @@ def _torus_unit_index(ctx: PrimeContext) -> int:
     return phi * phi
 
 
-def _ball_volume_gl2(y: QMat, gamma, ctx: PrimeContext) -> Fraction:
-    """vol{x in Q_p : u(x)^-1 gamma u(x) in y K_m}, with vol(Z_p) = 1.
+def _ball_volume_gl2(yinv: QMat, gamma, ctx: PrimeContext) -> Fraction:
+    """vol{x in Q_p : u(x)^-1 gamma u(x) in y K_m}, with vol(Z_p) = 1,
+    given yinv = y^-1.
 
     The conjugate is [[g1, e],[0, g2]] with e = x (g1 - g2); each matrix
     entry of y^-1 * conjugate imposes a ball condition on e, and the
@@ -87,7 +90,6 @@ def _ball_volume_gl2(y: QMat, gamma, ctx: PrimeContext) -> Fraction:
     """
     p, m = ctx.p, ctx.m
     g1, g2 = gamma
-    yinv = y.inverse()
     # z0 = y^-1 diag(g1, g2); w = y^-1 E_12 (only column 2 is nonzero)
     balls = []  # (center, radius) meaning v(e - center) >= radius
     for i in range(2):
@@ -102,7 +104,8 @@ def _ball_volume_gl2(y: QMat, gamma, ctx: PrimeContext) -> Fraction:
             center = -alpha / beta
             radius = m - padic_valuation(beta, p)
             balls.append((center, radius))
-    assert balls, "an invertible y always constrains the unipotent entry"
+    if not balls:
+        raise RuntimeError(f"{yinv} is singular: it leaves the unipotent entry free")
     r_star = max(r for _, r in balls)
     c_star = next(c for c, r in balls if r == r_star)
     for c, r in balls:
@@ -117,10 +120,11 @@ def _ball_volume_gl2(y: QMat, gamma, ctx: PrimeContext) -> Fraction:
 _QUOTIENT_CACHE = {}
 
 
-def _k0_quotient(n: int, p: int, level: int):
+def _k0_quotient(n: int, p: int, level: int, guard: int):
     key = (n, p, level)
-    if key not in _QUOTIENT_CACHE:
-        mats = [lift_mod(rows, n) for rows in enumerate_glnzm(n, PrimeContext(p, level))]
+    # past the guard the enumeration raises, even when the quotient is cached
+    if glnzm_order(n, p, level) > guard or key not in _QUOTIENT_CACHE:
+        mats = enumerate_transversal_K0_mod_Km(n, PrimeContext(p, level), guard)
         _QUOTIENT_CACHE[key] = [(g, g.inverse()) for g in mats]
     return _QUOTIENT_CACHE[key]
 
@@ -128,23 +132,28 @@ def _k0_quotient(n: int, p: int, level: int):
 _SINGLE_COSET_CACHE = {}
 
 
-def orbital_single_coset_gl2(y: QMat, gamma, ctx: PrimeContext) -> Fraction:
+def orbital_single_coset_gl2(
+    y: QMat, gamma, ctx: PrimeContext, guard: int = DEFAULT_GROUP_ORDER_GUARD
+) -> Fraction:
     """Orbital integral of the unit mass coset measure mu|_(y K_m) at gamma.
 
     Sums the ball volumes over the finite conjugation quotient K_0 / K_m',
     where m' = m + spread(y) is the level at which conjugation acts on the
-    coset; exact for arbitrary (not necessarily invariant) cosets.
+    coset; exact for arbitrary (not necessarily invariant) cosets.  The
+    quotient is guarded before any cached value is returned.
     """
+    p, m = ctx.p, ctx.m
+    level = m + label_spread(y, p)
+    quotient = _k0_quotient(2, p, level, guard)
     key = (y.entries(), tuple(gamma), ctx)
     cached = _SINGLE_COSET_CACHE.get(key)
     if cached is not None:
         return cached
-    p, m = ctx.p, ctx.m
-    spread = label_spread(y, p)
-    level = m + spread
+    yinv = y.inverse()
     total = Fraction(0)
-    for k, kinv in _k0_quotient(2, p, level):
-        total += _ball_volume_gl2(k * y * kinv, gamma, ctx)
+    for k, kinv in quotient:
+        # (k y k^-1)^-1 = k y^-1 k^-1
+        total += _ball_volume_gl2(k * yinv * kinv, gamma, ctx)
     # mass of a K_level coset inside K_0 under the level-m reference measure
     value = total * Fraction(1, p ** (4 * (level - m))) / _torus_unit_index(ctx)
     _SINGLE_COSET_CACHE[key] = value
@@ -160,7 +169,7 @@ def _rank2_jacobian(gamma, p: int) -> Fraction:
     return Fraction(p) ** (-padic_valuation(delta, p))
 
 
-def _orbital_gl2(h: HeckeMeasure, gamma) -> RootP:
+def _orbital_gl2(h: HeckeMeasure, gamma, guard: int) -> RootP:
     ctx = h.ctx
     p = ctx.p
     out = RootP.rational(0, p)
@@ -168,12 +177,12 @@ def _orbital_gl2(h: HeckeMeasure, gamma) -> RootP:
         # all conjugates contribute equally: one ball volume per coset
         scale = Fraction(glnzm_order(2, p, ctx.m), _torus_unit_index(ctx))
         for rep, c in h.items():
-            vol = _ball_volume_gl2(rep, gamma, ctx)
+            vol = _ball_volume_gl2(rep.inverse(), gamma, ctx)
             if vol:
                 out = out + c * (scale * vol)
     else:
         for rep, c in h.items():
-            vol = orbital_single_coset_gl2(rep, gamma, ctx)
+            vol = orbital_single_coset_gl2(rep, gamma, ctx, guard)
             if vol:
                 out = out + c * vol
     return out * _rank2_jacobian(gamma, p)
@@ -188,12 +197,15 @@ def _orbital_gl1(rep: QMat, gamma_i: Fraction, ctx: PrimeContext) -> Fraction:
     return Fraction(0)
 
 
-def orbital_integral(h: HeckeMeasure, gamma: RegularElement) -> OrbitalValue:
+def orbital_integral(
+    h: HeckeMeasure, gamma: RegularElement, guard: int = DEFAULT_GROUP_ORDER_GUARD
+) -> OrbitalValue:
     """Orbital integral of h at a regular diagonal gamma.
 
     Ambient G is supported for GL_1 and GL_2; Levi ambients factor block by
     block (every block of size <= 2), which covers the Levi subgroups of
-    GL_3 needed downstream.  Values are exact elements of Q(sqrt p).
+    GL_3 needed downstream.  Values are exact elements of Q(sqrt p).  The
+    guard bounds the conjugation quotients summed over.
     """
     ctx = h.ctx
     if gamma.n != h.ambient.n:
@@ -205,7 +217,7 @@ def orbital_integral(h: HeckeMeasure, gamma: RegularElement) -> OrbitalValue:
                 out = out + c * _orbital_gl1(rep, gamma.entries[0], ctx)
             return OrbitalValue(out, ctx.p, ctx.m)
         if h.ambient.n == 2:
-            return OrbitalValue(_orbital_gl2(h, gamma.entries), ctx.p, ctx.m)
+            return OrbitalValue(_orbital_gl2(h, gamma.entries, guard), ctx.p, ctx.m)
         raise DomainError(
             "ambient GL_n orbital integrals are certified only for n <= 2"
         )
@@ -224,7 +236,7 @@ def orbital_integral(h: HeckeMeasure, gamma: RegularElement) -> OrbitalValue:
             else:
                 if sub[0] == sub[1]:
                     raise DomainError("gamma not regular inside a block")
-                factor *= orbital_single_coset_gl2(block, sub, ctx) * _rank2_jacobian(
+                factor *= orbital_single_coset_gl2(block, sub, ctx, guard) * _rank2_jacobian(
                     sub, ctx.p
                 )
             if factor == 0:
@@ -251,6 +263,7 @@ def descent_check(
     parab: BlockParabolic,
     res_m: HeckeMeasure,
     mutate_normalization: bool = False,
+    guard: int = DEFAULT_GROUP_ORDER_GUARD,
 ):
     """O_gamma(h) = |Delta_{M,G}(gamma)|^(1/2) * O_gamma(res_normalized h).
 
@@ -258,11 +271,11 @@ def descent_check(
     mutation flag replaces the half power by the full norm, which must
     break the identity somewhere on a valuation grid.
     """
-    lhs = orbital_integral(h, gamma).value
+    lhs = orbital_integral(h, gamma, guard).value
     delta = discriminant_delta(SubgroupSpec.levi(parab), gamma.matrix())
     power = 2 if mutate_normalization else 1
     factor = padic_norm_halfpower(delta, h.ctx.p, power)
-    rhs = factor * orbital_integral(res_m, gamma).value
+    rhs = factor * orbital_integral(res_m, gamma, guard).value
     return lhs == rhs, lhs, rhs
 
 
@@ -303,26 +316,7 @@ def gamma_grid(p: int, n: int, val_range=(-2, 2)):
 def separation_rank(values) -> int:
     """Rank over Q(sqrt p) of a pairing matrix given as nested lists."""
     rows = [list(r) for r in values]
-    if not rows:
-        return 0
-    rank = 0
-    ncols = len(rows[0])
-    col = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return gauss_jordan(rows, len(rows[0]) if rows else 0, RootP.inverse, lambda x: x)
 
 
 def joint_kernel_dimension(matrices) -> int:

@@ -4,13 +4,14 @@ Each oracle recomputes a quantity through a code path disjoint from the one
 it checks: Fraction elimination instead of the integer determinant kernel,
 full adjoint matrices instead of block characteristic polynomials, exhaustive
 mod p^m scans instead of Iwasawa reductions, cell-by-cell integration
-instead of ball intersections, the transversal sum instead of its
-one-step collapse, the full action matrix of the induced module instead
-of the trace measure, a Jordan type per swept element instead of one per
-conjugacy class.
+instead of ball intersections, minors instead of Gauss-Jordan ranks, the
+transversal sum instead of its one-step collapse, the full action matrix of
+the induced module instead of the trace measure, a Jordan type per swept
+element instead of one per conjugacy class.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from cocenter.exactnum import DomainError, RootP, padic_norm_halfpower, padic_valuation
 from cocenter.groups import modulus_lambda
@@ -61,6 +62,28 @@ def det_by_fraction_elimination(rows) -> Fraction:
                 for k in range(c, n):
                     m[r][k] -= f * m[c][k]
     return det
+
+
+def rank_by_minors(rows, is_nonzero=bool):
+    """Largest k such that some k x k minor of the rows, taken by
+    det_by_fraction_elimination, passes is_nonzero; 0 for a zero matrix."""
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    for k in range(min(nrows, ncols), 0, -1):
+        for rs in combinations(range(nrows), k):
+            for cs in combinations(range(ncols), k):
+                if is_nonzero(det_by_fraction_elimination([[rows[i][j] for j in cs] for i in rs])):
+                    return k
+    return 0
+
+
+def realification(values, p):
+    """The rational matrix of Q(sqrt p)-entries, a + b sqrt p becoming the
+    block [[a, p b], [b, a]] of multiplication on the basis (1, sqrt p)."""
+    out = []
+    for row in values:
+        out.append([y for x in row for y in (x.a, p * x.b)])
+        out.append([y for x in row for y in (x.b, x.a)])
+    return out
 
 
 def matrix_unit(n, k, l):

@@ -16,7 +16,6 @@ REMAINING_ASSERTS = {
     "measures.ParabolicTransversal.__init__": 2,
     "measures.ad_orbits": 1,
     "oracles.left_coset_reps_diag_p": 4,
-    "orbital._ball_volume_gl2": 1,
     "saturation.sat_prime_member": 1,
     "saturation.product_rule_check": 1,
 }

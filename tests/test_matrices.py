@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from cocenter.matrices import (
     congruence_equiv,
     coset_canonical_rep,
     enumerate_gln_fq,
+    enumerate_glnzm,
     enumerate_transversal_K0_mod_Km,
     gln_fq_order,
     glnzm_order,
@@ -20,7 +22,7 @@ from cocenter.matrices import (
 )
 from cocenter.measures import double_coset_measure
 
-from tests.oracles import det_by_fraction_elimination
+from tests.oracles import det_by_fraction_elimination, rank_by_minors
 
 
 def random_invertible(n, rng, denominators=(1, 2, 3)):
@@ -194,6 +196,78 @@ def test_ffmatrix_rank_and_inverse():
     g = FFMatrix([[1, 2], [3, 4]], 5)
     assert g.is_invertible()
     assert g * g.inverse() == FFMatrix.identity(2, 5)
+
+
+def _random_rows_of_every_rank(n, rng, entry):
+    """Square rows of each rank 0..n as a product of n x k and k x n
+    factors, then with a zero first column and with rows shuffled, so that
+    elimination meets zero leading pivots."""
+    out = []
+    for k in range(n + 1):
+        left = [[entry() for _ in range(k)] for _ in range(n)]
+        right = [[entry() for _ in range(n)] for _ in range(k)]
+        rows = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n)]
+                for i in range(n)]
+        out.append(rows)
+        out.append([[0] + row[1:] for row in rows])
+        out.append(rng.sample(rows, n))
+    return out
+
+
+def test_ffmatrix_rank_matches_largest_nonzero_minor():
+    rng = random.Random(23)
+    seen = set()
+    for q in (2, 3, 5):
+        for n in range(1, 5):
+            for _ in range(6):
+                for rows in _random_rows_of_every_rank(n, rng, lambda: rng.randrange(q)):
+                    want = rank_by_minors(rows, lambda d: d % q)
+                    assert FFMatrix(rows, q).rank() == want
+                    seen.add((n, want))
+    assert all((n, k) in seen for n in range(1, 5) for k in range(n + 1))
+
+
+def test_inverse_is_two_sided_and_refuses_singular_input():
+    rng = random.Random(29)
+    for n in range(1, 5):
+        for _ in range(6):
+            for rows in _random_rows_of_every_rank(
+                n, rng, lambda: Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+            ):
+                g = QMat(rows)
+                if det_by_fraction_elimination(rows) == 0:
+                    with pytest.raises(DomainError):
+                        g.inverse()
+                    continue
+                assert g * g.inverse() == QMat.identity(n) == g.inverse() * g
+            for q in (2, 3, 5):
+                for rows in _random_rows_of_every_rank(n, rng, lambda: rng.randrange(q)):
+                    g = FFMatrix(rows, q)
+                    if det_by_fraction_elimination(rows) % q == 0:
+                        with pytest.raises(DomainError):
+                            g.inverse()
+                        continue
+                    one = FFMatrix.identity(n, q)
+                    assert g * g.inverse() == one == g.inverse() * g
+
+
+def test_enumerate_gln_fq_is_the_level_one_enumeration():
+    """Both enumerations list the integer matrices of unit determinant mod
+    q in lexicographic order, the determinant taken by Fraction elimination."""
+    for n, q in ((2, 2), (2, 3), (3, 2)):
+        want = [
+            rows
+            for rows in (
+                tuple(flat[i * n : (i + 1) * n] for i in range(n))
+                for flat in itertools.product(range(q), repeat=n * n)
+            )
+            if det_by_fraction_elimination(rows) % q
+        ]
+        assert len(want) == gln_fq_order(n, q)
+        assert enumerate_glnzm(n, PrimeContext(q, 1)) == want
+        got = enumerate_gln_fq(n, q)
+        assert [g.rows for g in got] == want
+        assert all(g == FFMatrix(g.rows, q) for g in got)
 
 
 def test_ffmatrix_product_and_difference_entrywise():

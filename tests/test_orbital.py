@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cocenter.exactnum import DomainError, RootP
+from cocenter.exactnum import DomainError, ResourceGuardError, RootP
 from cocenter.groups import BlockParabolic, chevalley_map
 from cocenter.matrices import PrimeContext, QMat
 from cocenter.measures import (
@@ -16,6 +16,7 @@ from cocenter.measures import (
 )
 from cocenter.orbital import (
     RegularElement,
+    _ball_volume_gl2,
     descent_check,
     gamma_grid,
     joint_kernel_dimension,
@@ -25,7 +26,7 @@ from cocenter.orbital import (
     stable_orbital,
 )
 
-from tests.oracles import grid_scan_orbital_gl2
+from tests.oracles import grid_scan_orbital_gl2, rank_by_minors, realification
 
 
 def test_regular_element_validation():
@@ -196,6 +197,38 @@ def test_levi_orbital_on_gl3_blocks():
     assert orbital_integral(h, gamma_off).value == 0
 
 
+def test_guard_reaches_the_conjugation_quotient(ctx2, borel2, unit_gl2):
+    """A non-biinvariant GL_2 measure sums over GL_2(Z/2), of order 6, at
+    level 1; a smaller guard refuses it even once the quotient and the
+    value are cached, on G, through descent_check and on a Levi block."""
+    plain = HeckeMeasure(unit_gl2.ambient, ctx2, unit_gl2.support, biinvariant=False)
+    gamma = RegularElement((1, 3))
+    value = orbital_integral(unit_gl2, gamma).value
+    assert orbital_integral(plain, gamma).value == value
+    assert orbital_integral(plain, gamma, guard=6).value == value
+    with pytest.raises(ResourceGuardError):
+        orbital_integral(plain, gamma, guard=5)
+    rm = res_normalized(unit_gl2, borel2)
+    assert descent_check(plain, gamma, borel2, rm, guard=6)[0]
+    with pytest.raises(ResourceGuardError):
+        descent_check(plain, gamma, borel2, rm, guard=5)
+    levi = Ambient.levi(BlockParabolic(3, (2, 1), "upper"))
+    h = HeckeMeasure.delta(levi, ctx2, QMat([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+    orbital_integral(h, RegularElement((1, 3, 5)))
+    with pytest.raises(ResourceGuardError):
+        orbital_integral(h, RegularElement((1, 3, 5)), guard=5)
+    # the biinvariant fast path enumerates nothing
+    assert orbital_integral(unit_gl2, gamma, guard=1).value == value
+
+
+def test_ball_volume_refuses_a_singular_inverse(monkeypatch, ctx2):
+    """A y^-1 with zero first column leaves the unipotent entry free; the
+    mod-p check rules that out first, so valuations are forced high here."""
+    monkeypatch.setattr("cocenter.orbital.padic_valuation", lambda x, p: 1)
+    with pytest.raises(RuntimeError):
+        _ball_volume_gl2(QMat([[0, 1], [0, 1]]), (Fraction(1), Fraction(3)), ctx2)
+
+
 def test_vanishing_on_window_persists_under_refinement(level_basis_gl2):
     """Density restatement: when the orbital integrals vanish on a whole
     valuation window of the grid, they vanish at every refinement point of
@@ -227,3 +260,29 @@ def test_separation_rank_basics(unit_gl2, level_basis_gl2):
     omat = [[orbital_integral(h, g).value for g in grid] for h in level_basis_gl2]
     assert separation_rank(omat) == 2
     assert joint_kernel_dimension([omat]) == len(level_basis_gl2) - 2
+
+
+def test_separation_rank_is_half_the_rank_of_the_realification():
+    """Over Q(sqrt p) against the rational realification, whose rank is
+    read off minors: random rows, a row combining the others with
+    Q(sqrt p) coefficients, and a zero first column."""
+    rng = random.Random(31)
+    seen = set()
+    for p in (2, 3):
+        zero = RootP.rational(0, p)
+        for nrows in range(1, 4):
+            for ncols in range(1, 4):
+                for _ in range(4):
+                    rows = [
+                        [RootP(rng.randint(-3, 3), rng.randint(-2, 2), p) for _ in range(ncols)]
+                        for _ in range(nrows)
+                    ]
+                    coeffs = [RootP(rng.randint(-2, 2), rng.randint(-2, 2), p) for _ in rows[:-1]]
+                    combined = [sum((c * row[j] for c, row in zip(coeffs, rows)), zero)
+                                for j in range(ncols)]
+                    for case in (rows, rows[:-1] + [combined], [[zero] + r[1:] for r in rows]):
+                        got = separation_rank(case)
+                        assert 2 * got == rank_by_minors(realification(case, p))
+                        seen.add((nrows, ncols, got))
+    assert separation_rank([]) == 0
+    assert {(1, 3, 0), (3, 3, 2), (3, 3, 3)} <= seen
