@@ -55,14 +55,15 @@ def padic_valuation(x, p: int):
     x = Fraction(x)
     if x == 0:
         return INFINITY
+    return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
+
+
+def int_valuation(x: int, p: int) -> int:
+    """v_p(x) for a nonzero integer x and a prime p, which is not checked."""
     v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
+    while x % p == 0:
+        x //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
 
 

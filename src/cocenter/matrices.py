@@ -3,6 +3,8 @@
 `QMat` is an immutable matrix with Fraction entries; group elements are the
 invertible ones.  Rational matrices stand in for p-adic ones: every element
 this package constructs is rational, and p-adic valuations are exact on Q.
+Products run on integer forms, (A / d)(B / e) = AB / (de), with one
+Fraction built per entry.
 
 Two elimination kernels serve every field: `det_int` takes determinants by
 Bareiss's fraction-free elimination on integer forms, and `gauss_jordan`
@@ -12,7 +14,10 @@ over F_q and Q(sqrt p)), given the field's inverse and canonical form.
 The p-adic column Hermite form computed here is the workhorse behind coset
 canonicalization and Iwasawa decomposition: for invertible rational g there
 is a unique upper triangular H with p-power diagonal and reduced entries
-above it such that g = H * k with k integral of unit determinant.
+above it such that g = H * k with k integral of unit determinant.  It runs
+on the integer form g = A / (p^e d'), d' prime to p: column operations on A
+modulo p^N, N = v_p(det A) + 1, give H(A), and exact integer back
+substitution gives k(A) = H(A)^-1 A.
 """
 
 from __future__ import annotations
@@ -21,12 +26,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul, sub
 
 from cocenter.exactnum import (
     DEFAULT_GROUP_ORDER_GUARD,
     DomainError,
     ResourceGuardError,
+    int_valuation,
     is_prime,
     padic_valuation,
 )
@@ -60,12 +66,22 @@ class QMat:
     __slots__ = ("n", "rows")
 
     def __init__(self, rows):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        rows = tuple(
+            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in rows
+        )
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise DomainError("matrix must be square")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _wrap(cls, rows) -> "QMat":
+        """Wrap a square tuple of tuples of Fractions without re-checking it."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", len(rows))
+        object.__setattr__(out, "rows", rows)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("QMat is immutable")
@@ -85,27 +101,31 @@ class QMat:
         return self.rows[i][j]
 
     def __mul__(self, other: "QMat") -> "QMat":
+        # (A / d)(B / e) = AB / (de): integer dot products, one Fraction per entry
         if self.n != other.n:
             raise DomainError("size mismatch")
-        n = self.n
-        a, b = self.rows, other.rows
-        return QMat(
-            [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        a, d = integer_form(self.rows)
+        b, e = integer_form(other.rows)
+        de = d * e
+        cols = tuple(zip(*b))
+        return QMat._wrap(
+            tuple([tuple([Fraction(sum(map(mul, row, col)), de) for col in cols]) for row in a])
         )
+
+    def _entrywise(self, op, other: "QMat") -> "QMat":
+        if self.n != other.n:
+            raise DomainError("size mismatch")
+        return QMat._wrap(tuple([tuple(map(op, a, b)) for a, b in zip(self.rows, other.rows)]))
 
     def __add__(self, other: "QMat") -> "QMat":
-        return QMat(
-            [[self.rows[i][j] + other.rows[i][j] for j in range(self.n)] for i in range(self.n)]
-        )
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "QMat") -> "QMat":
-        return QMat(
-            [[self.rows[i][j] - other.rows[i][j] for j in range(self.n)] for i in range(self.n)]
-        )
+        return self._entrywise(sub, other)
 
     def scale(self, c) -> "QMat":
         c = Fraction(c)
-        return QMat([[c * x for x in row] for row in self.rows])
+        return QMat._wrap(tuple([tuple([c * x for x in row]) for row in self.rows]))
 
     def det(self) -> Fraction:
         return det_rational(self.rows)
@@ -115,7 +135,7 @@ class QMat:
         m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self.rows)]
         if gauss_jordan(m, n, lambda x: 1 / x, lambda x: x) < n:
             raise DomainError("singular matrix")
-        return QMat([row[n:] for row in m])
+        return QMat._wrap(tuple([tuple(row[n:]) for row in m]))
 
     def trace(self) -> Fraction:
         return sum(self.rows[i][i] for i in range(self.n))
@@ -268,56 +288,68 @@ def hermite_padic(g: QMat, p: int):
     determinant), H upper triangular with H[i][i] = p^(a_i) and H[i][j]
     (j > i) reduced modulo p^(a_i) Z_(p).  H is the canonical basis of the
     column lattice of g, so it depends only on the coset g * GL_n(Z_p).
+
+    Runs on the integer form g = A / (p^e d'), d' prime to p: H(A) comes
+    from `_hermite_int`, k(A) = H(A)^-1 A is integral (it lies in
+    GL_n(Z_(p)) and in M_n(Z[1/p])), so back substitution divides exactly,
+    and (H, k) = (H(A) / p^e, k(A) / d') by uniqueness of the form.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    n = g.n
-    h = [list(row) for row in g.rows]
-    # k accumulates the inverse of the column operations: g = H * k throughout
-    k = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-    def swap_cols(a, b):
-        for r in range(n):
-            h[r][a], h[r][b] = h[r][b], h[r][a]
-        k[a], k[b] = k[b], k[a]  # inverse op: swap rows of k
-
-    def add_col(dst, src, f):
-        # col_dst += f * col_src  ==>  row_src of k -= f * row_dst
-        for r in range(n):
-            h[r][dst] += f * h[r][src]
-        k[src] = [x - f * y for x, y in zip(k[src], k[dst])]
-
-    def scale_col(c, f):
-        for r in range(n):
-            h[r][c] *= f
-        k[c] = [x / f for x in k[c]]
-
+    a, d = integer_form(g.rows)
+    det = det_int(a)
+    if det == 0:
+        raise DomainError("singular matrix")
+    h = _hermite_int(a, p, int_valuation(det, p) + 1)
+    n = len(a)
+    k = [None] * n
     for i in range(n - 1, -1, -1):
-        piv, piv_v = None, None
-        for c in range(i + 1):
-            x = h[i][c]
-            if x == 0:
-                continue
-            v = padic_valuation(x, p)
-            if piv_v is None or v < piv_v:
-                piv, piv_v = c, v
-        if piv is None:
-            raise DomainError("singular matrix")
-        if piv != i:
-            swap_cols(piv, i)
+        row, piv = h[i], h[i][i]
+        k[i] = [
+            (a[i][j] - sum(row[t] * k[t][j] for t in range(i + 1, n))) // piv
+            for j in range(n)
+        ]
+    pe = p ** int_valuation(d, p)
+    unit = d // pe
+    return (
+        QMat._wrap(tuple([tuple([Fraction(x, pe) for x in r]) for r in h])),
+        QMat._wrap(tuple([tuple([Fraction(x, unit) for x in r]) for r in k])),
+    )
+
+
+def _hermite_int(a, p: int, big_n: int):
+    """Rows of the column Hermite form over Z_(p) of a nonsingular integer
+    matrix a with v_p(det a) < big_n: diagonal p^(a_i), least non-negative
+    residues modulo p^(a_i) above it.
+
+    Column operations modulo p^big_n (Domich-Kannan-Trotter): changing a by
+    p^big_n X multiplies it by 1 + p^big_n a^-1 X, which lies in
+    GL_n(Z_(p)), so the column lattice and with it the form do not change.
+    """
+    big = p**big_n
+    n = len(a)
+    cols = [[x % big for x in col] for col in zip(*a)]
+    for i in range(n - 1, -1, -1):
+        # pivot: the entry of least valuation in row i, columns 0..i
+        piv = min((c for c in range(i + 1) if cols[c][i]),
+                  key=lambda c: int_valuation(cols[c][i], p))
+        cols[piv], cols[i] = cols[i], cols[piv]
+        top = cols[i][i]
+        scale = p ** int_valuation(top, p)
+        inv = pow(top // scale, -1, big)
+        col_i = cols[i] = [x * inv % big for x in cols[i]]
         for c in range(i):
-            if h[i][c] != 0:
-                add_col(c, i, -h[i][c] / h[i][i])
-        scale_col(i, Fraction(p) ** piv_v / h[i][i])
-
-    # reduce above-diagonal entries, bottom pivot rows first
+            f = cols[c][i] // scale
+            if f:
+                cols[c] = [(x - f * y) % big for x, y in zip(cols[c], col_i)]
+    # reduce above the diagonal, bottom pivot rows first
     for i in range(n - 1, -1, -1):
-        a_i = padic_valuation(h[i][i], p)
+        col_i, piv = cols[i], cols[i][i]
         for j in range(i + 1, n):
-            r = _reduce_mod_ppower(h[i][j], a_i, p)
-            if r != h[i][j]:
-                add_col(j, i, (r - h[i][j]) / h[i][i])
-    return QMat(h), QMat(k)
+            f = cols[j][i] // piv
+            if f:
+                cols[j] = [(x - f * y) % big for x, y in zip(cols[j], col_i)]
+    return [list(row) for row in zip(*cols)]
 
 
 def coset_canonical_rep(g: QMat, ctx: PrimeContext) -> QMat:

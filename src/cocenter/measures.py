@@ -113,7 +113,8 @@ def canonical_rep(ambient: Ambient, g: QMat, ctx: PrimeContext) -> QMat:
         raise DomainError("element not in the parabolic")
     rep = coset_canonical_rep(g, ctx)
     found = coset_meets_parabolic(rep, parab, ctx)
-    assert found is not None
+    if found is None:
+        raise RuntimeError(f"the level coset of {g}, an element of P, misses P")
     return found
 
 
@@ -358,9 +359,11 @@ class ParabolicTransversal:
             idx = len(reps)
             reps.append(mat)
             for member in orbit:
-                assert member not in lookup
+                if member in lookup:
+                    raise RuntimeError(f"P-orbits {lookup[member]} and {idx} overlap")
                 lookup[member] = idx
-        assert len(lookup) == len(all_elements)  # orbits cover GL_n(Z/p^m)
+        if len(lookup) != len(all_elements):
+            raise RuntimeError(f"P-orbits cover {len(lookup)} of {len(all_elements)} elements")
         self.reps = reps
         self.lookup = lookup
         self.parabolic_order_mod = len(pbar)
@@ -541,7 +544,8 @@ def ad_orbits(reps, ctx: PrimeContext):
             for g, ginv in pairs:
                 nxt = canonical_rep(ambient, g * cur * ginv, ctx)
                 nk = nxt.entries()
-                assert nk in rep_of, "conjugation left the support universe"
+                if nk not in rep_of:
+                    raise RuntimeError(f"conjugation took {cur} out of the given cosets")
                 if nk not in orbit:
                     orbit.add(nk)
                     frontier.append(nxt)

@@ -80,6 +80,15 @@ def _torus_unit_index(ctx: PrimeContext) -> int:
     return phi * phi
 
 
+def _inverse_gl2(y: QMat) -> QMat:
+    """y^-1 for 2 x 2 y, read off the adjugate: (d, -b; -c, a) / det."""
+    (a, b), (c, d) = y.rows
+    det = a * d - b * c
+    if det == 0:
+        raise DomainError("singular matrix")
+    return QMat([[d / det, -b / det], [-c / det, a / det]])
+
+
 def _ball_volume_gl2(yinv: QMat, gamma, ctx: PrimeContext) -> Fraction:
     """vol{x in Q_p : u(x)^-1 gamma u(x) in y K_m}, with vol(Z_p) = 1,
     given yinv = y^-1.
@@ -149,7 +158,7 @@ def orbital_single_coset_gl2(
     cached = _SINGLE_COSET_CACHE.get(key)
     if cached is not None:
         return cached
-    yinv = y.inverse()
+    yinv = _inverse_gl2(y)
     total = Fraction(0)
     for k, kinv in quotient:
         # (k y k^-1)^-1 = k y^-1 k^-1
@@ -177,7 +186,7 @@ def _orbital_gl2(h: HeckeMeasure, gamma, guard: int) -> RootP:
         # all conjugates contribute equally: one ball volume per coset
         scale = Fraction(glnzm_order(2, p, ctx.m), _torus_unit_index(ctx))
         for rep, c in h.items():
-            vol = _ball_volume_gl2(rep.inverse(), gamma, ctx)
+            vol = _ball_volume_gl2(_inverse_gl2(rep), gamma, ctx)
             if vol:
                 out = out + c * (scale * vol)
     else:

@@ -2,7 +2,8 @@
 
 Each oracle recomputes a quantity through a code path disjoint from the one
 it checks: Fraction elimination instead of the integer determinant kernel,
-full adjoint matrices instead of block characteristic polynomials, exhaustive
+full adjoint matrices instead of block characteristic polynomials, column
+operations on Fractions instead of the integer Hermite kernel, exhaustive
 mod p^m scans instead of Iwasawa reductions, cell-by-cell integration
 instead of ball intersections, minors instead of Gauss-Jordan ranks, the
 transversal sum instead of its one-step collapse, the full action matrix of
@@ -15,7 +16,13 @@ from itertools import combinations
 
 from cocenter.exactnum import DomainError, RootP, padic_norm_halfpower, padic_valuation
 from cocenter.groups import modulus_lambda
-from cocenter.matrices import FFMatrix, QMat, congruence_equiv, glnzm_order
+from cocenter.matrices import (
+    FFMatrix,
+    QMat,
+    _reduce_mod_ppower,
+    congruence_equiv,
+    glnzm_order,
+)
 from cocenter.measures import (
     Ambient,
     HeckeMeasure,
@@ -62,6 +69,63 @@ def det_by_fraction_elimination(rows) -> Fraction:
                 for k in range(c, n):
                     m[r][k] -= f * m[c][k]
     return det
+
+
+def hermite_by_fraction_column_ops(g: QMat, p: int):
+    """(H, k) of `hermite_padic` by column operations on the Fraction
+    entries of g, with valuation pivots: no integer form, no modulus.
+
+    g = H * k with k in GL_n(Z_(p)), H upper triangular with H[i][i] =
+    p^(a_i) and H[i][j] (j > i) reduced modulo p^(a_i) Z_(p); a singular g
+    raises DomainError.
+    """
+    n = g.n
+    h = [list(row) for row in g.rows]
+    # k accumulates the inverse of the column operations: g = H * k throughout
+    k = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def swap_cols(a, b):
+        for r in range(n):
+            h[r][a], h[r][b] = h[r][b], h[r][a]
+        k[a], k[b] = k[b], k[a]  # inverse op: swap rows of k
+
+    def add_col(dst, src, f):
+        # col_dst += f * col_src  ==>  row_src of k -= f * row_dst
+        for r in range(n):
+            h[r][dst] += f * h[r][src]
+        k[src] = [x - f * y for x, y in zip(k[src], k[dst])]
+
+    def scale_col(c, f):
+        for r in range(n):
+            h[r][c] *= f
+        k[c] = [x / f for x in k[c]]
+
+    for i in range(n - 1, -1, -1):
+        piv, piv_v = None, None
+        for c in range(i + 1):
+            x = h[i][c]
+            if x == 0:
+                continue
+            v = padic_valuation(x, p)
+            if piv_v is None or v < piv_v:
+                piv, piv_v = c, v
+        if piv is None:
+            raise DomainError("singular matrix")
+        if piv != i:
+            swap_cols(piv, i)
+        for c in range(i):
+            if h[i][c] != 0:
+                add_col(c, i, -h[i][c] / h[i][i])
+        scale_col(i, Fraction(p) ** piv_v / h[i][i])
+
+    # reduce above-diagonal entries, bottom pivot rows first
+    for i in range(n - 1, -1, -1):
+        a_i = padic_valuation(h[i][i], p)
+        for j in range(i + 1, n):
+            r = _reduce_mod_ppower(h[i][j], a_i, p)
+            if r != h[i][j]:
+                add_col(j, i, (r - h[i][j]) / h[i][i])
+    return QMat(h), QMat(k)
 
 
 def rank_by_minors(rows, is_nonzero=bool):

@@ -17,7 +17,9 @@ from cocenter.measures import (
     Ambient,
     HeckeMeasure,
     ParabolicTransversal,
+    ad_symmetrized_basis,
     double_coset_measure,
+    res_normalized,
     res_unnormalized,
     unit_measure,
 )
@@ -172,6 +174,32 @@ def test_trace_measure_equals_restriction():
     for orientation in ("upper", "lower"):
         parab = BlockParabolic(3, (2, 1), orientation)
         assert trace_measure(unit3, InducedModel(parab, ctx)) == res_unnormalized(unit3, parab)
+
+
+def test_trace_measure_equals_restriction_gl2_level_two():
+    """GL_2(Q_2) at level m = 2: the 96 K_0 cosets fall into 14 K_0 orbits.
+    On that orbit basis T(h) = res_B h through both Borels, the
+    restrictions add up to 96 unit_measure(T), and the upper and lower
+    normalized restrictions pair alike with every character."""
+    ctx = PrimeContext(2, 2)
+    labels = [rep for rep, _ in unit_measure(Ambient.general_linear(2), ctx).items()]
+    basis = ad_symmetrized_basis(labels, ctx)
+    assert (len(labels), len(basis)) == (96, 14)
+    upper = BlockParabolic(2, (1, 1), "upper")
+    lower = upper.opposite()
+    for parab in (upper, lower):
+        model = InducedModel(parab, ctx)
+        total = HeckeMeasure.zero(Ambient.levi(parab), ctx)
+        for h in basis:
+            res = res_unnormalized(h, parab)
+            assert trace_measure(h, model) == res
+            total = total + res
+        assert total == unit_measure(Ambient.levi(parab), ctx).scale(96)
+    chars = [UnramifiedCharacter((1, 1), params) for params in CHAR_PARAMS]
+    for h in basis:
+        res_up, res_low = res_normalized(h, upper), res_normalized(h, lower)
+        for chi in chars:
+            assert character_pairing(chi, res_up) == character_pairing(chi, res_low)
 
 
 def test_identity_check_splits_each_product_once(monkeypatch):

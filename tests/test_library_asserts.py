@@ -12,9 +12,6 @@ from pathlib import Path
 import cocenter
 
 REMAINING_ASSERTS = {
-    "measures.canonical_rep": 1,
-    "measures.ParabolicTransversal.__init__": 2,
-    "measures.ad_orbits": 1,
     "oracles.left_coset_reps_diag_p": 4,
     "saturation.sat_prime_member": 1,
     "saturation.product_rule_check": 1,

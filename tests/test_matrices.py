@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cocenter.exactnum import DomainError, ResourceGuardError
+from cocenter.groups import BlockParabolic, iwasawa_decompose
 from cocenter.matrices import (
     FFMatrix,
     PrimeContext,
@@ -22,7 +23,11 @@ from cocenter.matrices import (
 )
 from cocenter.measures import double_coset_measure
 
-from tests.oracles import det_by_fraction_elimination, rank_by_minors
+from tests.oracles import (
+    det_by_fraction_elimination,
+    hermite_by_fraction_column_ops,
+    rank_by_minors,
+)
 
 
 def random_invertible(n, rng, denominators=(1, 2, 3)):
@@ -120,6 +125,105 @@ def test_hermite_postconditions():
                 for j in range(2):
                     if i > j:
                         assert h[i, j] == 0
+
+
+def _hermite_cases(n, p, rng):
+    """(kind, rows): a Z[1/p] label p^e A, denominators prime to p, mixed
+    denominators, an integral matrix of unit determinant, and a singular
+    matrix (its last row a combination of the others)."""
+    prime_to_p = [d for d in range(1, 12) if d % p]
+
+    def draw(denominators, spread=0):
+        return [[Fraction(rng.randint(-9, 9) * p ** rng.randint(0, spread),
+                          rng.choice(denominators)) for _ in range(n)] for _ in range(n)]
+
+    label = [[x * Fraction(p) ** rng.randint(-3, 3) for x in row] for row in draw((1,), 2)]
+    unit = draw((1,))
+    while det_by_fraction_elimination(unit) % p == 0:
+        unit = draw((1,))
+    rows = draw((1, p, p * p, 7, 3 * p), 1)
+    coeffs = [rng.randint(-2, 2) for _ in rows[:-1]]
+    singular = rows[:-1] + [[sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]]
+    return [("label", label), ("prime to p", draw(prime_to_p, 1)), ("mixed", rows),
+            ("unit", unit), ("singular", singular)]
+
+
+def test_hermite_matches_fraction_column_oracle():
+    """hermite_padic equals the Fraction column-operation oracle entry for
+    entry, for n = 1..4 and p = 2, 3, 5, on Z[1/p] labels, denominators
+    prime to p, mixed denominators and p-integral input of unit
+    determinant (where H = 1 and k = g); singular input raises."""
+    rng = random.Random(53)
+    seen = set()
+    for p in (2, 3, 5):
+        for n in range(1, 5):
+            for _ in range(10):
+                for kind, rows in _hermite_cases(n, p, rng):
+                    g = QMat(rows)
+                    if det_by_fraction_elimination(rows) == 0:
+                        with pytest.raises(DomainError):
+                            hermite_padic(g, p)
+                        with pytest.raises(DomainError):
+                            hermite_by_fraction_column_ops(g, p)
+                        seen.add("singular")
+                        continue
+                    h, k = hermite_padic(g, p)
+                    want_h, want_k = hermite_by_fraction_column_ops(g, p)
+                    assert (h.rows, k.rows) == (want_h.rows, want_k.rows), (kind, g, p)
+                    assert all(type(x) is Fraction for x in h.entries() + k.entries())
+                    if kind == "unit":
+                        assert h == QMat.identity(n) and k == g
+                    seen.add(kind)
+    assert seen == {"label", "prime to p", "mixed", "unit", "singular"}
+
+
+def test_lower_iwasawa_split_matches_the_reversed_oracle():
+    """The lower orientation reverses rows and columns around the Hermite
+    split; both factors equal the reversed oracle's, entry for entry."""
+    rng = random.Random(61)
+    for p in (2, 3, 5):
+        for n in range(1, 5):
+            lower = BlockParabolic(n, (1,) * n, "lower")
+            for _ in range(6):
+                for kind, rows in _hermite_cases(n, p, rng):
+                    if det_by_fraction_elimination(rows) == 0:
+                        continue
+                    g = QMat(rows)
+                    q, k = iwasawa_decompose(g, lower, p)
+                    want_q, want_k = hermite_by_fraction_column_ops(
+                        QMat([row[::-1] for row in rows[::-1]]), p
+                    )
+                    assert q.rows == tuple(row[::-1] for row in want_q.rows[::-1]), (kind, g)
+                    assert k.rows == tuple(row[::-1] for row in want_k.rows[::-1]), (kind, g)
+                    assert q * k == g and lower.contains(q)
+
+
+def test_products_match_schoolbook_fractions():
+    """QMat products, sums and differences against entrywise Fraction
+    arithmetic, with mixed denominators and zero entries; every entry of
+    the result is a Fraction."""
+    rng = random.Random(67)
+
+    def draw(n):
+        return [[rng.choice((Fraction(0), Fraction(rng.randint(-9, 9), rng.choice(
+            (1, 2, 3, 4, 6, 9, 25))))) for _ in range(n)] for _ in range(n)]
+
+    for n in range(1, 5):
+        for _ in range(25):
+            a, b = draw(n), draw(n)
+            prod = [[sum((a[i][t] * b[t][j] for t in range(n)), Fraction(0)) for j in range(n)]
+                    for i in range(n)]
+            for got, want in (
+                (QMat(a) * QMat(b), prod),
+                (QMat(a) + QMat(b), [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+                (QMat(a) - QMat(b), [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+            ):
+                assert got.rows == tuple(map(tuple, want))
+                assert all(type(x) is Fraction for x in got.entries())
+        zero = QMat([[0] * n for _ in range(n)])
+        assert zero * QMat(draw(n)) == zero
+        with pytest.raises(DomainError):
+            QMat.identity(n) * QMat.identity(n + 1)
 
 
 def test_canonical_rep_idempotent_and_constant_on_cosets():

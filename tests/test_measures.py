@@ -6,11 +6,12 @@ import pytest
 
 from cocenter.exactnum import DomainError, LevelError
 from cocenter.groups import BlockParabolic, compositions
-from cocenter.matrices import PrimeContext, QMat, glnzm_order
+from cocenter.matrices import PrimeContext, QMat, enumerate_glnzm, glnzm_order
 from cocenter.measures import (
     Ambient,
     HeckeMeasure,
     ParabolicTransversal,
+    ad_orbits,
     ad_pullback,
     ad_symmetrized_basis,
     canonical_rep,
@@ -100,6 +101,31 @@ def test_restrict_and_pushforward_unit(ctx2, borel2, unit_gl2):
     )
     pushed_rad = pushforward_to_levi(u_rad, borel2)
     assert pushed_rad.coefficient(QMat.identity(2)) == 1
+
+
+def test_coset_invariants_raise_instead_of_asserting(monkeypatch, ctx2, borel2):
+    """The invariants of canonical_rep's P branch, of the orbit-cover proof
+    of ParabolicTransversal and of ad_orbits raise RuntimeError, so that
+    python -O keeps them."""
+    with monkeypatch.context() as patch:
+        patch.setattr("cocenter.measures.coset_meets_parabolic", lambda rep, parab, ctx: None)
+        with pytest.raises(RuntimeError, match="misses P"):
+            canonical_rep(Ambient.parabolic(borel2), QMat.identity(2), ctx2)
+    full = enumerate_glnzm(2, ctx2)
+    # the zero matrix is block triangular, so it joins every orbit
+    with monkeypatch.context() as patch:
+        patch.setattr("cocenter.measures.enumerate_glnzm",
+                      lambda n, ctx, guard: full + [((0, 0), (0, 0))])
+        with pytest.raises(RuntimeError, match="overlap"):
+            ParabolicTransversal(borel2, ctx2)
+    # a repeated element is counted twice but covered once
+    with monkeypatch.context() as patch:
+        patch.setattr("cocenter.measures.enumerate_glnzm", lambda n, ctx, guard: full + full[:1])
+        with pytest.raises(RuntimeError, match="cover"):
+            ParabolicTransversal(borel2, ctx2)
+    # one transvection of GL_2(F_2) without the other two of its class
+    with pytest.raises(RuntimeError, match="out of the given cosets"):
+        ad_orbits([QMat([[1, 1], [0, 1]])], ctx2)
 
 
 def test_transversal_counts_and_cover(ctx2, borel2, transversal_gl2):

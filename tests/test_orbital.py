@@ -17,6 +17,7 @@ from cocenter.measures import (
 from cocenter.orbital import (
     RegularElement,
     _ball_volume_gl2,
+    _inverse_gl2,
     descent_check,
     gamma_grid,
     joint_kernel_dimension,
@@ -227,6 +228,23 @@ def test_ball_volume_refuses_a_singular_inverse(monkeypatch, ctx2):
     monkeypatch.setattr("cocenter.orbital.padic_valuation", lambda x, p: 1)
     with pytest.raises(RuntimeError):
         _ball_volume_gl2(QMat([[0, 1], [0, 1]]), (Fraction(1), Fraction(3)), ctx2)
+
+
+def test_adjugate_inverse_matches_gauss_jordan():
+    """The 2 x 2 adjugate inverse behind the ball volumes equals
+    QMat.inverse, and refuses singular input as it does."""
+    rng = random.Random(71)
+    for _ in range(200):
+        y = QMat([[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 9))) for _ in range(2)]
+                  for _ in range(2)])
+        if y.det() == 0:
+            for invert in (_inverse_gl2, QMat.inverse):
+                with pytest.raises(DomainError):
+                    invert(y)
+            continue
+        assert _inverse_gl2(y).rows == y.inverse().rows
+    with pytest.raises(DomainError):
+        _inverse_gl2(QMat([[1, 2], [2, 4]]))
 
 
 def test_vanishing_on_window_persists_under_refinement(level_basis_gl2):
