@@ -322,9 +322,10 @@ def _hermite_int(a, p: int, big_n: int):
     matrix a with v_p(det a) < big_n: diagonal p^(a_i), least non-negative
     residues modulo p^(a_i) above it.
 
-    Column operations modulo p^big_n (Domich-Kannan-Trotter): changing a by
-    p^big_n X multiplies it by 1 + p^big_n a^-1 X, which lies in
-    GL_n(Z_(p)), so the column lattice and with it the form do not change.
+    Column operations modulo p^big_n (Domich-Kannan-Trotter): a matrix
+    congruent to a, a + p^big_n X = a (1 + p^big_n a^-1 X), spans the same
+    Z_(p)-lattice, because a^-1 has valuation > -big_n and so the factor
+    lies in GL_n(Z_(p)); the same holds at every step.
     """
     big = p**big_n
     n = len(a)
