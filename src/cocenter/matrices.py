@@ -263,24 +263,6 @@ def congruence_equiv(x: QMat, y: QMat, ctx: PrimeContext) -> bool:
 # p-adic Hermite form
 
 
-def _reduce_mod_ppower(t: Fraction, a: int, p: int):
-    """Canonical representative of t modulo p^a Z_(p).
-
-    Returns r = p^w * (unit-part mod p^(a-w)) with w = v_p(t), an element of
-    p^w * {0, ..., p^(a-w)-1}; r = 0 when v_p(t) >= a.
-    """
-    if t == 0:
-        return Fraction(0)
-    w = padic_valuation(t, p)
-    if w >= a:
-        return Fraction(0)
-    u = t / Fraction(p) ** w  # unit: numerator and denominator prime to p
-    mod = p ** (a - w)
-    num = u.numerator % mod
-    den_inv = pow(u.denominator, -1, mod)
-    return Fraction(p) ** w * ((num * den_inv) % mod)
-
-
 def hermite_padic(g: QMat, p: int):
     """Column Hermite form of g over Z_(p).
 
@@ -356,19 +338,14 @@ def _hermite_int(a, p: int, big_n: int):
 def coset_canonical_rep(g: QMat, ctx: PrimeContext) -> QMat:
     """Canonical representative of the left coset g K_m.
 
-    Composes the Hermite form (canonical in g K_0) with entrywise reduction
-    of the unit part modulo p^m; idempotent, and constant exactly on K_m
+    Composes the Hermite form (canonical in g K_0) with the least residues
+    of its cofactor modulo p^m; idempotent, and constant exactly on K_m
     cosets.
     """
     h, k = hermite_padic(g, ctx.p)
-    mod = ctx.modulus
-    lifted = QMat(
-        [[_reduce_mod_ppower(k[i, j], ctx.m, ctx.p) for j in range(g.n)] for i in range(g.n)]
-    )
-    # entries of k are p-integral, so the reduction is an integer lift mod p^m
-    if not all(x.denominator == 1 and 0 <= x < mod for x in lifted.entries()):
+    if k.min_valuation(ctx.p) < 0:
         raise RuntimeError(f"Hermite cofactor of {g} is not p-integral")
-    return h * lifted
+    return h * lift_mod(mat_mod(k, ctx.modulus, ctx.p), g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +386,32 @@ def enumerate_glnzm(n: int, ctx: PrimeContext, guard: int = DEFAULT_GROUP_ORDER_
             f"enumerated {len(out)} elements of GL_{n}(Z/{modulus}), expected {size}"
         )
     return out
+
+
+def gln_generators(n: int, p: int, k: int = 1):
+    """Integer rows of generators of GL_n(Z/p^k), hence of GL_n(Z_p) modulo
+    its level-k subgroup: the elementary transvections generate SL_n over
+    the local ring Z/p^k, and diag(u, 1, ..., 1), for u running over
+    generators of (Z/p^k)^*, completes them to GL_n."""
+    def elementary(i, j, x):
+        return [[x if (a, b) == (i, j) else int(a == b) for b in range(n)] for a in range(n)]
+
+    return [elementary(i, j, 1) for i in range(n) for j in range(n) if i != j] + [
+        elementary(0, 0, u) for u in unit_group_generators(p, k)
+    ]
+
+
+def unit_group_generators(p: int, k: int):
+    """Generators of (Z/p^k)^*: 3 and -1 for p = 2, the least primitive root
+    modulo p^k for odd p."""
+    if k == 1 and p == 2:
+        return []
+    if p == 2:
+        return [3, p**k - 1] if k >= 3 else [3]
+    mod, order = p**k, (p - 1) * p ** (k - 1)
+    primes = [r for r in range(2, order + 1) if order % r == 0 and is_prime(r)]
+    return [next(g for g in range(2, mod)
+                 if g % p and all(pow(g, order // r, mod) != 1 for r in primes))]
 
 
 def glnzm_order(n: int, p: int, m: int) -> int:

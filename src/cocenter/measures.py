@@ -37,11 +37,13 @@ from cocenter.matrices import (
     QMat,
     coset_canonical_rep,
     enumerate_glnzm,
+    gln_generators,
     gln_zp_membership,
     glnzm_order,
     lift_mod,
     mat_mod,
 )
+from cocenter.unipotent import conjugation_closure
 
 
 @dataclass(frozen=True)
@@ -243,27 +245,9 @@ def unit_measure(ambient: Ambient, ctx: PrimeContext, guard=DEFAULT_GROUP_ORDER_
     """Unit mass spread uniformly over the K_0 part of the ambient group."""
     n = ambient.n
     elements = enumerate_glnzm(n, ctx, guard)
-    if ambient.kind == "P":
-        parab = ambient.parab
-        elements = [
-            rows
-            for rows in elements
-            if all(
-                rows[i][j] == 0
-                for i in range(n)
-                for j in range(n)
-                if not parab.in_parabolic(i, j)
-            )
-        ]
-    elif ambient.kind == "M":
-        parab = ambient.parab
-        elements = [
-            rows
-            for rows in elements
-            if all(
-                rows[i][j] == 0 for i in range(n) for j in range(n) if not parab.in_levi(i, j)
-            )
-        ]
+    if ambient.kind != "G":
+        zeros = ambient.parab.positions("G/P" if ambient.kind == "P" else "G/M")
+        elements = [rows for rows in elements if not any(rows[i][j] for i, j in zeros)]
     coeff = Fraction(1, len(elements))
     return HeckeMeasure.from_pairs(
         ambient, ctx, [(lift_mod(rows, n), coeff) for rows in elements], biinvariant=True
@@ -329,16 +313,8 @@ class ParabolicTransversal:
         self.ctx = ctx
         n = parab.n
         all_elements = enumerate_glnzm(n, ctx, guard)
-        pbar = [
-            rows
-            for rows in all_elements
-            if all(
-                rows[i][j] == 0
-                for i in range(n)
-                for j in range(n)
-                if not parab.in_parabolic(i, j)
-            )
-        ]
+        zeros = parab.positions("G/P")
+        pbar = [rows for rows in all_elements if not any(rows[i][j] for i, j in zeros)]
         modulus = ctx.modulus
         lookup = {}
         reps = []
@@ -432,57 +408,13 @@ def res_normalized(
 # conjugation invariance and symmetrized bases
 
 
-def unit_group_generators(p: int, k: int):
-    """Generators of (Z/p^k)^*."""
-    if k == 1 and p == 2:
-        return []
-    if p == 2:
-        return [3, p**k - 1] if k >= 3 else [3]
-    # (Z/p^k)^* is cyclic for odd p; search a generator of the mod p part
-    # lifted to a generator mod p^k
-    order = (p - 1) * p ** (k - 1)
-    for g in range(2, p**k):
-        if g % p == 0:
-            continue
-        ok = True
-        for prime in _prime_factors(order):
-            if pow(g, order // prime, p**k) == 1:
-                ok = False
-                break
-        if ok:
-            return [g]
-    raise AssertionError("no generator found")
-
-
-def _prime_factors(x: int):
-    out = set()
-    d = 2
-    while d * d <= x:
-        while x % d == 0:
-            out.add(d)
-            x //= d
-        d += 1
-    if x > 1:
-        out.add(x)
-    return out
-
-
 def k0_quotient_generators(n: int, p: int, k: int):
-    """Integral matrices generating GL_n(Z_p) modulo the level-k subgroup.
+    """Integral matrices generating GL_n(Z_p) modulo the level-k subgroup."""
+    return [QMat(rows) for rows in gln_generators(n, p, k)]
 
-    Elementary transvections generate SL_n over the local ring Z/p^k, and
-    the unit generators in the top corner complete to GL_n.
-    """
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                rows = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
-                rows[i][j] = Fraction(1)
-                gens.append(QMat(rows))
-    for u in unit_group_generators(p, k):
-        gens.append(QMat.diagonal([u] + [1] * (n - 1)))
-    return gens
+
+def label_spread(rep: QMat, p: int) -> int:
+    return int(-(rep.min_valuation(p) + rep.inverse().min_valuation(p)))
 
 
 def measure_spread(h: HeckeMeasure) -> int:
@@ -490,12 +422,7 @@ def measure_spread(h: HeckeMeasure) -> int:
     cosets.  Conjugation by the level-(m + spread) subgroup fixes every
     support coset, so the K_0 conjugation action factors through a finite
     quotient at that level."""
-    p = h.ctx.p
-    spread = 0
-    for rep, _ in h.items():
-        s = -(rep.min_valuation(p) + rep.inverse().min_valuation(p))
-        spread = max(spread, int(s))
-    return spread
+    return max((label_spread(rep, h.ctx.p) for rep, _ in h.items()), default=0)
 
 
 def is_ad_invariant(h: HeckeMeasure, gens=None) -> bool:
@@ -509,49 +436,37 @@ def is_ad_invariant(h: HeckeMeasure, gens=None) -> bool:
     return all(ad_pullback(h, g) == h for g in gens)
 
 
-def label_spread(rep: QMat, p: int) -> int:
-    return int(-(rep.min_valuation(p) + rep.inverse().min_valuation(p)))
-
-
 def ad_orbits(reps, ctx: PrimeContext):
     """Orbits of level cosets on G under conjugation by K_0.
 
-    BFS with quotient generators at the level where the action factors
-    through a finite group; exact, no sampling.
+    Each orbit is the conjugation closure of one canonical representative
+    under generators of the finite quotient through which the action
+    factors; exact, no sampling.
     """
     if not reps:
         return []
     n = reps[0].n
     level = ctx.m + max(label_spread(r, ctx.p) for r in reps)
-    pairs = [(g, g.inverse()) for g in k0_quotient_generators(n, ctx.p, level)]
-    pairs += [(ginv, g) for g, ginv in pairs]
+    gens = k0_quotient_generators(n, ctx.p, level)
     ambient = Ambient.general_linear(n)
-    key_of = {}
     rep_of = {}
     for r in reps:
         rc = canonical_rep(ambient, r, ctx)
-        key_of[rc.entries()] = None
         rep_of[rc.entries()] = rc
     orbits = []
     seen = set()
     for key, rc in rep_of.items():
         if key in seen:
             continue
-        orbit = {key}
-        frontier = [rc]
-        while frontier:
-            cur = frontier.pop()
-            for g, ginv in pairs:
-                nxt = canonical_rep(ambient, g * cur * ginv, ctx)
-                nk = nxt.entries()
-                if nk not in rep_of:
-                    raise RuntimeError(f"conjugation took {cur} out of the given cosets")
-                if nk not in orbit:
-                    orbit.add(nk)
-                    frontier.append(nxt)
-        seen |= orbit
-        orbits.append(sorted(orbit))
-    return [[rep_of[k] for k in orbit] for orbit in orbits]
+        orbit = sorted(
+            conjugation_closure([rc], gens, land=lambda g: canonical_rep(ambient, g, ctx)),
+            key=QMat.entries,
+        )
+        if any(x.entries() not in rep_of for x in orbit):
+            raise RuntimeError(f"conjugation took {rc} out of the given cosets")
+        seen.update(x.entries() for x in orbit)
+        orbits.append(orbit)
+    return orbits
 
 
 def ad_symmetrized_basis(reps, ctx: PrimeContext):

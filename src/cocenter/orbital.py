@@ -12,8 +12,7 @@ sampling occur anywhere: every value carries a complete enumeration.
 Normalizations, recorded on every value: Haar on each ambient group gives
 its level subgroup mass 1; Haar on the diagonal torus gives its level
 subgroup mass 1.  Only split diagonal tori are implemented; for GL_n these
-see a single rational orbit per stable class, so the stable version equals
-the plain one and records that fact.
+see a single rational orbit per stable class, which every value records.
 """
 
 from __future__ import annotations
@@ -253,17 +252,6 @@ def orbital_integral(
         if factor:
             out = out + c * factor
     return OrbitalValue(out, ctx.p, ctx.m)
-
-
-def stable_orbital(h: HeckeMeasure, gamma: RegularElement) -> OrbitalValue:
-    """Stable orbital integral; a single-orbit sum for split tori in GL_n.
-
-    (G/T)(Q_p) carries one G orbit for the split diagonal torus, so the
-    stable sum collapses to the plain orbital integral; orbit_count
-    records the collapse.
-    """
-    plain = orbital_integral(h, gamma)
-    return OrbitalValue(plain.value, plain.p, plain.m, orbit_count=1)
 
 
 def descent_check(

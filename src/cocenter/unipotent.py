@@ -12,7 +12,8 @@ The sweep is tallied class by class: each G(F_q) conjugacy class met by
 C * U is enumerated once, and its size is counted under the Jordan type of
 one representative, since the Jordan type is constant on a class.  Closures
 conjugate by the generators only, not by their inverses (see
-`conjugation_closure`).
+`conjugation_closure`); the K_0 conjugation orbits of level cosets that
+`measures.ad_orbits` builds are closures of the same kind.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from cocenter.exactnum import (
     ResourceGuardError,
 )
 from cocenter.groups import BlockParabolic, jordan_type
-from cocenter.matrices import FFMatrix, gln_fq_order
+from cocenter.matrices import FFMatrix, gln_fq_order, gln_generators
 
 
 def dominates(lam, mu) -> bool:
@@ -77,20 +78,8 @@ def jordan_block_matrix(partition, q: int) -> FFMatrix:
 
 
 def gl_generators(n: int, q: int):
-    """Transvections and a unit scaling; they generate GL_n(F_q)."""
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                rows = [[int(a == b) for b in range(n)] for a in range(n)]
-                rows[i][j] = 1
-                gens.append(FFMatrix(rows, q))
-    for u in range(2, q):
-        rows = [[int(a == b) for b in range(n)] for a in range(n)]
-        rows[0][0] = u
-        gens.append(FFMatrix(rows, q))
-        break
-    return gens
+    """Transvections and scalings by generators of F_q^*; they generate GL_n(F_q)."""
+    return [FFMatrix(rows, q) for rows in gln_generators(n, q)]
 
 
 def levi_generators(parab: BlockParabolic, q: int):
@@ -108,13 +97,16 @@ def levi_generators(parab: BlockParabolic, q: int):
     return gens
 
 
-def conjugation_closure(seeds, gens, guard=DEFAULT_GROUP_ORDER_GUARD):
+def conjugation_closure(seeds, gens, guard=DEFAULT_GROUP_ORDER_GUARD, land=None):
     """Closure of a set of matrices under conjugation by the given
     generators (and hence by the group they generate).
 
-    Conjugating by the inverses adds nothing: the closure is finite and
-    conjugation by g maps it into itself injectively, hence onto itself,
-    so it is already closed under conjugation by g^-1.
+    `land` maps each conjugate to the representative kept in the set, such
+    as the canonical representative of its level coset; by default the
+    conjugate itself is kept.  Conjugating by the inverses adds nothing:
+    the closure is finite and conjugation by g maps it into itself
+    injectively, hence onto itself, so it is already closed under
+    conjugation by g^-1.
     """
     pairs = [(g, g.inverse()) for g in gens]
     seen = set(seeds)
@@ -125,6 +117,8 @@ def conjugation_closure(seeds, gens, guard=DEFAULT_GROUP_ORDER_GUARD):
         cur = frontier.pop()
         for g, ginv in pairs:
             nxt = g * cur * ginv
+            if land is not None:
+                nxt = land(nxt)
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)

@@ -8,7 +8,8 @@ mod p^m scans instead of Iwasawa reductions, cell-by-cell integration
 instead of ball intersections, minors instead of Gauss-Jordan ranks, the
 transversal sum instead of its one-step collapse, the full action matrix of
 the induced module instead of the trace measure, a Jordan type per swept
-element instead of one per conjugacy class.
+element instead of one per conjugacy class, conjugation by all of
+K_0 / K_level instead of a closure under generators.
 """
 
 from fractions import Fraction
@@ -18,9 +19,11 @@ from cocenter.exactnum import DomainError, RootP, padic_norm_halfpower, padic_va
 from cocenter.groups import modulus_lambda
 from cocenter.matrices import (
     FFMatrix,
+    PrimeContext,
     QMat,
-    _reduce_mod_ppower,
     congruence_equiv,
+    coset_canonical_rep,
+    enumerate_transversal_K0_mod_Km,
     glnzm_order,
 )
 from cocenter.measures import (
@@ -29,6 +32,7 @@ from cocenter.measures import (
     ad_pullback,
     ad_symmetrized_basis,
     double_coset_labels,
+    label_spread,
     pushforward_to_levi,
     restrict_to_parabolic,
     unit_measure,
@@ -46,6 +50,27 @@ def gl2_level_basis(ctx):
     k0_labels = [rep for rep, _ in unit_measure(Ambient.general_linear(2), ctx).items()]
     d_labels = double_coset_labels(2, ctx, (1, 0))
     return ad_symmetrized_basis(k0_labels, ctx) + ad_symmetrized_basis(d_labels, ctx)
+
+
+def ad_orbits_by_all_conjugators(reps, ctx):
+    """Conjugation orbits of the given level cosets, in the order and form
+    of `ad_orbits`: each orbit conjugates one coset by every element of
+    K_0 / K_level, level = m + spread of the coset, with no generators and
+    no closure."""
+    quotients = {}
+    orbits, seen = [], set()
+    for r in reps:
+        x = coset_canonical_rep(r, ctx)
+        if x.entries() in seen:
+            continue
+        level = ctx.m + label_spread(x, ctx.p)
+        if level not in quotients:
+            quotient = enumerate_transversal_K0_mod_Km(x.n, PrimeContext(ctx.p, level))
+            quotients[level] = [(k, k.inverse()) for k in quotient]
+        orbit = {coset_canonical_rep(k * x * kinv, ctx) for k, kinv in quotients[level]}
+        seen.update(y.entries() for y in orbit)
+        orbits.append(sorted(orbit, key=QMat.entries))
+    return orbits
 
 
 def det_by_fraction_elimination(rows) -> Fraction:
@@ -69,6 +94,24 @@ def det_by_fraction_elimination(rows) -> Fraction:
                 for k in range(c, n):
                     m[r][k] -= f * m[c][k]
     return det
+
+
+def _reduce_mod_ppower(t: Fraction, a: int, p: int):
+    """Canonical representative of t modulo p^a Z_(p).
+
+    Returns r = p^w * (unit-part mod p^(a-w)) with w = v_p(t), an element of
+    p^w * {0, ..., p^(a-w)-1}; r = 0 when v_p(t) >= a.
+    """
+    if t == 0:
+        return Fraction(0)
+    w = padic_valuation(t, p)
+    if w >= a:
+        return Fraction(0)
+    u = t / Fraction(p) ** w  # unit: numerator and denominator prime to p
+    mod = p ** (a - w)
+    num = u.numerator % mod
+    den_inv = pow(u.denominator, -1, mod)
+    return Fraction(p) ** w * ((num * den_inv) % mod)
 
 
 def hermite_by_fraction_column_ops(g: QMat, p: int):

@@ -16,6 +16,7 @@ from cocenter.measures import (
     ad_symmetrized_basis,
     canonical_rep,
     coset_meets_parabolic,
+    double_coset_labels,
     double_coset_measure,
     is_ad_invariant,
     measure_from_jsonable,
@@ -31,6 +32,7 @@ from cocenter.measures import (
 from cocenter.oracles import constant_term_oracle_gl2
 
 from tests.oracles import (
+    ad_orbits_by_all_conjugators,
     gl2_level_basis,
     meets_parabolic_oracle_integral,
     perturbed_reps,
@@ -280,6 +282,25 @@ def test_ad_symmetrized_basis_dimensions(ctx2, level_basis_gl2):
     assert sizes == [1, 2, 3, 6, 12]
     for h in level_basis_gl2:
         assert is_ad_invariant(h)
+
+
+def test_ad_orbits_match_conjugation_by_all_of_k0():
+    """The generator closure gives the orbits of exhaustive conjugation by
+    K_0 / K_level, in the same order and with the same representatives."""
+    cases = []
+    for m in (1, 2):
+        ctx = PrimeContext(2, m)
+        cases.append((unit_labels(2, ctx), ctx))
+        cases.append((double_coset_labels(2, ctx, (1, 0)), ctx))
+    for p, n in ((3, 2), (2, 3)):
+        ctx = PrimeContext(p, 1)
+        cases.append((unit_labels(n, ctx), ctx))
+    for labels, ctx in cases:
+        assert ad_orbits(labels, ctx) == ad_orbits_by_all_conjugators(labels, ctx)
+
+
+def unit_labels(n, ctx):
+    return [rep for rep, _ in unit_measure(Ambient.general_linear(n), ctx).items()]
 
 
 def test_double_coset_measure_counts(ctx2):

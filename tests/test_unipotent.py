@@ -56,6 +56,14 @@ def test_build_class_trivial_and_regular():
     assert all(jordan_type(u) == (2,) for u in cls)
 
 
+def test_regular_class_where_2_is_no_primitive_root():
+    """The scalings generate all of F_q^*, also where 2 does not (q = 7,
+    17): the regular unipotent class of GL_2(F_q) has q^2 - 1 elements."""
+    for q in (7, 17):
+        assert len(build_class(BlockParabolic(2, (2,), "upper"), [(2,)], q)) == q * q - 1
+        assert induced_set(BlockParabolic(2, (2,), "upper"), [(2,)], q).total == q * q - 1
+
+
 def test_class_sizes_sum_to_unipotent_count():
     full = BlockParabolic(2, (2,), "upper")
     for q in (2, 3, 5):
