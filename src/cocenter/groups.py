@@ -120,16 +120,6 @@ class BlockParabolic:
     def levi_blocks(self, g: QMat):
         return [QMat([row[lo:hi] for row in g.rows[lo:hi]]) for lo, hi in self.block_ranges]
 
-    @classmethod
-    def assemble_from_blocks(cls, blocks_mats, parab: "BlockParabolic") -> QMat:
-        n = parab.n
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for (lo, hi), b in zip(parab.block_ranges, blocks_mats):
-            for i in range(lo, hi):
-                for j in range(lo, hi):
-                    rows[i][j] = b[i - lo, j - lo]
-        return QMat(rows)
-
 
 @dataclass(frozen=True)
 class SubgroupSpec:

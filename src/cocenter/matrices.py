@@ -401,6 +401,22 @@ def gln_generators(n: int, p: int, k: int = 1):
     ]
 
 
+def block_gln_generators(blocks, p: int, k: int = 1):
+    """Integer rows of generators of the block diagonal subgroup
+    GL_(b_1) x ... x GL_(b_r) of GL_n(Z/p^k), n = b_1 + ... + b_r: the
+    `gln_generators` of each block, placed on its diagonal block of the
+    identity.  One block of size n gives `gln_generators(n, p, k)`."""
+    n, lo, out = sum(blocks), 0, []
+    for size in blocks:
+        for g in gln_generators(size, p, k):
+            rows = [[int(a == b) for b in range(n)] for a in range(n)]
+            for i in range(size):
+                rows[lo + i][lo : lo + size] = g[i]
+            out.append(rows)
+        lo += size
+    return out
+
+
 def unit_group_generators(p: int, k: int):
     """Generators of (Z/p^k)^*: 3 and -1 for p = 2, the least primitive root
     modulo p^k for odd p."""

@@ -35,9 +35,9 @@ from cocenter.groups import BlockParabolic, iwasawa_decompose, modulus_lambda
 from cocenter.matrices import (
     PrimeContext,
     QMat,
+    block_gln_generators,
     coset_canonical_rep,
     enumerate_glnzm,
-    gln_generators,
     gln_zp_membership,
     glnzm_order,
     lift_mod,
@@ -100,21 +100,21 @@ def canonical_rep(ambient: Ambient, g: QMat, ctx: PrimeContext) -> QMat:
     For y, y' in the ambient subgroup, y' in y K_m already implies
     y^-1 y' lies in the ambient, so coset equality agrees with equality of
     the ambient-level cosets; canonicalization only has to be deterministic
-    and constant on K_m cosets.
+    and constant on K_m cosets.  Each ambient takes one split: on M the
+    Hermite form of a block diagonal g is block diagonal, so the coset
+    representative on G already lies in M; on P it is the representative
+    that `coset_meets_parabolic` reads off the Iwasawa split.
     """
     if ambient.kind == "G":
         return coset_canonical_rep(g, ctx)
+    parab = ambient.parab
     if ambient.kind == "M":
-        parab = ambient.parab
         if not parab.levi_contains(g):
             raise DomainError("element not in the Levi")
-        blocks = [coset_canonical_rep(b, ctx) for b in parab.levi_blocks(g)]
-        return BlockParabolic.assemble_from_blocks(blocks, parab)
-    parab = ambient.parab
+        return coset_canonical_rep(g, ctx)
     if not parab.contains(g):
         raise DomainError("element not in the parabolic")
-    rep = coset_canonical_rep(g, ctx)
-    found = coset_meets_parabolic(rep, parab, ctx)
+    found = coset_meets_parabolic(g, parab, ctx)
     if found is None:
         raise RuntimeError(f"the level coset of {g}, an element of P, misses P")
     return found
@@ -142,8 +142,10 @@ class HeckeMeasure:
 
     support maps the canonical representative (as an entry tuple) to a pair
     (representative, coefficient); zero coefficients are dropped.  The
-    biinvariant flag asserts invariance under conjugation pullback by all of
-    K_0, which `is_ad_invariant` verifies on quotient generators.
+    biinvariant flag asserts invariance under conjugation pullback by the
+    maximal compact subgroup of the ambient: K_0 on G, M meet K_0 on M.
+    `is_ad_invariant` verifies it on quotient generators.  Measures on P
+    carry no flag.
     """
 
     __slots__ = ("ambient", "ctx", "support", "biinvariant")
@@ -250,18 +252,22 @@ def unit_measure(ambient: Ambient, ctx: PrimeContext, guard=DEFAULT_GROUP_ORDER_
         elements = [rows for rows in elements if not any(rows[i][j] for i, j in zeros)]
     coeff = Fraction(1, len(elements))
     return HeckeMeasure.from_pairs(
-        ambient, ctx, [(lift_mod(rows, n), coeff) for rows in elements], biinvariant=True
+        ambient, ctx, [(lift_mod(rows, n), coeff) for rows in elements], ambient.kind != "P"
     )
 
 
 def ad_pullback(h: HeckeMeasure, g: QMat) -> HeckeMeasure:
     """Conjugation pullback: mass c at x K_m moves to (g x g^-1) K_m.
 
-    Only g in K_0 keeps K_m cosets at level m (K_m is normal in K_0);
-    other g would silently refine the level, so they are rejected.
+    Acts on measures on G by g in K_0 and on measures on M by g in
+    M meet K_0.  Only such g keep K_m cosets at level m (K_m is normal in
+    K_0); other g would silently refine the level, so they are rejected.
     """
-    if h.ambient.kind != "G":
-        raise DomainError("conjugation pullback acts on measures on G")
+    kind = h.ambient.kind
+    if kind == "P":
+        raise DomainError("conjugation pullback acts on measures on G or M")
+    if kind == "M" and not h.ambient.parab.levi_contains(g):
+        raise DomainError("conjugator outside the Levi")
     if not gln_zp_membership(g, h.ctx.p):
         raise LevelError("conjugator outside GL_n(Z_p) would change the level")
     ginv = g.inverse()
@@ -342,7 +348,6 @@ class ParabolicTransversal:
             raise RuntimeError(f"P-orbits cover {len(lookup)} of {len(all_elements)} elements")
         self.reps = reps
         self.lookup = lookup
-        self.parabolic_order_mod = len(pbar)
 
     def __len__(self):
         return len(self.reps)
@@ -371,15 +376,18 @@ def res_unnormalized(
     """Parabolic restriction to the Levi: |P\\G/K_m| * push_M(h restricted to P).
 
     Requires the conjugation-invariance flag: each term g of the transversal
-    sum restricts the pullback of h by g in K_0, which is h itself.  A
-    transversal is not needed; one that is passed must belong to the same
-    parabolic and level.
+    sum restricts the pullback of h by g in K_0, which is h itself.  The
+    result carries the flag on M: M meet K_0 lies in P meet K_0, and both
+    the restriction to P and the projection P -> M commute with conjugation
+    by it.  A transversal is not needed; one that is passed must belong to
+    the same parabolic and level.
     """
     if not h.biinvariant:
         raise DomainError("restriction needs a conjugation-invariant measure")
     if transversal is not None and (transversal.parab != parab or transversal.ctx != h.ctx):
         raise DomainError("transversal of another parabolic or level")
     pushed = pushforward_to_levi(restrict_to_parabolic(h, parab), parab)
+    pushed.biinvariant = True
     return pushed.scale(parabolic_double_coset_count(parab, h.ctx))
 
 
@@ -408,9 +416,11 @@ def res_normalized(
 # conjugation invariance and symmetrized bases
 
 
-def k0_quotient_generators(n: int, p: int, k: int):
-    """Integral matrices generating GL_n(Z_p) modulo the level-k subgroup."""
-    return [QMat(rows) for rows in gln_generators(n, p, k)]
+def k0_quotient_generators(ambient: Ambient, p: int, k: int):
+    """Integral matrices generating the maximal compact subgroup of a G or
+    M ambient (GL_n(Z_p) or its block diagonal part) modulo level k."""
+    blocks = ambient.parab.blocks if ambient.kind == "M" else (ambient.n,)
+    return [QMat(rows) for rows in block_gln_generators(blocks, p, k)]
 
 
 def label_spread(rep: QMat, p: int) -> int:
@@ -426,13 +436,14 @@ def measure_spread(h: HeckeMeasure) -> int:
 
 
 def is_ad_invariant(h: HeckeMeasure, gens=None) -> bool:
-    """Exact conjugation invariance under K_0, decided on generators of the
+    """Exact conjugation invariance under the maximal compact subgroup of
+    the ambient (K_0 on G, M meet K_0 on M), decided on generators of the
     finite quotient through which the action factors."""
-    if h.ambient.kind != "G":
-        raise DomainError("invariance check applies to measures on G")
+    if h.ambient.kind == "P":
+        raise DomainError("invariance check applies to measures on G or M")
     level = h.ctx.m + measure_spread(h)
     if gens is None:
-        gens = k0_quotient_generators(h.ambient.n, h.ctx.p, level)
+        gens = k0_quotient_generators(h.ambient, h.ctx.p, level)
     return all(ad_pullback(h, g) == h for g in gens)
 
 
@@ -445,10 +456,9 @@ def ad_orbits(reps, ctx: PrimeContext):
     """
     if not reps:
         return []
-    n = reps[0].n
+    ambient = Ambient.general_linear(reps[0].n)
     level = ctx.m + max(label_spread(r, ctx.p) for r in reps)
-    gens = k0_quotient_generators(n, ctx.p, level)
-    ambient = Ambient.general_linear(n)
+    gens = k0_quotient_generators(ambient, ctx.p, level)
     rep_of = {}
     for r in reps:
         rc = canonical_rep(ambient, r, ctx)
@@ -590,9 +600,9 @@ def measure_to_jsonable(h: HeckeMeasure) -> dict:
 
 
 def measure_from_jsonable(data: dict) -> HeckeMeasure:
-    """Inverse of `measure_to_jsonable`.  The biinvariant flag of a measure
-    on G is checked with `is_ad_invariant`, not believed: restriction and
-    the induced trace rely on it."""
+    """Inverse of `measure_to_jsonable`.  A biinvariant flag is checked,
+    not believed, since restriction, the induced trace and orbital integrals
+    rely on it: on G and M with `is_ad_invariant`, and on P it is refused."""
     amb = data["ambient"]
     n = amb["n"]
     if amb["group"] == "G":
@@ -608,6 +618,6 @@ def measure_from_jsonable(data: dict) -> HeckeMeasure:
         mat = QMat([entries[i * n : (i + 1) * n] for i in range(n)])
         pairs.append((mat, RootP.parse(row["coeff"], ctx.p)))
     h = HeckeMeasure.from_pairs(ambient, ctx, pairs, data.get("biinvariant", False))
-    if h.biinvariant and ambient.kind == "G" and not is_ad_invariant(h):
+    if h.biinvariant and (ambient.kind == "P" or not is_ad_invariant(h)):
         raise DomainError("biinvariant flag set on a measure that is not conjugation-invariant")
     return h

@@ -29,12 +29,16 @@ def left_coset_reps_diag_p(p: int):
     reps = [QMat([[p, j], [0, 1]]) for j in range(p)] + [QMat([[1, 0], [0, p]])]
     for r in reps:
         # inside K_0 diag(p,1) K_0: integral, v(det) = 1, nonzero mod p
-        assert all(padic_valuation(x, p) >= 0 for x in r.entries())
-        assert padic_valuation(r.det(), p) == 1
-        assert any(padic_valuation(x, p) == 0 for x in r.entries())
+        if not all(padic_valuation(x, p) >= 0 for x in r.entries()):
+            raise RuntimeError(f"{r} is not integral")
+        if padic_valuation(r.det(), p) != 1:
+            raise RuntimeError(f"det {r} does not have valuation 1")
+        if not any(padic_valuation(x, p) == 0 for x in r.entries()):
+            raise RuntimeError(f"{r} vanishes mod {p}")
     for i, a in enumerate(reps):
         for b in reps[i + 1 :]:
-            assert not gln_zp_membership(a.inverse() * b, p)
+            if gln_zp_membership(a.inverse() * b, p):
+                raise RuntimeError(f"{a} and {b} lie in one left K_0 coset")
     return reps
 
 

@@ -5,9 +5,13 @@ gamma is a finite sum of volumes of balls in the unipotent coordinate: in
 the Iwasawa frame T U K_0, the conjugate u(x)^-1 gamma u(x) is upper
 triangular with off entry x (gamma_1 - gamma_2), and membership in a level
 coset is an intersection of balls in that entry, computed exactly from
-valuations.  Conjugation by K_0 is folded in by summing over the finite
-quotient through which it acts on level cosets, so no truncation and no
-sampling occur anywhere: every value carries a complete enumeration.
+valuations.  Conjugation by the maximal compact subgroup (K_0 on G, M meet
+K_0 on a Levi) is folded in exactly.  A measure flagged invariant under it
+has all conjugates contributing equally, so each coset takes one ball
+volume per GL_2 block times the order of the finite quotient; any other
+measure sums its cosets over that quotient.  Restrictions of invariant
+measures keep the flag, so orbital integrals on G and on M run the same
+block loop.  No truncation and no sampling occur anywhere.
 
 Normalizations, recorded on every value: Haar on each ambient group gives
 its level subgroup mass 1; Haar on the diagonal torus gives its level
@@ -28,8 +32,9 @@ from cocenter.exactnum import (
     padic_valuation,
 )
 from cocenter.groups import BlockParabolic, SubgroupSpec, discriminant_delta
-from cocenter.matrices import PrimeContext, QMat, gauss_jordan, glnzm_order
-from cocenter.matrices import enumerate_transversal_K0_mod_Km
+from cocenter.matrices import (
+    PrimeContext, QMat, enumerate_transversal_K0_mod_Km, gauss_jordan, glnzm_order,
+)
 from cocenter.measures import HeckeMeasure, label_spread
 
 
@@ -125,21 +130,6 @@ def _ball_volume_gl2(yinv: QMat, gamma, ctx: PrimeContext) -> Fraction:
     return Fraction(p) ** (shift - r_star)
 
 
-_QUOTIENT_CACHE = {}
-
-
-def _k0_quotient(n: int, p: int, level: int, guard: int):
-    key = (n, p, level)
-    # past the guard the enumeration raises, even when the quotient is cached
-    if glnzm_order(n, p, level) > guard or key not in _QUOTIENT_CACHE:
-        mats = enumerate_transversal_K0_mod_Km(n, PrimeContext(p, level), guard)
-        _QUOTIENT_CACHE[key] = [(g, g.inverse()) for g in mats]
-    return _QUOTIENT_CACHE[key]
-
-
-_SINGLE_COSET_CACHE = {}
-
-
 def orbital_single_coset_gl2(
     y: QMat, gamma, ctx: PrimeContext, guard: int = DEFAULT_GROUP_ORDER_GUARD
 ) -> Fraction:
@@ -148,24 +138,17 @@ def orbital_single_coset_gl2(
     Sums the ball volumes over the finite conjugation quotient K_0 / K_m',
     where m' = m + spread(y) is the level at which conjugation acts on the
     coset; exact for arbitrary (not necessarily invariant) cosets.  The
-    quotient is guarded before any cached value is returned.
+    guard bounds the quotient, which is enumerated on every call.
     """
     p, m = ctx.p, ctx.m
     level = m + label_spread(y, p)
-    quotient = _k0_quotient(2, p, level, guard)
-    key = (y.entries(), tuple(gamma), ctx)
-    cached = _SINGLE_COSET_CACHE.get(key)
-    if cached is not None:
-        return cached
     yinv = _inverse_gl2(y)
     total = Fraction(0)
-    for k, kinv in quotient:
+    for k in enumerate_transversal_K0_mod_Km(2, PrimeContext(p, level), guard):
         # (k y k^-1)^-1 = k y^-1 k^-1
-        total += _ball_volume_gl2(k * yinv * kinv, gamma, ctx)
+        total += _ball_volume_gl2(k * yinv * _inverse_gl2(k), gamma, ctx)
     # mass of a K_level coset inside K_0 under the level-m reference measure
-    value = total * Fraction(1, p ** (4 * (level - m))) / _torus_unit_index(ctx)
-    _SINGLE_COSET_CACHE[key] = value
-    return value
+    return total * Fraction(1, p ** (4 * (level - m))) / _torus_unit_index(ctx)
 
 
 def _rank2_jacobian(gamma, p: int) -> Fraction:
@@ -175,25 +158,6 @@ def _rank2_jacobian(gamma, p: int) -> Fraction:
     g1, g2 = gamma
     delta = (g1 / g2 - 1) * (g2 / g1 - 1)
     return Fraction(p) ** (-padic_valuation(delta, p))
-
-
-def _orbital_gl2(h: HeckeMeasure, gamma, guard: int) -> RootP:
-    ctx = h.ctx
-    p = ctx.p
-    out = RootP.rational(0, p)
-    if h.biinvariant:
-        # all conjugates contribute equally: one ball volume per coset
-        scale = Fraction(glnzm_order(2, p, ctx.m), _torus_unit_index(ctx))
-        for rep, c in h.items():
-            vol = _ball_volume_gl2(_inverse_gl2(rep), gamma, ctx)
-            if vol:
-                out = out + c * (scale * vol)
-    else:
-        for rep, c in h.items():
-            vol = orbital_single_coset_gl2(rep, gamma, ctx, guard)
-            if vol:
-                out = out + c * vol
-    return out * _rank2_jacobian(gamma, p)
 
 
 def _orbital_gl1(rep: QMat, gamma_i: Fraction, ctx: PrimeContext) -> Fraction:
@@ -210,48 +174,54 @@ def orbital_integral(
 ) -> OrbitalValue:
     """Orbital integral of h at a regular diagonal gamma.
 
-    Ambient G is supported for GL_1 and GL_2; Levi ambients factor block by
-    block (every block of size <= 2), which covers the Levi subgroups of
-    GL_3 needed downstream.  Values are exact elements of Q(sqrt p).  The
-    guard bounds the conjugation quotients summed over.
+    Ambient G is supported for GL_1 and GL_2, and a Levi ambient for blocks
+    of size <= 2, which covers the Levi subgroups of GL_3 needed downstream.
+    Both factor block by block, G as its one block.  A flagged measure is
+    invariant under conjugation by the ambient's maximal compact subgroup,
+    so a GL_2 block takes one ball volume per coset; an unflagged one sums
+    over the conjugation quotient, which the guard bounds.  Values are
+    exact elements of Q(sqrt p).
     """
-    ctx = h.ctx
-    if gamma.n != h.ambient.n:
+    ctx, ambient = h.ctx, h.ambient
+    if gamma.n != ambient.n:
         raise DomainError("size mismatch")
-    if h.ambient.kind == "G":
-        if h.ambient.n == 1:
-            out = RootP.rational(0, ctx.p)
-            for rep, c in h.items():
-                out = out + c * _orbital_gl1(rep, gamma.entries[0], ctx)
-            return OrbitalValue(out, ctx.p, ctx.m)
-        if h.ambient.n == 2:
-            return OrbitalValue(_orbital_gl2(h, gamma.entries, guard), ctx.p, ctx.m)
-        raise DomainError(
-            "ambient GL_n orbital integrals are certified only for n <= 2"
-        )
-    if h.ambient.kind != "M":
+    if ambient.kind == "G":
+        if ambient.n > 2:
+            raise DomainError("ambient GL_n orbital integrals are certified only for n <= 2")
+        ranges = ((0, ambient.n),)
+    elif ambient.kind == "M":
+        ranges = ambient.parab.block_ranges
+        if any(hi - lo > 2 for lo, hi in ranges):
+            raise DomainError("Levi blocks of size > 2 are not certified")
+    else:
         raise DomainError("orbital integrals live on G or on a Levi")
-    parab = h.ambient.parab
-    if any(b > 2 for b in parab.blocks):
-        raise DomainError("Levi blocks of size > 2 are not certified")
+    subs = [gamma.entries[lo:hi] for lo, hi in ranges]
+    # per GL_2 block: the jacobian, and for a flagged measure the quotient
+    # order over the torus index, since all conjugates contribute equally
+    weight = 1
+    if h.biinvariant:
+        weight = Fraction(glnzm_order(2, ctx.p, ctx.m), _torus_unit_index(ctx))
+    const = Fraction(1)
+    for sub in subs:
+        if len(sub) == 2:
+            const *= weight * _rank2_jacobian(sub, ctx.p)
     out = RootP.rational(0, ctx.p)
     for rep, c in h.items():
-        factor = Fraction(1)
-        for (lo, hi), block in zip(parab.block_ranges, parab.levi_blocks(rep)):
-            sub = gamma.entries[lo:hi]
+        factor = None
+        for (lo, hi), sub in zip(ranges, subs):
+            block = QMat._wrap(tuple([row[lo:hi] for row in rep.rows[lo:hi]]))
             if len(sub) == 1:
-                factor *= _orbital_gl1(block, sub[0], ctx)
+                value = _orbital_gl1(block, sub[0], ctx)
+            elif h.biinvariant:
+                value = _ball_volume_gl2(_inverse_gl2(block), sub, ctx)
             else:
-                if sub[0] == sub[1]:
-                    raise DomainError("gamma not regular inside a block")
-                factor *= orbital_single_coset_gl2(block, sub, ctx, guard) * _rank2_jacobian(
-                    sub, ctx.p
-                )
-            if factor == 0:
+                value = orbital_single_coset_gl2(block, sub, ctx, guard)
+            if not value:
                 break
-        if factor:
+            factor = value if factor is None else factor * value
+        else:
             out = out + c * factor
-    return OrbitalValue(out, ctx.p, ctx.m)
+    return OrbitalValue(out * const, ctx.p, ctx.m)
 
 
 def descent_check(

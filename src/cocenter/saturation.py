@@ -435,7 +435,8 @@ def sat_prime_member(
         raise DomainError("dimension mismatch")
     if target.contains(point):
         witness = CurveWitness(tuple((x,) for x in point), 0)
-        assert verify_witness(witness, target)
+        if not verify_witness(witness, target):
+            raise RuntimeError(f"the constant curve at {point} fails verification")
         return witness
     ladder = _height_ladder(height_bound)
     tried = 0
@@ -502,7 +503,8 @@ def product_rule_check(
     if wa is None or wb is None:
         return False, None
     # common domain: both searches puncture at t = 0 already
-    assert wa.puncture == 0 and wb.puncture == 0
+    if wa.puncture != 0 or wb.puncture != 0:
+        raise RuntimeError("a factor witness is not punctured at t = 0")
     combined = CurveWitness(
         wa.components + wb.components, 0, wa.excluded | wb.excluded
     )

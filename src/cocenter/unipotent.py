@@ -26,7 +26,7 @@ from cocenter.exactnum import (
     ResourceGuardError,
 )
 from cocenter.groups import BlockParabolic, jordan_type
-from cocenter.matrices import FFMatrix, gln_fq_order, gln_generators
+from cocenter.matrices import FFMatrix, block_gln_generators, gln_fq_order, gln_generators
 
 
 def dominates(lam, mu) -> bool:
@@ -84,17 +84,7 @@ def gl_generators(n: int, q: int):
 
 def levi_generators(parab: BlockParabolic, q: int):
     """Generators of M(F_q) = product of block general linear groups."""
-    n = parab.n
-    gens = []
-    for lo, hi in parab.block_ranges:
-        size = hi - lo
-        for g in gl_generators(size, q):
-            rows = [[int(a == b) for b in range(n)] for a in range(n)]
-            for i in range(size):
-                for j in range(size):
-                    rows[lo + i][lo + j] = g[i, j]
-            gens.append(FFMatrix(rows, q))
-    return gens
+    return [FFMatrix(rows, q) for rows in block_gln_generators(parab.blocks, q)]
 
 
 def conjugation_closure(seeds, gens, guard=DEFAULT_GROUP_ORDER_GUARD, land=None):

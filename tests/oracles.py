@@ -9,7 +9,8 @@ instead of ball intersections, minors instead of Gauss-Jordan ranks, the
 transversal sum instead of its one-step collapse, the full action matrix of
 the induced module instead of the trace measure, a Jordan type per swept
 element instead of one per conjugacy class, conjugation by all of
-K_0 / K_level instead of a closure under generators.
+K_0 / K_level instead of a closure under generators, block-by-block and
+two-split canonicalization on M and P instead of one split per ambient.
 """
 
 from fractions import Fraction
@@ -31,6 +32,7 @@ from cocenter.measures import (
     HeckeMeasure,
     ad_pullback,
     ad_symmetrized_basis,
+    coset_meets_parabolic,
     double_coset_labels,
     label_spread,
     pushforward_to_levi,
@@ -71,6 +73,32 @@ def ad_orbits_by_all_conjugators(reps, ctx):
         seen.update(y.entries() for y in orbit)
         orbits.append(sorted(orbit, key=QMat.entries))
     return orbits
+
+
+def assemble_from_blocks(blocks_mats, parab) -> QMat:
+    """The block diagonal element of the Levi of parab with the given blocks."""
+    n = parab.n
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for (lo, hi), b in zip(parab.block_ranges, blocks_mats):
+        for i in range(lo, hi):
+            for j in range(lo, hi):
+                rows[i][j] = b[i - lo, j - lo]
+    return QMat(rows)
+
+
+def canonical_rep_by_blocks_or_two_splits(ambient, g: QMat, ctx):
+    """`canonical_rep` on M and P the long way: on M each diagonal block
+    takes its own coset representative and the blocks are reassembled; on P
+    the coset representative on G is split a second time for P."""
+    parab = ambient.parab
+    if ambient.kind == "M":
+        if not parab.levi_contains(g):
+            raise DomainError("element not in the Levi")
+        blocks = [coset_canonical_rep(b, ctx) for b in parab.levi_blocks(g)]
+        return assemble_from_blocks(blocks, parab)
+    if ambient.kind != "P" or not parab.contains(g):
+        raise DomainError("element not in the parabolic")
+    return coset_meets_parabolic(coset_canonical_rep(g, ctx), parab, ctx)
 
 
 def det_by_fraction_elimination(rows) -> Fraction:

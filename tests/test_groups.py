@@ -20,7 +20,12 @@ from cocenter.groups import (
 )
 from cocenter.matrices import FFMatrix, QMat, charpoly, enumerate_gln_fq, gln_zp_membership
 
-from tests.oracles import det_by_fraction_elimination, full_ad_det, full_ad_minus_one_det
+from tests.oracles import (
+    assemble_from_blocks,
+    det_by_fraction_elimination,
+    full_ad_det,
+    full_ad_minus_one_det,
+)
 from tests.test_matrices import random_invertible
 
 
@@ -89,7 +94,7 @@ def _levi_families(parab, rng):
               for i in range(k)])
         for k in sizes
     ]
-    points = [BlockParabolic.assemble_from_blocks(b, parab) for b in (rational, scalar, shared)]
+    points = [assemble_from_blocks(b, parab) for b in (rational, scalar, shared)]
     return points[:1] + [random_levi_element(parab, rng)] + points[1:]
 
 

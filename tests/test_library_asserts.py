@@ -1,21 +1,29 @@
-"""A ratchet on `assert` statements in the library.
+"""Ratchets on `assert` statements and on memos in the library.
 
 `python -O` strips asserts, so no library invariant may rest on one.  The
 asserts that remain are listed here by function, with their count; a new
 assert, or one more in a listed function, fails this test, and so does a
-listed one that is gone, so the list only ever shrinks.
+listed one that is gone, so the list only ever shrinks.  It is empty: every
+former assert is an explicit raise, and a test below trips each one.  No
+memo may outlive a call either, so module-level caches are refused.
 """
 
 import ast
 from pathlib import Path
 
-import cocenter
+import pytest
 
-REMAINING_ASSERTS = {
-    "oracles.left_coset_reps_diag_p": 4,
-    "saturation.sat_prime_member": 1,
-    "saturation.product_rule_check": 1,
-}
+import cocenter
+from cocenter.oracles import left_coset_reps_diag_p
+from cocenter.saturation import (
+    ConstructibleSet,
+    CurveWitness,
+    MPoly,
+    product_rule_check,
+    sat_prime_member,
+)
+
+REMAINING_ASSERTS = {}
 
 
 def _asserts_by_function(path):
@@ -43,3 +51,75 @@ def test_library_asserts_only_shrink():
     assert not new, f"raise an exception instead of asserting in {new}"
     gone = {k: v for k, v in REMAINING_ASSERTS.items() if found.get(k, 0) < v}
     assert not gone, f"shrink REMAINING_ASSERTS: {gone} now hold fewer asserts"
+
+
+def test_coset_reps_checks_raise(monkeypatch):
+    """Each certificate of `left_coset_reps_diag_p` raises when it fails:
+    forced valuations break integrality, the determinant valuation and the
+    nonvanishing mod p in turn, and a forced K_0 membership merges cosets."""
+    for value, match in ((-1, "not integral"), (0, "valuation 1"), (1, "vanishes mod")):
+        with monkeypatch.context() as patch:
+            patch.setattr("cocenter.oracles.padic_valuation", lambda x, p, v=value: v)
+            with pytest.raises(RuntimeError, match=match):
+                left_coset_reps_diag_p(2)
+    with monkeypatch.context() as patch:
+        patch.setattr("cocenter.oracles.gln_zp_membership", lambda g, p: True)
+        with pytest.raises(RuntimeError, match="one left K_0 coset"):
+            left_coset_reps_diag_p(2)
+    assert len(left_coset_reps_diag_p(3)) == 4
+
+
+def test_saturation_checks_raise(monkeypatch):
+    """The re-verification of a member point's constant curve and the common
+    puncture of the product rule raise when they fail."""
+    punctured = ConstructibleSet.inequation(MPoly.variable(1, 0))
+    with monkeypatch.context() as patch:
+        patch.setattr("cocenter.saturation.verify_witness", lambda w, target: False)
+        with pytest.raises(RuntimeError, match="fails verification"):
+            sat_prime_member(punctured, (1,))
+    off_zero = CurveWitness(((1, 1),), 1)
+    with monkeypatch.context() as patch:
+        patch.setattr("cocenter.saturation.sat_prime_member", lambda *args: off_zero)
+        with pytest.raises(RuntimeError, match="not punctured at t = 0"):
+            product_rule_check(punctured, punctured, (1,), (1,))
+    assert product_rule_check(punctured, punctured, (0,), (0,))[0]
+
+
+def _module_level_caches(path):
+    """Module-level names ending in _CACHE, and functools memo decorators."""
+    tree = ast.parse(path.read_text())
+    found = []
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        found += [t.id for t in targets if isinstance(t, ast.Name) and t.id.endswith("_CACHE")]
+    for node in ast.walk(tree):
+        for deco in getattr(node, "decorator_list", []):
+            call = deco.func if isinstance(deco, ast.Call) else deco
+            name = call.attr if isinstance(call, ast.Attribute) else getattr(call, "id", "")
+            if name in ("cache", "lru_cache"):
+                found.append(f"{node.name} (@{name})")
+    return found
+
+
+def test_no_memo_outlives_a_call(tmp_path):
+    """No module-level cache and no functools.cache or lru_cache in the
+    library: a memo that outlives a call grows without bound and answers
+    from state a guard never saw.  Per-instance cached_property stays.
+    The scan itself is checked on a module that holds each kind."""
+    found = {}
+    for path in sorted(Path(cocenter.__file__).parent.glob("*.py")):
+        caches = _module_level_caches(path)
+        if caches:
+            found[path.stem] = caches
+    assert not found, f"module-level memos in {found}"
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import functools\nfrom functools import cache, cached_property\n"
+        "_SEEN_CACHE = {}\nTABLE_CACHE: dict = {}\n"
+        "@functools.lru_cache(maxsize=None)\ndef f(x):\n    return x\n"
+        "@cache\ndef g(x):\n    return x\n"
+        "class C:\n    @cached_property\n    def h(self):\n        return 1\n"
+    )
+    assert _module_level_caches(sample) == [
+        "_SEEN_CACHE", "TABLE_CACHE", "f (@lru_cache)", "g (@cache)"
+    ]

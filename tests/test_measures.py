@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from cocenter.exactnum import DomainError, LevelError
-from cocenter.groups import BlockParabolic, compositions
-from cocenter.matrices import PrimeContext, QMat, enumerate_glnzm, glnzm_order
+from cocenter.groups import BlockParabolic, compositions, iwasawa_decompose
+from cocenter.matrices import (
+    PrimeContext, QMat, block_gln_generators, enumerate_glnzm, gln_generators, glnzm_order,
+)
 from cocenter.measures import (
     Ambient,
     HeckeMeasure,
@@ -19,6 +21,7 @@ from cocenter.measures import (
     double_coset_labels,
     double_coset_measure,
     is_ad_invariant,
+    k0_quotient_generators,
     measure_from_jsonable,
     measure_to_jsonable,
     normalize_on_levi,
@@ -30,9 +33,12 @@ from cocenter.measures import (
     unit_measure,
 )
 from cocenter.oracles import constant_term_oracle_gl2
+from cocenter.orbital import RegularElement, orbital_integral
+from cocenter.unipotent import levi_generators
 
 from tests.oracles import (
     ad_orbits_by_all_conjugators,
+    canonical_rep_by_blocks_or_two_splits,
     gl2_level_basis,
     meets_parabolic_oracle_integral,
     perturbed_reps,
@@ -327,7 +333,9 @@ def test_double_coset_counts_beyond_adjacent_divisors():
                 assert is_ad_invariant(h)
 
 
-def test_measure_from_jsonable_rejects_forged_flag(ctx2):
+def test_measure_from_jsonable_rejects_forged_flag(ctx2, borel2):
+    """A forged flag is refused on G and on M, where it would change the
+    orbital integral, and any flag is refused on P."""
     forged = HeckeMeasure.delta(Ambient.general_linear(2), ctx2, QMat([[1, 1], [0, 1]]))
     assert not is_ad_invariant(forged)
     blob = measure_to_jsonable(forged)
@@ -336,6 +344,120 @@ def test_measure_from_jsonable_rejects_forged_flag(ctx2):
         measure_from_jsonable(json.loads(json.dumps(blob)))
     blob["biinvariant"] = False
     assert measure_from_jsonable(blob) == forged
+    levi = Ambient.levi(BlockParabolic(3, (2, 1), "upper"))
+    forged_m = HeckeMeasure.delta(levi, ctx2, QMat([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+    assert not is_ad_invariant(forged_m)
+    flagged = HeckeMeasure(levi, ctx2, forged_m.support, biinvariant=True)
+    gamma = RegularElement((1, 3, 5))
+    assert orbital_integral(flagged, gamma).value == Fraction(3, 2)
+    assert orbital_integral(forged_m, gamma).value == Fraction(1, 2)
+    blob = measure_to_jsonable(flagged)
+    with pytest.raises(DomainError):
+        measure_from_jsonable(json.loads(json.dumps(blob)))
+    blob["biinvariant"] = False
+    assert measure_from_jsonable(blob) == forged_m
+    on_p = HeckeMeasure.delta(Ambient.parabolic(borel2), ctx2, QMat.identity(2))
+    blob = measure_to_jsonable(on_p)
+    assert measure_from_jsonable(blob) == on_p
+    blob["biinvariant"] = True
+    with pytest.raises(DomainError):
+        measure_from_jsonable(blob)
+
+
+def test_restrictions_carry_the_levi_flag(ctx2):
+    """res_P of an invariant measure is flagged on M, and the flag holds:
+    is_ad_invariant checks it on block diagonal generators of M meet K_0,
+    on GL_2 and on GL_3 through every block parabolic."""
+    unit3 = unit_measure(Ambient.general_linear(3), ctx2)
+    cases = [(h, BlockParabolic(2, (1, 1), o)) for h in gl2_level_basis(ctx2)
+             for o in ("upper", "lower")]
+    cases += [(unit3, BlockParabolic(3, blocks, o)) for blocks in compositions(3)
+              if len(blocks) > 1 for o in ("upper", "lower")]
+    for h, parab in cases:
+        for r in (res_unnormalized(h, parab), res_normalized(h, parab)):
+            assert r.biinvariant and r.ambient.kind == "M"
+            assert is_ad_invariant(r)
+    assert unit_measure(Ambient.levi(BlockParabolic(3, (2, 1))), ctx2).biinvariant
+    assert not unit_measure(Ambient.parabolic(BlockParabolic(3, (2, 1))), ctx2).biinvariant
+    parab = BlockParabolic(3, (1, 2))
+    gens = k0_quotient_generators(Ambient.levi(parab), 2, 1)
+    assert gens and all(parab.levi_contains(g) for g in gens)
+    h = res_unnormalized(unit3, parab)
+    assert all(ad_pullback(h, g) == h for g in gens)
+    with pytest.raises(DomainError):
+        ad_pullback(h, QMat([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+    on_p = HeckeMeasure.delta(Ambient.parabolic(parab), ctx2, QMat.identity(3))
+    for check in (is_ad_invariant, lambda m: ad_pullback(m, QMat.identity(3))):
+        with pytest.raises(DomainError):
+            check(on_p)
+
+
+def test_block_generators_embed_the_block_generators():
+    """One block gives gln_generators; several give each block's generators
+    on its diagonal block of the identity, as levi_generators over F_q."""
+    for n, p, k in ((2, 2, 1), (3, 3, 2), (1, 5, 1)):
+        assert block_gln_generators((n,), p, k) == gln_generators(n, p, k)
+    for blocks in ((2, 1), (1, 2), (1, 1, 1), (2, 2)):
+        n, q = sum(blocks), 3
+        parab = BlockParabolic(n, blocks)
+        rows = block_gln_generators(blocks, q)
+        expected = []
+        for (lo, hi), size in zip(parab.block_ranges, blocks):
+            for g in gln_generators(size, q):
+                full = QMat.identity(n).rows
+                expected.append([[g[i - lo][j - lo] if lo <= i < hi and lo <= j < hi
+                                  else int(full[i][j]) for j in range(n)] for i in range(n)])
+        assert rows == expected
+        assert [g.rows for g in levi_generators(parab, q)] == [
+            tuple(tuple(r) for r in g) for g in rows
+        ]
+
+
+def test_canonical_rep_one_split_matches_oracle():
+    """On M and P the one-split canonical representative equals, entry for
+    entry, the block-by-block (M) and two-split (P) oracle.  Each label of
+    the GL_2(Q_2), GL_2(Q_3) and GL_3(Q_2) level bases gives three inputs
+    through every block parabolic in both orientations: the P part q of its
+    Iwasawa split, q times a unipotent of P meet K_0, and the Levi
+    projection of q, each moved off its canonical form by an element of
+    K_m meet P or K_m meet M."""
+    cases = []
+    for p in (2, 3):
+        ctx = PrimeContext(p, 1)
+        cases.append((gl2_level_basis(ctx), ctx))
+    ctx = PrimeContext(2, 1)
+    cases.append((ad_symmetrized_basis(unit_labels(3, ctx), ctx), ctx))
+    compared = 0
+    for basis, ctx in cases:
+        labels = [rep for h in basis for rep, _ in h.items()]
+        n, pm = labels[0].n, ctx.modulus
+        assert len(labels) == len({x.entries() for x in labels})
+        for blocks in compositions(n):
+            if len(blocks) == 1:
+                continue
+            for orientation in ("upper", "lower"):
+                parab = BlockParabolic(n, blocks, orientation)
+                radical = parab.positions("U")[0]
+                u = QMat([[int(i == j or (i, j) == radical) for j in range(n)] for i in range(n)])
+                # identity plus p^m on every position of P, or of M
+                kappa_p, kappa_m = (
+                    QMat([[int(i == j) + pm * ((i, j) in parab.positions(part)) for j in range(n)]
+                          for i in range(n)])
+                    for part in ("P", "M")
+                )
+                on_p, on_m = Ambient.parabolic(parab), Ambient.levi(parab)
+                for g in labels:
+                    q = iwasawa_decompose(g, parab, ctx.p)[0]
+                    inputs = ((on_p, q * kappa_p), (on_p, q * u * kappa_p),
+                              (on_m, parab.levi_project(q) * kappa_m))
+                    for ambient, x in inputs:
+                        got = canonical_rep(ambient, x, ctx)
+                        assert got.rows == canonical_rep_by_blocks_or_two_splits(
+                            ambient, x, ctx
+                        ).rows, (ambient.key(), x)
+                        compared += 1
+    # three inputs per label: 24 and 240 GL_2 labels through 2 Borels, 168 through 6
+    assert compared == 3 * (2 * 24 + 2 * 240 + 6 * 168)
 
 
 def test_serialization_round_trip(ctx2, borel2, level_basis_gl2):

@@ -10,6 +10,7 @@ from cocenter.measures import (
     Ambient,
     HeckeMeasure,
     ad_pullback,
+    ad_symmetrized_basis,
     double_coset_measure,
     res_normalized,
     unit_measure,
@@ -26,7 +27,12 @@ from cocenter.orbital import (
     separation_rank,
 )
 
-from tests.oracles import grid_scan_orbital_gl2, rank_by_minors, realification
+from tests.oracles import (
+    gl2_level_basis,
+    grid_scan_orbital_gl2,
+    rank_by_minors,
+    realification,
+)
 
 
 def test_regular_element_validation():
@@ -66,13 +72,39 @@ def test_orbital_matches_grid_scan_on_basis(level_basis_gl2):
             assert orbital_integral(h, gamma).value == grid_scan_orbital_gl2(h, gamma)
 
 
+def _assert_fast_equals_slow(h, grid):
+    """The flagged one-volume path equals the quotient sum of an unflagged
+    copy at every grid point; returns how many values are nonzero."""
+    assert h.biinvariant
+    plain = HeckeMeasure(h.ambient, h.ctx, h.support, biinvariant=False)
+    nonzero = 0
+    for gamma in grid:
+        fast = orbital_integral(h, gamma).value
+        assert fast == orbital_integral(plain, gamma).value, (h, gamma.entries)
+        nonzero += fast != 0
+    return nonzero
+
+
 def test_fast_path_equals_quotient_sum(ctx2, level_basis_gl2):
+    """On G, and on the Levi restrictions, which carry the flag: GL_2 at
+    p = 2 and 3 through both Borels, and the K_0 orbit indicators of
+    GL_3(Q_2) through (2, 1) and (1, 2) in both orientations."""
     for h in level_basis_gl2:
-        plain = HeckeMeasure(h.ambient, ctx2, h.support, biinvariant=False)
-        for gamma in gamma_grid(2, 2, (-1, 1))[::4]:
-            fast = orbital_integral(h, gamma).value
-            slow = orbital_integral(plain, gamma).value
-            assert fast == slow
+        _assert_fast_equals_slow(h, gamma_grid(2, 2, (-1, 1))[::4])
+    for p in (2, 3):
+        ctx = PrimeContext(p, 1)
+        for h in gl2_level_basis(ctx):
+            for orientation in ("upper", "lower"):
+                r = res_normalized(h, BlockParabolic(2, (1, 1), orientation))
+                _assert_fast_equals_slow(r, gamma_grid(p, 2, (-1, 1))[::2])
+    unit3 = unit_measure(Ambient.general_linear(3), ctx2)
+    nonzero = 0
+    for h in ad_symmetrized_basis([rep for rep, _ in unit3.items()], ctx2):
+        for blocks in ((2, 1), (1, 2)):
+            for orientation in ("upper", "lower"):
+                r = res_normalized(h, BlockParabolic(3, blocks, orientation))
+                nonzero += _assert_fast_equals_slow(r, gamma_grid(2, 3, (-1, 1)))
+    assert nonzero > 0
 
 
 def test_orbital_conjugation_invariance(level_basis_gl2):
@@ -198,8 +230,10 @@ def test_levi_orbital_on_gl3_blocks():
 
 def test_guard_reaches_the_conjugation_quotient(ctx2, borel2, unit_gl2):
     """A non-biinvariant GL_2 measure sums over GL_2(Z/2), of order 6, at
-    level 1; a smaller guard refuses it even once the quotient and the
-    value are cached, on G, through descent_check and on a Levi block."""
+    level 1; a smaller guard refuses it on every call, on G, through
+    descent_check and on a Levi block, since no quotient or value is kept
+    between calls.  A flagged measure takes one ball volume per coset and
+    enumerates nothing."""
     plain = HeckeMeasure(unit_gl2.ambient, ctx2, unit_gl2.support, biinvariant=False)
     gamma = RegularElement((1, 3))
     value = orbital_integral(unit_gl2, gamma).value
