@@ -146,7 +146,6 @@ def verify_induced_character_identity(
     parab: BlockParabolic,
     model: InducedModel | None = None,
     res_m: HeckeMeasure | None = None,
-    res_m_normalized: HeckeMeasure | None = None,
 ):
     """Both forms of the induced character identity, as exact equalities.
 
@@ -159,13 +158,11 @@ def verify_induced_character_identity(
     model = model or InducedModel(parab, h.ctx)
     if res_m is None:
         res_m = res_unnormalized(h, parab)
-    if res_m_normalized is None:
-        res_m_normalized = normalize_on_levi(res_m, parab)
     t = trace_measure(h, model)
     lhs_plain = character_pairing(chi, t)
     rhs_plain = character_pairing(chi, res_m)
     lhs_norm = character_pairing(chi, normalize_on_levi(t, model.parab))
-    rhs_norm = character_pairing(chi, res_m_normalized)
+    rhs_norm = character_pairing(chi, normalize_on_levi(res_m, parab))
     ok = lhs_plain == rhs_plain and lhs_norm == rhs_norm
     return ok, {
         "trace": lhs_plain,

@@ -66,6 +66,10 @@ from cocenter.unipotent import (
 )
 
 
+# primes of the restriction suite's constant-term oracle rows
+CONSTANT_TERM_PRIMES = (2, 3)
+
+
 class ConfigError(ValueError):
     pass
 
@@ -86,7 +90,6 @@ class RunConfig:
         (Fraction(1, 2), Fraction(3)),
         (Fraction(3), Fraction(5)),
     )
-    constant_term_primes: tuple = (2, 3)
     ff_cases: tuple = ((2, 2), (2, 3), (2, 5), (3, 2), (3, 3))
     sat_degree: int = 2
     sat_height: int = 2
@@ -234,7 +237,7 @@ def run_restriction(config: RunConfig):
                     rhs,
                 )
             )
-    for prime in config.constant_term_primes:
+    for prime in CONSTANT_TERM_PRIMES:
         rows.append(_constant_term_row(prime, config))
     return rows
 

@@ -1,21 +1,22 @@
-"""Level-m coset measures on G, P, M and the parabolic restriction maps.
+"""Level-m coset measures on G and M and the parabolic restriction map.
 
 A measure is a finite linear combination of reference-Haar restrictions to
 level cosets: h = sum c_x * mu|_{x K}, where K is the principal congruence
-subgroup of the ambient group (K_m on G, K_m meet P on P, K_m meet M on M)
-and mu gives each level coset mass 1.  The restriction map to a Levi is
-defined by a three step recipe: conjugate over a transversal of P\\G/K_m
-chosen inside K_0, restrict each conjugate to P coset by coset, push to M
-along the block projection, and sum.  Restriction is only taken of
-measures invariant under conjugation by K_0, so every conjugate equals the
-measure itself and the sum collapses to one step:
+subgroup of the ambient group (K_m on G, K_m meet M on M) and mu gives each
+level coset mass 1.  The restriction map to a Levi is defined by a three
+step recipe: conjugate over a transversal of P\\G/K_m chosen inside K_0,
+restrict each conjugate to P coset by coset, push to M along the block
+projection, and sum.  Restriction is only taken of measures invariant under
+conjugation by K_0, so every conjugate equals the measure itself and the
+sum collapses to one pass from G to M:
 
-    res_P h = |P\\G/K_m| * push_M(h restricted to P),
+    res_P h = |P\\G/K_m| * sum of c_x delta[proj_M(x K_m meet P)],
 
-with |P\\G/K_m| = |GL_n(Z/p^m)| / |P(Z/p^m)| in closed form.  Its
-normalized variant twists by |lambda_P|^(1/2).  K_m has the exact
-factorization (K_m meet U-)(K_m meet M)(K_m meet U), which makes the block
-projection carry level cosets of P to level cosets of M.
+over the support cosets that meet P, with |P\\G/K_m| =
+|GL_n(Z/p^m)| / |P(Z/p^m)| in closed form.  Its normalized variant twists
+by |lambda_P|^(1/2).  K_m has the exact factorization
+(K_m meet U-)(K_m meet M)(K_m meet U), which makes the block projection
+carry level cosets of P to level cosets of M.
 """
 
 from __future__ import annotations
@@ -48,32 +49,28 @@ from cocenter.unipotent import conjugation_closure
 
 @dataclass(frozen=True)
 class Ambient:
-    """The group a measure lives on: G = GL_n, or a parabolic P, or its Levi M.
+    """The group a measure lives on: G = GL_n or the Levi M of a parabolic.
 
     Upper and lower parabolics with the same blocks share the same Levi, so
     M ambients carry blocks but no orientation.
     """
 
-    kind: str  # "G" | "P" | "M"
+    kind: str  # "G" | "M"
     n: int
     parab: BlockParabolic | None = None
 
     def __post_init__(self):
-        if self.kind not in ("G", "P", "M"):
-            raise DomainError("ambient kind must be G, P or M")
-        if self.kind != "G":
+        if self.kind not in ("G", "M"):
+            raise DomainError("ambient kind must be G or M")
+        if self.kind == "M":
             if self.parab is None:
-                raise DomainError("P/M ambients need a BlockParabolic")
+                raise DomainError("M ambients need a BlockParabolic")
             if self.parab.n != self.n:
                 raise DomainError("parabolic size mismatch")
 
     @classmethod
     def general_linear(cls, n: int) -> "Ambient":
         return cls("G", n)
-
-    @classmethod
-    def parabolic(cls, parab: BlockParabolic) -> "Ambient":
-        return cls("P", parab.n, parab)
 
     @classmethod
     def levi(cls, parab: BlockParabolic) -> "Ambient":
@@ -83,8 +80,6 @@ class Ambient:
     def key(self):
         if self.kind == "G":
             return ("G", self.n)
-        if self.kind == "P":
-            return ("P", self.n, self.parab.blocks, self.parab.orientation)
         return ("M", self.n, self.parab.blocks)
 
     def __eq__(self, other):
@@ -100,24 +95,13 @@ def canonical_rep(ambient: Ambient, g: QMat, ctx: PrimeContext) -> QMat:
     For y, y' in the ambient subgroup, y' in y K_m already implies
     y^-1 y' lies in the ambient, so coset equality agrees with equality of
     the ambient-level cosets; canonicalization only has to be deterministic
-    and constant on K_m cosets.  Each ambient takes one split: on M the
+    and constant on K_m cosets.  Both ambients take the same split: the
     Hermite form of a block diagonal g is block diagonal, so the coset
-    representative on G already lies in M; on P it is the representative
-    that `coset_meets_parabolic` reads off the Iwasawa split.
+    representative on G of an element of M already lies in M.
     """
-    if ambient.kind == "G":
-        return coset_canonical_rep(g, ctx)
-    parab = ambient.parab
-    if ambient.kind == "M":
-        if not parab.levi_contains(g):
-            raise DomainError("element not in the Levi")
-        return coset_canonical_rep(g, ctx)
-    if not parab.contains(g):
-        raise DomainError("element not in the parabolic")
-    found = coset_meets_parabolic(g, parab, ctx)
-    if found is None:
-        raise RuntimeError(f"the level coset of {g}, an element of P, misses P")
-    return found
+    if ambient.kind == "M" and not ambient.parab.levi_contains(g):
+        raise DomainError("element not in the Levi")
+    return coset_canonical_rep(g, ctx)
 
 
 def coset_meets_parabolic(rep: QMat, parab: BlockParabolic, ctx: PrimeContext):
@@ -144,8 +128,7 @@ class HeckeMeasure:
     (representative, coefficient); zero coefficients are dropped.  The
     biinvariant flag asserts invariance under conjugation pullback by the
     maximal compact subgroup of the ambient: K_0 on G, M meet K_0 on M.
-    `is_ad_invariant` verifies it on quotient generators.  Measures on P
-    carry no flag.
+    `is_ad_invariant` verifies it on quotient generators.
     """
 
     __slots__ = ("ambient", "ctx", "support", "biinvariant")
@@ -247,12 +230,12 @@ def unit_measure(ambient: Ambient, ctx: PrimeContext, guard=DEFAULT_GROUP_ORDER_
     """Unit mass spread uniformly over the K_0 part of the ambient group."""
     n = ambient.n
     elements = enumerate_glnzm(n, ctx, guard)
-    if ambient.kind != "G":
-        zeros = ambient.parab.positions("G/P" if ambient.kind == "P" else "G/M")
+    if ambient.kind == "M":
+        zeros = ambient.parab.positions("G/M")
         elements = [rows for rows in elements if not any(rows[i][j] for i, j in zeros)]
     coeff = Fraction(1, len(elements))
     return HeckeMeasure.from_pairs(
-        ambient, ctx, [(lift_mod(rows, n), coeff) for rows in elements], ambient.kind != "P"
+        ambient, ctx, [(lift_mod(rows, n), coeff) for rows in elements], True
     )
 
 
@@ -263,10 +246,7 @@ def ad_pullback(h: HeckeMeasure, g: QMat) -> HeckeMeasure:
     M meet K_0.  Only such g keep K_m cosets at level m (K_m is normal in
     K_0); other g would silently refine the level, so they are rejected.
     """
-    kind = h.ambient.kind
-    if kind == "P":
-        raise DomainError("conjugation pullback acts on measures on G or M")
-    if kind == "M" and not h.ambient.parab.levi_contains(g):
+    if h.ambient.kind == "M" and not h.ambient.parab.levi_contains(g):
         raise DomainError("conjugator outside the Levi")
     if not gln_zp_membership(g, h.ctx.p):
         raise LevelError("conjugator outside GL_n(Z_p) would change the level")
@@ -274,32 +254,6 @@ def ad_pullback(h: HeckeMeasure, g: QMat) -> HeckeMeasure:
     return HeckeMeasure.from_pairs(
         h.ambient, h.ctx, [(g * rep * ginv, c) for rep, c in h.items()], h.biinvariant
     )
-
-
-def restrict_to_parabolic(h: HeckeMeasure, parab: BlockParabolic) -> HeckeMeasure:
-    """Coset-by-coset restriction H(G) -> H(P).
-
-    A level coset x K_m either misses P or meets it in a single level coset
-    x'(K_m meet P); in the latter case the coefficient moves unchanged.
-    """
-    if h.ambient.kind != "G":
-        raise DomainError("restriction starts from measures on G")
-    ambient_p = Ambient.parabolic(parab)
-    pairs = []
-    for rep, c in h.items():
-        found = coset_meets_parabolic(rep, parab, h.ctx)
-        if found is not None:
-            pairs.append((found, c))
-    return HeckeMeasure.from_pairs(ambient_p, h.ctx, pairs)
-
-
-def pushforward_to_levi(h: HeckeMeasure, parab: BlockParabolic) -> HeckeMeasure:
-    """Mass-preserving pushforward H(P) -> H(M) along the block projection."""
-    if h.ambient.kind != "P":
-        raise DomainError("pushforward starts from measures on P")
-    ambient_m = Ambient.levi(parab)
-    pairs = [(parab.levi_project(rep), c) for rep, c in h.items()]
-    return HeckeMeasure.from_pairs(ambient_m, h.ctx, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -373,22 +327,30 @@ def parabolic_double_coset_count(parab: BlockParabolic, ctx: PrimeContext) -> in
 def res_unnormalized(
     h: HeckeMeasure, parab: BlockParabolic, transversal: ParabolicTransversal | None = None
 ) -> HeckeMeasure:
-    """Parabolic restriction to the Levi: |P\\G/K_m| * push_M(h restricted to P).
+    """Parabolic restriction to the Levi in one pass from G to M.
 
-    Requires the conjugation-invariance flag: each term g of the transversal
-    sum restricts the pullback of h by g in K_0, which is h itself.  The
-    result carries the flag on M: M meet K_0 lies in P meet K_0, and both
-    the restriction to P and the projection P -> M commute with conjugation
-    by it.  A transversal is not needed; one that is passed must belong to
-    the same parabolic and level.
+    A level coset x K_m meets P in at most one level coset of P, so c_x
+    moves unchanged to its Levi projection.  Requires the
+    conjugation-invariance flag: each term g of the transversal sum
+    restricts the pullback of h by g in K_0, which is h itself.  The result
+    carries the flag on M: M meet K_0 lies in P meet K_0, and both the
+    restriction to P and the projection P -> M commute with conjugation by
+    it.  A transversal is not needed; one that is passed must belong to the
+    same parabolic and level.
     """
+    if h.ambient.kind != "G":
+        raise DomainError("restriction starts from measures on G")
     if not h.biinvariant:
         raise DomainError("restriction needs a conjugation-invariant measure")
     if transversal is not None and (transversal.parab != parab or transversal.ctx != h.ctx):
         raise DomainError("transversal of another parabolic or level")
-    pushed = pushforward_to_levi(restrict_to_parabolic(h, parab), parab)
-    pushed.biinvariant = True
-    return pushed.scale(parabolic_double_coset_count(parab, h.ctx))
+    pairs = []
+    for rep, c in h.items():
+        found = coset_meets_parabolic(rep, parab, h.ctx)
+        if found is not None:
+            pairs.append((parab.levi_project(found), c))
+    levi = HeckeMeasure.from_pairs(Ambient.levi(parab), h.ctx, pairs, True)
+    return levi.scale(parabolic_double_coset_count(parab, h.ctx))
 
 
 def normalize_on_levi(h_m: HeckeMeasure, parab: BlockParabolic) -> HeckeMeasure:
@@ -439,8 +401,6 @@ def is_ad_invariant(h: HeckeMeasure, gens=None) -> bool:
     """Exact conjugation invariance under the maximal compact subgroup of
     the ambient (K_0 on G, M meet K_0 on M), decided on generators of the
     finite quotient through which the action factors."""
-    if h.ambient.kind == "P":
-        raise DomainError("invariance check applies to measures on G or M")
     level = h.ctx.m + measure_spread(h)
     if gens is None:
         gens = k0_quotient_generators(h.ambient, h.ctx.p, level)
@@ -582,10 +542,7 @@ def double_coset_labels(n: int, ctx: PrimeContext, divisors, guard=DEFAULT_GROUP
 
 def measure_to_jsonable(h: HeckeMeasure) -> dict:
     amb = {"group": h.ambient.kind, "n": h.ambient.n}
-    if h.ambient.kind == "P":
-        amb["blocks"] = list(h.ambient.parab.blocks)
-        amb["orientation"] = h.ambient.parab.orientation
-    elif h.ambient.kind == "M":
+    if h.ambient.kind == "M":
         amb["blocks"] = list(h.ambient.parab.blocks)
     rows = []
     for rep, c in h.items():
@@ -600,24 +557,29 @@ def measure_to_jsonable(h: HeckeMeasure) -> dict:
 
 
 def measure_from_jsonable(data: dict) -> HeckeMeasure:
-    """Inverse of `measure_to_jsonable`.  A biinvariant flag is checked,
-    not believed, since restriction, the induced trace and orbital integrals
-    rely on it: on G and M with `is_ad_invariant`, and on P it is refused."""
+    """Inverse of `measure_to_jsonable`, checked at the trust boundary: the
+    group must be G or M, each rep must have n^2 entries, and the biinvariant
+    flag must be a bool, and when true `is_ad_invariant` must confirm it."""
     amb = data["ambient"]
     n = amb["n"]
     if amb["group"] == "G":
         ambient = Ambient.general_linear(n)
-    elif amb["group"] == "P":
-        ambient = Ambient.parabolic(BlockParabolic(n, tuple(amb["blocks"]), amb["orientation"]))
-    else:
+    elif amb["group"] == "M":
         ambient = Ambient.levi(BlockParabolic(n, tuple(amb["blocks"])))
+    else:
+        raise DomainError(f"measures live on G or M, not on {amb['group']!r}")
+    biinvariant = data.get("biinvariant", False)
+    if not isinstance(biinvariant, bool):
+        raise DomainError(f"biinvariant flag {biinvariant!r} is not a bool")
     ctx = PrimeContext(data["level"]["p"], data["level"]["m"])
     pairs = []
     for row in data["support"]:
+        if len(row["rep"]) != n * n:
+            raise DomainError(f"rep with {len(row['rep'])} entries, not {n * n}")
         entries = [Fraction(x) for x in row["rep"]]
         mat = QMat([entries[i * n : (i + 1) * n] for i in range(n)])
         pairs.append((mat, RootP.parse(row["coeff"], ctx.p)))
-    h = HeckeMeasure.from_pairs(ambient, ctx, pairs, data.get("biinvariant", False))
-    if h.biinvariant and (ambient.kind == "P" or not is_ad_invariant(h)):
+    h = HeckeMeasure.from_pairs(ambient, ctx, pairs, biinvariant)
+    if h.biinvariant and not is_ad_invariant(h):
         raise DomainError("biinvariant flag set on a measure that is not conjugation-invariant")
     return h

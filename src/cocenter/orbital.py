@@ -189,12 +189,10 @@ def orbital_integral(
         if ambient.n > 2:
             raise DomainError("ambient GL_n orbital integrals are certified only for n <= 2")
         ranges = ((0, ambient.n),)
-    elif ambient.kind == "M":
+    else:
         ranges = ambient.parab.block_ranges
         if any(hi - lo > 2 for lo, hi in ranges):
             raise DomainError("Levi blocks of size > 2 are not certified")
-    else:
-        raise DomainError("orbital integrals live on G or on a Levi")
     subs = [gamma.entries[lo:hi] for lo, hi in ranges]
     # per GL_2 block: the jacobian, and for a flagged measure the quotient
     # order over the torus index, since all conjugates contribute equally

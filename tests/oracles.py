@@ -9,8 +9,8 @@ instead of ball intersections, minors instead of Gauss-Jordan ranks, the
 transversal sum instead of its one-step collapse, the full action matrix of
 the induced module instead of the trace measure, a Jordan type per swept
 element instead of one per conjugacy class, conjugation by all of
-K_0 / K_level instead of a closure under generators, block-by-block and
-two-split canonicalization on M and P instead of one split per ambient.
+K_0 / K_level instead of a closure under generators, block-by-block
+canonicalization on M instead of one split of the whole matrix.
 """
 
 from fractions import Fraction
@@ -35,8 +35,6 @@ from cocenter.measures import (
     coset_meets_parabolic,
     double_coset_labels,
     label_spread,
-    pushforward_to_levi,
-    restrict_to_parabolic,
     unit_measure,
 )
 from cocenter.unipotent import (
@@ -86,19 +84,14 @@ def assemble_from_blocks(blocks_mats, parab) -> QMat:
     return QMat(rows)
 
 
-def canonical_rep_by_blocks_or_two_splits(ambient, g: QMat, ctx):
-    """`canonical_rep` on M and P the long way: on M each diagonal block
-    takes its own coset representative and the blocks are reassembled; on P
-    the coset representative on G is split a second time for P."""
+def canonical_rep_by_blocks(ambient, g: QMat, ctx):
+    """`canonical_rep` on M the long way: each diagonal block takes its own
+    coset representative and the blocks are reassembled."""
     parab = ambient.parab
-    if ambient.kind == "M":
-        if not parab.levi_contains(g):
-            raise DomainError("element not in the Levi")
-        blocks = [coset_canonical_rep(b, ctx) for b in parab.levi_blocks(g)]
-        return assemble_from_blocks(blocks, parab)
-    if ambient.kind != "P" or not parab.contains(g):
-        raise DomainError("element not in the parabolic")
-    return coset_meets_parabolic(coset_canonical_rep(g, ctx), parab, ctx)
+    if ambient.kind != "M" or not parab.levi_contains(g):
+        raise DomainError("element not in the Levi")
+    blocks = [coset_canonical_rep(b, ctx) for b in parab.levi_blocks(g)]
+    return assemble_from_blocks(blocks, parab)
 
 
 def det_by_fraction_elimination(rows) -> Fraction:
@@ -333,11 +326,15 @@ def perturbed_reps(transversal):
 
 def restriction_over_transversal(h, parab, reps):
     """Unnormalized restriction by its defining recipe: conjugate h by each
-    transversal representative in K_0, restrict to P, push to M, sum."""
-    out = HeckeMeasure.zero(Ambient.levi(parab), h.ctx)
+    transversal representative in K_0, restrict each conjugate to P coset by
+    coset, push to M along the block projection, and sum."""
+    pairs = []
     for g in reps:
-        out = out + pushforward_to_levi(restrict_to_parabolic(ad_pullback(h, g), parab), parab)
-    return out
+        for rep, c in ad_pullback(h, g).items():
+            found = coset_meets_parabolic(rep, parab, h.ctx)
+            if found is not None:
+                pairs.append((parab.levi_project(found), c))
+    return HeckeMeasure.from_pairs(Ambient.levi(parab), h.ctx, pairs)
 
 
 def hecke_action_matrix(h, chi, model, normalized=False):

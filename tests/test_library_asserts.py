@@ -5,10 +5,13 @@ asserts that remain are listed here by function, with their count; a new
 assert, or one more in a listed function, fails this test, and so does a
 listed one that is gone, so the list only ever shrinks.  It is empty: every
 former assert is an explicit raise, and a test below trips each one.  No
-memo may outlive a call either, so module-level caches are refused.
+memo may outlive a call either, so module-level caches are refused.  And
+no library name that the traced benchmark wraps may disappear unnoticed.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -123,3 +126,21 @@ def test_no_memo_outlives_a_call(tmp_path):
     assert _module_level_caches(sample) == [
         "_SEEN_CACHE", "TABLE_CACHE", "f (@lru_cache)", "g (@cache)"
     ]
+
+
+def test_traced_benchmark_names_resolve():
+    """Every (module, attribute) that `perfbench/tracer.py` wraps exists in
+    the library, so deleting or renaming one fails here and not only in the
+    traced benchmark run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for prefix, module_name, attr, _, _ in tracer.TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{prefix}: {module_name}.{attr}")
+    assert tracer.TARGETS and not missing, f"traced names gone from the library: {missing}"

@@ -26,10 +26,8 @@ from cocenter.measures import (
     measure_to_jsonable,
     normalize_on_levi,
     parabolic_double_coset_count,
-    pushforward_to_levi,
     res_normalized,
     res_unnormalized,
-    restrict_to_parabolic,
     unit_measure,
 )
 from cocenter.oracles import constant_term_oracle_gl2
@@ -38,7 +36,7 @@ from cocenter.unipotent import levi_generators
 
 from tests.oracles import (
     ad_orbits_by_all_conjugators,
-    canonical_rep_by_blocks_or_two_splits,
+    canonical_rep_by_blocks,
     gl2_level_basis,
     meets_parabolic_oracle_integral,
     perturbed_reps,
@@ -95,30 +93,22 @@ def test_coset_meets_agrees_with_exhaustive_scan(ctx2, borel2, unit_gl2):
 
 
 def test_restrict_and_pushforward_unit(ctx2, borel2, unit_gl2):
-    restricted = restrict_to_parabolic(unit_gl2, borel2)
     # K_0 cosets meeting B biject with the mod 2 Borel: |B(F_2)| = 2
-    assert len(restricted) == 2
-    assert restricted.total_mass() == Fraction(2, 6)
-    pushed = pushforward_to_levi(restricted, borel2)
-    unit_t = unit_measure(Ambient.levi(borel2), ctx2)
-    # one transversal term contributes unit_T / |A|
-    assert pushed == unit_t.scale(Fraction(1, 3))
-    # measures concentrated on the radical push to the identity coset of M
-    u_rad = HeckeMeasure.delta(
-        Ambient.parabolic(borel2), ctx2, QMat([[1, 1], [0, 1]])
-    )
-    pushed_rad = pushforward_to_levi(u_rad, borel2)
-    assert pushed_rad.coefficient(QMat.identity(2)) == 1
+    meeting = [rep for rep, _ in unit_gl2.items()
+               if coset_meets_parabolic(rep, borel2, ctx2) is not None]
+    assert len(meeting) == 2
+    # |P\G/K_1| = 3 terms, each unit_T / 3
+    assert res_unnormalized(unit_gl2, borel2) == unit_measure(Ambient.levi(borel2), ctx2)
+    # the radical coset meets B and projects to the identity coset of M
+    found = coset_meets_parabolic(QMat([[1, 1], [0, 1]]), borel2, ctx2)
+    assert found is not None and borel2.contains(found)
+    on_m = HeckeMeasure.delta(Ambient.levi(borel2), ctx2, borel2.levi_project(found))
+    assert on_m.coefficient(QMat.identity(2)) == 1
 
 
 def test_coset_invariants_raise_instead_of_asserting(monkeypatch, ctx2, borel2):
-    """The invariants of canonical_rep's P branch, of the orbit-cover proof
-    of ParabolicTransversal and of ad_orbits raise RuntimeError, so that
-    python -O keeps them."""
-    with monkeypatch.context() as patch:
-        patch.setattr("cocenter.measures.coset_meets_parabolic", lambda rep, parab, ctx: None)
-        with pytest.raises(RuntimeError, match="misses P"):
-            canonical_rep(Ambient.parabolic(borel2), QMat.identity(2), ctx2)
+    """The invariants of the orbit-cover proof of ParabolicTransversal and
+    of ad_orbits raise RuntimeError, so that python -O keeps them."""
     full = enumerate_glnzm(2, ctx2)
     # the zero matrix is block triangular, so it joins every orbit
     with monkeypatch.context() as patch:
@@ -333,9 +323,9 @@ def test_double_coset_counts_beyond_adjacent_divisors():
                 assert is_ad_invariant(h)
 
 
-def test_measure_from_jsonable_rejects_forged_flag(ctx2, borel2):
+def test_measure_from_jsonable_rejects_forged_flag(ctx2):
     """A forged flag is refused on G and on M, where it would change the
-    orbital integral, and any flag is refused on P."""
+    orbital integral, and a payload on P is refused outright."""
     forged = HeckeMeasure.delta(Ambient.general_linear(2), ctx2, QMat([[1, 1], [0, 1]]))
     assert not is_ad_invariant(forged)
     blob = measure_to_jsonable(forged)
@@ -356,12 +346,34 @@ def test_measure_from_jsonable_rejects_forged_flag(ctx2, borel2):
         measure_from_jsonable(json.loads(json.dumps(blob)))
     blob["biinvariant"] = False
     assert measure_from_jsonable(blob) == forged_m
-    on_p = HeckeMeasure.delta(Ambient.parabolic(borel2), ctx2, QMat.identity(2))
-    blob = measure_to_jsonable(on_p)
-    assert measure_from_jsonable(blob) == on_p
-    blob["biinvariant"] = True
+    blob["ambient"] = {"group": "P", "n": 3, "blocks": [2, 1], "orientation": "upper"}
     with pytest.raises(DomainError):
         measure_from_jsonable(blob)
+
+
+def test_measure_from_jsonable_refuses_malformed_payloads(ctx2):
+    """The loader refuses a group other than G or M, a rep without n^2
+    entries and a biinvariant flag that is not a bool, rather than reading
+    the first as M, dropping extra entries or keeping a truthy string."""
+    good = measure_to_jsonable(unit_measure(Ambient.general_linear(2), ctx2))
+    assert measure_from_jsonable(good).biinvariant
+    bad_group = [{"group": g, "n": 2, "blocks": [1, 1], "orientation": "upper"}
+                 for g in ("P", "T", "K")]
+    for ambient in bad_group:
+        blob = json.loads(json.dumps(good))
+        blob["ambient"] = ambient
+        with pytest.raises(DomainError, match="G or M"):
+            measure_from_jsonable(blob)
+    for rep in (good["support"][0]["rep"] + ["0"], good["support"][0]["rep"][:3]):
+        blob = json.loads(json.dumps(good))
+        blob["support"][0]["rep"] = rep
+        with pytest.raises(DomainError, match="entries"):
+            measure_from_jsonable(blob)
+    for flag in ("no", "yes", 1, None):
+        blob = json.loads(json.dumps(good))
+        blob["biinvariant"] = flag
+        with pytest.raises(DomainError, match="not a bool"):
+            measure_from_jsonable(blob)
 
 
 def test_restrictions_carry_the_levi_flag(ctx2):
@@ -378,7 +390,9 @@ def test_restrictions_carry_the_levi_flag(ctx2):
             assert r.biinvariant and r.ambient.kind == "M"
             assert is_ad_invariant(r)
     assert unit_measure(Ambient.levi(BlockParabolic(3, (2, 1))), ctx2).biinvariant
-    assert not unit_measure(Ambient.parabolic(BlockParabolic(3, (2, 1))), ctx2).biinvariant
+    # measures live on G and M only
+    with pytest.raises(DomainError):
+        Ambient("P", 3, BlockParabolic(3, (2, 1)))
     parab = BlockParabolic(3, (1, 2))
     gens = k0_quotient_generators(Ambient.levi(parab), 2, 1)
     assert gens and all(parab.levi_contains(g) for g in gens)
@@ -386,10 +400,6 @@ def test_restrictions_carry_the_levi_flag(ctx2):
     assert all(ad_pullback(h, g) == h for g in gens)
     with pytest.raises(DomainError):
         ad_pullback(h, QMat([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
-    on_p = HeckeMeasure.delta(Ambient.parabolic(parab), ctx2, QMat.identity(3))
-    for check in (is_ad_invariant, lambda m: ad_pullback(m, QMat.identity(3))):
-        with pytest.raises(DomainError):
-            check(on_p)
 
 
 def test_block_generators_embed_the_block_generators():
@@ -414,13 +424,11 @@ def test_block_generators_embed_the_block_generators():
 
 
 def test_canonical_rep_one_split_matches_oracle():
-    """On M and P the one-split canonical representative equals, entry for
-    entry, the block-by-block (M) and two-split (P) oracle.  Each label of
-    the GL_2(Q_2), GL_2(Q_3) and GL_3(Q_2) level bases gives three inputs
-    through every block parabolic in both orientations: the P part q of its
-    Iwasawa split, q times a unipotent of P meet K_0, and the Levi
-    projection of q, each moved off its canonical form by an element of
-    K_m meet P or K_m meet M."""
+    """On M the one-split canonical representative equals, entry for entry,
+    the block-by-block oracle.  Each label of the GL_2(Q_2), GL_2(Q_3) and
+    GL_3(Q_2) level bases gives one input through every block parabolic in
+    both orientations: the Levi projection of the P part q of its Iwasawa
+    split, moved off its canonical form by an element of K_m meet M."""
     cases = []
     for p in (2, 3):
         ctx = PrimeContext(p, 1)
@@ -437,27 +445,17 @@ def test_canonical_rep_one_split_matches_oracle():
                 continue
             for orientation in ("upper", "lower"):
                 parab = BlockParabolic(n, blocks, orientation)
-                radical = parab.positions("U")[0]
-                u = QMat([[int(i == j or (i, j) == radical) for j in range(n)] for i in range(n)])
-                # identity plus p^m on every position of P, or of M
-                kappa_p, kappa_m = (
-                    QMat([[int(i == j) + pm * ((i, j) in parab.positions(part)) for j in range(n)]
-                          for i in range(n)])
-                    for part in ("P", "M")
-                )
-                on_p, on_m = Ambient.parabolic(parab), Ambient.levi(parab)
+                # identity plus p^m on every position of M
+                kappa = QMat([[int(i == j) + pm * ((i, j) in parab.positions("M"))
+                               for j in range(n)] for i in range(n)])
+                on_m = Ambient.levi(parab)
                 for g in labels:
-                    q = iwasawa_decompose(g, parab, ctx.p)[0]
-                    inputs = ((on_p, q * kappa_p), (on_p, q * u * kappa_p),
-                              (on_m, parab.levi_project(q) * kappa_m))
-                    for ambient, x in inputs:
-                        got = canonical_rep(ambient, x, ctx)
-                        assert got.rows == canonical_rep_by_blocks_or_two_splits(
-                            ambient, x, ctx
-                        ).rows, (ambient.key(), x)
-                        compared += 1
-    # three inputs per label: 24 and 240 GL_2 labels through 2 Borels, 168 through 6
-    assert compared == 3 * (2 * 24 + 2 * 240 + 6 * 168)
+                    x = parab.levi_project(iwasawa_decompose(g, parab, ctx.p)[0]) * kappa
+                    got = canonical_rep(on_m, x, ctx)
+                    assert got.rows == canonical_rep_by_blocks(on_m, x, ctx).rows, (parab, x)
+                    compared += 1
+    # 24 and 240 GL_2 labels through 2 Borels, 168 GL_3 labels through 6 parabolics
+    assert compared == 2 * 24 + 2 * 240 + 6 * 168
 
 
 def test_serialization_round_trip(ctx2, borel2, level_basis_gl2):
