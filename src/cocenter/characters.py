@@ -53,9 +53,10 @@ class UnramifiedCharacter:
 
 
 def character_pairing(chi: UnramifiedCharacter, h: HeckeMeasure) -> RootP:
-    """Integral of chi against a measure on M: sum of c_x chi(x)."""
-    if h.ambient.kind != "M":
-        raise DomainError("character pairing lives on the Levi")
+    """Integral of chi against a measure on M: sum of c_x chi(x).
+
+    The blocks must match, so a measure on G pairs only with a one-block
+    character z^v(det)."""
     parab = h.ambient.parab
     if parab.blocks != chi.blocks:
         raise DomainError("block mismatch")
@@ -113,7 +114,7 @@ def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:
     character of M/(M meet K_m).  Each is well defined up to M meet K_m,
     because g_i lies in K_0, which normalizes K_m.
     """
-    if h.ambient.kind != "G":
+    if not h.ambient.is_group:
         raise DomainError("the induced module is acted on by measures on G")
     if not h.biinvariant:
         raise DomainError("trace needs a conjugation-invariant measure")

@@ -67,14 +67,6 @@ def int_valuation(x: int, p: int) -> int:
     return v
 
 
-def padic_unit_part(x, p: int) -> Fraction:
-    """u with x = p**v_p(x) * u.  Requires x != 0."""
-    x = Fraction(x)
-    if x == 0:
-        raise DomainError("0 has no unit part")
-    return x / Fraction(p) ** padic_valuation(x, p)
-
-
 class RootP:
     """Element a + b*sqrt(p) of Q(sqrt p), p prime.
 

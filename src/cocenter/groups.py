@@ -1,11 +1,12 @@
 """Block parabolics of GL_n: discriminants, modulus character, decompositions.
 
-Lie algebras are realized as matrix-entry coordinate spaces.  On Levi
-elements, discriminants and the modulus come from block characteristic
-polynomials and determinants in integer arithmetic; elsewhere in P, from the
-adjoint action as an explicit rational matrix.  Full adjoint matrices are the
-oracle in tests/oracles.py.  Only GL_n is instantiated; the subgroup spec
-covers the diagonal torus, Levi subgroups and block parabolics.
+Lie algebras are realized as matrix-entry coordinate spaces.  Discriminants
+and the modulus come from block characteristic polynomials and determinants
+of the diagonal blocks in integer arithmetic; on all of P that is exact,
+because U acts unipotently on Lie P and on Lie G / Lie P.  Full adjoint
+matrices are the oracle in tests/oracles.py.  Only GL_n is instantiated;
+the subgroup spec covers the diagonal torus, Levi subgroups and block
+parabolics.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from operator import mul
 
 from cocenter.exactnum import DomainError
 from cocenter.matrices import (
-    FFMatrix, QMat, charpoly, det_int, det_rational, hermite_padic, integer_form,
+    FFMatrix, QMat, charpoly, det_int, hermite_padic, integer_form,
 )
 
 
@@ -155,27 +156,6 @@ class SubgroupSpec:
             return self.parab.levi_contains(g)
         return self.parab.contains(g)
 
-    def complement_positions(self, n: int):
-        """Coordinates of Lie G / Lie H."""
-        if self.kind == "T":
-            return [(i, j) for i in range(n) for j in range(n) if i != j]
-        if self.kind == "M":
-            return self.parab.positions("G/M")
-        return self.parab.positions("G/P")
-
-
-def _conj_action_det(g: QMat, ginv: QMat, positions, subtract_identity: bool) -> Fraction:
-    """det of (the projected X -> g X g^-1, optionally minus identity) on
-    the given coordinates; g and its inverse are both supplied."""
-    grows, irows = g.rows, ginv.rows
-    mat = []
-    for r, (i, j) in enumerate(positions):
-        row = [grows[i][k] * irows[l][j] for (k, l) in positions]
-        if subtract_identity:
-            row[r] = row[r] - 1
-        mat.append(row)
-    return det_rational(mat)
-
 
 def _block_invariants(parab: BlockParabolic, g: QMat):
     """(A, d, det A, chi) per diagonal block g_a = A / d of g in M, with A
@@ -199,6 +179,8 @@ def _levi_delta(parab: BlockParabolic, g: QMat, pairs) -> Fraction:
     g_a = A_a / d_a it is det N / (d_b^(n_a n_b) det(A_a)^(n_b)), where
     N = d_b^(n_a) chi_(A_a)(d_a A_b / d_b) is integral; Horner forms N.
     """
+    if not pairs:
+        return Fraction(1)
     inv = _block_invariants(parab, g)
     num = den = 1
     for a, b in pairs:
@@ -218,27 +200,26 @@ def _levi_delta(parab: BlockParabolic, g: QMat, pairs) -> Fraction:
 
 
 def discriminant_delta(spec: SubgroupSpec, g: QMat) -> Fraction:
-    """det(Ad g^-1 - 1) on the complementary coordinates of Lie G / Lie H."""
+    """det(Ad g^-1 - 1) on the complementary coordinates of Lie G / Lie H.
+
+    The torus is the Levi of the Borel.  On H = P, the blocks Hom(V_b, V_a)
+    with |a - b| <= k span a P-stable filtration of Lie G / Lie P on whose
+    graded pieces U acts trivially, so the value reads only the diagonal
+    blocks of g, as on the Levi.
+    """
     if not spec.contains(g):
         raise DomainError("element not in the subgroup")
-    if not spec.complement_positions(g.n):
-        return Fraction(1)
-    if spec.kind == "T":
-        # the torus is the Levi of the Borel
-        spec = SubgroupSpec.levi(BlockParabolic(g.n, (1,) * g.n))
-    parab = spec.parab
-    if spec.kind == "M" or parab.levi_contains(g):
-        return _levi_delta(parab, g, parab.block_pairs("G/M" if spec.kind == "M" else "G/P"))
-    # the adjoint of g^-1 is computed, so (g^-1, g) plays the (g, g^-1) role
-    return _conj_action_det(g.inverse(), g, parab.positions("G/P"), True)
+    parab = BlockParabolic(g.n, (1,) * g.n) if spec.kind == "T" else spec.parab
+    return _levi_delta(parab, g, parab.block_pairs("G/P" if spec.kind == "P" else "G/M"))
 
 
 def modulus_lambda(parab: BlockParabolic, g: QMat) -> Fraction:
-    """det of Ad g on Lie P; the algebraic avatar of the modulus character."""
+    """det of Ad g on Lie P; the algebraic avatar of the modulus character.
+
+    U acts unipotently on Lie P, so only the diagonal blocks of g count.
+    """
     if not parab.contains(g):
         raise DomainError("element not in the parabolic")
-    if not parab.levi_contains(g):
-        return _conj_action_det(g, g.inverse(), parab.positions("P"), False)
     # conjugation on each radical block Hom(V_b, V_a) is a Kronecker product, of
     # determinant det(g_a)^(n_b) / det(g_b)^(n_a); the Levi part contributes 1
     pairs = parab.block_pairs("U")

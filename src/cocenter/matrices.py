@@ -140,9 +140,6 @@ class QMat:
     def trace(self) -> Fraction:
         return sum(self.rows[i][i] for i in range(self.n))
 
-    def is_invertible(self) -> bool:
-        return self.det() != 0
-
     def entries(self):
         return tuple(x for row in self.rows for x in row)
 
@@ -523,9 +520,6 @@ class FFMatrix:
         if self._gauss_jordan(m) < n:
             raise DomainError("singular matrix")
         return FFMatrix._reduced(tuple(tuple(row[n:]) for row in m), self.q)
-
-    def is_invertible(self) -> bool:
-        return self.rank() == self.n
 
     def __eq__(self, other):
         return (

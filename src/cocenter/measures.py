@@ -1,12 +1,14 @@
-"""Level-m coset measures on G and M and the parabolic restriction map.
+"""Level-m coset measures on Levi subgroups and the parabolic restriction map.
 
-A measure is a finite linear combination of reference-Haar restrictions to
-level cosets: h = sum c_x * mu|_{x K}, where K is the principal congruence
-subgroup of the ambient group (K_m on G, K_m meet M on M) and mu gives each
-level coset mass 1.  The restriction map to a Levi is defined by a three
-step recipe: conjugate over a transversal of P\\G/K_m chosen inside K_0,
-restrict each conjugate to P coset by coset, push to M along the block
-projection, and sum.  Restriction is only taken of measures invariant under
+Measures live on the Levi M of a block composition of n; G = GL_n is the
+Levi of the one-block composition (n,).  A measure is a finite linear
+combination of reference-Haar restrictions to level cosets:
+h = sum c_x * mu|_{x K}, where K = K_m meet M is the principal congruence
+subgroup of the ambient (K_m itself on G) and mu gives each level coset
+mass 1.  The restriction map to a Levi is defined by a three step recipe:
+conjugate over a transversal of P\\G/K_m chosen inside K_0, restrict each
+conjugate to P coset by coset, push to M along the block projection, and
+sum.  Restriction is only taken of measures invariant under
 conjugation by K_0, so every conjugate equals the measure itself and the
 sum collapses to one pass from G to M:
 
@@ -49,44 +51,33 @@ from cocenter.unipotent import conjugation_closure
 
 @dataclass(frozen=True)
 class Ambient:
-    """The group a measure lives on: G = GL_n or the Levi M of a parabolic.
+    """The group a measure lives on: the Levi M of a block composition of n.
 
-    Upper and lower parabolics with the same blocks share the same Levi, so
-    M ambients carry blocks but no orientation.
+    G = GL_n is the Levi of the one-block composition (n,), whose parabolic
+    is G itself.  Upper and lower parabolics with the same blocks share the
+    same Levi, so the parabolic is kept with its orientation normalized to
+    upper.
     """
 
-    kind: str  # "G" | "M"
-    n: int
-    parab: BlockParabolic | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("G", "M"):
-            raise DomainError("ambient kind must be G or M")
-        if self.kind == "M":
-            if self.parab is None:
-                raise DomainError("M ambients need a BlockParabolic")
-            if self.parab.n != self.n:
-                raise DomainError("parabolic size mismatch")
+    parab: BlockParabolic
 
     @classmethod
     def general_linear(cls, n: int) -> "Ambient":
-        return cls("G", n)
+        return cls.levi(BlockParabolic(n, (n,)))
 
     @classmethod
     def levi(cls, parab: BlockParabolic) -> "Ambient":
         # normalize orientation away: the Levi ignores it
-        return cls("M", parab.n, BlockParabolic(parab.n, parab.blocks, "upper"))
+        return cls(BlockParabolic(parab.n, parab.blocks, "upper"))
 
-    def key(self):
-        if self.kind == "G":
-            return ("G", self.n)
-        return ("M", self.n, self.parab.blocks)
+    @property
+    def n(self) -> int:
+        return self.parab.n
 
-    def __eq__(self, other):
-        return isinstance(other, Ambient) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
+    @property
+    def is_group(self) -> bool:
+        """True on G = GL_n, the Levi of the one-block composition."""
+        return len(self.parab.blocks) == 1
 
 
 def canonical_rep(ambient: Ambient, g: QMat, ctx: PrimeContext) -> QMat:
@@ -95,11 +86,11 @@ def canonical_rep(ambient: Ambient, g: QMat, ctx: PrimeContext) -> QMat:
     For y, y' in the ambient subgroup, y' in y K_m already implies
     y^-1 y' lies in the ambient, so coset equality agrees with equality of
     the ambient-level cosets; canonicalization only has to be deterministic
-    and constant on K_m cosets.  Both ambients take the same split: the
+    and constant on K_m cosets.  Every Levi takes the same split: the
     Hermite form of a block diagonal g is block diagonal, so the coset
     representative on G of an element of M already lies in M.
     """
-    if ambient.kind == "M" and not ambient.parab.levi_contains(g):
+    if not ambient.parab.levi_contains(g):
         raise DomainError("element not in the Levi")
     return coset_canonical_rep(g, ctx)
 
@@ -213,7 +204,8 @@ class HeckeMeasure:
         return len(self.support)
 
     def __repr__(self):
-        return f"HeckeMeasure({self.ambient.key()}, p={self.ctx.p}, m={self.ctx.m}, {len(self)} cosets)"
+        blocks, ctx = self.ambient.parab.blocks, self.ctx
+        return f"HeckeMeasure(blocks={blocks}, p={ctx.p}, m={ctx.m}, {len(self)} cosets)"
 
 
 def _as_rootp(coeff, p: int) -> RootP:
@@ -229,10 +221,9 @@ def _as_rootp(coeff, p: int) -> RootP:
 def unit_measure(ambient: Ambient, ctx: PrimeContext, guard=DEFAULT_GROUP_ORDER_GUARD):
     """Unit mass spread uniformly over the K_0 part of the ambient group."""
     n = ambient.n
-    elements = enumerate_glnzm(n, ctx, guard)
-    if ambient.kind == "M":
-        zeros = ambient.parab.positions("G/M")
-        elements = [rows for rows in elements if not any(rows[i][j] for i, j in zeros)]
+    zeros = ambient.parab.positions("G/M")
+    elements = [rows for rows in enumerate_glnzm(n, ctx, guard)
+                if not any(rows[i][j] for i, j in zeros)]
     coeff = Fraction(1, len(elements))
     return HeckeMeasure.from_pairs(
         ambient, ctx, [(lift_mod(rows, n), coeff) for rows in elements], True
@@ -246,7 +237,7 @@ def ad_pullback(h: HeckeMeasure, g: QMat) -> HeckeMeasure:
     M meet K_0.  Only such g keep K_m cosets at level m (K_m is normal in
     K_0); other g would silently refine the level, so they are rejected.
     """
-    if h.ambient.kind == "M" and not h.ambient.parab.levi_contains(g):
+    if not h.ambient.parab.levi_contains(g):
         raise DomainError("conjugator outside the Levi")
     if not gln_zp_membership(g, h.ctx.p):
         raise LevelError("conjugator outside GL_n(Z_p) would change the level")
@@ -338,7 +329,7 @@ def res_unnormalized(
     it.  A transversal is not needed; one that is passed must belong to the
     same parabolic and level.
     """
-    if h.ambient.kind != "G":
+    if not h.ambient.is_group:
         raise DomainError("restriction starts from measures on G")
     if not h.biinvariant:
         raise DomainError("restriction needs a conjugation-invariant measure")
@@ -379,10 +370,9 @@ def res_normalized(
 
 
 def k0_quotient_generators(ambient: Ambient, p: int, k: int):
-    """Integral matrices generating the maximal compact subgroup of a G or
-    M ambient (GL_n(Z_p) or its block diagonal part) modulo level k."""
-    blocks = ambient.parab.blocks if ambient.kind == "M" else (ambient.n,)
-    return [QMat(rows) for rows in block_gln_generators(blocks, p, k)]
+    """Integral matrices generating the maximal compact subgroup of a Levi
+    ambient (the block diagonal part of GL_n(Z_p)) modulo level k."""
+    return [QMat(rows) for rows in block_gln_generators(ambient.parab.blocks, p, k)]
 
 
 def label_spread(rep: QMat, p: int) -> int:
@@ -541,9 +531,9 @@ def double_coset_labels(n: int, ctx: PrimeContext, divisors, guard=DEFAULT_GROUP
 
 
 def measure_to_jsonable(h: HeckeMeasure) -> dict:
-    amb = {"group": h.ambient.kind, "n": h.ambient.n}
-    if h.ambient.kind == "M":
-        amb["blocks"] = list(h.ambient.parab.blocks)
+    amb = {"group": "G", "n": h.ambient.n}
+    if not h.ambient.is_group:
+        amb.update(group="M", blocks=list(h.ambient.parab.blocks))
     rows = []
     for rep, c in h.items():
         rows.append({"rep": [str(x) for x in rep.entries()], "coeff": str(c)})
@@ -558,28 +548,39 @@ def measure_to_jsonable(h: HeckeMeasure) -> dict:
 
 def measure_from_jsonable(data: dict) -> HeckeMeasure:
     """Inverse of `measure_to_jsonable`, checked at the trust boundary: the
-    group must be G or M, each rep must have n^2 entries, and the biinvariant
-    flag must be a bool, and when true `is_ad_invariant` must confirm it."""
+    group must be G or M with at least two blocks, each rep must have n^2
+    entries, every entry and coefficient must parse, no level coset may be
+    named twice, and the biinvariant flag must be a bool, and when true
+    `is_ad_invariant` must confirm it."""
     amb = data["ambient"]
     n = amb["n"]
     if amb["group"] == "G":
         ambient = Ambient.general_linear(n)
     elif amb["group"] == "M":
         ambient = Ambient.levi(BlockParabolic(n, tuple(amb["blocks"])))
+        if ambient.is_group:
+            raise DomainError("an M ambient needs at least two blocks; one block is G")
     else:
         raise DomainError(f"measures live on G or M, not on {amb['group']!r}")
     biinvariant = data.get("biinvariant", False)
     if not isinstance(biinvariant, bool):
         raise DomainError(f"biinvariant flag {biinvariant!r} is not a bool")
     ctx = PrimeContext(data["level"]["p"], data["level"]["m"])
-    pairs = []
+    support = {}
     for row in data["support"]:
         if len(row["rep"]) != n * n:
             raise DomainError(f"rep with {len(row['rep'])} entries, not {n * n}")
-        entries = [Fraction(x) for x in row["rep"]]
+        try:
+            entries = [Fraction(x) for x in row["rep"]]
+            coeff = RootP.parse(row["coeff"], ctx.p)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"support row {row!r} does not parse: {exc}") from None
         mat = QMat([entries[i * n : (i + 1) * n] for i in range(n)])
-        pairs.append((mat, RootP.parse(row["coeff"], ctx.p)))
-    h = HeckeMeasure.from_pairs(ambient, ctx, pairs, biinvariant)
+        rep = canonical_rep(ambient, mat, ctx)
+        if rep.entries() in support:
+            raise DomainError(f"support names the level coset of {rep.entries()} twice")
+        support[rep.entries()] = (rep, coeff)
+    h = HeckeMeasure(ambient, ctx, support, biinvariant)
     if h.biinvariant and not is_ad_invariant(h):
         raise DomainError("biinvariant flag set on a measure that is not conjugation-invariant")
     return h

@@ -174,9 +174,9 @@ def orbital_integral(
 ) -> OrbitalValue:
     """Orbital integral of h at a regular diagonal gamma.
 
-    Ambient G is supported for GL_1 and GL_2, and a Levi ambient for blocks
-    of size <= 2, which covers the Levi subgroups of GL_3 needed downstream.
-    Both factor block by block, G as its one block.  A flagged measure is
+    Any Levi ambient with blocks of size <= 2 is supported: G = GL_1 and
+    GL_2 as one block, and the Levi subgroups of GL_3 needed downstream.
+    The integral factors block by block.  A flagged measure is
     invariant under conjugation by the ambient's maximal compact subgroup,
     so a GL_2 block takes one ball volume per coset; an unflagged one sums
     over the conjugation quotient, which the guard bounds.  Values are
@@ -185,14 +185,9 @@ def orbital_integral(
     ctx, ambient = h.ctx, h.ambient
     if gamma.n != ambient.n:
         raise DomainError("size mismatch")
-    if ambient.kind == "G":
-        if ambient.n > 2:
-            raise DomainError("ambient GL_n orbital integrals are certified only for n <= 2")
-        ranges = ((0, ambient.n),)
-    else:
-        ranges = ambient.parab.block_ranges
-        if any(hi - lo > 2 for lo, hi in ranges):
-            raise DomainError("Levi blocks of size > 2 are not certified")
+    ranges = ambient.parab.block_ranges
+    if any(hi - lo > 2 for lo, hi in ranges):
+        raise DomainError("orbital integrals are certified only on blocks of size <= 2")
     subs = [gamma.entries[lo:hi] for lo, hi in ranges]
     # per GL_2 block: the jacobian, and for a flagged measure the quotient
     # order over the torus index, since all conjugates contribute equally

@@ -19,6 +19,10 @@ from fractions import Fraction
 
 from cocenter.exactnum import DomainError, ResourceGuardError
 
+#: curves tried by one witness search, and rounds of the fixpoint iteration
+SEARCH_CAP = 400000
+MAX_ROUNDS = 8
+
 
 # ---------------------------------------------------------------------------
 # univariate polynomials as coefficient lists (index = degree)
@@ -419,7 +423,6 @@ def sat_prime_member(
     point,
     degree_bound: int = 2,
     height_bound: int = 2,
-    search_cap: int = 400000,
 ):
     """Bounded search for a curve witness certifying point in sat'(target).
 
@@ -427,7 +430,7 @@ def sat_prime_member(
     exceptional roots failing the pointwise check are excluded into the
     curve's domain, which the construction permits (any cofinite open part
     of the line is a valid domain).  Returns a verified witness or None;
-    None never proves non-membership.
+    None never proves non-membership.  At most SEARCH_CAP curves are tried.
     """
     point = tuple(Fraction(x) for x in point)
     nvars = target.nvars
@@ -447,41 +450,30 @@ def sat_prime_member(
             if all(all(c == 0 for c in row) for row in coeff_rows):
                 continue
             tried += 1
-            if tried > search_cap:
+            if tried > SEARCH_CAP:
                 raise ResourceGuardError("witness search exceeded its cap")
             comps = tuple(
                 (point[i],) + tuple(coeff_rows[i]) for i in range(nvars)
             )
-            candidate = CurveWitness(comps, 0)
+            candidate = CurveWitness(comps, 0, _failing_roots(comps, target))
             if verify_witness(candidate, target):
                 return candidate
-            repaired = _repair_excluding_bad_roots(candidate, target)
-            if repaired is not None:
-                return repaired
     return None
 
 
-def _repair_excluding_bad_roots(w: CurveWitness, target: ConstructibleSet):
-    """Move failing exceptional roots into the excluded set, if that fixes
-    the certificate; the generic step must already pass."""
-    curve = [list(comp) for comp in w.components]
+def _failing_roots(components, target: ConstructibleSet):
+    """Rational roots t != 0 of the atoms composed with the curve at which
+    the curve leaves the target; excluding them does not change the
+    generic truth value."""
+    curve = [list(comp) for comp in components]
     bad = set()
-    any_composite = False
     for atom in target.atoms():
         h = poly_trim(atom.poly.compose_curve(curve))
         if h:
-            any_composite = True
             for t in rational_roots(h):
-                if t != w.puncture and not target.contains(w.value_at(t)):
+                if t != 0 and not target.contains(tuple(poly_eval(c, t) for c in curve)):
                     bad.add(t)
-    if not any_composite:
-        return None
-    if not bad:
-        return None
-    repaired = CurveWitness(w.components, w.puncture, frozenset(bad) | w.excluded)
-    if verify_witness(repaired, target):
-        return repaired
-    return None
+    return bad
 
 
 def product_rule_check(
@@ -524,21 +516,20 @@ def sat_fixpoint(
     cloud,
     degree_bound=2,
     height_bound=2,
-    max_rounds=8,
 ):
     """Certified points of the cloud in the saturation, iterated to a fixpoint.
 
     Each round augments the membership oracle with the points certified so
     far and re-runs the bounded witness search; the loop stops on the first
-    round that adds nothing.  Returns (certified dict point -> witness,
-    rounds executed).
+    round that adds nothing, and refuses to run more than MAX_ROUNDS
+    rounds.  Returns (certified dict point -> witness, rounds executed).
     """
     cloud = [tuple(Fraction(x) for x in pt) for pt in cloud]
     certified = {}
     rounds = 0
     while True:
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > MAX_ROUNDS:
             raise ResourceGuardError("saturation iteration cap exceeded")
         augmented = target
         if certified:

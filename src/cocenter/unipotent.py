@@ -174,9 +174,6 @@ class InducedSet:
         "finite-field analog: 'dense class' read as dominance-maximal Jordan type"
     )
 
-    def class_counts(self):
-        return dict(self.classes)
-
     def partitions_present(self):
         return tuple(partition for partition, _ in self.classes)
 

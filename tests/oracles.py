@@ -88,7 +88,7 @@ def canonical_rep_by_blocks(ambient, g: QMat, ctx):
     """`canonical_rep` on M the long way: each diagonal block takes its own
     coset representative and the blocks are reassembled."""
     parab = ambient.parab
-    if ambient.kind != "M" or not parab.levi_contains(g):
+    if not parab.levi_contains(g):
         raise DomainError("element not in the Levi")
     blocks = [coset_canonical_rep(b, ctx) for b in parab.levi_blocks(g)]
     return assemble_from_blocks(blocks, parab)
@@ -344,7 +344,7 @@ def hecke_action_matrix(h, chi, model, normalized=False):
     g_i x in P g_l K_m, where tau is the inflated character, times the
     |lambda_P|^(1/2) twist in the normalized model.
     """
-    if h.ambient.kind != "G":
+    if not h.ambient.is_group:
         raise DomainError("the induced module is acted on by measures on G")
     if not h.biinvariant:
         raise DomainError("trace needs a conjugation-invariant measure")

@@ -26,6 +26,7 @@ REPORT_DIGESTS = {
     "characters": (run_characters, "c415d7beef8c65e571b849c6f0529ff25b8561e5d46ee251221f35b480a25c3d"),
     "orbital": (run_orbital, "078161848abc7ba2ce1eed450a701cd181e0f2eee252cfdeacec40fca7c1da78"),
     "unipotent": (run_unipotent, "03e75b3505d779904e6fee0d99174e25cb629cab6ce44b25abdafd22f01cafd8"),
+    "saturate": (run_saturate, "e479bf5277513fa02e140c148d6dff811692294a4b8d890b097c4144575cdf9f"),
 }
 
 

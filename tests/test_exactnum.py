@@ -33,16 +33,6 @@ def test_valuation_multiplicative(x, y, p):
     assert padic_valuation(x * y, p) == padic_valuation(x, p) + padic_valuation(y, p)
 
 
-@given(nonzero_rationals, small_primes)
-def test_unit_part_decomposition(x, p):
-    from cocenter.exactnum import padic_unit_part
-
-    v = padic_valuation(x, p)
-    u = padic_unit_part(x, p)
-    assert x == Fraction(p) ** v * u
-    assert padic_valuation(u, p) == 0
-
-
 def test_norm_halfpower_examples():
     assert padic_norm_halfpower(2, 2, 1) == RootP(0, Fraction(1, 2), 2)
     assert padic_norm_halfpower(1, 3, 11) == 1

@@ -109,9 +109,10 @@ def _radical_element(parab, rng):
 def test_delta_matches_oracle_on_levi_elements():
     """Every composition of GL_2 .. GL_5, both orientations: the block
     characteristic polynomial path on Levi elements (rational, integer,
-    scalar and shared-eigenvalue blocks), and the general path on non-Levi
-    elements of P, against full adjoint determinants.  The upper and lower
-    parabolics share their Levi, so they share its points."""
+    scalar and shared-eigenvalue blocks), and the same path on non-Levi
+    elements of P, where it reads only their diagonal blocks, against full
+    adjoint determinants.  The upper and lower parabolics share their Levi,
+    so they share its points."""
     rng = random.Random(47)
     zero_seen = 0
     for n in (2, 3, 4, 5):

@@ -6,12 +6,14 @@ assert, or one more in a listed function, fails this test, and so does a
 listed one that is gone, so the list only ever shrinks.  It is empty: every
 former assert is an explicit raise, and a test below trips each one.  No
 memo may outlive a call either, so module-level caches are refused.  And
-no library name that the traced benchmark wraps may disappear unnoticed.
+no library name that the traced benchmark wraps or its workloads call may
+disappear or change its call shape unnoticed.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -144,3 +146,58 @@ def test_traced_benchmark_names_resolve():
         if not callable(owner):
             missing.append(f"{prefix}: {module_name}.{attr}")
     assert tracer.TARGETS and not missing, f"traced names gone from the library: {missing}"
+
+
+def _library_bindings(tree):
+    """Local names bound by `from cocenter[.module] import ...`, each with
+    its dotted label and the module or object it names (None if gone)."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cocenter"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                label = f"{node.module}.{alias.name}"
+                try:
+                    owner = importlib.import_module(label)
+                except ImportError:
+                    owner = getattr(module, alias.name, None)
+                names[alias.asname or alias.name] = (label, owner)
+    return names
+
+
+def _dotted(node):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return (node.id, parts[::-1]) if isinstance(node, ast.Name) else (None, [])
+
+
+def test_benchmark_calls_bind_to_library_signatures():
+    """Every call in `perfbench/workloads.py` into a name imported from
+    `cocenter` resolves, and its positional and keyword arguments bind to
+    the callee's signature, so a renamed function, a dropped parameter or a
+    changed arity fails here and not only in the benchmark run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    tree = ast.parse(path.read_text())
+    names = _library_bindings(tree)
+    checked, broken = 0, []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        root, attrs = _dotted(node.func)
+        if root not in names:
+            continue
+        label, owner = names[root]
+        for attr in attrs:
+            label, owner = f"{label}.{attr}", getattr(owner, attr, None)
+        where = f"line {node.lineno}: {label}"
+        if not callable(owner):
+            broken.append(f"{where} does not resolve")
+            continue
+        try:
+            inspect.signature(owner).bind(*node.args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as exc:
+            broken.append(f"{where}: {exc}")
+        checked += 1
+    assert checked and not broken, f"benchmark calls that no longer fit: {broken}"

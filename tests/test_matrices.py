@@ -38,7 +38,7 @@ def random_invertible(n, rng, denominators=(1, 2, 3)):
                 for _ in range(n)
             ]
         )
-        if m.is_invertible():
+        if m.det() != 0:
             return m
 
 
@@ -298,7 +298,7 @@ def test_ffmatrix_rank_and_inverse():
     m = FFMatrix([[1, 2], [2, 4]], 5)
     assert m.rank() == 1
     g = FFMatrix([[1, 2], [3, 4]], 5)
-    assert g.is_invertible()
+    assert g.rank() == 2
     assert g * g.inverse() == FFMatrix.identity(2, 5)
 
 

@@ -352,9 +352,12 @@ def test_measure_from_jsonable_rejects_forged_flag(ctx2):
 
 
 def test_measure_from_jsonable_refuses_malformed_payloads(ctx2):
-    """The loader refuses a group other than G or M, a rep without n^2
-    entries and a biinvariant flag that is not a bool, rather than reading
-    the first as M, dropping extra entries or keeping a truthy string."""
+    """The loader refuses a group other than G or M, an M with one block, a
+    rep without n^2 entries, an entry or coefficient that does not parse, a
+    level coset named twice and a biinvariant flag that is not a bool,
+    rather than reading the first as M, the second as G, dropping extra
+    entries, leaking a ZeroDivisionError or ValueError, adding up the
+    repeated coset or keeping a truthy string."""
     good = measure_to_jsonable(unit_measure(Ambient.general_linear(2), ctx2))
     assert measure_from_jsonable(good).biinvariant
     bad_group = [{"group": g, "n": 2, "blocks": [1, 1], "orientation": "upper"}
@@ -364,11 +367,26 @@ def test_measure_from_jsonable_refuses_malformed_payloads(ctx2):
         blob["ambient"] = ambient
         with pytest.raises(DomainError, match="G or M"):
             measure_from_jsonable(blob)
+    blob = json.loads(json.dumps(good))
+    blob["ambient"] = {"group": "M", "n": 2, "blocks": [2]}
+    with pytest.raises(DomainError, match="two blocks"):
+        measure_from_jsonable(blob)
     for rep in (good["support"][0]["rep"] + ["0"], good["support"][0]["rep"][:3]):
         blob = json.loads(json.dumps(good))
         blob["support"][0]["rep"] = rep
         with pytest.raises(DomainError, match="entries"):
             measure_from_jsonable(blob)
+    for field, bad in (("rep", ["1/0", "0", "0", "1"]), ("rep", ["x", "0", "0", "1"]),
+                       ("coeff", "1/0"), ("coeff", "x")):
+        blob = json.loads(json.dumps(good))
+        blob["support"][0][field] = bad
+        with pytest.raises(DomainError, match="does not parse"):
+            measure_from_jsonable(blob)
+    blob = json.loads(json.dumps(good))
+    blob["support"].append(blob["support"][0])
+    blob["biinvariant"] = False  # else the invariance check would catch it
+    with pytest.raises(DomainError, match="twice"):
+        measure_from_jsonable(blob)
     for flag in ("no", "yes", 1, None):
         blob = json.loads(json.dumps(good))
         blob["biinvariant"] = flag
@@ -387,12 +405,11 @@ def test_restrictions_carry_the_levi_flag(ctx2):
               if len(blocks) > 1 for o in ("upper", "lower")]
     for h, parab in cases:
         for r in (res_unnormalized(h, parab), res_normalized(h, parab)):
-            assert r.biinvariant and r.ambient.kind == "M"
+            assert r.biinvariant and r.ambient == Ambient.levi(parab)
             assert is_ad_invariant(r)
     assert unit_measure(Ambient.levi(BlockParabolic(3, (2, 1))), ctx2).biinvariant
-    # measures live on G and M only
-    with pytest.raises(DomainError):
-        Ambient("P", 3, BlockParabolic(3, (2, 1)))
+    # G is the one-block Levi, whatever the orientation
+    assert Ambient.levi(BlockParabolic(3, (3,), "lower")) == Ambient.general_linear(3)
     parab = BlockParabolic(3, (1, 2))
     gens = k0_quotient_generators(Ambient.levi(parab), 2, 1)
     assert gens and all(parab.levi_contains(g) for g in gens)

@@ -77,7 +77,7 @@ def test_class_sizes_sum_to_unipotent_count():
 def test_induced_set_gl2_borel():
     borel = BlockParabolic(2, (1, 1), "upper")
     ind = induced_set(borel, [(1,), (1,)], 2)
-    assert ind.class_counts() == {(1, 1): 1, (2,): 3}
+    assert dict(ind.classes) == {(1, 1): 1, (2,): 3}
     assert ind.total == 4
     assert heart(ind) == ((2,),)
     assert "dominance-maximal" in ind.finite_field_bridge
