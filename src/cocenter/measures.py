@@ -32,7 +32,6 @@ from cocenter.exactnum import (
     LevelError,
     RootP,
     padic_norm_halfpower,
-    padic_valuation,
 )
 from cocenter.groups import BlockParabolic, iwasawa_decompose, modulus_lambda
 from cocenter.matrices import (
@@ -43,6 +42,7 @@ from cocenter.matrices import (
     enumerate_glnzm,
     gln_zp_membership,
     glnzm_order,
+    hermite_padic,
     lift_mod,
     mat_mod,
 )
@@ -55,20 +55,22 @@ class Ambient:
 
     G = GL_n is the Levi of the one-block composition (n,), whose parabolic
     is G itself.  Upper and lower parabolics with the same blocks share the
-    same Levi, so the parabolic is kept with its orientation normalized to
-    upper.
+    same Levi, so construction normalizes the orientation to upper.
     """
 
     parab: BlockParabolic
 
+    def __post_init__(self):
+        if self.parab.orientation != "upper":
+            object.__setattr__(self, "parab", BlockParabolic(self.parab.n, self.parab.blocks))
+
     @classmethod
     def general_linear(cls, n: int) -> "Ambient":
-        return cls.levi(BlockParabolic(n, (n,)))
+        return cls(BlockParabolic(n, (n,)))
 
     @classmethod
     def levi(cls, parab: BlockParabolic) -> "Ambient":
-        # normalize orientation away: the Levi ignores it
-        return cls(BlockParabolic(parab.n, parab.blocks, "upper"))
+        return cls(parab)
 
     @property
     def n(self) -> int:
@@ -104,12 +106,9 @@ def coset_meets_parabolic(rep: QMat, parab: BlockParabolic, ctx: PrimeContext):
     """
     q, k = iwasawa_decompose(rep, parab, ctx.p)
     kbar = mat_mod(k, ctx.modulus, ctx.p)
-    n = parab.n
-    for i in range(n):
-        for j in range(n):
-            if not parab.in_parabolic(i, j) and kbar[i][j] != 0:
-                return None
-    return q * lift_mod(kbar, n)
+    if any(kbar[i][j] for i, j in parab.positions("G/P")):
+        return None
+    return q * lift_mod(kbar, parab.n)
 
 
 class HeckeMeasure:
@@ -185,10 +184,7 @@ class HeckeMeasure:
             raise DomainError("ambient mismatch")
         acc = dict(self.support)
         for k, (rep, c) in other.support.items():
-            if k in acc:
-                acc[k] = (rep, acc[k][1] + c)
-            else:
-                acc[k] = (rep, c)
+            acc[k] = (rep, acc[k][1] + c) if k in acc else (rep, c)
         return HeckeMeasure(self.ambient, self.ctx, acc, False)
 
     def __eq__(self, other):
@@ -432,86 +428,39 @@ def ad_orbits(reps, ctx: PrimeContext):
 def ad_symmetrized_basis(reps, ctx: PrimeContext):
     """Indicator measures of the conjugation orbits of the given cosets."""
     ambient = Ambient.general_linear(reps[0].n)
-    out = []
-    for orbit in ad_orbits(reps, ctx):
-        h = HeckeMeasure.from_pairs(ambient, ctx, [(r, 1) for r in orbit], biinvariant=True)
-        out.append(h)
-    return out
+    return [HeckeMeasure.from_pairs(ambient, ctx, [(r, 1) for r in orbit], biinvariant=True)
+            for orbit in ad_orbits(reps, ctx)]
 
 
 # ---------------------------------------------------------------------------
-# double cosets K_0 d K_0
+# double cosets K_0 d K_0, as the K_0 orbit of d K_0
 
 
-def smith_valuations(g: QMat, p: int):
-    """Elementary divisor valuations of the column lattice of g.
+def hermite_reps_with_divisors(n: int, p: int, divisors, guard=DEFAULT_GROUP_ORDER_GUARD):
+    """Hermite forms of the left K_0 cosets inside K_0 d K_0, d = diag(p^divisors).
 
-    v_k(minors of size k) is the valuation of the k-th determinantal
-    divisor; successive differences give the Smith form exponents.
+    The left coset k d K_0 (k in K_0) is the coset of k d k^-1, so the
+    cosets form the orbit of d K_0 under conjugation by K_0, labelled by
+    their Hermite forms.  k d K_0 depends only on k modulo K_0 meet
+    d K_0 d^-1, which contains K_s, s = max(divisors) - min(divisors), so
+    generators of GL_n(Z/p^s) reach the whole orbit.  Sorted as the forms
+    of a box enumeration: diagonal exponents descending, then the entries
+    above the diagonal, row-major.
     """
-    import itertools as _it
-
-    n = g.n
-    minors_val = [0]
-    for k in range(1, n + 1):
-        best = None
-        for rows in _it.combinations(range(n), k):
-            for cols in _it.combinations(range(n), k):
-                sub = QMat([[g[i, j] for j in cols] for i in rows])
-                d = sub.det()
-                if d == 0:
-                    continue
-                v = padic_valuation(d, p)
-                if best is None or v < best:
-                    best = v
-        if best is None:
-            raise DomainError("singular matrix")
-        minors_val.append(best)
-    return tuple(
-        minors_val[k] - minors_val[k - 1] for k in range(1, n + 1)
-    )
-
-
-def hermite_reps_with_divisors(n: int, p: int, divisors):
-    """All Hermite forms whose lattice has the given elementary divisors.
-
-    These are exactly the representatives of the left K_0 cosets inside the
-    double coset K_0 diag(p^divisors) K_0.  A Hermite diagonal need not
-    permute the divisors ([[p, 1], [0, p]] lies in K_0 diag(p^2, 1) K_0), so
-    every diagonal with exponents at most max(divisors) and the right sum is
-    tried, and the Smith exponents decide membership.
-    """
-    import itertools as _it
-
     divisors = tuple(divisors)
-    if any(d < 0 for d in divisors):
-        raise DomainError("only nonnegative divisor exponents are enumerated")
-    target = tuple(sorted(divisors))
-    total = sum(divisors)
-    out = []
-    for diag in _it.product(range(max(divisors), -1, -1), repeat=n):
-        if sum(diag) != total:
-            continue
-        # row i entries right of the pivot are reduced mod p^(a_i)
-        ranges = [list(range(p ** diag[i])) for i in range(n)]
-        uppers = _it.product(*[
-            _it.product(ranges[i], repeat=n - 1 - i) for i in range(n)
-        ])
-        for rows_choice in uppers:
-            mat = [[Fraction(0)] * n for _ in range(n)]
-            for i in range(n):
-                mat[i][i] = Fraction(p) ** diag[i]
-                for idx, j in enumerate(range(i + 1, n)):
-                    mat[i][j] = Fraction(rows_choice[i][idx])
-            h = QMat(mat)
-            if smith_valuations(h, p) == target:
-                out.append(h)
-    return out
+    if len(divisors) != n or any(a < 0 for a in divisors):
+        raise DomainError(f"need {n} nonnegative divisor exponents, not {divisors}")
+    d = QMat.diagonal([p**a for a in divisors])
+    level = max(1, max(divisors) - min(divisors))
+    gens = k0_quotient_generators(Ambient.general_linear(n), p, level)
+    forms = conjugation_closure([d], gens, guard, land=lambda g: hermite_padic(g, p)[0])
+    return sorted(forms, key=lambda h: ([-h[i, i] for i in range(n)],
+                                        [h[i, j] for i in range(n) for j in range(i + 1, n)]))
 
 
 def double_coset_measure(n: int, ctx: PrimeContext, divisors, guard=DEFAULT_GROUP_ORDER_GUARD):
     """Indicator (coefficient 1 per level coset) of K_0 diag(p^divisors) K_0."""
-    hermites = hermite_reps_with_divisors(n, ctx.p, divisors)
+    hermites = hermite_reps_with_divisors(n, ctx.p, divisors, guard)
     kappas = [lift_mod(rows, n) for rows in enumerate_glnzm(n, ctx, guard)]
     ambient = Ambient.general_linear(n)
     pairs = [(h * k, 1) for h in hermites for k in kappas]
@@ -546,33 +495,51 @@ def measure_to_jsonable(h: HeckeMeasure) -> dict:
     }
 
 
+def _json_field(obj, key: str, kind=object):
+    """obj[key] from a loaded payload, refused with DomainError when obj is
+    not an object, the key is missing or the value is not of the given kind
+    (an int that is not a bool, for kind=int)."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise DomainError(f"payload {obj!r} has no field {key!r}")
+    value = obj[key]
+    if not (type(value) is int if kind is int else isinstance(value, kind)):
+        raise DomainError(f"field {key!r} is {value!r}, not of type {kind.__name__}")
+    return value
+
+
 def measure_from_jsonable(data: dict) -> HeckeMeasure:
-    """Inverse of `measure_to_jsonable`, checked at the trust boundary: the
-    group must be G or M with at least two blocks, each rep must have n^2
-    entries, every entry and coefficient must parse, no level coset may be
-    named twice, and the biinvariant flag must be a bool, and when true
-    `is_ad_invariant` must confirm it."""
-    amb = data["ambient"]
-    n = amb["n"]
-    if amb["group"] == "G":
+    """Inverse of `measure_to_jsonable`, checked at the trust boundary: every
+    field must be present with its JSON type (n, p, m and each block an
+    int, not a bool), the group must be G or M with at least two blocks,
+    each rep must have n^2 entries, every entry and coefficient must parse,
+    no level coset may be named twice, and the biinvariant flag must be a
+    bool, and when true `is_ad_invariant` must confirm it."""
+    amb = _json_field(data, "ambient", dict)
+    group, n = _json_field(amb, "group"), _json_field(amb, "n", int)
+    if group == "G":
         ambient = Ambient.general_linear(n)
-    elif amb["group"] == "M":
-        ambient = Ambient.levi(BlockParabolic(n, tuple(amb["blocks"])))
+    elif group == "M":
+        blocks = tuple(_json_field(amb, "blocks", list))
+        if any(type(b) is not int for b in blocks):
+            raise DomainError(f"field 'blocks' is {list(blocks)!r}, not a list of ints")
+        ambient = Ambient(BlockParabolic(n, blocks))
         if ambient.is_group:
             raise DomainError("an M ambient needs at least two blocks; one block is G")
     else:
-        raise DomainError(f"measures live on G or M, not on {amb['group']!r}")
+        raise DomainError(f"measures live on G or M, not on {group!r}")
     biinvariant = data.get("biinvariant", False)
     if not isinstance(biinvariant, bool):
         raise DomainError(f"biinvariant flag {biinvariant!r} is not a bool")
-    ctx = PrimeContext(data["level"]["p"], data["level"]["m"])
+    level = _json_field(data, "level", dict)
+    ctx = PrimeContext(_json_field(level, "p", int), _json_field(level, "m", int))
     support = {}
-    for row in data["support"]:
-        if len(row["rep"]) != n * n:
-            raise DomainError(f"rep with {len(row['rep'])} entries, not {n * n}")
+    for row in _json_field(data, "support", list):
+        raw, coeff = _json_field(row, "rep", list), _json_field(row, "coeff")
+        if len(raw) != n * n:
+            raise DomainError(f"rep with {len(raw)} entries, not {n * n}")
         try:
-            entries = [Fraction(x) for x in row["rep"]]
-            coeff = RootP.parse(row["coeff"], ctx.p)
+            entries = [Fraction(x) for x in raw]
+            coeff = RootP.parse(coeff, ctx.p)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"support row {row!r} does not parse: {exc}") from None
         mat = QMat([entries[i * n : (i + 1) * n] for i in range(n)])

@@ -9,12 +9,14 @@ instead of ball intersections, minors instead of Gauss-Jordan ranks, the
 transversal sum instead of its one-step collapse, the full action matrix of
 the induced module instead of the trace measure, a Jordan type per swept
 element instead of one per conjugacy class, conjugation by all of
-K_0 / K_level instead of a closure under generators, block-by-block
-canonicalization on M instead of one split of the whole matrix.
+K_0 / K_level instead of a closure under generators, a box of Hermite
+matrices filtered by Smith exponents instead of the K_0 orbit of the
+diagonal, block-by-block canonicalization on M instead of one split of the
+whole matrix.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from cocenter.exactnum import DomainError, RootP, padic_norm_halfpower, padic_valuation
 from cocenter.groups import modulus_lambda
@@ -71,6 +73,46 @@ def ad_orbits_by_all_conjugators(reps, ctx):
         seen.update(y.entries() for y in orbit)
         orbits.append(sorted(orbit, key=QMat.entries))
     return orbits
+
+
+def smith_valuations(g: QMat, p: int):
+    """Elementary divisor exponents of the column lattice of g: successive
+    differences of the least valuations of the k x k minors."""
+    n = g.n
+    minors_val = [0]
+    for k in range(1, n + 1):
+        vals = [padic_valuation(d, p)
+                for rows in combinations(range(n), k) for cols in combinations(range(n), k)
+                if (d := det_by_fraction_elimination([[g[i, j] for j in cols] for i in rows]))]
+        if not vals:
+            raise DomainError("singular matrix")
+        minors_val.append(min(vals))
+    return tuple(minors_val[k] - minors_val[k - 1] for k in range(1, n + 1))
+
+
+def hermite_forms_by_smith_filter(n, p, divisors):
+    """Hermite forms of the left K_0 cosets in K_0 diag(p^divisors) K_0, in
+    the order of `hermite_reps_with_divisors`: every upper triangular matrix
+    with diagonal p^(a_i), a_i <= max(divisors) summing to sum(divisors),
+    and row i reduced modulo p^(a_i) right of the pivot, kept when its Smith
+    exponents are the divisors.  A Hermite diagonal need not permute the
+    divisors ([[p, 1], [0, p]] lies in K_0 diag(p^2, 1) K_0), so the whole
+    box is tried."""
+    target = tuple(sorted(divisors))
+    out = []
+    for diag in product(range(max(divisors), -1, -1), repeat=n):
+        if sum(diag) != sum(divisors):
+            continue
+        uppers = product(*[product(range(p ** diag[i]), repeat=n - 1 - i) for i in range(n)])
+        for choice in uppers:
+            mat = [[0] * n for _ in range(n)]
+            for i in range(n):
+                mat[i][i] = p ** diag[i]
+                mat[i][i + 1:] = choice[i]
+            h = QMat(mat)
+            if smith_valuations(h, p) == target:
+                out.append(h)
+    return out
 
 
 def assemble_from_blocks(blocks_mats, parab) -> QMat:

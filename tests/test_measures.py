@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cocenter.exactnum import DomainError, LevelError
+from cocenter.exactnum import DomainError, LevelError, ResourceGuardError
 from cocenter.groups import BlockParabolic, compositions, iwasawa_decompose
 from cocenter.matrices import (
     PrimeContext, QMat, block_gln_generators, enumerate_glnzm, gln_generators, glnzm_order,
@@ -20,6 +20,7 @@ from cocenter.measures import (
     coset_meets_parabolic,
     double_coset_labels,
     double_coset_measure,
+    hermite_reps_with_divisors,
     is_ad_invariant,
     k0_quotient_generators,
     measure_from_jsonable,
@@ -38,6 +39,7 @@ from tests.oracles import (
     ad_orbits_by_all_conjugators,
     canonical_rep_by_blocks,
     gl2_level_basis,
+    hermite_forms_by_smith_filter,
     meets_parabolic_oracle_integral,
     perturbed_reps,
     restriction_over_transversal,
@@ -323,6 +325,30 @@ def test_double_coset_counts_beyond_adjacent_divisors():
                 assert is_ad_invariant(h)
 
 
+def test_double_coset_hermite_forms_match_smith_filter():
+    """The K_0 orbit of diag(p^divisors) gives, in the same order, the
+    Hermite forms a box enumeration keeps by their Smith exponents,
+    including divisors out of order, equal divisors and gaps of 2 and 3."""
+    cases = [(2, p, d) for p in (2, 3, 5)
+             for d in ((1, 0), (0, 1), (2, 0), (2, 1), (1, 1), (0, 0))]
+    cases += [(2, p, (3, 0)) for p in (2, 3)]
+    cases += [(3, p, d) for p in (2, 3) for d in ((1, 0, 0), (1, 1, 0), (0, 0, 1))]
+    cases.append((4, 2, (1, 0, 0, 0)))
+    for n, p, d in cases:
+        got = [h.rows for h in hermite_reps_with_divisors(n, p, d)]
+        assert got == [h.rows for h in hermite_forms_by_smith_filter(n, p, d)], (n, p, d)
+    for n, d in ((2, (1, -1)), (2, (1, 0, 0)), (3, (1, 0))):
+        with pytest.raises(DomainError, match="nonnegative divisor exponents"):
+            hermite_reps_with_divisors(n, 2, d)
+
+
+def test_double_coset_measure_respects_guard():
+    """K_0 diag(2^10, 1) K_0 has 3 * 2^9 left K_0 cosets; a guard of 100
+    stops their enumeration."""
+    with pytest.raises(ResourceGuardError):
+        double_coset_measure(2, PrimeContext(2, 1), (10, 0), guard=100)
+
+
 def test_measure_from_jsonable_rejects_forged_flag(ctx2):
     """A forged flag is refused on G and on M, where it would change the
     orbital integral, and a payload on P is refused outright."""
@@ -354,10 +380,12 @@ def test_measure_from_jsonable_rejects_forged_flag(ctx2):
 def test_measure_from_jsonable_refuses_malformed_payloads(ctx2):
     """The loader refuses a group other than G or M, an M with one block, a
     rep without n^2 entries, an entry or coefficient that does not parse, a
-    level coset named twice and a biinvariant flag that is not a bool,
-    rather than reading the first as M, the second as G, dropping extra
-    entries, leaking a ZeroDivisionError or ValueError, adding up the
-    repeated coset or keeping a truthy string."""
+    level coset named twice, a biinvariant flag that is not a bool, and a
+    missing or ill-typed field (n, p, m and the blocks must be ints, not
+    bools), rather than reading the first as M, the second as G, dropping
+    extra entries, leaking a ZeroDivisionError, ValueError, KeyError or
+    TypeError, adding up the repeated coset, keeping a truthy string or
+    truncating a float block."""
     good = measure_to_jsonable(unit_measure(Ambient.general_linear(2), ctx2))
     assert measure_from_jsonable(good).biinvariant
     bad_group = [{"group": g, "n": 2, "blocks": [1, 1], "orientation": "upper"}
@@ -392,6 +420,39 @@ def test_measure_from_jsonable_refuses_malformed_payloads(ctx2):
         blob["biinvariant"] = flag
         with pytest.raises(DomainError, match="not a bool"):
             measure_from_jsonable(blob)
+    # ill-typed or missing fields: each used to escape as ValueError, KeyError
+    # or TypeError, be truncated to an int, or be refused for the wrong reason
+    m_ambient = {"group": "M", "n": 2, "blocks": [1, 1]}
+    edits = [
+        lambda b: b.update(ambient=dict(m_ambient, blocks=["x", 1])),
+        lambda b: b.update(ambient=dict(m_ambient, blocks=[1.7, 1.2])),
+        lambda b: b.update(ambient=dict(m_ambient, blocks=[True, True])),
+        lambda b: b.update(ambient=dict(m_ambient, blocks="11")),
+        lambda b: b["ambient"].update(n="2"),
+        lambda b: b["ambient"].update(n=2.0),
+        lambda b: b["ambient"].update(n=True),
+        lambda b: b.update(ambient=["G", 2]),
+        lambda b: b.pop("ambient"),
+        lambda b: b["ambient"].pop("group"),
+        lambda b: b.pop("support"),
+        lambda b: b.update(support={"rep": []}),
+        lambda b: b.pop("level"),
+        lambda b: b["level"].pop("m"),
+        lambda b: b["level"].update(m="1"),
+        lambda b: b["level"].update(p=2.0),
+        lambda b: b["level"].update(p=True),
+        lambda b: b["support"][0].pop("coeff"),
+        lambda b: b["support"][0].pop("rep"),
+        lambda b: b["support"][0].update(rep=4),
+        lambda b: b["support"].append([1, 0, 0, 1]),
+    ]
+    for edit in edits:
+        blob = json.loads(json.dumps(good))
+        edit(blob)
+        with pytest.raises(DomainError, match="field"):
+            measure_from_jsonable(blob)
+    with pytest.raises(DomainError, match="field"):
+        measure_from_jsonable([good])
 
 
 def test_restrictions_carry_the_levi_flag(ctx2):
@@ -410,6 +471,11 @@ def test_restrictions_carry_the_levi_flag(ctx2):
     assert unit_measure(Ambient.levi(BlockParabolic(3, (2, 1))), ctx2).biinvariant
     # G is the one-block Levi, whatever the orientation
     assert Ambient.levi(BlockParabolic(3, (3,), "lower")) == Ambient.general_linear(3)
+    # an Ambient built directly normalizes its orientation as well
+    lower = Ambient(BlockParabolic(3, (2, 1), "lower"))
+    assert lower == Ambient.levi(BlockParabolic(3, (2, 1))) and lower.parab.orientation == "upper"
+    units = unit_measure(lower, ctx2) + unit_measure(Ambient.levi(BlockParabolic(3, (2, 1))), ctx2)
+    assert units.total_mass() == 2
     parab = BlockParabolic(3, (1, 2))
     gens = k0_quotient_generators(Ambient.levi(parab), 2, 1)
     assert gens and all(parab.levi_contains(g) for g in gens)
