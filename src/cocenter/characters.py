@@ -7,16 +7,24 @@ supported on the double cosets P g K_m.  Its trace is chi paired with the
 trace measure T(h) on M, read off the split of each product g_i x; this
 equals the character pairing of the parabolic restriction, and both sides
 are computed through independent code paths and compared in Q(sqrt p).
+Each split runs on the integer form of g_i x: one call of the integer
+Hermite core (`matrices.hermite_int`, through `groups.iwasawa_int`), then
+residues modulo p^m against the inverses of the representatives, which
+the model keeps modulo p^m.  The same split on Fraction matrices, by
+column operations and QMat inverses, is the oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from cocenter.exactnum import DEFAULT_GROUP_ORDER_GUARD, DomainError, RootP, padic_valuation
-from cocenter.groups import BlockParabolic, iwasawa_decompose
-from cocenter.matrices import PrimeContext, QMat, lift_mod, mat_mod
+from cocenter.exactnum import (
+    DEFAULT_GROUP_ORDER_GUARD, DomainError, RootP, int_valuation, padic_valuation,
+)
+from cocenter.groups import BlockParabolic, iwasawa_int
+from cocenter.matrices import PrimeContext, QMat, integer_form, mat_mod
 from cocenter.measures import Ambient, HeckeMeasure, ParabolicTransversal, normalize_on_levi
 from cocenter.measures import res_unnormalized
 
@@ -84,7 +92,9 @@ class InducedModel:
         self.parab = parab
         self.ctx = ctx
         self.transversal = transversal
-        self.rep_inverses = [g.inverse() for g in transversal.reps]
+        # g_l^-1 mod p^m for each representative g_l in K_0
+        self.inverse_residues = [mat_mod(g.inverse(), ctx.modulus, ctx.p)
+                                 for g in transversal.reps]
 
     @property
     def dim(self) -> int:
@@ -93,17 +103,28 @@ class InducedModel:
     def locate_with_parabolic_part(self, y: QMat):
         """Write y = (q q2) g_l kappa with q q2 in P(Q), kappa level trivial.
 
-        Returns (l, q q2).  The parabolic part is assembled from the Iwasawa
-        split of y and an integral lift matching the stored representative
-        mod p^m.
+        Returns (l, q q2), on integer forms: for y = A / (p^e d'), d' prime
+        to p, one split A = Q(A) k(A) by `iwasawa_int` gives q = Q(A) / p^e
+        and k = k(A) / d'.  k mod p^m = k(A) d'^-1 mod p^m names the double
+        coset l, and then q2 = k g_l^-1 mod p^m lies in P mod p^m, so
+        q q2 = Q(A) q2 / p^e with q2 lifted to integers.
         """
         parab, ctx = self.parab, self.ctx
-        q, k = iwasawa_decompose(y, parab, ctx.p)
-        idx = self.transversal.locate(k)
-        prod = mat_mod(k * self.rep_inverses[idx], ctx.modulus, ctx.p)
-        if any(prod[i][j] != 0 for i, j in parab.positions("G/P")):
+        p, modulus = ctx.p, ctx.modulus
+        a, d = integer_form(y.rows)
+        h, k = iwasawa_int(a, parab, p)
+        pe = p ** int_valuation(d, p)
+        unit_inv = pow(d // pe, -1, modulus)
+        kbar = tuple([tuple([x * unit_inv % modulus for x in row]) for row in k])
+        idx = self.transversal.lookup[kbar]
+        cols = tuple(zip(*self.inverse_residues[idx]))
+        prod = [[sum(map(mul, row, col)) % modulus for col in cols] for row in kbar]
+        if any(prod[i][j] for i, j in parab.positions("G/P")):
             raise DomainError("transversal lookup names a double coset that k misses")
-        return idx, q * lift_mod(prod, parab.n)
+        cols = tuple(zip(*prod))
+        return idx, QMat._wrap(
+            tuple([tuple([Fraction(sum(map(mul, row, col)), pe) for col in cols]) for row in h])
+        )
 
 
 def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:

@@ -4,9 +4,13 @@ Lie algebras are realized as matrix-entry coordinate spaces.  Discriminants
 and the modulus come from block characteristic polynomials and determinants
 of the diagonal blocks in integer arithmetic; on all of P that is exact,
 because U acts unipotently on Lie P and on Lie G / Lie P.  Full adjoint
-matrices are the oracle in tests/oracles.py.  Only GL_n is instantiated;
-the subgroup spec covers the diagonal torus, Levi subgroups and block
-parabolics.
+matrices are the oracle in tests/oracles.py.  The Iwasawa split G = P K_0
+runs on integer forms too: `iwasawa_int` is the one integer Hermite core,
+`matrices.hermite_int`, with rows and columns reversed for a lower
+parabolic.  `iwasawa_decompose` (restriction) and
+`characters.InducedModel.locate_with_parabolic_part` (induced traces) call
+it.  Only GL_n is instantiated; the subgroup spec covers the diagonal
+torus, Levi subgroups and block parabolics.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from operator import mul
 
 from cocenter.exactnum import DomainError
 from cocenter.matrices import (
-    FFMatrix, QMat, charpoly, det_int, hermite_padic, integer_form,
+    FFMatrix, QMat, charpoly, det_int, hermite_int, integer_form, rational_split,
 )
 
 
@@ -37,7 +41,9 @@ class BlockParabolic:
     orientation: str = "upper"
 
     def __post_init__(self):
-        blocks = tuple(int(b) for b in self.blocks)
+        blocks = tuple(self.blocks)
+        if any(isinstance(b, bool) or not isinstance(b, int) for b in blocks):
+            raise DomainError(f"blocks {blocks!r} must be ints")
         object.__setattr__(self, "blocks", blocks)
         if not blocks or any(b < 1 for b in blocks):
             raise DomainError("blocks must be positive")
@@ -281,25 +287,29 @@ def chevalley_map(g: QMat) -> ChevalleyPoint:
     return ChevalleyPoint(Fraction((-1) ** k * c, d**k) for k, c in enumerate(chi[1:], 1))
 
 
-def _reverse_indices(g: QMat) -> QMat:
-    """w0 g w0 for the longest permutation w0: rows and columns reversed."""
-    return QMat([row[::-1] for row in g.rows[::-1]])
+def iwasawa_int(a, parab: BlockParabolic, p: int):
+    """Integer Iwasawa split A = Q(A) k(A) of a nonsingular integer matrix:
+    Q(A) integral in P, k(A) in GL_n(Z_(p)).
+
+    Upper parabolics take the Hermite split of `hermite_int` as it is (a
+    fully triangular Q(A) lies in every block upper parabolic); the lower
+    case conjugates through the longest permutation w0, reversing the rows
+    and columns of A and of both factors.
+    """
+    if parab.orientation == "upper":
+        return hermite_int(a, p)
+    h, k = hermite_int([row[::-1] for row in a[::-1]], p)
+    return [row[::-1] for row in h[::-1]], [row[::-1] for row in k[::-1]]
 
 
 def iwasawa_decompose(g: QMat, parab: BlockParabolic, p: int):
-    """g = q * k with q in P(Q) and k in GL_n(Z_p) meet GL_n(Q).
-
-    Upper parabolics come straight from the p-adic Hermite form (a fully
-    triangular q lies in every block upper parabolic); the lower case is
-    conjugated through the longest permutation.
-    """
+    """g = q * k with q in P(Q) and k in GL_n(Z_p) meet GL_n(Q): the
+    integer split of g = A / d by `iwasawa_int`, scaled back by
+    `rational_split`."""
     if g.n != parab.n:
         raise DomainError("size mismatch")
-    if parab.orientation == "upper":
-        q, k = hermite_padic(g, p)
-        return q, k
-    h, k = hermite_padic(_reverse_indices(g), p)
-    return _reverse_indices(h), _reverse_indices(k)
+    a, d = integer_form(g.rows)
+    return rational_split(*iwasawa_int(a, parab, p), d, p)
 
 
 def jordan_type(u: FFMatrix):

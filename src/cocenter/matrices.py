@@ -14,10 +14,15 @@ over F_q and Q(sqrt p)), given the field's inverse and canonical form.
 The p-adic column Hermite form computed here is the workhorse behind coset
 canonicalization and Iwasawa decomposition: for invertible rational g there
 is a unique upper triangular H with p-power diagonal and reduced entries
-above it such that g = H * k with k integral of unit determinant.  It runs
-on the integer form g = A / (p^e d'), d' prime to p: column operations on A
-modulo p^N, N = v_p(det A) + 1, give H(A), and exact integer back
-substitution gives k(A) = H(A)^-1 A.
+above it such that g = H * k with k integral of unit determinant.  One
+integer core, `hermite_int`, computes it on the integer form
+g = A / (p^e d'), d' prime to p: column operations on A modulo p^N,
+N = v_p(det A) + 1, give H(A), and exact integer back substitution gives
+k(A) = H(A)^-1 A.  Every split goes through it: `hermite_padic` (coset
+canonicalization and the double coset orbits) and `groups.iwasawa_decompose`
+wrap it with `rational_split`, and `InducedModel.locate_with_parabolic_part`
+reads k(A) modulo p^m through `groups.iwasawa_int` without leaving the
+integers.
 """
 
 from __future__ import annotations
@@ -268,45 +273,33 @@ def hermite_padic(g: QMat, p: int):
     (j > i) reduced modulo p^(a_i) Z_(p).  H is the canonical basis of the
     column lattice of g, so it depends only on the coset g * GL_n(Z_p).
 
-    Runs on the integer form g = A / (p^e d'), d' prime to p: H(A) comes
-    from `_hermite_int`, k(A) = H(A)^-1 A is integral (it lies in
-    GL_n(Z_(p)) and in M_n(Z[1/p])), so back substitution divides exactly,
-    and (H, k) = (H(A) / p^e, k(A) / d') by uniqueness of the form.
+    The integer form g = A / d goes through `hermite_int`, and
+    `rational_split` scales its factors back.
+    """
+    a, d = integer_form(g.rows)
+    return rational_split(*hermite_int(a, p), d, p)
+
+
+def hermite_int(a, p: int):
+    """(H(A), k(A)) for a nonsingular integer matrix A = H(A) k(A): the
+    one integer Hermite core behind `hermite_padic`, `groups.iwasawa_int`
+    and `InducedModel.locate_with_parabolic_part`.
+
+    H(A) is the column Hermite form of A over Z_(p): diagonal p^(a_i),
+    least non-negative residues modulo p^(a_i) above it.  It comes from
+    column operations modulo p^N, N = v_p(det A) + 1 (Domich-Kannan-
+    Trotter): a matrix congruent to A, A + p^N X = A (1 + p^N A^-1 X), spans
+    the same Z_(p)-lattice, because A^-1 has valuation > -N and so the
+    factor lies in GL_n(Z_(p)); the same holds at every step.
+    k(A) = H(A)^-1 A lies in GL_n(Z_(p)) and in M_n(Z[1/p]), so it is
+    integral and back substitution divides exactly.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    a, d = integer_form(g.rows)
     det = det_int(a)
     if det == 0:
         raise DomainError("singular matrix")
-    h = _hermite_int(a, p, int_valuation(det, p) + 1)
-    n = len(a)
-    k = [None] * n
-    for i in range(n - 1, -1, -1):
-        row, piv = h[i], h[i][i]
-        k[i] = [
-            (a[i][j] - sum(row[t] * k[t][j] for t in range(i + 1, n))) // piv
-            for j in range(n)
-        ]
-    pe = p ** int_valuation(d, p)
-    unit = d // pe
-    return (
-        QMat._wrap(tuple([tuple([Fraction(x, pe) for x in r]) for r in h])),
-        QMat._wrap(tuple([tuple([Fraction(x, unit) for x in r]) for r in k])),
-    )
-
-
-def _hermite_int(a, p: int, big_n: int):
-    """Rows of the column Hermite form over Z_(p) of a nonsingular integer
-    matrix a with v_p(det a) < big_n: diagonal p^(a_i), least non-negative
-    residues modulo p^(a_i) above it.
-
-    Column operations modulo p^big_n (Domich-Kannan-Trotter): a matrix
-    congruent to a, a + p^big_n X = a (1 + p^big_n a^-1 X), spans the same
-    Z_(p)-lattice, because a^-1 has valuation > -big_n and so the factor
-    lies in GL_n(Z_(p)); the same holds at every step.
-    """
-    big = p**big_n
+    big = p ** (int_valuation(det, p) + 1)
     n = len(a)
     cols = [[x % big for x in col] for col in zip(*a)]
     for i in range(n - 1, -1, -1):
@@ -329,7 +322,29 @@ def _hermite_int(a, p: int, big_n: int):
             f = cols[j][i] // piv
             if f:
                 cols[j] = [(x - f * y) % big for x, y in zip(cols[j], col_i)]
-    return [list(row) for row in zip(*cols)]
+    h = [list(row) for row in zip(*cols)]
+    # back substitution: k(A) = H(A)^-1 A, bottom row first
+    k = [None] * n
+    for i in range(n - 1, -1, -1):
+        row, piv = h[i], h[i][i]
+        k[i] = [
+            (a[i][j] - sum(row[t] * k[t][j] for t in range(i + 1, n))) // piv
+            for j in range(n)
+        ]
+    return h, k
+
+
+def rational_split(h, k, d: int, p: int):
+    """The split (H, k) of g = A / d, with d = p^e d' and d' prime to p,
+    from an integer split A = H(A) k(A) with k(A) in GL_n(Z_(p)): H(A) / p^e
+    and k(A) / d', as QMats.  For the Hermite split this is the form of g
+    itself, by its uniqueness."""
+    pe = p ** int_valuation(d, p)
+    unit = d // pe
+    return (
+        QMat._wrap(tuple([tuple([Fraction(x, pe) for x in r]) for r in h])),
+        QMat._wrap(tuple([tuple([Fraction(x, unit) for x in r]) for r in k])),
+    )
 
 
 def coset_canonical_rep(g: QMat, ctx: PrimeContext) -> QMat:

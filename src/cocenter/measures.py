@@ -293,10 +293,6 @@ class ParabolicTransversal:
     def __len__(self):
         return len(self.reps)
 
-    def locate(self, k: QMat) -> int:
-        """Index of the double coset containing k in K_0."""
-        return self.lookup[mat_mod(k, self.ctx.modulus, self.ctx.p)]
-
 
 def parabolic_double_coset_count(parab: BlockParabolic, ctx: PrimeContext) -> int:
     """|P\\G/K_m| = |GL_n(Z/p^m)| / |P(Z/p^m)|.

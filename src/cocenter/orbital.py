@@ -34,6 +34,7 @@ from cocenter.exactnum import (
 from cocenter.groups import BlockParabolic, SubgroupSpec, discriminant_delta
 from cocenter.matrices import (
     PrimeContext, QMat, enumerate_transversal_K0_mod_Km, gauss_jordan, glnzm_order,
+    integer_form,
 )
 from cocenter.measures import HeckeMeasure, label_spread
 
@@ -85,12 +86,14 @@ def _torus_unit_index(ctx: PrimeContext) -> int:
 
 
 def _inverse_gl2(y: QMat) -> QMat:
-    """y^-1 for 2 x 2 y, read off the adjugate: (d, -b; -c, a) / det."""
-    (a, b), (c, d) = y.rows
+    """y^-1 for 2 x 2 y = A / den, read off the integer form:
+    den * adj(A) / det A, with adj(A) = (d, -b; -c, a)."""
+    ((a, b), (c, d)), den = integer_form(y.rows)
     det = a * d - b * c
     if det == 0:
         raise DomainError("singular matrix")
-    return QMat([[d / det, -b / det], [-c / det, a / det]])
+    return QMat._wrap(((Fraction(den * d, det), Fraction(-den * b, det)),
+                       (Fraction(-den * c, det), Fraction(den * a, det))))
 
 
 def _ball_volume_gl2(yinv: QMat, gamma, ctx: PrimeContext) -> Fraction:

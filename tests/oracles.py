@@ -12,7 +12,8 @@ element instead of one per conjugacy class, conjugation by all of
 K_0 / K_level instead of a closure under generators, a box of Hermite
 matrices filtered by Smith exponents instead of the K_0 orbit of the
 diagonal, block-by-block canonicalization on M instead of one split of the
-whole matrix.
+whole matrix, Fraction splits and QMat inverses instead of integer residues
+in the induced module.
 """
 
 from fractions import Fraction
@@ -28,6 +29,8 @@ from cocenter.matrices import (
     coset_canonical_rep,
     enumerate_transversal_K0_mod_Km,
     glnzm_order,
+    lift_mod,
+    mat_mod,
 )
 from cocenter.measures import (
     Ambient,
@@ -404,6 +407,33 @@ def hecke_action_matrix(h, chi, model, normalized=False):
                 )
             matrix[i][l] = matrix[i][l] + c * weight
     return matrix
+
+
+def _reverse_indices(g: QMat) -> QMat:
+    """w0 g w0 for the longest permutation w0: rows and columns reversed."""
+    return QMat([row[::-1] for row in g.rows[::-1]])
+
+
+def locate_by_fraction_split(model, y: QMat):
+    """(l, q q2) of `InducedModel.locate_with_parabolic_part` on Fraction
+    matrices, with no integer form and no integer Hermite kernel.
+
+    The split y = q k comes from `hermite_by_fraction_column_ops`,
+    conjugated by w0 for a lower parabolic; k mod p^m names the double
+    coset l, and q2 is the integral lift of k g_l^-1 mod p^m, taken with
+    QMat.inverse.
+    """
+    parab, ctx = model.parab, model.ctx
+    if parab.orientation == "upper":
+        q, k = hermite_by_fraction_column_ops(y, ctx.p)
+    else:
+        q, k = (_reverse_indices(x)
+                for x in hermite_by_fraction_column_ops(_reverse_indices(y), ctx.p))
+    idx = model.transversal.lookup[mat_mod(k, ctx.modulus, ctx.p)]
+    prod = mat_mod(k * model.transversal.reps[idx].inverse(), ctx.modulus, ctx.p)
+    if any(prod[i][j] for i, j in parab.positions("G/P")):
+        raise DomainError("transversal lookup names a double coset that k misses")
+    return idx, q * lift_mod(prod, parab.n)
 
 
 def jordan_type_all_powers(u):

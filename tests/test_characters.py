@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,8 @@ from cocenter.characters import (
     verify_induced_character_identity,
 )
 from cocenter.exactnum import DomainError, ResourceGuardError, RootP
-from cocenter.groups import BlockParabolic
-from cocenter.matrices import PrimeContext, QMat
+from cocenter.groups import BlockParabolic, compositions
+from cocenter.matrices import PrimeContext, QMat, integer_form
 from cocenter.measures import (
     Ambient,
     HeckeMeasure,
@@ -23,7 +24,7 @@ from cocenter.measures import (
     res_unnormalized,
     unit_measure,
 )
-from tests.oracles import gl2_level_basis, hecke_action_matrix
+from tests.oracles import gl2_level_basis, hecke_action_matrix, locate_by_fraction_split
 
 CHAR_PARAMS = [(1, 1), (2, 1), (Fraction(1, 2), 3), (3, 5)]
 
@@ -222,6 +223,86 @@ def test_identity_check_splits_each_product_once(monkeypatch):
     )
     assert ok, details
     assert len(calls) == model.dim * len(h) > 0
+
+
+def _split_models():
+    """(model, labels) for the GL_2 level bases at (p, m) = (2, 1), (3, 1)
+    and (2, 2) through both Borels, and the GL_3(Q_2) orbit basis through
+    all six block parabolics."""
+    cases = []
+    for p, m in ((2, 1), (3, 1), (2, 2)):
+        ctx = PrimeContext(p, m)
+        labels = [rep for h in gl2_level_basis(ctx) for rep, _ in h.items()]
+        borel = BlockParabolic(2, (1, 1), "upper")
+        cases += [(InducedModel(parab, ctx), labels) for parab in (borel, borel.opposite())]
+    ctx = PrimeContext(2, 1)
+    unit3 = unit_measure(Ambient.general_linear(3), ctx)
+    labels = [rep for h in ad_symmetrized_basis([rep for rep, _ in unit3.items()], ctx)
+              for rep, _ in h.items()]
+    for blocks in compositions(3):
+        if len(blocks) > 1:
+            for orientation in ("upper", "lower"):
+                cases.append((InducedModel(BlockParabolic(3, blocks, orientation), ctx), labels))
+    return cases
+
+
+def _random_y(n, p, rng):
+    """A nonsingular rational matrix whose common denominator has a factor
+    prime to p, with p-power factors mixed in."""
+    prime_to_p = [d for d in (3, 5, 7, 9) if d % p]
+    while True:
+        y = QMat([[Fraction(rng.randint(-9, 9) * p ** rng.randint(0, 2),
+                            rng.choice((1, p, p * p) + tuple(prime_to_p)))
+                   for _ in range(n)] for _ in range(n)])
+        d = integer_form(y.rows)[1]
+        if y.det() != 0 and any(d % q == 0 for q in prime_to_p):
+            return y
+
+
+def test_integer_split_matches_the_fraction_oracle():
+    """locate_with_parabolic_part equals its Fraction oracle, index and
+    parabolic part entry for entry, on every g_i x of the GL_2 level bases
+    at (p, m) = (2, 1), (3, 1), (2, 2) through both Borels and of the
+    GL_3(Q_2) orbit basis through all six block parabolics, and on 20
+    seeded random y per model whose denominators have factors prime to p
+    (the level bases have p-power denominators only)."""
+    rng = random.Random(97)
+    compared = randoms = 0
+    for model, labels in _split_models():
+        p, n = model.ctx.p, model.parab.n
+        inputs = [g_i * x for g_i in model.transversal.reps for x in labels]
+        inputs += [_random_y(n, p, rng) for _ in range(20)]
+        for y in inputs:
+            l, q_part = model.locate_with_parabolic_part(y)
+            want_l, want_q = locate_by_fraction_split(model, y)
+            assert (l, q_part.rows) == (want_l, want_q.rows), (model.parab, model.ctx, y)
+            compared += 1
+        randoms += 20
+    assert randoms >= 200
+    assert compared > 10_000
+
+
+def test_one_split_runs_the_integer_core_once(monkeypatch):
+    """One locate call runs the integer Hermite core exactly once, in both
+    orientations."""
+    import cocenter.groups as groups
+
+    calls = []
+    core = groups.hermite_int
+
+    def counting_core(a, p):
+        calls.append(p)
+        return core(a, p)
+
+    monkeypatch.setattr(groups, "hermite_int", counting_core)
+    ctx = PrimeContext(3, 1)
+    rng = random.Random(5)
+    for orientation in ("upper", "lower"):
+        model = InducedModel(BlockParabolic(2, (1, 1), orientation), ctx)
+        for _ in range(5):
+            before = len(calls)
+            model.locate_with_parabolic_part(_random_y(2, 3, rng))
+            assert len(calls) == before + 1
 
 
 def test_induced_model_validates_its_inputs(ctx2, borel2, transversal_gl2, unit_gl2):

@@ -62,6 +62,16 @@ def test_chevalley_rejects_singular():
         chevalley_map(QMat([[1, 1], [1, 1]]))
 
 
+def test_block_parabolic_refuses_non_int_blocks():
+    """Blocks must be ints, not bools, floats or strings: each is refused
+    instead of truncated to a composition; ints in a list are kept."""
+    for n, blocks in ((3, (1.5, 2.5)), (2, (True, True)), (2, (1, True)), (2, (2.0,)),
+                      (2, ("1", "1")), (2, (Fraction(2),))):
+        with pytest.raises(DomainError, match="ints"):
+            BlockParabolic(n, blocks)
+    assert BlockParabolic(3, [2, 1]).blocks == (2, 1)
+
+
 def test_delta_torus_example():
     torus = SubgroupSpec.torus()
     assert discriminant_delta(torus, QMat.diagonal([2, 1])) == Fraction(-1, 2)
