@@ -13,7 +13,7 @@ from cocenter.characters import (
 )
 from cocenter.exactnum import DomainError, ResourceGuardError, RootP
 from cocenter.groups import BlockParabolic, compositions
-from cocenter.matrices import PrimeContext, QMat, integer_form
+from cocenter.matrices import PrimeContext, QMat, hermite_int, integer_form
 from cocenter.measures import (
     Ambient,
     HeckeMeasure,
@@ -267,7 +267,7 @@ def test_integer_split_matches_the_fraction_oracle():
     seeded random y per model whose denominators have factors prime to p
     (the level bases have p-power denominators only)."""
     rng = random.Random(97)
-    compared = randoms = 0
+    compared = 0
     for model, labels in _split_models():
         p, n = model.ctx.p, model.parab.n
         inputs = [g_i * x for g_i in model.transversal.reps for x in labels]
@@ -277,24 +277,20 @@ def test_integer_split_matches_the_fraction_oracle():
             want_l, want_q = locate_by_fraction_split(model, y)
             assert (l, q_part.rows) == (want_l, want_q.rows), (model.parab, model.ctx, y)
             compared += 1
-        randoms += 20
-    assert randoms >= 200
-    assert compared > 10_000
+    # 12 models: 20 random inputs each, and 18,432 products of the bases
+    assert compared == 12 * 20 + 18_432
 
 
 def test_one_split_runs_the_integer_core_once(monkeypatch):
     """One locate call runs the integer Hermite core exactly once, in both
     orientations."""
-    import cocenter.groups as groups
-
     calls = []
-    core = groups.hermite_int
 
     def counting_core(a, p):
         calls.append(p)
-        return core(a, p)
+        return hermite_int(a, p)
 
-    monkeypatch.setattr(groups, "hermite_int", counting_core)
+    monkeypatch.setattr("cocenter.groups.hermite_int", counting_core)
     ctx = PrimeContext(3, 1)
     rng = random.Random(5)
     for orientation in ("upper", "lower"):
