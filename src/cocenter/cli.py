@@ -110,9 +110,13 @@ class RunConfig:
 
         if not is_prime(self.p):
             raise ConfigError(f"p = {self.p} is not prime")
-        for _, q in self.ff_cases:
+        for n, q in self.ff_cases:
+            if n < 1:
+                raise ConfigError(f"unipotent case GL_{n} needs n >= 1")
             if not is_prime(q):
                 raise ConfigError(f"field size {q} is not prime")
+        if self.sat_degree < 1 or self.sat_height < 1:
+            raise ConfigError("saturation degree and height must be >= 1")
         return self
 
 

@@ -116,6 +116,11 @@ class HeckeMeasure:
 
     support maps the canonical representative (as an entry tuple) to a pair
     (representative, coefficient); zero coefficients are dropped.  The
+    representative is the canonical label `coset_canonical_rep` of the
+    coset, x = H lift(k mod p^m) with H the upper Hermite form, and
+    `orbital_integral` reads values off its shape.  `from_pairs` and
+    `measure_from_jsonable` canonicalize; the other constructors reuse
+    labels of existing measures, and __init__ trusts the support given.  The
     biinvariant flag asserts invariance under conjugation pullback by the
     maximal compact subgroup of the ambient: K_0 on G, M meet K_0 on M.
     `is_ad_invariant` verifies it on quotient generators.

@@ -1,28 +1,32 @@
-"""Split-torus orbital integrals on GL_2 and on Levi subgroups, exactly.
+"""Split-torus orbital integrals on GL_n and on its Levi subgroups, exactly.
 
-The orbital integral of a level coset measure against a regular diagonal
-gamma is a finite sum of volumes of balls in the unipotent coordinate: in
-the Iwasawa frame T U K_0, the conjugate u(x)^-1 gamma u(x) is upper
-triangular with off entry x (gamma_1 - gamma_2), and membership in a level
-coset is an intersection of balls in that entry, computed exactly from
-valuations.  Conjugation by the maximal compact subgroup (K_0 on G, M meet
-K_0 on a Levi) is folded in exactly.  A measure flagged invariant under it
-has all conjugates contributing equally, so each coset takes one ball
-volume per GL_2 block times the order of the finite quotient; any other
-measure sums its cosets over that quotient.  Restrictions of invariant
-measures keep the flag, so orbital integrals on G and on M run the same
-block loop.  No truncation and no sampling occur anywhere.
+On each Levi block the Iwasawa frame T U K_0 leaves an integral over the
+upper unipotent U: u^-1 gamma u = gamma n is a triangular change of
+variable with Jacobian prod_{i<j} |1 - gamma_j / gamma_i|, and the n with
+gamma n in x K_m form one coset of U meet K_m or none.  Labels are
+canonical, so that coset is read off the label: gamma^-1 x K_m meets U
+exactly when x is upper triangular and x_ii / gamma_i lies in 1 + p^m Z_p.
+A measure flagged invariant under conjugation by the maximal compact
+subgroup (K_0 on G, M meet K_0 on a Levi) has all conjugates contributing
+equally, so each label is tested once and weighted by the order of the
+finite quotient; any other measure sums the test over that quotient.
+Restrictions of invariant measures keep the flag, so orbital integrals on
+G and on M run the same code.  No truncation and no sampling occur.
 
-Normalizations, recorded on every value: Haar on each ambient group gives
-its level subgroup mass 1; Haar on the diagonal torus gives its level
-subgroup mass 1.  Only split diagonal tori are implemented; for GL_n these
-see a single rational orbit per stable class, which every value records.
+Normalizations (Kottwitz, "Harmonic analysis on reductive p-adic groups
+and Lie algebras", 2005), recorded on every value: Haar on each ambient
+group gives its level subgroup mass 1; Haar on the diagonal torus gives
+its level subgroup mass 1; the value is the orbit density times
+|Delta_{T, GL_k}| on each block.  Only split diagonal tori are
+implemented; for GL_n these see a single rational orbit per stable class,
+which every value records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from cocenter.exactnum import (
     DEFAULT_GROUP_ORDER_GUARD,
@@ -33,8 +37,8 @@ from cocenter.exactnum import (
 )
 from cocenter.groups import BlockParabolic, SubgroupSpec, discriminant_delta
 from cocenter.matrices import (
-    PrimeContext, QMat, enumerate_transversal_K0_mod_Km, gauss_jordan, glnzm_order,
-    integer_form,
+    PrimeContext, QMat, coset_canonical_rep, enumerate_transversal_K0_mod_Km, gauss_jordan,
+    glnzm_order,
 )
 from cocenter.measures import HeckeMeasure, label_spread
 
@@ -79,144 +83,107 @@ class OrbitalValue:
         )
 
 
-def _torus_unit_index(ctx: PrimeContext) -> int:
-    """[T meet K_0 : T meet K_m] for the rank two diagonal torus."""
-    phi = ctx.p**ctx.m - ctx.p ** (ctx.m - 1)
-    return phi * phi
+def _meets_unipotent(x: QMat, gamma, ctx: PrimeContext) -> bool:
+    """[gamma^-1 x K_m meets U] for a canonical label x, U the upper
+    unipotent: x is upper triangular and x_ii / gamma_i is in 1 + p^m Z_p.
+
+    With x = H lift(k mod p^m), gamma^-1 H is upper triangular, so the
+    coset meets the Borel B exactly when lift(k mod p^m) is upper
+    triangular, which holds iff x is.  The coset then meets B in
+    gamma^-1 x (B meet K_m), which meets U iff the diagonal of gamma^-1 x
+    lies in T meet K_m.
+    """
+    rows = x.rows
+    if any(rows[i][j] for i in range(x.n) for j in range(i)):
+        return False
+    for i, g in enumerate(gamma):
+        diff = rows[i][i] / g - 1
+        if diff and padic_valuation(diff, ctx.p) < ctx.m:
+            return False
+    return True
 
 
-def _inverse_gl2(y: QMat) -> QMat:
-    """y^-1 for 2 x 2 y = A / den, read off the integer form:
-    den * adj(A) / det A, with adj(A) = (d, -b; -c, a)."""
-    ((a, b), (c, d)), den = integer_form(y.rows)
-    det = a * d - b * c
-    if det == 0:
-        raise DomainError("singular matrix")
-    return QMat._wrap(((Fraction(den * d, det), Fraction(-den * b, det)),
-                       (Fraction(-den * c, det), Fraction(den * a, det))))
+def _unipotent_volume(gamma, parab: BlockParabolic, ctx: PrimeContext) -> Fraction:
+    """E_M(gamma) = |M(Z/p^m)| / ([T meet K_0 : T meet K_m] p^(m dim U_M))
+    * prod_{(i, j) in U_M} |1 - gamma_j / gamma_i|^-1, with M the Levi of
+    parab and U_M its upper unipotent; the product over the blocks of E_k.
 
-
-def _ball_volume_gl2(yinv: QMat, gamma, ctx: PrimeContext) -> Fraction:
-    """vol{x in Q_p : u(x)^-1 gamma u(x) in y K_m}, with vol(Z_p) = 1,
-    given yinv = y^-1.
-
-    The conjugate is [[g1, e],[0, g2]] with e = x (g1 - g2); each matrix
-    entry of y^-1 * conjugate imposes a ball condition on e, and the
-    intersection of balls in an ultrametric line is a ball or empty.
+    The quotient order over the torus index weighs the conjugates of one
+    label; p^(-m dim U_M) is the volume of U_M meet K_m, pulled back along
+    the triangular map u -> n of the given Jacobian.
     """
     p, m = ctx.p, ctx.m
-    g1, g2 = gamma
-    # z0 = y^-1 diag(g1, g2); w = y^-1 E_12 (only column 2 is nonzero)
-    balls = []  # (center, radius) meaning v(e - center) >= radius
-    for i in range(2):
-        for j in range(2):
-            alpha = yinv[i, 0] * (g1 if j == 0 else 0) + yinv[i, 1] * (0 if j == 0 else g2)
-            alpha = alpha - (1 if i == j else 0)
-            beta = yinv[i, 0] if j == 1 else Fraction(0)
-            if beta == 0:
-                if alpha != 0 and padic_valuation(alpha, p) < m:
-                    return Fraction(0)
-                continue
-            center = -alpha / beta
-            radius = m - padic_valuation(beta, p)
-            balls.append((center, radius))
-    if not balls:
-        raise RuntimeError(f"{yinv} is singular: it leaves the unipotent entry free")
-    r_star = max(r for _, r in balls)
-    c_star = next(c for c, r in balls if r == r_star)
-    for c, r in balls:
-        diff = c_star - c
-        if diff != 0 and padic_valuation(diff, p) < r:
-            return Fraction(0)
-    # back to the unipotent coordinate x = e / (g1 - g2)
-    shift = padic_valuation(g1 - g2, p)
-    return Fraction(p) ** (shift - r_star)
+    upper = [(i, j) for i, j in parab.positions("M") if i < j]
+    order = prod(glnzm_order(k, p, m) for k in parab.blocks)
+    torus_index = (p**m - p ** (m - 1)) ** parab.n
+    v = sum(padic_valuation(1 - gamma[j] / gamma[i], p) for i, j in upper)
+    return Fraction(order, torus_index * p ** (m * len(upper))) * Fraction(p) ** v
+
+
+def _discriminant_norm(gamma, parab: BlockParabolic, p: int) -> Fraction:
+    """|Delta_{T, M}(gamma)|_p = prod |1 - gamma_j / gamma_i|_p over i != j
+    in one block of the Levi M of parab: the density factor of the
+    pullback from the conjugation cover.  Read off the diagonal, because
+    `groups.discriminant_delta` rebuilds the torus's block tables on every
+    call, at more than the cost of the rest of an orbital integral."""
+    v = sum(padic_valuation(1 - gamma[j] / gamma[i], p)
+            for i, j in parab.positions("M") if i != j)
+    return Fraction(p) ** -v
 
 
 def orbital_single_coset_gl2(
     y: QMat, gamma, ctx: PrimeContext, guard: int = DEFAULT_GROUP_ORDER_GUARD
 ) -> Fraction:
-    """Orbital integral of the unit mass coset measure mu|_(y K_m) at gamma.
+    """Orbital density of the unit mass coset measure mu|_(y K_m) at gamma,
+    on GL_k for any k = y.n, without the |Delta| factor.
 
-    Sums the ball volumes over the finite conjugation quotient K_0 / K_m',
-    where m' = m + spread(y) is the level at which conjugation acts on the
-    coset; exact for arbitrary (not necessarily invariant) cosets.  The
-    guard bounds the quotient, which is enumerated on every call.
+    Sums the label test over the conjugates k y k^-1, k running over
+    K_0 / K_level, level = m + spread(y), the level at which conjugation
+    acts on the coset: E_k(gamma) * hits / |K_0 / K_level|.  Exact for
+    arbitrary (not necessarily invariant) cosets.  The guard bounds the
+    quotient, which is enumerated on every call.
     """
-    p, m = ctx.p, ctx.m
-    level = m + label_spread(y, p)
-    yinv = _inverse_gl2(y)
-    total = Fraction(0)
-    for k in enumerate_transversal_K0_mod_Km(2, PrimeContext(p, level), guard):
-        # (k y k^-1)^-1 = k y^-1 k^-1
-        total += _ball_volume_gl2(k * yinv * _inverse_gl2(k), gamma, ctx)
-    # mass of a K_level coset inside K_0 under the level-m reference measure
-    return total * Fraction(1, p ** (4 * (level - m))) / _torus_unit_index(ctx)
-
-
-def _rank2_jacobian(gamma, p: int) -> Fraction:
-    """|Delta_{T, GL_2}(gamma)|_p, the density factor of the etale pullback
-    from the conjugation cover; the map this package calls the orbital
-    integral is the density of that pullback, not the bare orbit volume."""
-    g1, g2 = gamma
-    delta = (g1 / g2 - 1) * (g2 / g1 - 1)
-    return Fraction(p) ** (-padic_valuation(delta, p))
-
-
-def _orbital_gl1(rep: QMat, gamma_i: Fraction, ctx: PrimeContext) -> Fraction:
-    """Density of the unit coset measure on GL_1 at gamma_i: 1 or 0."""
-    ratio = gamma_i / rep[0, 0]
-    diff = ratio - 1
-    if diff == 0 or padic_valuation(diff, ctx.p) >= ctx.m:
-        return Fraction(1)
-    return Fraction(0)
+    level = ctx.m + label_spread(y, ctx.p)
+    quotient = enumerate_transversal_K0_mod_Km(y.n, PrimeContext(ctx.p, level), guard)
+    hits = sum(_meets_unipotent(coset_canonical_rep(k * y * k.inverse(), ctx), gamma, ctx)
+               for k in quotient)
+    one_block = BlockParabolic(y.n, (y.n,))
+    return _unipotent_volume(gamma, one_block, ctx) * Fraction(hits, len(quotient))
 
 
 def orbital_integral(
     h: HeckeMeasure, gamma: RegularElement, guard: int = DEFAULT_GROUP_ORDER_GUARD
 ) -> OrbitalValue:
-    """Orbital integral of h at a regular diagonal gamma.
+    """Orbital integral of h at a regular diagonal gamma, on any Levi ambient.
 
-    Any Levi ambient with blocks of size <= 2 is supported: G = GL_1 and
-    GL_2 as one block, and the Levi subgroups of GL_3 needed downstream.
-    The integral factors block by block.  A flagged measure is
-    invariant under conjugation by the ambient's maximal compact subgroup,
-    so a GL_2 block takes one ball volume per coset; an unflagged one sums
-    over the conjugation quotient, which the guard bounds.  Values are
-    exact elements of Q(sqrt p).
+    O_gamma(h) = |Delta_{T, M}(gamma)| E_M(gamma) * sum of c_x over the
+    labels x that pass `_meets_unipotent`, both factors being products
+    over the blocks of M.  The test
+    reads the shape of the label, so it relies on the labels of h being
+    canonical, as every `HeckeMeasure` constructor makes them; each Levi
+    block of such a label is the canonical label of that block.  A flagged
+    measure is invariant under conjugation by the ambient's maximal compact
+    subgroup, so each label is tested once; an unflagged one sums the test
+    over the conjugation quotient of each block, which the guard bounds.
+    Values are exact elements of Q(sqrt p).
     """
     ctx, ambient = h.ctx, h.ambient
     if gamma.n != ambient.n:
         raise DomainError("size mismatch")
-    ranges = ambient.parab.block_ranges
-    if any(hi - lo > 2 for lo, hi in ranges):
-        raise DomainError("orbital integrals are certified only on blocks of size <= 2")
-    subs = [gamma.entries[lo:hi] for lo, hi in ranges]
-    # per GL_2 block: the jacobian, and for a flagged measure the quotient
-    # order over the torus index, since all conjugates contribute equally
-    weight = 1
+    parab = ambient.parab
+    const = _discriminant_norm(gamma.entries, parab, ctx.p)
     if h.biinvariant:
-        weight = Fraction(glnzm_order(2, ctx.p, ctx.m), _torus_unit_index(ctx))
-    const = Fraction(1)
-    for sub in subs:
-        if len(sub) == 2:
-            const *= weight * _rank2_jacobian(sub, ctx.p)
+        const *= _unipotent_volume(gamma.entries, parab, ctx)
+    subs = [gamma.entries[lo:hi] for lo, hi in parab.block_ranges]
     out = RootP.rational(0, ctx.p)
     for rep, c in h.items():
-        factor = None
-        for (lo, hi), sub in zip(ranges, subs):
-            block = QMat._wrap(tuple([row[lo:hi] for row in rep.rows[lo:hi]]))
-            if len(sub) == 1:
-                value = _orbital_gl1(block, sub[0], ctx)
-            elif h.biinvariant:
-                value = _ball_volume_gl2(_inverse_gl2(block), sub, ctx)
-            else:
-                value = orbital_single_coset_gl2(block, sub, ctx, guard)
-            if not value:
-                break
-            factor = value if factor is None else factor * value
+        if h.biinvariant:
+            value = _meets_unipotent(rep, gamma.entries, ctx)
         else:
-            out = out + c * factor
+            value = prod(orbital_single_coset_gl2(block, sub, ctx, guard)
+                         for block, sub in zip(parab.levi_blocks(rep), subs))
+        if value:
+            out = out + c * value
     return OrbitalValue(out * const, ctx.p, ctx.m)
 
 

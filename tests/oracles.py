@@ -4,16 +4,18 @@ Each oracle recomputes a quantity through a code path disjoint from the one
 it checks: Fraction elimination instead of the integer determinant kernel,
 full adjoint matrices instead of block characteristic polynomials, column
 operations on Fractions instead of the integer Hermite kernel, exhaustive
-mod p^m scans instead of Iwasawa reductions, cell-by-cell integration
-instead of ball intersections, minors instead of Gauss-Jordan ranks, the
-transversal sum instead of its one-step collapse, the full action matrix of
-the induced module instead of the trace measure, a Jordan type per swept
-element instead of one per conjugacy class, conjugation by all of
-K_0 / K_level instead of a closure under generators, a box of Hermite
-matrices filtered by Smith exponents instead of the K_0 orbit of the
-diagonal, block-by-block canonicalization on M instead of one split of the
-whole matrix, Fraction splits and QMat inverses instead of integer residues
-in the induced module.
+mod p^m scans instead of Iwasawa reductions, cell-by-cell integration and
+GL_2 ball intersections instead of the orbital test read off canonical
+labels, a Fraction split of gamma^-1 x with constants from full adjoint
+matrices instead of that test and its per-block constants, minors instead
+of Gauss-Jordan ranks, the transversal sum instead of its one-step
+collapse, the full action matrix of the induced module instead of the trace
+measure, a Jordan type per swept element instead of one per conjugacy
+class, conjugation by all of K_0 / K_level instead of a closure under
+generators, a box of Hermite matrices filtered by Smith exponents instead
+of the K_0 orbit of the diagonal, block-by-block canonicalization on M
+instead of one split of the whole matrix, Fraction splits and QMat inverses
+instead of integer residues in the induced module.
 """
 
 from fractions import Fraction
@@ -29,6 +31,7 @@ from cocenter.matrices import (
     coset_canonical_rep,
     enumerate_transversal_K0_mod_Km,
     glnzm_order,
+    integer_form,
     lift_mod,
     mat_mod,
 )
@@ -346,6 +349,101 @@ def grid_scan_orbital_gl2(h, gamma, use_value=True):
         return bare
     delta = (g1 / g2 - 1) * (g2 / g1 - 1)
     return bare * Fraction(p) ** (-padic_valuation(delta, p))
+
+
+def _inverse_gl2(y: QMat) -> QMat:
+    """y^-1 for 2 x 2 y = A / den, read off the integer form:
+    den * adj(A) / det A, with adj(A) = (d, -b; -c, a)."""
+    ((a, b), (c, d)), den = integer_form(y.rows)
+    det = a * d - b * c
+    if det == 0:
+        raise DomainError("singular matrix")
+    return QMat._wrap(((Fraction(den * d, det), Fraction(-den * b, det)),
+                       (Fraction(-den * c, det), Fraction(den * a, det))))
+
+
+def _ball_volume_gl2(yinv: QMat, gamma, ctx: PrimeContext) -> Fraction:
+    """vol{x in Q_p : u(x)^-1 gamma u(x) in y K_m}, with vol(Z_p) = 1,
+    given yinv = y^-1.
+
+    The conjugate is [[g1, e],[0, g2]] with e = x (g1 - g2); each matrix
+    entry of y^-1 * conjugate imposes a ball condition on e, and the
+    intersection of balls in an ultrametric line is a ball or empty.
+    """
+    p, m = ctx.p, ctx.m
+    g1, g2 = gamma
+    # z0 = y^-1 diag(g1, g2); w = y^-1 E_12 (only column 2 is nonzero)
+    balls = []  # (center, radius) meaning v(e - center) >= radius
+    for i in range(2):
+        for j in range(2):
+            alpha = yinv[i, 0] * (g1 if j == 0 else 0) + yinv[i, 1] * (0 if j == 0 else g2)
+            alpha = alpha - (1 if i == j else 0)
+            beta = yinv[i, 0] if j == 1 else Fraction(0)
+            if beta == 0:
+                if alpha != 0 and padic_valuation(alpha, p) < m:
+                    return Fraction(0)
+                continue
+            center = -alpha / beta
+            radius = m - padic_valuation(beta, p)
+            balls.append((center, radius))
+    if not balls:
+        raise RuntimeError(f"{yinv} is singular: it leaves the unipotent entry free")
+    r_star = max(r for _, r in balls)
+    c_star = next(c for c, r in balls if r == r_star)
+    for c, r in balls:
+        diff = c_star - c
+        if diff != 0 and padic_valuation(diff, p) < r:
+            return Fraction(0)
+    # back to the unipotent coordinate x = e / (g1 - g2)
+    shift = padic_valuation(g1 - g2, p)
+    return Fraction(p) ** (shift - r_star)
+
+
+def orbital_by_balls_gl2(h, gamma):
+    """Orbital integral of a conjugation-invariant measure on GL_2 as one
+    ball volume per coset: |Delta(gamma)| * |GL_2(Z/p^m)| / [T meet K_0 :
+    T meet K_m] * sum of c_y vol{x : u(x)^-1 gamma u(x) in y K_m}."""
+    assert h.biinvariant and h.ambient.n == 2
+    p, m = h.ctx.p, h.ctx.m
+    g1, g2 = gamma.entries
+    total = RootP.rational(0, p)
+    for rep, c in h.items():
+        total = total + c * _ball_volume_gl2(_inverse_gl2(rep), gamma.entries, h.ctx)
+    delta = (g1 / g2 - 1) * (g2 / g1 - 1)
+    weight = Fraction(glnzm_order(2, p, m), (p**m - p ** (m - 1)) ** 2)
+    return total * weight * Fraction(p) ** -padic_valuation(delta, p)
+
+
+def orbital_by_fraction_split(h, gamma):
+    """Orbital integral of a conjugation-invariant measure on any Levi.
+
+    A label x counts when gamma^-1 x K_m meets U, decided without assuming
+    x canonical: split gamma^-1 x = H k by Fraction column operations and
+    ask that H be unipotent (it need not be 1: entries above its diagonal
+    may be p-adic fractions) and k mod p^m upper unitriangular.  Every
+    constant is taken on the whole Levi from explicit adjoint matrices:
+    |Delta_{T,M}(gamma)| / |det(Ad gamma^-1 - 1 on Lie U meet M)| *
+    |M(Z/p^m)| / ([T meet K_0 : T meet K_m] * p^(m dim(U meet M)))."""
+    assert h.biinvariant
+    p, m, n = h.ctx.p, h.ctx.m, gamma.n
+    g = gamma.matrix()
+    off = [(i, j) for i, j in h.ambient.parab.positions("M") if i != j]
+    upper = [(i, j) for i, j in off if i < j]
+    norm = Fraction(p) ** -padic_valuation(full_ad_minus_one_det(g, off), p)
+    jacobian = Fraction(p) ** -padic_valuation(full_ad_minus_one_det(g, upper), p)
+    levi_order = 1
+    for size in h.ambient.parab.blocks:
+        levi_order *= glnzm_order(size, p, m)
+    torus_index = (p**m - p ** (m - 1)) ** n
+    const = norm / jacobian * Fraction(levi_order, torus_index * p ** (m * len(upper)))
+    total = RootP.rational(0, p)
+    for rep, c in h.items():
+        hh, k = hermite_by_fraction_column_ops(g.inverse() * rep, p)
+        kbar = mat_mod(k, h.ctx.modulus, p)
+        if all(hh[i, i] == 1 for i in range(n)) and all(
+                kbar[i][j] == (i == j) for i in range(n) for j in range(i + 1)):
+            total = total + c
+    return total * const
 
 
 def perturbed_reps(transversal):

@@ -29,15 +29,11 @@ from cocenter.exactnum import RootP, padic_valuation
 from cocenter.groups import BlockParabolic, compositions, discriminant_square_identity
 from cocenter.matrices import PrimeContext, QMat
 from cocenter.measures import (
-    Ambient,
     ParabolicTransversal,
-    ad_symmetrized_basis,
-    double_coset_labels,
     double_coset_measure,
     normalize_on_levi,
     res_normalized,
     res_unnormalized,
-    unit_measure,
 )
 from cocenter.oracles import constant_term_oracle_gl2
 from cocenter.orbital import (
@@ -85,13 +81,8 @@ def report(number, name, ok, elapsed, detail=""):
 
 
 @pytest.fixture(scope="module")
-def gl3_setup():
-    ctx = PrimeContext(2, 1)
-    unit3 = unit_measure(Ambient.general_linear(3), ctx)
-    k0_labels = [rep for rep, _ in unit3.items()]
-    d_labels = double_coset_labels(3, ctx, (1, 0, 0))
-    basis = ad_symmetrized_basis(k0_labels, ctx) + ad_symmetrized_basis(d_labels, ctx)
-    return ctx, unit3, basis
+def gl3_setup(ctx2, unit_gl3, level_basis_gl3):
+    return ctx2, unit_gl3, level_basis_gl3
 
 
 def random_levi_element(parab, rng):

@@ -110,3 +110,42 @@ def test_main_mutation_mode_fails(tmp_path):
     blob = json.loads(out.read_text())
     assert blob["passed"] is False
     assert any(r["pass"] == "false" for r in blob["rows"])
+
+
+@pytest.mark.parametrize("section", [
+    "[unipotent]\ncases = -1:2\n",
+    "[unipotent]\ncases = 0:2\n",
+    "[saturate]\ndegree = 0\n",
+    "[saturate]\nheight = -1\n",
+])
+def test_config_refuses_empty_cases_and_bounds(tmp_path, capsys, section):
+    """A unipotent case with n < 1 would be dropped silently, and a
+    saturation degree or height below 1 would fail rows instead of the
+    configuration."""
+    path = tmp_path / "bad.ini"
+    path.write_text(section)
+    assert main(["all", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def _orbital_rows(tmp_path, blocks, *flags):
+    config, out = tmp_path / "gl3.ini", tmp_path / "gl3.json"
+    config.write_text(f"[run]\nn = 3\nblocks = {blocks}\n")
+    code = main(["orbital", "--config", str(config), "--out", str(out), *flags])
+    return code, json.loads(out.read_text())["rows"]
+
+
+def test_orbital_suite_on_gl3(tmp_path):
+    """Descent rows at n = 3 for both block shapes.  The (2, 1) run fails
+    only its separation probe, which reads orbital rank 2 against
+    character rank 3 there; a corrupted normalization fails descent rows."""
+    code, _ = _orbital_rows(tmp_path, "1,1,1")
+    assert code == 0
+    _, rows = _orbital_rows(tmp_path, "2,1")
+    descent = [r for r in rows if r["identity"] == "orbital-descent"]
+    assert len(descent) == 550 and all(r["pass"] == "true" for r in descent)
+    assert {r["identity"] for r in rows if r["pass"] == "false"} <= {
+        "separation-probe/rank-agreement"}
+    code, rows = _orbital_rows(tmp_path, "2,1", "--mutate-normalization")
+    assert code == 1
+    assert any(r["identity"] == "orbital-descent" and r["pass"] == "false" for r in rows)

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from cocenter.characters import InducedModel, trace_measure
 from cocenter.exactnum import DomainError, LevelError, ResourceGuardError
 from cocenter.groups import BlockParabolic, compositions, iwasawa_decompose
 from cocenter.matrices import (
-    PrimeContext, QMat, block_gln_generators, enumerate_glnzm, gln_generators, glnzm_order,
+    PrimeContext, QMat, block_gln_generators, coset_canonical_rep, enumerate_glnzm,
+    gln_generators, glnzm_order,
 )
 from cocenter.measures import (
     Ambient,
@@ -539,6 +541,43 @@ def test_canonical_rep_one_split_matches_oracle():
                     compared += 1
     # 24 and 240 GL_2 labels through 2 Borels, 168 GL_3 labels through 6 parabolics
     assert compared == 2 * 24 + 2 * 240 + 6 * 168
+
+
+def test_every_constructor_keeps_labels_canonical(ctx2, borel2, unit_gl2, level_basis_gl2):
+    """Orbital integrals read values off the shape of a label, so every
+    constructor stores the canonical representative of each level coset,
+    keyed by its entries, also when it is fed other representatives."""
+    g2 = Ambient.general_linear(2)
+    levi = Ambient.levi(BlockParabolic(3, (2, 1), "upper"))
+    raw = [QMat([[3, 5], [2, 7]]), QMat([[Fraction(1, 2), 3], [4, 6]])]
+    assert all(coset_canonical_rep(x, ctx2) != x for x in raw)
+    h = level_basis_gl2[-1]
+    payload = {
+        "ambient": {"group": "G", "n": 2},
+        "level": {"p": 2, "m": 1},
+        "biinvariant": False,
+        "support": [{"rep": [str(v) for v in x.entries()], "coeff": "1"} for x in raw],
+    }
+    measures = [
+        HeckeMeasure.from_pairs(g2, ctx2, [(x, 1) for x in raw]),
+        HeckeMeasure.from_pairs(levi, ctx2, [(QMat([[3, 1, 0], [2, 5, 0], [0, 0, 7]]), 1)]),
+        unit_gl2,
+        unit_measure(levi, ctx2),
+        double_coset_measure(2, ctx2, (2, 0)),
+        *level_basis_gl2,
+        ad_pullback(h, QMat([[1, 1], [0, 1]])),
+        res_unnormalized(h, borel2),
+        res_normalized(h, borel2.opposite()),
+        normalize_on_levi(res_unnormalized(h, borel2), borel2),
+        trace_measure(h, InducedModel(borel2, ctx2)),
+        h.scale(3),
+        h + level_basis_gl2[0],
+        measure_from_jsonable(payload),
+    ]
+    for m in measures:
+        assert len(m) > 0, m
+        for key, (rep, _) in m.support.items():
+            assert coset_canonical_rep(rep, ctx2) == rep and key == rep.entries(), (m, rep)
 
 
 def test_serialization_round_trip(ctx2, borel2, level_basis_gl2):

@@ -17,8 +17,6 @@ from cocenter.measures import (
 )
 from cocenter.orbital import (
     RegularElement,
-    _ball_volume_gl2,
-    _inverse_gl2,
     descent_check,
     gamma_grid,
     joint_kernel_dimension,
@@ -28,8 +26,12 @@ from cocenter.orbital import (
 )
 
 from tests.oracles import (
+    _ball_volume_gl2,
+    _inverse_gl2,
     gl2_level_basis,
     grid_scan_orbital_gl2,
+    orbital_by_balls_gl2,
+    orbital_by_fraction_split,
     rank_by_minors,
     realification,
 )
@@ -73,7 +75,7 @@ def test_orbital_matches_grid_scan_on_basis(level_basis_gl2):
 
 
 def _assert_fast_equals_slow(h, grid):
-    """The flagged one-volume path equals the quotient sum of an unflagged
+    """The flagged one-test path equals the quotient sum of an unflagged
     copy at every grid point; returns how many values are nonzero."""
     assert h.biinvariant
     plain = HeckeMeasure(h.ambient, h.ctx, h.support, biinvariant=False)
@@ -105,6 +107,47 @@ def test_fast_path_equals_quotient_sum(ctx2, level_basis_gl2):
                 r = res_normalized(h, BlockParabolic(3, blocks, orientation))
                 nonzero += _assert_fast_equals_slow(r, gamma_grid(2, 3, (-1, 1)))
     assert nonzero > 0
+
+
+def test_label_test_matches_the_ball_oracle_gl2():
+    """The label test equals one ball volume per coset on the GL_2 level
+    bases at (p, m) = (2, 1), (3, 1) and (2, 2), on the default grid."""
+    for p, m in ((2, 1), (3, 1), (2, 2)):
+        ctx = PrimeContext(p, m)
+        for h in gl2_level_basis(ctx):
+            for gamma in gamma_grid(p, 2):
+                assert orbital_integral(h, gamma).value == orbital_by_balls_gl2(h, gamma), (
+                    p, m, gamma.entries)
+
+
+def test_gl3_orbital_formula_and_descent(level_basis_gl3):
+    """GL_3(Q_2): the label test against the Fraction-split oracle on the
+    K_0 and diag(2,1,1) orbit indicators, the values at diag(1,3,5) of a
+    brute-force integration over a grid of U, and descent through all six
+    block parabolics, which a corrupted normalization breaks.  The oracle's
+    grid points include diag(2, 3, 5), where gamma^-1 x has p-adic
+    fractions above the diagonal on passing labels."""
+    grid = gamma_grid(2, 3)
+    for h in level_basis_gl3:
+        for gamma in grid[2::3]:
+            assert orbital_integral(h, gamma).value == orbital_by_fraction_split(h, gamma), (
+                h, gamma.entries)
+    k0_basis = level_basis_gl3[:6]
+    frozen = [Fraction(105, 16), 0, Fraction(21, 8), 0, 0, Fraction(21, 16)]
+    gamma = RegularElement((1, 3, 5))
+    assert [orbital_integral(h, gamma).value for h in k0_basis] == frozen
+    checks, caught = 0, False
+    for blocks in ((2, 1), (1, 2), (1, 1, 1)):
+        for orientation in ("upper", "lower"):
+            parab = BlockParabolic(3, blocks, orientation)
+            for h in k0_basis:
+                rm = res_normalized(h, parab)
+                for gamma in grid:
+                    ok, lhs, rhs = descent_check(h, gamma, parab, rm)
+                    assert ok, (blocks, orientation, gamma.entries, str(lhs), str(rhs))
+                    checks += 1
+                    caught |= not descent_check(h, gamma, parab, rm, True)[0]
+    assert checks == 900 and caught
 
 
 def test_orbital_conjugation_invariance(level_basis_gl2):
@@ -232,7 +275,7 @@ def test_guard_reaches_the_conjugation_quotient(ctx2, borel2, unit_gl2):
     """A non-biinvariant GL_2 measure sums over GL_2(Z/2), of order 6, at
     level 1; a smaller guard refuses it on every call, on G, through
     descent_check and on a Levi block, since no quotient or value is kept
-    between calls.  A flagged measure takes one ball volume per coset and
+    between calls.  A flagged measure takes one label test per coset and
     enumerates nothing."""
     plain = HeckeMeasure(unit_gl2.ambient, ctx2, unit_gl2.support, biinvariant=False)
     gamma = RegularElement((1, 3))
@@ -257,7 +300,7 @@ def test_guard_reaches_the_conjugation_quotient(ctx2, borel2, unit_gl2):
 def test_ball_volume_refuses_a_singular_inverse(monkeypatch, ctx2):
     """A y^-1 with zero first column leaves the unipotent entry free; the
     mod-p check rules that out first, so valuations are forced high here."""
-    monkeypatch.setattr("cocenter.orbital.padic_valuation", lambda x, p: 1)
+    monkeypatch.setattr("tests.oracles.padic_valuation", lambda x, p: 1)
     with pytest.raises(RuntimeError):
         _ball_volume_gl2(QMat([[0, 1], [0, 1]]), (Fraction(1), Fraction(3)), ctx2)
 
