@@ -25,6 +25,7 @@ from cocenter.exactnum import (
     DEFAULT_GROUP_ORDER_GUARD,
     DomainError,
     ResourceGuardError,
+    is_prime,
 )
 from cocenter.groups import BlockParabolic, compositions
 from cocenter.matrices import PrimeContext
@@ -39,6 +40,7 @@ from cocenter.measures import (
     ad_symmetrized_basis,
     double_coset_labels,
     double_coset_measure,
+    measure_to_jsonable,
     normalize_on_levi,
     res_normalized,
     res_unnormalized,
@@ -50,6 +52,7 @@ from cocenter.orbital import (
     orbital_integral,
     separation_rank,
 )
+from cocenter.oracles import constant_term_oracle_gl2
 from cocenter.saturation import (
     ConstructibleSet,
     MPoly,
@@ -106,8 +109,6 @@ class RunConfig:
             raise ConfigError("guard must be positive")
         if self.grid_window[0] > self.grid_window[1]:
             raise ConfigError("empty valuation window")
-        from cocenter.exactnum import is_prime
-
         if not is_prime(self.p):
             raise ConfigError(f"p = {self.p} is not prime")
         for n, q in self.ff_cases:
@@ -249,16 +250,12 @@ def run_restriction(config: RunConfig):
 def _constant_term_row(p: int, config: RunConfig):
     """res of the first diagonal double coset vs the direct integration
     oracle (left coset decomposition, then fiberwise ball volumes)."""
-    from cocenter.oracles import constant_term_oracle_gl2
-
     ctx = PrimeContext(p, 1)
     parab = BlockParabolic(2, (1, 1), "upper")
     h = double_coset_measure(2, ctx, (1, 0), config.guard)
     got = res_normalized(h, parab)
     expected = constant_term_oracle_gl2(ctx, normalized=True)
     ok = got == expected
-    from cocenter.measures import measure_to_jsonable
-
     return _row(
         "restriction",
         "constant-term-oracle",
@@ -310,9 +307,10 @@ def run_orbital(config: RunConfig):
         _row("orbital", "normalization-record", "all-values", True,
              f"Haar(G): K_{config.m} mass 1", f"Haar(T): T meet K_{config.m} mass 1")
     )
-    for orientation, par in (("upper", parab), ("lower", opp)):
-        for idx, h in enumerate(basis):
-            rm = res_normalized(h, par)
+    upper = [res_normalized(h, parab) for h in basis]
+    lower = [res_normalized(h, opp) for h in basis]
+    for orientation, par, restricted in (("upper", parab, upper), ("lower", opp, lower)):
+        for idx, (h, rm) in enumerate(zip(basis, restricted)):
             for gam in grid:
                 ok, lhs, rhs = descent_check(
                     h, gam, par, rm, mutate_normalization=config.mutate_normalization,
@@ -324,9 +322,8 @@ def run_orbital(config: RunConfig):
                          f"{orientation}/h{idx}/gamma-val({vals})", ok, lhs, rhs)
                 )
     chars = [_character_for_blocks(config.blocks, z) for z in config.character_params]
-    res_list = [res_normalized(h, parab) for h in basis]
-    omat = [[orbital_integral(rm, gam, config.guard).value for gam in grid] for rm in res_list]
-    xmat = [[character_pairing(chi, rm) for chi in chars] for rm in res_list]
+    omat = [[orbital_integral(rm, gam, config.guard).value for gam in grid] for rm in upper]
+    xmat = [[character_pairing(chi, rm) for chi in chars] for rm in upper]
     ro, rx = separation_rank(omat), separation_rank(xmat)
     rows.append(_row("orbital", "separation-probe/rank-agreement", "level-basis",
                      ro == rx, ro, rx))

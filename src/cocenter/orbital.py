@@ -216,31 +216,17 @@ def gamma_grid(p: int, n: int, val_range=(-2, 2)):
     n = 3 the third eigenvalue is pinned at a unit so the grid size matches
     the rank two case.  Distinct unit multipliers keep every point regular.
     """
-    units = [u for u in (1, 3, 5, 7, 11) if u % p != 0]
-    lo, hi = val_range
-    out = []
-    if n == 2:
-        for v1 in range(lo, hi + 1):
-            for v2 in range(lo, hi + 1):
-                out.append(
-                    RegularElement(
-                        (Fraction(units[0]) * Fraction(p) ** v1,
-                         Fraction(units[1]) * Fraction(p) ** v2)
-                    )
-                )
-    elif n == 3:
-        for v1 in range(lo, hi + 1):
-            for v2 in range(lo, hi + 1):
-                out.append(
-                    RegularElement(
-                        (Fraction(units[0]) * Fraction(p) ** v1,
-                         Fraction(units[1]) * Fraction(p) ** v2,
-                         Fraction(units[2]))
-                    )
-                )
-    else:
+    if n not in (2, 3):
         raise DomainError("grids are provided for n in {2, 3}")
-    return out
+    units = [u for u in (1, 3, 5, 7, 11) if u % p != 0]
+    window = range(val_range[0], val_range[1] + 1)
+    return [
+        RegularElement(
+            tuple(Fraction(u) * Fraction(p) ** v for u, v in zip(units, (v1, v2, 0)[:n]))
+        )
+        for v1 in window
+        for v2 in window
+    ]
 
 
 def separation_rank(values) -> int:

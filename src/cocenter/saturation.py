@@ -3,8 +3,14 @@
 A point belongs to the saturation operator's image when a punctured
 rational curve through it lands in the set.  The search side below is a
 bounded enumeration (degree and coefficient height limits) and is allowed
-to miss witnesses; the verification side is exact and independent of the
-search, so everything returned is sound.  Non-membership is never claimed.
+to miss witnesses; the verification side is exact and depends on nothing
+from the search but the witness itself, so everything returned is sound.
+Non-membership is never claimed.
+
+A constructible set is one boolean tree whose leaves are polynomial
+equations and inequations.  One fold evaluates the tree from a truth value
+per leaf: membership of a point reads each leaf at the point, and the
+generic step of verification reads it off the leaf composed with the curve.
 
 Ground field: Q (the construction needs an infinite field).  Polynomial
 arithmetic is exact over Fraction; rational roots come from divisor
@@ -13,7 +19,10 @@ enumeration on primitive integer polynomials.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,9 +46,7 @@ def poly_trim(coeffs):
 
 def poly_add(a, b):
     out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
+    for i, c in itertools.chain(enumerate(a), enumerate(b)):
         out[i] += c
     return poly_trim(out)
 
@@ -80,35 +87,17 @@ def rational_roots(a):
     a = poly_trim(a)
     if not a:
         raise DomainError("the zero polynomial has every root")
-    roots = set()
-    low = 0
-    while a[low] == 0:
-        roots.add(Fraction(0))
-        low += 1
+    low = next(i for i, c in enumerate(a) if c)
+    roots = {Fraction(0)} if low else set()
     a = a[low:]
-    if len(a) == 1:
-        return roots
-    from math import gcd
-
-    denom_lcm = 1
-    for c in a:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in a]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    ints = [c // g for c in ints]
+    denom = math.lcm(*(c.denominator for c in a))
+    ints = [int(c * denom) for c in a]
+    content = math.gcd(*ints)
+    ints = [c // content for c in ints]
 
     def divisors(x):
-        x = abs(x)
-        out = set()
-        d = 1
-        while d * d <= x:
-            if x % d == 0:
-                out.add(d)
-                out.add(x // d)
-            d += 1
-        return out
+        small = [d for d in range(1, math.isqrt(abs(x)) + 1) if x % d == 0]
+        return set(small) | {abs(x) // d for d in small}
 
     for num in divisors(ints[0]):
         for den in divisors(ints[-1]):
@@ -132,6 +121,8 @@ class MPoly:
         self.nvars = nvars
         cleaned = {}
         for expo, c in (terms or {}).items():
+            if len(expo) != nvars:
+                raise DomainError(f"exponent {tuple(expo)} does not have {nvars} entries")
             c = Fraction(c)
             if c:
                 cleaned[tuple(expo)] = c
@@ -139,9 +130,7 @@ class MPoly:
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "MPoly":
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): 1})
+        return cls(nvars, {tuple(int(j == i) for j in range(nvars)): 1})
 
     @classmethod
     def constant(cls, nvars: int, c) -> "MPoly":
@@ -201,18 +190,43 @@ class MPoly:
 
 
 @dataclass(frozen=True)
-class Atom:
-    """p = 0 (equation) or p != 0 (inequation)."""
-
-    poly: MPoly
-    is_equation: bool
-
-
-@dataclass(frozen=True)
 class Node:
-    op: str  # "and" | "or" | "not" | "atom"
+    """Boolean tree over polynomial conditions.
+
+    A leaf has op "eq" (poly = 0) or "ne" (poly != 0) and holds its poly;
+    an inner node has op "and", "or" or "not" and holds its children.
+    """
+
+    op: str
     children: tuple = ()
-    atom: Atom | None = None
+    poly: MPoly | None = None
+
+    def holds(self, vanishes: bool) -> bool:
+        """Truth of this leaf when its poly does or does not vanish."""
+        return vanishes == (self.op == "eq")
+
+    def fold(self, truth) -> bool:
+        """Truth value of the tree, given truth(leaf) for every leaf."""
+        if self.poly is not None:
+            return truth(self)
+        if self.op == "not":
+            return not self.children[0].fold(truth)
+        if self.op == "and":
+            return all(c.fold(truth) for c in self.children)
+        return any(c.fold(truth) for c in self.children)
+
+    def leaves(self):
+        """The leaves of the tree, left to right."""
+        if self.poly is not None:
+            yield self
+        for c in self.children:
+            yield from c.leaves()
+
+    def map_leaves(self, f) -> "Node":
+        """The same tree with every leaf replaced by f(leaf)."""
+        if self.poly is not None:
+            return f(self)
+        return Node(self.op, tuple(c.map_leaves(f) for c in self.children))
 
 
 class ConstructibleSet:
@@ -228,82 +242,57 @@ class ConstructibleSet:
     # tree builders
     @classmethod
     def equation(cls, poly: MPoly) -> "ConstructibleSet":
-        return cls(poly.nvars, Node("atom", atom=Atom(poly, True)))
+        return cls(poly.nvars, Node("eq", poly=poly))
 
     @classmethod
     def inequation(cls, poly: MPoly) -> "ConstructibleSet":
-        return cls(poly.nvars, Node("atom", atom=Atom(poly, False)))
+        return cls(poly.nvars, Node("ne", poly=poly))
+
+    def _join(self, op, other):
+        if other.nvars != self.nvars:
+            raise DomainError(f"cannot combine sets in {self.nvars} and {other.nvars} variables")
+        return ConstructibleSet(self.nvars, Node(op, (self.root, other.root)))
 
     def __and__(self, other):
-        return ConstructibleSet(self.nvars, Node("and", (self.root, other.root)))
+        return self._join("and", other)
 
     def __or__(self, other):
-        return ConstructibleSet(self.nvars, Node("or", (self.root, other.root)))
+        return self._join("or", other)
 
     def __invert__(self):
         return ConstructibleSet(self.nvars, Node("not", (self.root,)))
 
     @classmethod
     def single_point(cls, point) -> "ConstructibleSet":
-        nvars = len(point)
-        out = None
-        for i, c in enumerate(point):
-            eq = cls.equation(MPoly.variable(nvars, i) - MPoly.constant(nvars, c))
-            out = eq if out is None else out & eq
-        return out
+        n = len(point)
+        coords = [MPoly.variable(n, i) - MPoly.constant(n, c) for i, c in enumerate(point)]
+        return functools.reduce(operator.and_, map(cls.equation, coords))
 
     @classmethod
     def finite_set(cls, points) -> "ConstructibleSet":
-        out = None
-        for pt in points:
-            s = cls.single_point(pt)
-            out = s if out is None else out | s
-        return out
+        return functools.reduce(operator.or_, map(cls.single_point, points))
 
     def contains(self, point) -> bool:
         point = tuple(Fraction(x) for x in point)
-
-        def walk(node):
-            if node.op == "atom":
-                value = node.atom.poly.evaluate(point)
-                return (value == 0) if node.atom.is_equation else (value != 0)
-            if node.op == "not":
-                return not walk(node.children[0])
-            if node.op == "and":
-                return all(walk(c) for c in node.children)
-            return any(walk(c) for c in node.children)
-
-        return walk(self.root)
+        if len(point) != self.nvars:
+            raise DomainError(f"point {point} does not have {self.nvars} coordinates")
+        return self.root.fold(lambda leaf: leaf.holds(leaf.poly.evaluate(point) == 0))
 
     def atoms(self):
-        out = []
-
-        def walk(node):
-            if node.op == "atom":
-                out.append(node.atom)
-            else:
-                for c in node.children:
-                    walk(c)
-
-        walk(self.root)
-        return out
+        """The leaf conditions of the tree, left to right."""
+        return list(self.root.leaves())
 
     def product(self, other: "ConstructibleSet") -> "ConstructibleSet":
         """The product set inside Q^(m+n)."""
         n_total = self.nvars + other.nvars
 
-        def shift(node, offset):
-            if node.op == "atom":
-                terms = {}
-                for e, c in node.atom.poly.terms.items():
-                    padded = (0,) * offset + tuple(e) + (0,) * (n_total - offset - len(e))
-                    terms[padded] = c
-                return Node("atom", atom=Atom(MPoly(n_total, terms), node.atom.is_equation))
-            return Node(node.op, tuple(shift(c, offset) for c in node.children), None)
+        def pad(leaf, before, after):
+            terms = {before + e + after: c for e, c in leaf.poly.terms.items()}
+            return Node(leaf.op, poly=MPoly(n_total, terms))
 
-        return ConstructibleSet(
-            n_total, Node("and", (shift(self.root, 0), shift(other.root, self.nvars)))
-        )
+        left = self.root.map_leaves(lambda leaf: pad(leaf, (), (0,) * other.nvars))
+        right = other.root.map_leaves(lambda leaf: pad(leaf, (0,) * self.nvars, ()))
+        return ConstructibleSet(n_total, Node("and", (left, right)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +339,21 @@ class CurveWitness:
 
     @classmethod
     def from_jsonable(cls, data):
-        return cls(
-            tuple(tuple(Fraction(c) for c in comp) for comp in data["components"]),
-            Fraction(data["puncture"]),
-            frozenset(Fraction(x) for x in data["excluded"]),
-        )
+        return cls(data["components"], data["puncture"], data["excluded"])
+
+
+def _composed_atoms(curve, target: ConstructibleSet):
+    """Every atom of the target composed with the curve, as a dict from the
+    id of the atom's leaf to the composite h(t), and the set of rational
+    roots of the composites that do not vanish identically.  Away from
+    those roots each atom's truth value is fixed by whether h vanishes."""
+    composed = {id(atom): atom.poly.compose_curve(curve) for atom in target.atoms()}
+    roots = set().union(*(rational_roots(h) for h in composed.values() if h))
+    return composed, roots
 
 
 def verify_witness(w: CurveWitness, target: ConstructibleSet) -> bool:
-    """Exact certificate check, independent of any search.
+    """Exact certificate check that uses nothing from a search but w.
 
     Generic step: each atom composed with the curve is either identically
     zero or not, which fixes a truth value away from finitely many t; the
@@ -368,34 +363,11 @@ def verify_witness(w: CurveWitness, target: ConstructibleSet) -> bool:
     """
     if w.nvars != target.nvars:
         raise DomainError("dimension mismatch")
-    curve = [list(comp) for comp in w.components]
-    composed = {}
-    exceptional = set()
-    for atom in target.atoms():
-        key = id(atom)
-        h = atom.poly.compose_curve(curve)
-        composed[key] = poly_trim(h)
-        if composed[key]:
-            exceptional |= rational_roots(composed[key])
-
-    def generic(node):
-        if node.op == "atom":
-            vanishes = not composed[id(node.atom)]
-            return vanishes if node.atom.is_equation else not vanishes
-        if node.op == "not":
-            return not generic(node.children[0])
-        if node.op == "and":
-            return all(generic(c) for c in node.children)
-        return any(generic(c) for c in node.children)
-
-    if not generic(target.root):
+    composed, roots = _composed_atoms(w.components, target)
+    if not target.root.fold(lambda leaf: leaf.holds(not composed[id(leaf)])):
         return False
-    for t in exceptional:
-        if t == w.puncture or t in w.excluded:
-            continue
-        if not target.contains(w.value_at(t)):
-            return False
-    return True
+    exceptional = roots - w.excluded - {w.puncture}
+    return all(target.contains(w.value_at(t)) for t in exceptional)
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +375,13 @@ def verify_witness(w: CurveWitness, target: ConstructibleSet) -> bool:
 
 
 def _height_ladder(height: int):
-    """Small rationals ordered by height: 0, 1, -1, 2, -2, 1/2, ..."""
+    """Small rationals ordered by height: 0, -1, 1, -2, -1/2, 1/2, 2, ..."""
     out = [Fraction(0)]
-    seen = {Fraction(0)}
     for h in range(1, height + 1):
         for num in range(-h, h + 1):
             for den in range(1, h + 1):
-                if max(abs(num), den) != h:
-                    continue
                 c = Fraction(num, den)
-                if c not in seen:
-                    seen.add(c)
+                if max(abs(num), den) == h and c not in out:
                     out.append(c)
     return out
 
@@ -433,9 +401,6 @@ def sat_prime_member(
     None never proves non-membership.  At most SEARCH_CAP curves are tried.
     """
     point = tuple(Fraction(x) for x in point)
-    nvars = target.nvars
-    if len(point) != nvars:
-        raise DomainError("dimension mismatch")
     if target.contains(point):
         witness = CurveWitness(tuple((x,) for x in point), 0)
         if not verify_witness(witness, target):
@@ -445,35 +410,20 @@ def sat_prime_member(
     tried = 0
     for degree in range(1, degree_bound + 1):
         for coeff_rows in itertools.product(
-            itertools.product(ladder, repeat=degree), repeat=nvars
+            itertools.product(ladder, repeat=degree), repeat=target.nvars
         ):
             if all(all(c == 0 for c in row) for row in coeff_rows):
                 continue
             tried += 1
             if tried > SEARCH_CAP:
                 raise ResourceGuardError("witness search exceeded its cap")
-            comps = tuple(
-                (point[i],) + tuple(coeff_rows[i]) for i in range(nvars)
-            )
-            candidate = CurveWitness(comps, 0, _failing_roots(comps, target))
+            curve = CurveWitness(tuple((x,) + row for x, row in zip(point, coeff_rows)), 0)
+            _, roots = _composed_atoms(curve.components, target)
+            failing = {t for t in roots if t != 0 and not target.contains(curve.value_at(t))}
+            candidate = CurveWitness(curve.components, 0, failing)
             if verify_witness(candidate, target):
                 return candidate
     return None
-
-
-def _failing_roots(components, target: ConstructibleSet):
-    """Rational roots t != 0 of the atoms composed with the curve at which
-    the curve leaves the target; excluding them does not change the
-    generic truth value."""
-    curve = [list(comp) for comp in components]
-    bad = set()
-    for atom in target.atoms():
-        h = poly_trim(atom.poly.compose_curve(curve))
-        if h:
-            for t in rational_roots(h):
-                if t != 0 and not target.contains(tuple(poly_eval(c, t) for c in curve)):
-                    bad.add(t)
-    return bad
 
 
 def product_rule_check(
@@ -526,21 +476,17 @@ def sat_fixpoint(
     """
     cloud = [tuple(Fraction(x) for x in pt) for pt in cloud]
     certified = {}
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > MAX_ROUNDS:
-            raise ResourceGuardError("saturation iteration cap exceeded")
+    for rounds in range(1, MAX_ROUNDS + 1):
         augmented = target
         if certified:
             augmented = target | ConstructibleSet.finite_set(sorted(certified))
-        added = 0
+        before = len(certified)
         for pt in cloud:
             if pt in certified:
                 continue
             w = sat_prime_member(augmented, pt, degree_bound, height_bound)
             if w is not None:
                 certified[pt] = w
-                added += 1
-        if added == 0:
+        if len(certified) == before:
             return certified, rounds
+    raise ResourceGuardError("saturation iteration cap exceeded")

@@ -128,14 +128,8 @@ def build_class(parab: BlockParabolic, block_partitions, q: int,
         order *= gln_fq_order(size, q)
     if order > guard:
         raise ResourceGuardError(f"|M(F_{q})| = {order} exceeds guard {guard}")
-    n = parab.n
-    rows = [[0] * n for _ in range(n)]
-    for (lo, hi), partition in zip(parab.block_ranges, block_partitions):
-        block = jordan_block_matrix(partition, q)
-        for i in range(hi - lo):
-            for j in range(hi - lo):
-                rows[lo + i][lo + j] = block[i, j]
-    rep = FFMatrix(rows, q)
+    parts = [part for partition in block_partitions for part in partition]
+    rep = jordan_block_matrix(parts, q)
     return conjugation_closure([rep], levi_generators(parab, q), guard)
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cocenter.exactnum import DomainError
 from cocenter.saturation import (
     ConstructibleSet,
     CurveWitness,
@@ -27,6 +28,21 @@ def test_rational_roots_exact():
     assert rational_roots(poly) == {Fraction(1, 2), Fraction(-3), Fraction(2, 3)}
     assert rational_roots([0, 0, 1]) == {Fraction(0)}
     assert rational_roots([1, 0, 1]) == set()
+    # t^2 (6t - 4)(t/3 + 1): not primitive, fractional, double root at 0
+    poly = poly_mul(poly_mul([0, 0, 1], [-4, 6]), [1, Fraction(1, 3)])
+    assert rational_roots(poly) == {Fraction(0), Fraction(2, 3), Fraction(-3)}
+
+
+def test_mismatched_variable_counts_are_refused():
+    x, y2 = var(1, 0), var(2, 1)
+    with pytest.raises(DomainError, match="cannot combine"):
+        ConstructibleSet.inequation(x) & ConstructibleSet.equation(y2)
+    with pytest.raises(DomainError, match="cannot combine"):
+        ConstructibleSet.inequation(x) | ConstructibleSet.equation(y2)
+    with pytest.raises(DomainError, match="coordinates"):
+        ConstructibleSet.inequation(x).contains((1, 5))
+    with pytest.raises(DomainError, match="entries"):
+        MPoly(2, {(1,): 3})
 
 
 def test_constructible_membership():
