@@ -319,9 +319,13 @@ def jordan_type(u: FFMatrix):
     partition has parts rank(N^(k-1)) - rank(N^k), taken until the rank
     reaches 0.  Once rank(N^k) = rank(N^(k+1)), N maps the image of N^k
     onto itself, so a rank that stops falling above 0 means N is not
-    nilpotent; for most non-unipotent u that shows at the first rank.
+    nilpotent.  Every unipotent has trace n, so u is refused at once when
+    its trace is not n modulo q; that decides most non-unipotent u, and
+    for most of the others the first rank does.
     """
-    nil = u - FFMatrix.identity(u.n, u.q)
+    if u.trace() != u.n % u.q:
+        raise DomainError("matrix is not unipotent")
+    nil = u.minus_identity()
     conj = []
     rank, power = u.n, nil
     while rank:

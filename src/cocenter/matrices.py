@@ -522,6 +522,24 @@ class FFMatrix:
             q,
         )
 
+    def minus_identity(self) -> "FFMatrix":
+        """self - 1, with no identity matrix built."""
+        q = self.q
+        return FFMatrix._reduced(
+            tuple(
+                [tuple([(x - (i == j)) % q for j, x in enumerate(row)])
+                 for i, row in enumerate(self.rows)]
+            ),
+            q,
+        )
+
+    def trace(self) -> int:
+        return sum(row[i] for i, row in enumerate(self.rows)) % self.q
+
+    def entries(self):
+        """The entries in row-major order, as one flat tuple."""
+        return tuple(x for row in self.rows for x in row)
+
     def _gauss_jordan(self, rows) -> int:
         q = self.q
         return gauss_jordan(rows, self.n, lambda x: pow(x, -1, q), q.__rmod__)

@@ -394,6 +394,12 @@ def is_ad_invariant(h: HeckeMeasure, gens=None) -> bool:
     return all(ad_pullback(h, g) == h for g in gens)
 
 
+def _landed_conjugations(gens, land):
+    """The maps x -> land(g x g^-1), one per generator g, that
+    `conjugation_closure` runs; each inverse is taken once."""
+    return [lambda x, g=g, ginv=g.inverse(): land(g * x * ginv) for g in gens]
+
+
 def ad_orbits(reps, ctx: PrimeContext):
     """Orbits of level cosets on G under conjugation by K_0.
 
@@ -405,7 +411,8 @@ def ad_orbits(reps, ctx: PrimeContext):
         return []
     ambient = Ambient.general_linear(reps[0].n)
     level = ctx.m + max(label_spread(r, ctx.p) for r in reps)
-    gens = k0_quotient_generators(ambient, ctx.p, level)
+    maps = _landed_conjugations(k0_quotient_generators(ambient, ctx.p, level),
+                                lambda g: canonical_rep(ambient, g, ctx))
     rep_of = {}
     for r in reps:
         rc = canonical_rep(ambient, r, ctx)
@@ -415,10 +422,7 @@ def ad_orbits(reps, ctx: PrimeContext):
     for key, rc in rep_of.items():
         if key in seen:
             continue
-        orbit = sorted(
-            conjugation_closure([rc], gens, land=lambda g: canonical_rep(ambient, g, ctx)),
-            key=QMat.entries,
-        )
+        orbit = sorted(conjugation_closure([rc], maps), key=QMat.entries)
         if any(x.entries() not in rep_of for x in orbit):
             raise RuntimeError(f"conjugation took {rc} out of the given cosets")
         seen.update(x.entries() for x in orbit)
@@ -454,7 +458,8 @@ def hermite_reps_with_divisors(n: int, p: int, divisors, guard=DEFAULT_GROUP_ORD
     d = QMat.diagonal([p**a for a in divisors])
     level = max(1, max(divisors) - min(divisors))
     gens = k0_quotient_generators(Ambient.general_linear(n), p, level)
-    forms = conjugation_closure([d], gens, guard, land=lambda g: hermite_padic(g, p)[0])
+    maps = _landed_conjugations(gens, lambda g: hermite_padic(g, p)[0])
+    forms = conjugation_closure([d], maps, guard)
     return sorted(forms, key=lambda h: ([-h[i, i] for i in range(n)],
                                         [h[i, j] for i in range(n) for j in range(i + 1, n)]))
 

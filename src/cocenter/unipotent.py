@@ -14,10 +14,18 @@ one representative, since the Jordan type is constant on a class.  Closures
 conjugate by the generators only, not by their inverses (see
 `conjugation_closure`); the K_0 conjugation orbits of level cosets that
 `measures.ad_orbits` builds are closures of the same kind.
+
+Over F_q the closures run on flat row-major entry tuples, not on
+`FFMatrix` objects: each generator g becomes a `conjugation_map`, built
+once per call of `build_class` or `induced_set` from g and g^-1, which
+rewrites only the entries that x -> g x g^-1 changes (2n - 1 of the n^2
+for a transvection).  Matrices are rebuilt only where a closure hands its
+elements on.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from cocenter.exactnum import (
@@ -26,7 +34,13 @@ from cocenter.exactnum import (
     ResourceGuardError,
 )
 from cocenter.groups import BlockParabolic, jordan_type
-from cocenter.matrices import FFMatrix, block_gln_generators, gln_fq_order, gln_generators
+from cocenter.matrices import (
+    FFMatrix,
+    block_gln_generators,
+    enumerate_gln_fq,
+    gln_fq_order,
+    gln_generators,
+)
 
 
 def dominates(lam, mu) -> bool:
@@ -87,28 +101,53 @@ def levi_generators(parab: BlockParabolic, q: int):
     return [FFMatrix(rows, q) for rows in block_gln_generators(parab.blocks, q)]
 
 
-def conjugation_closure(seeds, gens, guard=DEFAULT_GROUP_ORDER_GUARD, land=None):
-    """Closure of a set of matrices under conjugation by the given
-    generators (and hence by the group they generate).
+def conjugation_map(g: FFMatrix):
+    """x -> g x g^-1 on the flat row-major entries of x over F_q.
 
-    `land` maps each conjugate to the representative kept in the set, such
-    as the canonical representative of its level coset; by default the
-    conjugate itself is kept.  Conjugating by the inverses adds nothing:
-    the closure is finite and conjugation by g maps it into itself
-    injectively, hence onto itself, so it is already closed under
-    conjugation by g^-1.
+    Built from g and g^-1 alone, with no assumption on their shape: entry
+    (a, b) of the conjugate is sum over (c, d) of g[a, c] x[c, d] g^-1[d, b].
+    Only the entries whose linear form is not x[a, b] itself are rewritten,
+    each from its nonzero terms.
     """
-    pairs = [(g, g.inverse()) for g in gens]
+    n, q = g.n, g.q
+    ginv = g.inverse()
+    changed = []
+    for a in range(n):
+        for b in range(n):
+            terms = [(c * n + d, g[a, c] * ginv[d, b] % q) for c in range(n) for d in range(n)]
+            terms = [(k, coef) for k, coef in terms if coef]
+            if terms != [(a * n + b, 1)]:
+                changed.append((a * n + b, terms))
+
+    def conjugate(x):
+        y = list(x)
+        for k, terms in changed:
+            y[k] = sum([x[i] * coef for i, coef in terms]) % q
+        return tuple(y)
+
+    return conjugate
+
+
+def conjugation_closure(seeds, maps, guard=DEFAULT_GROUP_ORDER_GUARD):
+    """Closure of a set of elements under the given conjugation maps (and
+    hence under the group their generators generate).
+
+    Each map sends an element to the representative, kept in the set, of
+    its conjugate by one generator: a `conjugation_map` on flat entry
+    tuples over F_q, or the canonical representative of a conjugated level
+    coset (`measures.ad_orbits`).  Callers build the maps once, before the
+    closure runs.  Conjugating by the inverses adds nothing: the closure is
+    finite and conjugation by g maps it into itself injectively, hence onto
+    itself, so it is already closed under conjugation by g^-1.
+    """
     seen = set(seeds)
     frontier = list(seen)
     while frontier:
         if len(seen) > guard:
             raise ResourceGuardError("conjugation closure exceeds guard")
         cur = frontier.pop()
-        for g, ginv in pairs:
-            nxt = g * cur * ginv
-            if land is not None:
-                nxt = land(nxt)
+        for conjugate in maps:
+            nxt = conjugate(cur)
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
@@ -130,13 +169,14 @@ def build_class(parab: BlockParabolic, block_partitions, q: int,
         raise ResourceGuardError(f"|M(F_{q})| = {order} exceeds guard {guard}")
     parts = [part for partition in block_partitions for part in partition]
     rep = jordan_block_matrix(parts, q)
-    return conjugation_closure([rep], levi_generators(parab, q), guard)
+    maps = [conjugation_map(g) for g in levi_generators(parab, q)]
+    n = parab.n
+    return {FFMatrix([x[i:i + n] for i in range(0, n * n, n)], q)
+            for x in conjugation_closure([rep.entries()], maps, guard)}
 
 
 def radical_elements(parab: BlockParabolic, q: int):
     """All of U(F_q): free entries on the radical positions."""
-    import itertools
-
     n = parab.n
     positions = parab.positions("U")
     out = []
@@ -184,15 +224,16 @@ def induced_set(parab: BlockParabolic, block_partitions, q: int,
         raise ResourceGuardError("|GL_n(F_q)| exceeds guard")
     levi_class = build_class(parab, block_partitions, q, guard)
     radical = radical_elements(parab, q)
-    gens = gl_generators(parab.n, q)
+    maps = [conjugation_map(g) for g in gl_generators(parab.n, q)]
     swept = set()
     histogram = {}
     for c in levi_class:
         for urad in radical:
             seed = c * urad
-            if seed in swept:
+            entries = seed.entries()
+            if entries in swept:
                 continue
-            orbit = conjugation_closure([seed], gens, guard)
+            orbit = conjugation_closure([entries], maps, guard)
             lam = jordan_type(seed)
             histogram[lam] = histogram.get(lam, 0) + len(orbit)
             swept |= orbit
@@ -239,8 +280,6 @@ def check_heart_independence(n: int, blocks, block_partitions, q: int,
 
 def count_unipotent_elements(n: int, q: int, guard=DEFAULT_GROUP_ORDER_GUARD) -> int:
     """Exhaustive count of unipotent elements of GL_n(F_q)."""
-    from cocenter.matrices import enumerate_gln_fq
-
     count = 0
     for g in enumerate_gln_fq(n, q, guard):
         try:

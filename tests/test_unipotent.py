@@ -10,13 +10,17 @@ from cocenter.unipotent import (
     build_class,
     check_heart_independence,
     conjugate_partition,
+    conjugation_closure,
+    conjugation_map,
     count_unipotent_elements,
     dominates,
     gl_generators,
     heart,
     induced_set,
     jordan_block_matrix,
+    levi_generators,
     partitions_of,
+    radical_elements,
     richardson_prediction,
 )
 from tests.oracles import induced_classes_by_element, jordan_type_all_powers
@@ -94,15 +98,29 @@ def test_induced_set_gl3_levi21():
 
 def test_induced_set_is_conjugation_stable():
     parab = BlockParabolic(2, (1, 1), "upper")
-    ind_elements = set()
     # rebuild the raw element set and check stability under generators
-    from cocenter.unipotent import conjugation_closure, radical_elements
-
     seeds = {c * u for c in build_class(parab, [(1,), (1,)], 3) for u in radical_elements(parab, 3)}
-    swept = conjugation_closure(seeds, gl_generators(2, 3))
+    maps = [conjugation_map(g) for g in gl_generators(2, 3)]
+    swept = {FFMatrix([x[:2], x[2:]], 3)
+             for x in conjugation_closure({s.entries() for s in seeds}, maps)}
     for g in gl_generators(2, 3):
         assert {g * x * g.inverse() for x in swept} == swept
-    _ = ind_elements
+
+
+def test_conjugation_maps_match_products():
+    """Each sparse conjugation map equals g x g^-1 taken by matrix products,
+    on every element x of the group, for the generators of G and of every
+    Levi of both orientations."""
+    for n, q in ORACLE_CASES:
+        gens = list(gl_generators(n, q))
+        for blocks in compositions(n):
+            for orientation in ("upper", "lower"):
+                gens += levi_generators(BlockParabolic(n, blocks, orientation), q)
+        elements = enumerate_gln_fq(n, q)
+        for g in gens:
+            conjugate, ginv = conjugation_map(g), g.inverse()
+            for x in elements:
+                assert conjugate(x.entries()) == (g * x * ginv).entries(), (g, x)
 
 
 def test_heart_single_class_and_trivial_cases():
@@ -173,9 +191,10 @@ def test_induced_set_matches_element_sweep_oracle():
 
 
 def test_jordan_type_matches_all_powers_oracle():
-    """The early-exit rank sequence agrees with all n powers on every group
-    element, and refuses exactly the non-unipotent ones."""
-    for n, q in ORACLE_CASES:
+    """The trace refusal and the early-exit rank sequence agree with all n
+    powers on every group element, and refuse exactly the non-unipotent
+    ones; on GL_3(F_3) the trace decides most elements."""
+    for n, q in ORACLE_CASES + ((3, 3),):
         for g in enumerate_gln_fq(n, q):
             try:
                 expected = jordan_type_all_powers(g)
@@ -184,3 +203,23 @@ def test_jordan_type_matches_all_powers_oracle():
                     jordan_type(g)
             else:
                 assert jordan_type(g) == expected, g
+
+
+def _partwise_sum(partitions):
+    """lam^1 + ... + lam^k, summed part by part (missing parts are 0)."""
+    width = max(len(lam) for lam in partitions)
+    return tuple(sum(lam[i] for lam in partitions if i < len(lam)) for i in range(width))
+
+
+def test_gl4_f2_heart_is_partwise_sum():
+    """Lusztig-Spaltenstein for GL_4(F_2), on every class of every Levi:
+    upper and lower inductions agree whole, and the heart is the class whose
+    partition is the part-wise sum of the Levi partitions."""
+    cases = 0
+    for blocks in compositions(4):
+        for combo in itertools.product(*(list(partitions_of(b)) for b in blocks)):
+            ok, upper, _ = check_heart_independence(4, blocks, combo, 2)
+            assert ok, (blocks, combo)
+            assert heart(upper) == (_partwise_sum(combo),), (blocks, combo)
+            cases += 1
+    assert cases == 22
