@@ -110,12 +110,11 @@ def test_induced_set_is_conjugation_stable():
 def test_conjugation_maps_match_products():
     """Each sparse conjugation map equals g x g^-1 taken by matrix products,
     on every element x of the group, for the generators of G and of every
-    Levi of both orientations."""
+    Levi."""
     for n, q in ORACLE_CASES:
-        gens = list(gl_generators(n, q))
+        gens = gl_generators(n, q)
         for blocks in compositions(n):
-            for orientation in ("upper", "lower"):
-                gens += levi_generators(BlockParabolic(n, blocks, orientation), q)
+            gens += levi_generators(BlockParabolic(n, blocks, "upper"), q)
         elements = enumerate_gln_fq(n, q)
         for g in gens:
             conjugate, ginv = conjugation_map(g), g.inverse()
