@@ -7,11 +7,12 @@ supported on the double cosets P g K_m.  Its trace is chi paired with the
 trace measure T(h) on M, read off the split of each product g_i x; this
 equals the character pairing of the parabolic restriction, and both sides
 are computed through independent code paths and compared in Q(sqrt p).
-Each split runs on the integer form of g_i x: one call of the integer
-Hermite core (`matrices.hermite_int`, through `groups.iwasawa_int`), then
-residues modulo p^m against the inverses of the representatives, which
-the model keeps modulo p^m.  The same split on Fraction matrices, by
-column operations and QMat inverses, is the oracle in tests/oracles.py.
+Each product g_i x is the integer product g_i A / d of the model's rows
+of g_i and the integer form x = A / d, split by one call of the integer
+Hermite core (`matrices.hermite_int`, via `groups.iwasawa_int`; (1, A) at
+once when p does not divide det A) and residues modulo p^m.  Only kept
+terms become Fractions, one per integer Levi point.  The QMat forms of the
+split and of T(h) are the oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -92,26 +93,27 @@ class InducedModel:
         self.parab = parab
         self.ctx = ctx
         self.transversal = transversal
-        # g_l^-1 mod p^m for each representative g_l in K_0
+        # g_l^-1 mod p^m and the integer rows of g_l, for each representative g_l in K_0
         self.inverse_residues = [mat_mod(g.inverse(), ctx.modulus, ctx.p)
                                  for g in transversal.reps]
+        self.rep_rows = [integer_form(g.rows)[0] for g in transversal.reps]
 
     @property
     def dim(self) -> int:
         return len(self.transversal)
 
-    def locate_with_parabolic_part(self, y: QMat):
-        """Write y = (q q2) g_l kappa with q q2 in P(Q), kappa level trivial.
+    def locate_with_parabolic_part(self, a, d: int):
+        """Write y = A / d as (q q2) g_l kappa with q q2 in P(Q), kappa level trivial.
 
-        Returns (l, q q2), on integer forms: for y = A / (p^e d'), d' prime
-        to p, one split A = Q(A) k(A) by `iwasawa_int` gives q = Q(A) / p^e
-        and k = k(A) / d'.  k mod p^m = k(A) d'^-1 mod p^m names the double
-        coset l, and then q2 = k g_l^-1 mod p^m lies in P mod p^m, so
-        q q2 = Q(A) q2 / p^e with q2 lifted to integers.
+        Returns (l, B, p^e) with q q2 = B / p^e and B integral, all on
+        integers: for d = p^e d', d' prime to p, one split A = Q(A) k(A) by
+        `iwasawa_int` gives q = Q(A) / p^e and k = k(A) / d'.  k mod p^m =
+        k(A) d'^-1 mod p^m names the double coset l, and then
+        q2 = k g_l^-1 mod p^m lies in P mod p^m, so B = Q(A) q2 with q2
+        lifted to integers.
         """
         parab, ctx = self.parab, self.ctx
         p, modulus = ctx.p, ctx.modulus
-        a, d = integer_form(y.rows)
         h, k = iwasawa_int(a, parab, p)
         pe = p ** int_valuation(d, p)
         unit_inv = pow(d // pe, -1, modulus)
@@ -122,9 +124,7 @@ class InducedModel:
         if any(prod[i][j] for i, j in parab.positions("G/P")):
             raise DomainError("transversal lookup names a double coset that k misses")
         cols = tuple(zip(*prod))
-        return idx, QMat._wrap(
-            tuple([tuple([Fraction(sum(map(mul, row, col)), pe) for col in cols]) for row in h])
-        )
+        return idx, [[sum(map(mul, row, col)) for col in cols] for row in h], pe
 
 
 def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:
@@ -133,7 +133,9 @@ def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:
     Split g_i x = q_ix g_l kappa for each transversal rep g_i and support
     point x; the terms l = i make the trace of h on the induction of any
     character of M/(M meet K_m).  Each is well defined up to M meet K_m,
-    because g_i lies in K_0, which normalizes K_m.
+    because g_i lies in K_0, which normalizes K_m.  Products and splits run
+    on integer forms, g_i x = g_i A / d; kept terms merge by their integer
+    Levi projection before `HeckeMeasure.from_pairs` canonicalizes them.
     """
     if not h.ambient.is_group:
         raise DomainError("the induced module is acted on by measures on G")
@@ -141,13 +143,20 @@ def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:
         raise DomainError("trace needs a conjugation-invariant measure")
     if h.ctx != model.ctx:
         raise DomainError("measure and induced model at different levels")
-    parab = model.parab
-    pairs = []
-    for i, g_i in enumerate(model.transversal.reps):
-        for rep, c in h.items():
-            l, q_part = model.locate_with_parabolic_part(g_i * rep)
+    parab, bi = model.parab, model.parab.block_index
+    labels = [(integer_form(rep.rows), c) for rep, c in h.items()]
+    labels = [(tuple(zip(*a)), d, c) for (a, d), c in labels]
+    kept = {}
+    for i, g_i in enumerate(model.rep_rows):
+        for cols, d, c in labels:
+            l, b, pe = model.locate_with_parabolic_part(
+                [[sum(map(mul, row, col)) for col in cols] for row in g_i], d)
             if l == i:
-                pairs.append((parab.levi_project(q_part), c))
+                key = (tuple([tuple([x if bi[r] == bi[s] else 0 for s, x in enumerate(row)])
+                              for r, row in enumerate(b)]), pe)
+                kept[key] = kept[key] + c if key in kept else c
+    pairs = [(QMat._wrap(tuple([tuple([Fraction(x, pe) for x in row]) for row in rows])), c)
+             for (rows, pe), c in kept.items()]
     return HeckeMeasure.from_pairs(Ambient.levi(parab), model.ctx, pairs)
 
 

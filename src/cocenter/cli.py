@@ -47,7 +47,7 @@ from cocenter.measures import (
     unit_measure,
 )
 from cocenter.orbital import (
-    descent_check,
+    descent_factor,
     gamma_grid,
     orbital_integral,
     separation_rank,
@@ -307,22 +307,24 @@ def run_orbital(config: RunConfig):
         _row("orbital", "normalization-record", "all-values", True,
              f"Haar(G): K_{config.m} mass 1", f"Haar(T): T meet K_{config.m} mass 1")
     )
+    # each (measure, gamma) once: both orientations share the G side, the probe the upper one
+    def integrate(measures):
+        return [[orbital_integral(x, gam, config.guard).value for gam in grid] for x in measures]
+
     upper = [res_normalized(h, parab) for h in basis]
     lower = [res_normalized(h, opp) for h in basis]
-    for orientation, par, restricted in (("upper", parab, upper), ("lower", opp, lower)):
-        for idx, (h, rm) in enumerate(zip(basis, restricted)):
-            for gam in grid:
-                ok, lhs, rhs = descent_check(
-                    h, gam, par, rm, mutate_normalization=config.mutate_normalization,
-                    guard=config.guard,
-                )
+    on_g, omat = integrate(basis), integrate(upper)
+    for orientation, par, on_m in (("upper", parab, omat), ("lower", opp, integrate(lower))):
+        factors = [descent_factor(gam, par, config.p, config.mutate_normalization) for gam in grid]
+        for idx in range(len(basis)):
+            for gam, lhs, factor, value in zip(grid, on_g[idx], factors, on_m[idx]):
+                rhs = factor * value
                 vals = ",".join(str(v) for v in gam.valuations(config.p))
                 rows.append(
                     _row("orbital", "orbital-descent",
-                         f"{orientation}/h{idx}/gamma-val({vals})", ok, lhs, rhs)
+                         f"{orientation}/h{idx}/gamma-val({vals})", lhs == rhs, lhs, rhs)
                 )
     chars = [_character_for_blocks(config.blocks, z) for z in config.character_params]
-    omat = [[orbital_integral(rm, gam, config.guard).value for gam in grid] for rm in upper]
     xmat = [[character_pairing(chi, rm) for chi in chars] for rm in upper]
     ro, rx = separation_rank(omat), separation_rank(xmat)
     rows.append(_row("orbital", "separation-probe/rank-agreement", "level-basis",

@@ -292,15 +292,19 @@ def hermite_int(a, p: int):
     the same Z_(p)-lattice, because A^-1 has valuation > -N and so the
     factor lies in GL_n(Z_(p)); the same holds at every step.
     k(A) = H(A)^-1 A lies in GL_n(Z_(p)) and in M_n(Z[1/p]), so it is
-    integral and back substitution divides exactly.
+    integral and back substitution divides exactly.  When p does not
+    divide det A, A lies in GL_n(Z_(p)) and spans the standard lattice, so
+    (H(A), k(A)) = (1, A) with no elimination.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     det = det_int(a)
     if det == 0:
         raise DomainError("singular matrix")
-    big = p ** (int_valuation(det, p) + 1)
     n = len(a)
+    if det % p:
+        return [[int(i == j) for j in range(n)] for i in range(n)], [list(row) for row in a]
+    big = p ** (int_valuation(det, p) + 1)
     cols = [[x % big for x in col] for col in zip(*a)]
     for i in range(n - 1, -1, -1):
         # pivot: the entry of least valuation in row i, columns 0..i

@@ -202,11 +202,16 @@ def descent_check(
     break the identity somewhere on a valuation grid.
     """
     lhs = orbital_integral(h, gamma, guard).value
-    delta = discriminant_delta(SubgroupSpec.levi(parab), gamma.matrix())
-    power = 2 if mutate_normalization else 1
-    factor = padic_norm_halfpower(delta, h.ctx.p, power)
+    factor = descent_factor(gamma, parab, h.ctx.p, mutate_normalization)
     rhs = factor * orbital_integral(res_m, gamma, guard).value
     return lhs == rhs, lhs, rhs
+
+
+def descent_factor(gamma, parab: BlockParabolic, p: int, mutate_normalization=False):
+    """|Delta_{M,G}(gamma)|^(1/2), the factor of the descent identity; the
+    mutation flag takes the full norm instead."""
+    delta = discriminant_delta(SubgroupSpec.levi(parab), gamma.matrix())
+    return padic_norm_halfpower(delta, p, 2 if mutate_normalization else 1)
 
 
 def gamma_grid(p: int, n: int, val_range=(-2, 2)):

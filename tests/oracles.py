@@ -15,7 +15,9 @@ class, conjugation by all of K_0 / K_level instead of a closure under
 generators, a box of Hermite matrices filtered by Smith exponents instead
 of the K_0 orbit of the diagonal, block-by-block canonicalization on M
 instead of one split of the whole matrix, Fraction splits and QMat inverses
-instead of integer residues in the induced module.
+instead of integer residues in the induced module, one QMat product and
+one Levi point per kept term instead of integer products merged by their
+Levi projection in the trace measure.
 """
 
 from fractions import Fraction
@@ -497,7 +499,7 @@ def hecke_action_matrix(h, chi, model, normalized=False):
     matrix = [[zero for _ in range(dim)] for _ in range(dim)]
     for i, g_i in enumerate(model.transversal.reps):
         for rep, c in h.items():
-            l, q_part = model.locate_with_parabolic_part(g_i * rep)
+            l, q_part = locate_by_fraction_split(model, g_i * rep)
             weight = RootP.rational(chi.value(parab, q_part, ctx.p), ctx.p)
             if normalized:
                 weight = weight * padic_norm_halfpower(
@@ -532,6 +534,20 @@ def locate_by_fraction_split(model, y: QMat):
     if any(prod[i][j] for i, j in parab.positions("G/P")):
         raise DomainError("transversal lookup names a double coset that k misses")
     return idx, q * lift_mod(prod, parab.n)
+
+
+def trace_measure_by_qmat_products(h, model):
+    """`characters.trace_measure` on QMats: each product g_i x is a QMat,
+    split by `locate_by_fraction_split`, and every kept term (l = i) goes
+    to `HeckeMeasure.from_pairs` as its own Levi projection, unmerged."""
+    parab = model.parab
+    pairs = []
+    for i, g_i in enumerate(model.transversal.reps):
+        for rep, c in h.items():
+            l, q_part = locate_by_fraction_split(model, g_i * rep)
+            if l == i:
+                pairs.append((parab.levi_project(q_part), c))
+    return HeckeMeasure.from_pairs(Ambient.levi(parab), model.ctx, pairs)
 
 
 def jordan_type_all_powers(u):

@@ -24,7 +24,12 @@ from cocenter.measures import (
     res_unnormalized,
     unit_measure,
 )
-from tests.oracles import gl2_level_basis, hecke_action_matrix, locate_by_fraction_split
+from tests.oracles import (
+    gl2_level_basis,
+    hecke_action_matrix,
+    locate_by_fraction_split,
+    trace_measure_by_qmat_products,
+)
 
 CHAR_PARAMS = [(1, 1), (2, 1), (Fraction(1, 2), 3), (3, 5)]
 
@@ -213,9 +218,9 @@ def test_identity_check_splits_each_product_once(monkeypatch):
     calls = []
     split = InducedModel.locate_with_parabolic_part
 
-    def counting_split(self, y):
-        calls.append(y)
-        return split(self, y)
+    def counting_split(self, a, d):
+        calls.append((a, d))
+        return split(self, a, d)
 
     monkeypatch.setattr(InducedModel, "locate_with_parabolic_part", counting_split)
     ok, details = verify_induced_character_identity(
@@ -226,23 +231,22 @@ def test_identity_check_splits_each_product_once(monkeypatch):
 
 
 def _split_models():
-    """(model, labels) for the GL_2 level bases at (p, m) = (2, 1), (3, 1)
+    """(model, basis) for the GL_2 level bases at (p, m) = (2, 1), (3, 1)
     and (2, 2) through both Borels, and the GL_3(Q_2) orbit basis through
     all six block parabolics."""
     cases = []
     for p, m in ((2, 1), (3, 1), (2, 2)):
         ctx = PrimeContext(p, m)
-        labels = [rep for h in gl2_level_basis(ctx) for rep, _ in h.items()]
+        basis = gl2_level_basis(ctx)
         borel = BlockParabolic(2, (1, 1), "upper")
-        cases += [(InducedModel(parab, ctx), labels) for parab in (borel, borel.opposite())]
+        cases += [(InducedModel(parab, ctx), basis) for parab in (borel, borel.opposite())]
     ctx = PrimeContext(2, 1)
     unit3 = unit_measure(Ambient.general_linear(3), ctx)
-    labels = [rep for h in ad_symmetrized_basis([rep for rep, _ in unit3.items()], ctx)
-              for rep, _ in h.items()]
+    basis = ad_symmetrized_basis([rep for rep, _ in unit3.items()], ctx)
     for blocks in compositions(3):
         if len(blocks) > 1:
             for orientation in ("upper", "lower"):
-                cases.append((InducedModel(BlockParabolic(3, blocks, orientation), ctx), labels))
+                cases.append((InducedModel(BlockParabolic(3, blocks, orientation), ctx), basis))
     return cases
 
 
@@ -268,17 +272,39 @@ def test_integer_split_matches_the_fraction_oracle():
     (the level bases have p-power denominators only)."""
     rng = random.Random(97)
     compared = 0
-    for model, labels in _split_models():
+    for model, basis in _split_models():
         p, n = model.ctx.p, model.parab.n
+        labels = [rep for h in basis for rep, _ in h.items()]
         inputs = [g_i * x for g_i in model.transversal.reps for x in labels]
         inputs += [_random_y(n, p, rng) for _ in range(20)]
         for y in inputs:
-            l, q_part = model.locate_with_parabolic_part(y)
+            l, b, pe = model.locate_with_parabolic_part(*integer_form(y.rows))
             want_l, want_q = locate_by_fraction_split(model, y)
+            q_part = QMat(b).scale(Fraction(1, pe))
             assert (l, q_part.rows) == (want_l, want_q.rows), (model.parab, model.ctx, y)
             compared += 1
     # 12 models: 20 random inputs each, and 18,432 products of the bases
     assert compared == 12 * 20 + 18_432
+
+
+def test_trace_measure_matches_the_qmat_oracle():
+    """trace_measure equals its QMat oracle key for key, label and
+    coefficient alike, on every basis measure of every `_split_models` case
+    and on the translate of the last one by the central element 1/p, whose
+    labels have denominator p; the lower (2,1) and (1,2) cases have lower
+    triangular Q(A), so their 2 x 2 Levi points are re-canonicalized."""
+    compared = 0
+    for model, basis in _split_models():
+        center = QMat.diagonal([Fraction(1, model.ctx.p)] * model.parab.n)
+        last = basis[-1]
+        shifted = HeckeMeasure.from_pairs(last.ambient, last.ctx,
+                                          [(center * rep, c) for rep, c in last.items()], True)
+        for h in basis + [shifted]:
+            got, want = trace_measure(h, model), trace_measure_by_qmat_products(h, model)
+            assert (got.ambient, got.support) == (want.ambient, want.support), (model.parab, h)
+            compared += 1
+    # bases of 5, 14 and 22 measures on GL_2 and 6 on GL_3, and 12 translates
+    assert compared == 2 * (5 + 14 + 22) + 6 * 6 + 12
 
 
 def test_one_split_runs_the_integer_core_once(monkeypatch):
@@ -297,7 +323,7 @@ def test_one_split_runs_the_integer_core_once(monkeypatch):
         model = InducedModel(BlockParabolic(2, (1, 1), orientation), ctx)
         for _ in range(5):
             before = len(calls)
-            model.locate_with_parabolic_part(_random_y(2, 3, rng))
+            model.locate_with_parabolic_part(*integer_form(_random_y(2, 3, rng).rows))
             assert len(calls) == before + 1
 
 
@@ -319,4 +345,4 @@ def test_induced_model_validates_its_inputs(ctx2, borel2, transversal_gl2, unit_
     corrupted = ParabolicTransversal(borel2, ctx2)
     corrupted.lookup = {key: (idx + 1) % len(corrupted) for key, idx in corrupted.lookup.items()}
     with pytest.raises(DomainError):
-        InducedModel(borel2, ctx2, corrupted).locate_with_parabolic_part(QMat.identity(2))
+        InducedModel(borel2, ctx2, corrupted).locate_with_parabolic_part([[1, 0], [0, 1]], 1)

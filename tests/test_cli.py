@@ -18,6 +18,7 @@ from cocenter.cli import (
     run_saturate,
     run_unipotent,
 )
+from cocenter.orbital import orbital_integral
 
 # sha256 of the JSON reports of the default configuration; any change in a
 # report of these suites shows up here
@@ -85,6 +86,22 @@ def test_reports_byte_identical(suite):
     run, digest = REPORT_DIGESTS[suite]
     report = render_json(run(RunConfig().validate()))
     assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+def test_orbital_suite_integrates_each_pair_once(monkeypatch):
+    """The default orbital run integrates each of its 375 (measure, gamma)
+    pairs once: 5 basis measures and their upper and lower restrictions, at
+    25 grid points.  The descent rows of both orientations share the G side,
+    and the separation probe reuses the upper values."""
+    calls = []
+
+    def counting_integral(h, gamma, *args):
+        calls.append((id(h), gamma))
+        return orbital_integral(h, gamma, *args)
+
+    monkeypatch.setattr("cocenter.cli.orbital_integral", counting_integral)
+    run_orbital(RunConfig().validate())
+    assert len(calls) == len(set(calls)) == 375
 
 
 def test_main_exit_codes(tmp_path):

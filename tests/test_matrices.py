@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cocenter.exactnum import DomainError, ResourceGuardError
-from cocenter.groups import BlockParabolic, iwasawa_decompose
+from cocenter.groups import BlockParabolic, iwasawa_decompose, iwasawa_int
 from cocenter.matrices import (
     FFMatrix,
     PrimeContext,
@@ -196,6 +196,28 @@ def test_lower_iwasawa_split_matches_the_reversed_oracle():
                     assert q.rows == tuple(row[::-1] for row in want_q.rows[::-1]), (kind, g)
                     assert k.rows == tuple(row[::-1] for row in want_k.rows[::-1]), (kind, g)
                     assert q * k == g and lower.contains(q)
+
+
+def test_unit_determinant_split_is_the_identity_and_the_matrix():
+    """An integer matrix A with p not dividing det A splits as (1, A)
+    through groups.iwasawa_int, equal entry for entry to the Fraction
+    column oracle, in both orientations, for n = 2..4 and p = 2, 3, 5."""
+    rng = random.Random(71)
+    for p in (2, 3, 5):
+        for n in range(2, 5):
+            identity = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(10):
+                a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+                while det_by_fraction_elimination(a) % p == 0:
+                    a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+                for orientation in ("upper", "lower"):
+                    flip = (lambda rows: rows) if orientation == "upper" else (
+                        lambda rows: [row[::-1] for row in rows[::-1]])
+                    h, k = iwasawa_int(a, BlockParabolic(n, (1,) * n, orientation), p)
+                    want_h, want_k = hermite_by_fraction_column_ops(QMat(flip(a)), p)
+                    assert (h, k) == (identity, a)
+                    assert (h, k) == ([list(r) for r in flip(want_h.rows)],
+                                      [list(r) for r in flip(want_k.rows)]), (orientation, a)
 
 
 def test_products_match_schoolbook_fractions():
