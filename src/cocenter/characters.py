@@ -105,12 +105,13 @@ class InducedModel:
     def locate_with_parabolic_part(self, a, d: int):
         """Write y = A / d as (q q2) g_l kappa with q q2 in P(Q), kappa level trivial.
 
-        Returns (l, B, p^e) with q q2 = B / p^e and B integral, all on
-        integers: for d = p^e d', d' prime to p, one split A = Q(A) k(A) by
-        `iwasawa_int` gives q = Q(A) / p^e and k = k(A) / d'.  k mod p^m =
-        k(A) d'^-1 mod p^m names the double coset l, and then
-        q2 = k g_l^-1 mod p^m lies in P mod p^m, so B = Q(A) q2 with q2
-        lifted to integers.
+        Returns (l, Q(A), q2, p^e), all on integers, with q q2 =
+        Q(A) q2 / p^e: for d = p^e d', d' prime to p, one split
+        A = Q(A) k(A) by `iwasawa_int` gives q = Q(A) / p^e and
+        k = k(A) / d'.  k mod p^m = k(A) d'^-1 mod p^m names the double
+        coset l, and then q2 = k g_l^-1 mod p^m lies in P mod p^m, lifted
+        to integers.  The product Q(A) q2 is left to the caller, which
+        forms it only for the terms it keeps.
         """
         parab, ctx = self.parab, self.ctx
         p, modulus = ctx.p, ctx.modulus
@@ -120,11 +121,10 @@ class InducedModel:
         kbar = tuple([tuple([x * unit_inv % modulus for x in row]) for row in k])
         idx = self.transversal.lookup[kbar]
         cols = tuple(zip(*self.inverse_residues[idx]))
-        prod = [[sum(map(mul, row, col)) % modulus for col in cols] for row in kbar]
-        if any(prod[i][j] for i, j in parab.positions("G/P")):
+        q2 = [[sum(map(mul, row, col)) % modulus for col in cols] for row in kbar]
+        if any(q2[i][j] for i, j in parab.positions("G/P")):
             raise DomainError("transversal lookup names a double coset that k misses")
-        cols = tuple(zip(*prod))
-        return idx, [[sum(map(mul, row, col)) for col in cols] for row in h], pe
+        return idx, h, q2, pe
 
 
 def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:
@@ -149,11 +149,14 @@ def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:
     kept = {}
     for i, g_i in enumerate(model.rep_rows):
         for cols, d, c in labels:
-            l, b, pe = model.locate_with_parabolic_part(
+            l, qa, q2, pe = model.locate_with_parabolic_part(
                 [[sum(map(mul, row, col)) for col in cols] for row in g_i], d)
             if l == i:
-                key = (tuple([tuple([x if bi[r] == bi[s] else 0 for s, x in enumerate(row)])
-                              for r, row in enumerate(b)]), pe)
+                # the Levi projection of B = Q(A) q2: its block diagonal entries only
+                q2_cols = tuple(zip(*q2))
+                key = (tuple([tuple([sum(map(mul, row, col)) if bi[r] == bi[s] else 0
+                                     for s, col in enumerate(q2_cols)])
+                              for r, row in enumerate(qa)]), pe)
                 kept[key] = kept[key] + c if key in kept else c
     pairs = [(QMat._wrap(tuple([tuple([Fraction(x, pe) for x in row]) for row in rows])), c)
              for (rows, pe), c in kept.items()]

@@ -25,12 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from cocenter.exactnum import (
     DEFAULT_GROUP_ORDER_GUARD,
     DomainError,
     LevelError,
     RootP,
+    int_valuation,
     padic_norm_halfpower,
 )
 from cocenter.groups import BlockParabolic, iwasawa_decompose, modulus_lambda
@@ -41,12 +43,14 @@ from cocenter.matrices import (
     coset_canonical_rep,
     enumerate_glnzm,
     gln_zp_membership,
+    gln_generators,
     glnzm_order,
-    hermite_padic,
+    hermite_int,
+    integer_form,
     lift_mod,
     mat_mod,
 )
-from cocenter.unipotent import conjugation_closure
+from cocenter.unipotent import conjugation_closure, product_map
 
 
 @dataclass(frozen=True)
@@ -119,8 +123,9 @@ class HeckeMeasure:
     representative is the canonical label `coset_canonical_rep` of the
     coset, x = H lift(k mod p^m) with H the upper Hermite form, and
     `orbital_integral` reads values off its shape.  `from_pairs` and
-    `measure_from_jsonable` canonicalize; the other constructors reuse
-    labels of existing measures, and __init__ trusts the support given.  The
+    `measure_from_jsonable` canonicalize; the other constructors build
+    canonical labels or reuse those of existing measures, and __init__
+    trusts the support given.  The
     biinvariant flag asserts invariance under conjugation pullback by the
     maximal compact subgroup of the ambient: K_0 on G, M meet K_0 on M.
     `is_ad_invariant` verifies it on quotient generators.
@@ -220,15 +225,15 @@ def _as_rootp(coeff, p: int) -> RootP:
 
 
 def unit_measure(ambient: Ambient, ctx: PrimeContext, guard=DEFAULT_GROUP_ORDER_GUARD):
-    """Unit mass spread uniformly over the K_0 part of the ambient group."""
+    """Unit mass spread uniformly over the K_0 part of the ambient group,
+    keyed by the labels lift(kbar), canonical as they are (Hermite form 1)."""
     n = ambient.n
     zeros = ambient.parab.positions("G/M")
     elements = [rows for rows in enumerate_glnzm(n, ctx, guard)
                 if not any(rows[i][j] for i, j in zeros)]
-    coeff = Fraction(1, len(elements))
-    return HeckeMeasure.from_pairs(
-        ambient, ctx, [(lift_mod(rows, n), coeff) for rows in elements], True
-    )
+    coeff = RootP.rational(Fraction(1, len(elements)), ctx.p)
+    reps = [lift_mod(rows, n) for rows in elements]
+    return HeckeMeasure(ambient, ctx, {rep.entries(): (rep, coeff) for rep in reps}, True)
 
 
 def ad_pullback(h: HeckeMeasure, g: QMat) -> HeckeMeasure:
@@ -394,46 +399,82 @@ def is_ad_invariant(h: HeckeMeasure, gens=None) -> bool:
     return all(ad_pullback(h, g) == h for g in gens)
 
 
-def _landed_conjugations(gens, land):
-    """The maps x -> land(g x g^-1), one per generator g, that
-    `conjugation_closure` runs; each inverse is taken once."""
-    return [lambda x, g=g, ginv=g.inverse(): land(g * x * ginv) for g in gens]
+def _product(a, cols):
+    """Integer rows of a times the matrix with the given columns."""
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
+
+
+def _hermite_of_product(g, h, p: int):
+    """`hermite_int`(g H) for integer rows g and H: the Hermite form H' of
+    the coset g H K_0 and the cofactor k with g H = H' k."""
+    h2, k = hermite_int(_product(g, tuple(zip(*h))), p)
+    return tuple(map(tuple, h2)), k
 
 
 def ad_orbits(reps, ctx: PrimeContext):
-    """Orbits of level cosets on G under conjugation by K_0.
+    """Orbits of level cosets on G under conjugation by K_0, on integer labels.
 
-    Each orbit is the conjugation closure of one canonical representative
-    under generators of the finite quotient through which the action
-    factors; exact, no sampling.
+    Each coset is split once by `hermite_int` and keyed (p^e, H, kbar): its
+    canonical label is x = H lift(kbar) / p^e, kbar flat mod p^m, and p^e,
+    the least power clearing the entries of x, is constant on an orbit.  A
+    generator g of K_0 / K_level (level = m + the largest spread, read once
+    per distinct H) sends the key to (p^e, H', k kbar g^-1 mod p^m), with
+    (H', k) = `hermite_int`(g H): g x g^-1 = H' k lift(kbar) g^-1 / p^e, and
+    g times a lift of g^-1 mod p^m lies in K_m.  H' and the `product_map` of
+    k and g^-1 are built once per (g, H), in tables that live for this call.
+    Each orbit is the `conjugation_closure` of one key, sorted by the
+    entries of its labels, which become QMats only at the end.
     """
     if not reps:
         return []
-    ambient = Ambient.general_linear(reps[0].n)
-    level = ctx.m + max(label_spread(r, ctx.p) for r in reps)
-    maps = _landed_conjugations(k0_quotient_generators(ambient, ctx.p, level),
-                                lambda g: canonical_rep(ambient, g, ctx))
-    rep_of = {}
+    p, modulus, n = ctx.p, ctx.modulus, reps[0].n
+    keys = {}
     for r in reps:
-        rc = canonical_rep(ambient, r, ctx)
-        rep_of[rc.entries()] = rc
+        a, d = integer_form(r.rows)
+        pe = p ** int_valuation(d, p)
+        h, k = hermite_int(a, p)
+        unit_inv = pow(d // pe, -1, modulus)
+        kbar = tuple([x * unit_inv % modulus for row in k for x in row])
+        keys[(pe, tuple(map(tuple, h)), kbar)] = None
+    level = ctx.m + max(label_spread(QMat(h), p) for h in {h for _, h, _ in keys})
+
+    def conjugation(g):
+        ginv = mat_mod(QMat(g).inverse(), modulus, p)
+        table = {}
+
+        def conjugate(key):
+            pe, h, kbar = key
+            if h not in table:
+                h2, k = _hermite_of_product(g, h, p)
+                table[h] = h2, product_map(k, ginv, modulus)
+            h2, move = table[h]
+            return pe, h2, move(kbar)
+
+        return conjugate
+
+    maps = [conjugation(g) for g in gln_generators(n, p, level)]
     orbits = []
     seen = set()
-    for key, rc in rep_of.items():
+    for key in keys:
         if key in seen:
             continue
-        orbit = sorted(conjugation_closure([rc], maps), key=QMat.entries)
-        if any(x.entries() not in rep_of for x in orbit):
-            raise RuntimeError(f"conjugation took {rc} out of the given cosets")
-        seen.update(x.entries() for x in orbit)
-        orbits.append(orbit)
+        orbit = conjugation_closure([key], maps)
+        if not orbit <= keys.keys():
+            raise RuntimeError(f"conjugation took the coset {key} out of the given cosets")
+        seen |= orbit
+        # one p^e per orbit, so integer numerators sort as the entries do
+        labels = sorted((_product(h, [kbar[j::n] for j in range(n)]), pe)
+                        for pe, h, kbar in orbit)
+        orbits.append([QMat._wrap(tuple([tuple([Fraction(x, pe) for x in row]) for row in rows]))
+                       for rows, pe in labels])
     return orbits
 
 
 def ad_symmetrized_basis(reps, ctx: PrimeContext):
     """Indicator measures of the conjugation orbits of the given cosets."""
     ambient = Ambient.general_linear(reps[0].n)
-    return [HeckeMeasure.from_pairs(ambient, ctx, [(r, 1) for r in orbit], biinvariant=True)
+    one = RootP.rational(1, ctx.p)
+    return [HeckeMeasure(ambient, ctx, {x.entries(): (x, one) for x in orbit}, True)
             for orbit in ad_orbits(reps, ctx)]
 
 
@@ -446,35 +487,42 @@ def hermite_reps_with_divisors(n: int, p: int, divisors, guard=DEFAULT_GROUP_ORD
 
     The left coset k d K_0 (k in K_0) is the coset of k d k^-1, so the
     cosets form the orbit of d K_0 under conjugation by K_0, labelled by
-    their Hermite forms.  k d K_0 depends only on k modulo K_0 meet
-    d K_0 d^-1, which contains K_s, s = max(divisors) - min(divisors), so
-    generators of GL_n(Z/p^s) reach the whole orbit.  Sorted as the forms
-    of a box enumeration: diagonal exponents descending, then the entries
-    above the diagonal, row-major.
+    their Hermite forms; g sends H to the H' of `hermite_int`(g H), as in
+    `ad_orbits`.  k d K_0 depends only on k modulo K_0 meet d K_0 d^-1,
+    which contains K_s, s = max(divisors) - min(divisors), so generators of
+    GL_n(Z/p^s) reach the whole orbit.  Sorted as the forms of a box
+    enumeration: diagonal exponents descending, then the entries above the
+    diagonal, row-major.
     """
     divisors = tuple(divisors)
     if len(divisors) != n or any(a < 0 for a in divisors):
         raise DomainError(f"need {n} nonnegative divisor exponents, not {divisors}")
-    d = QMat.diagonal([p**a for a in divisors])
+    d = tuple(tuple(p**a if i == j else 0 for j in range(n)) for i, a in enumerate(divisors))
     level = max(1, max(divisors) - min(divisors))
-    gens = k0_quotient_generators(Ambient.general_linear(n), p, level)
-    maps = _landed_conjugations(gens, lambda g: hermite_padic(g, p)[0])
-    forms = conjugation_closure([d], maps, guard)
-    return sorted(forms, key=lambda h: ([-h[i, i] for i in range(n)],
-                                        [h[i, j] for i in range(n) for j in range(i + 1, n)]))
+    maps = [lambda h, g=g: _hermite_of_product(g, h, p)[0] for g in gln_generators(n, p, level)]
+    forms = sorted(conjugation_closure([d], maps, guard),
+                   key=lambda h: ([-h[i][i] for i in range(n)],
+                                  [h[i][j] for i in range(n) for j in range(i + 1, n)]))
+    return [QMat(h) for h in forms]
 
 
 def double_coset_measure(n: int, ctx: PrimeContext, divisors, guard=DEFAULT_GROUP_ORDER_GUARD):
-    """Indicator (coefficient 1 per level coset) of K_0 diag(p^divisors) K_0."""
+    """Indicator (coefficient 1 per level coset) of K_0 diag(p^divisors) K_0,
+    keyed by the labels H lift(kbar), H a Hermite form and kbar in
+    GL_n(Z/p^m): canonical as they are, since the Hermite form is unique."""
     hermites = hermite_reps_with_divisors(n, ctx.p, divisors, guard)
-    kappas = [lift_mod(rows, n) for rows in enumerate_glnzm(n, ctx, guard)]
-    ambient = Ambient.general_linear(n)
-    pairs = [(h * k, 1) for h in hermites for k in kappas]
-    out = HeckeMeasure.from_pairs(ambient, ctx, pairs, biinvariant=True)
+    kappa_cols = [tuple(zip(*rows)) for rows in enumerate_glnzm(n, ctx, guard)]
+    one = RootP.rational(1, ctx.p)
+    out = {}
+    for h in hermites:
+        h = integer_form(h.rows)[0]
+        for cols in kappa_cols:
+            rep = QMat._wrap(tuple([tuple(map(Fraction, row)) for row in _product(h, cols)]))
+            out[rep.entries()] = (rep, one)
     expected = len(hermites) * glnzm_order(n, ctx.p, ctx.m)
     if len(out) != expected:
         raise RuntimeError(f"{len(out)} level cosets in K_0 diag(p^{divisors}) K_0, not {expected}")
-    return out
+    return HeckeMeasure(Ambient.general_linear(n), ctx, out, True)
 
 
 def double_coset_labels(n: int, ctx: PrimeContext, divisors, guard=DEFAULT_GROUP_ORDER_GUARD):

@@ -101,31 +101,38 @@ def levi_generators(parab: BlockParabolic, q: int):
     return [FFMatrix(rows, q) for rows in block_gln_generators(parab.blocks, q)]
 
 
-def conjugation_map(g: FFMatrix):
-    """x -> g x g^-1 on the flat row-major entries of x over F_q.
+def product_map(left, right, modulus: int):
+    """x -> left x right modulo modulus, on the flat row-major entries of x,
+    for integer rows left and right and entries of x already reduced.
 
-    Built from g and g^-1 alone, with no assumption on their shape: entry
-    (a, b) of the conjugate is sum over (c, d) of g[a, c] x[c, d] g^-1[d, b].
-    Only the entries whose linear form is not x[a, b] itself are rewritten,
-    each from its nonzero terms.
+    Entry (a, b) of the product is sum over (c, d) of
+    left[a][c] x[c, d] right[d][b].  Only the entries whose linear form is
+    not x[a, b] itself are rewritten, each from its nonzero terms.
     """
-    n, q = g.n, g.q
-    ginv = g.inverse()
+    n = len(left)
     changed = []
     for a in range(n):
         for b in range(n):
-            terms = [(c * n + d, g[a, c] * ginv[d, b] % q) for c in range(n) for d in range(n)]
+            terms = [(c * n + d, left[a][c] * right[d][b] % modulus)
+                     for c in range(n) for d in range(n)]
             terms = [(k, coef) for k, coef in terms if coef]
             if terms != [(a * n + b, 1)]:
                 changed.append((a * n + b, terms))
 
-    def conjugate(x):
+    def apply(x):
         y = list(x)
         for k, terms in changed:
-            y[k] = sum([x[i] * coef for i, coef in terms]) % q
+            y[k] = sum([x[i] * coef for i, coef in terms]) % modulus
         return tuple(y)
 
-    return conjugate
+    return apply
+
+
+def conjugation_map(g: FFMatrix):
+    """x -> g x g^-1 on the flat row-major entries of x over F_q, as a
+    `product_map` built from g and g^-1 alone, with no assumption on their
+    shape."""
+    return product_map(g.rows, g.inverse().rows, g.q)
 
 
 def conjugation_closure(seeds, maps, guard=DEFAULT_GROUP_ORDER_GUARD):
@@ -134,9 +141,10 @@ def conjugation_closure(seeds, maps, guard=DEFAULT_GROUP_ORDER_GUARD):
 
     Each map sends an element to the representative, kept in the set, of
     its conjugate by one generator: a `conjugation_map` on flat entry
-    tuples over F_q, or the canonical representative of a conjugated level
-    coset (`measures.ad_orbits`).  Callers build the maps once, before the
-    closure runs.  Conjugating by the inverses adds nothing: the closure is
+    tuples over F_q, the integer label (p^e, H, kbar) of a conjugated
+    level coset (`measures.ad_orbits`), or the Hermite form of a
+    conjugated K_0 coset (`measures.hermite_reps_with_divisors`).  Callers
+    build the maps once, before the closure runs.  Conjugating by the inverses adds nothing: the closure is
     finite and conjugation by g maps it into itself injectively, hence onto
     itself, so it is already closed under conjugation by g^-1.
     """

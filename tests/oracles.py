@@ -12,12 +12,15 @@ of Gauss-Jordan ranks, the transversal sum instead of its one-step
 collapse, the full action matrix of the induced module instead of the trace
 measure, a Jordan type per swept element instead of one per conjugacy
 class, conjugation by all of K_0 / K_level instead of a closure under
-generators, a box of Hermite matrices filtered by Smith exponents instead
-of the K_0 orbit of the diagonal, block-by-block canonicalization on M
-instead of one split of the whole matrix, Fraction splits and QMat inverses
-instead of integer residues in the induced module, one QMat product and
-one Levi point per kept term instead of integer products merged by their
-Levi projection in the trace measure.
+generators, QMat conjugates canonicalized one by one instead of integer
+labels moved by tables of Hermite splits, a box of Hermite matrices
+filtered by Smith exponents instead of the K_0 orbit of the diagonal,
+block-by-block canonicalization on M instead of one split of the whole
+matrix, Fraction splits and QMat inverses instead of integer residues in
+the induced module, one QMat product and one Levi point per kept term
+instead of integer products merged by their Levi projection in the trace
+measure, `from_pairs` canonicalization instead of double coset labels
+keyed as built.
 """
 
 from fractions import Fraction
@@ -42,12 +45,16 @@ from cocenter.measures import (
     HeckeMeasure,
     ad_pullback,
     ad_symmetrized_basis,
+    canonical_rep,
     coset_meets_parabolic,
     double_coset_labels,
+    hermite_reps_with_divisors,
+    k0_quotient_generators,
     label_spread,
     unit_measure,
 )
 from cocenter.unipotent import (
+    conjugation_closure,
     gl_generators,
     jordan_block_matrix,
     levi_generators,
@@ -81,6 +88,52 @@ def ad_orbits_by_all_conjugators(reps, ctx):
         seen.update(y.entries() for y in orbit)
         orbits.append(sorted(orbit, key=QMat.entries))
     return orbits
+
+
+def ad_orbits_by_qmat_closure(reps, ctx):
+    """`measures.ad_orbits` on QMats: the same generators and the same
+    closure, but every conjugate is the QMat product g x g^-1 and is
+    canonicalized by `canonical_rep`, with no integer labels and no table
+    of Hermite splits."""
+    if not reps:
+        return []
+    ambient = Ambient.general_linear(reps[0].n)
+    level = ctx.m + max(label_spread(r, ctx.p) for r in reps)
+    maps = [lambda x, g=g, ginv=g.inverse(): canonical_rep(ambient, g * x * ginv, ctx)
+            for g in k0_quotient_generators(ambient, ctx.p, level)]
+    rep_of = {}
+    for r in reps:
+        rc = canonical_rep(ambient, r, ctx)
+        rep_of[rc.entries()] = rc
+    orbits = []
+    seen = set()
+    for key, rc in rep_of.items():
+        if key in seen:
+            continue
+        orbit = sorted(conjugation_closure([rc], maps), key=QMat.entries)
+        if any(x.entries() not in rep_of for x in orbit):
+            raise RuntimeError(f"conjugation took {rc} out of the given cosets")
+        seen.update(x.entries() for x in orbit)
+        orbits.append(orbit)
+    return orbits
+
+
+def unit_measure_by_from_pairs(ambient, ctx):
+    """`measures.unit_measure` with every label lift(kbar) canonicalized
+    again by `HeckeMeasure.from_pairs`."""
+    zeros = ambient.parab.positions("G/M")
+    reps = [k for k in enumerate_transversal_K0_mod_Km(ambient.n, ctx)
+            if not any(k[i, j] for i, j in zeros)]
+    coeff = Fraction(1, len(reps))
+    return HeckeMeasure.from_pairs(ambient, ctx, [(k, coeff) for k in reps], biinvariant=True)
+
+
+def double_coset_measure_by_from_pairs(n, ctx, divisors):
+    """`measures.double_coset_measure` with every label H lift(kbar)
+    canonicalized again by `HeckeMeasure.from_pairs`."""
+    kappas = enumerate_transversal_K0_mod_Km(n, ctx)
+    pairs = [(h * k, 1) for h in hermite_reps_with_divisors(n, ctx.p, divisors) for k in kappas]
+    return HeckeMeasure.from_pairs(Ambient.general_linear(n), ctx, pairs, biinvariant=True)
 
 
 def smith_valuations(g: QMat, p: int):

@@ -278,9 +278,9 @@ def test_integer_split_matches_the_fraction_oracle():
         inputs = [g_i * x for g_i in model.transversal.reps for x in labels]
         inputs += [_random_y(n, p, rng) for _ in range(20)]
         for y in inputs:
-            l, b, pe = model.locate_with_parabolic_part(*integer_form(y.rows))
+            l, qa, q2, pe = model.locate_with_parabolic_part(*integer_form(y.rows))
             want_l, want_q = locate_by_fraction_split(model, y)
-            q_part = QMat(b).scale(Fraction(1, pe))
+            q_part = (QMat(qa) * QMat(q2)).scale(Fraction(1, pe))
             assert (l, q_part.rows) == (want_l, want_q.rows), (model.parab, model.ctx, y)
             compared += 1
     # 12 models: 20 random inputs each, and 18,432 products of the bases

@@ -8,8 +8,8 @@ from cocenter.characters import InducedModel, trace_measure
 from cocenter.exactnum import DomainError, LevelError, ResourceGuardError
 from cocenter.groups import BlockParabolic, compositions, iwasawa_decompose
 from cocenter.matrices import (
-    PrimeContext, QMat, block_gln_generators, coset_canonical_rep, enumerate_glnzm,
-    gln_generators, glnzm_order,
+    FFMatrix, PrimeContext, QMat, block_gln_generators, coset_canonical_rep, enumerate_gln_fq,
+    enumerate_glnzm, gln_generators, glnzm_order,
 )
 from cocenter.measures import (
     Ambient,
@@ -39,12 +39,15 @@ from cocenter.unipotent import levi_generators
 
 from tests.oracles import (
     ad_orbits_by_all_conjugators,
+    ad_orbits_by_qmat_closure,
     canonical_rep_by_blocks,
+    double_coset_measure_by_from_pairs,
     gl2_level_basis,
     hermite_forms_by_smith_filter,
     meets_parabolic_oracle_integral,
     perturbed_reps,
     restriction_over_transversal,
+    unit_measure_by_from_pairs,
 )
 
 
@@ -286,7 +289,10 @@ def test_ad_symmetrized_basis_dimensions(ctx2, level_basis_gl2):
 
 def test_ad_orbits_match_conjugation_by_all_of_k0():
     """The generator closure gives the orbits of exhaustive conjugation by
-    K_0 / K_level, in the same order and with the same representatives."""
+    K_0 / K_level, in the same order and with the same representatives,
+    also on labels scaled by 1/p, whose denominators are p, and on the
+    spread-2 cosets of K_0 diag(4, 1) K_0 at p = 2, where the action
+    factors through K_0 / K_3."""
     cases = []
     for m in (1, 2):
         ctx = PrimeContext(2, m)
@@ -295,12 +301,70 @@ def test_ad_orbits_match_conjugation_by_all_of_k0():
     for p, n in ((3, 2), (2, 3)):
         ctx = PrimeContext(p, 1)
         cases.append((unit_labels(n, ctx), ctx))
+    ctx = PrimeContext(2, 1)
+    half = QMat.diagonal([Fraction(1, 2)] * 2)
+    for labels in (unit_labels(2, ctx), double_coset_labels(2, ctx, (1, 0))):
+        cases.append(([half * x for x in labels], ctx))
+    cases.append((double_coset_labels(2, ctx, (2, 0)), ctx))
     for labels, ctx in cases:
         assert ad_orbits(labels, ctx) == ad_orbits_by_all_conjugators(labels, ctx)
 
 
+def test_ad_orbits_match_the_qmat_closure():
+    """Integer labels give the orbits of the QMat closure they replace,
+    entry for entry and in the same order: on the 1176 cosets of
+    K_0 diag(2,1,1) K_0 in GL_3(Q_2), at level 2 on GL_2(Q_2), and on
+    K_0 diag(9, 3) K_0 in GL_2(Q_3)."""
+    ctx2 = PrimeContext(2, 1)
+    cases = [(double_coset_labels(3, ctx2, (1, 0, 0)), ctx2)]
+    ctx = PrimeContext(2, 2)
+    cases.append((double_coset_labels(2, ctx, (1, 0)), ctx))
+    ctx = PrimeContext(3, 1)
+    cases.append((double_coset_labels(2, ctx, (2, 1)), ctx))
+    for labels, ctx in cases:
+        got = ad_orbits(labels, ctx)
+        assert got == ad_orbits_by_qmat_closure(labels, ctx)
+        assert sum(map(len, got)) == len(labels)
+
+
+def test_gl3_q3_level_one_orbits_are_the_classes_of_gl3_f3():
+    """The level-one K_0 orbit basis of GL_3(Q_3) has 24 indicators, one
+    per conjugacy class of GL_3(F_3), and each orbit reduced mod 3 is the
+    class of its first label, swept by conjugating it by every element of
+    GL_3(F_3) with FFMatrix products: no generators, closure or Hermite
+    split."""
+    ctx = PrimeContext(3, 1)
+    basis = ad_symmetrized_basis(unit_labels(3, ctx), ctx)
+    assert len(basis) == 24
+    assert sum(len(h) for h in basis) == glnzm_order(3, 3, 1)
+    conjugators = [(g, g.inverse()) for g in enumerate_gln_fq(3, 3)]
+    for h in basis:
+        assert h.biinvariant and all(c == 1 for _, c in h.items())
+        orbit = [FFMatrix(rep.rows, 3) for rep, _ in h.items()]
+        assert {g * orbit[0] * ginv for g, ginv in conjugators} == set(orbit)
+
+
 def unit_labels(n, ctx):
     return [rep for rep, _ in unit_measure(Ambient.general_linear(n), ctx).items()]
+
+
+def test_labels_keyed_as_built_match_from_pairs():
+    """`double_coset_measure` and `unit_measure` key their labels as built;
+    canonicalizing every label again through `from_pairs` gives the same
+    measure, key for key and in the same order, label and coefficient."""
+    cases = [(2, PrimeContext(2, 1), (1, 0)), (2, PrimeContext(2, 2), (1, 0)),
+             (2, PrimeContext(3, 1), (2, 0)), (2, PrimeContext(2, 1), (0, 0)),
+             (3, PrimeContext(2, 1), (1, 0, 0))]
+    for n, ctx, d in cases:
+        got, want = double_coset_measure(n, ctx, d), double_coset_measure_by_from_pairs(n, ctx, d)
+        assert got.biinvariant and want.biinvariant
+        assert list(got.support.items()) == list(want.support.items()), (n, ctx, d)
+    for blocks, ctx in (((2,), PrimeContext(2, 2)), ((3,), PrimeContext(2, 1)),
+                        ((2, 1), PrimeContext(3, 1)), ((1, 1, 1), PrimeContext(2, 1))):
+        ambient = Ambient(BlockParabolic(sum(blocks), blocks))
+        got, want = unit_measure(ambient, ctx), unit_measure_by_from_pairs(ambient, ctx)
+        assert got.biinvariant and want.biinvariant
+        assert list(got.support.items()) == list(want.support.items()), (blocks, ctx)
 
 
 def test_double_coset_measure_counts(ctx2):
