@@ -10,7 +10,7 @@ of the deliberately corrupted normalization.
 
 from cocenter.exactnum import RootP
 from cocenter.groups import BlockParabolic
-from cocenter.matrices import PrimeContext
+from cocenter.matrices import PrimeContext, QMat
 from cocenter.measures import (
     Ambient,
     ad_symmetrized_basis,
@@ -64,9 +64,9 @@ chars = [UnramifiedCharacter((1, 1), z) for z in [(1, 1), (2, 1), (1, 2), (3, 5)
 omat = [[orbital_integral(h, gam).value for gam in grid] for h in basis]
 xmat = [[trace_induced(h, chi, model, normalized=True) for chi in chars] for h in basis]
 restricted = [res_normalized(h, borel) for h in basis]
-columns = sorted({key for r in restricted for key in r.support})
+columns = sorted({key for r in restricted for key in r.support}, key=QMat.entries)
 zero = RootP.rational(0, ctx.p)
-rmat = [[r.support[k][1] if k in r.support else zero for k in columns] for r in restricted]
+rmat = [[r.support.get(k, zero) for k in columns] for r in restricted]
 print("\nrank under orbital pairings:  ", separation_rank(omat))
 print("rank under character pairings:", separation_rank(xmat))
 print("joint kernel of both families:", joint_kernel_dimension([omat, xmat]))

@@ -187,15 +187,17 @@ def verify_induced_character_identity(
     with the plain restriction.  Normalized: trace of the induction of
     chi * |lambda_P|^(1/2) equals the pairing with the normalized
     restriction.  Both traces pair with one trace measure.  Returns (ok,
-    details).
+    details).  A model of another parabolic is refused.
     """
     model = model or InducedModel(parab, h.ctx)
+    if model.parab != parab:
+        raise DomainError("induced model of another parabolic")
     if res_m is None:
         res_m = res_unnormalized(h, parab)
     t = trace_measure(h, model)
     lhs_plain = character_pairing(chi, t)
     rhs_plain = character_pairing(chi, res_m)
-    lhs_norm = character_pairing(chi, normalize_on_levi(t, model.parab))
+    lhs_norm = character_pairing(chi, normalize_on_levi(t, parab))
     rhs_norm = character_pairing(chi, normalize_on_levi(res_m, parab))
     ok = lhs_plain == rhs_plain and lhs_norm == rhs_norm
     return ok, {

@@ -198,7 +198,7 @@ def _level_one_basis(config: RunConfig, ctx: PrimeContext):
     double cosets: the maximal compact and the first diagonal one."""
     n = config.n
     ambient = Ambient.general_linear(n)
-    k0_labels = [rep for rep, _ in unit_measure(ambient, ctx, config.guard).items()]
+    k0_labels = list(unit_measure(ambient, ctx, config.guard).support)
     d_labels = double_coset_labels(n, ctx, (1,) + (0,) * (n - 1), config.guard)
     return ad_symmetrized_basis(k0_labels, ctx) + ad_symmetrized_basis(d_labels, ctx)
 
@@ -276,7 +276,7 @@ def run_characters(config: RunConfig):
     chars = [_character_for_blocks(config.blocks, z) for z in config.character_params]
     for idx, h in enumerate(basis):
         res_plain = res_unnormalized(h, parab)
-        res_norm = res_normalized(h, parab)
+        res_norm = normalize_on_levi(res_plain, parab)
         trace_plain = trace_measure(h, model)
         trace_norm = normalize_on_levi(trace_plain, parab)
         for c_idx, chi in enumerate(chars):

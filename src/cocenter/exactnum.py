@@ -71,8 +71,9 @@ class RootP:
     """Element a + b*sqrt(p) of Q(sqrt p), p prime.
 
     Since sqrt(p) is irrational the representation is unique, so equality is
-    componentwise.  Pure rationals are the b = 0 elements; binary operations
-    accept int/Fraction on either side.
+    componentwise.  Pure rationals are the b = 0 elements and lie in every
+    Q(sqrt p), so a binary operation takes the prime of its operand with
+    b != 0; operations accept int/Fraction on either side.
     """
 
     __slots__ = ("a", "b", "p")
@@ -101,7 +102,7 @@ class RootP:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return RootP(self.a + o.a, self.b + o.b, self.p)
+        return RootP(self.a + o.a, self.b + o.b, o.p if o.b else self.p)
 
     __radd__ = __add__
 
@@ -112,7 +113,7 @@ class RootP:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return RootP(self.a - o.a, self.b - o.b, self.p)
+        return RootP(self.a - o.a, self.b - o.b, o.p if o.b else self.p)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -121,8 +122,8 @@ class RootP:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        p = Fraction(self.p)
-        return RootP(self.a * o.a + p * self.b * o.b, self.a * o.b + self.b * o.a, self.p)
+        p = o.p if o.b else self.p
+        return RootP(self.a * o.a + p * self.b * o.b, self.a * o.b + self.b * o.a, p)
 
     __rmul__ = __mul__
 

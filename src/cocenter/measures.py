@@ -19,6 +19,9 @@ over the support cosets that meet P, with |P\\G/K_m| =
 by |lambda_P|^(1/2).  K_m has the exact factorization
 (K_m meet U-)(K_m meet M)(K_m meet U), which makes the block projection
 carry level cosets of P to level cosets of M.
+
+A measure stores each level coset once, as a dict from its canonical
+label (a `QMat`, see `canonical_rep`) to its nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -118,17 +121,17 @@ def coset_meets_parabolic(rep: QMat, parab: BlockParabolic, ctx: PrimeContext):
 class HeckeMeasure:
     """Finitely supported level-m coset measure with Q(sqrt p) coefficients.
 
-    support maps the canonical representative (as an entry tuple) to a pair
-    (representative, coefficient); zero coefficients are dropped.  The
-    representative is the canonical label `coset_canonical_rep` of the
-    coset, x = H lift(k mod p^m) with H the upper Hermite form, and
-    `orbital_integral` reads values off its shape.  `from_pairs` and
-    `measure_from_jsonable` canonicalize; the other constructors build
-    canonical labels or reuse those of existing measures, and __init__
-    trusts the support given.  The
-    biinvariant flag asserts invariance under conjugation pullback by the
-    maximal compact subgroup of the ambient: K_0 on G, M meet K_0 on M.
-    `is_ad_invariant` verifies it on quotient generators.
+    support maps the canonical label of each level coset to its nonzero
+    coefficient; zero coefficients are dropped.  The label is
+    `coset_canonical_rep` of the coset, x = H lift(k mod p^m) with H the
+    upper Hermite form, and `orbital_integral` reads values off its shape.
+    `from_pairs` and `measure_from_jsonable` canonicalize; the other
+    constructors build canonical labels or reuse those of existing
+    measures, and __init__ trusts the labels given.  The biinvariant flag
+    asserts invariance under conjugation pullback by the maximal compact
+    subgroup of the ambient: K_0 on G, M meet K_0 on M; a sum keeps it
+    when both terms carry it.  `is_ad_invariant` verifies it on quotient
+    generators.
     """
 
     __slots__ = ("ambient", "ctx", "support", "biinvariant")
@@ -136,12 +139,11 @@ class HeckeMeasure:
     def __init__(self, ambient: Ambient, ctx: PrimeContext, support=None, biinvariant=False):
         self.ambient = ambient
         self.ctx = ctx
-        cleaned = {}
-        for key, (rep, coeff) in (support or {}).items():
+        self.support = {}
+        for rep, coeff in (support or {}).items():
             coeff = _as_rootp(coeff, ctx.p)
             if coeff:
-                cleaned[key] = (rep, coeff)
-        self.support = cleaned
+                self.support[rep] = coeff
         self.biinvariant = biinvariant
 
     # -- construction helpers ------------------------------------------------
@@ -155,11 +157,8 @@ class HeckeMeasure:
         acc = {}
         for g, coeff in pairs:
             rep = canonical_rep(ambient, g, ctx)
-            key = rep.entries()
             coeff = _as_rootp(coeff, ctx.p)
-            if key in acc:
-                coeff = acc[key][1] + coeff
-            acc[key] = (rep, coeff)
+            acc[rep] = acc[rep] + coeff if rep in acc else coeff
         return cls(ambient, ctx, acc, biinvariant)
 
     @classmethod
@@ -167,25 +166,21 @@ class HeckeMeasure:
         return cls.from_pairs(ambient, ctx, [(g, coeff)])
 
     def items(self):
-        return self.support.values()
+        return self.support.items()
 
     def coefficient(self, g: QMat) -> RootP:
         rep = canonical_rep(self.ambient, g, self.ctx)
-        entry = self.support.get(rep.entries())
-        return entry[1] if entry else RootP.rational(0, self.ctx.p)
+        return self.support.get(rep) or RootP.rational(0, self.ctx.p)
 
     def total_mass(self) -> RootP:
-        out = RootP.rational(0, self.ctx.p)
-        for _, c in self.items():
-            out = out + c
-        return out
+        return sum(self.support.values(), RootP.rational(0, self.ctx.p))
 
     def scale(self, factor) -> "HeckeMeasure":
         factor = _as_rootp(factor, self.ctx.p)
         return HeckeMeasure(
             self.ambient,
             self.ctx,
-            {k: (rep, c * factor) for k, (rep, c) in self.support.items()},
+            {rep: c * factor for rep, c in self.support.items()},
             self.biinvariant,
         )
 
@@ -193,17 +188,16 @@ class HeckeMeasure:
         if self.ambient != other.ambient or self.ctx != other.ctx:
             raise DomainError("ambient mismatch")
         acc = dict(self.support)
-        for k, (rep, c) in other.support.items():
-            acc[k] = (rep, acc[k][1] + c) if k in acc else (rep, c)
-        return HeckeMeasure(self.ambient, self.ctx, acc, False)
+        for rep, c in other.support.items():
+            acc[rep] = acc[rep] + c if rep in acc else c
+        return HeckeMeasure(self.ambient, self.ctx, acc, self.biinvariant and other.biinvariant)
 
     def __eq__(self, other):
         return (
             isinstance(other, HeckeMeasure)
             and self.ambient == other.ambient
             and self.ctx == other.ctx
-            and {k: c for k, (_, c) in self.support.items()}
-            == {k: c for k, (_, c) in other.support.items()}
+            and self.support == other.support
         )
 
     def __len__(self):
@@ -233,7 +227,7 @@ def unit_measure(ambient: Ambient, ctx: PrimeContext, guard=DEFAULT_GROUP_ORDER_
                 if not any(rows[i][j] for i, j in zeros)]
     coeff = RootP.rational(Fraction(1, len(elements)), ctx.p)
     reps = [lift_mod(rows, n) for rows in elements]
-    return HeckeMeasure(ambient, ctx, {rep.entries(): (rep, coeff) for rep in reps}, True)
+    return HeckeMeasure(ambient, ctx, dict.fromkeys(reps, coeff), True)
 
 
 def ad_pullback(h: HeckeMeasure, g: QMat) -> HeckeMeasure:
@@ -353,10 +347,8 @@ def normalize_on_levi(h_m: HeckeMeasure, parab: BlockParabolic) -> HeckeMeasure:
     the level subgroup of M.
     """
     ctx = h_m.ctx
-    out = {}
-    for key, (rep, c) in h_m.support.items():
-        factor = padic_norm_halfpower(modulus_lambda(parab, rep), ctx.p, 1)
-        out[key] = (rep, c * factor)
+    out = {rep: c * padic_norm_halfpower(modulus_lambda(parab, rep), ctx.p, 1)
+           for rep, c in h_m.support.items()}
     return HeckeMeasure(h_m.ambient, ctx, out, h_m.biinvariant)
 
 
@@ -386,7 +378,7 @@ def measure_spread(h: HeckeMeasure) -> int:
     cosets.  Conjugation by the level-(m + spread) subgroup fixes every
     support coset, so the K_0 conjugation action factors through a finite
     quotient at that level."""
-    return max((label_spread(rep, h.ctx.p) for rep, _ in h.items()), default=0)
+    return max((label_spread(rep, h.ctx.p) for rep in h.support), default=0)
 
 
 def is_ad_invariant(h: HeckeMeasure, gens=None) -> bool:
@@ -474,7 +466,7 @@ def ad_symmetrized_basis(reps, ctx: PrimeContext):
     """Indicator measures of the conjugation orbits of the given cosets."""
     ambient = Ambient.general_linear(reps[0].n)
     one = RootP.rational(1, ctx.p)
-    return [HeckeMeasure(ambient, ctx, {x.entries(): (x, one) for x in orbit}, True)
+    return [HeckeMeasure(ambient, ctx, dict.fromkeys(orbit, one), True)
             for orbit in ad_orbits(reps, ctx)]
 
 
@@ -518,7 +510,7 @@ def double_coset_measure(n: int, ctx: PrimeContext, divisors, guard=DEFAULT_GROU
         h = integer_form(h.rows)[0]
         for cols in kappa_cols:
             rep = QMat._wrap(tuple([tuple(map(Fraction, row)) for row in _product(h, cols)]))
-            out[rep.entries()] = (rep, one)
+            out[rep] = one
     expected = len(hermites) * glnzm_order(n, ctx.p, ctx.m)
     if len(out) != expected:
         raise RuntimeError(f"{len(out)} level cosets in K_0 diag(p^{divisors}) K_0, not {expected}")
@@ -526,7 +518,7 @@ def double_coset_measure(n: int, ctx: PrimeContext, divisors, guard=DEFAULT_GROU
 
 
 def double_coset_labels(n: int, ctx: PrimeContext, divisors, guard=DEFAULT_GROUP_ORDER_GUARD):
-    return [rep for rep, _ in double_coset_measure(n, ctx, divisors, guard).items()]
+    return list(double_coset_measure(n, ctx, divisors, guard).support)
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +590,9 @@ def measure_from_jsonable(data: dict) -> HeckeMeasure:
             raise DomainError(f"support row {row!r} does not parse: {exc}") from None
         mat = QMat([entries[i * n : (i + 1) * n] for i in range(n)])
         rep = canonical_rep(ambient, mat, ctx)
-        if rep.entries() in support:
+        if rep in support:
             raise DomainError(f"support names the level coset of {rep.entries()} twice")
-        support[rep.entries()] = (rep, coeff)
+        support[rep] = coeff
     h = HeckeMeasure(ambient, ctx, support, biinvariant)
     if h.biinvariant and not is_ad_invariant(h):
         raise DomainError("biinvariant flag set on a measure that is not conjugation-invariant")

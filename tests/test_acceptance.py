@@ -376,9 +376,9 @@ def test_criterion_8b_no_joint_annihilated_combination(
     start = time.time()
     omat, xmat = separation_matrices
     restricted = [res_normalized(h, borel2, transversal_gl2) for h in level_basis_gl2]
-    columns = sorted({key for r in restricted for key in r.support})
+    columns = sorted({key for r in restricted for key in r.support}, key=QMat.entries)
     zero = RootP.rational(0, ctx2.p)
-    rmat = [[r.support[key][1] if key in r.support else zero for key in columns]
+    rmat = [[r.support.get(key, zero) for key in columns]
             for r in restricted]
     dim_families = joint_kernel_dimension([omat, xmat])
     dim_res = joint_kernel_dimension([rmat])

@@ -95,18 +95,25 @@ def test_corrupted_restriction_detected(ctx2, borel2, model2, level_basis_gl2):
     res_plain = res_unnormalized(h, borel2)
     key = next(iter(res_plain.support))
     support = dict(res_plain.support)
-    rep, c = support[key]
-    support[key] = (rep, c * 2)
+    support[key] = support[key] * 2
     corrupted = HeckeMeasure(res_plain.ambient, ctx2, support)
     chi = UnramifiedCharacter((1, 1), (2, 1))
     ok, _ = verify_induced_character_identity(h, chi, borel2, model2, corrupted)
     assert not ok
 
 
+def test_identity_check_refuses_a_model_of_another_parabolic(ctx2, borel2, model2,
+                                                            level_basis_gl2):
+    h = level_basis_gl2[1]
+    chi = UnramifiedCharacter((1, 1), (2, 1))
+    assert verify_induced_character_identity(h, chi, borel2, model2)[0]
+    with pytest.raises(DomainError):
+        verify_induced_character_identity(h, chi, borel2, InducedModel(borel2.opposite(), ctx2))
+
+
 def test_trace_linear_in_the_measure(ctx2, model2, level_basis_gl2):
     h1, h2 = level_basis_gl2[0], level_basis_gl2[-1]
     combo = h1.scale(Fraction(2, 3)) + h2.scale(-5)
-    combo = HeckeMeasure(combo.ambient, ctx2, combo.support, biinvariant=True)
     chi = UnramifiedCharacter((1, 1), (3, Fraction(1, 2)))
     lhs = trace_induced(combo, chi, model2)
     rhs = trace_induced(h1, chi, model2) * Fraction(2, 3) + trace_induced(

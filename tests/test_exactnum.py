@@ -87,3 +87,23 @@ def test_rootp_equality_is_componentwise():
     assert RootP(1, 1, 2) != RootP(1, 0, 2)
     assert RootP(Fraction(3, 2), 0, 2) == Fraction(3, 2)
     assert RootP(0, 0, 2) == 0
+
+
+def test_rootp_mixed_field_results_take_the_irrational_prime():
+    """A rational lies in every Q(sqrt p): an operation with one irrational
+    operand answers in that operand's field, in both operand orders; two
+    irrational operands of different fields are refused."""
+    rational, root2 = RootP(1, 0, 3), RootP(0, 1, 2)
+    expected = {
+        "+": (RootP(1, 1, 2), RootP(1, 1, 2)),
+        "-": (RootP(1, -1, 2), RootP(-1, 1, 2)),
+        "*": (RootP(0, 1, 2), RootP(0, 1, 2)),
+        "/": (RootP(0, Fraction(1, 2), 2), RootP(0, 1, 2)),
+    }
+    ops = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+           "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+    for name, op in ops.items():
+        for got, want in zip((op(rational, root2), op(root2, rational)), expected[name]):
+            assert got == want, (name, got)
+        with pytest.raises(DomainError):
+            op(RootP(1, 1, 3), root2)

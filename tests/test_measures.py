@@ -640,8 +640,34 @@ def test_every_constructor_keeps_labels_canonical(ctx2, borel2, unit_gl2, level_
     ]
     for m in measures:
         assert len(m) > 0, m
-        for key, (rep, _) in m.support.items():
-            assert coset_canonical_rep(rep, ctx2) == rep and key == rep.entries(), (m, rep)
+        for rep in m.support:
+            assert coset_canonical_rep(rep, ctx2) == rep, (m, rep)
+
+
+def test_sum_of_invariant_measures_restricts_termwise(ctx2, borel2, level_basis_gl2):
+    """The sum of two conjugation-invariant measures keeps the flag, so its
+    restriction is defined and is the sum of the restrictions."""
+    for h1, h2 in zip(level_basis_gl2, level_basis_gl2[1:]):
+        total = h1 + h2
+        assert total.biinvariant
+        for parab in (borel2, borel2.opposite()):
+            assert res_normalized(total, parab) == (
+                res_normalized(h1, parab) + res_normalized(h2, parab))
+    assert not (level_basis_gl2[0] + HeckeMeasure.delta(Ambient.general_linear(2), ctx2,
+                                                        QMat.identity(2))).biinvariant
+
+
+def test_support_round_trips_through_the_constructor(ctx2, borel2, unit_gl2, level_basis_gl2):
+    """The constructor takes the mapping that `support` holds, so a measure
+    rebuilt from its support is the measure itself, and dropping the first
+    support entry removes exactly that level coset."""
+    for h in [unit_gl2, *level_basis_gl2, res_normalized(level_basis_gl2[-1], borel2)]:
+        assert HeckeMeasure(h.ambient, h.ctx, dict(h.support), h.biinvariant) == h
+        first, *rest = h.support
+        dropped = HeckeMeasure(h.ambient, h.ctx, dict(list(h.support.items())[1:]), h.biinvariant)
+        assert list(dropped.support) == rest
+        assert dropped.coefficient(first) == 0
+        assert all(dropped.coefficient(x) == h.coefficient(x) for x in rest)
 
 
 def test_serialization_round_trip(ctx2, borel2, level_basis_gl2):
