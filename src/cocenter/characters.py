@@ -9,7 +9,7 @@ equals the character pairing of the parabolic restriction, and both sides
 are computed through independent code paths and compared in Q(sqrt p).
 Each product g_i x is the integer product g_i A / d of the model's rows
 of g_i and the integer form x = A / d, split by one call of the integer
-Hermite core (`matrices.hermite_int`, via `groups.iwasawa_int`; (1, A) at
+Hermite core (`matrices.hermite_int`, via `groups.iwasawa_mod`; (1, A) at
 once when p does not divide det A) and residues modulo p^m.  Only kept
 terms become Fractions, one per integer Levi point.  The QMat forms of the
 split and of T(h) are the oracles in tests/oracles.py.
@@ -21,13 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from cocenter.exactnum import (
-    DEFAULT_GROUP_ORDER_GUARD, DomainError, RootP, int_valuation, padic_valuation,
-)
-from cocenter.groups import BlockParabolic, iwasawa_int
+from cocenter.exactnum import DEFAULT_GROUP_ORDER_GUARD, DomainError, RootP, padic_valuation
+from cocenter.groups import BlockParabolic, iwasawa_mod
 from cocenter.matrices import PrimeContext, QMat, integer_form, mat_mod
 from cocenter.measures import Ambient, HeckeMeasure, ParabolicTransversal, normalize_on_levi
-from cocenter.measures import res_unnormalized
+from cocenter.measures import require_levi, res_unnormalized
 
 
 @dataclass(frozen=True)
@@ -107,18 +105,14 @@ class InducedModel:
 
         Returns (l, Q(A), q2, p^e), all on integers, with q q2 =
         Q(A) q2 / p^e: for d = p^e d', d' prime to p, one split
-        A = Q(A) k(A) by `iwasawa_int` gives q = Q(A) / p^e and
+        A = Q(A) k(A) by `iwasawa_mod` gives q = Q(A) / p^e and
         k = k(A) / d'.  k mod p^m = k(A) d'^-1 mod p^m names the double
         coset l, and then q2 = k g_l^-1 mod p^m lies in P mod p^m, lifted
         to integers.  The product Q(A) q2 is left to the caller, which
         forms it only for the terms it keeps.
         """
-        parab, ctx = self.parab, self.ctx
-        p, modulus = ctx.p, ctx.modulus
-        h, k = iwasawa_int(a, parab, p)
-        pe = p ** int_valuation(d, p)
-        unit_inv = pow(d // pe, -1, modulus)
-        kbar = tuple([tuple([x * unit_inv % modulus for x in row]) for row in k])
+        parab, modulus = self.parab, self.ctx.modulus
+        h, kbar, pe = iwasawa_mod(a, d, parab, self.ctx)
         idx = self.transversal.lookup[kbar]
         cols = tuple(zip(*self.inverse_residues[idx]))
         q2 = [[sum(map(mul, row, col)) % modulus for col in cols] for row in kbar]
@@ -137,13 +131,15 @@ def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:
     on integer forms, g_i x = g_i A / d; kept terms merge by their integer
     Levi projection before `HeckeMeasure.from_pairs` canonicalizes them.
     """
+    if model.parab.n != h.ambient.n:
+        raise DomainError(f"measure on GL_{h.ambient.n}, induced model of GL_{model.parab.n}")
     if not h.ambient.is_group:
         raise DomainError("the induced module is acted on by measures on G")
     if not h.biinvariant:
         raise DomainError("trace needs a conjugation-invariant measure")
     if h.ctx != model.ctx:
         raise DomainError("measure and induced model at different levels")
-    parab, bi = model.parab, model.parab.block_index
+    parab = model.parab
     labels = [(integer_form(rep.rows), c) for rep, c in h.items()]
     labels = [(tuple(zip(*a)), d, c) for (a, d), c in labels]
     kept = {}
@@ -152,14 +148,9 @@ def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:
             l, qa, q2, pe = model.locate_with_parabolic_part(
                 [[sum(map(mul, row, col)) for col in cols] for row in g_i], d)
             if l == i:
-                # the Levi projection of B = Q(A) q2: its block diagonal entries only
-                q2_cols = tuple(zip(*q2))
-                key = (tuple([tuple([sum(map(mul, row, col)) if bi[r] == bi[s] else 0
-                                     for s, col in enumerate(q2_cols)])
-                              for r, row in enumerate(qa)]), pe)
+                key = (parab.levi_product(qa, q2), pe)
                 kept[key] = kept[key] + c if key in kept else c
-    pairs = [(QMat._wrap(tuple([tuple([Fraction(x, pe) for x in row]) for row in rows])), c)
-             for (rows, pe), c in kept.items()]
+    pairs = [(QMat.over(rows, pe), c) for (rows, pe), c in kept.items()]
     return HeckeMeasure.from_pairs(Ambient.levi(parab), model.ctx, pairs)
 
 
@@ -194,6 +185,7 @@ def verify_induced_character_identity(
         raise DomainError("induced model of another parabolic")
     if res_m is None:
         res_m = res_unnormalized(h, parab)
+    require_levi(res_m, parab)
     t = trace_measure(h, model)
     lhs_plain = character_pairing(chi, t)
     rhs_plain = character_pairing(chi, res_m)

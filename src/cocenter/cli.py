@@ -219,29 +219,15 @@ def run_restriction(config: RunConfig):
         for c_idx, chi in enumerate(chars):
             lhs = character_pairing(chi, up)
             rhs = character_pairing(chi, low)
-            rows.append(
-                _row(
-                    "restriction",
-                    "normalized-restriction-parabolic-independence/character",
-                    f"h{idx}/chi{c_idx}",
-                    lhs == rhs,
-                    lhs,
-                    rhs,
-                )
-            )
+            rows.append(_row("restriction",
+                             "normalized-restriction-parabolic-independence/character",
+                             f"h{idx}/chi{c_idx}", lhs == rhs, lhs, rhs))
         for g_idx, gam in enumerate(grid):
             lhs = orbital_integral(up, gam, config.guard).value
             rhs = orbital_integral(low, gam, config.guard).value
-            rows.append(
-                _row(
-                    "restriction",
-                    "normalized-restriction-parabolic-independence/orbital",
-                    f"h{idx}/gamma{g_idx}",
-                    lhs == rhs,
-                    lhs,
-                    rhs,
-                )
-            )
+            rows.append(_row("restriction",
+                             "normalized-restriction-parabolic-independence/orbital",
+                             f"h{idx}/gamma{g_idx}", lhs == rhs, lhs, rhs))
     for prime in CONSTANT_TERM_PRIMES:
         rows.append(_constant_term_row(prime, config))
     return rows
@@ -255,15 +241,9 @@ def _constant_term_row(p: int, config: RunConfig):
     h = double_coset_measure(2, ctx, (1, 0), config.guard)
     got = res_normalized(h, parab)
     expected = constant_term_oracle_gl2(ctx, normalized=True)
-    ok = got == expected
-    return _row(
-        "restriction",
-        "constant-term-oracle",
-        f"p{p}",
-        ok,
-        json.dumps(measure_to_jsonable(got)["support"], sort_keys=True),
-        json.dumps(measure_to_jsonable(expected)["support"], sort_keys=True),
-    )
+    got_s, expected_s = (json.dumps(measure_to_jsonable(x)["support"], sort_keys=True)
+                         for x in (got, expected))
+    return _row("restriction", "constant-term-oracle", f"p{p}", got == expected, got_s, expected_s)
 
 
 def run_characters(config: RunConfig):

@@ -7,10 +7,10 @@ because U acts unipotently on Lie P and on Lie G / Lie P.  Full adjoint
 matrices are the oracle in tests/oracles.py.  The Iwasawa split G = P K_0
 runs on integer forms too: `iwasawa_int` is the one integer Hermite core,
 `matrices.hermite_int`, with rows and columns reversed for a lower
-parabolic.  `iwasawa_decompose` (restriction) and
-`characters.InducedModel.locate_with_parabolic_part` (induced traces) call
-it.  Only GL_n is instantiated; the subgroup spec covers the diagonal
-torus, Levi subgroups and block parabolics.
+parabolic, and `iwasawa_mod` reduces its cofactor modulo p^m for
+restriction, induced traces and conjugation orbits.  Only GL_n is
+instantiated; the subgroup spec covers the diagonal torus, Levi subgroups
+and block parabolics.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from cocenter.exactnum import DomainError
+from cocenter.exactnum import DomainError, int_valuation
 from cocenter.matrices import (
-    FFMatrix, QMat, charpoly, det_int, hermite_int, integer_form, rational_split,
+    FFMatrix, PrimeContext, QMat, charpoly, det_int, hermite_int, integer_form, rational_split,
 )
 
 
@@ -123,6 +123,14 @@ class BlockParabolic:
         bi = self.block_index
         return QMat([[x if bi[i] == bi[j] else 0 for j, x in enumerate(row)]
                      for i, row in enumerate(g.rows)])
+
+    def levi_product(self, a, b):
+        """Integer rows of the Levi projection of the product of integer
+        rows a and b: only its block diagonal entries are formed."""
+        bi, cols = self.block_index, tuple(zip(*b))
+        return tuple([tuple([sum(map(mul, row, col)) if bi[i] == bi[j] else 0
+                             for j, col in enumerate(cols)])
+                      for i, row in enumerate(a)])
 
     def levi_blocks(self, g: QMat):
         return [QMat([row[lo:hi] for row in g.rows[lo:hi]]) for lo, hi in self.block_ranges]
@@ -300,6 +308,17 @@ def iwasawa_int(a, parab: BlockParabolic, p: int):
         return hermite_int(a, p)
     h, k = hermite_int([row[::-1] for row in a[::-1]], p)
     return [row[::-1] for row in h[::-1]], [row[::-1] for row in k[::-1]]
+
+
+def iwasawa_mod(a, d: int, parab: BlockParabolic, ctx: PrimeContext):
+    """(Q(A), kbar, p^e) for x = A / d, d = p^e d' with d' prime to p: one
+    split A = Q(A) k(A) by `iwasawa_int` gives x = (Q(A) / p^e)(k(A) / d'),
+    and kbar is the tuple of rows of k(A) d'^-1 mod p^m."""
+    p, modulus = ctx.p, ctx.modulus
+    h, k = iwasawa_int(a, parab, p)
+    pe = p ** int_valuation(d, p)
+    unit_inv = pow(d // pe, -1, modulus)
+    return h, tuple([tuple([x * unit_inv % modulus for x in row]) for row in k]), pe
 
 
 def iwasawa_decompose(g: QMat, parab: BlockParabolic, p: int):

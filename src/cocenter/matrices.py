@@ -89,6 +89,11 @@ class QMat:
         object.__setattr__(out, "rows", rows)
         return out
 
+    @classmethod
+    def over(cls, rows, d: int) -> "QMat":
+        """The QMat rows / d, for square integer rows and a positive int d."""
+        return cls._wrap(tuple([tuple([Fraction(x, d) for x in row]) for row in rows]))
+
     def __setattr__(self, *a):
         raise AttributeError("QMat is immutable")
 
@@ -347,10 +352,7 @@ def rational_split(h, k, d: int, p: int):
     itself, by its uniqueness."""
     pe = p ** int_valuation(d, p)
     unit = d // pe
-    return (
-        QMat._wrap(tuple([tuple([Fraction(x, pe) for x in r]) for r in h])),
-        QMat._wrap(tuple([tuple([Fraction(x, unit) for x in r]) for r in k])),
-    )
+    return QMat.over(h, pe), QMat.over(k, unit)
 
 
 def coset_canonical_rep(g: QMat, ctx: PrimeContext) -> QMat:

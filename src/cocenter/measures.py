@@ -15,8 +15,11 @@ sum collapses to one pass from G to M:
     res_P h = |P\\G/K_m| * sum of c_x delta[proj_M(x K_m meet P)],
 
 over the support cosets that meet P, with |P\\G/K_m| =
-|GL_n(Z/p^m)| / |P(Z/p^m)| in closed form.  Its normalized variant twists
-by |lambda_P|^(1/2).  K_m has the exact factorization
+|GL_n(Z/p^m)| / |P(Z/p^m)| in closed form.  The pass runs on integer
+forms: one Iwasawa split per support coset decides whether it meets P and
+gives its Levi point, one Hermite split labels that point on M, and only
+distinct Levi cosets become Fraction matrices.  The normalized variant
+twists by |lambda_P|^(1/2).  K_m has the exact factorization
 (K_m meet U-)(K_m meet M)(K_m meet U), which makes the block projection
 carry level cosets of P to level cosets of M.
 
@@ -35,10 +38,9 @@ from cocenter.exactnum import (
     DomainError,
     LevelError,
     RootP,
-    int_valuation,
     padic_norm_halfpower,
 )
-from cocenter.groups import BlockParabolic, iwasawa_decompose, modulus_lambda
+from cocenter.groups import BlockParabolic, iwasawa_decompose, iwasawa_mod, modulus_lambda
 from cocenter.matrices import (
     PrimeContext,
     QMat,
@@ -109,7 +111,9 @@ def coset_meets_parabolic(rep: QMat, parab: BlockParabolic, ctx: PrimeContext):
 
     Decision by reduction modulo p^m: after an Iwasawa splitting rep = q k,
     the coset meets P exactly when k mod p^m is block triangular, and then
-    q times the integral lift of k mod p^m is such a representative.
+    q times the integral lift of k mod p^m is such a representative.  This
+    is the QMat form of the test; `res_unnormalized` makes the same test on
+    integer labels and no longer calls it.
     """
     q, k = iwasawa_decompose(rep, parab, ctx.p)
     kbar = mat_mod(k, ctx.modulus, ctx.p)
@@ -272,19 +276,11 @@ class ParabolicTransversal:
         for rows in all_elements:
             if rows in lookup:
                 continue
-            mat = lift_mod(rows, n)
-            orbit = set()
-            for q in pbar:
-                prod = tuple(
-                    tuple(
-                        sum(q[i][k] * rows[k][j] for k in range(n)) % modulus
-                        for j in range(n)
-                    )
-                    for i in range(n)
-                )
-                orbit.add(prod)
+            cols = tuple(zip(*rows))
+            orbit = {tuple([tuple([sum(map(mul, row, col)) % modulus for col in cols])
+                            for row in q]) for q in pbar}
             idx = len(reps)
-            reps.append(mat)
+            reps.append(lift_mod(rows, n))
             for member in orbit:
                 if member in lookup:
                     raise RuntimeError(f"P-orbits {lookup[member]} and {idx} overlap")
@@ -324,28 +320,52 @@ def res_unnormalized(
     restriction to P and the projection P -> M commute with conjugation by
     it.  A transversal is not needed; one that is passed must belong to the
     same parabolic and level.
+
+    On integer labels: `iwasawa_mod` splits x = A / d into (Q(A), kbar,
+    p^e); x K_m meets P iff kbar is block triangular, and then the block
+    diagonal y of Q(A) lift(kbar) gives the Levi point y / p^e.  Its label
+    is H(y) lift(k(y) mod p^m) / p^e, by uniqueness of the Hermite form,
+    from the split of y through the upper parabolic of M ((1, y) at once
+    for a K_0 label).  Only distinct Levi cosets become QMats.
     """
+    if parab.n != h.ambient.n:
+        raise DomainError(f"measure on GL_{h.ambient.n}, parabolic of GL_{parab.n}")
     if not h.ambient.is_group:
         raise DomainError("restriction starts from measures on G")
     if not h.biinvariant:
         raise DomainError("restriction needs a conjugation-invariant measure")
-    if transversal is not None and (transversal.parab != parab or transversal.ctx != h.ctx):
+    ctx, levi = h.ctx, Ambient.levi(parab)
+    if transversal is not None and (transversal.parab != parab or transversal.ctx != ctx):
         raise DomainError("transversal of another parabolic or level")
-    pairs = []
+    outside = parab.positions("G/P")
+    kept = {}
     for rep, c in h.items():
-        found = coset_meets_parabolic(rep, parab, h.ctx)
-        if found is not None:
-            pairs.append((parab.levi_project(found), c))
-    levi = HeckeMeasure.from_pairs(Ambient.levi(parab), h.ctx, pairs, True)
-    return levi.scale(parabolic_double_coset_count(parab, h.ctx))
+        qa, kbar, pe = iwasawa_mod(*integer_form(rep.rows), parab, ctx)
+        if any(kbar[i][j] for i, j in outside):
+            continue
+        hy, ybar, _ = iwasawa_mod(parab.levi_product(qa, kbar), pe, levi.parab, ctx)
+        key = (_product(hy, tuple(zip(*ybar))), pe)
+        kept[key] = kept[key] + c if key in kept else c
+    support = {}
+    for (rows, pe), c in kept.items():
+        label = QMat.over(rows, pe)
+        support[label] = support[label] + c if label in support else c
+    return HeckeMeasure(levi, ctx, support, True).scale(parabolic_double_coset_count(parab, ctx))
+
+
+def require_levi(h_m: HeckeMeasure, parab: BlockParabolic) -> None:
+    """Refuse a measure that does not live on the Levi of parab."""
+    if h_m.ambient != Ambient.levi(parab):
+        raise DomainError(f"measure on another Levi than that of {parab.blocks} in GL_{parab.n}")
 
 
 def normalize_on_levi(h_m: HeckeMeasure, parab: BlockParabolic) -> HeckeMeasure:
     """Twist an M-measure by |lambda_P|^(1/2) coset by coset.
 
     Well defined because lambda_P is a character whose p-adic norm is 1 on
-    the level subgroup of M.
+    the level subgroup of M.  The measure must live on the Levi of parab.
     """
+    require_levi(h_m, parab)
     ctx = h_m.ctx
     out = {rep: c * padic_norm_halfpower(modulus_lambda(parab, rep), ctx.p, 1)
            for rep, c in h_m.support.items()}
@@ -406,13 +426,14 @@ def _hermite_of_product(g, h, p: int):
 def ad_orbits(reps, ctx: PrimeContext):
     """Orbits of level cosets on G under conjugation by K_0, on integer labels.
 
-    Each coset is split once by `hermite_int` and keyed (p^e, H, kbar): its
-    canonical label is x = H lift(kbar) / p^e, kbar flat mod p^m, and p^e,
-    the least power clearing the entries of x, is constant on an orbit.  A
-    generator g of K_0 / K_level (level = m + the largest spread, read once
-    per distinct H) sends the key to (p^e, H', k kbar g^-1 mod p^m), with
-    (H', k) = `hermite_int`(g H): g x g^-1 = H' k lift(kbar) g^-1 / p^e, and
-    g times a lift of g^-1 mod p^m lies in K_m.  H' and the `product_map` of
+    Each coset is split once (`iwasawa_mod` on G: the Hermite split) and
+    keyed (p^e, H, kbar): its canonical label is x = H lift(kbar) / p^e,
+    kbar flat mod p^m, and p^e, the least power clearing the entries of x,
+    is constant on an orbit.  A generator g of K_0 / K_level (level = m +
+    the largest spread, read once per distinct H) sends the key to
+    (p^e, H', k kbar g^-1 mod p^m), with (H', k) = `hermite_int`(g H):
+    g x g^-1 = H' k lift(kbar) g^-1 / p^e, and g times a lift of g^-1 mod
+    p^m lies in K_m.  H' and the `product_map` of
     k and g^-1 are built once per (g, H), in tables that live for this call.
     Each orbit is the `conjugation_closure` of one key, sorted by the
     entries of its labels, which become QMats only at the end.
@@ -420,14 +441,11 @@ def ad_orbits(reps, ctx: PrimeContext):
     if not reps:
         return []
     p, modulus, n = ctx.p, ctx.modulus, reps[0].n
+    group = Ambient.general_linear(n).parab
     keys = {}
     for r in reps:
-        a, d = integer_form(r.rows)
-        pe = p ** int_valuation(d, p)
-        h, k = hermite_int(a, p)
-        unit_inv = pow(d // pe, -1, modulus)
-        kbar = tuple([x * unit_inv % modulus for row in k for x in row])
-        keys[(pe, tuple(map(tuple, h)), kbar)] = None
+        h, kbar, pe = iwasawa_mod(*integer_form(r.rows), group, ctx)
+        keys[(pe, tuple(map(tuple, h)), sum(kbar, ()))] = None
     level = ctx.m + max(label_spread(QMat(h), p) for h in {h for _, h, _ in keys})
 
     def conjugation(g):
@@ -457,8 +475,7 @@ def ad_orbits(reps, ctx: PrimeContext):
         # one p^e per orbit, so integer numerators sort as the entries do
         labels = sorted((_product(h, [kbar[j::n] for j in range(n)]), pe)
                         for pe, h, kbar in orbit)
-        orbits.append([QMat._wrap(tuple([tuple([Fraction(x, pe) for x in row]) for row in rows]))
-                       for rows, pe in labels])
+        orbits.append([QMat.over(rows, pe) for rows, pe in labels])
     return orbits
 
 

@@ -40,7 +40,7 @@ from cocenter.matrices import (
     PrimeContext, QMat, coset_canonical_rep, enumerate_transversal_K0_mod_Km, gauss_jordan,
     glnzm_order,
 )
-from cocenter.measures import HeckeMeasure, label_spread
+from cocenter.measures import HeckeMeasure, label_spread, require_levi
 
 
 @dataclass(frozen=True)
@@ -197,10 +197,12 @@ def descent_check(
 ):
     """O_gamma(h) = |Delta_{M,G}(gamma)|^(1/2) * O_gamma(res_normalized h).
 
-    res_m must be the normalized restriction of h through parab.  The
-    mutation flag replaces the half power by the full norm, which must
-    break the identity somewhere on a valuation grid.
+    res_m must be the normalized restriction of h through parab; a measure
+    on another Levi is refused.  The mutation flag replaces the half power
+    by the full norm, which must break the identity somewhere on a
+    valuation grid.
     """
+    require_levi(res_m, parab)
     lhs = orbital_integral(h, gamma, guard).value
     factor = descent_factor(gamma, parab, h.ctx.p, mutate_normalization)
     rhs = factor * orbital_integral(res_m, gamma, guard).value

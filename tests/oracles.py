@@ -20,7 +20,8 @@ matrix, Fraction splits and QMat inverses instead of integer residues in
 the induced module, one QMat product and one Levi point per kept term
 instead of integer products merged by their Levi projection in the trace
 measure, `from_pairs` canonicalization instead of double coset labels
-keyed as built.
+keyed as built, a QMat Iwasawa split, `coset_meets_parabolic` and
+`from_pairs` per support coset instead of integer labels in restriction.
 """
 
 from fractions import Fraction
@@ -51,6 +52,7 @@ from cocenter.measures import (
     hermite_reps_with_divisors,
     k0_quotient_generators,
     label_spread,
+    parabolic_double_coset_count,
     unit_measure,
 )
 from cocenter.unipotent import (
@@ -533,6 +535,20 @@ def restriction_over_transversal(h, parab, reps):
             if found is not None:
                 pairs.append((parab.levi_project(found), c))
     return HeckeMeasure.from_pairs(Ambient.levi(parab), h.ctx, pairs)
+
+
+def restriction_by_qmat_split(h, parab):
+    """`measures.res_unnormalized` on QMats: each support coset goes
+    through `coset_meets_parabolic`, its QMat Levi projection through
+    `HeckeMeasure.from_pairs`, in support order, and the sum is scaled by
+    |P\\G/K_m|."""
+    pairs = []
+    for rep, c in h.items():
+        found = coset_meets_parabolic(rep, parab, h.ctx)
+        if found is not None:
+            pairs.append((parab.levi_project(found), c))
+    levi = HeckeMeasure.from_pairs(Ambient.levi(parab), h.ctx, pairs, True)
+    return levi.scale(parabolic_double_coset_count(parab, h.ctx))
 
 
 def hecke_action_matrix(h, chi, model, normalized=False):

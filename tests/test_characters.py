@@ -111,6 +111,24 @@ def test_identity_check_refuses_a_model_of_another_parabolic(ctx2, borel2, model
         verify_induced_character_identity(h, chi, borel2, InducedModel(borel2.opposite(), ctx2))
 
 
+def test_identity_check_refuses_a_restriction_to_another_levi(monkeypatch, ctx2):
+    """A Borel restriction handed in as res_m for P(2,1) is refused before
+    the trace measure is built."""
+    unit3 = unit_measure(Ambient.general_linear(3), ctx2)
+    p21 = BlockParabolic(3, (2, 1), "upper")
+    borel_res = res_unnormalized(unit3, BlockParabolic(3, (1, 1, 1), "upper"))
+    chi = UnramifiedCharacter((2, 1), (2, 1))
+    model = InducedModel(p21, ctx2)
+    assert verify_induced_character_identity(unit3, chi, p21, model)[0]
+
+    def refuse(*args):
+        raise AssertionError("trace measure built for a refused input")
+
+    monkeypatch.setattr("cocenter.characters.trace_measure", refuse)
+    with pytest.raises(DomainError, match="Levi"):
+        verify_induced_character_identity(unit3, chi, p21, model, borel_res)
+
+
 def test_trace_linear_in_the_measure(ctx2, model2, level_basis_gl2):
     h1, h2 = level_basis_gl2[0], level_basis_gl2[-1]
     combo = h1.scale(Fraction(2, 3)) + h2.scale(-5)

@@ -46,6 +46,7 @@ from tests.oracles import (
     hermite_forms_by_smith_filter,
     meets_parabolic_oracle_integral,
     perturbed_reps,
+    restriction_by_qmat_split,
     restriction_over_transversal,
     unit_measure_by_from_pairs,
 )
@@ -221,8 +222,12 @@ def test_mass_bookkeeping_against_trace_route(ctx2, borel2, transversal_gl2, lev
 
 
 def _assert_res_matches_oracle(h, parab, reps):
+    """Key for key against the transversal sum, and in the same support
+    order as the QMat split of each coset."""
     plain = restriction_over_transversal(h, parab, reps)
-    assert res_unnormalized(h, parab) == plain
+    got = res_unnormalized(h, parab)
+    assert (got.ambient, got.support, got.biinvariant) == (plain.ambient, plain.support, True)
+    assert list(got.items()) == list(restriction_by_qmat_split(h, parab).items())
     assert res_normalized(h, parab) == normalize_on_levi(plain, parab)
 
 
@@ -262,6 +267,85 @@ def test_res_matches_transversal_oracle_gl3(ctx2):
             assert parabolic_double_coset_count(parab, ctx2) == len(tv)
             for h in basis:
                 _assert_res_matches_oracle(h, parab, tv.reps)
+
+
+def test_integer_restriction_on_level_two_and_denominators():
+    """The same comparison where labels are not K_0 labels: the GL_2(Q_2)
+    level basis at m = 2, the central translates p^-1 h of the GL_2 level
+    bases at p = 2, 3 (labels x = A / p, so p^e = p), and the K_0 orbit of
+    [[1, 1/2], [0, 1]] plus the unit measure.  There two integer Levi
+    labels, (diag(2, 2), 2) and (1, 1), name the identity coset, and their
+    coefficients must merge."""
+    borel = BlockParabolic(2, (1, 1), "upper")
+    ctx4 = PrimeContext(2, 2)
+    cases = [(ctx4, gl2_level_basis(ctx4))]
+    for p in (2, 3):
+        ctx = PrimeContext(p, 1)
+        center = QMat.diagonal([Fraction(1, p)] * 2)
+        translate = [(h, [(center * rep, c) for rep, c in h.items()]) for h in gl2_level_basis(ctx)]
+        cases.append((ctx, [HeckeMeasure.from_pairs(h.ambient, ctx, pairs, True)
+                            for h, pairs in translate]))
+    ctx2 = PrimeContext(2, 1)
+    x = QMat([[1, Fraction(1, 2)], [0, 1]])
+    orbit = ad_symmetrized_basis(ad_orbits_by_all_conjugators([x], ctx2)[0], ctx2)[0]
+    merged = orbit + unit_measure(Ambient.general_linear(2), ctx2)
+    cases.append((ctx2, [orbit, merged]))
+    for ctx, measures in cases:
+        for parab in (borel, borel.opposite()):
+            reps = ParabolicTransversal(parab, ctx).reps
+            for h in measures:
+                _assert_res_matches_oracle(h, parab, reps)
+    identity = QMat.identity(2)
+    assert res_unnormalized(orbit, borel).coefficient(identity) == 6
+    assert res_unnormalized(merged, borel).coefficient(identity) == 7
+
+
+def test_restriction_splits_no_qmat(monkeypatch, ctx2, level_basis_gl2):
+    """Restriction canonicalizes on integer labels only: with the QMat
+    split, the QMat canonicalization, `coset_meets_parabolic` and
+    `from_pairs` made to raise, `res_normalized` still returns the
+    oracle's answer."""
+    borel = BlockParabolic(2, (1, 1), "upper")
+    basis = level_basis_gl2 + [double_coset_measure(2, ctx2, (1, 0))]
+    parabs = (borel, borel.opposite())
+    want = [normalize_on_levi(restriction_by_qmat_split(h, parab), parab)
+            for parab in parabs for h in basis]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("restriction called a QMat path")
+
+    for target in ("cocenter.matrices.coset_canonical_rep", "cocenter.measures.coset_canonical_rep",
+                   "cocenter.groups.iwasawa_decompose", "cocenter.measures.iwasawa_decompose",
+                   "cocenter.measures.canonical_rep", "cocenter.measures.coset_meets_parabolic",
+                   "cocenter.measures.HeckeMeasure.from_pairs"):
+        monkeypatch.setattr(target, refuse)
+    got = [res_normalized(h, parab) for parab in parabs for h in basis]
+    assert got == want
+
+
+def test_restriction_refuses_a_parabolic_of_another_size(ctx2, unit_gl2):
+    """A measure on GL_2 through a parabolic of GL_3 is refused up front,
+    also when it is zero, and so is its trace through a GL_3 model."""
+    borel3 = BlockParabolic(3, (1, 1, 1), "upper")
+    zero = HeckeMeasure(unit_gl2.ambient, ctx2, {}, biinvariant=True)
+    model3 = InducedModel(borel3, ctx2)
+    for h in (zero, unit_gl2):
+        with pytest.raises(DomainError, match="GL_2"):
+            res_unnormalized(h, borel3)
+        with pytest.raises(DomainError, match="GL_2"):
+            trace_measure(h, model3)
+
+
+def test_normalization_refuses_a_measure_on_another_levi(ctx2):
+    """The |lambda_P|^(1/2) twist of P(2,1) applied to a Borel restriction
+    would twist by the wrong modulus; it is refused."""
+    unit3 = unit_measure(Ambient.general_linear(3), ctx2)
+    borel3 = BlockParabolic(3, (1, 1, 1), "upper")
+    plain = res_unnormalized(unit3, borel3)
+    # the opposite Borel has the same Levi
+    assert normalize_on_levi(plain, borel3.opposite()) == res_normalized(unit3, borel3)
+    with pytest.raises(DomainError, match="Levi"):
+        normalize_on_levi(plain, BlockParabolic(3, (2, 1), "upper"))
 
 
 def test_res_transversal_independence(ctx2, borel2, transversal_gl2, level_basis_gl2):

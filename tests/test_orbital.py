@@ -150,6 +150,18 @@ def test_gl3_orbital_formula_and_descent(level_basis_gl3):
     assert checks == 900 and caught
 
 
+def test_descent_check_refuses_a_restriction_to_another_levi(ctx2):
+    """A Borel restriction handed to the descent check of P(2,1) is
+    refused, not reported as a failed identity."""
+    unit3 = unit_measure(Ambient.general_linear(3), ctx2)
+    p21 = BlockParabolic(3, (2, 1), "upper")
+    borel_res = res_normalized(unit3, BlockParabolic(3, (1, 1, 1), "upper"))
+    gamma = RegularElement((1, 3, 5))
+    assert descent_check(unit3, gamma, p21, res_normalized(unit3, p21))[0]
+    with pytest.raises(DomainError, match="Levi"):
+        descent_check(unit3, gamma, p21, borel_res)
+
+
 def test_orbital_conjugation_invariance(level_basis_gl2):
     k = QMat([[1, 1], [0, 1]])
     w = QMat([[0, 1], [1, 0]])
