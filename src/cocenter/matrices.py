@@ -288,9 +288,9 @@ def hermite_padic(g: QMat, p: int):
 
 def hermite_int(a, p: int):
     """(H(A), k(A)) for a nonsingular integer matrix A = H(A) k(A): the
-    one integer Hermite core behind `hermite_padic`, `groups.iwasawa_int`,
-    `InducedModel.locate_with_parabolic_part`, `measures.ad_orbits` and
-    `measures.hermite_reps_with_divisors`.
+    one integer Hermite core behind `hermite_padic`, `groups.iwasawa_int`
+    (and through it `groups.iwasawa_mod`, which restriction, induced traces
+    and `measures.ad_orbits` call) and `measures.hermite_reps_with_divisors`.
 
     H(A) is the column Hermite form of A over Z_(p): diagonal p^(a_i),
     least non-negative residues modulo p^(a_i) above it.  It comes from
