@@ -7,12 +7,15 @@ supported on the double cosets P g K_m.  Its trace is chi paired with the
 trace measure T(h) on M, read off the split of each product g_i x; this
 equals the character pairing of the parabolic restriction, and both sides
 are computed through independent code paths and compared in Q(sqrt p).
-Each product g_i x is the integer product g_i A / d of the model's rows
-of g_i and the integer form x = A / d, split by one call of the integer
-Hermite core (`matrices.hermite_int`, via `groups.iwasawa_mod`; (1, A) at
-once when p does not divide det A) and residues modulo p^m.  Only kept
-terms become Fractions, one per integer Levi point.  The QMat forms of the
-split and of T(h) are the oracles in tests/oracles.py.
+Each label x = A / d is split once on G, x = (H / p^e) k with k in K_0
+(`groups.iwasawa_mod`), and each product g_i H of a transversal rep and a
+distinct Hermite part once through P, g_i H = Q k' (`groups.iwasawa_int`);
+both run the integer Hermite core `matrices.hermite_int`, which returns
+(1, A) at once when p does not divide det A.  Then g_i x = (Q / p^e) k' k,
+so each product costs only residues modulo p^m: k' k, its double coset and
+the parabolic part there.  Kept terms merge as integer Levi points, and
+only distinct Levi cosets become Fractions (`measures.levi_measure`).  The
+QMat forms of the split and of T(h) are the oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from fractions import Fraction
 from operator import mul
 
 from cocenter.exactnum import DEFAULT_GROUP_ORDER_GUARD, DomainError, RootP, padic_valuation
-from cocenter.groups import BlockParabolic, iwasawa_mod
+from cocenter.groups import BlockParabolic, iwasawa_int, iwasawa_mod
 from cocenter.matrices import PrimeContext, QMat, integer_form, mat_mod
-from cocenter.measures import Ambient, HeckeMeasure, ParabolicTransversal, normalize_on_levi
+from cocenter.measures import HeckeMeasure, ParabolicTransversal, levi_measure, normalize_on_levi
 from cocenter.measures import require_levi, res_unnormalized
 
 
@@ -91,14 +94,27 @@ class InducedModel:
         self.parab = parab
         self.ctx = ctx
         self.transversal = transversal
-        # g_l^-1 mod p^m and the integer rows of g_l, for each representative g_l in K_0
-        self.inverse_residues = [mat_mod(g.inverse(), ctx.modulus, ctx.p)
-                                 for g in transversal.reps]
+        # the columns of g_l^-1 mod p^m and the integer rows of g_l, for each
+        # representative g_l in K_0
+        self.inverse_cols = [tuple(zip(*mat_mod(g.inverse(), ctx.modulus, ctx.p)))
+                             for g in transversal.reps]
         self.rep_rows = [integer_form(g.rows)[0] for g in transversal.reps]
 
     @property
     def dim(self) -> int:
         return len(self.transversal)
+
+    def locate_residue(self, kbar):
+        """(l, q2) for kbar in GL_n(Z/p^m): P g_l K_m is the double coset of
+        every k in K_0 with k = kbar mod p^m, and q2 = kbar g_l^-1 mod p^m,
+        lifted to integers, lies in P mod p^m, so that k lies in q2 g_l K_m.
+        A lookup that names a double coset missing k raises."""
+        idx = self.transversal.lookup[kbar]
+        modulus, cols = self.ctx.modulus, self.inverse_cols[idx]
+        q2 = [[sum(map(mul, row, col)) % modulus for col in cols] for row in kbar]
+        if any(q2[i][j] for i, j in self.parab.positions("G/P")):
+            raise DomainError("transversal lookup names a double coset that k misses")
+        return idx, q2
 
     def locate_with_parabolic_part(self, a, d: int):
         """Write y = A / d as (q q2) g_l kappa with q q2 in P(Q), kappa level trivial.
@@ -106,18 +122,12 @@ class InducedModel:
         Returns (l, Q(A), q2, p^e), all on integers, with q q2 =
         Q(A) q2 / p^e: for d = p^e d', d' prime to p, one split
         A = Q(A) k(A) by `iwasawa_mod` gives q = Q(A) / p^e and
-        k = k(A) / d'.  k mod p^m = k(A) d'^-1 mod p^m names the double
-        coset l, and then q2 = k g_l^-1 mod p^m lies in P mod p^m, lifted
-        to integers.  The product Q(A) q2 is left to the caller, which
-        forms it only for the terms it keeps.
+        k = k(A) / d', and `locate_residue` of k mod p^m = k(A) d'^-1 mod
+        p^m gives l and q2.  The product Q(A) q2 is left to the caller,
+        which forms it only for the terms it keeps.
         """
-        parab, modulus = self.parab, self.ctx.modulus
-        h, kbar, pe = iwasawa_mod(a, d, parab, self.ctx)
-        idx = self.transversal.lookup[kbar]
-        cols = tuple(zip(*self.inverse_residues[idx]))
-        q2 = [[sum(map(mul, row, col)) % modulus for col in cols] for row in kbar]
-        if any(q2[i][j] for i, j in parab.positions("G/P")):
-            raise DomainError("transversal lookup names a double coset that k misses")
+        h, kbar, pe = iwasawa_mod(a, d, self.parab, self.ctx)
+        idx, q2 = self.locate_residue(kbar)
         return idx, h, q2, pe
 
 
@@ -127,9 +137,19 @@ def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:
     Split g_i x = q_ix g_l kappa for each transversal rep g_i and support
     point x; the terms l = i make the trace of h on the induction of any
     character of M/(M meet K_m).  Each is well defined up to M meet K_m,
-    because g_i lies in K_0, which normalizes K_m.  Products and splits run
-    on integer forms, g_i x = g_i A / d; kept terms merge by their integer
-    Levi projection before `HeckeMeasure.from_pairs` canonicalizes them.
+    because g_i lies in K_0, which normalizes K_m.
+
+    All on integers: one split on G writes each label x = A / d as
+    (H / p^e) k(A) / d' (`iwasawa_mod` through the one-block parabolic,
+    kbar = k(A) d'^-1 mod p^m), and one split through P of each product
+    g_i H of a rep and a distinct Hermite part H gives g_i H = Q k.  Then
+    g_i x = (Q / p^e) k k(A) / d' with k k(A) / d' in K_0, which is the
+    split `locate_with_parabolic_part` makes of g_i x, by uniqueness of
+    the Hermite form.  So each product costs the residue product
+    k kbar mod p^m and its `InducedModel.locate_residue`, whose check runs
+    for every product, kept or not.  Kept terms merge by their integer
+    Levi point Q q2 / p^e, and `levi_measure` labels those on M.  The
+    labels grouped by H are the only table, and it lives for this call.
     """
     if model.parab.n != h.ambient.n:
         raise DomainError(f"measure on GL_{h.ambient.n}, induced model of GL_{model.parab.n}")
@@ -139,19 +159,25 @@ def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:
         raise DomainError("trace needs a conjugation-invariant measure")
     if h.ctx != model.ctx:
         raise DomainError("measure and induced model at different levels")
-    parab = model.parab
-    labels = [(integer_form(rep.rows), c) for rep, c in h.items()]
-    labels = [(tuple(zip(*a)), d, c) for (a, d), c in labels]
+    parab, ctx = model.parab, model.ctx
+    modulus = ctx.modulus
+    # the labels by Hermite part H: (columns of kbar, p^e, c) for x = H lift(kbar) / p^e
+    parts = {}
+    for rep, c in h.items():
+        hx, kbar, pe = iwasawa_mod(*integer_form(rep.rows), h.ambient.parab, ctx)
+        parts.setdefault(tuple(map(tuple, hx)), []).append((tuple(zip(*kbar)), pe, c))
     kept = {}
     for i, g_i in enumerate(model.rep_rows):
-        for cols, d, c in labels:
-            l, qa, q2, pe = model.locate_with_parabolic_part(
-                [[sum(map(mul, row, col)) for col in cols] for row in g_i], d)
-            if l == i:
-                key = (parab.levi_product(qa, q2), pe)
-                kept[key] = kept[key] + c if key in kept else c
-    pairs = [(QMat.over(rows, pe), c) for (rows, pe), c in kept.items()]
-    return HeckeMeasure.from_pairs(Ambient.levi(parab), model.ctx, pairs)
+        for hx, labels in parts.items():
+            q, k = iwasawa_int([[sum(map(mul, row, col)) for col in zip(*hx)] for row in g_i],
+                               parab, ctx.p)
+            for cols, pe, c in labels:
+                l, q2 = model.locate_residue(tuple([
+                    tuple([sum(map(mul, row, col)) % modulus for col in cols]) for row in k]))
+                if l == i:
+                    key = (parab.levi_product(q, q2), pe)
+                    kept[key] = kept[key] + c if key in kept else c
+    return levi_measure(parab, ctx, kept.items())
 
 
 def trace_induced(

@@ -73,7 +73,9 @@ class RootP:
     Since sqrt(p) is irrational the representation is unique, so equality is
     componentwise.  Pure rationals are the b = 0 elements and lie in every
     Q(sqrt p), so a binary operation takes the prime of its operand with
-    b != 0; operations accept int/Fraction on either side.
+    b != 0; operations accept int/Fraction on either side and act on the
+    components directly.  Results are built by `_wrap`, which trusts its
+    Fraction components and prime; the public constructor validates.
     """
 
     __slots__ = ("a", "b", "p")
@@ -86,44 +88,56 @@ class RootP:
         self.p = p
 
     @classmethod
+    def _wrap(cls, a: Fraction, b: Fraction, p: int) -> "RootP":
+        """a + b sqrt(p) for Fractions a, b and a prime p, not re-checked."""
+        out = object.__new__(cls)
+        out.a, out.b, out.p = a, b, p
+        return out
+
+    @classmethod
     def rational(cls, a, p: int) -> "RootP":
         return cls(a, 0, p)
 
-    def _coerce(self, other):
-        if isinstance(other, RootP):
-            if other.p != self.p and other.b != 0 and self.b != 0:
-                raise DomainError("mixed sqrt fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RootP(other, 0, self.p)
-        return NotImplemented
+    def _prime(self, other: "RootP") -> int:
+        """The prime of the result of an operation with another RootP."""
+        if other.b == 0:
+            return self.p
+        if self.b != 0 and other.p != self.p:
+            raise DomainError("mixed sqrt fields")
+        return other.p
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return RootP(self.a + o.a, self.b + o.b, o.p if o.b else self.p)
+        if isinstance(other, RootP):
+            return RootP._wrap(self.a + other.a, self.b + other.b, self._prime(other))
+        if isinstance(other, (int, Fraction)):
+            return RootP._wrap(self.a + other, self.b, self.p)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RootP(-self.a, -self.b, self.p)
+        return RootP._wrap(-self.a, -self.b, self.p)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return RootP(self.a - o.a, self.b - o.b, o.p if o.b else self.p)
+        if isinstance(other, RootP):
+            return RootP._wrap(self.a - other.a, self.b - other.b, self._prime(other))
+        if isinstance(other, (int, Fraction)):
+            return RootP._wrap(self.a - other, self.b, self.p)
+        return NotImplemented
 
     def __rsub__(self, other):
-        return (-self) + other
+        if isinstance(other, (int, Fraction)):
+            return RootP._wrap(other - self.a, -self.b, self.p)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        p = o.p if o.b else self.p
-        return RootP(self.a * o.a + p * self.b * o.b, self.a * o.b + self.b * o.a, p)
+        if isinstance(other, RootP):
+            p = self._prime(other)
+            return RootP._wrap(self.a * other.a + p * self.b * other.b,
+                               self.a * other.b + self.b * other.a, p)
+        if isinstance(other, (int, Fraction)):
+            return RootP._wrap(self.a * other, self.b * other, self.p)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -132,13 +146,14 @@ class RootP:
         norm = self.a * self.a - self.p * self.b * self.b
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt p)")
-        return RootP(self.a / norm, -self.b / norm, self.p)
+        return RootP._wrap(self.a / norm, -self.b / norm, self.p)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
+        if isinstance(other, RootP):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            return RootP._wrap(self.a / other, self.b / other, self.p)
+        return NotImplemented
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -146,7 +161,7 @@ class RootP:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = RootP(1, 0, self.p)
+        out = RootP._wrap(Fraction(1), Fraction(0), self.p)
         base = self
         while k:
             if k & 1:

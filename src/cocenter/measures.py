@@ -323,10 +323,8 @@ def res_unnormalized(
 
     On integer labels: `iwasawa_mod` splits x = A / d into (Q(A), kbar,
     p^e); x K_m meets P iff kbar is block triangular, and then the block
-    diagonal y of Q(A) lift(kbar) gives the Levi point y / p^e.  Its label
-    is H(y) lift(k(y) mod p^m) / p^e, by uniqueness of the Hermite form,
-    from the split of y through the upper parabolic of M ((1, y) at once
-    for a K_0 label).  Only distinct Levi cosets become QMats.
+    diagonal y of Q(A) lift(kbar) gives the Levi point y / p^e, which
+    `levi_measure` labels on M.
     """
     if parab.n != h.ambient.n:
         raise DomainError(f"measure on GL_{h.ambient.n}, parabolic of GL_{parab.n}")
@@ -334,23 +332,39 @@ def res_unnormalized(
         raise DomainError("restriction starts from measures on G")
     if not h.biinvariant:
         raise DomainError("restriction needs a conjugation-invariant measure")
-    ctx, levi = h.ctx, Ambient.levi(parab)
+    ctx = h.ctx
     if transversal is not None and (transversal.parab != parab or transversal.ctx != ctx):
         raise DomainError("transversal of another parabolic or level")
     outside = parab.positions("G/P")
-    kept = {}
+    points = []
     for rep, c in h.items():
         qa, kbar, pe = iwasawa_mod(*integer_form(rep.rows), parab, ctx)
-        if any(kbar[i][j] for i, j in outside):
-            continue
-        hy, ybar, _ = iwasawa_mod(parab.levi_product(qa, kbar), pe, levi.parab, ctx)
-        key = (_product(hy, tuple(zip(*ybar))), pe)
-        kept[key] = kept[key] + c if key in kept else c
+        if not any(kbar[i][j] for i, j in outside):
+            points.append(((parab.levi_product(qa, kbar), pe), c))
+    return levi_measure(parab, ctx, points, True).scale(parabolic_double_coset_count(parab, ctx))
+
+
+def levi_measure(parab: BlockParabolic, ctx: PrimeContext, points, biinvariant=False):
+    """The measure on the Levi M of parab with mass c at (y / p^e)(M meet K_m)
+    for each ((y, p^e), c) in points, y block diagonal integer rows.
+
+    The label of y / p^e is its `canonical_rep`, H(y) lift(k(y) mod p^m)
+    / p^e, by uniqueness of the Hermite form: `hermite_int`(y) = (H(y),
+    k(y)) is block diagonal as y is, and (1, y) at once for a K_0 point.
+    Masses merge on these integer labels, and only distinct Levi cosets
+    become QMats.
+    """
+    modulus = ctx.modulus
+    keys = {}
+    for (y, pe), c in points:
+        hy, ky = hermite_int(y, ctx.p)
+        key = (_product(hy, [[x % modulus for x in col] for col in zip(*ky)]), pe)
+        keys[key] = keys[key] + c if key in keys else c
     support = {}
-    for (rows, pe), c in kept.items():
+    for (rows, pe), c in keys.items():
         label = QMat.over(rows, pe)
         support[label] = support[label] + c if label in support else c
-    return HeckeMeasure(levi, ctx, support, True).scale(parabolic_double_coset_count(parab, ctx))
+    return HeckeMeasure(Ambient.levi(parab), ctx, support, biinvariant)
 
 
 def require_levi(h_m: HeckeMeasure, parab: BlockParabolic) -> None:

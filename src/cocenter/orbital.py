@@ -32,6 +32,7 @@ from cocenter.exactnum import (
     DEFAULT_GROUP_ORDER_GUARD,
     DomainError,
     RootP,
+    int_valuation,
     padic_norm_halfpower,
     padic_valuation,
 )
@@ -91,14 +92,17 @@ def _meets_unipotent(x: QMat, gamma, ctx: PrimeContext) -> bool:
     coset meets the Borel B exactly when lift(k mod p^m) is upper
     triangular, which holds iff x is.  The coset then meets B in
     gamma^-1 x (B meet K_m), which meets U iff the diagonal of gamma^-1 x
-    lies in T meet K_m.
+    lies in T meet K_m.  With x_ii = a / b and gamma_i = u / v that is
+    v_p(a v - b u) - v_p(b u) >= m unless a v = b u, on integers.
     """
     rows = x.rows
     if any(rows[i][j] for i in range(x.n) for j in range(i)):
         return False
+    p, m = ctx.p, ctx.m
     for i, g in enumerate(gamma):
-        diff = rows[i][i] / g - 1
-        if diff and padic_valuation(diff, ctx.p) < ctx.m:
+        a, b, u, v = rows[i][i].numerator, rows[i][i].denominator, g.numerator, g.denominator
+        diff = a * v - b * u
+        if diff and int_valuation(diff, p) - int_valuation(b * u, p) < m:
             return False
     return True
 
@@ -178,12 +182,13 @@ def orbital_integral(
     out = RootP.rational(0, ctx.p)
     for rep, c in h.items():
         if h.biinvariant:
-            value = _meets_unipotent(rep, gamma.entries, ctx)
+            if _meets_unipotent(rep, gamma.entries, ctx):
+                out = out + c
         else:
             value = prod(orbital_single_coset_gl2(block, sub, ctx, guard)
                          for block, sub in zip(parab.levi_blocks(rep), subs))
-        if value:
-            out = out + c * value
+            if value:
+                out = out + c * value
     return OrbitalValue(out * const, ctx.p, ctx.m)
 
 

@@ -234,25 +234,32 @@ def test_trace_measure_equals_restriction_gl2_level_two():
 
 
 def test_identity_check_splits_each_product_once(monkeypatch):
-    """One identity check splits each product g_i x once, for the plain and
-    the normalized trace together: dim * |supp h| splits."""
+    """One identity check splits each support label once on G and each
+    product g_i H of a transversal rep and a distinct Hermite part H once
+    through P, for the plain and the normalized trace together: the
+    integer Hermite core runs |supp h| + dim * |distinct H| times through
+    `groups`, fewer than the dim * |supp h| products g_i x.  The
+    restriction is passed in, and `measures.levi_measure` splits the Levi
+    points of T(h) outside `groups`, so neither is counted."""
     ctx = PrimeContext(3, 1)
     borel = BlockParabolic(2, (1, 1), "upper")
     model = InducedModel(borel, ctx)
     h = gl2_level_basis(ctx)[-1]
+    res_m = res_unnormalized(h, borel)
+    parts = {tuple(map(tuple, hermite_int(integer_form(rep.rows)[0], ctx.p)[0]))
+             for rep in h.support}
     calls = []
-    split = InducedModel.locate_with_parabolic_part
 
-    def counting_split(self, a, d):
-        calls.append((a, d))
-        return split(self, a, d)
+    def counting_core(a, p):
+        calls.append(p)
+        return hermite_int(a, p)
 
-    monkeypatch.setattr(InducedModel, "locate_with_parabolic_part", counting_split)
+    monkeypatch.setattr("cocenter.groups.hermite_int", counting_core)
     ok, details = verify_induced_character_identity(
-        h, UnramifiedCharacter((1, 1), (2, 5)), borel, model
+        h, UnramifiedCharacter((1, 1), (2, 5)), borel, model, res_m
     )
     assert ok, details
-    assert len(calls) == model.dim * len(h) > 0
+    assert 0 < len(calls) == len(h) + model.dim * len(parts) < model.dim * len(h)
 
 
 def _split_models():
@@ -371,3 +378,12 @@ def test_induced_model_validates_its_inputs(ctx2, borel2, transversal_gl2, unit_
     corrupted.lookup = {key: (idx + 1) % len(corrupted) for key, idx in corrupted.lookup.items()}
     with pytest.raises(DomainError):
         InducedModel(borel2, ctx2, corrupted).locate_with_parabolic_part([[1, 0], [0, 1]], 1)
+
+
+def test_trace_measure_refuses_a_corrupted_lookup(ctx2, borel2, unit_gl2):
+    """A transversal whose lookup names the wrong double coset makes
+    trace_measure raise, as it makes the one-product split raise."""
+    corrupted = ParabolicTransversal(borel2, ctx2)
+    corrupted.lookup = {key: (idx + 1) % len(corrupted) for key, idx in corrupted.lookup.items()}
+    with pytest.raises(DomainError, match="misses"):
+        trace_measure(unit_gl2, InducedModel(borel2, ctx2, corrupted))

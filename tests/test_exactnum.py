@@ -1,4 +1,6 @@
 import math
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -107,3 +109,44 @@ def test_rootp_mixed_field_results_take_the_irrational_prime():
             assert got == want, (name, got)
         with pytest.raises(DomainError):
             op(RootP(1, 1, 3), root2)
+
+
+def _outcome(op, x, y):
+    """(a, b, p, hash) of op(x, y) with Fraction components, or the
+    exception class it raises."""
+    try:
+        out = op(x, y)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    assert type(out) is RootP and type(out.a) is Fraction and type(out.b) is Fraction
+    return out.a, out.b, out.p, hash(out)
+
+
+def test_rootp_rational_operands_match_the_coerced_operand():
+    """+, -, * and / with an int or Fraction r, on either side, give what
+    the same operation with RootP.rational(r, p) gives, components, prime
+    and hash alike: on seeded random a, b and r, on r = 0 and on an int r,
+    including zero elements.  The public constructor still refuses a
+    composite p, and division by a rational 0 raises ZeroDivisionError."""
+    rng = random.Random(24)
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+    def rational():
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 30))
+
+    compared = 0
+    for trial in range(300):
+        p = rng.choice((2, 3, 5, 7))
+        x = RootP(0, 0, p) if trial % 25 == 0 else RootP(rational(), rational(), p)
+        for r in (rational(), rng.randint(-9, 9), 0, Fraction(0)):
+            coerced = RootP.rational(r, p)
+            for op in ops:
+                assert _outcome(op, x, r) == _outcome(op, x, coerced), (op, x, r)
+                assert _outcome(op, r, x) == _outcome(op, coerced, x), (op, r, x)
+                compared += 2
+    assert compared == 300 * 4 * 4 * 2
+    with pytest.raises(DomainError):
+        RootP(1, 0, 4)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            RootP(1, 1, 2) / zero
