@@ -161,7 +161,7 @@ def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:
         raise DomainError("measure and induced model at different levels")
     parab, ctx = model.parab, model.ctx
     modulus = ctx.modulus
-    # the labels by Hermite part H: (columns of kbar, p^e, c) for x = H lift(kbar) / p^e
+    # the labels by Hermite part H: (columns of kbar, p^e, c), x K_m = H lift(kbar) K_m / p^e
     parts = {}
     for rep, c in h.items():
         hx, kbar, pe = iwasawa_mod(*integer_form(rep.rows), h.ambient.parab, ctx)
