@@ -10,11 +10,12 @@ of the deliberately corrupted normalization.
 
 from cocenter.exactnum import RootP
 from cocenter.groups import BlockParabolic
-from cocenter.matrices import PrimeContext, QMat
+from cocenter.matrices import PrimeContext
 from cocenter.measures import (
     Ambient,
     ad_symmetrized_basis,
     double_coset_labels,
+    label_matrix,
     res_normalized,
     unit_measure,
 )
@@ -64,7 +65,8 @@ chars = [UnramifiedCharacter((1, 1), z) for z in [(1, 1), (2, 1), (1, 2), (3, 5)
 omat = [[orbital_integral(h, gam).value for gam in grid] for h in basis]
 xmat = [[trace_induced(h, chi, model, normalized=True) for chi in chars] for h in basis]
 restricted = [res_normalized(h, borel) for h in basis]
-columns = sorted({key for r in restricted for key in r.support}, key=QMat.entries)
+columns = sorted({key for r in restricted for key in r.support},
+                 key=lambda key: label_matrix(key).entries())
 zero = RootP.rational(0, ctx.p)
 rmat = [[r.support.get(k, zero) for k in columns] for r in restricted]
 print("\nrank under orbital pairings:  ", separation_rank(omat))

@@ -7,15 +7,15 @@ supported on the double cosets P g K_m.  Its trace is chi paired with the
 trace measure T(h) on M, read off the split of each product g_i x; this
 equals the character pairing of the parabolic restriction, and both sides
 are computed through independent code paths and compared in Q(sqrt p).
-Each label x = A / d is split once on G, x = (H / p^e) k with k in K_0
-(`groups.iwasawa_mod`), and each product g_i H of a transversal rep and a
-distinct Hermite part once through P, g_i H = Q k' (`groups.iwasawa_int`);
-both run the integer Hermite core `matrices.hermite_int`, which returns
-(1, A) at once when p does not divide det A.  Then g_i x = (Q / p^e) k' k,
-so each product costs only residues modulo p^m: k' k, its double coset and
-the parabolic part there.  Kept terms merge as integer Levi points, and
-only distinct Levi cosets become Fractions (`measures.levi_measure`).  The
-QMat forms of the split and of T(h) are the oracles in tests/oracles.py.
+Each label x = (H / p^e) lift(kbar) is already the split of x on G, so
+only each product g_i H of a transversal rep and a distinct Hermite part
+is split, once, through P: g_i H = Q k' (`groups.iwasawa_int`, on the
+integer Hermite core `matrices.hermite_int`).  Then g_i x = (Q / p^e)
+lift(k' kbar) up to K_m, so each product costs only residues modulo p^m:
+k' kbar, its double coset and the parabolic part there.  Kept terms merge
+as integer Levi points, which `measures.levi_measure` labels on M, and
+characters read their values off the label's Hermite diagonal.  The QMat
+forms of the split and of T(h) are the oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from cocenter.exactnum import DEFAULT_GROUP_ORDER_GUARD, DomainError, RootP, padic_valuation
+from cocenter.exactnum import DEFAULT_GROUP_ORDER_GUARD, DomainError, RootP, int_valuation
 from cocenter.groups import BlockParabolic, iwasawa_int, iwasawa_mod
-from cocenter.matrices import PrimeContext, QMat, integer_form, mat_mod
+from cocenter.matrices import PrimeContext, integer_form, mat_mod
 from cocenter.measures import HeckeMeasure, ParabolicTransversal, levi_measure, normalize_on_levi
 from cocenter.measures import require_levi, res_unnormalized
 
@@ -51,14 +51,15 @@ class UnramifiedCharacter:
         if any(z == 0 for z in params):
             raise DomainError("Satake parameters must be nonzero")
 
-    def value(self, parab: BlockParabolic, g: QMat, p: int) -> Fraction:
-        """chi on the Levi part of g in P (inflation through P -> M)."""
+    def value(self, parab: BlockParabolic, label, p: int) -> Fraction:
+        """chi at the Levi label (p^e, H, kbar): v_p(det m_i) is the sum of
+        the exponents of H's diagonal in block i, less e per row."""
         if parab.blocks != self.blocks:
             raise DomainError("block mismatch")
-        out = Fraction(1)
-        for z, block in zip(self.params, parab.levi_blocks(g)):
-            v = padic_valuation(block.det(), p)
-            out *= z**v
+        pe, h, _ = label
+        e, out = int_valuation(pe, p), Fraction(1)
+        for z, (lo, hi) in zip(self.params, parab.block_ranges):
+            out *= z ** (sum(int_valuation(h[i][i], p) for i in range(lo, hi)) - e * (hi - lo))
         return out
 
 
@@ -71,8 +72,8 @@ def character_pairing(chi: UnramifiedCharacter, h: HeckeMeasure) -> RootP:
     if parab.blocks != chi.blocks:
         raise DomainError("block mismatch")
     out = RootP.rational(0, h.ctx.p)
-    for rep, c in h.items():
-        out = out + c * chi.value(parab, rep, h.ctx.p)
+    for label, c in h.items():
+        out = out + c * chi.value(parab, label, h.ctx.p)
     return out
 
 
@@ -139,17 +140,15 @@ def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:
     character of M/(M meet K_m).  Each is well defined up to M meet K_m,
     because g_i lies in K_0, which normalizes K_m.
 
-    All on integers: one split on G writes each label x = A / d as
-    (H / p^e) k(A) / d' (`iwasawa_mod` through the one-block parabolic,
-    kbar = k(A) d'^-1 mod p^m), and one split through P of each product
-    g_i H of a rep and a distinct Hermite part H gives g_i H = Q k.  Then
-    g_i x = (Q / p^e) k k(A) / d' with k k(A) / d' in K_0, which is the
-    split `locate_with_parabolic_part` makes of g_i x, by uniqueness of
-    the Hermite form.  So each product costs the residue product
-    k kbar mod p^m and its `InducedModel.locate_residue`, whose check runs
-    for every product, kept or not.  Kept terms merge by their integer
-    Levi point Q q2 / p^e, and `levi_measure` labels those on M.  The
-    labels grouped by H are the only table, and it lives for this call.
+    All on integers: the labels (p^e, H, kbar) are grouped by H, and one
+    split through P of each product g_i H of a rep and a distinct H gives
+    g_i H = Q k.  Then g_i x = (Q / p^e) k lift(kbar) up to K_m, which is
+    the split `locate_with_parabolic_part` makes of g_i x up to K_m, by
+    uniqueness of the Hermite form.  So each product costs the residue
+    product k kbar mod p^m and its `InducedModel.locate_residue`, whose
+    check runs for every product, kept or not.  Kept terms merge by their
+    integer Levi point Q q2 / p^e, and `levi_measure` labels those on M.
+    The labels grouped by H are the only table, and it lives for this call.
     """
     if model.parab.n != h.ambient.n:
         raise DomainError(f"measure on GL_{h.ambient.n}, induced model of GL_{model.parab.n}")
@@ -161,11 +160,10 @@ def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:
         raise DomainError("measure and induced model at different levels")
     parab, ctx = model.parab, model.ctx
     modulus = ctx.modulus
-    # the labels by Hermite part H: (columns of kbar, p^e, c), x K_m = H lift(kbar) K_m / p^e
+    # the labels by Hermite part H: (columns of kbar, p^e, c)
     parts = {}
-    for rep, c in h.items():
-        hx, kbar, pe = iwasawa_mod(*integer_form(rep.rows), h.ambient.parab, ctx)
-        parts.setdefault(tuple(map(tuple, hx)), []).append((tuple(zip(*kbar)), pe, c))
+    for (pe, hx, kbar), c in h.items():
+        parts.setdefault(hx, []).append((tuple(zip(*kbar)), pe, c))
     kept = {}
     for i, g_i in enumerate(model.rep_rows):
         for hx, labels in parts.items():

@@ -7,8 +7,8 @@ because U acts unipotently on Lie P and on Lie G / Lie P.  Full adjoint
 matrices are the oracle in tests/oracles.py.  The Iwasawa split G = P K_0
 runs on integer forms too: `iwasawa_int` is the one integer Hermite core,
 `matrices.hermite_int`, with rows and columns reversed for a lower
-parabolic, and `iwasawa_mod` reduces its cofactor modulo p^m for
-restriction, induced traces and conjugation orbits.  Only GL_n is
+parabolic, and `iwasawa_mod` reduces its cofactor modulo p^m to label
+level cosets (`measures.canonical_rep`).  Only GL_n is
 instantiated; the subgroup spec covers the diagonal torus, Levi subgroups
 and block parabolics.
 """
@@ -313,7 +313,8 @@ def iwasawa_int(a, parab: BlockParabolic, p: int):
 def iwasawa_mod(a, d: int, parab: BlockParabolic, ctx: PrimeContext):
     """(Q(A), kbar, p^e) for x = A / d, d = p^e d' with d' prime to p: one
     split A = Q(A) k(A) by `iwasawa_int` gives x = (Q(A) / p^e)(k(A) / d'),
-    and kbar is the tuple of rows of k(A) d'^-1 mod p^m."""
+    and kbar the rows of k(A) d'^-1 mod p^m; `measures.canonical_rep`
+    labels cosets by it."""
     p, modulus = ctx.p, ctx.modulus
     h, k = iwasawa_int(a, parab, p)
     pe = p ** int_valuation(d, p)

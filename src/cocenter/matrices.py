@@ -18,12 +18,12 @@ above it such that g = H * k with k integral of unit determinant.  One
 integer core, `hermite_int`, computes it on the integer form
 g = A / (p^e d'), d' prime to p: column operations on A modulo p^N,
 N = v_p(det A) + 1, give H(A), and exact integer back substitution gives
-k(A) = H(A)^-1 A.  Every split goes through it: `hermite_padic` (coset
-canonicalization) and `groups.iwasawa_decompose` wrap it with
-`rational_split`; restriction and induced traces read k(A) modulo p^m
-through `groups.iwasawa_int`, and induced traces, `measures.ad_orbits` and
-the double coset orbits split integer products g H, all without leaving
-the integers.
+k(A) = H(A)^-1 A.  Every split goes through it: `hermite_padic` and
+`groups.iwasawa_decompose` wrap it with `rational_split`; coset labels
+come from `groups.iwasawa_mod` and `measures.levi_measure`, and
+restriction, induced traces, `measures.ad_orbits` and the double coset
+orbits split integer Hermite parts H and products g H, all without
+leaving the integers.
 """
 
 from __future__ import annotations
@@ -289,9 +289,9 @@ def hermite_padic(g: QMat, p: int):
 def hermite_int(a, p: int):
     """(H(A), k(A)) for a nonsingular integer matrix A = H(A) k(A): the
     one integer Hermite core behind `hermite_padic`, `groups.iwasawa_int`
-    (and through it `groups.iwasawa_mod`, which restriction, induced traces
-    and `measures.ad_orbits` call), `measures.levi_measure` and
-    `measures.hermite_reps_with_divisors`.
+    (restriction and induced traces; through `groups.iwasawa_mod`,
+    `measures.canonical_rep`), `measures.levi_measure`, `measures.ad_orbits`
+    and `measures.hermite_reps_with_divisors`.
 
     H(A) is the column Hermite form of A over Z_(p): diagonal p^(a_i),
     least non-negative residues modulo p^(a_i) above it.  It comes from

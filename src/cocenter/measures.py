@@ -15,16 +15,17 @@ sum collapses to one pass from G to M:
     res_P h = |P\\G/K_m| * sum of c_x delta[proj_M(x K_m meet P)],
 
 over the support cosets that meet P, with |P\\G/K_m| =
-|GL_n(Z/p^m)| / |P(Z/p^m)| in closed form.  The pass runs on integer
-forms: one Iwasawa split per support coset decides whether it meets P and
-gives its Levi point, one Hermite split labels that point on M, and only
-distinct Levi cosets become Fraction matrices.  The normalized variant
+|GL_n(Z/p^m)| / |P(Z/p^m)| in closed form.  The normalized variant
 twists by |lambda_P|^(1/2).  K_m has the exact factorization
 (K_m meet U-)(K_m meet M)(K_m meet U), which makes the block projection
 carry level cosets of P to level cosets of M.
 
-A measure stores each level coset once, as a dict from its canonical
-label (a `QMat`, see `canonical_rep`) to its nonzero coefficient.
+A measure stores each level coset once, as a dict from its label to its
+nonzero coefficient: x K_m = (H / p^e) lift(kbar) K_m is labelled by its
+Iwasawa split (p^e, H, kbar), H the column Hermite form of p^e x and kbar
+its cofactor mod p^m as integer rows, e least.  A label is made once
+(`canonical_rep`, `levi_measure`, or as built), never split again, and
+`label_matrix` gives its canonical QMat.
 """
 
 from __future__ import annotations
@@ -40,12 +41,12 @@ from cocenter.exactnum import (
     RootP,
     padic_norm_halfpower,
 )
-from cocenter.groups import BlockParabolic, iwasawa_decompose, iwasawa_mod, modulus_lambda
+from cocenter.groups import BlockParabolic, iwasawa_decompose, iwasawa_int, iwasawa_mod
+from cocenter.groups import modulus_lambda
 from cocenter.matrices import (
     PrimeContext,
     QMat,
     block_gln_generators,
-    coset_canonical_rep,
     enumerate_glnzm,
     gln_zp_membership,
     gln_generators,
@@ -91,19 +92,25 @@ class Ambient:
         return len(self.parab.blocks) == 1
 
 
-def canonical_rep(ambient: Ambient, g: QMat, ctx: PrimeContext) -> QMat:
-    """Canonical representative of the level coset of g inside the ambient.
+def canonical_rep(ambient: Ambient, g: QMat, ctx: PrimeContext):
+    """The label (p^e, H, kbar) of the level coset of g inside the ambient.
 
     For y, y' in the ambient subgroup, y' in y K_m already implies
     y^-1 y' lies in the ambient, so coset equality agrees with equality of
-    the ambient-level cosets; canonicalization only has to be deterministic
-    and constant on K_m cosets.  Every Levi takes the same split: the
-    Hermite form of a block diagonal g is block diagonal, so the coset
-    representative on G of an element of M already lies in M.
+    the ambient-level cosets.  One `iwasawa_mod` split of g = A / d gives
+    it on every Levi, as the Hermite form of a block diagonal A is block
+    diagonal; e is least as d is the lcm of the denominators of g.
     """
     if not ambient.parab.levi_contains(g):
         raise DomainError("element not in the Levi")
-    return coset_canonical_rep(g, ctx)
+    h, kbar, pe = iwasawa_mod(*integer_form(g.rows), ambient.parab, ctx)
+    return pe, tuple(map(tuple, h)), kbar
+
+
+def label_matrix(label) -> QMat:
+    """The canonical QMat H lift(kbar) / p^e of the label (p^e, H, kbar)."""
+    pe, h, kbar = label
+    return QMat.over(_product(h, tuple(zip(*kbar))), pe)
 
 
 def coset_meets_parabolic(rep: QMat, parab: BlockParabolic, ctx: PrimeContext):
@@ -125,13 +132,11 @@ def coset_meets_parabolic(rep: QMat, parab: BlockParabolic, ctx: PrimeContext):
 class HeckeMeasure:
     """Finitely supported level-m coset measure with Q(sqrt p) coefficients.
 
-    support maps the canonical label of each level coset to its nonzero
-    coefficient; zero coefficients are dropped.  The label is
-    `coset_canonical_rep` of the coset, x = H lift(k mod p^m) with H the
-    upper Hermite form, and `orbital_integral` reads values off its shape.
-    `from_pairs` and `measure_from_jsonable` canonicalize; the other
-    constructors build canonical labels or reuse those of existing
-    measures, and __init__ trusts the labels given.  The biinvariant flag
+    support maps the label (p^e, H, kbar) of each level coset to its
+    nonzero coefficient; zero coefficients are dropped.  `from_pairs`,
+    `coefficient` and `measure_from_jsonable` label QMats by
+    `canonical_rep`; the other constructors build labels or reuse those of
+    existing measures, and __init__ trusts them.  The biinvariant flag
     asserts invariance under conjugation pullback by the maximal compact
     subgroup of the ambient: K_0 on G, M meet K_0 on M; a sum keeps it
     when both terms carry it.  `is_ad_invariant` verifies it on quotient
@@ -224,14 +229,14 @@ def _as_rootp(coeff, p: int) -> RootP:
 
 def unit_measure(ambient: Ambient, ctx: PrimeContext, guard=DEFAULT_GROUP_ORDER_GUARD):
     """Unit mass spread uniformly over the K_0 part of the ambient group,
-    keyed by the labels lift(kbar), canonical as they are (Hermite form 1)."""
+    keyed by the labels (1, 1, kbar), 1 the identity rows."""
     n = ambient.n
     zeros = ambient.parab.positions("G/M")
-    elements = [rows for rows in enumerate_glnzm(n, ctx, guard)
-                if not any(rows[i][j] for i, j in zeros)]
-    coeff = RootP.rational(Fraction(1, len(elements)), ctx.p)
-    reps = [lift_mod(rows, n) for rows in elements]
-    return HeckeMeasure(ambient, ctx, dict.fromkeys(reps, coeff), True)
+    one = tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
+    labels = [(1, one, rows) for rows in enumerate_glnzm(n, ctx, guard)
+              if not any(rows[i][j] for i, j in zeros)]
+    coeff = RootP.rational(Fraction(1, len(labels)), ctx.p)
+    return HeckeMeasure(ambient, ctx, dict.fromkeys(labels, coeff), True)
 
 
 def ad_pullback(h: HeckeMeasure, g: QMat) -> HeckeMeasure:
@@ -247,7 +252,7 @@ def ad_pullback(h: HeckeMeasure, g: QMat) -> HeckeMeasure:
         raise LevelError("conjugator outside GL_n(Z_p) would change the level")
     ginv = g.inverse()
     return HeckeMeasure.from_pairs(
-        h.ambient, h.ctx, [(g * rep * ginv, c) for rep, c in h.items()], h.biinvariant
+        h.ambient, h.ctx, [(g * label_matrix(x) * ginv, c) for x, c in h.items()], h.biinvariant
     )
 
 
@@ -321,10 +326,11 @@ def res_unnormalized(
     it.  A transversal is not needed; one that is passed must belong to the
     same parabolic and level.
 
-    On integer labels: `iwasawa_mod` splits x = A / d into (Q(A), kbar,
-    p^e); x K_m meets P iff kbar is block triangular, and then the block
-    diagonal y of Q(A) lift(kbar) gives the Levi point y / p^e, which
-    `levi_measure` labels on M.
+    On labels x = (H / p^e) lift(kbar): each distinct H is split once
+    through P, H = Q k (`iwasawa_int`), so x = (Q / p^e) lift(k kbar) up to
+    K_m.  x K_m meets P iff k kbar mod p^m is block triangular, and then
+    the block diagonal y of Q lift(k kbar) gives the Levi point y / p^e,
+    which `levi_measure` labels on M.
     """
     if parab.n != h.ambient.n:
         raise DomainError(f"measure on GL_{h.ambient.n}, parabolic of GL_{parab.n}")
@@ -335,35 +341,35 @@ def res_unnormalized(
     ctx = h.ctx
     if transversal is not None and (transversal.parab != parab or transversal.ctx != ctx):
         raise DomainError("transversal of another parabolic or level")
-    outside = parab.positions("G/P")
+    outside, modulus = parab.positions("G/P"), ctx.modulus
+    splits = {}
     points = []
-    for rep, c in h.items():
-        qa, kbar, pe = iwasawa_mod(*integer_form(rep.rows), parab, ctx)
-        if not any(kbar[i][j] for i, j in outside):
-            points.append(((parab.levi_product(qa, kbar), pe), c))
+    for (pe, hx, kbar), c in h.items():
+        if hx not in splits:
+            splits[hx] = iwasawa_int(hx, parab, ctx.p)
+        q, k = splits[hx]
+        cols = tuple(zip(*kbar))
+        moved = [[sum(map(mul, row, col)) % modulus for col in cols] for row in k]
+        if not any(moved[i][j] for i, j in outside):
+            points.append(((parab.levi_product(q, moved), pe), c))
     return levi_measure(parab, ctx, points, True).scale(parabolic_double_coset_count(parab, ctx))
 
 
 def levi_measure(parab: BlockParabolic, ctx: PrimeContext, points, biinvariant=False):
     """The measure on the Levi M of parab with mass c at (y / p^e)(M meet K_m)
-    for each ((y, p^e), c) in points, y block diagonal integer rows.
-
-    The label of y / p^e is its `canonical_rep`, H(y) lift(k(y) mod p^m)
-    / p^e, by uniqueness of the Hermite form: `hermite_int`(y) = (H(y),
-    k(y)) is block diagonal as y is, and (1, y) at once for a K_0 point.
-    Masses merge on these integer labels, and only distinct Levi cosets
-    become QMats.
+    for each ((y, p^e), c) in points, y block diagonal integer rows, merged
+    on the labels (p^e, H(y), k(y) mod p^m) that `canonical_rep` gives:
+    `hermite_int`(y) = (H(y), k(y)) is block diagonal as y is, and p is
+    divided out of p^e and H(y) while it divides both.
     """
-    modulus = ctx.modulus
-    keys = {}
-    for (y, pe), c in points:
-        hy, ky = hermite_int(y, ctx.p)
-        key = (_product(hy, [[x % modulus for x in col] for col in zip(*ky)]), pe)
-        keys[key] = keys[key] + c if key in keys else c
+    p, modulus = ctx.p, ctx.modulus
     support = {}
-    for (rows, pe), c in keys.items():
-        label = QMat.over(rows, pe)
-        support[label] = support[label] + c if label in support else c
+    for (y, pe), c in points:
+        hy, ky = hermite_int(y, p)
+        while pe > 1 and not any(x % p for row in hy for x in row):
+            hy, pe = [[x // p for x in row] for row in hy], pe // p
+        key = pe, tuple(map(tuple, hy)), tuple([tuple([x % modulus for x in row]) for row in ky])
+        support[key] = support[key] + c if key in support else c
     return HeckeMeasure(Ambient.levi(parab), ctx, support, biinvariant)
 
 
@@ -381,8 +387,8 @@ def normalize_on_levi(h_m: HeckeMeasure, parab: BlockParabolic) -> HeckeMeasure:
     """
     require_levi(h_m, parab)
     ctx = h_m.ctx
-    out = {rep: c * padic_norm_halfpower(modulus_lambda(parab, rep), ctx.p, 1)
-           for rep, c in h_m.support.items()}
+    out = {x: c * padic_norm_halfpower(modulus_lambda(parab, label_matrix(x)), ctx.p, 1)
+           for x, c in h_m.support.items()}
     return HeckeMeasure(h_m.ambient, ctx, out, h_m.biinvariant)
 
 
@@ -408,11 +414,12 @@ def label_spread(rep: QMat, p: int) -> int:
 
 
 def measure_spread(h: HeckeMeasure) -> int:
-    """max over the support of -(v_min(x) + v_min(x^-1)); 0 for integral
-    cosets.  Conjugation by the level-(m + spread) subgroup fixes every
-    support coset, so the K_0 conjugation action factors through a finite
-    quotient at that level."""
-    return max((label_spread(rep, h.ctx.p) for rep in h.support), default=0)
+    """max over the support of -(v_min(x) + v_min(x^-1)), which is that of
+    H for x = (H / p^e) lift(kbar); 0 for integral cosets.  Conjugation by
+    the level-(m + spread) subgroup fixes every support coset, so the K_0
+    conjugation action factors through a finite quotient at that level."""
+    return max((label_spread(QMat(hx), h.ctx.p) for hx in {hx for _, hx, _ in h.support}),
+               default=0)
 
 
 def is_ad_invariant(h: HeckeMeasure, gens=None) -> bool:
@@ -437,29 +444,24 @@ def _hermite_of_product(g, h, p: int):
     return tuple(map(tuple, h2)), k
 
 
-def ad_orbits(reps, ctx: PrimeContext):
-    """Orbits of level cosets on G under conjugation by K_0, on integer labels.
+def ad_orbits(labels, ctx: PrimeContext):
+    """Orbits of the level cosets with the given labels on G under
+    conjugation by K_0.
 
-    Each coset is split once (`iwasawa_mod` on G: the Hermite split) and
-    keyed (p^e, H, kbar): its canonical label is x = H lift(kbar) / p^e,
-    kbar flat mod p^m, and p^e, the least power clearing the entries of x,
-    is constant on an orbit.  A generator g of K_0 / K_level (level = m +
-    the largest spread, read once per distinct H) sends the key to
-    (p^e, H', k kbar g^-1 mod p^m), with (H', k) = `hermite_int`(g H):
+    A label x = (H / p^e) lift(kbar) is keyed (p^e, H, kbar) with kbar
+    flat, and p^e is constant on an orbit.  A generator g of K_0 / K_level
+    (level = m + the largest spread, read once per distinct H) sends the
+    key to (p^e, H', k kbar g^-1 mod p^m), with (H', k) = `hermite_int`(g H):
     g x g^-1 = H' k lift(kbar) g^-1 / p^e, and g times a lift of g^-1 mod
-    p^m lies in K_m.  H' and the `product_map` of
-    k and g^-1 are built once per (g, H), in tables that live for this call.
-    Each orbit is the `conjugation_closure` of one key, sorted by the
-    entries of its labels, which become QMats only at the end.
+    p^m lies in K_m.  H' and the `product_map` of k and g^-1 are built once
+    per (g, H), in tables that live for this call.  Each orbit is the
+    `conjugation_closure` of one key, sorted by the entries of
+    `label_matrix`.
     """
-    if not reps:
+    if not labels:
         return []
-    p, modulus, n = ctx.p, ctx.modulus, reps[0].n
-    group = Ambient.general_linear(n).parab
-    keys = {}
-    for r in reps:
-        h, kbar, pe = iwasawa_mod(*integer_form(r.rows), group, ctx)
-        keys[(pe, tuple(map(tuple, h)), sum(kbar, ()))] = None
+    p, modulus, n = ctx.p, ctx.modulus, len(labels[0][1])
+    keys = dict.fromkeys((pe, h, sum(kbar, ())) for pe, h, kbar in labels)
     level = ctx.m + max(label_spread(QMat(h), p) for h in {h for _, h, _ in keys})
 
     def conjugation(g):
@@ -487,18 +489,17 @@ def ad_orbits(reps, ctx: PrimeContext):
             raise RuntimeError(f"conjugation took the coset {key} out of the given cosets")
         seen |= orbit
         # one p^e per orbit, so integer numerators sort as the entries do
-        labels = sorted((_product(h, [kbar[j::n] for j in range(n)]), pe)
-                        for pe, h, kbar in orbit)
-        orbits.append([QMat.over(rows, pe) for rows, pe in labels])
+        orbit = sorted(orbit, key=lambda key: _product(key[1], [key[2][j::n] for j in range(n)]))
+        orbits.append([(pe, h, tuple(zip(*[iter(kbar)] * n))) for pe, h, kbar in orbit])
     return orbits
 
 
-def ad_symmetrized_basis(reps, ctx: PrimeContext):
+def ad_symmetrized_basis(labels, ctx: PrimeContext):
     """Indicator measures of the conjugation orbits of the given cosets."""
-    ambient = Ambient.general_linear(reps[0].n)
     one = RootP.rational(1, ctx.p)
-    return [HeckeMeasure(ambient, ctx, dict.fromkeys(orbit, one), True)
-            for orbit in ad_orbits(reps, ctx)]
+    return [HeckeMeasure(Ambient.general_linear(len(orbit[0][1])), ctx,
+                         dict.fromkeys(orbit, one), True)
+            for orbit in ad_orbits(labels, ctx)]
 
 
 # ---------------------------------------------------------------------------
@@ -531,17 +532,16 @@ def hermite_reps_with_divisors(n: int, p: int, divisors, guard=DEFAULT_GROUP_ORD
 
 def double_coset_measure(n: int, ctx: PrimeContext, divisors, guard=DEFAULT_GROUP_ORDER_GUARD):
     """Indicator (coefficient 1 per level coset) of K_0 diag(p^divisors) K_0,
-    keyed by the labels H lift(kbar), H a Hermite form and kbar in
-    GL_n(Z/p^m): canonical as they are, since the Hermite form is unique."""
+    keyed by the labels (1, H, kappa), H a Hermite form and kappa in
+    GL_n(Z/p^m)."""
     hermites = hermite_reps_with_divisors(n, ctx.p, divisors, guard)
-    kappa_cols = [tuple(zip(*rows)) for rows in enumerate_glnzm(n, ctx, guard)]
+    kappas = enumerate_glnzm(n, ctx, guard)
     one = RootP.rational(1, ctx.p)
     out = {}
     for h in hermites:
-        h = integer_form(h.rows)[0]
-        for cols in kappa_cols:
-            rep = QMat._wrap(tuple([tuple(map(Fraction, row)) for row in _product(h, cols)]))
-            out[rep] = one
+        h = tuple(map(tuple, integer_form(h.rows)[0]))
+        for kappa in kappas:
+            out[(1, h, kappa)] = one
     expected = len(hermites) * glnzm_order(n, ctx.p, ctx.m)
     if len(out) != expected:
         raise RuntimeError(f"{len(out)} level cosets in K_0 diag(p^{divisors}) K_0, not {expected}")
@@ -561,8 +561,8 @@ def measure_to_jsonable(h: HeckeMeasure) -> dict:
     if not h.ambient.is_group:
         amb.update(group="M", blocks=list(h.ambient.parab.blocks))
     rows = []
-    for rep, c in h.items():
-        rows.append({"rep": [str(x) for x in rep.entries()], "coeff": str(c)})
+    for label, c in h.items():
+        rows.append({"rep": [str(x) for x in label_matrix(label).entries()], "coeff": str(c)})
     rows.sort(key=lambda r: r["rep"])
     return {
         "ambient": amb,
@@ -620,10 +620,10 @@ def measure_from_jsonable(data: dict) -> HeckeMeasure:
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"support row {row!r} does not parse: {exc}") from None
         mat = QMat([entries[i * n : (i + 1) * n] for i in range(n)])
-        rep = canonical_rep(ambient, mat, ctx)
-        if rep in support:
-            raise DomainError(f"support names the level coset of {rep.entries()} twice")
-        support[rep] = coeff
+        label = canonical_rep(ambient, mat, ctx)
+        if label in support:
+            raise DomainError(f"support names the level coset of {mat.entries()} twice")
+        support[label] = coeff
     h = HeckeMeasure(ambient, ctx, support, biinvariant)
     if h.biinvariant and not is_ad_invariant(h):
         raise DomainError("biinvariant flag set on a measure that is not conjugation-invariant")

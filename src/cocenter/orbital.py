@@ -3,9 +3,10 @@
 On each Levi block the Iwasawa frame T U K_0 leaves an integral over the
 upper unipotent U: u^-1 gamma u = gamma n is a triangular change of
 variable with Jacobian prod_{i<j} |1 - gamma_j / gamma_i|, and the n with
-gamma n in x K_m form one coset of U meet K_m or none.  Labels are
-canonical, so that coset is read off the label: gamma^-1 x K_m meets U
-exactly when x is upper triangular and x_ii / gamma_i lies in 1 + p^m Z_p.
+gamma n in x K_m form one coset of U meet K_m or none.  That coset is
+read off the label (p^e, H, kbar) of x = (H / p^e) lift(kbar): gamma^-1
+x K_m meets U exactly when kbar is upper triangular and x_ii / gamma_i =
+H_ii kbar_ii / (p^e gamma_i) lies in 1 + p^m Z_p.
 A measure flagged invariant under conjugation by the maximal compact
 subgroup (K_0 on G, M meet K_0 on a Levi) has all conjugates contributing
 equally, so each label is tested once and weighted by the order of the
@@ -38,10 +39,10 @@ from cocenter.exactnum import (
 )
 from cocenter.groups import BlockParabolic, SubgroupSpec, discriminant_delta
 from cocenter.matrices import (
-    PrimeContext, QMat, coset_canonical_rep, enumerate_transversal_K0_mod_Km, gauss_jordan,
-    glnzm_order,
+    PrimeContext, QMat, enumerate_transversal_K0_mod_Km, gauss_jordan, glnzm_order,
 )
-from cocenter.measures import HeckeMeasure, label_spread, require_levi
+from cocenter.measures import Ambient, HeckeMeasure, canonical_rep, label_matrix
+from cocenter.measures import label_spread, require_levi
 
 
 @dataclass(frozen=True)
@@ -84,23 +85,24 @@ class OrbitalValue:
         )
 
 
-def _meets_unipotent(x: QMat, gamma, ctx: PrimeContext) -> bool:
-    """[gamma^-1 x K_m meets U] for a canonical label x, U the upper
-    unipotent: x is upper triangular and x_ii / gamma_i is in 1 + p^m Z_p.
+def _meets_unipotent(label, gamma, ctx: PrimeContext) -> bool:
+    """[gamma^-1 x K_m meets U] for the label (p^e, H, kbar) of x, U the
+    upper unipotent: kbar is upper triangular and x_ii / gamma_i is in
+    1 + p^m Z_p.
 
-    With x = H lift(k mod p^m), gamma^-1 H is upper triangular, so the
-    coset meets the Borel B exactly when lift(k mod p^m) is upper
-    triangular, which holds iff x is.  The coset then meets B in
-    gamma^-1 x (B meet K_m), which meets U iff the diagonal of gamma^-1 x
-    lies in T meet K_m.  With x_ii = a / b and gamma_i = u / v that is
+    With x = (H / p^e) lift(kbar), gamma^-1 H is upper triangular, so the
+    coset meets the Borel B exactly when lift(kbar) is upper triangular.
+    The coset then meets B in gamma^-1 x (B meet K_m), which meets U iff
+    the diagonal of gamma^-1 x lies in T meet K_m.  With x_ii = a / b,
+    a = H_ii kbar_ii and b = p^e, and gamma_i = u / v that is
     v_p(a v - b u) - v_p(b u) >= m unless a v = b u, on integers.
     """
-    rows = x.rows
-    if any(rows[i][j] for i in range(x.n) for j in range(i)):
+    b, h, kbar = label
+    if any(kbar[i][j] for i in range(len(h)) for j in range(i)):
         return False
     p, m = ctx.p, ctx.m
     for i, g in enumerate(gamma):
-        a, b, u, v = rows[i][i].numerator, rows[i][i].denominator, g.numerator, g.denominator
+        a, u, v = h[i][i] * kbar[i][i], g.numerator, g.denominator
         diff = a * v - b * u
         if diff and int_valuation(diff, p) - int_valuation(b * u, p) < m:
             return False
@@ -149,7 +151,8 @@ def orbital_single_coset_gl2(
     """
     level = ctx.m + label_spread(y, ctx.p)
     quotient = enumerate_transversal_K0_mod_Km(y.n, PrimeContext(ctx.p, level), guard)
-    hits = sum(_meets_unipotent(coset_canonical_rep(k * y * k.inverse(), ctx), gamma, ctx)
+    group = Ambient.general_linear(y.n)
+    hits = sum(_meets_unipotent(canonical_rep(group, k * y * k.inverse(), ctx), gamma, ctx)
                for k in quotient)
     one_block = BlockParabolic(y.n, (y.n,))
     return _unipotent_volume(gamma, one_block, ctx) * Fraction(hits, len(quotient))
@@ -162,13 +165,11 @@ def orbital_integral(
 
     O_gamma(h) = |Delta_{T, M}(gamma)| E_M(gamma) * sum of c_x over the
     labels x that pass `_meets_unipotent`, both factors being products
-    over the blocks of M.  The test
-    reads the shape of the label, so it relies on the labels of h being
-    canonical, as every `HeckeMeasure` constructor makes them; each Levi
-    block of such a label is the canonical label of that block.  A flagged
-    measure is invariant under conjugation by the ambient's maximal compact
-    subgroup, so each label is tested once; an unflagged one sums the test
-    over the conjugation quotient of each block, which the guard bounds.
+    over the blocks of M; each Levi block of a label on M is the label of
+    that block.  A flagged measure is invariant under conjugation by the
+    ambient's maximal compact subgroup, so each label is tested once; an
+    unflagged one sums the test over the conjugation quotient of each
+    block, which the guard bounds.
     Values are exact elements of Q(sqrt p).
     """
     ctx, ambient = h.ctx, h.ambient
@@ -180,13 +181,13 @@ def orbital_integral(
         const *= _unipotent_volume(gamma.entries, parab, ctx)
     subs = [gamma.entries[lo:hi] for lo, hi in parab.block_ranges]
     out = RootP.rational(0, ctx.p)
-    for rep, c in h.items():
+    for label, c in h.items():
         if h.biinvariant:
-            if _meets_unipotent(rep, gamma.entries, ctx):
+            if _meets_unipotent(label, gamma.entries, ctx):
                 out = out + c
         else:
             value = prod(orbital_single_coset_gl2(block, sub, ctx, guard)
-                         for block, sub in zip(parab.levi_blocks(rep), subs))
+                         for block, sub in zip(parab.levi_blocks(label_matrix(label)), subs))
             if value:
                 out = out + c * value
     return OrbitalValue(out * const, ctx.p, ctx.m)

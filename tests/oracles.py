@@ -21,7 +21,10 @@ the induced module, one QMat product and one Levi point per kept term
 instead of integer products merged by their Levi projection in the trace
 measure, `from_pairs` canonicalization instead of double coset labels
 keyed as built, a QMat Iwasawa split, `coset_meets_parabolic` and
-`from_pairs` per support coset instead of integer labels in restriction.
+`from_pairs` per support coset instead of integer labels in restriction,
+block determinants of a QMat on P instead of a label's Hermite diagonal
+in characters.  Oracles read a measure's labels as the QMats of
+`label_matrix` (`matrix_items`).
 """
 
 from fractions import Fraction
@@ -51,6 +54,7 @@ from cocenter.measures import (
     double_coset_labels,
     hermite_reps_with_divisors,
     k0_quotient_generators,
+    label_matrix,
     label_spread,
     parabolic_double_coset_count,
     unit_measure,
@@ -71,15 +75,22 @@ def gl2_level_basis(ctx):
     return ad_symmetrized_basis(k0_labels, ctx) + ad_symmetrized_basis(d_labels, ctx)
 
 
-def ad_orbits_by_all_conjugators(reps, ctx):
-    """Conjugation orbits of the given level cosets, in the order and form
-    of `ad_orbits`: each orbit conjugates one coset by every element of
-    K_0 / K_level, level = m + spread of the coset, with no generators and
-    no closure."""
+def matrix_items(h):
+    """(label_matrix(x), c) for each label x of h and its coefficient c,
+    in support order."""
+    return [(label_matrix(x), c) for x, c in h.items()]
+
+
+def ad_orbits_by_all_conjugators(labels, ctx):
+    """Conjugation orbits of the level cosets with the given labels, in the
+    order and form of `ad_orbits`: each orbit conjugates one coset by every
+    element of K_0 / K_level, level = m + spread of the coset, with no
+    generators and no closure, and its sorted QMats are labelled by
+    `canonical_rep` at the end."""
     quotients = {}
     orbits, seen = [], set()
-    for r in reps:
-        x = coset_canonical_rep(r, ctx)
+    for r in labels:
+        x = coset_canonical_rep(label_matrix(r), ctx)
         if x.entries() in seen:
             continue
         level = ctx.m + label_spread(x, ctx.p)
@@ -88,34 +99,32 @@ def ad_orbits_by_all_conjugators(reps, ctx):
             quotients[level] = [(k, k.inverse()) for k in quotient]
         orbit = {coset_canonical_rep(k * x * kinv, ctx) for k, kinv in quotients[level]}
         seen.update(y.entries() for y in orbit)
-        orbits.append(sorted(orbit, key=QMat.entries))
+        group = Ambient.general_linear(x.n)
+        orbits.append([canonical_rep(group, y, ctx) for y in sorted(orbit, key=QMat.entries)])
     return orbits
 
 
-def ad_orbits_by_qmat_closure(reps, ctx):
+def ad_orbits_by_qmat_closure(labels, ctx):
     """`measures.ad_orbits` on QMats: the same generators and the same
-    closure, but every conjugate is the QMat product g x g^-1 and is
-    canonicalized by `canonical_rep`, with no integer labels and no table
-    of Hermite splits."""
-    if not reps:
+    closure, but every conjugate is the QMat product g x g^-1 of the
+    `label_matrix` x and is labelled again by `canonical_rep`, with no
+    table of Hermite splits."""
+    if not labels:
         return []
-    ambient = Ambient.general_linear(reps[0].n)
-    level = ctx.m + max(label_spread(r, ctx.p) for r in reps)
-    maps = [lambda x, g=g, ginv=g.inverse(): canonical_rep(ambient, g * x * ginv, ctx)
+    ambient = Ambient.general_linear(len(labels[0][1]))
+    level = ctx.m + max(label_spread(label_matrix(r), ctx.p) for r in labels)
+    maps = [lambda x, g=g, ginv=g.inverse(): canonical_rep(ambient, g * label_matrix(x) * ginv, ctx)
             for g in k0_quotient_generators(ambient, ctx.p, level)]
-    rep_of = {}
-    for r in reps:
-        rc = canonical_rep(ambient, r, ctx)
-        rep_of[rc.entries()] = rc
+    given = set(labels)
     orbits = []
     seen = set()
-    for key, rc in rep_of.items():
-        if key in seen:
+    for r in labels:
+        if r in seen:
             continue
-        orbit = sorted(conjugation_closure([rc], maps), key=QMat.entries)
-        if any(x.entries() not in rep_of for x in orbit):
-            raise RuntimeError(f"conjugation took {rc} out of the given cosets")
-        seen.update(x.entries() for x in orbit)
+        orbit = sorted(conjugation_closure([r], maps), key=lambda x: label_matrix(x).entries())
+        if any(x not in given for x in orbit):
+            raise RuntimeError(f"conjugation took {r} out of the given cosets")
+        seen.update(orbit)
         orbits.append(orbit)
     return orbits
 
@@ -388,8 +397,9 @@ def grid_scan_orbital_gl2(h, gamma, use_value=True):
     p, m = h.ctx.p, h.ctx.m
     g1, g2 = gamma.entries
     vdiff = padic_valuation(g1 - g2, p)
-    vmins = [rep.min_valuation(p) for rep, _ in h.items()]
-    vinvs = [rep.inverse().min_valuation(p) for rep, _ in h.items()]
+    items = matrix_items(h)
+    vmins = [rep.min_valuation(p) for rep, _ in items]
+    vinvs = [rep.inverse().min_valuation(p) for rep, _ in items]
     depth = max(0, vdiff - min(vmins))
     resolution = max(m - min(vinvs) + vdiff, -depth + 1)
     torus_units = (p**m - p ** (m - 1)) ** 2
@@ -397,7 +407,7 @@ def grid_scan_orbital_gl2(h, gamma, use_value=True):
     for t in range(p ** (depth + resolution)):
         xi = Fraction(t, p**depth)
         y = QMat([[g1, xi * (g1 - g2)], [0, g2]])
-        for rep, c in h.items():
+        for rep, c in items:
             if congruence_equiv(rep, y, h.ctx):
                 total += c.a * Fraction(p) ** (-resolution)
                 break
@@ -464,7 +474,7 @@ def orbital_by_balls_gl2(h, gamma):
     p, m = h.ctx.p, h.ctx.m
     g1, g2 = gamma.entries
     total = RootP.rational(0, p)
-    for rep, c in h.items():
+    for rep, c in matrix_items(h):
         total = total + c * _ball_volume_gl2(_inverse_gl2(rep), gamma.entries, h.ctx)
     delta = (g1 / g2 - 1) * (g2 / g1 - 1)
     weight = Fraction(glnzm_order(2, p, m), (p**m - p ** (m - 1)) ** 2)
@@ -494,7 +504,7 @@ def orbital_by_fraction_split(h, gamma):
     torus_index = (p**m - p ** (m - 1)) ** n
     const = norm / jacobian * Fraction(levi_order, torus_index * p ** (m * len(upper)))
     total = RootP.rational(0, p)
-    for rep, c in h.items():
+    for rep, c in matrix_items(h):
         hh, k = hermite_by_fraction_column_ops(g.inverse() * rep, p)
         kbar = mat_mod(k, h.ctx.modulus, p)
         if all(hh[i, i] == 1 for i in range(n)) and all(
@@ -530,7 +540,7 @@ def restriction_over_transversal(h, parab, reps):
     coset, push to M along the block projection, and sum."""
     pairs = []
     for g in reps:
-        for rep, c in ad_pullback(h, g).items():
+        for rep, c in matrix_items(ad_pullback(h, g)):
             found = coset_meets_parabolic(rep, parab, h.ctx)
             if found is not None:
                 pairs.append((parab.levi_project(found), c))
@@ -543,7 +553,7 @@ def restriction_by_qmat_split(h, parab):
     `HeckeMeasure.from_pairs`, in support order, and the sum is scaled by
     |P\\G/K_m|."""
     pairs = []
-    for rep, c in h.items():
+    for rep, c in matrix_items(h):
         found = coset_meets_parabolic(rep, parab, h.ctx)
         if found is not None:
             pairs.append((parab.levi_project(found), c))
@@ -551,12 +561,23 @@ def restriction_by_qmat_split(h, parab):
     return levi.scale(parabolic_double_coset_count(parab, h.ctx))
 
 
+def character_by_block_determinants(chi, parab, g: QMat, p):
+    """chi at g in P, inflated through P -> M: the product of z_i^(v_p(d_i))
+    over the determinants d_i of the diagonal blocks of g, each taken by
+    Fraction elimination."""
+    out = Fraction(1)
+    for z, block in zip(chi.params, parab.levi_blocks(g)):
+        out *= z ** padic_valuation(det_by_fraction_elimination(block.rows), p)
+    return out
+
+
 def hecke_action_matrix(h, chi, model, normalized=False):
     """Matrix of the h action on the level invariants of the induced module.
 
     Entry (i, l) accumulates c_x tau(q) over support points x with
-    g_i x in P g_l K_m, where tau is the inflated character, times the
-    |lambda_P|^(1/2) twist in the normalized model.
+    g_i x in P g_l K_m, where tau is the inflated character
+    (`character_by_block_determinants`), times the |lambda_P|^(1/2) twist
+    in the normalized model.
     """
     if not h.ambient.is_group:
         raise DomainError("the induced module is acted on by measures on G")
@@ -567,9 +588,10 @@ def hecke_action_matrix(h, chi, model, normalized=False):
     zero = RootP.rational(0, ctx.p)
     matrix = [[zero for _ in range(dim)] for _ in range(dim)]
     for i, g_i in enumerate(model.transversal.reps):
-        for rep, c in h.items():
+        for rep, c in matrix_items(h):
             l, q_part = locate_by_fraction_split(model, g_i * rep)
-            weight = RootP.rational(chi.value(parab, q_part, ctx.p), ctx.p)
+            weight = RootP.rational(
+                character_by_block_determinants(chi, parab, q_part, ctx.p), ctx.p)
             if normalized:
                 weight = weight * padic_norm_halfpower(
                     modulus_lambda(parab, q_part), ctx.p, 1
@@ -612,7 +634,7 @@ def trace_measure_by_qmat_products(h, model):
     parab = model.parab
     pairs = []
     for i, g_i in enumerate(model.transversal.reps):
-        for rep, c in h.items():
+        for rep, c in matrix_items(h):
             l, q_part = locate_by_fraction_split(model, g_i * rep)
             if l == i:
                 pairs.append((parab.levi_project(q_part), c))

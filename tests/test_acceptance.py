@@ -31,6 +31,7 @@ from cocenter.matrices import PrimeContext, QMat
 from cocenter.measures import (
     ParabolicTransversal,
     double_coset_measure,
+    label_matrix,
     normalize_on_levi,
     res_normalized,
     res_unnormalized,
@@ -57,7 +58,7 @@ from cocenter.unipotent import (
     partitions_of,
 )
 
-from tests.oracles import perturbed_reps, restriction_over_transversal
+from tests.oracles import matrix_items, perturbed_reps, restriction_over_transversal
 
 CHARACTER_PARAMS = [
     (Fraction(1), Fraction(1), Fraction(1)),
@@ -341,7 +342,7 @@ def _orbit_kind(h, p):
     """Name a rank-two orbit indicator by the trace and determinant of its
     representatives (constant on the orbit at level one)."""
     kinds = set()
-    for rep, _ in h.items():
+    for rep, _ in matrix_items(h):
         t, v = rep.trace() % p, padic_valuation(rep.det(), p)
         if v == 0 and t:
             kinds.add("elliptic-mod-p")
@@ -376,7 +377,8 @@ def test_criterion_8b_no_joint_annihilated_combination(
     start = time.time()
     omat, xmat = separation_matrices
     restricted = [res_normalized(h, borel2, transversal_gl2) for h in level_basis_gl2]
-    columns = sorted({key for r in restricted for key in r.support}, key=QMat.entries)
+    columns = sorted({key for r in restricted for key in r.support},
+                     key=lambda key: label_matrix(key).entries())
     zero = RootP.rational(0, ctx2.p)
     rmat = [[r.support.get(key, zero) for key in columns]
             for r in restricted]

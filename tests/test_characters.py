@@ -20,14 +20,17 @@ from cocenter.measures import (
     ParabolicTransversal,
     ad_symmetrized_basis,
     double_coset_measure,
+    label_matrix,
     res_normalized,
     res_unnormalized,
     unit_measure,
 )
 from tests.oracles import (
+    character_by_block_determinants,
     gl2_level_basis,
     hecke_action_matrix,
     locate_by_fraction_split,
+    matrix_items,
     trace_measure_by_qmat_products,
 )
 
@@ -233,21 +236,54 @@ def test_trace_measure_equals_restriction_gl2_level_two():
             assert character_pairing(chi, res_up) == character_pairing(chi, res_low)
 
 
+def test_character_reads_the_hermite_diagonal_of_a_label():
+    """chi at a Levi label equals chi at its `label_matrix` read off block
+    determinants, on every label of the restrictions and traces of the
+    GL_2 level bases at (p, m) = (2, 1), (3, 1), (2, 2), and of the
+    GL_3(Q_2) K_0 orbits through (2, 1) and (1, 2), and of their
+    translates by 1/p and by p, whose labels have p^e = p and, on the
+    Levi, H divisible by p."""
+    borel = BlockParabolic(2, (1, 1))
+    cases = []
+    for ctx in (PrimeContext(2, 1), PrimeContext(3, 1), PrimeContext(2, 2)):
+        cases += [(InducedModel(parab, ctx), gl2_level_basis(ctx))
+                  for parab in (borel, borel.opposite())]
+    ctx = PrimeContext(2, 1)
+    basis3 = ad_symmetrized_basis(list(unit_measure(Ambient.general_linear(3), ctx).support), ctx)
+    cases += [(InducedModel(BlockParabolic(3, blocks), ctx), basis3) for blocks in ((2, 1), (1, 2))]
+    compared = 0
+    for model, basis in cases:
+        parab, p = model.parab, model.ctx.p
+        n = parab.n
+        chi = UnramifiedCharacter(parab.blocks, (2, Fraction(-1, 3), 5)[:len(parab.blocks)])
+        for scale in (Fraction(1, p), 1, p):
+            center = QMat.diagonal([scale] * n)
+            for h in basis:
+                moved = HeckeMeasure.from_pairs(h.ambient, h.ctx, [
+                    (center * rep, c) for rep, c in matrix_items(h)], True)
+                for m in (res_unnormalized(moved, parab), trace_measure(moved, model)):
+                    for label in m.support:
+                        want = character_by_block_determinants(chi, parab, label_matrix(label), p)
+                        assert chi.value(parab, label, p) == want, (parab, label)
+                        compared += 1
+    assert compared == 552
+
+
 def test_identity_check_splits_each_product_once(monkeypatch):
-    """One identity check splits each support label once on G and each
-    product g_i H of a transversal rep and a distinct Hermite part H once
-    through P, for the plain and the normalized trace together: the
-    integer Hermite core runs |supp h| + dim * |distinct H| times through
-    `groups`, fewer than the dim * |supp h| products g_i x.  The
-    restriction is passed in, and `measures.levi_measure` splits the Levi
-    points of T(h) outside `groups`, so neither is counted."""
+    """One identity check splits no support label again, and each product
+    g_i H of a transversal rep and a distinct Hermite part H once through
+    P, for the plain and the normalized trace together: the integer
+    Hermite core runs dim * |distinct H| times through `groups`, fewer
+    than the dim * |supp h| products g_i x.  The restriction is passed in,
+    and `measures.levi_measure` splits the Levi points of T(h) outside
+    `groups`, so neither is counted."""
     ctx = PrimeContext(3, 1)
     borel = BlockParabolic(2, (1, 1), "upper")
     model = InducedModel(borel, ctx)
     h = gl2_level_basis(ctx)[-1]
     res_m = res_unnormalized(h, borel)
     parts = {tuple(map(tuple, hermite_int(integer_form(rep.rows)[0], ctx.p)[0]))
-             for rep in h.support}
+             for rep, _ in matrix_items(h)}
     calls = []
 
     def counting_core(a, p):
@@ -259,7 +295,7 @@ def test_identity_check_splits_each_product_once(monkeypatch):
         h, UnramifiedCharacter((1, 1), (2, 5)), borel, model, res_m
     )
     assert ok, details
-    assert 0 < len(calls) == len(h) + model.dim * len(parts) < model.dim * len(h)
+    assert 0 < len(calls) == model.dim * len(parts) < model.dim * len(h)
 
 
 def _split_models():
@@ -306,7 +342,7 @@ def test_integer_split_matches_the_fraction_oracle():
     compared = 0
     for model, basis in _split_models():
         p, n = model.ctx.p, model.parab.n
-        labels = [rep for h in basis for rep, _ in h.items()]
+        labels = [rep for h in basis for rep, _ in matrix_items(h)]
         inputs = [g_i * x for g_i in model.transversal.reps for x in labels]
         inputs += [_random_y(n, p, rng) for _ in range(20)]
         for y in inputs:
@@ -330,7 +366,8 @@ def test_trace_measure_matches_the_qmat_oracle():
         center = QMat.diagonal([Fraction(1, model.ctx.p)] * model.parab.n)
         last = basis[-1]
         shifted = HeckeMeasure.from_pairs(last.ambient, last.ctx,
-                                          [(center * rep, c) for rep, c in last.items()], True)
+                                          [(center * rep, c) for rep, c in matrix_items(last)],
+                                          True)
         for h in basis + [shifted]:
             got, want = trace_measure(h, model), trace_measure_by_qmat_products(h, model)
             assert (got.ambient, got.support) == (want.ambient, want.support), (model.parab, h)

@@ -30,6 +30,15 @@ REPORT_DIGESTS = {
     "saturate": (run_saturate, "e479bf5277513fa02e140c148d6dff811692294a4b8d890b097c4144575cdf9f"),
 }
 
+# the same for the configuration `[run] n = 3, blocks = 2,1`, which builds
+# Levi labels with a 2 x 2 block and splits 3 x 3 Hermite parts through a
+# lower parabolic, as the default GL_2 configuration never does
+GL3_REPORT_DIGESTS = {
+    "restriction": (run_restriction, "c35f61ea991f83314af31ce4a085b539bdd508a0b1eb13816b68e203d58ff8ec"),
+    "characters": (run_characters, "eabc54ed3619c6a54c7e32a803f2d1e54266bfe55ff11e8b57df9b76ac7f4116"),
+    "orbital": (run_orbital, "ad888ba03147131d282c648ec27503963cbe36b4221e290d21d940b7907a32df"),
+}
+
 
 @pytest.fixture(scope="module")
 def small_config():
@@ -85,6 +94,13 @@ def test_reports_deterministic(small_config):
 def test_reports_byte_identical(suite):
     run, digest = REPORT_DIGESTS[suite]
     report = render_json(run(RunConfig().validate()))
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("suite", sorted(GL3_REPORT_DIGESTS))
+def test_gl3_reports_byte_identical(suite):
+    run, digest = GL3_REPORT_DIGESTS[suite]
+    report = render_json(run(RunConfig(n=3, blocks=(2, 1)).validate()))
     assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
@@ -153,16 +169,18 @@ def _orbital_rows(tmp_path, blocks, *flags):
 
 
 def test_orbital_suite_on_gl3(tmp_path):
-    """Descent rows at n = 3 for both block shapes.  The (2, 1) run fails
-    only its separation probe, which reads orbital rank 2 against
-    character rank 3 there; a corrupted normalization fails descent rows."""
+    """Descent rows at n = 3 for every block shape.  The (2, 1) and (1, 2)
+    runs fail only their separation probe, which reads orbital rank 2
+    against character rank 3 there; a corrupted normalization fails
+    descent rows."""
     code, _ = _orbital_rows(tmp_path, "1,1,1")
     assert code == 0
-    _, rows = _orbital_rows(tmp_path, "2,1")
-    descent = [r for r in rows if r["identity"] == "orbital-descent"]
-    assert len(descent) == 550 and all(r["pass"] == "true" for r in descent)
-    assert {r["identity"] for r in rows if r["pass"] == "false"} <= {
-        "separation-probe/rank-agreement"}
+    for blocks in ("2,1", "1,2"):
+        _, rows = _orbital_rows(tmp_path, blocks)
+        descent = [r for r in rows if r["identity"] == "orbital-descent"]
+        assert len(descent) == 550 and all(r["pass"] == "true" for r in descent)
+        assert {r["identity"] for r in rows if r["pass"] == "false"} <= {
+            "separation-probe/rank-agreement"}
     code, rows = _orbital_rows(tmp_path, "2,1", "--mutate-normalization")
     assert code == 1
     assert any(r["identity"] == "orbital-descent" and r["pass"] == "false" for r in rows)

@@ -25,6 +25,8 @@ from cocenter.measures import (
     hermite_reps_with_divisors,
     is_ad_invariant,
     k0_quotient_generators,
+    label_matrix,
+    levi_measure,
     measure_from_jsonable,
     measure_to_jsonable,
     normalize_on_levi,
@@ -44,10 +46,12 @@ from tests.oracles import (
     double_coset_measure_by_from_pairs,
     gl2_level_basis,
     hermite_forms_by_smith_filter,
+    matrix_items,
     meets_parabolic_oracle_integral,
     perturbed_reps,
     restriction_by_qmat_split,
     restriction_over_transversal,
+    trace_measure_by_qmat_products,
     unit_measure_by_from_pairs,
 )
 
@@ -79,20 +83,20 @@ def test_ad_pullback_examples(ctx2, unit_gl2):
 
 
 def test_coset_meets_parabolic_examples(ctx2, borel2):
-    ident = canonical_rep(Ambient.general_linear(2), QMat.identity(2), ctx2)
+    ident = label_matrix(canonical_rep(Ambient.general_linear(2), QMat.identity(2), ctx2))
     found = coset_meets_parabolic(ident, borel2, ctx2)
     assert found is not None and borel2.contains(found)
-    diag = canonical_rep(Ambient.general_linear(2), QMat.diagonal([2, 1]), ctx2)
+    diag = label_matrix(canonical_rep(Ambient.general_linear(2), QMat.diagonal([2, 1]), ctx2))
     assert coset_meets_parabolic(diag, borel2, ctx2) is not None
-    lower = canonical_rep(Ambient.general_linear(2), QMat([[1, 0], [1, 1]]), ctx2)
+    lower = label_matrix(canonical_rep(Ambient.general_linear(2), QMat([[1, 0], [1, 1]]), ctx2))
     assert coset_meets_parabolic(lower, borel2, ctx2) is None
     # permutation coset misses the Borel at level one
-    w = canonical_rep(Ambient.general_linear(2), QMat([[0, 1], [1, 0]]), ctx2)
+    w = label_matrix(canonical_rep(Ambient.general_linear(2), QMat([[0, 1], [1, 0]]), ctx2))
     assert coset_meets_parabolic(w, borel2, ctx2) is None
 
 
 def test_coset_meets_agrees_with_exhaustive_scan(ctx2, borel2, unit_gl2):
-    for rep, _ in unit_gl2.items():
+    for rep, _ in matrix_items(unit_gl2):
         fast = coset_meets_parabolic(rep, borel2, ctx2)
         slow = meets_parabolic_oracle_integral(rep, borel2, ctx2)
         assert (fast is None) == (slow is None)
@@ -102,7 +106,7 @@ def test_coset_meets_agrees_with_exhaustive_scan(ctx2, borel2, unit_gl2):
 
 def test_restrict_and_pushforward_unit(ctx2, borel2, unit_gl2):
     # K_0 cosets meeting B biject with the mod 2 Borel: |B(F_2)| = 2
-    meeting = [rep for rep, _ in unit_gl2.items()
+    meeting = [rep for rep, _ in matrix_items(unit_gl2)
                if coset_meets_parabolic(rep, borel2, ctx2) is not None]
     assert len(meeting) == 2
     # |P\G/K_1| = 3 terms, each unit_T / 3
@@ -131,7 +135,7 @@ def test_coset_invariants_raise_instead_of_asserting(monkeypatch, ctx2, borel2):
             ParabolicTransversal(borel2, ctx2)
     # one transvection of GL_2(F_2) without the other two of its class
     with pytest.raises(RuntimeError, match="out of the given cosets"):
-        ad_orbits([QMat([[1, 1], [0, 1]])], ctx2)
+        ad_orbits([canonical_rep(Ambient.general_linear(2), QMat([[1, 1], [0, 1]]), ctx2)], ctx2)
 
 
 def test_transversal_counts_and_cover(ctx2, borel2, transversal_gl2):
@@ -282,11 +286,12 @@ def test_integer_restriction_on_level_two_and_denominators():
     for p in (2, 3):
         ctx = PrimeContext(p, 1)
         center = QMat.diagonal([Fraction(1, p)] * 2)
-        translate = [(h, [(center * rep, c) for rep, c in h.items()]) for h in gl2_level_basis(ctx)]
+        translate = [(h, [(center * rep, c) for rep, c in matrix_items(h)])
+                     for h in gl2_level_basis(ctx)]
         cases.append((ctx, [HeckeMeasure.from_pairs(h.ambient, ctx, pairs, True)
                             for h, pairs in translate]))
     ctx2 = PrimeContext(2, 1)
-    x = QMat([[1, Fraction(1, 2)], [0, 1]])
+    x = canonical_rep(Ambient.general_linear(2), QMat([[1, Fraction(1, 2)], [0, 1]]), ctx2)
     orbit = ad_symmetrized_basis(ad_orbits_by_all_conjugators([x], ctx2)[0], ctx2)[0]
     merged = orbit + unit_measure(Ambient.general_linear(2), ctx2)
     cases.append((ctx2, [orbit, merged]))
@@ -314,13 +319,77 @@ def test_restriction_splits_no_qmat(monkeypatch, ctx2, level_basis_gl2):
     def refuse(*args, **kwargs):
         raise AssertionError("restriction called a QMat path")
 
-    for target in ("cocenter.matrices.coset_canonical_rep", "cocenter.measures.coset_canonical_rep",
+    for target in ("cocenter.matrices.coset_canonical_rep",
                    "cocenter.groups.iwasawa_decompose", "cocenter.measures.iwasawa_decompose",
                    "cocenter.measures.canonical_rep", "cocenter.measures.coset_meets_parabolic",
                    "cocenter.measures.HeckeMeasure.from_pairs"):
         monkeypatch.setattr(target, refuse)
     got = [res_normalized(h, parab) for parab in parabs for h in basis]
     assert got == want
+
+
+def test_support_labels_are_split_once(monkeypatch, ctx2):
+    """No support key is a QMat, and no label is split again: with
+    `iwasawa_mod`, the split that labels a QMat, made to raise, the
+    GL_2(Q_2) and GL_3(Q_2) level bases are built, and their orbits,
+    restrictions through every block parabolic and induced traces are
+    taken, and all match the QMat oracles.  The traces on GL_3, whose
+    oracle is slow, run on the K_0 orbits through the upper (2, 1) and
+    the lower (1, 2) parabolic."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a support label was split again")
+
+    parabs = {n: [BlockParabolic(n, blocks, orientation) for blocks in compositions(n)
+                  if len(blocks) > 1 for orientation in ("upper", "lower")] for n in (2, 3)}
+    with monkeypatch.context() as patch:
+        for target in ("cocenter.groups.iwasawa_mod", "cocenter.measures.iwasawa_mod",
+                       "cocenter.characters.iwasawa_mod"):
+            patch.setattr(target, refuse)
+        labels = {n: [unit_labels(n, ctx2), double_coset_labels(n, ctx2, (1,) + (0,) * (n - 1))]
+                  for n in (2, 3)}
+        orbits = {n: [ad_orbits(x, ctx2) for x in labels[n]] for n in (2, 3)}
+        bases = {n: [h for x in labels[n] for h in ad_symmetrized_basis(x, ctx2)] for n in (2, 3)}
+        restricted = {parab: [res_unnormalized(h, parab) for h in bases[n]]
+                      for n in (2, 3) for parab in parabs[n]}
+        traced = []
+        for parab, basis in [(p, bases[2]) for p in parabs[2]] + [
+                (BlockParabolic(3, (2, 1)), bases[3][:6]),
+                (BlockParabolic(3, (1, 2), "lower"), bases[3][:6])]:
+            model = InducedModel(parab, ctx2)
+            traced += [(h, trace_measure(h, model), model) for h in basis]
+    measures = [h for n in (2, 3) for h in bases[n]] + [r for rs in restricted.values() for r in rs]
+    measures += [t for _, t, _ in traced]
+    assert all(type(x) is tuple and len(x) == 3 for h in measures for x in h.support)
+    for n in (2, 3):
+        assert orbits[n] == [ad_orbits_by_qmat_closure(x, ctx2) for x in labels[n]]
+        for parab in parabs[n]:
+            assert restricted[parab] == [restriction_by_qmat_split(h, parab) for h in bases[n]]
+    for h, got, model in traced:
+        assert got == trace_measure_by_qmat_products(h, model), model.parab
+
+
+def test_levi_label_divides_p_out_of_the_point():
+    """A Levi point (y, p^e) with p dividing p^e and every entry of H(y)
+    gets the label `canonical_rep` gives y / p^e, its mass merges with
+    that of the same coset given in lowest terms, and the measure holding
+    it round-trips byte for byte through `measure_to_jsonable` and
+    `measure_from_jsonable`."""
+    cases = [
+        (PrimeContext(2, 1), BlockParabolic(2, (1, 1)), ((2, 0), (0, 2)), 2, ((1, 0), (0, 1)), 1),
+        (PrimeContext(2, 2), BlockParabolic(2, (1, 1)), ((8, 0), (0, 12)), 4, ((2, 0), (0, 3)), 1),
+        (PrimeContext(3, 1), BlockParabolic(3, (2, 1)), ((9, 3, 0), (0, 9, 0), (0, 0, 3)), 9,
+         ((3, 1, 0), (0, 3, 0), (0, 0, 1)), 3),
+    ]
+    for ctx, parab, y, pe, low, low_pe in cases:
+        on_m = Ambient.levi(parab)
+        h = levi_measure(parab, ctx, [((y, pe), 1), ((low, low_pe), 2)])
+        (label,) = h.support
+        assert label == canonical_rep(on_m, QMat.over(y, pe), ctx)
+        assert label == canonical_rep(on_m, QMat.over(low, low_pe), ctx)
+        assert label[0] < pe and h.coefficient(QMat.over(y, pe)) == 3
+        blob = json.dumps(measure_to_jsonable(h), sort_keys=True)
+        back = measure_from_jsonable(json.loads(blob))
+        assert back == h and json.dumps(measure_to_jsonable(back), sort_keys=True) == blob
 
 
 def test_restriction_refuses_a_parabolic_of_another_size(ctx2, unit_gl2):
@@ -371,6 +440,11 @@ def test_ad_symmetrized_basis_dimensions(ctx2, level_basis_gl2):
         assert is_ad_invariant(h)
 
 
+def test_no_cosets_give_no_orbits(ctx2):
+    """An empty list of cosets has no orbits and no orbit indicators."""
+    assert ad_orbits([], ctx2) == ad_symmetrized_basis([], ctx2) == []
+
+
 def test_ad_orbits_match_conjugation_by_all_of_k0():
     """The generator closure gives the orbits of exhaustive conjugation by
     K_0 / K_level, in the same order and with the same representatives,
@@ -387,8 +461,9 @@ def test_ad_orbits_match_conjugation_by_all_of_k0():
         cases.append((unit_labels(n, ctx), ctx))
     ctx = PrimeContext(2, 1)
     half = QMat.diagonal([Fraction(1, 2)] * 2)
+    g2 = Ambient.general_linear(2)
     for labels in (unit_labels(2, ctx), double_coset_labels(2, ctx, (1, 0))):
-        cases.append(([half * x for x in labels], ctx))
+        cases.append(([canonical_rep(g2, half * label_matrix(x), ctx) for x in labels], ctx))
     cases.append((double_coset_labels(2, ctx, (2, 0)), ctx))
     for labels, ctx in cases:
         assert ad_orbits(labels, ctx) == ad_orbits_by_all_conjugators(labels, ctx)
@@ -424,7 +499,7 @@ def test_gl3_q3_level_one_orbits_are_the_classes_of_gl3_f3():
     conjugators = [(g, g.inverse()) for g in enumerate_gln_fq(3, 3)]
     for h in basis:
         assert h.biinvariant and all(c == 1 for _, c in h.items())
-        orbit = [FFMatrix(rep.rows, 3) for rep, _ in h.items()]
+        orbit = [FFMatrix(rep.rows, 3) for rep, _ in matrix_items(h)]
         assert {g * orbit[0] * ginv for g, ginv in conjugators} == set(orbit)
 
 
@@ -670,7 +745,7 @@ def test_canonical_rep_one_split_matches_oracle():
     cases.append((ad_symmetrized_basis(unit_labels(3, ctx), ctx), ctx))
     compared = 0
     for basis, ctx in cases:
-        labels = [rep for h in basis for rep, _ in h.items()]
+        labels = [rep for h in basis for rep, _ in matrix_items(h)]
         n, pm = labels[0].n, ctx.modulus
         assert len(labels) == len({x.entries() for x in labels})
         for blocks in compositions(n):
@@ -685,16 +760,18 @@ def test_canonical_rep_one_split_matches_oracle():
                 for g in labels:
                     x = parab.levi_project(iwasawa_decompose(g, parab, ctx.p)[0]) * kappa
                     got = canonical_rep(on_m, x, ctx)
-                    assert got.rows == canonical_rep_by_blocks(on_m, x, ctx).rows, (parab, x)
+                    assert label_matrix(got).rows == canonical_rep_by_blocks(on_m, x, ctx).rows, (
+                        parab, x)
                     compared += 1
     # 24 and 240 GL_2 labels through 2 Borels, 168 GL_3 labels through 6 parabolics
     assert compared == 2 * 24 + 2 * 240 + 6 * 168
 
 
 def test_every_constructor_keeps_labels_canonical(ctx2, borel2, unit_gl2, level_basis_gl2):
-    """Orbital integrals read values off the shape of a label, so every
-    constructor stores the canonical representative of each level coset,
-    keyed by its entries, also when it is fed other representatives."""
+    """Orbital integrals read values off a label, so every constructor keys
+    each level coset by the label `canonical_rep` gives it, whose
+    `label_matrix` is the canonical representative, also when it is fed
+    other representatives."""
     g2 = Ambient.general_linear(2)
     levi = Ambient.levi(BlockParabolic(3, (2, 1), "upper"))
     raw = [QMat([[3, 5], [2, 7]]), QMat([[Fraction(1, 2), 3], [4, 6]])]
@@ -724,8 +801,10 @@ def test_every_constructor_keeps_labels_canonical(ctx2, borel2, unit_gl2, level_
     ]
     for m in measures:
         assert len(m) > 0, m
-        for rep in m.support:
+        for label in m.support:
+            rep = label_matrix(label)
             assert coset_canonical_rep(rep, ctx2) == rep, (m, rep)
+            assert canonical_rep(m.ambient, rep, ctx2) == label, (m, label)
 
 
 def test_sum_of_invariant_measures_restricts_termwise(ctx2, borel2, level_basis_gl2):
@@ -750,8 +829,9 @@ def test_support_round_trips_through_the_constructor(ctx2, borel2, unit_gl2, lev
         first, *rest = h.support
         dropped = HeckeMeasure(h.ambient, h.ctx, dict(list(h.support.items())[1:]), h.biinvariant)
         assert list(dropped.support) == rest
-        assert dropped.coefficient(first) == 0
-        assert all(dropped.coefficient(x) == h.coefficient(x) for x in rest)
+        assert dropped.coefficient(label_matrix(first)) == 0
+        assert all(dropped.coefficient(label_matrix(x)) == h.coefficient(label_matrix(x))
+                   for x in rest)
 
 
 def test_serialization_round_trip(ctx2, borel2, level_basis_gl2):

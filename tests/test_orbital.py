@@ -30,6 +30,7 @@ from tests.oracles import (
     _inverse_gl2,
     gl2_level_basis,
     grid_scan_orbital_gl2,
+    matrix_items,
     orbital_by_balls_gl2,
     orbital_by_fraction_split,
     rank_by_minors,
@@ -185,7 +186,7 @@ def test_support_locality(ctx2, level_basis_gl2):
     """Vanishing whenever the conjugation invariants of gamma avoid the
     invariant windows of every support coset."""
     for h in level_basis_gl2:
-        dets = {padic_det_valuation(rep) for rep, _ in h.items()}
+        dets = {padic_det_valuation(rep) for rep, _ in matrix_items(h)}
         for gamma in gamma_grid(2, 2, (-2, 2)):
             gdet = sum(gamma.valuations(2))
             if gdet not in dets:
