@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from cocenter.exactnum import DEFAULT_GROUP_ORDER_GUARD, DomainError, RootP, int_valuation
+from cocenter.exactnum import DEFAULT_GROUP_ORDER_GUARD, DomainError, RootP
 from cocenter.groups import BlockParabolic, iwasawa_int, iwasawa_mod
 from cocenter.matrices import PrimeContext, integer_form, mat_mod
-from cocenter.measures import HeckeMeasure, ParabolicTransversal, levi_measure, normalize_on_levi
-from cocenter.measures import require_levi, res_unnormalized
+from cocenter.measures import HeckeMeasure, ParabolicTransversal, block_valuations, levi_measure
+from cocenter.measures import normalize_on_levi, require_levi, res_unnormalized
 
 
 @dataclass(frozen=True)
@@ -52,14 +52,13 @@ class UnramifiedCharacter:
             raise DomainError("Satake parameters must be nonzero")
 
     def value(self, parab: BlockParabolic, label, p: int) -> Fraction:
-        """chi at the Levi label (p^e, H, kbar): v_p(det m_i) is the sum of
-        the exponents of H's diagonal in block i, less e per row."""
+        """chi at the Levi label (p^e, H, kbar), with v_p(det m_i) read off
+        H's diagonal by `measures.block_valuations`."""
         if parab.blocks != self.blocks:
             raise DomainError("block mismatch")
-        pe, h, _ = label
-        e, out = int_valuation(pe, p), Fraction(1)
-        for z, (lo, hi) in zip(self.params, parab.block_ranges):
-            out *= z ** (sum(int_valuation(h[i][i], p) for i in range(lo, hi)) - e * (hi - lo))
+        out = Fraction(1)
+        for z, v in zip(self.params, block_valuations(parab, label, p)):
+            out *= z**v
         return out
 
 

@@ -290,7 +290,7 @@ def hermite_int(a, p: int):
     """(H(A), k(A)) for a nonsingular integer matrix A = H(A) k(A): the
     one integer Hermite core behind `hermite_padic`, `groups.iwasawa_int`
     (restriction and induced traces; through `groups.iwasawa_mod`,
-    `measures.canonical_rep`), `measures.levi_measure`, `measures.ad_orbits`
+    `measures.canonical_rep`), `measures.levi_measure`, `measures.label_conjugation`
     and `measures.hermite_reps_with_divisors`.
 
     H(A) is the column Hermite form of A over Z_(p): diagonal p^(a_i),

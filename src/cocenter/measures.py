@@ -25,7 +25,7 @@ nonzero coefficient: x K_m = (H / p^e) lift(kbar) K_m is labelled by its
 Iwasawa split (p^e, H, kbar), H the column Hermite form of p^e x and kbar
 its cofactor mod p^m as integer rows, e least.  A label is made once
 (`canonical_rep`, `levi_measure`, or as built), never split again, and
-`label_matrix` gives its canonical QMat.
+conjugated and twisted as it is; `label_matrix` gives its QMat for JSON.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ from cocenter.exactnum import (
     DomainError,
     LevelError,
     RootP,
+    int_valuation,
     padic_norm_halfpower,
 )
 from cocenter.groups import BlockParabolic, iwasawa_decompose, iwasawa_int, iwasawa_mod
-from cocenter.groups import modulus_lambda
 from cocenter.matrices import (
     PrimeContext,
     QMat,
@@ -239,23 +239,6 @@ def unit_measure(ambient: Ambient, ctx: PrimeContext, guard=DEFAULT_GROUP_ORDER_
     return HeckeMeasure(ambient, ctx, dict.fromkeys(labels, coeff), True)
 
 
-def ad_pullback(h: HeckeMeasure, g: QMat) -> HeckeMeasure:
-    """Conjugation pullback: mass c at x K_m moves to (g x g^-1) K_m.
-
-    Acts on measures on G by g in K_0 and on measures on M by g in
-    M meet K_0.  Only such g keep K_m cosets at level m (K_m is normal in
-    K_0); other g would silently refine the level, so they are rejected.
-    """
-    if not h.ambient.parab.levi_contains(g):
-        raise DomainError("conjugator outside the Levi")
-    if not gln_zp_membership(g, h.ctx.p):
-        raise LevelError("conjugator outside GL_n(Z_p) would change the level")
-    ginv = g.inverse()
-    return HeckeMeasure.from_pairs(
-        h.ambient, h.ctx, [(g * label_matrix(x) * ginv, c) for x, c in h.items()], h.biinvariant
-    )
-
-
 # ---------------------------------------------------------------------------
 # transversal of P \ G / K_m
 
@@ -379,17 +362,30 @@ def require_levi(h_m: HeckeMeasure, parab: BlockParabolic) -> None:
         raise DomainError(f"measure on another Levi than that of {parab.blocks} in GL_{parab.n}")
 
 
+def block_valuations(parab: BlockParabolic, label, p: int):
+    """v_p(det m_a) for each block a of the Levi label (p^e, H, kbar) of m:
+    the exponents of H's diagonal in block a, less e per row."""
+    pe, h, _ = label
+    e = int_valuation(pe, p)
+    return [sum(int_valuation(h[i][i], p) for i in range(lo, hi)) - e * (hi - lo)
+            for lo, hi in parab.block_ranges]
+
+
 def normalize_on_levi(h_m: HeckeMeasure, parab: BlockParabolic) -> HeckeMeasure:
     """Twist an M-measure by |lambda_P|^(1/2) coset by coset.
 
     Well defined because lambda_P is a character whose p-adic norm is 1 on
     the level subgroup of M.  The measure must live on the Levi of parab.
-    """
+    v_p(lambda_P(m)) is the sum of n_b v_a - n_a v_b over the block pairs
+    (a, b) of the radical, v the `block_valuations` of m's label."""
     require_levi(h_m, parab)
-    ctx = h_m.ctx
-    out = {x: c * padic_norm_halfpower(modulus_lambda(parab, label_matrix(x)), ctx.p, 1)
-           for x, c in h_m.support.items()}
-    return HeckeMeasure(h_m.ambient, ctx, out, h_m.biinvariant)
+    p, sizes, pairs = h_m.ctx.p, parab.blocks, parab.block_pairs("U")
+    out = {}
+    for x, c in h_m.items():
+        v = block_valuations(parab, x, p)
+        power = sum(sizes[b] * v[a] - sizes[a] * v[b] for a, b in pairs)
+        out[x] = c * padic_norm_halfpower(Fraction(p) ** power, p, 1)
+    return HeckeMeasure(h_m.ambient, h_m.ctx, out, h_m.biinvariant)
 
 
 def res_normalized(
@@ -400,36 +396,44 @@ def res_normalized(
 
 
 # ---------------------------------------------------------------------------
-# conjugation invariance and symmetrized bases
+# conjugation on labels, invariance and symmetrized bases
 
 
-def k0_quotient_generators(ambient: Ambient, p: int, k: int):
-    """Integral matrices generating the maximal compact subgroup of a Levi
-    ambient (the block diagonal part of GL_n(Z_p)) modulo level k."""
-    return [QMat(rows) for rows in block_gln_generators(ambient.parab.blocks, p, k)]
+def ad_pullback(h: HeckeMeasure, g: QMat) -> HeckeMeasure:
+    """Conjugation pullback: mass c at x K_m moves to (g x g^-1) K_m.
+
+    Acts on measures on G by g in K_0 and on M by g in M meet K_0, through
+    `label_conjugation`.  Only such g keep K_m cosets at level m (K_m is
+    normal in K_0); other g would silently refine the level and are refused.
+    """
+    if not h.ambient.parab.levi_contains(g):
+        raise DomainError("conjugator outside the Levi")
+    if not gln_zp_membership(g, h.ctx.p):
+        raise LevelError("conjugator outside GL_n(Z_p) would change the level")
+    conjugate = label_conjugation(integer_form(g.rows)[0], h.ctx)
+    return HeckeMeasure(h.ambient, h.ctx, {conjugate(x): c for x, c in h.items()}, h.biinvariant)
 
 
 def label_spread(rep: QMat, p: int) -> int:
     return int(-(rep.min_valuation(p) + rep.inverse().min_valuation(p)))
 
 
-def measure_spread(h: HeckeMeasure) -> int:
-    """max over the support of -(v_min(x) + v_min(x^-1)), which is that of
-    H for x = (H / p^e) lift(kbar); 0 for integral cosets.  Conjugation by
-    the level-(m + spread) subgroup fixes every support coset, so the K_0
-    conjugation action factors through a finite quotient at that level."""
-    return max((label_spread(QMat(hx), h.ctx.p) for hx in {hx for _, hx, _ in h.support}),
-               default=0)
+def conjugation_level(labels, ctx: PrimeContext) -> int:
+    """m plus the largest spread -(v_min(x) + v_min(x^-1)) of the labels,
+    that of H, read once per distinct H: conjugation by K_0 acts on their
+    cosets through the quotient by the subgroup of that level."""
+    return ctx.m + max((label_spread(QMat(h), ctx.p) for h in {h for _, h, _ in labels}),
+                       default=0)
 
 
-def is_ad_invariant(h: HeckeMeasure, gens=None) -> bool:
+def is_ad_invariant(h: HeckeMeasure) -> bool:
     """Exact conjugation invariance under the maximal compact subgroup of
-    the ambient (K_0 on G, M meet K_0 on M), decided on generators of the
-    finite quotient through which the action factors."""
-    level = h.ctx.m + measure_spread(h)
-    if gens is None:
-        gens = k0_quotient_generators(h.ambient, h.ctx.p, level)
-    return all(ad_pullback(h, g) == h for g in gens)
+    the ambient (K_0 on G, M meet K_0 on M): the `label_conjugation` of each
+    of its generators modulo the `conjugation_level` keeps every coefficient."""
+    ctx = h.ctx
+    gens = block_gln_generators(h.ambient.parab.blocks, ctx.p, conjugation_level(h.support, ctx))
+    maps = [label_conjugation(a, ctx) for a in gens]
+    return all(h.support.get(conjugate(x)) == c for conjugate in maps for x, c in h.items())
 
 
 def _product(a, cols):
@@ -444,41 +448,38 @@ def _hermite_of_product(g, h, p: int):
     return tuple(map(tuple, h2)), k
 
 
+def label_conjugation(a, ctx: PrimeContext):
+    """x -> g x g^-1 on labels (p^e, H, kbar), for g = A / d in the maximal
+    compact subgroup of the ambient, A the integer rows a and d prime to p.
+    With (H', k) = `hermite_int`(A H), g x g^-1 = (H' / p^e) k lift(kbar)
+    A^-1 lies in (H' / p^e) lift(k kbar A^-1 mod p^m) K_m; a block diagonal
+    A keeps H' and k block diagonal.  H' and the `product_map` of k and
+    A^-1 are built once per H, in a table that lives as long as the map."""
+    p, modulus, n = ctx.p, ctx.modulus, len(a)
+    ainv = mat_mod(QMat(a).inverse(), modulus, p)
+    table = {}
+
+    def conjugate(label):
+        pe, h, kbar = label
+        if h not in table:
+            h2, k = _hermite_of_product(a, h, p)
+            table[h] = h2, product_map(k, ainv, modulus)
+        h2, move = table[h]
+        return pe, h2, tuple(zip(*[iter(move(sum(kbar, ())))] * n))
+
+    return conjugate
+
+
 def ad_orbits(labels, ctx: PrimeContext):
     """Orbits of the level cosets with the given labels on G under
-    conjugation by K_0.
-
-    A label x = (H / p^e) lift(kbar) is keyed (p^e, H, kbar) with kbar
-    flat, and p^e is constant on an orbit.  A generator g of K_0 / K_level
-    (level = m + the largest spread, read once per distinct H) sends the
-    key to (p^e, H', k kbar g^-1 mod p^m), with (H', k) = `hermite_int`(g H):
-    g x g^-1 = H' k lift(kbar) g^-1 / p^e, and g times a lift of g^-1 mod
-    p^m lies in K_m.  H' and the `product_map` of k and g^-1 are built once
-    per (g, H), in tables that live for this call.  Each orbit is the
-    `conjugation_closure` of one key, sorted by the entries of
-    `label_matrix`.
-    """
+    conjugation by K_0: the `conjugation_closure` of one label under the
+    `label_conjugation` of generators modulo the `conjugation_level`,
+    sorted by the entries of `label_matrix`."""
     if not labels:
         return []
-    p, modulus, n = ctx.p, ctx.modulus, len(labels[0][1])
-    keys = dict.fromkeys((pe, h, sum(kbar, ())) for pe, h, kbar in labels)
-    level = ctx.m + max(label_spread(QMat(h), p) for h in {h for _, h, _ in keys})
-
-    def conjugation(g):
-        ginv = mat_mod(QMat(g).inverse(), modulus, p)
-        table = {}
-
-        def conjugate(key):
-            pe, h, kbar = key
-            if h not in table:
-                h2, k = _hermite_of_product(g, h, p)
-                table[h] = h2, product_map(k, ginv, modulus)
-            h2, move = table[h]
-            return pe, h2, move(kbar)
-
-        return conjugate
-
-    maps = [conjugation(g) for g in gln_generators(n, p, level)]
+    keys = dict.fromkeys(labels)
+    gens = gln_generators(len(labels[0][1]), ctx.p, conjugation_level(keys, ctx))
+    maps = [label_conjugation(g, ctx) for g in gens]
     orbits = []
     seen = set()
     for key in keys:
@@ -489,8 +490,7 @@ def ad_orbits(labels, ctx: PrimeContext):
             raise RuntimeError(f"conjugation took the coset {key} out of the given cosets")
         seen |= orbit
         # one p^e per orbit, so integer numerators sort as the entries do
-        orbit = sorted(orbit, key=lambda key: _product(key[1], [key[2][j::n] for j in range(n)]))
-        orbits.append([(pe, h, tuple(zip(*[iter(kbar)] * n))) for pe, h, kbar in orbit])
+        orbits.append(sorted(orbit, key=lambda x: _product(x[1], tuple(zip(*x[2])))))
     return orbits
 
 
@@ -507,12 +507,12 @@ def ad_symmetrized_basis(labels, ctx: PrimeContext):
 
 
 def hermite_reps_with_divisors(n: int, p: int, divisors, guard=DEFAULT_GROUP_ORDER_GUARD):
-    """Hermite forms of the left K_0 cosets inside K_0 d K_0, d = diag(p^divisors).
+    """Hermite forms (integer rows) of the left K_0 cosets in K_0 d K_0, d = diag(p^divisors).
 
     The left coset k d K_0 (k in K_0) is the coset of k d k^-1, so the
     cosets form the orbit of d K_0 under conjugation by K_0, labelled by
     their Hermite forms; g sends H to the H' of `hermite_int`(g H), as in
-    `ad_orbits`.  k d K_0 depends only on k modulo K_0 meet d K_0 d^-1,
+    `label_conjugation`.  k d K_0 depends only on k modulo K_0 meet d K_0 d^-1,
     which contains K_s, s = max(divisors) - min(divisors), so generators of
     GL_n(Z/p^s) reach the whole orbit.  Sorted as the forms of a box
     enumeration: diagonal exponents descending, then the entries above the
@@ -524,10 +524,9 @@ def hermite_reps_with_divisors(n: int, p: int, divisors, guard=DEFAULT_GROUP_ORD
     d = tuple(tuple(p**a if i == j else 0 for j in range(n)) for i, a in enumerate(divisors))
     level = max(1, max(divisors) - min(divisors))
     maps = [lambda h, g=g: _hermite_of_product(g, h, p)[0] for g in gln_generators(n, p, level)]
-    forms = sorted(conjugation_closure([d], maps, guard),
-                   key=lambda h: ([-h[i][i] for i in range(n)],
-                                  [h[i][j] for i in range(n) for j in range(i + 1, n)]))
-    return [QMat(h) for h in forms]
+    return sorted(conjugation_closure([d], maps, guard),
+                  key=lambda h: ([-h[i][i] for i in range(n)],
+                                 [h[i][j] for i in range(n) for j in range(i + 1, n)]))
 
 
 def double_coset_measure(n: int, ctx: PrimeContext, divisors, guard=DEFAULT_GROUP_ORDER_GUARD):
@@ -539,7 +538,6 @@ def double_coset_measure(n: int, ctx: PrimeContext, divisors, guard=DEFAULT_GROU
     one = RootP.rational(1, ctx.p)
     out = {}
     for h in hermites:
-        h = tuple(map(tuple, integer_form(h.rows)[0]))
         for kappa in kappas:
             out[(1, h, kappa)] = one
     expected = len(hermites) * glnzm_order(n, ctx.p, ctx.m)
@@ -588,9 +586,10 @@ def measure_from_jsonable(data: dict) -> HeckeMeasure:
     """Inverse of `measure_to_jsonable`, checked at the trust boundary: every
     field must be present with its JSON type (n, p, m and each block an
     int, not a bool), the group must be G or M with at least two blocks,
-    each rep must have n^2 entries, every entry and coefficient must parse,
-    no level coset may be named twice, and the biinvariant flag must be a
-    bool, and when true `is_ad_invariant` must confirm it."""
+    each rep must have n^2 entries, every entry and coefficient must be a
+    string that parses, no level coset may be named twice, and the
+    biinvariant flag must be a bool, and when true `is_ad_invariant` must
+    confirm it."""
     amb = _json_field(data, "ambient", dict)
     group, n = _json_field(amb, "group"), _json_field(amb, "n", int)
     if group == "G":
@@ -612,6 +611,8 @@ def measure_from_jsonable(data: dict) -> HeckeMeasure:
     support = {}
     for row in _json_field(data, "support", list):
         raw, coeff = _json_field(row, "rep", list), _json_field(row, "coeff")
+        if any(type(x) is not str for x in raw):
+            raise DomainError(f"field 'rep' is {raw!r}, not a list of strings")
         if len(raw) != n * n:
             raise DomainError(f"rep with {len(raw)} entries, not {n * n}")
         try:

@@ -38,11 +38,9 @@ from cocenter.exactnum import (
     padic_valuation,
 )
 from cocenter.groups import BlockParabolic, SubgroupSpec, discriminant_delta
-from cocenter.matrices import (
-    PrimeContext, QMat, enumerate_transversal_K0_mod_Km, gauss_jordan, glnzm_order,
-)
-from cocenter.measures import Ambient, HeckeMeasure, canonical_rep, label_matrix
-from cocenter.measures import label_spread, require_levi
+from cocenter.matrices import PrimeContext, QMat, enumerate_glnzm, gauss_jordan, glnzm_order
+from cocenter.measures import Ambient, HeckeMeasure, canonical_rep, conjugation_level
+from cocenter.measures import label_conjugation, label_matrix, require_levi
 
 
 @dataclass(frozen=True)
@@ -143,17 +141,15 @@ def orbital_single_coset_gl2(
     """Orbital density of the unit mass coset measure mu|_(y K_m) at gamma,
     on GL_k for any k = y.n, without the |Delta| factor.
 
-    Sums the label test over the conjugates k y k^-1, k running over
-    K_0 / K_level, level = m + spread(y), the level at which conjugation
-    acts on the coset: E_k(gamma) * hits / |K_0 / K_level|.  Exact for
+    Sums the label test over the conjugates k y k^-1, whose labels
+    `label_conjugation` moves, k running over K_0 modulo the
+    `conjugation_level` of y: E_k(gamma) * hits / |K_0 / K_level|.  Exact for
     arbitrary (not necessarily invariant) cosets.  The guard bounds the
     quotient, which is enumerated on every call.
     """
-    level = ctx.m + label_spread(y, ctx.p)
-    quotient = enumerate_transversal_K0_mod_Km(y.n, PrimeContext(ctx.p, level), guard)
-    group = Ambient.general_linear(y.n)
-    hits = sum(_meets_unipotent(canonical_rep(group, k * y * k.inverse(), ctx), gamma, ctx)
-               for k in quotient)
+    x = canonical_rep(Ambient.general_linear(y.n), y, ctx)
+    quotient = enumerate_glnzm(y.n, PrimeContext(ctx.p, conjugation_level([x], ctx)), guard)
+    hits = sum(_meets_unipotent(label_conjugation(k, ctx)(x), gamma, ctx) for k in quotient)
     one_block = BlockParabolic(y.n, (y.n,))
     return _unipotent_volume(gamma, one_block, ctx) * Fraction(hits, len(quotient))
 

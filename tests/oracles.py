@@ -23,22 +23,29 @@ measure, `from_pairs` canonicalization instead of double coset labels
 keyed as built, a QMat Iwasawa split, `coset_meets_parabolic` and
 `from_pairs` per support coset instead of integer labels in restriction,
 block determinants of a QMat on P instead of a label's Hermite diagonal
-in characters.  Oracles read a measure's labels as the QMats of
+in characters, QMat conjugates g x g^-1 labelled by `from_pairs` instead
+of labels moved by one Hermite split of each product g H in
+`ad_pullback` (the transversal recipe of restriction conjugates through
+this oracle, so it shares no code with the label map), and
+`modulus_lambda` of each label's QMat instead of the Hermite diagonal in
+the modulus twist.  Oracles read a measure's labels as the QMats of
 `label_matrix` (`matrix_items`).
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
-from cocenter.exactnum import DomainError, RootP, padic_norm_halfpower, padic_valuation
+from cocenter.exactnum import DomainError, LevelError, RootP, padic_norm_halfpower, padic_valuation
 from cocenter.groups import modulus_lambda
 from cocenter.matrices import (
     FFMatrix,
     PrimeContext,
     QMat,
+    block_gln_generators,
     congruence_equiv,
     coset_canonical_rep,
     enumerate_transversal_K0_mod_Km,
+    gln_zp_membership,
     glnzm_order,
     integer_form,
     lift_mod,
@@ -47,13 +54,11 @@ from cocenter.matrices import (
 from cocenter.measures import (
     Ambient,
     HeckeMeasure,
-    ad_pullback,
     ad_symmetrized_basis,
     canonical_rep,
     coset_meets_parabolic,
     double_coset_labels,
     hermite_reps_with_divisors,
-    k0_quotient_generators,
     label_matrix,
     label_spread,
     parabolic_double_coset_count,
@@ -73,6 +78,12 @@ def gl2_level_basis(ctx):
     k0_labels = [rep for rep, _ in unit_measure(Ambient.general_linear(2), ctx).items()]
     d_labels = double_coset_labels(2, ctx, (1, 0))
     return ad_symmetrized_basis(k0_labels, ctx) + ad_symmetrized_basis(d_labels, ctx)
+
+
+def k0_quotient_generators(ambient, p, k):
+    """QMat generators of the maximal compact subgroup of a Levi ambient
+    (the block diagonal part of GL_n(Z_p)) modulo level k."""
+    return [QMat(rows) for rows in block_gln_generators(ambient.parab.blocks, p, k)]
 
 
 def matrix_items(h):
@@ -143,7 +154,8 @@ def double_coset_measure_by_from_pairs(n, ctx, divisors):
     """`measures.double_coset_measure` with every label H lift(kbar)
     canonicalized again by `HeckeMeasure.from_pairs`."""
     kappas = enumerate_transversal_K0_mod_Km(n, ctx)
-    pairs = [(h * k, 1) for h in hermite_reps_with_divisors(n, ctx.p, divisors) for k in kappas]
+    pairs = [(QMat(h) * k, 1) for h in hermite_reps_with_divisors(n, ctx.p, divisors)
+             for k in kappas]
     return HeckeMeasure.from_pairs(Ambient.general_linear(n), ctx, pairs, biinvariant=True)
 
 
@@ -534,13 +546,37 @@ def perturbed_reps(transversal):
     return [q * g * kappa for g in transversal.reps]
 
 
+def ad_pullback_by_qmat(h, g):
+    """`measures.ad_pullback` on QMats: each `label_matrix` x becomes the
+    product g x g^-1, labelled again by `from_pairs`, with no Hermite split
+    of g H and no residue product."""
+    if not h.ambient.parab.levi_contains(g):
+        raise DomainError("conjugator outside the Levi")
+    if not gln_zp_membership(g, h.ctx.p):
+        raise LevelError("conjugator outside GL_n(Z_p) would change the level")
+    ginv = g.inverse()
+    return HeckeMeasure.from_pairs(
+        h.ambient, h.ctx, [(g * rep * ginv, c) for rep, c in matrix_items(h)], h.biinvariant)
+
+
+def normalize_by_modulus_lambda(h_m, parab):
+    """`measures.normalize_on_levi` through `groups.modulus_lambda` of each
+    `label_matrix`: block characteristic polynomials instead of the
+    label's Hermite diagonal."""
+    p = h_m.ctx.p
+    out = {x: c * padic_norm_halfpower(modulus_lambda(parab, label_matrix(x)), p, 1)
+           for x, c in h_m.items()}
+    return HeckeMeasure(h_m.ambient, h_m.ctx, out, h_m.biinvariant)
+
+
 def restriction_over_transversal(h, parab, reps):
     """Unnormalized restriction by its defining recipe: conjugate h by each
-    transversal representative in K_0, restrict each conjugate to P coset by
-    coset, push to M along the block projection, and sum."""
+    transversal representative in K_0 (`ad_pullback_by_qmat`), restrict
+    each conjugate to P coset by coset, push to M along the block
+    projection, and sum."""
     pairs = []
     for g in reps:
-        for rep, c in matrix_items(ad_pullback(h, g)):
+        for rep, c in matrix_items(ad_pullback_by_qmat(h, g)):
             found = coset_meets_parabolic(rep, parab, h.ctx)
             if found is not None:
                 pairs.append((parab.levi_project(found), c))

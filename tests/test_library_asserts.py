@@ -5,7 +5,9 @@ asserts that remain are listed here by function, with their count; a new
 assert, or one more in a listed function, fails this test, and so does a
 listed one that is gone, so the list only ever shrinks.  It is empty: every
 former assert is an explicit raise, and a test below trips each one.  No
-memo may outlive a call either, so module-level caches are refused.  And
+memo may outlive a call either, so module-level caches are refused.  A
+label becomes a QMat only for JSON and the unflagged orbital path, and
+the measures do not take the modulus twist through `modulus_lambda`.  And
 no library name that the traced benchmark wraps or its workloads call may
 disappear or change its call shape unnoticed.
 """
@@ -127,6 +129,57 @@ def test_no_memo_outlives_a_call(tmp_path):
     )
     assert _module_level_caches(sample) == [
         "_SEEN_CACHE", "TABLE_CACHE", "f (@lru_cache)", "g (@cache)"
+    ]
+
+
+LABEL_MATRIX_READERS = {"measures.measure_to_jsonable", "orbital.orbital_integral"}
+
+
+def _qmat_label_reads(path):
+    """(module.scope, name) for each read of `label_matrix` outside
+    LABEL_MATRIX_READERS, and of `modulus_lambda` in `measures` or
+    `characters`: called, passed on or reached as an attribute."""
+    found = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, scope + [child.name])
+                continue
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute) else None)
+            where = ".".join([path.stem] + scope)
+            if (name == "label_matrix" and where not in LABEL_MATRIX_READERS
+                    or name == "modulus_lambda" and path.stem in ("measures", "characters")):
+                found.add((where, name))
+            walk(child, scope)
+
+    walk(ast.parse(path.read_text()), [])
+    return sorted(found)
+
+
+def test_labels_become_qmats_only_for_json_and_unflagged_orbits(tmp_path):
+    """Conjugation and the modulus twist act on integer labels: no library
+    function but `measure_to_jsonable` and `orbital_integral` reads
+    `label_matrix`, and neither `measures` nor `characters` reads
+    `modulus_lambda`.  The scan itself is checked on a sample module."""
+    found = {}
+    for path in sorted(Path(cocenter.__file__).parent.glob("*.py")):
+        reads = _qmat_label_reads(path)
+        if reads:
+            found[path.stem] = reads
+    assert not found, f"labels made QMats outside JSON and the unflagged orbital path: {found}"
+    sample = tmp_path / "measures.py"
+    sample.write_text(
+        "from cocenter import groups\nfrom cocenter.measures import label_matrix\n"
+        "def measure_to_jsonable(h):\n    return [label_matrix(x) for x in h]\n"
+        "def ad_pullback(h, g):\n    return sorted(h, key=label_matrix)\n"
+        "class M:\n    def twist(self, parab, x):\n"
+        "        return groups.modulus_lambda(parab, cocenter.measures.label_matrix(x))\n"
+    )
+    assert _qmat_label_reads(sample) == [
+        ("measures.M.twist", "label_matrix"), ("measures.M.twist", "modulus_lambda"),
+        ("measures.ad_pullback", "label_matrix"),
     ]
 
 

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -24,7 +25,6 @@ from cocenter.measures import (
     double_coset_measure,
     hermite_reps_with_divisors,
     is_ad_invariant,
-    k0_quotient_generators,
     label_matrix,
     levi_measure,
     measure_from_jsonable,
@@ -42,12 +42,15 @@ from cocenter.unipotent import levi_generators
 from tests.oracles import (
     ad_orbits_by_all_conjugators,
     ad_orbits_by_qmat_closure,
+    ad_pullback_by_qmat,
     canonical_rep_by_blocks,
     double_coset_measure_by_from_pairs,
     gl2_level_basis,
     hermite_forms_by_smith_filter,
+    k0_quotient_generators,
     matrix_items,
     meets_parabolic_oracle_integral,
+    normalize_by_modulus_lambda,
     perturbed_reps,
     restriction_by_qmat_split,
     restriction_over_transversal,
@@ -560,7 +563,7 @@ def test_double_coset_hermite_forms_match_smith_filter():
     cases += [(3, p, d) for p in (2, 3) for d in ((1, 0, 0), (1, 1, 0), (0, 0, 1))]
     cases.append((4, 2, (1, 0, 0, 0)))
     for n, p, d in cases:
-        got = [h.rows for h in hermite_reps_with_divisors(n, p, d)]
+        got = hermite_reps_with_divisors(n, p, d)
         assert got == [h.rows for h in hermite_forms_by_smith_filter(n, p, d)], (n, p, d)
     for n, d in ((2, (1, -1)), (2, (1, 0, 0)), (3, (1, 0))):
         with pytest.raises(DomainError, match="nonnegative divisor exponents"):
@@ -607,10 +610,12 @@ def test_measure_from_jsonable_refuses_malformed_payloads(ctx2):
     rep without n^2 entries, an entry or coefficient that does not parse, a
     level coset named twice, a biinvariant flag that is not a bool, and a
     missing or ill-typed field (n, p, m and the blocks must be ints, not
-    bools), rather than reading the first as M, the second as G, dropping
-    extra entries, leaking a ZeroDivisionError, ValueError, KeyError or
-    TypeError, adding up the repeated coset, keeping a truthy string or
-    truncating a float block."""
+    bools, and every rep entry a string), rather than reading the first as
+    M, the second as G, dropping extra entries, leaking a
+    ZeroDivisionError, ValueError, KeyError or TypeError, adding up the
+    repeated coset, keeping a truthy string, truncating a float block or
+    reading the float 0.1 as 3602879701896397/36028797018963968 and true
+    as 1."""
     good = measure_to_jsonable(unit_measure(Ambient.general_linear(2), ctx2))
     assert measure_from_jsonable(good).biinvariant
     bad_group = [{"group": g, "n": 2, "blocks": [1, 1], "orientation": "upper"}
@@ -669,6 +674,9 @@ def test_measure_from_jsonable_refuses_malformed_payloads(ctx2):
         lambda b: b["support"][0].pop("coeff"),
         lambda b: b["support"][0].pop("rep"),
         lambda b: b["support"][0].update(rep=4),
+        lambda b: b["support"][0].update(rep=[0.1, "0", "0", "1"]),
+        lambda b: b["support"][0].update(rep=[True, "0", "0", "1"]),
+        lambda b: b["support"][0].update(rep=[1, "0", "0", "1"]),
         lambda b: b["support"].append([1, 0, 0, 1]),
     ]
     for edit in edits:
@@ -708,6 +716,134 @@ def test_restrictions_carry_the_levi_flag(ctx2):
     assert all(ad_pullback(h, g) == h for g in gens)
     with pytest.raises(DomainError):
         ad_pullback(h, QMat([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+def _conjugation_cases(level_basis_gl3):
+    """(measure, conjugators) pairs: the GL_2 level bases at (p, m) = (2, 1),
+    (3, 1), (2, 2) and the GL_3(Q_2) basis, unflagged single cosets with
+    denominators, and the restrictions of all of them to every Levi of
+    their group; conjugators are the block generators at level m + 1
+    (transvections and units), a cyclic permutation of each block and
+    diag(1/u, 1, ...) with u a unit other than 1 (1/3 at p = 2)."""
+    bases = [gl2_level_basis(PrimeContext(p, m)) for p, m in ((2, 1), (3, 1), (2, 2))]
+    bases.append(level_basis_gl3)
+    on_g = [h for basis in bases for h in basis]
+    on_m = [res_unnormalized(h, BlockParabolic(h.ambient.n, blocks))
+            for h in on_g for blocks in compositions(h.ambient.n) if len(blocks) > 1]
+    half, ctx2, ctx3 = Fraction(1, 2), PrimeContext(2, 1), PrimeContext(3, 1)
+    singles = [
+        (Ambient.general_linear(2), ctx2, QMat([[1, half], [0, 1]])),
+        (Ambient.general_linear(2), ctx3, QMat([[3, 1], [Fraction(1, 3), 2]])),
+        (Ambient.general_linear(3), ctx2, QMat([[1, half, 0], [0, 1, 1], [2, 0, 4]])),
+        (Ambient.levi(BlockParabolic(3, (2, 1))), ctx2,
+         QMat([[2, 1, 0], [0, half, 0], [0, 0, 3]])),
+        (Ambient.levi(BlockParabolic(3, (1, 2))), PrimeContext(2, 2),
+         QMat([[4, 0, 0], [0, 1, 3], [0, half, 1]])),
+    ]
+    measures = on_g + on_m + [HeckeMeasure.delta(a, ctx, x) for a, ctx, x in singles]
+    cases = []
+    for h in measures:
+        parab, p, n = h.ambient.parab, h.ctx.p, h.ambient.n
+        gens = k0_quotient_generators(h.ambient, p, h.ctx.m + 1)
+        for lo, hi in parab.block_ranges:
+            if hi - lo > 1:
+                cycle = [lo + (i - lo + 1) % (hi - lo) if lo <= i < hi else i for i in range(n)]
+                gens.append(QMat([[int(j == cycle[i]) for j in range(n)] for i in range(n)]))
+        unit = Fraction(1, 3 if p == 2 else 2)
+        gens.append(QMat.diagonal([unit] + [1] * (n - 1)))
+        cases.append((h, gens))
+    return cases
+
+
+def test_ad_pullback_matches_the_qmat_conjugation(level_basis_gl3):
+    """The label map of `ad_pullback` moves every label where the QMat
+    product g x g^-1, labelled by `from_pairs`, puts it: key for key, in
+    support order, with the same flag, on G and on every Levi of GL_2 and
+    GL_3, for flagged and unflagged measures and conjugators with a unit
+    denominator.  `is_ad_invariant`, which runs the same map, holds
+    exactly on the flagged ones."""
+    count = 0
+    for h, gens in _conjugation_cases(level_basis_gl3):
+        for g in gens:
+            got, want = ad_pullback(h, g), ad_pullback_by_qmat(h, g)
+            assert got.ambient == want.ambient and got.biinvariant == want.biinvariant
+            assert list(got.items()) == list(want.items()), (h, g)
+            count += 1
+        assert is_ad_invariant(h) == h.biinvariant
+    assert count == 702
+
+
+def test_normalize_on_levi_matches_modulus_lambda(level_basis_gl3):
+    """The twist read off each label's Hermite diagonal equals
+    |modulus_lambda|^(1/2) of its `label_matrix`, key for key, at every
+    block parabolic of GL_2 and GL_3 in both orientations, on the
+    restrictions of the level bases and on Levi points with denominators."""
+    ctx2, half = PrimeContext(2, 1), Fraction(1, 2)
+    bases = [gl2_level_basis(PrimeContext(p, m)) for p, m in ((2, 1), (3, 1), (2, 2))]
+    bases.append(level_basis_gl3)
+    points = [QMat.diagonal([4, half, 3]), QMat([[2, 1, 0], [0, half, 0], [0, 0, 8]]),
+              QMat([[half, 0, 0], [0, 1, 1], [0, 2, Fraction(1, 4)]])]
+    checked = 0
+    for h in [h for basis in bases for h in basis]:
+        n = h.ambient.n
+        for blocks in compositions(n):
+            if len(blocks) == 1:
+                continue
+            levi = Ambient.levi(BlockParabolic(n, blocks))
+            h_ms = [res_unnormalized(h, BlockParabolic(n, blocks))]
+            if n == 3 and h is level_basis_gl3[0]:
+                h_ms.append(HeckeMeasure.from_pairs(levi, ctx2, [
+                    (x, 1) for x in points if levi.parab.levi_contains(x)]))
+            for h_m in h_ms:
+                for orientation in ("upper", "lower"):
+                    parab = BlockParabolic(n, blocks, orientation)
+                    got, want = normalize_on_levi(h_m, parab), normalize_by_modulus_lambda(h_m, parab)
+                    assert list(got.items()) == list(want.items()), (h_m, parab)
+                    checked += len(got)
+    assert checked > 0
+
+
+def _ad_weyl_on_torus(h, perm):
+    """Ad(w) of a measure on the diagonal torus for the permutation perm:
+    w x w^-1 permutes the diagonals of H and kbar in each label."""
+    n = len(perm)
+
+    def diagonal(entries):
+        return tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n))
+
+    return HeckeMeasure(h.ambient, h.ctx, {
+        (pe, diagonal([hx[i][i] for i in perm]), diagonal([kbar[i][i] for i in perm])): c
+        for (pe, hx, kbar), c in h.items()}, h.biinvariant)
+
+
+def test_normalized_borel_restriction_is_weyl_invariant(level_basis_gl3):
+    """Parabolic independence as an identity of measures on T: h is K_0
+    invariant, so res of h through wBw^-1 is Ad(w) of res_B h, and
+    normalized restrictions through Borels with the same Levi agree, so
+    the normalized res_B h equals Ad(w) of itself for every w in S_n.
+    Literally, on the 52 measures of the GL_2 bases at (p, m) = (2, 1),
+    (3, 1), (2, 2) and the GL_3(Q_2) basis.  The unnormalized restriction
+    fails on 11 of them.  Ad(w) on labels agrees with `canonical_rep` of
+    w x w^-1."""
+    bases = [gl2_level_basis(PrimeContext(p, m)) for p, m in ((2, 1), (3, 1), (2, 2))]
+    bases.append(level_basis_gl3)
+    measures = [h for basis in bases for h in basis]
+    assert len(measures) == 52
+    unnormalized_fails = 0
+    for h in measures:
+        n = h.ambient.n
+        borel = BlockParabolic(n, (1,) * n)
+        torus = Ambient.levi(borel)
+        plain, twisted = res_unnormalized(h, borel), res_normalized(h, borel)
+        perms = list(permutations(range(n)))
+        for perm in perms:
+            moved = _ad_weyl_on_torus(twisted, perm)
+            w = QMat([[int(j == perm[i]) for j in range(n)] for i in range(n)])
+            assert list(moved.support) == [canonical_rep(torus, w * label_matrix(x) * w.inverse(),
+                                                         h.ctx) for x in twisted.support]
+            assert moved == twisted, (h, perm)
+        unnormalized_fails += any(_ad_weyl_on_torus(plain, perm) != plain for perm in perms)
+    assert unnormalized_fails == 11
 
 
 def test_block_generators_embed_the_block_generators():
