@@ -223,8 +223,8 @@ def run_restriction(config: RunConfig):
                              "normalized-restriction-parabolic-independence/character",
                              f"h{idx}/chi{c_idx}", lhs == rhs, lhs, rhs))
         for g_idx, gam in enumerate(grid):
-            lhs = orbital_integral(up, gam, config.guard).value
-            rhs = orbital_integral(low, gam, config.guard).value
+            lhs = orbital_integral(up, gam).value
+            rhs = orbital_integral(low, gam).value
             rows.append(_row("restriction",
                              "normalized-restriction-parabolic-independence/orbital",
                              f"h{idx}/gamma{g_idx}", lhs == rhs, lhs, rhs))
@@ -289,7 +289,7 @@ def run_orbital(config: RunConfig):
     )
     # each (measure, gamma) once: both orientations share the G side, the probe the upper one
     def integrate(measures):
-        return [[orbital_integral(x, gam, config.guard).value for gam in grid] for x in measures]
+        return [[orbital_integral(x, gam).value for gam in grid] for x in measures]
 
     upper = [res_normalized(h, parab) for h in basis]
     lower = [res_normalized(h, opp) for h in basis]

@@ -158,10 +158,6 @@ class HeckeMeasure:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def zero(cls, ambient: Ambient, ctx: PrimeContext) -> "HeckeMeasure":
-        return cls(ambient, ctx, {})
-
-    @classmethod
     def from_pairs(cls, ambient, ctx, pairs, biinvariant=False) -> "HeckeMeasure":
         acc = {}
         for g, coeff in pairs:
@@ -429,7 +425,10 @@ def conjugation_level(labels, ctx: PrimeContext) -> int:
 def is_ad_invariant(h: HeckeMeasure) -> bool:
     """Exact conjugation invariance under the maximal compact subgroup of
     the ambient (K_0 on G, M meet K_0 on M): the `label_conjugation` of each
-    of its generators modulo the `conjugation_level` keeps every coefficient."""
+    of its generators modulo the `conjugation_level` keeps every coefficient.
+    The empty measure is invariant before any generator is built."""
+    if not h.support:
+        return True
     ctx = h.ctx
     gens = block_gln_generators(h.ambient.parab.blocks, ctx.p, conjugation_level(h.support, ctx))
     maps = [label_conjugation(a, ctx) for a in gens]

@@ -7,12 +7,13 @@ gamma n in x K_m form one coset of U meet K_m or none.  That coset is
 read off the label (p^e, H, kbar) of x = (H / p^e) lift(kbar): gamma^-1
 x K_m meets U exactly when kbar is upper triangular and x_ii / gamma_i =
 H_ii kbar_ii / (p^e gamma_i) lies in 1 + p^m Z_p.
-A measure flagged invariant under conjugation by the maximal compact
-subgroup (K_0 on G, M meet K_0 on a Levi) has all conjugates contributing
-equally, so each label is tested once and weighted by the order of the
-finite quotient; any other measure sums the test over that quotient.
-Restrictions of invariant measures keep the flag, so orbital integrals on
-G and on M run the same code.  No truncation and no sampling occur.
+Only measures flagged invariant under conjugation by the maximal compact
+subgroup (K_0 on G, M meet K_0 on a Levi) are integrated: all conjugates
+of a label contribute equally, so each label is tested once and weighted
+by the order of the finite quotient.  Restrictions of invariant measures
+keep the flag, so orbital integrals on G and on M run the same code.
+Every other factor is a sum of v_p(1 - gamma_j / gamma_i) over positions,
+read off gamma's diagonal.  No truncation and no sampling occur.
 
 Normalizations (Kottwitz, "Harmonic analysis on reductive p-adic groups
 and Lie algebras", 2005), recorded on every value: Haar on each ambient
@@ -37,10 +38,10 @@ from cocenter.exactnum import (
     padic_norm_halfpower,
     padic_valuation,
 )
-from cocenter.groups import BlockParabolic, SubgroupSpec, discriminant_delta
+from cocenter.groups import BlockParabolic
 from cocenter.matrices import PrimeContext, QMat, enumerate_glnzm, gauss_jordan, glnzm_order
 from cocenter.measures import Ambient, HeckeMeasure, canonical_rep, conjugation_level
-from cocenter.measures import label_conjugation, label_matrix, require_levi
+from cocenter.measures import label_conjugation, require_levi
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,12 @@ def _meets_unipotent(label, gamma, ctx: PrimeContext) -> bool:
     return True
 
 
+def _root_valuation(gamma, positions, p: int) -> int:
+    """Sum of v_p(1 - gamma_j / gamma_i) over the positions (i, j): the
+    valuation of a product of roots of the diagonal gamma."""
+    return sum(padic_valuation(1 - gamma[j] / gamma[i], p) for i, j in positions)
+
+
 def _unipotent_volume(gamma, parab: BlockParabolic, ctx: PrimeContext) -> Fraction:
     """E_M(gamma) = |M(Z/p^m)| / ([T meet K_0 : T meet K_m] p^(m dim U_M))
     * prod_{(i, j) in U_M} |1 - gamma_j / gamma_i|^-1, with M the Levi of
@@ -120,19 +127,8 @@ def _unipotent_volume(gamma, parab: BlockParabolic, ctx: PrimeContext) -> Fracti
     upper = [(i, j) for i, j in parab.positions("M") if i < j]
     order = prod(glnzm_order(k, p, m) for k in parab.blocks)
     torus_index = (p**m - p ** (m - 1)) ** parab.n
-    v = sum(padic_valuation(1 - gamma[j] / gamma[i], p) for i, j in upper)
+    v = _root_valuation(gamma, upper, p)
     return Fraction(order, torus_index * p ** (m * len(upper))) * Fraction(p) ** v
-
-
-def _discriminant_norm(gamma, parab: BlockParabolic, p: int) -> Fraction:
-    """|Delta_{T, M}(gamma)|_p = prod |1 - gamma_j / gamma_i|_p over i != j
-    in one block of the Levi M of parab: the density factor of the
-    pullback from the conjugation cover.  Read off the diagonal, because
-    `groups.discriminant_delta` rebuilds the torus's block tables on every
-    call, at more than the cost of the rest of an orbital integral."""
-    v = sum(padic_valuation(1 - gamma[j] / gamma[i], p)
-            for i, j in parab.positions("M") if i != j)
-    return Fraction(p) ** -v
 
 
 def orbital_single_coset_gl2(
@@ -145,7 +141,8 @@ def orbital_single_coset_gl2(
     `label_conjugation` moves, k running over K_0 modulo the
     `conjugation_level` of y: E_k(gamma) * hits / |K_0 / K_level|.  Exact for
     arbitrary (not necessarily invariant) cosets.  The guard bounds the
-    quotient, which is enumerated on every call.
+    quotient, which is enumerated on every call.  It is the quotient-sum
+    reference that the tests compare `orbital_integral` against.
     """
     x = canonical_rep(Ambient.general_linear(y.n), y, ctx)
     quotient = enumerate_glnzm(y.n, PrimeContext(ctx.p, conjugation_level([x], ctx)), guard)
@@ -154,38 +151,31 @@ def orbital_single_coset_gl2(
     return _unipotent_volume(gamma, one_block, ctx) * Fraction(hits, len(quotient))
 
 
-def orbital_integral(
-    h: HeckeMeasure, gamma: RegularElement, guard: int = DEFAULT_GROUP_ORDER_GUARD
-) -> OrbitalValue:
+def orbital_integral(h: HeckeMeasure, gamma: RegularElement) -> OrbitalValue:
     """Orbital integral of h at a regular diagonal gamma, on any Levi ambient.
 
     O_gamma(h) = |Delta_{T, M}(gamma)| E_M(gamma) * sum of c_x over the
     labels x that pass `_meets_unipotent`, both factors being products
     over the blocks of M; each Levi block of a label on M is the label of
-    that block.  A flagged measure is invariant under conjugation by the
-    ambient's maximal compact subgroup, so each label is tested once; an
-    unflagged one sums the test over the conjugation quotient of each
-    block, which the guard bounds.
+    that block.  h must carry the flag of invariance under conjugation by
+    the ambient's maximal compact subgroup, so each label is tested once;
+    an unflagged measure is refused.  |Delta_{T, M}(gamma)| is the product
+    of |1 - gamma_j / gamma_i| over i != j in one block of M.
     Values are exact elements of Q(sqrt p).
     """
-    ctx, ambient = h.ctx, h.ambient
+    ctx, ambient, entries = h.ctx, h.ambient, gamma.entries
     if gamma.n != ambient.n:
         raise DomainError("size mismatch")
+    if not h.biinvariant:
+        raise DomainError("orbital integrals take measures flagged conjugation-invariant")
     parab = ambient.parab
-    const = _discriminant_norm(gamma.entries, parab, ctx.p)
-    if h.biinvariant:
-        const *= _unipotent_volume(gamma.entries, parab, ctx)
-    subs = [gamma.entries[lo:hi] for lo, hi in parab.block_ranges]
+    roots = [(i, j) for i, j in parab.positions("M") if i != j]
+    const = Fraction(ctx.p) ** -_root_valuation(entries, roots, ctx.p)
+    const *= _unipotent_volume(entries, parab, ctx)
     out = RootP.rational(0, ctx.p)
     for label, c in h.items():
-        if h.biinvariant:
-            if _meets_unipotent(label, gamma.entries, ctx):
-                out = out + c
-        else:
-            value = prod(orbital_single_coset_gl2(block, sub, ctx, guard)
-                         for block, sub in zip(parab.levi_blocks(label_matrix(label)), subs))
-            if value:
-                out = out + c * value
+        if _meets_unipotent(label, entries, ctx):
+            out = out + c
     return OrbitalValue(out * const, ctx.p, ctx.m)
 
 
@@ -195,27 +185,28 @@ def descent_check(
     parab: BlockParabolic,
     res_m: HeckeMeasure,
     mutate_normalization: bool = False,
-    guard: int = DEFAULT_GROUP_ORDER_GUARD,
 ):
     """O_gamma(h) = |Delta_{M,G}(gamma)|^(1/2) * O_gamma(res_normalized h).
 
     res_m must be the normalized restriction of h through parab; a measure
-    on another Levi is refused.  The mutation flag replaces the half power
-    by the full norm, which must break the identity somewhere on a
-    valuation grid.
+    on another Levi is refused, and so is an unflagged h.  The mutation
+    flag replaces the half power by the full norm, which must break the
+    identity somewhere on a valuation grid.
     """
     require_levi(res_m, parab)
-    lhs = orbital_integral(h, gamma, guard).value
+    lhs = orbital_integral(h, gamma).value
     factor = descent_factor(gamma, parab, h.ctx.p, mutate_normalization)
-    rhs = factor * orbital_integral(res_m, gamma, guard).value
+    rhs = factor * orbital_integral(res_m, gamma).value
     return lhs == rhs, lhs, rhs
 
 
 def descent_factor(gamma, parab: BlockParabolic, p: int, mutate_normalization=False):
     """|Delta_{M,G}(gamma)|^(1/2), the factor of the descent identity; the
-    mutation flag takes the full norm instead."""
-    delta = discriminant_delta(SubgroupSpec.levi(parab), gamma.matrix())
-    return padic_norm_halfpower(delta, p, 2 if mutate_normalization else 1)
+    mutation flag takes the full norm instead.  Up to sign Delta_{M,G}(gamma)
+    is the product of (1 - gamma_j / gamma_i) over the positions of G/M, so
+    its norm is that of p to the `_root_valuation` there."""
+    v = _root_valuation(gamma.entries, parab.positions("G/M"), p)
+    return padic_norm_halfpower(Fraction(p) ** v, p, 2 if mutate_normalization else 1)
 
 
 def gamma_grid(p: int, n: int, val_range=(-2, 2)):

@@ -6,8 +6,11 @@ full adjoint matrices instead of block characteristic polynomials, column
 operations on Fractions instead of the integer Hermite kernel, exhaustive
 mod p^m scans instead of Iwasawa reductions, cell-by-cell integration and
 GL_2 ball intersections instead of the orbital test read off canonical
-labels, a Fraction split of gamma^-1 x with constants from full adjoint
-matrices instead of that test and its per-block constants, minors instead
+labels, the label test summed over the conjugation quotient of each Levi
+block, with |Delta| from `discriminant_delta`, instead of one test per
+label of an invariant measure and root valuations read off gamma, a
+Fraction split of gamma^-1 x with constants from full adjoint matrices
+instead of that test and its per-block constants, minors instead
 of Gauss-Jordan ranks, the transversal sum instead of its one-step
 collapse, the full action matrix of the induced module instead of the trace
 measure, a Jordan type per swept element instead of one per conjugacy
@@ -34,9 +37,17 @@ the modulus twist.  Oracles read a measure's labels as the QMats of
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
-from cocenter.exactnum import DomainError, LevelError, RootP, padic_norm_halfpower, padic_valuation
-from cocenter.groups import modulus_lambda
+from cocenter.exactnum import (
+    DEFAULT_GROUP_ORDER_GUARD,
+    DomainError,
+    LevelError,
+    RootP,
+    padic_norm_halfpower,
+    padic_valuation,
+)
+from cocenter.groups import SubgroupSpec, discriminant_delta, modulus_lambda
 from cocenter.matrices import (
     FFMatrix,
     PrimeContext,
@@ -64,6 +75,7 @@ from cocenter.measures import (
     parabolic_double_coset_count,
     unit_measure,
 )
+from cocenter.orbital import orbital_single_coset_gl2
 from cocenter.unipotent import (
     conjugation_closure,
     gl_generators,
@@ -523,6 +535,25 @@ def orbital_by_fraction_split(h, gamma):
                 kbar[i][j] == (i == j) for i in range(n) for j in range(i + 1)):
             total = total + c
     return total * const
+
+
+def orbital_by_quotient_sum(h, gamma, guard=DEFAULT_GROUP_ORDER_GUARD):
+    """Orbital integral of any measure on any Levi, flagged or not: per
+    label x, c_x times the product over the Levi blocks of `label_matrix` x
+    of `orbital_single_coset_gl2`, which sums the label test over the
+    conjugation quotient of the block, times |Delta_{T, M}(gamma)|, taken
+    as |Delta_{T, G}(gamma) / Delta_{M, G}(gamma)| from `discriminant_delta`.
+    The guard bounds each quotient."""
+    p, parab = h.ctx.p, h.ambient.parab
+    g = gamma.matrix()
+    delta = (discriminant_delta(SubgroupSpec.torus(), g)
+             / discriminant_delta(SubgroupSpec.levi(parab), g))
+    subs = [gamma.entries[lo:hi] for lo, hi in parab.block_ranges]
+    total = RootP.rational(0, p)
+    for rep, c in matrix_items(h):
+        total = total + c * prod(orbital_single_coset_gl2(block, sub, h.ctx, guard)
+                                 for block, sub in zip(parab.levi_blocks(rep), subs))
+    return total * padic_norm_halfpower(delta, p, 2)
 
 
 def perturbed_reps(transversal):

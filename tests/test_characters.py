@@ -223,7 +223,7 @@ def test_trace_measure_equals_restriction_gl2_level_two():
     lower = upper.opposite()
     for parab in (upper, lower):
         model = InducedModel(parab, ctx)
-        total = HeckeMeasure.zero(Ambient.levi(parab), ctx)
+        total = HeckeMeasure(Ambient.levi(parab), ctx)
         for h in basis:
             res = res_unnormalized(h, parab)
             assert trace_measure(h, model) == res

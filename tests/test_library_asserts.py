@@ -132,7 +132,7 @@ def test_no_memo_outlives_a_call(tmp_path):
     ]
 
 
-LABEL_MATRIX_READERS = {"measures.measure_to_jsonable", "orbital.orbital_integral"}
+LABEL_MATRIX_READERS = {"measures.measure_to_jsonable"}
 
 
 def _qmat_label_reads(path):
@@ -158,9 +158,9 @@ def _qmat_label_reads(path):
     return sorted(found)
 
 
-def test_labels_become_qmats_only_for_json_and_unflagged_orbits(tmp_path):
-    """Conjugation and the modulus twist act on integer labels: no library
-    function but `measure_to_jsonable` and `orbital_integral` reads
+def test_labels_become_qmats_only_for_json(tmp_path):
+    """Conjugation, the modulus twist and orbital integrals act on integer
+    labels: no library function but `measure_to_jsonable` reads
     `label_matrix`, and neither `measures` nor `characters` reads
     `modulus_lambda`.  The scan itself is checked on a sample module."""
     found = {}
@@ -168,7 +168,7 @@ def test_labels_become_qmats_only_for_json_and_unflagged_orbits(tmp_path):
         reads = _qmat_label_reads(path)
         if reads:
             found[path.stem] = reads
-    assert not found, f"labels made QMats outside JSON and the unflagged orbital path: {found}"
+    assert not found, f"labels made QMats outside JSON: {found}"
     sample = tmp_path / "measures.py"
     sample.write_text(
         "from cocenter import groups\nfrom cocenter.measures import label_matrix\n"

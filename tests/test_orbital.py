@@ -3,8 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from cocenter.exactnum import DomainError, ResourceGuardError, RootP
-from cocenter.groups import BlockParabolic, chevalley_map
+from cocenter.exactnum import DomainError, ResourceGuardError, RootP, padic_norm_halfpower
+from cocenter.groups import (
+    BlockParabolic,
+    SubgroupSpec,
+    chevalley_map,
+    compositions,
+    discriminant_delta,
+)
 from cocenter.matrices import PrimeContext, QMat
 from cocenter.measures import (
     Ambient,
@@ -18,6 +24,7 @@ from cocenter.measures import (
 from cocenter.orbital import (
     RegularElement,
     descent_check,
+    descent_factor,
     gamma_grid,
     joint_kernel_dimension,
     orbital_integral,
@@ -33,6 +40,7 @@ from tests.oracles import (
     matrix_items,
     orbital_by_balls_gl2,
     orbital_by_fraction_split,
+    orbital_by_quotient_sum,
     rank_by_minors,
     realification,
 )
@@ -76,14 +84,13 @@ def test_orbital_matches_grid_scan_on_basis(level_basis_gl2):
 
 
 def _assert_fast_equals_slow(h, grid):
-    """The flagged one-test path equals the quotient sum of an unflagged
-    copy at every grid point; returns how many values are nonzero."""
+    """The flagged one-test path equals the quotient sum of the oracle at
+    every grid point; returns how many values are nonzero."""
     assert h.biinvariant
-    plain = HeckeMeasure(h.ambient, h.ctx, h.support, biinvariant=False)
     nonzero = 0
     for gamma in grid:
         fast = orbital_integral(h, gamma).value
-        assert fast == orbital_integral(plain, gamma).value, (h, gamma.entries)
+        assert fast == orbital_by_quotient_sum(h, gamma), (h, gamma.entries)
         nonzero += fast != 0
     return nonzero
 
@@ -161,6 +168,64 @@ def test_descent_check_refuses_a_restriction_to_another_levi(ctx2):
     assert descent_check(unit3, gamma, p21, res_normalized(unit3, p21))[0]
     with pytest.raises(DomainError, match="Levi"):
         descent_check(unit3, gamma, p21, borel_res)
+
+
+def test_unflagged_measures_are_refused(ctx2, borel2, unit_gl2):
+    """An orbital integral or a descent check of a measure without the
+    invariance flag is refused, on G and on a (2,1) Levi, both as h and as
+    its restriction; the flagged measures pass."""
+    plain = HeckeMeasure(unit_gl2.ambient, ctx2, unit_gl2.support)
+    gamma = RegularElement((1, 3))
+    rm = res_normalized(unit_gl2, borel2)
+    assert descent_check(unit_gl2, gamma, borel2, rm)[0]
+    p21 = BlockParabolic(3, (2, 1), "upper")
+    unit3 = unit_measure(Ambient.general_linear(3), ctx2)
+    rm3 = res_normalized(unit3, p21)
+    plain3 = HeckeMeasure(unit3.ambient, ctx2, unit3.support)
+    plain_m = HeckeMeasure(rm3.ambient, ctx2, rm3.support)
+    gamma3 = RegularElement((1, 3, 5))
+    assert descent_check(unit3, gamma3, p21, rm3)[0]
+    refused = (
+        lambda: orbital_integral(plain, gamma),
+        lambda: descent_check(plain, gamma, borel2, rm),
+        lambda: orbital_integral(plain_m, gamma3),
+        lambda: orbital_integral(plain3, gamma3),
+        lambda: descent_check(plain3, gamma3, p21, rm3),
+        lambda: descent_check(unit3, gamma3, p21, plain_m),
+    )
+    for call in refused:
+        with pytest.raises(DomainError, match="flagged"):
+            call()
+
+
+def test_descent_factor_is_the_levi_discriminant_norm():
+    """|Delta_{M,G}(gamma)|^(k/2) read off gamma's diagonal equals the norm
+    of `discriminant_delta` on the Levi, k = 1 and 2, for every block
+    parabolic of GL_2 to GL_4 in both orientations: on the gamma grids and
+    on seeded points with non-unit entries, some pairs of them congruent
+    modulo a high power of p."""
+    rng = random.Random(29)
+    checked = 0
+    for p in (2, 3):
+        units = [u for u in (1, 5, 7, 11, 13) if u % p]
+        for n in (2, 3, 4):
+            points = gamma_grid(p, n) if n < 4 else []
+            while len(points) < 40:
+                entries = [Fraction(rng.choice(units), rng.choice(units))
+                           * Fraction(p) ** rng.randint(-2, 2) for _ in range(n)]
+                entries[1] = entries[0] * (1 + Fraction(p) ** rng.randint(1, 4))
+                if len(set(entries)) == n:
+                    points.append(RegularElement(tuple(entries)))
+            for blocks in compositions(n):
+                for orientation in ("upper", "lower"):
+                    parab = BlockParabolic(n, blocks, orientation)
+                    for gamma in points:
+                        delta = discriminant_delta(SubgroupSpec.levi(parab), gamma.matrix())
+                        for k, mutate in ((1, False), (2, True)):
+                            assert descent_factor(gamma, parab, p, mutate) == padic_norm_halfpower(
+                                delta, p, k), (p, blocks, orientation, gamma.entries, k)
+                            checked += 1
+    assert checked == 2 * 40 * 2 * 2 * (2 + 4 + 8)
 
 
 def test_orbital_conjugation_invariance(level_basis_gl2):
@@ -264,14 +329,15 @@ def test_descent_both_orientations(ctx2, borel2, level_basis_gl2):
 
 
 def test_levi_orbital_on_gl3_blocks():
-    """Orbital integrals on a (2,1) Levi factor through the blocks."""
+    """Orbital integrals on a (2,1) Levi factor through the blocks, by the
+    quotient-sum oracle, which takes an unflagged coset measure."""
     ctx = PrimeContext(2, 1)
     parab = BlockParabolic(3, (2, 1), "upper")
     levi = Ambient.levi(parab)
     m_rep = QMat([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     h = HeckeMeasure.delta(levi, ctx, m_rep)
     gamma = RegularElement((1, 3, 5))
-    got = orbital_integral(h, gamma).value
+    got = orbital_by_quotient_sum(h, gamma)
     block = QMat([[1, 1], [0, 1]])
     expected = orbital_single_coset_gl2(block, (Fraction(1), Fraction(3)), ctx)
     g1, g2 = Fraction(1), Fraction(3)
@@ -281,33 +347,37 @@ def test_levi_orbital_on_gl3_blocks():
     assert got == expected * jac
     # third eigenvalue in the wrong unit class kills the integral
     gamma_off = RegularElement((1, 3, 2))
-    assert orbital_integral(h, gamma_off).value == 0
+    assert orbital_by_quotient_sum(h, gamma_off) == 0
 
 
-def test_guard_reaches_the_conjugation_quotient(ctx2, borel2, unit_gl2):
-    """A non-biinvariant GL_2 measure sums over GL_2(Z/2), of order 6, at
-    level 1; a smaller guard refuses it on every call, on G, through
-    descent_check and on a Levi block, since no quotient or value is kept
-    between calls.  A flagged measure takes one label test per coset and
-    enumerates nothing."""
-    plain = HeckeMeasure(unit_gl2.ambient, ctx2, unit_gl2.support, biinvariant=False)
+def test_guard_reaches_the_conjugation_quotient(monkeypatch, ctx2, borel2, unit_gl2):
+    """The quotient sum of a GL_2 coset runs over GL_2(Z/2), of order 6, at
+    level 1; a smaller guard refuses it on every call, on a coset of G and
+    on the GL_2 block of a (2,1) Levi coset, since no quotient or value is
+    kept between calls.  A flagged measure takes one label test per coset
+    and enumerates nothing, in the orbital integral and in descent_check."""
     gamma = RegularElement((1, 3))
     value = orbital_integral(unit_gl2, gamma).value
-    assert orbital_integral(plain, gamma).value == value
-    assert orbital_integral(plain, gamma, guard=6).value == value
+    assert orbital_by_quotient_sum(unit_gl2, gamma) == value
+    assert orbital_by_quotient_sum(unit_gl2, gamma, guard=6) == value
+    one = orbital_single_coset_gl2(QMat.identity(2), gamma.entries, ctx2)
+    for _ in range(2):
+        assert orbital_single_coset_gl2(QMat.identity(2), gamma.entries, ctx2, guard=6) == one
+        with pytest.raises(ResourceGuardError):
+            orbital_single_coset_gl2(QMat.identity(2), gamma.entries, ctx2, guard=5)
+    block, sub = QMat([[1, 1], [0, 1]]), (Fraction(1), Fraction(3))
+    orbital_single_coset_gl2(block, sub, ctx2, guard=6)
     with pytest.raises(ResourceGuardError):
-        orbital_integral(plain, gamma, guard=5)
+        orbital_single_coset_gl2(block, sub, ctx2, guard=5)
+    # the flagged path enumerates nothing
     rm = res_normalized(unit_gl2, borel2)
-    assert descent_check(plain, gamma, borel2, rm, guard=6)[0]
-    with pytest.raises(ResourceGuardError):
-        descent_check(plain, gamma, borel2, rm, guard=5)
-    levi = Ambient.levi(BlockParabolic(3, (2, 1), "upper"))
-    h = HeckeMeasure.delta(levi, ctx2, QMat([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
-    orbital_integral(h, RegularElement((1, 3, 5)))
-    with pytest.raises(ResourceGuardError):
-        orbital_integral(h, RegularElement((1, 3, 5)), guard=5)
-    # the biinvariant fast path enumerates nothing
-    assert orbital_integral(unit_gl2, gamma, guard=1).value == value
+
+    def refuse(*args):
+        raise AssertionError("the flagged path enumerated a quotient")
+
+    monkeypatch.setattr("cocenter.orbital.enumerate_glnzm", refuse)
+    assert orbital_integral(unit_gl2, gamma).value == value
+    assert descent_check(unit_gl2, gamma, borel2, rm)[0]
 
 
 def test_ball_volume_refuses_a_singular_inverse(monkeypatch, ctx2):
