@@ -221,7 +221,13 @@ def padic_norm_halfpower(x, p: int, k: int) -> RootP:
     x = Fraction(x)
     if x == 0:
         raise DomainError("|0| has no nonzero power")
-    e = -k * padic_valuation(x, p)
+    return p_power_norm_halfpower(padic_valuation(x, p), p, k)
+
+
+def p_power_norm_halfpower(v: int, p: int, k: int) -> RootP:
+    """|p^v|_p^(k/2) = p**(-k*v/2) for a prime p, which is not checked: the
+    half-power of a known p-exponent, without taking a valuation."""
+    e = -k * v
     if e % 2 == 0:
-        return RootP(Fraction(p) ** (e // 2), 0, p)
-    return RootP(0, Fraction(p) ** ((e - 1) // 2), p)
+        return RootP._wrap(Fraction(p) ** (e // 2), Fraction(0), p)
+    return RootP._wrap(Fraction(0), Fraction(p) ** ((e - 1) // 2), p)

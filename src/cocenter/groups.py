@@ -1,14 +1,14 @@
 """Block parabolics of GL_n: discriminants, modulus character, decompositions.
 
 Lie algebras are realized as matrix-entry coordinate spaces.  Discriminants
-and the modulus come from block characteristic polynomials and determinants
-of the diagonal blocks in integer arithmetic; on all of P that is exact,
-because U acts unipotently on Lie P and on Lie G / Lie P.  Full adjoint
-matrices are the oracle in tests/oracles.py.  The Iwasawa split G = P K_0
-runs on integer forms too: `iwasawa_int` is the one integer Hermite core,
-`matrices.hermite_int`, with rows and columns reversed for a lower
-parabolic, and `iwasawa_mod` reduces its cofactor modulo p^m to label
-level cosets (`measures.canonical_rep`).  Only GL_n is
+and the modulus come from integer determinants alone: of the diagonal
+blocks, and of one Sylvester operator X -> X A_b - A_a X per block pair;
+on all of P that is exact, because U acts unipotently on Lie P and on
+Lie G / Lie P.  Full adjoint matrices are the oracle in tests/oracles.py.
+The Iwasawa split G = P K_0 runs on integer forms too: `iwasawa_int` is
+the one integer Hermite core, `matrices.hermite_int`, with rows and columns
+reversed for a lower parabolic, and `iwasawa_mod` reduces its cofactor
+modulo p^m to label level cosets (`measures.canonical_rep`).  Only GL_n is
 instantiated; the subgroup spec covers the diagonal torus, Levi subgroups
 and block parabolics.
 """
@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from operator import mul
 
 from cocenter.exactnum import DomainError, int_valuation
@@ -171,46 +172,48 @@ class SubgroupSpec:
         return self.parab.contains(g)
 
 
-def _block_invariants(parab: BlockParabolic, g: QMat):
-    """(A, d, det A, chi) per diagonal block g_a = A / d of g in M, with A
-    integral and chi the coefficients of det(x - A), highest first."""
-    out = []
-    for lo, hi in parab.block_ranges:
-        a, d = integer_form([row[lo:hi] for row in g.rows[lo:hi]])
-        chi = charpoly(a)
-        if chi[-1] == 0:
-            raise DomainError("singular matrix")
-        out.append((a, d, (-1) ** (hi - lo) * chi[-1], chi))
-    return out
+def _integer_blocks(parab: BlockParabolic, g: QMat):
+    """The integer diagonal blocks A_a of g, g_a = A_a / d over one common
+    denominator d, and their determinants; callers drop d because
+    Ad(c g) = Ad(g).  A singular block is refused, so every composition
+    refuses the same singular g."""
+    ranges = parab.block_ranges
+    ints = integer_form([row[lo:hi] for lo, hi in ranges for row in g.rows[lo:hi]])[0]
+    blocks = [ints[lo:hi] for lo, hi in ranges]
+    dets = [det_int(x) for x in blocks]
+    if 0 in dets:
+        raise DomainError("singular matrix")
+    return blocks, dets
 
 
 def _levi_delta(parab: BlockParabolic, g: QMat, pairs) -> Fraction:
     """det(Ad g^-1 - 1) on the blocks Hom(V_b, V_a) of Lie G, (a, b) in
     pairs, for g in M.
 
-    There X -> g_a^-1 X g_b has eigenvalues mu_j / lambda_i, so the factor
-    is det chi_a(g_b) / det(g_a)^(n_b) with chi_a(x) = det(x - g_a).  With
-    g_a = A_a / d_a it is det N / (d_b^(n_a n_b) det(A_a)^(n_b)), where
-    N = d_b^(n_a) chi_(A_a)(d_a A_b / d_b) is integral; Horner forms N.
+    There the operator is X -> g_a^-1 X g_b - X = g_a^-1 (X g_b - g_a X).
+    With g = A / d, X -> X A_b - A_a X is the Sylvester operator, of
+    determinant prod (mu_j - lambda_i) over the eigenvalues lambda of A_a
+    and mu of A_b; scaling it by 1 / d and then by g_a^-1 = d A_a^-1 on the
+    n_a n_b-dimensional block divides that determinant by det(A_a)^(n_b).
     """
-    if not pairs:
-        return Fraction(1)
-    inv = _block_invariants(parab, g)
-    num = den = 1
-    for a, b in pairs:
-        (_, d_a, det_a, chi), (a_b, d_b, _, _) = inv[a], inv[b]
-        n_a, n_b = len(chi) - 1, len(a_b)
-        cols = list(zip(*a_b))
-        value = [[d_a**n_a * (i == j) for j in range(n_b)] for i in range(n_b)]
-        for k, c in enumerate(chi[1:], 1):
-            c *= d_a ** (n_a - k) * d_b**k
-            value = [[sum(map(mul, row, col)) + c * (i == j) for j, col in enumerate(cols)]
-                     for i, row in enumerate(value)]
-        num *= det_int(value)
-        if num == 0:
-            return Fraction(0)
-        den *= d_b ** (n_a * n_b) * det_a**n_b
-    return Fraction(num, den)
+    blocks, dets = _integer_blocks(parab, g)
+    return Fraction(prod(det_int(_sylvester(blocks[a], blocks[b])) for a, b in pairs),
+                    prod(dets[a] ** len(blocks[b]) for a, b in pairs))
+
+
+def _sylvester(x, y):
+    """Rows of X -> X y - x X on n_a x n_b matrices X, with X[j][l] at
+    column j n_b + l: row (i, k) is column k of y on segment i, less
+    x[i][j] at slot k of each segment j."""
+    n_b, out = len(y), []
+    for i, x_i in enumerate(x):
+        for k, col in enumerate(zip(*y)):
+            row = [0] * (len(x) * n_b)
+            row[i * n_b:(i + 1) * n_b] = col
+            for j, x_ij in enumerate(x_i):
+                row[j * n_b + k] -= x_ij
+            out.append(row)
+    return out
 
 
 def discriminant_delta(spec: SubgroupSpec, g: QMat) -> Fraction:
@@ -230,21 +233,17 @@ def discriminant_delta(spec: SubgroupSpec, g: QMat) -> Fraction:
 def modulus_lambda(parab: BlockParabolic, g: QMat) -> Fraction:
     """det of Ad g on Lie P; the algebraic avatar of the modulus character.
 
-    U acts unipotently on Lie P, so only the diagonal blocks of g count.
+    U acts unipotently on Lie P and the Levi part contributes 1, so only
+    the radical blocks Hom(V_b, V_a) count: there conjugation is a Kronecker
+    product of determinant det(g_a)^(n_b) / det(g_b)^(n_a), which is
+    det(A_a)^(n_b) / det(A_b)^(n_a) for g = A / d.
     """
     if not parab.contains(g):
         raise DomainError("element not in the parabolic")
-    # conjugation on each radical block Hom(V_b, V_a) is a Kronecker product, of
-    # determinant det(g_a)^(n_b) / det(g_b)^(n_a); the Levi part contributes 1
+    blocks, dets = _integer_blocks(parab, g)
     pairs = parab.block_pairs("U")
-    inv = _block_invariants(parab, g) if pairs else None
-    num = den = 1
-    for a, b in pairs:
-        (a_a, d_a, det_a, _), (a_b, d_b, det_b, _) = inv[a], inv[b]
-        n_a, n_b = len(a_a), len(a_b)
-        num *= det_a**n_b * d_b ** (n_a * n_b)
-        den *= det_b**n_a * d_a ** (n_a * n_b)
-    return Fraction(num, den)
+    return Fraction(prod(dets[a] ** len(blocks[b]) for a, b in pairs),
+                    prod(dets[b] ** len(blocks[a]) for a, b in pairs))
 
 
 def is_regular(spec: SubgroupSpec, g: QMat) -> bool:

@@ -40,7 +40,7 @@ from cocenter.exactnum import (
     LevelError,
     RootP,
     int_valuation,
-    padic_norm_halfpower,
+    p_power_norm_halfpower,
 )
 from cocenter.groups import BlockParabolic, iwasawa_decompose, iwasawa_int, iwasawa_mod
 from cocenter.matrices import (
@@ -380,7 +380,7 @@ def normalize_on_levi(h_m: HeckeMeasure, parab: BlockParabolic) -> HeckeMeasure:
     for x, c in h_m.items():
         v = block_valuations(parab, x, p)
         power = sum(sizes[b] * v[a] - sizes[a] * v[b] for a, b in pairs)
-        out[x] = c * padic_norm_halfpower(Fraction(p) ** power, p, 1)
+        out[x] = c * p_power_norm_halfpower(power, p, 1)
     return HeckeMeasure(h_m.ambient, h_m.ctx, out, h_m.biinvariant)
 
 

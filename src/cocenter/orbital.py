@@ -35,7 +35,7 @@ from cocenter.exactnum import (
     DomainError,
     RootP,
     int_valuation,
-    padic_norm_halfpower,
+    p_power_norm_halfpower,
     padic_valuation,
 )
 from cocenter.groups import BlockParabolic
@@ -61,9 +61,6 @@ class RegularElement:
     @property
     def n(self):
         return len(self.entries)
-
-    def matrix(self) -> QMat:
-        return QMat.diagonal(self.entries)
 
     def valuations(self, p: int):
         return tuple(padic_valuation(x, p) for x in self.entries)
@@ -206,7 +203,7 @@ def descent_factor(gamma, parab: BlockParabolic, p: int, mutate_normalization=Fa
     is the product of (1 - gamma_j / gamma_i) over the positions of G/M, so
     its norm is that of p to the `_root_valuation` there."""
     v = _root_valuation(gamma.entries, parab.positions("G/M"), p)
-    return padic_norm_halfpower(Fraction(p) ** v, p, 2 if mutate_normalization else 1)
+    return p_power_norm_halfpower(v, p, 2 if mutate_normalization else 1)
 
 
 def gamma_grid(p: int, n: int, val_range=(-2, 2)):

@@ -2,7 +2,7 @@
 
 Each oracle recomputes a quantity through a code path disjoint from the one
 it checks: Fraction elimination instead of the integer determinant kernel,
-full adjoint matrices instead of block characteristic polynomials, column
+full adjoint matrices instead of block and Sylvester determinants, column
 operations on Fractions instead of the integer Hermite kernel, exhaustive
 mod p^m scans instead of Iwasawa reductions, cell-by-cell integration and
 GL_2 ball intersections instead of the orbital test read off canonical
@@ -517,7 +517,7 @@ def orbital_by_fraction_split(h, gamma):
     |M(Z/p^m)| / ([T meet K_0 : T meet K_m] * p^(m dim(U meet M)))."""
     assert h.biinvariant
     p, m, n = h.ctx.p, h.ctx.m, gamma.n
-    g = gamma.matrix()
+    g = QMat.diagonal(gamma.entries)
     off = [(i, j) for i, j in h.ambient.parab.positions("M") if i != j]
     upper = [(i, j) for i, j in off if i < j]
     norm = Fraction(p) ** -padic_valuation(full_ad_minus_one_det(g, off), p)
@@ -545,7 +545,7 @@ def orbital_by_quotient_sum(h, gamma, guard=DEFAULT_GROUP_ORDER_GUARD):
     as |Delta_{T, G}(gamma) / Delta_{M, G}(gamma)| from `discriminant_delta`.
     The guard bounds each quotient."""
     p, parab = h.ctx.p, h.ambient.parab
-    g = gamma.matrix()
+    g = QMat.diagonal(gamma.entries)
     delta = (discriminant_delta(SubgroupSpec.torus(), g)
              / discriminant_delta(SubgroupSpec.levi(parab), g))
     subs = [gamma.entries[lo:hi] for lo, hi in parab.block_ranges]
@@ -592,8 +592,8 @@ def ad_pullback_by_qmat(h, g):
 
 def normalize_by_modulus_lambda(h_m, parab):
     """`measures.normalize_on_levi` through `groups.modulus_lambda` of each
-    `label_matrix`: block characteristic polynomials instead of the
-    label's Hermite diagonal."""
+    `label_matrix`: block determinants instead of the label's Hermite
+    diagonal."""
     p = h_m.ctx.p
     out = {x: c * padic_norm_halfpower(modulus_lambda(parab, label_matrix(x)), p, 1)
            for x, c in h_m.items()}

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cocenter.exactnum import (
     DomainError,
     RootP,
+    p_power_norm_halfpower,
     padic_norm_halfpower,
     padic_valuation,
 )
@@ -44,6 +45,17 @@ def test_norm_halfpower_examples():
 def test_norm_halfpower_rejects_zero():
     with pytest.raises(DomainError):
         padic_norm_halfpower(0, 2, 1)
+
+
+def test_p_power_halfpower_matches_the_valuation_path():
+    """The half-power of a known p-exponent e is |p^e|_p^(k/2), the same
+    element of the same Q(sqrt p) as `padic_norm_halfpower` of p^e."""
+    for p in (2, 3, 5):
+        for e in range(-6, 7):
+            for k in (1, 2):
+                got = p_power_norm_halfpower(e, p, k)
+                want = padic_norm_halfpower(Fraction(p) ** e, p, k)
+                assert (got.a, got.b, got.p) == (want.a, want.b, want.p), (p, e, k)
 
 
 @given(nonzero_rationals, small_primes, st.integers(-4, 4))

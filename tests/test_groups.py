@@ -118,11 +118,11 @@ def _radical_element(parab, rng):
 
 def test_delta_matches_oracle_on_levi_elements():
     """Every composition of GL_2 .. GL_5, both orientations: the block
-    characteristic polynomial path on Levi elements (rational, integer,
-    scalar and shared-eigenvalue blocks), and the same path on non-Levi
-    elements of P, where it reads only their diagonal blocks, against full
-    adjoint determinants.  The upper and lower parabolics share their Levi,
-    so they share its points."""
+    determinant path (diagonal blocks and one Sylvester operator per block
+    pair) on Levi elements (rational, integer, scalar and shared-eigenvalue
+    blocks), and the same path on non-Levi elements of P, where it reads
+    only their diagonal blocks, against full adjoint determinants.  The
+    upper and lower parabolics share their Levi, so they share its points."""
     rng = random.Random(47)
     zero_seen = 0
     for n in (2, 3, 4, 5):
@@ -155,6 +155,61 @@ def test_delta_matches_oracle_on_levi_elements():
             off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
             assert discriminant_delta(torus, t) == full_ad_minus_one_det(t, off_diagonal)
     assert zero_seen
+
+
+def test_discriminants_and_modulus_ignore_scalars():
+    """Ad(c g) = Ad(g): Delta_P, Delta_M and lambda_P at c g equal their
+    values at g and the full adjoint determinants, for seeded rational c of
+    both signs, on Levi points whose blocks have different denominators,
+    for every composition of GL_2 .. GL_4 in both orientations."""
+    rng = random.Random(83)
+    for n in (2, 3, 4):
+        for blocks in compositions(n):
+            upper = BlockParabolic(n, blocks)
+            for _ in range(2):
+                dens = rng.sample((1, 2, 3, 5, 7), len(blocks))
+                m = assemble_from_blocks(
+                    [random_invertible(k, rng, (d,)) for k, d in zip(blocks, dens)], upper)
+                for sign in (1, -1):
+                    c = Fraction(sign * rng.randint(1, 9), rng.randint(1, 9))
+                    scaled = m.scale(c)
+                    for parab in (upper, upper.opposite()):
+                        for spec, outside in ((SubgroupSpec.parabolic(parab), "G/P"),
+                                              (SubgroupSpec.levi(parab), "G/M")):
+                            assert discriminant_delta(spec, scaled) == discriminant_delta(
+                                spec, m) == full_ad_minus_one_det(scaled, parab.positions(outside))
+                        assert modulus_lambda(parab, scaled) == modulus_lambda(
+                            parab, m) == full_ad_det(scaled, parab.positions("P"))
+
+
+def test_singular_elements_are_refused_on_every_composition():
+    """A singular g in H is refused with "singular matrix" by the
+    discriminant of the Levi and of the parabolic, by the modulus and by
+    is_regular, on every composition of GL_2 .. GL_4 in both orientations,
+    the one-block (n,) included, whichever block is singular; so is a
+    diagonal g with a zero entry on the torus."""
+    checked = 0
+    for n in (2, 3, 4):
+        for blocks in compositions(n):
+            for singular in range(len(blocks)):
+                # the singular block is all ones (rank one), or 0 when it is 1 x 1
+                mats = [QMat([[int(k > 1)] * k] * k) if a == singular else QMat.diagonal([2] * k)
+                        for a, k in enumerate(blocks)]
+                g = assemble_from_blocks(mats, BlockParabolic(n, blocks))
+                for orientation in ("upper", "lower"):
+                    parab = BlockParabolic(n, blocks, orientation)
+                    levi, par = SubgroupSpec.levi(parab), SubgroupSpec.parabolic(parab)
+                    for call in (lambda: discriminant_delta(levi, g),
+                                 lambda: discriminant_delta(par, g),
+                                 lambda: modulus_lambda(parab, g),
+                                 lambda: is_regular(levi, g),
+                                 lambda: is_regular(par, g)):
+                        with pytest.raises(DomainError, match="singular matrix"):
+                            call()
+                        checked += 1
+        with pytest.raises(DomainError, match="singular matrix"):
+            discriminant_delta(SubgroupSpec.torus(), QMat.diagonal([0] + [1] * (n - 1)))
+    assert checked == 5 * 2 * (3 + 8 + 20)
 
 
 def test_charpoly_matches_principal_minors():

@@ -220,7 +220,8 @@ def test_descent_factor_is_the_levi_discriminant_norm():
                 for orientation in ("upper", "lower"):
                     parab = BlockParabolic(n, blocks, orientation)
                     for gamma in points:
-                        delta = discriminant_delta(SubgroupSpec.levi(parab), gamma.matrix())
+                        g = QMat.diagonal(gamma.entries)
+                        delta = discriminant_delta(SubgroupSpec.levi(parab), g)
                         for k, mutate in ((1, False), (2, True)):
                             assert descent_factor(gamma, parab, p, mutate) == padic_norm_halfpower(
                                 delta, p, k), (p, blocks, orientation, gamma.entries, k)
