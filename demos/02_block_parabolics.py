@@ -20,7 +20,7 @@ from cocenter.groups import (
 from cocenter.matrices import QMat, gln_zp_membership
 
 borel = BlockParabolic(2, (1, 1), "upper")
-torus = SubgroupSpec.torus()
+torus = SubgroupSpec.torus(2)
 
 g = QMat.diagonal([2, 1])
 print("Delta_{T,G}(diag(2,1)) =", discriminant_delta(torus, g))

@@ -112,7 +112,7 @@ class InducedModel:
         idx = self.transversal.lookup[kbar]
         modulus, cols = self.ctx.modulus, self.inverse_cols[idx]
         q2 = [[sum(map(mul, row, col)) % modulus for col in cols] for row in kbar]
-        if any(q2[i][j] for i, j in self.parab.positions("G/P")):
+        if not self.parab.vanishes(q2, "G/P"):
             raise DomainError("transversal lookup names a double coset that k misses")
         return idx, q2
 

@@ -111,6 +111,8 @@ class RunConfig:
             raise ConfigError("empty valuation window")
         if not is_prime(self.p):
             raise ConfigError(f"p = {self.p} is not prime")
+        if not self.character_params or not self.ff_cases:
+            raise ConfigError("empty character family or unipotent case list")
         for n, q in self.ff_cases:
             if n < 1:
                 raise ConfigError(f"unipotent case GL_{n} needs n >= 1")
@@ -172,7 +174,7 @@ def load_config(path: str) -> RunConfig:
                 sat_degree=int(sat.get("degree", cfg.sat_degree)),
                 sat_height=int(sat.get("height", cfg.sat_height)),
             )
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, ZeroDivisionError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
     return cfg.validate()
 

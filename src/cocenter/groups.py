@@ -9,8 +9,9 @@ The Iwasawa split G = P K_0 runs on integer forms too: `iwasawa_int` is
 the one integer Hermite core, `matrices.hermite_int`, with rows and columns
 reversed for a lower parabolic, and `iwasawa_mod` reduces its cofactor
 modulo p^m to label level cosets (`measures.canonical_rep`).  Only GL_n is
-instantiated; the subgroup spec covers the diagonal torus, Levi subgroups
-and block parabolics.
+instantiated.  Membership in a block parabolic, its Levi or the diagonal
+torus (the Levi of the Borel) is one test, `BlockParabolic.vanishes`: the
+n x n rows vanish on the positions outside the subgroup.
 """
 
 from __future__ import annotations
@@ -73,24 +74,12 @@ class BlockParabolic:
             start += size
         return tuple(out)
 
-    def in_levi(self, i: int, j: int) -> bool:
-        bi = self.block_index
-        return bi[i] == bi[j]
-
-    def in_parabolic(self, i: int, j: int) -> bool:
-        bi = self.block_index
-        if self.orientation == "upper":
-            return bi[i] <= bi[j]
-        return bi[i] >= bi[j]
-
-    def dim_radical(self) -> int:
-        return len(self.positions("U"))
-
     @cached_property
     def _position_table(self):
+        bi, sign = self.block_index, 1 if self.orientation == "upper" else -1
         table = {key: [] for key in ("P", "M", "U", "G/P", "G/M")}
         for i, j in itertools.product(range(self.n), repeat=2):
-            in_m, in_p = self.in_levi(i, j), self.in_parabolic(i, j)
+            in_m, in_p = bi[i] == bi[j], sign * (bi[j] - bi[i]) >= 0
             table["P" if in_p else "G/P"].append((i, j))
             table["M" if in_m else "G/M"].append((i, j))
             if in_p and not in_m:
@@ -111,13 +100,19 @@ class BlockParabolic:
         """Block pairs (a, b) whose Hom(V_b, V_a) tile the given positions."""
         return self._pair_table[pattern]
 
+    def vanishes(self, rows, pattern: str) -> bool:
+        """True when square rows (a QMat's, or integer residues mod p^m)
+        are n x n and zero on `positions(pattern)`; rows of another size
+        are False.  P is where "G/P" vanishes, M where "G/M" does."""
+        if len(rows) != self.n:
+            return False
+        return not any(rows[i][j] for i, j in self.positions(pattern))
+
     def contains(self, g: QMat) -> bool:
-        rows = g.rows
-        return all(rows[i][j] == 0 for i, j in self.positions("G/P"))
+        return self.vanishes(g.rows, "G/P")
 
     def levi_contains(self, g: QMat) -> bool:
-        rows = g.rows
-        return all(rows[i][j] == 0 for i, j in self.positions("G/M"))
+        return self.vanishes(g.rows, "G/M")
 
     def levi_project(self, g: QMat) -> QMat:
         """Projection P -> M killing the unipotent radical (diagonal blocks)."""
@@ -139,37 +134,31 @@ class BlockParabolic:
 
 @dataclass(frozen=True)
 class SubgroupSpec:
-    """One of: the diagonal torus, a Levi subgroup, or a block parabolic."""
+    """A Levi subgroup or a block parabolic: the elements that vanish on
+    the positions `outside` of parab, "G/M" for its Levi M and "G/P" for P.
+    The diagonal torus of GL_n is the Levi of the Borel."""
 
-    kind: str  # "T" | "M" | "P"
-    parab: BlockParabolic | None = None
+    parab: BlockParabolic
+    outside: str
 
     def __post_init__(self):
-        if self.kind not in ("T", "M", "P"):
-            raise DomainError("kind must be T, M or P")
-        if self.kind in ("M", "P") and self.parab is None:
-            raise DomainError("M/P specs need a BlockParabolic")
+        if self.outside not in ("G/M", "G/P"):
+            raise DomainError("outside must be 'G/M' or 'G/P'")
 
     @classmethod
-    def torus(cls) -> "SubgroupSpec":
-        return cls("T")
+    def torus(cls, n: int) -> "SubgroupSpec":
+        return cls.levi(BlockParabolic(n, (1,) * n))
 
     @classmethod
     def levi(cls, parab: BlockParabolic) -> "SubgroupSpec":
-        return cls("M", parab)
+        return cls(parab, "G/M")
 
     @classmethod
     def parabolic(cls, parab: BlockParabolic) -> "SubgroupSpec":
-        return cls("P", parab)
+        return cls(parab, "G/P")
 
     def contains(self, g: QMat) -> bool:
-        if self.kind == "T":
-            return all(
-                g[i, j] == 0 for i in range(g.n) for j in range(g.n) if i != j
-            )
-        if self.kind == "M":
-            return self.parab.levi_contains(g)
-        return self.parab.contains(g)
+        return self.parab.vanishes(g.rows, self.outside)
 
 
 def _integer_blocks(parab: BlockParabolic, g: QMat):
@@ -219,15 +208,13 @@ def _sylvester(x, y):
 def discriminant_delta(spec: SubgroupSpec, g: QMat) -> Fraction:
     """det(Ad g^-1 - 1) on the complementary coordinates of Lie G / Lie H.
 
-    The torus is the Levi of the Borel.  On H = P, the blocks Hom(V_b, V_a)
-    with |a - b| <= k span a P-stable filtration of Lie G / Lie P on whose
-    graded pieces U acts trivially, so the value reads only the diagonal
-    blocks of g, as on the Levi.
+    On H = P, the blocks Hom(V_b, V_a) with |a - b| <= k span a P-stable
+    filtration of Lie G / Lie P on whose graded pieces U acts trivially, so
+    the value reads only the diagonal blocks of g, as on the Levi.
     """
     if not spec.contains(g):
         raise DomainError("element not in the subgroup")
-    parab = BlockParabolic(g.n, (1,) * g.n) if spec.kind == "T" else spec.parab
-    return _levi_delta(parab, g, parab.block_pairs("G/P" if spec.kind == "P" else "G/M"))
+    return _levi_delta(spec.parab, g, spec.parab.block_pairs(spec.outside))
 
 
 def modulus_lambda(parab: BlockParabolic, g: QMat) -> Fraction:
@@ -261,7 +248,7 @@ def discriminant_square_identity(parab: BlockParabolic, m: QMat) -> bool:
     d_p = discriminant_delta(SubgroupSpec.parabolic(parab), m)
     d_m = discriminant_delta(SubgroupSpec.levi(parab), m)
     lam = modulus_lambda(parab, m)
-    sign = -1 if parab.dim_radical() % 2 else 1
+    sign = -1 if len(parab.positions("U")) % 2 else 1
     return d_p * d_p == sign * d_m * lam
 
 

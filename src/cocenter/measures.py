@@ -120,11 +120,11 @@ def coset_meets_parabolic(rep: QMat, parab: BlockParabolic, ctx: PrimeContext):
     the coset meets P exactly when k mod p^m is block triangular, and then
     q times the integral lift of k mod p^m is such a representative.  This
     is the QMat form of the test; `res_unnormalized` makes the same test on
-    integer labels and no longer calls it.
+    integer labels.
     """
     q, k = iwasawa_decompose(rep, parab, ctx.p)
     kbar = mat_mod(k, ctx.modulus, ctx.p)
-    if any(kbar[i][j] for i, j in parab.positions("G/P")):
+    if not parab.vanishes(kbar, "G/P"):
         return None
     return q * lift_mod(kbar, parab.n)
 
@@ -226,11 +226,10 @@ def _as_rootp(coeff, p: int) -> RootP:
 def unit_measure(ambient: Ambient, ctx: PrimeContext, guard=DEFAULT_GROUP_ORDER_GUARD):
     """Unit mass spread uniformly over the K_0 part of the ambient group,
     keyed by the labels (1, 1, kbar), 1 the identity rows."""
-    n = ambient.n
-    zeros = ambient.parab.positions("G/M")
+    n, levi = ambient.n, ambient.parab
     one = tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
     labels = [(1, one, rows) for rows in enumerate_glnzm(n, ctx, guard)
-              if not any(rows[i][j] for i, j in zeros)]
+              if levi.vanishes(rows, "G/M")]
     coeff = RootP.rational(Fraction(1, len(labels)), ctx.p)
     return HeckeMeasure(ambient, ctx, dict.fromkeys(labels, coeff), True)
 
@@ -252,8 +251,7 @@ class ParabolicTransversal:
         self.ctx = ctx
         n = parab.n
         all_elements = enumerate_glnzm(n, ctx, guard)
-        zeros = parab.positions("G/P")
-        pbar = [rows for rows in all_elements if not any(rows[i][j] for i, j in zeros)]
+        pbar = [rows for rows in all_elements if parab.vanishes(rows, "G/P")]
         modulus = ctx.modulus
         lookup = {}
         reps = []
@@ -320,7 +318,7 @@ def res_unnormalized(
     ctx = h.ctx
     if transversal is not None and (transversal.parab != parab or transversal.ctx != ctx):
         raise DomainError("transversal of another parabolic or level")
-    outside, modulus = parab.positions("G/P"), ctx.modulus
+    modulus = ctx.modulus
     splits = {}
     points = []
     for (pe, hx, kbar), c in h.items():
@@ -329,7 +327,7 @@ def res_unnormalized(
         q, k = splits[hx]
         cols = tuple(zip(*kbar))
         moved = [[sum(map(mul, row, col)) % modulus for col in cols] for row in k]
-        if not any(moved[i][j] for i, j in outside):
+        if parab.vanishes(moved, "G/P"):
             points.append(((parab.levi_product(q, moved), pe), c))
     return levi_measure(parab, ctx, points, True).scale(parabolic_double_coset_count(parab, ctx))
 

@@ -398,12 +398,7 @@ def meets_parabolic_oracle_integral(rep: QMat, parab, ctx):
     n = rep.n
     target = mat_mod(rep, ctx.modulus, ctx.p)
     for rows in enumerate_glnzm(n, ctx):
-        if any(
-            rows[i][j] != 0
-            for i in range(n)
-            for j in range(n)
-            if not parab.in_parabolic(i, j)
-        ):
+        if any(rows[i][j] != 0 for i, j in parab.positions("G/P")):
             continue
         if rows == target:
             return lift_mod(rows, n)
@@ -546,7 +541,7 @@ def orbital_by_quotient_sum(h, gamma, guard=DEFAULT_GROUP_ORDER_GUARD):
     The guard bounds each quotient."""
     p, parab = h.ctx.p, h.ambient.parab
     g = QMat.diagonal(gamma.entries)
-    delta = (discriminant_delta(SubgroupSpec.torus(), g)
+    delta = (discriminant_delta(SubgroupSpec.torus(g.n), g)
              / discriminant_delta(SubgroupSpec.levi(parab), g))
     subs = [gamma.entries[lo:hi] for lo, hi in parab.block_ranges]
     total = RootP.rational(0, p)

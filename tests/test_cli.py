@@ -150,11 +150,15 @@ def test_main_mutation_mode_fails(tmp_path):
     "[unipotent]\ncases = 0:2\n",
     "[saturate]\ndegree = 0\n",
     "[saturate]\nheight = -1\n",
+    "[characters]\nparams = 1/0, 2\n",
+    "[characters]\nparams = ;\n",
+    "[unipotent]\ncases = ,\n",
 ])
 def test_config_refuses_empty_cases_and_bounds(tmp_path, capsys, section):
-    """A unipotent case with n < 1 would be dropped silently, and a
+    """A unipotent case with n < 1 would be dropped silently, a
     saturation degree or height below 1 would fail rows instead of the
-    configuration."""
+    configuration, a zero denominator would end in a traceback, and an
+    empty character family or case list would pass with no rows."""
     path = tmp_path / "bad.ini"
     path.write_text(section)
     assert main(["all", "--config", str(path)]) == 2

@@ -18,7 +18,10 @@ from cocenter.groups import (
     jordan_type,
     modulus_lambda,
 )
-from cocenter.matrices import FFMatrix, QMat, charpoly, enumerate_gln_fq, gln_zp_membership
+from cocenter.matrices import (
+    FFMatrix, PrimeContext, QMat, charpoly, enumerate_gln_fq, gln_zp_membership,
+)
+from cocenter.measures import Ambient, HeckeMeasure, ad_pullback, unit_measure
 
 from tests.oracles import (
     assemble_from_blocks,
@@ -73,9 +76,25 @@ def test_block_parabolic_refuses_non_int_blocks():
 
 
 def test_delta_torus_example():
-    torus = SubgroupSpec.torus()
+    torus = SubgroupSpec.torus(2)
     assert discriminant_delta(torus, QMat.diagonal([2, 1])) == Fraction(-1, 2)
     assert discriminant_delta(torus, QMat.diagonal([3, 3])) == 0
+
+
+def test_torus_is_the_levi_of_the_borel(monkeypatch):
+    """The torus spec of GL_n is the Levi spec of its Borel, and its
+    discriminant reads the spec's own parabolic: with `BlockParabolic`
+    made to raise, the value still matches the full adjoint oracle."""
+    for n in (1, 2, 3, 4):
+        assert SubgroupSpec.torus(n) == SubgroupSpec.levi(BlockParabolic(n, (1,) * n))
+    torus, t = SubgroupSpec.torus(4), QMat.diagonal([2, 3, 5, 7])
+    off_diagonal = [(i, j) for i in range(4) for j in range(4) if i != j]
+
+    def refuse(*args):
+        raise AssertionError("discriminant_delta built a BlockParabolic")
+
+    monkeypatch.setattr("cocenter.groups.BlockParabolic", refuse)
+    assert discriminant_delta(torus, t) == full_ad_minus_one_det(t, off_diagonal)
 
 
 def test_delta_borel_matches_full_ad_oracle():
@@ -146,7 +165,7 @@ def test_delta_matches_oracle_on_levi_elements():
                     assert not parab.levi_contains(g)
                     with pytest.raises(DomainError):
                         discriminant_delta(levi, g)
-        torus = SubgroupSpec.torus()
+        torus = SubgroupSpec.torus(n)
         for entries in (
             [Fraction(rng.randint(1, 9), rng.choice((1, 2, 3))) for _ in range(n)],
             [Fraction(3, 2)] * 2 + [Fraction(rng.randint(1, 9)) for _ in range(n - 2)],
@@ -208,8 +227,30 @@ def test_singular_elements_are_refused_on_every_composition():
                             call()
                         checked += 1
         with pytest.raises(DomainError, match="singular matrix"):
-            discriminant_delta(SubgroupSpec.torus(), QMat.diagonal([0] + [1] * (n - 1)))
+            discriminant_delta(SubgroupSpec.torus(n), QMat.diagonal([0] + [1] * (n - 1)))
     assert checked == 5 * 2 * (3 + 8 + 20)
+
+
+def test_elements_of_another_size_are_refused():
+    """Every membership entry point refuses a 3 x 3 element on GL_2 and a
+    2 x 2 element on GL_3: a size-blind test read the top-left block of
+    the larger one and indexed past the rows of the smaller one.  The
+    entries are units at p = 2, so no level check refuses them first."""
+    ctx = PrimeContext(2, 1)
+    for n, g in ((2, QMat.diagonal([3, 5, 7])), (3, QMat.diagonal([3, 5]))):
+        parab, ambient = BlockParabolic(n, (n - 1, 1)), Ambient.general_linear(n)
+        h = unit_measure(ambient, ctx)
+        specs = (SubgroupSpec.levi(parab), SubgroupSpec.parabolic(parab), SubgroupSpec.torus(n))
+        calls = [lambda: HeckeMeasure.from_pairs(ambient, ctx, [(g, 1)]),
+                 lambda: h.coefficient(g),
+                 lambda: modulus_lambda(parab, g),
+                 lambda: discriminant_square_identity(parab, g)]
+        calls += [lambda spec=spec: discriminant_delta(spec, g) for spec in specs]
+        for call in calls:
+            with pytest.raises(DomainError, match="not in the"):
+                call()
+        with pytest.raises(DomainError, match="outside the Levi"):
+            ad_pullback(h, g)
 
 
 def test_charpoly_matches_principal_minors():
@@ -254,9 +295,10 @@ def test_modulus_examples_and_oracle():
 
 
 def test_regularity_and_transitivity():
-    torus = SubgroupSpec.torus()
+    torus = SubgroupSpec.torus(2)
     assert is_regular(torus, QMat.diagonal([2, 1]))
     assert not is_regular(torus, QMat.identity(2))
+    torus = SubgroupSpec.torus(3)
     # Delta_{T,G} = Delta_{T,M} * Delta_{M,G} restricted to the torus
     rng = random.Random(2)
     parab = BlockParabolic(3, (2, 1), "upper")
@@ -265,7 +307,7 @@ def test_regularity_and_transitivity():
         t = QMat.diagonal([rng.randint(1, 9) for _ in range(3)])
         lhs = discriminant_delta(torus, t)
         inner = full_ad_minus_one_det(
-            t, [(i, j) for i in range(3) for j in range(3) if i != j and parab.in_levi(i, j)]
+            t, [(i, j) for i, j in parab.positions("M") if i != j]
         )
         outer = discriminant_delta(levi, t)
         assert lhs == inner * outer

@@ -183,6 +183,76 @@ def test_labels_become_qmats_only_for_json(tmp_path):
     ]
 
 
+MEMBERSHIP_TESTS = {"groups.BlockParabolic.vanishes"}
+
+
+def _is_positions_call(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "positions")
+
+
+def _membership_loops(path):
+    """module.scope of each `any` or `all` over a comprehension that
+    iterates a `.positions(...)` call, or a name the module binds to one
+    (also inside a tuple assignment), outside MEMBERSHIP_TESTS."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                         else [(target, node.value)])
+                bound |= {t.id for t, v in pairs
+                          if isinstance(t, ast.Name) and _is_positions_call(v)}
+    found = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, scope + [child.name])
+                continue
+            where = ".".join([path.stem] + scope)
+            if (isinstance(child, ast.Call) and getattr(child.func, "id", None) in ("any", "all")
+                    and where not in MEMBERSHIP_TESTS):
+                iters = [gen.iter for arg in child.args
+                         if isinstance(arg, (ast.GeneratorExp, ast.ListComp, ast.SetComp))
+                         for gen in arg.generators]
+                if any(_is_positions_call(it) or isinstance(it, ast.Name) and it.id in bound
+                       for it in iters):
+                    found.add(where)
+            walk(child, scope)
+
+    walk(tree, [])
+    return sorted(found)
+
+
+def test_membership_is_one_vanishing_test(tmp_path):
+    """Whether rows lie in P, M or the torus is decided only by
+    `BlockParabolic.vanishes`, which also refuses rows of another size: no
+    other library function runs `any` or `all` over the positions of a
+    pattern.  The scan itself is checked on a sample module."""
+    found = {}
+    for path in sorted(Path(cocenter.__file__).parent.glob("*.py")):
+        loops = _membership_loops(path)
+        if loops:
+            found[path.stem] = loops
+    assert not found, f"membership decided outside BlockParabolic.vanishes: {found}"
+    sample = tmp_path / "groups.py"
+    sample.write_text(
+        "class BlockParabolic:\n    def vanishes(self, rows, pattern):\n"
+        "        return not any(rows[i][j] for i, j in self.positions(pattern))\n"
+        "    def contains(self, g):\n"
+        "        return all(g.rows[i][j] == 0 for i, j in self.positions('G/P'))\n"
+        "def unit(parab, rows):\n"
+        "    zeros, m = parab.positions('G/M'), 2\n"
+        "    return [r for r in rows if not any(r[i][j] for i, j in zeros)]\n"
+        "def roots(parab):\n"
+        "    return [(i, j) for i, j in parab.positions('M') if i != j]\n"
+    )
+    assert _membership_loops(sample) == ["groups.BlockParabolic.contains", "groups.unit"]
+
+
 def test_traced_benchmark_names_resolve():
     """Every (module, attribute) that `perfbench/tracer.py` wraps exists in
     the library, so deleting or renaming one fails here and not only in the
