@@ -169,8 +169,9 @@ class QMat:
 
 def integer_form(rows):
     """(A, d) with rows = A / d, A integral and d the lcm of the denominators."""
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    d = lcm(*[den for row in ratios for _, den in row])
+    return [[num * (d // den) for num, den in row] for row in ratios], d
 
 
 def det_rational(rows) -> Fraction:
@@ -392,16 +393,29 @@ def lift_mod(rows, n: int) -> QMat:
 
 def enumerate_glnzm(n: int, ctx: PrimeContext, guard: int = DEFAULT_GROUP_ORDER_GUARD):
     """All of GL_n(Z/p^m) as integer-entry tuples, in lexicographic order;
-    guarded.  A determinant is a unit mod p^m exactly when p does not divide it."""
+    guarded.  A matrix is invertible mod p^m exactly when its reduction mod
+    p is, that is, when no row lies mod p in the span of the rows above it;
+    so the rows are chosen one at a time, in order, outside that span."""
     size = glnzm_order(n, ctx.p, ctx.m)
     if size > guard:
         raise ResourceGuardError(f"|GL_{n}(Z/{ctx.modulus})| = {size} exceeds guard {guard}")
-    modulus = ctx.modulus
+    p, modulus = ctx.p, ctx.modulus
+    rows = [(row, tuple(x % p for x in row))
+            for row in itertools.product(range(modulus), repeat=n)]
     out = []
-    for flat in itertools.product(range(modulus), repeat=n * n):
-        rows = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-        if det_int(rows) % ctx.p:
-            out.append(rows)
+
+    def extend(prefix, span):
+        # span: the F_p span of the residues of the rows in prefix
+        for row, residue in rows:
+            if residue in span:
+                continue
+            if len(prefix) == n - 1:
+                out.append(prefix + (row,))
+            else:
+                extend(prefix + (row,), {tuple([(a + c * b) % p for a, b in zip(s, residue)])
+                                         for s in span for c in range(p)})
+
+    extend((), {(0,) * n})
     if len(out) != size:
         raise RuntimeError(
             f"enumerated {len(out)} elements of GL_{n}(Z/{modulus}), expected {size}"
@@ -411,15 +425,34 @@ def enumerate_glnzm(n: int, ctx: PrimeContext, guard: int = DEFAULT_GROUP_ORDER_
 
 def gln_generators(n: int, p: int, k: int = 1):
     """Integer rows of generators of GL_n(Z/p^k), hence of GL_n(Z_p) modulo
-    its level-k subgroup: the elementary transvections generate SL_n over
-    the local ring Z/p^k, and diag(u, 1, ..., 1), for u running over
-    generators of (Z/p^k)^*, completes them to GL_n."""
-    def elementary(i, j, x):
-        return [[x if (a, b) == (i, j) else int(a == b) for b in range(n)] for a in range(n)]
+    its level-k subgroup: the transvection e_12(1), the permutation
+    matrices of the transposition (1 2) and, for n > 2, of the n-cycle
+    (1 2 ... n), then diag(u, 1, ..., 1) for u running over the
+    `unit_group_generators` of (Z/p^k)^*.
 
-    return [elementary(i, j, 1) for i in range(n) for j in range(n) if i != j] + [
-        elementary(0, 0, u) for u in unit_group_generators(p, k)
-    ]
+    They generate: the two permutations generate S_n, and conjugating
+    e_12(1) by the matrix of w in S_n that sends the basis vector e_b to
+    e_w(b) gives e_w(1)w(2)(1); S_n is transitive on ordered pairs i != j,
+    so every e_ij(1) is reached, and e_ij(t) = e_ij(1)^t.  The elementary
+    transvections generate SL_n over the local ring Z/p^k, and the
+    scalings, whose determinants generate (Z/p^k)^*, complete SL_n to
+    GL_n.  The group is finite, so products of the generators alone,
+    without their inverses, already reach all of it.
+    """
+    def permutation(images):
+        return [[int(b == images[a]) for b in range(n)] for a in range(n)]
+
+    def scaling(u):
+        return [[u if a == b == 0 else int(a == b) for b in range(n)] for a in range(n)]
+
+    gens = []
+    if n > 1:
+        transvection = permutation(range(n))
+        transvection[0][1] = 1
+        gens += [transvection, permutation([1, 0, *range(2, n)])]
+    if n > 2:
+        gens.append(permutation([*range(1, n), 0]))
+    return gens + [scaling(u) for u in unit_group_generators(p, k)]
 
 
 def block_gln_generators(blocks, p: int, k: int = 1):

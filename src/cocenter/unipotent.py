@@ -16,10 +16,13 @@ conjugate by the generators only, not by their inverses (see
 `measures.ad_orbits` builds are closures of the same kind.
 
 Over F_q the closures run on flat row-major entry tuples, not on
-`FFMatrix` objects: each generator g becomes a `conjugation_map`, built
-once per call of `build_class` or `induced_set` from g and g^-1, which
-rewrites only the entries that x -> g x g^-1 changes (2n - 1 of the n^2
-for a transvection).  Matrices are rebuilt only where a closure hands its
+`FFMatrix` objects: each generator g of `matrices.gln_generators` (one
+transvection, two permutation matrices and the unit scalings) becomes a
+`conjugation_map`, built once per call of `build_class` or `induced_set`
+from g and g^-1.  It reads every entry of g x g^-1 that is a single entry
+of x by one index map and computes only the others: the permutations are
+pure index maps, the transvection recomputes 2n - 1 of the n^2 entries and
+a scaling 2n - 2.  Matrices are rebuilt only where a closure hands its
 elements on.
 """
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from cocenter.exactnum import (
     DEFAULT_GROUP_ORDER_GUARD,
@@ -92,7 +96,8 @@ def jordan_block_matrix(partition, q: int) -> FFMatrix:
 
 
 def gl_generators(n: int, q: int):
-    """Transvections and scalings by generators of F_q^*; they generate GL_n(F_q)."""
+    """The `gln_generators` of GL_n(F_q) as FFMatrices: e_12(1), two
+    permutation matrices and scalings by generators of F_q^*."""
     return [FFMatrix(rows, q) for rows in gln_generators(n, q)]
 
 
@@ -106,22 +111,31 @@ def product_map(left, right, modulus: int):
     for integer rows left and right and entries of x already reduced.
 
     Entry (a, b) of the product is sum over (c, d) of
-    left[a][c] x[c, d] right[d][b].  Only the entries whose linear form is
-    not x[a, b] itself are rewritten, each from its nonzero terms.
+    left[a][c] x[c, d] right[d][b].  Every entry whose linear form is one
+    entry x[c, d] with coefficient 1 is read by a single `itemgetter` over
+    those source indices, so a permutation matrix and its inverse give a
+    pure reindexing; only the other entries are rewritten, each as a sum
+    of its nonzero terms.
     """
     n = len(left)
-    changed = []
+    sources, sums = [], []
     for a in range(n):
         for b in range(n):
             terms = [(c * n + d, left[a][c] * right[d][b] % modulus)
                      for c in range(n) for d in range(n)]
             terms = [(k, coef) for k, coef in terms if coef]
-            if terms != [(a * n + b, 1)]:
-                changed.append((a * n + b, terms))
+            if len(terms) == 1 and terms[0][1] == 1:
+                sources.append(terms[0][0])
+            else:
+                sources.append(a * n + b)
+                sums.append((a * n + b, terms))
+    # itemgetter of one index returns the entry, not a tuple: at n = 1
+    # the only index is 0, so read the slice x[:1]
+    read = itemgetter(*sources) if n > 1 else itemgetter(slice(1))
 
     def apply(x):
-        y = list(x)
-        for k, terms in changed:
+        y = list(read(x))
+        for k, terms in sums:
             y[k] = sum([x[i] * coef for i, coef in terms]) % modulus
         return tuple(y)
 
@@ -144,9 +158,12 @@ def conjugation_closure(seeds, maps, guard=DEFAULT_GROUP_ORDER_GUARD):
     tuples over F_q, the integer label (p^e, H, kbar) of a conjugated
     level coset (`measures.ad_orbits`), or the Hermite form of a
     conjugated K_0 coset (`measures.hermite_reps_with_divisors`).  Callers
-    build the maps once, before the closure runs.  Conjugating by the inverses adds nothing: the closure is
-    finite and conjugation by g maps it into itself injectively, hence onto
-    itself, so it is already closed under conjugation by g^-1.
+    build the maps once, before the closure runs, from the few generators
+    of `matrices.gln_generators`; each element meets each map once, so the
+    closure costs its size times the number of maps.  Conjugating by the
+    inverses adds nothing: the closure is finite and conjugation by g maps
+    it into itself injectively, hence onto itself, so it is already closed
+    under conjugation by g^-1.
     """
     seen = set(seeds)
     frontier = list(seen)

@@ -31,7 +31,10 @@ of labels moved by one Hermite split of each product g H in
 `ad_pullback` (the transversal recipe of restriction conjugates through
 this oracle, so it shares no code with the label map), and
 `modulus_lambda` of each label's QMat instead of the Hermite diagonal in
-the modulus twist.  Oracles read a measure's labels as the QMats of
+the modulus twist, every elementary transvection instead of the library's
+generators of the compact subgroup, and a determinant filter over all
+matrices mod p^m instead of rows chosen outside the span of the rows
+above them.  Oracles read a measure's labels as the QMats of
 `label_matrix` (`matrix_items`).
 """
 
@@ -52,7 +55,6 @@ from cocenter.matrices import (
     FFMatrix,
     PrimeContext,
     QMat,
-    block_gln_generators,
     congruence_equiv,
     coset_canonical_rep,
     enumerate_transversal_K0_mod_Km,
@@ -61,6 +63,7 @@ from cocenter.matrices import (
     integer_form,
     lift_mod,
     mat_mod,
+    unit_group_generators,
 )
 from cocenter.measures import (
     Ambient,
@@ -94,8 +97,20 @@ def gl2_level_basis(ctx):
 
 def k0_quotient_generators(ambient, p, k):
     """QMat generators of the maximal compact subgroup of a Levi ambient
-    (the block diagonal part of GL_n(Z_p)) modulo level k."""
-    return [QMat(rows) for rows in block_gln_generators(ambient.parab.blocks, p, k)]
+    (the block diagonal part of GL_n(Z_p)) modulo level k, built here and
+    not from the library's generator list: block by block, every
+    elementary transvection e_ij(1) inside the block, then diag(u) at its
+    first entry for u among the `unit_group_generators` of (Z/p^k)^*."""
+    n = ambient.n
+    out = []
+    for lo, hi in ambient.parab.block_ranges:
+        entries = [(i, j, 1) for i in range(lo, hi) for j in range(lo, hi) if i != j]
+        entries += [(lo, lo, u) for u in unit_group_generators(p, k)]
+        for i, j, x in entries:
+            rows = [[int(a == b) for b in range(n)] for a in range(n)]
+            rows[i][j] = x
+            out.append(QMat(rows))
+    return out
 
 
 def matrix_items(h):
@@ -128,10 +143,11 @@ def ad_orbits_by_all_conjugators(labels, ctx):
 
 
 def ad_orbits_by_qmat_closure(labels, ctx):
-    """`measures.ad_orbits` on QMats: the same generators and the same
-    closure, but every conjugate is the QMat product g x g^-1 of the
-    `label_matrix` x and is labelled again by `canonical_rep`, with no
-    table of Hermite splits."""
+    """`measures.ad_orbits` on QMats: the same closure, but under every
+    elementary generator of `k0_quotient_generators` rather than the
+    library's generator list, and every conjugate is the QMat product
+    g x g^-1 of the `label_matrix` x, labelled again by `canonical_rep`,
+    with no table of Hermite splits."""
     if not labels:
         return []
     ambient = Ambient.general_linear(len(labels[0][1]))
@@ -230,6 +246,18 @@ def canonical_rep_by_blocks(ambient, g: QMat, ctx):
         raise DomainError("element not in the Levi")
     blocks = [coset_canonical_rep(b, ctx) for b in parab.levi_blocks(g)]
     return assemble_from_blocks(blocks, parab)
+
+
+def enumerate_glnzm_by_determinant(n, p, m):
+    """GL_n(Z/p^m) as integer-entry tuples in lexicographic order: every
+    one of the p^(m n^2) matrices mod p^m whose determinant, taken by
+    Fraction elimination, is prime to p."""
+    out = []
+    for flat in product(range(p**m), repeat=n * n):
+        rows = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        if det_by_fraction_elimination(rows) % p:
+            out.append(rows)
+    return out
 
 
 def det_by_fraction_elimination(rows) -> Fraction:

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -10,12 +11,14 @@ from cocenter.matrices import (
     FFMatrix,
     PrimeContext,
     QMat,
+    block_gln_generators,
     congruence_equiv,
     coset_canonical_rep,
     enumerate_gln_fq,
     enumerate_glnzm,
     enumerate_transversal_K0_mod_Km,
     gln_fq_order,
+    gln_generators,
     glnzm_order,
     gln_zp_membership,
     hermite_padic,
@@ -25,6 +28,7 @@ from cocenter.measures import double_coset_measure
 
 from tests.oracles import (
     det_by_fraction_elimination,
+    enumerate_glnzm_by_determinant,
     hermite_by_fraction_column_ops,
     rank_by_minors,
 )
@@ -378,22 +382,18 @@ def test_inverse_is_two_sided_and_refuses_singular_input():
 
 
 def test_enumerate_gln_fq_is_the_level_one_enumeration():
-    """Both enumerations list the integer matrices of unit determinant mod
-    q in lexicographic order, the determinant taken by Fraction elimination."""
-    for n, q in ((2, 2), (2, 3), (3, 2)):
-        want = [
-            rows
-            for rows in (
-                tuple(flat[i * n : (i + 1) * n] for i in range(n))
-                for flat in itertools.product(range(q), repeat=n * n)
-            )
-            if det_by_fraction_elimination(rows) % q
-        ]
-        assert len(want) == gln_fq_order(n, q)
-        assert enumerate_glnzm(n, PrimeContext(q, 1)) == want
-        got = enumerate_gln_fq(n, q)
-        assert [g.rows for g in got] == want
-        assert all(g == FFMatrix(g.rows, q) for g in got)
+    """`enumerate_glnzm`, which picks each row outside the span of the rows
+    above it, lists the integer matrices mod p^m of determinant prime to
+    p, the determinant taken by Fraction elimination, in lexicographic
+    order; at level one `enumerate_gln_fq` lists the same matrices."""
+    for n, p, m in ((2, 2, 1), (2, 3, 1), (2, 2, 2), (3, 2, 1), (3, 3, 1)):
+        want = enumerate_glnzm_by_determinant(n, p, m)
+        assert len(want) == glnzm_order(n, p, m)
+        assert enumerate_glnzm(n, PrimeContext(p, m)) == want
+        if m == 1:
+            got = enumerate_gln_fq(n, p)
+            assert [g.rows for g in got] == want
+            assert all(g == FFMatrix(g.rows, p) for g in got)
 
 
 def test_ffmatrix_product_and_difference_entrywise():
@@ -421,3 +421,45 @@ def test_ffmatrix_arithmetic_refuses_mixed_shapes():
             other * a
         with pytest.raises(DomainError):
             a - other
+
+
+def _left_multiplication_closure(n, gens, modulus):
+    """Every product of the given integer rows, applied on the left of the
+    identity modulo modulus, as row tuples."""
+    identity = tuple(tuple(int(a == b) for b in range(n)) for a in range(n))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        cols = tuple(zip(*frontier.pop()))
+        for g in gens:
+            y = tuple(tuple(sum(map(operator.mul, row, col)) % modulus for col in cols)
+                      for row in g)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def test_generators_generate_gln():
+    """The identity closed under left multiplication by `gln_generators`
+    is all of GL_n(Z/p^k); (1, 2, 3) and (2, 2, 3) have a non-cyclic unit
+    group.  On the Levis (2,1), (1,2) and (2,2), `block_gln_generators`
+    give the whole block diagonal subgroup."""
+    for n, p, k in ((1, 3, 1), (1, 2, 3), (2, 2, 1), (2, 3, 1), (2, 2, 2), (2, 2, 3),
+                    (3, 2, 1), (3, 3, 1), (4, 2, 1)):
+        reached = _left_multiplication_closure(n, gln_generators(n, p, k), p**k)
+        assert reached == set(enumerate_glnzm(n, PrimeContext(p, k))), (n, p, k)
+    for blocks in ((2, 1), (1, 2), (2, 2)):
+        n = sum(blocks)
+        for p, k in ((2, 1), (3, 1), (2, 2)):
+            ranges = BlockParabolic(n, blocks).block_ranges
+            want = set()
+            for parts in itertools.product(*(enumerate_glnzm(b, PrimeContext(p, k))
+                                             for b in blocks)):
+                rows = [[0] * n for _ in range(n)]
+                for (lo, hi), part in zip(ranges, parts):
+                    for i in range(lo, hi):
+                        rows[i][lo:hi] = part[i - lo]
+                want.add(tuple(map(tuple, rows)))
+            reached = _left_multiplication_closure(n, block_gln_generators(blocks, p, k), p**k)
+            assert reached == want, (blocks, p, k)
+
