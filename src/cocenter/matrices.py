@@ -425,19 +425,24 @@ def enumerate_glnzm(n: int, ctx: PrimeContext, guard: int = DEFAULT_GROUP_ORDER_
 
 def gln_generators(n: int, p: int, k: int = 1):
     """Integer rows of generators of GL_n(Z/p^k), hence of GL_n(Z_p) modulo
-    its level-k subgroup: the transvection e_12(1), the permutation
-    matrices of the transposition (1 2) and, for n > 2, of the n-cycle
-    (1 2 ... n), then diag(u, 1, ..., 1) for u running over the
-    `unit_group_generators` of (Z/p^k)^*.
+    its level-k subgroup: for n > 1 the transvection e_12(1) and the
+    permutation matrix c of the n-cycle (1 2 ... n), which is the
+    transposition (1 2) at n = 2, then diag(u, 1, ..., 1) for u running
+    over the `unit_group_generators` of (Z/p^k)^*.
 
-    They generate: the two permutations generate S_n, and conjugating
-    e_12(1) by the matrix of w in S_n that sends the basis vector e_b to
-    e_w(b) gives e_w(1)w(2)(1); S_n is transitive on ordered pairs i != j,
-    so every e_ij(1) is reached, and e_ij(t) = e_ij(1)^t.  The elementary
-    transvections generate SL_n over the local ring Z/p^k, and the
-    scalings, whose determinants generate (Z/p^k)^*, complete SL_n to
-    GL_n.  The group is finite, so products of the generators alone,
-    without their inverses, already reach all of it.
+    They generate: c sends the basis vector e_b to e_(b-1), indices mod n,
+    so conjugating e_12(1) by the powers of c gives e_12(1), e_23(1), ...,
+    e_(n-1)n(1) and e_n1(1); at n = 2 these are e_12(1) and e_21(1).  For
+    n > 2 the commutator [e_ij(1), e_jk(1)] is e_ik(1) when i, j, k are
+    distinct, and it reaches every e_ij(1): e_ik = [e_i(k-1), e_(k-1)k] for
+    i < k by induction on k - i; e_nk = [e_n1, e_1k] and e_i1 = [e_in, e_n1]
+    for 1 < i, k < n; then e_ik = [e_i1, e_1k] for i > k > 1.  Since
+    e_ij(t) = e_ij(1)^t, all elementary transvections are reached, and
+    they generate SL_n over the local ring Z/p^k; the scalings, whose
+    determinants generate (Z/p^k)^*, complete SL_n to GL_n.  The group is
+    finite, so products of the generators alone, without their inverses,
+    already reach all of it.  At odd n, det c = 1, so the scaling by -1
+    stays among the unit generators at p = 2, k >= 3.
     """
     def permutation(images):
         return [[int(b == images[a]) for b in range(n)] for a in range(n)]
@@ -449,9 +454,7 @@ def gln_generators(n: int, p: int, k: int = 1):
     if n > 1:
         transvection = permutation(range(n))
         transvection[0][1] = 1
-        gens += [transvection, permutation([1, 0, *range(2, n)])]
-    if n > 2:
-        gens.append(permutation([*range(1, n), 0]))
+        gens += [transvection, permutation([*range(1, n), 0])]
     return gens + [scaling(u) for u in unit_group_generators(p, k)]
 
 

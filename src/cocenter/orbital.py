@@ -12,8 +12,10 @@ subgroup (K_0 on G, M meet K_0 on a Levi) are integrated: all conjugates
 of a label contribute equally, so each label is tested once and weighted
 by the order of the finite quotient.  Restrictions of invariant measures
 keep the flag, so orbital integrals on G and on M run the same code.
-Every other factor is a sum of v_p(1 - gamma_j / gamma_i) over positions,
-read off gamma's diagonal.  No truncation and no sampling occur.
+Every other factor is p to a sum of v_p(1 - gamma_j / gamma_i) =
+v_p(u_i w_j - u_j w_i) - v_p(u_i w_j), gamma_i = u_i / w_i, on integers;
+the Jacobian cancels the roots i < j of |Delta_{T, M}|, so one exponent,
+over i > j in one block, is left.  No truncation and no sampling occur.
 
 Normalizations (Kottwitz, "Harmonic analysis on reductive p-adic groups
 and Lie algebras", 2005), recorded on every value: Haar on each ambient
@@ -81,51 +83,47 @@ class OrbitalValue:
         )
 
 
-def _meets_unipotent(label, gamma, ctx: PrimeContext) -> bool:
+def _meets_unipotent(label, ratios, ctx: PrimeContext) -> bool:
     """[gamma^-1 x K_m meets U] for the label (p^e, H, kbar) of x, U the
-    upper unipotent: kbar is upper triangular and x_ii / gamma_i is in
-    1 + p^m Z_p.
+    upper unipotent, gamma_i = u_i / w_i given as the integer ratios
+    (u_i, w_i): kbar is upper triangular and x_ii / gamma_i is in 1 + p^m Z_p.
 
     With x = (H / p^e) lift(kbar), gamma^-1 H is upper triangular, so the
     coset meets the Borel B exactly when lift(kbar) is upper triangular.
     The coset then meets B in gamma^-1 x (B meet K_m), which meets U iff
     the diagonal of gamma^-1 x lies in T meet K_m.  With x_ii = a / b,
-    a = H_ii kbar_ii and b = p^e, and gamma_i = u / v that is
-    v_p(a v - b u) - v_p(b u) >= m unless a v = b u, on integers.
+    a = H_ii kbar_ii and b = p^e, that is v_p(a w_i - b u_i) - v_p(b u_i)
+    >= m unless a w_i = b u_i, on integers.
     """
     b, h, kbar = label
     if any(kbar[i][j] for i in range(len(h)) for j in range(i)):
         return False
     p, m = ctx.p, ctx.m
-    for i, g in enumerate(gamma):
-        a, u, v = h[i][i] * kbar[i][i], g.numerator, g.denominator
-        diff = a * v - b * u
+    for i, (u, w) in enumerate(ratios):
+        diff = h[i][i] * kbar[i][i] * w - b * u
         if diff and int_valuation(diff, p) - int_valuation(b * u, p) < m:
             return False
     return True
 
 
-def _root_valuation(gamma, positions, p: int) -> int:
-    """Sum of v_p(1 - gamma_j / gamma_i) over the positions (i, j): the
-    valuation of a product of roots of the diagonal gamma."""
-    return sum(padic_valuation(1 - gamma[j] / gamma[i], p) for i, j in positions)
+def _root_valuation(ratios, positions, p: int) -> int:
+    """Sum of v_p(1 - gamma_j / gamma_i) = v_p(u_i w_j - u_j w_i) - v_p(u_i w_j)
+    over the positions (i, j), gamma_i = u_i / w_i given as integer ratios."""
+    terms = [(ratios[i][0] * ratios[j][1], ratios[j][0] * ratios[i][1]) for i, j in positions]
+    return sum(int_valuation(a - b, p) - int_valuation(a, p) for a, b in terms)
 
 
-def _unipotent_volume(gamma, parab: BlockParabolic, ctx: PrimeContext) -> Fraction:
-    """E_M(gamma) = |M(Z/p^m)| / ([T meet K_0 : T meet K_m] p^(m dim U_M))
-    * prod_{(i, j) in U_M} |1 - gamma_j / gamma_i|^-1, with M the Levi of
-    parab and U_M its upper unipotent; the product over the blocks of E_k.
-
-    The quotient order over the torus index weighs the conjugates of one
-    label; p^(-m dim U_M) is the volume of U_M meet K_m, pulled back along
-    the triangular map u -> n of the given Jacobian.
-    """
+def _level_constant(blocks, ctx: PrimeContext, v: int) -> Fraction:
+    """p^(v - m dim U_M) |M(Z/p^m)| / [T meet K_0 : T meet K_m] for the
+    Levi M = GL_(b_1) x ... of the blocks, U_M its upper unipotent.  At v
+    the valuation of the roots i < j in one block it is E_M(gamma): the
+    quotient order over the torus index weighs the conjugates of one
+    label, and p^(-m dim U_M) is the volume of U_M meet K_m, pulled back
+    along u -> n of Jacobian prod_{i<j} |1 - gamma_j / gamma_i| = p^-v."""
     p, m = ctx.p, ctx.m
-    upper = [(i, j) for i, j in parab.positions("M") if i < j]
-    order = prod(glnzm_order(k, p, m) for k in parab.blocks)
-    torus_index = (p**m - p ** (m - 1)) ** parab.n
-    v = _root_valuation(gamma, upper, p)
-    return Fraction(order, torus_index * p ** (m * len(upper))) * Fraction(p) ** v
+    e = v - m * sum(k * (k - 1) // 2 for k in blocks)
+    order = prod(glnzm_order(k, p, m) for k in blocks) * p ** max(e, 0)
+    return Fraction(order, (p**m - p ** (m - 1)) ** sum(blocks) * p ** max(-e, 0))
 
 
 def orbital_single_coset_gl2(
@@ -143,37 +141,39 @@ def orbital_single_coset_gl2(
     """
     x = canonical_rep(Ambient.general_linear(y.n), y, ctx)
     quotient = enumerate_glnzm(y.n, PrimeContext(ctx.p, conjugation_level([x], ctx)), guard)
-    hits = sum(_meets_unipotent(label_conjugation(k, ctx)(x), gamma, ctx) for k in quotient)
-    one_block = BlockParabolic(y.n, (y.n,))
-    return _unipotent_volume(gamma, one_block, ctx) * Fraction(hits, len(quotient))
+    ratios = [g.as_integer_ratio() for g in gamma]
+    hits = sum(_meets_unipotent(label_conjugation(k, ctx)(x), ratios, ctx) for k in quotient)
+    v = _root_valuation(ratios, [(i, j) for i in range(y.n) for j in range(i + 1, y.n)], ctx.p)
+    return _level_constant((y.n,), ctx, v) * Fraction(hits, len(quotient))
 
 
 def orbital_integral(h: HeckeMeasure, gamma: RegularElement) -> OrbitalValue:
     """Orbital integral of h at a regular diagonal gamma, on any Levi ambient.
 
     O_gamma(h) = |Delta_{T, M}(gamma)| E_M(gamma) * sum of c_x over the
-    labels x that pass `_meets_unipotent`, both factors being products
-    over the blocks of M; each Levi block of a label on M is the label of
-    that block.  h must carry the flag of invariance under conjugation by
-    the ambient's maximal compact subgroup, so each label is tested once;
-    an unflagged measure is refused.  |Delta_{T, M}(gamma)| is the product
-    of |1 - gamma_j / gamma_i| over i != j in one block of M.
-    Values are exact elements of Q(sqrt p).
+    labels x that pass `_meets_unipotent`, each Levi block of a label on M
+    being the label of that block.  h must carry the flag of invariance
+    under conjugation by the ambient's maximal compact subgroup, so each
+    label is tested once; an unflagged measure is refused.  |Delta_{T, M}|
+    is the product of |1 - gamma_j / gamma_i| over i != j in one block of M
+    and the Jacobian in E_M cancels its roots i < j: the constant is
+    `_level_constant` at minus the valuation of the roots i > j, built only
+    when some label passes.  The passing c_x are summed by component into
+    one exact element of Q(sqrt p).
     """
-    ctx, ambient, entries = h.ctx, h.ambient, gamma.entries
+    ctx, ambient = h.ctx, h.ambient
     if gamma.n != ambient.n:
         raise DomainError("size mismatch")
     if not h.biinvariant:
         raise DomainError("orbital integrals take measures flagged conjugation-invariant")
-    parab = ambient.parab
-    roots = [(i, j) for i, j in parab.positions("M") if i != j]
-    const = Fraction(ctx.p) ** -_root_valuation(entries, roots, ctx.p)
-    const *= _unipotent_volume(entries, parab, ctx)
-    out = RootP.rational(0, ctx.p)
-    for label, c in h.items():
-        if _meets_unipotent(label, entries, ctx):
-            out = out + c
-    return OrbitalValue(out * const, ctx.p, ctx.m)
+    ratios = [g.as_integer_ratio() for g in gamma.entries]
+    hits = [c for label, c in h.items() if _meets_unipotent(label, ratios, ctx)]
+    if not hits:
+        return OrbitalValue(RootP.rational(0, ctx.p), ctx.p, ctx.m)
+    lower = [(i, j) for i, j in ambient.parab.positions("M") if i > j]
+    const = _level_constant(ambient.parab.blocks, ctx, -_root_valuation(ratios, lower, ctx.p))
+    a, b = sum(c.a for c in hits), sum(c.b for c in hits)
+    return OrbitalValue(RootP._wrap(a * const, b * const, ctx.p), ctx.p, ctx.m)
 
 
 def descent_check(
@@ -202,7 +202,7 @@ def descent_factor(gamma, parab: BlockParabolic, p: int, mutate_normalization=Fa
     mutation flag takes the full norm instead.  Up to sign Delta_{M,G}(gamma)
     is the product of (1 - gamma_j / gamma_i) over the positions of G/M, so
     its norm is that of p to the `_root_valuation` there."""
-    v = _root_valuation(gamma.entries, parab.positions("G/M"), p)
+    v = _root_valuation([g.as_integer_ratio() for g in gamma.entries], parab.positions("G/M"), p)
     return p_power_norm_halfpower(v, p, 2 if mutate_normalization else 1)
 
 

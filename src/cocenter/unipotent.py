@@ -17,11 +17,11 @@ conjugate by the generators only, not by their inverses (see
 
 Over F_q the closures run on flat row-major entry tuples, not on
 `FFMatrix` objects: each generator g of `matrices.gln_generators` (one
-transvection, two permutation matrices and the unit scalings) becomes a
+transvection, one permutation matrix and the unit scalings) becomes a
 `conjugation_map`, built once per call of `build_class` or `induced_set`
 from g and g^-1.  It reads every entry of g x g^-1 that is a single entry
-of x by one index map and computes only the others: the permutations are
-pure index maps, the transvection recomputes 2n - 1 of the n^2 entries and
+of x by one index map and computes only the others: the permutation is a
+pure index map, the transvection recomputes 2n - 1 of the n^2 entries and
 a scaling 2n - 2.  Matrices are rebuilt only where a closure hands its
 elements on.
 """
@@ -96,8 +96,8 @@ def jordan_block_matrix(partition, q: int) -> FFMatrix:
 
 
 def gl_generators(n: int, q: int):
-    """The `gln_generators` of GL_n(F_q) as FFMatrices: e_12(1), two
-    permutation matrices and scalings by generators of F_q^*."""
+    """The `gln_generators` of GL_n(F_q) as FFMatrices: e_12(1), the
+    n-cycle's permutation matrix and scalings by generators of F_q^*."""
     return [FFMatrix(rows, q) for rows in gln_generators(n, q)]
 
 

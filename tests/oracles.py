@@ -8,9 +8,11 @@ mod p^m scans instead of Iwasawa reductions, cell-by-cell integration and
 GL_2 ball intersections instead of the orbital test read off canonical
 labels, the label test summed over the conjugation quotient of each Levi
 block, with |Delta| from `discriminant_delta`, instead of one test per
-label of an invariant measure and root valuations read off gamma, a
-Fraction split of gamma^-1 x with constants from full adjoint matrices
-instead of that test and its per-block constants, minors instead
+label of an invariant measure and one integer p-exponent read off gamma's
+integer ratios (the Jacobian cancelling the roots i < j of |Delta_{T,M}|),
+a Fraction split of gamma^-1 x with |Delta_{T,M}| and the Jacobian each
+from the full adjoint matrix on its positions instead of that test and
+that exponent, minors instead
 of Gauss-Jordan ranks, the transversal sum instead of its one-step
 collapse, the full action matrix of the induced module instead of the trace
 measure, a Jordan type per swept element instead of one per conjugacy

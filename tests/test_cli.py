@@ -2,6 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +99,20 @@ def test_reports_byte_identical(suite):
     run, digest = REPORT_DIGESTS[suite]
     report = render_json(run(RunConfig().validate()))
     assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("suite", sorted(REPORT_DIGESTS))
+def test_reports_under_python_O_match_the_pins(suite):
+    """With asserts stripped, `python -O -m cocenter.cli <suite>` prints
+    the pinned default report and exits 0, so no check of the program rests
+    on `assert`."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, "-O", "-m", "cocenter.cli", suite], cwd=root,
+                         env=env, capture_output=True, timeout=300)
+    assert run.returncode == 0, run.stderr.decode()
+    assert run.stderr == b""
+    assert hashlib.sha256(run.stdout).hexdigest() == REPORT_DIGESTS[suite][1]
 
 
 @pytest.mark.parametrize("suite", sorted(GL3_REPORT_DIGESTS))

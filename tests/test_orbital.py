@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -156,6 +157,68 @@ def test_gl3_orbital_formula_and_descent(level_basis_gl3):
                     checks += 1
                     caught |= not descent_check(h, gamma, parab, rm, True)[0]
     assert checks == 900 and caught
+
+
+def _off_grid_points(p, n, rng, count):
+    """Seeded regular diagonals off `gamma_grid`: entries (u / w) p^v with
+    w > 1 and u prime to p and to each other and v in {-1, 0, 1}, so some
+    numerators are divisible by p, and in every other point one entry
+    moved to another plus p^k times a p-adic unit, 1 <= k <= 4, so that
+    pair is congruent modulo p^k."""
+    dens = [w for w in range(2, 12) if w % p]
+    grid = {gamma.entries for gamma in gamma_grid(p, n)}
+
+    def entry():
+        w = rng.choice(dens)
+        u = rng.choice([u for u in range(1, 6 * p) if u % p and gcd(u, w) == 1])
+        return Fraction(u, w) * Fraction(p) ** rng.choice((-1, 0, 0, 0, 1, 1))
+
+    points = []
+    while len(points) < count:
+        entries = [entry() for _ in range(n)]
+        if len(points) % 2 == 0:
+            i, j = rng.sample(range(n), 2)
+            entries[j] = entries[i] + Fraction(p) ** rng.randint(1, 4) * Fraction(
+                rng.choice(dens), rng.choice(dens))
+        if len(set(entries)) == n and 0 not in entries and tuple(entries) not in grid:
+            points.append(RegularElement(tuple(entries)))
+    return points
+
+
+def test_orbital_off_the_grid_matches_the_fraction_split_oracle(level_basis_gl3):
+    """The integer root valuations and label test against the Fraction-split
+    oracle, whose constants come from full adjoint determinants, at seeded
+    points away from `gamma_grid`: denominators prime to p, numerators
+    divisible by p and pairs of entries congruent modulo p^k.  On the GL_2
+    level bases at p = 2 and 3, on G and through both Borels, and on the
+    GL_3(Q_2) level basis through (2, 1) and (1, 2) in both orientations.
+    Each measure is also checked translated by the central p^-1 at
+    p^-1 gamma, where every denominator is divisible by p.  Every Levi
+    meets nonzero values, translated or not."""
+    rng = random.Random(3203)
+    cases = []
+    for p in (2, 3):
+        basis = gl2_level_basis(PrimeContext(p, 1))
+        borels = [BlockParabolic(2, (1, 1), o) for o in ("upper", "lower")]
+        measures = basis + [res_normalized(h, q) for h in basis for q in borels]
+        cases.append((measures, _off_grid_points(p, 2, rng, 12)))
+    parabs = [BlockParabolic(3, b, o) for b in ((2, 1), (1, 2)) for o in ("upper", "lower")]
+    measures = [res_normalized(h, q) for h in level_basis_gl3 for q in parabs]
+    cases.append((measures, _off_grid_points(2, 3, rng, 12)))
+    for measures, points in cases:
+        p, n = measures[0].ctx.p, measures[0].ambient.n
+        z = QMat.diagonal([Fraction(1, p)] * n)
+        nonzero = {}
+        for m in measures:
+            zm = HeckeMeasure.from_pairs(m.ambient, m.ctx, [(z * rep, c) for rep, c in matrix_items(m)],
+                                         biinvariant=True)
+            for gamma in points:
+                zgamma = RegularElement(tuple(x / p for x in gamma.entries))
+                for key, mm, g in ((m.ambient, m, gamma), ((m.ambient, p), zm, zgamma)):
+                    got = orbital_integral(mm, g).value
+                    assert got == orbital_by_fraction_split(mm, g), (mm, g.entries)
+                    nonzero[key] = nonzero.get(key, 0) + (got != 0)
+        assert len(nonzero) == 4 and all(nonzero.values()), (p, n, nonzero)
 
 
 def test_descent_check_refuses_a_restriction_to_another_levi(ctx2):
