@@ -395,10 +395,7 @@ SUITES = {
 
 
 def run_all(config: RunConfig):
-    rows = []
-    for name in ("restriction", "characters", "orbital", "unipotent", "saturate"):
-        rows.extend(SUITES[name](config))
-    return rows
+    return [row for run in SUITES.values() for row in run(config)]
 
 
 def render_json(rows) -> str:

@@ -5,20 +5,20 @@ Levi of the one-block composition (n,).  A measure is a finite linear
 combination of reference-Haar restrictions to level cosets:
 h = sum c_x * mu|_{x K}, where K = K_m meet M is the principal congruence
 subgroup of the ambient (K_m itself on G) and mu gives each level coset
-mass 1.  The restriction map to a Levi is defined by a three step recipe:
-conjugate over a transversal of P\\G/K_m chosen inside K_0, restrict each
-conjugate to P coset by coset, push to M along the block projection, and
-sum.  Restriction is only taken of measures invariant under
-conjugation by K_0, so every conjugate equals the measure itself and the
-sum collapses to one pass from G to M:
+mass 1.  Restriction from an ambient M (G is the one-block M) to the Levi
+L of a parabolic P refining M's blocks is a three step recipe: conjugate
+over a transversal of (P meet M)\\M/(M meet K_m) inside M meet K_0,
+restrict each conjugate to P coset by coset, push to L along the block
+projection, and sum.  It is only taken of measures invariant under
+conjugation by M meet K_0, so every conjugate is the measure itself, and
+the sum collapses:
 
-    res_P h = |P\\G/K_m| * sum of c_x delta[proj_M(x K_m meet P)],
+    res_P h = |M(Z/p^m)| / |(P meet M)(Z/p^m)| * sum of c_x delta[proj_L(x K_m meet P)],
 
-over the support cosets that meet P, with |P\\G/K_m| =
-|GL_n(Z/p^m)| / |P(Z/p^m)| in closed form.  The normalized variant
-twists by |lambda_P|^(1/2).  K_m has the exact factorization
-(K_m meet U-)(K_m meet M)(K_m meet U), which makes the block projection
-carry level cosets of P to level cosets of M.
+over the support cosets that meet P.  The normalized variant twists by
+|lambda_P|^(1/2) of P meet M, so both satisfy restriction in stages.
+K_m = (K_m meet U-)(K_m meet L)(K_m meet U) exactly, which makes the block
+projection carry level cosets of P to level cosets of L.
 
 A measure stores each level coset once, as a dict from its label to its
 nonzero coefficient: x K_m = (H / p^e) lift(kbar) K_m is labelled by its
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from operator import mul
 
 from cocenter.exactnum import (
@@ -276,43 +277,49 @@ class ParabolicTransversal:
         return len(self.reps)
 
 
-def parabolic_double_coset_count(parab: BlockParabolic, ctx: PrimeContext) -> int:
-    """|P\\G/K_m| = |GL_n(Z/p^m)| / |P(Z/p^m)|.
+def _refined_levi(parab: BlockParabolic, ambient) -> BlockParabolic:
+    """The ambient's blocks (G's when None); DomainError unless each block of parab lies in one."""
+    levi = (ambient or Ambient.general_linear(parab.n)).parab
+    if levi.n != parab.n or len(set(zip(parab.block_index, levi.block_index))) > len(parab.blocks):
+        raise DomainError(f"blocks {parab.blocks} do not refine the Levi {levi.blocks}")
+    return levi
 
-    G = P K_0, so the double cosets are the orbits of P(Z/p^m) acting on
-    GL_n(Z/p^m) by left multiplication, and that action is free.
-    """
-    p, m = ctx.p, ctx.m
-    order_p = p ** (m * len(parab.positions("U")))
+
+def parabolic_double_coset_count(parab: BlockParabolic, ctx: PrimeContext, ambient=None) -> int:
+    """|(P meet M)\\M/(M meet K_m)| = |M(Z/p^m)| / |(P meet M)(Z/p^m)|, M the
+    Levi of the ambient (G when None), which P must refine: M is
+    (P meet M)(M meet K_0), so the double cosets are the free orbits of
+    (P meet M)(Z/p^m) on M(Z/p^m).  2 dim(U meet M) = sum_M k^2 - sum_P k^2."""
+    p, m, levi = ctx.p, ctx.m, _refined_levi(parab, ambient)
+    order_p = p ** (m * (sum(k * k for k in levi.blocks) - sum(k * k for k in parab.blocks)) // 2)
     for size in parab.blocks:
         order_p *= glnzm_order(size, p, m)
-    return glnzm_order(parab.n, p, m) // order_p
+    return prod(glnzm_order(k, p, m) for k in levi.blocks) // order_p
 
 
 def res_unnormalized(
     h: HeckeMeasure, parab: BlockParabolic, transversal: ParabolicTransversal | None = None
 ) -> HeckeMeasure:
-    """Parabolic restriction to the Levi in one pass from G to M.
+    """Parabolic restriction from the ambient M of h to the Levi L of P.
 
     A level coset x K_m meets P in at most one level coset of P, so c_x
     moves unchanged to its Levi projection.  Requires the
     conjugation-invariance flag: each term g of the transversal sum
-    restricts the pullback of h by g in K_0, which is h itself.  The result
-    carries the flag on M: M meet K_0 lies in P meet K_0, and both the
-    restriction to P and the projection P -> M commute with conjugation by
-    it.  A transversal is not needed; one that is passed must belong to the
-    same parabolic and level.
+    restricts the pullback of h by g in M meet K_0, which is h itself.  The
+    result carries the flag on L: L meet K_0 lies in P meet K_0, and both
+    the restriction to P and P -> L commute with conjugation by it.  A
+    transversal is not needed; one that is passed must belong to the same
+    parabolic and level.  P must refine M's blocks.
 
-    On labels x = (H / p^e) lift(kbar): each distinct H is split once
-    through P, H = Q k (`iwasawa_int`), so x = (Q / p^e) lift(k kbar) up to
-    K_m.  x K_m meets P iff k kbar mod p^m is block triangular, and then
-    the block diagonal y of Q lift(k kbar) gives the Levi point y / p^e,
-    which `levi_measure` labels on M.
+    On labels x = (H / p^e) lift(kbar), block diagonal in M: each distinct
+    H is split once through P, H = Q k (`iwasawa_int`), so x = (Q / p^e)
+    lift(k kbar) up to K_m.  x K_m meets P iff k kbar mod p^m is block
+    triangular, and then the block diagonal y of Q lift(k kbar) gives the
+    Levi point y / p^e, which `levi_measure` labels on L.
     """
     if parab.n != h.ambient.n:
         raise DomainError(f"measure on GL_{h.ambient.n}, parabolic of GL_{parab.n}")
-    if not h.ambient.is_group:
-        raise DomainError("restriction starts from measures on G")
+    count = parabolic_double_coset_count(parab, h.ctx, h.ambient)
     if not h.biinvariant:
         raise DomainError("restriction needs a conjugation-invariant measure")
     ctx = h.ctx
@@ -329,7 +336,7 @@ def res_unnormalized(
         moved = [[sum(map(mul, row, col)) % modulus for col in cols] for row in k]
         if parab.vanishes(moved, "G/P"):
             points.append(((parab.levi_product(q, moved), pe), c))
-    return levi_measure(parab, ctx, points, True).scale(parabolic_double_coset_count(parab, ctx))
+    return levi_measure(parab, ctx, points, True).scale(count)
 
 
 def levi_measure(parab: BlockParabolic, ctx: PrimeContext, points, biinvariant=False):
@@ -365,15 +372,17 @@ def block_valuations(parab: BlockParabolic, label, p: int):
             for lo, hi in parab.block_ranges]
 
 
-def normalize_on_levi(h_m: HeckeMeasure, parab: BlockParabolic) -> HeckeMeasure:
-    """Twist an M-measure by |lambda_P|^(1/2) coset by coset.
-
-    Well defined because lambda_P is a character whose p-adic norm is 1 on
-    the level subgroup of M.  The measure must live on the Levi of parab.
-    v_p(lambda_P(m)) is the sum of n_b v_a - n_a v_b over the block pairs
-    (a, b) of the radical, v the `block_valuations` of m's label."""
+def normalize_on_levi(h_m: HeckeMeasure, parab: BlockParabolic, ambient=None) -> HeckeMeasure:
+    """Twist a measure on the Levi L of parab by |lambda_P|^(1/2) coset by
+    coset, lambda_P the modulus of P meet M, M the ambient (G when None)
+    that P refines.  Well defined because lambda_P is a character whose
+    p-adic norm is 1 on the level subgroup of L.  v_p(lambda_P(y)) is the
+    sum of n_b v_a - n_a v_b over the block pairs (a, b) of the radical
+    inside one block of M, v the `block_valuations` of y's label."""
     require_levi(h_m, parab)
-    p, sizes, pairs = h_m.ctx.p, parab.blocks, parab.block_pairs("U")
+    outer = dict(zip(parab.block_index, _refined_levi(parab, ambient).block_index))
+    p, sizes = h_m.ctx.p, parab.blocks
+    pairs = [(a, b) for a, b in parab.block_pairs("U") if outer[a] == outer[b]]
     out = {}
     for x, c in h_m.items():
         v = block_valuations(parab, x, p)
@@ -386,7 +395,7 @@ def res_normalized(
     h: HeckeMeasure, parab: BlockParabolic, transversal: ParabolicTransversal | None = None
 ) -> HeckeMeasure:
     """Normalized restriction: res followed by the |lambda_P|^(1/2) twist."""
-    return normalize_on_levi(res_unnormalized(h, parab, transversal), parab)
+    return normalize_on_levi(res_unnormalized(h, parab, transversal), parab, h.ambient)
 
 
 # ---------------------------------------------------------------------------

@@ -643,14 +643,14 @@ def restriction_by_qmat_split(h, parab):
     """`measures.res_unnormalized` on QMats: each support coset goes
     through `coset_meets_parabolic`, its QMat Levi projection through
     `HeckeMeasure.from_pairs`, in support order, and the sum is scaled by
-    |P\\G/K_m|."""
+    |(P meet M)\\M/(M meet K_m)|, M the ambient of h (G or a Levi)."""
     pairs = []
     for rep, c in matrix_items(h):
         found = coset_meets_parabolic(rep, parab, h.ctx)
         if found is not None:
             pairs.append((parab.levi_project(found), c))
     levi = HeckeMeasure.from_pairs(Ambient.levi(parab), h.ctx, pairs, True)
-    return levi.scale(parabolic_double_coset_count(parab, h.ctx))
+    return levi.scale(parabolic_double_coset_count(parab, h.ctx, h.ambient))
 
 
 def character_by_block_determinants(chi, parab, g: QMat, p):

@@ -2,7 +2,8 @@ import json
 import random
 import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations, product
+from operator import mul
 
 import pytest
 
@@ -278,6 +279,72 @@ def test_res_matches_transversal_oracle_gl3(ctx2):
                 _assert_res_matches_oracle(h, parab, tv.reps)
 
 
+def _levi_elements(ambient, ctx):
+    """M(Z/p^m) for the Levi M of the ambient as block diagonal integer
+    rows, built block by block from `enumerate_glnzm` with a guard of
+    5 * 10^4 per block."""
+    n, levi = ambient.n, ambient.parab
+    out = []
+    for parts in product(*[enumerate_glnzm(k, ctx, 5 * 10**4) for k in levi.blocks]):
+        rows = [[0] * n for _ in range(n)]
+        for (lo, _), part in zip(levi.block_ranges, parts):
+            for i, row in enumerate(part):
+                rows[lo + i][lo:lo + len(row)] = row
+        out.append(tuple(map(tuple, rows)))
+    return out
+
+
+def _orbit_count(parab, elements, modulus):
+    """The number of orbits of the elements that lie in P acting on all the
+    elements by left multiplication mod the modulus, by sweeping them;
+    every orbit is checked to be free and new."""
+    sub = [q for q in elements if parab.vanishes(q, "G/P")]
+    seen, orbits = set(), 0
+    for g in elements:
+        if g in seen:
+            continue
+        cols = tuple(zip(*g))
+        orbit = {tuple([tuple([sum(map(mul, row, col)) % modulus for col in cols]) for row in q])
+                 for q in sub}
+        assert len(orbit) == len(sub) and not orbit & seen
+        seen |= orbit
+        orbits += 1
+    assert len(seen) == len(elements)
+    return orbits
+
+
+def test_double_coset_count_on_a_levi_is_the_orbit_count():
+    """|(P meet M)\\M/(M meet K_m)| equals the brute-force count of the
+    (P meet M)(Z/p^m)-orbits on M(Z/p^m) for M = G, (2, 1) and (1, 2) in
+    GL_3 and (2, 2) and (3, 1) in GL_4, every P refining M in both
+    orientations, at p = 2, 3 with m = 1 and at p = 2 with m = 2 where the
+    guard allows (no GL_3(Z/4) block): 80 counts.  On G the count does not
+    depend on passing the ambient."""
+    ambients = [Ambient.general_linear(3)] + [
+        Ambient.levi(BlockParabolic(sum(blocks), blocks))
+        for blocks in ((2, 1), (1, 2), (2, 2), (3, 1))]
+    checked = 0
+    for ctx in (PrimeContext(2, 1), PrimeContext(3, 1), PrimeContext(2, 2)):
+        for ambient in ambients:
+            try:
+                elements = _levi_elements(ambient, ctx)
+            except ResourceGuardError:
+                assert ctx.m == 2 and 3 in ambient.parab.blocks
+                continue
+            n, ends = ambient.n, set(accumulate(ambient.parab.blocks))
+            for blocks in compositions(n):
+                if not ends <= set(accumulate(blocks)):
+                    continue
+                for orientation in ("upper", "lower"):
+                    parab = BlockParabolic(n, blocks, orientation)
+                    want = _orbit_count(parab, elements, ctx.modulus)
+                    assert parabolic_double_coset_count(parab, ctx, ambient) == want, parab
+                    if ambient.is_group:
+                        assert parabolic_double_coset_count(parab, ctx) == want
+                    checked += 1
+    assert checked == 80
+
+
 def test_integer_restriction_on_level_two_and_denominators():
     """The same comparison where labels are not K_0 labels: the GL_2(Q_2)
     level basis at m = 2, the central translates p^-1 h of the GL_2 level
@@ -397,9 +464,11 @@ def test_levi_label_divides_p_out_of_the_point():
         assert back == h and json.dumps(measure_to_jsonable(back), sort_keys=True) == blob
 
 
-def test_restriction_refuses_a_parabolic_of_another_size(ctx2, unit_gl2):
+def test_restriction_refuses_a_parabolic_of_another_size(ctx2, unit_gl2, unit_gl3):
     """A measure on GL_2 through a parabolic of GL_3 is refused up front,
-    also when it is zero, and so is its trace through a GL_3 model."""
+    also when it is zero, and so is its trace through a GL_3 model.  So is
+    a measure on the Levi M of (2, 1) through (1, 2), in either orientation,
+    whose blocks do not refine M's, and the count and twist of that pair."""
     borel3 = BlockParabolic(3, (1, 1, 1), "upper")
     zero = HeckeMeasure(unit_gl2.ambient, ctx2, {}, biinvariant=True)
     model3 = InducedModel(borel3, ctx2)
@@ -408,6 +477,20 @@ def test_restriction_refuses_a_parabolic_of_another_size(ctx2, unit_gl2):
             res_unnormalized(h, borel3)
         with pytest.raises(DomainError, match="GL_2"):
             trace_measure(h, model3)
+    on_m = res_unnormalized(unit_gl3, BlockParabolic(3, (2, 1)))
+    zero_m = HeckeMeasure(on_m.ambient, ctx2, {}, biinvariant=True)
+    assert len(on_m) > 0
+    for orientation in ("upper", "lower"):
+        across = BlockParabolic(3, (1, 2), orientation)
+        for h in (zero_m, on_m):
+            for res in (res_unnormalized, res_normalized):
+                with pytest.raises(DomainError, match="do not refine"):
+                    res(h, across)
+        with pytest.raises(DomainError, match="do not refine"):
+            parabolic_double_coset_count(across, ctx2, on_m.ambient)
+        h_across = res_unnormalized(unit_gl3, across)
+        with pytest.raises(DomainError, match="do not refine"):
+            normalize_on_levi(h_across, across, on_m.ambient)
 
 
 def test_normalization_refuses_a_measure_on_another_levi(ctx2):
@@ -700,6 +783,69 @@ def test_measure_from_jsonable_refuses_malformed_payloads(ctx2):
             measure_from_jsonable(blob)
     with pytest.raises(DomainError, match="field"):
         measure_from_jsonable([good])
+
+
+def _with_the_diag_221_orbits(level_basis_gl3):
+    """The 16 orbit indicators of K_0, K_0 diag(2,1,1) K_0 and
+    K_0 diag(2,2,1) K_0 in GL_3(Q_2)."""
+    ctx2 = level_basis_gl3[0].ctx
+    return level_basis_gl3 + ad_symmetrized_basis(double_coset_labels(3, ctx2, (1, 1, 0)), ctx2)
+
+
+def _stage_mismatches(basis):
+    """(checked, mismatches) of res^M_{B meet M}(res^G_P h) == res^G_B h
+    for h in the basis on GL_n, M the Levi of every block parabolic P
+    strictly between the Borel B and G, with P and B both upper or both
+    lower, unnormalized and normalized."""
+    n = basis[0].ambient.n
+    checked, bad = 0, []
+    for orientation in ("upper", "lower"):
+        borel = BlockParabolic(n, (1,) * n, orientation)
+        parabs = [BlockParabolic(n, blocks, orientation) for blocks in compositions(n)
+                  if 1 < len(blocks) < n]
+        for res in (res_unnormalized, res_normalized):
+            for h in basis:
+                direct = res(h, borel)
+                for parab in parabs:
+                    checked += 1
+                    if res(res(h, parab), borel) != direct:
+                        bad.append((res.__name__, parab, h))
+    return checked, bad
+
+
+def test_restriction_in_stages(level_basis_gl3):
+    """Restriction is transitive: res^M_{B meet M}(res^G_P h) == res^G_B h
+    for every block parabolic P strictly between B and G, M its Levi, in
+    both orientations, plain and normalized, on the 16 orbit indicators of
+    K_0, K_0 diag(2,1,1) K_0 and K_0 diag(2,2,1) K_0 in GL_3(Q_2), the 24 of
+    the GL_3(Q_3) level-one basis and the 14 of the GL_4(Q_2) one.  On M
+    the count is |M(Z/p^m)| / |(B meet M)(Z/p^m)| and the twist takes only
+    B's block pairs inside one block of M; the double cosets off K_0 are
+    there because on K_0 every twist is 1."""
+    ctx2, ctx3 = PrimeContext(2, 1), PrimeContext(3, 1)
+    gl3_q2 = _with_the_diag_221_orbits(level_basis_gl3)
+    bases = [gl3_q2, ad_symmetrized_basis(unit_labels(3, ctx3), ctx3),
+             ad_symmetrized_basis(unit_labels(4, ctx2), ctx2)]
+    assert [len(basis) for basis in bases] == [16, 24, 14]
+    for basis, checked in zip(bases, (128, 192, 336)):
+        assert _stage_mismatches(basis) == (checked, [])
+
+
+def test_restriction_from_a_levi_matches_the_qmat_split(level_basis_gl3):
+    """From the Levi M of (2, 1) and of (1, 2) on to the torus through the
+    upper and the lower Borel, `res_unnormalized` equals the QMat split
+    oracle scaled by M's count, key for key and in support order, on the
+    restrictions of the 16 GL_3(Q_2) orbit indicators: 64 cases."""
+    basis = _with_the_diag_221_orbits(level_basis_gl3)
+    checked = 0
+    for blocks in ((2, 1), (1, 2)):
+        for h in basis:
+            h_m = res_unnormalized(h, BlockParabolic(3, blocks))
+            for borel in (BlockParabolic(3, (1, 1, 1)), BlockParabolic(3, (1, 1, 1), "lower")):
+                got = res_unnormalized(h_m, borel)
+                assert list(got.items()) == list(restriction_by_qmat_split(h_m, borel).items())
+                checked += 1
+    assert checked == 64
 
 
 def test_restrictions_carry_the_levi_flag(ctx2):
