@@ -7,9 +7,11 @@ Products run on integer forms, (A / d)(B / e) = AB / (de), with one
 Fraction built per entry.
 
 Two elimination kernels serve every field: `det_int` takes determinants by
-Bareiss's fraction-free elimination on integer forms, and `gauss_jordan`
-does all other elimination over a field (inverses over Q and F_q, ranks
-over F_q and Q(sqrt p)), given the field's inverse and canonical form.
+Bareiss's fraction-free elimination on integer forms, each step forming
+only the trailing block, down to a 2 x 2 closed by one exact division; and
+`gauss_jordan` does all other elimination over a field (inverses over Q
+and F_q, ranks over F_q and Q(sqrt p)), given the field's inverse and
+canonical form.
 
 The p-adic column Hermite form computed here is the workhorse behind coset
 canonicalization and Iwasawa decomposition: for invertible rational g there
@@ -182,22 +184,28 @@ def det_rational(rows) -> Fraction:
 
 def det_int(a) -> int:
     """Determinant of a square integer matrix by Bareiss's fraction-free
-    elimination; divisions are exact and rows are replaced, never mutated."""
-    m = list(a)
-    n, sign, prev = len(m), 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+    elimination on the shrinking trailing block: each step forms only the
+    entries right of and below its pivot, (piv x - f y) // prev, an exact
+    division by the previous pivot (Sylvester's identity), and the last
+    2 x 2 [[w, x], [y, z]] closes as (w z - x y) // prev, which needs no
+    pivot.  Rows, lists or tuples, are never mutated; a swap, made only for
+    a zero leading entry, builds a new list."""
+    n = len(a)
+    if n < 2:
+        return a[0][0] if n else 1
+    m, sign, prev = a, 1, 1
+    while n > 2:
+        if m[0][0] == 0:
+            swap = next((r for r in range(1, n) if m[r][0]), None)
             if swap is None:
                 return 0
-            m[k], m[swap] = m[swap], m[k]
+            m = [m[swap], *m[1:swap], m[0], *m[swap + 1:]]
             sign = -sign
-        piv, row_k = m[k][k], m[k]
-        for r in range(k + 1, n):
-            f = m[r][k]
-            m[r] = [(piv * x - f * y) // prev for x, y in zip(m[r], row_k)]
-        prev = piv
-    return sign * m[-1][-1] if n else 1
+        piv, top = m[0][0], m[0][1:]
+        m = [[(piv * x - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in m[1:]]
+        prev, n = piv, n - 1
+    (w, x), (y, z) = m
+    return sign * ((w * z - x * y) // prev)
 
 
 def gauss_jordan(rows, ncols: int, inverse, reduce) -> int:

@@ -315,7 +315,8 @@ def res_unnormalized(
     H is split once through P, H = Q k (`iwasawa_int`), so x = (Q / p^e)
     lift(k kbar) up to K_m.  x K_m meets P iff k kbar mod p^m is block
     triangular, and then the block diagonal y of Q lift(k kbar) gives the
-    Levi point y / p^e, which `levi_measure` labels on L.
+    Levi point y / p^e, which `levi_measure` labels on L.  When k = 1, as
+    for every K_0 label (H = 1), k kbar is kbar and no product is formed.
     """
     if parab.n != h.ambient.n:
         raise DomainError(f"measure on GL_{h.ambient.n}, parabolic of GL_{parab.n}")
@@ -325,15 +326,19 @@ def res_unnormalized(
     ctx = h.ctx
     if transversal is not None and (transversal.parab != parab or transversal.ctx != ctx):
         raise DomainError("transversal of another parabolic or level")
-    modulus = ctx.modulus
+    modulus, n = ctx.modulus, parab.n
+    one = [[int(i == j) for j in range(n)] for i in range(n)]
     splits = {}
     points = []
     for (pe, hx, kbar), c in h.items():
         if hx not in splits:
-            splits[hx] = iwasawa_int(hx, parab, ctx.p)
+            q, k = iwasawa_int(hx, parab, ctx.p)
+            splits[hx] = q, None if k == one else k
         q, k = splits[hx]
-        cols = tuple(zip(*kbar))
-        moved = [[sum(map(mul, row, col)) % modulus for col in cols] for row in k]
+        moved = kbar
+        if k is not None:
+            cols = tuple(zip(*kbar))
+            moved = [[sum(map(mul, row, col)) % modulus for col in cols] for row in k]
         if parab.vanishes(moved, "G/P"):
             points.append(((parab.levi_product(q, moved), pe), c))
     return levi_measure(parab, ctx, points, True).scale(count)

@@ -7,9 +7,10 @@ listed one that is gone, so the list only ever shrinks.  It is empty: every
 former assert is an explicit raise, and a test below trips each one.  No
 memo may outlive a call either, so module-level caches are refused.  A
 label becomes a QMat only for JSON and the unflagged orbital path, and
-the measures do not take the modulus twist through `modulus_lambda`.  And
-no library name that the traced benchmark wraps or its workloads call may
-disappear or change its call shape unnoticed.
+the measures do not take the modulus twist through `modulus_lambda`.  One
+function, `matrices.det_int`, runs Bareiss elimination.  And no library
+name that the traced benchmark wraps or its workloads call may disappear
+or change its call shape unnoticed.
 """
 
 import ast
@@ -251,6 +252,60 @@ def test_membership_is_one_vanishing_test(tmp_path):
         "    return [(i, j) for i, j in parab.positions('M') if i != j]\n"
     )
     assert _membership_loops(sample) == ["groups.BlockParabolic.contains", "groups.unit"]
+
+
+BAREISS_KERNELS = {"matrices.det_int"}
+
+
+def _bareiss_updates(path):
+    """module.scope of each comprehension that iterates a `zip(...)` call
+    and holds a floor division, the Bareiss row update, outside
+    BAREISS_KERNELS."""
+    found = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, scope + [child.name])
+                continue
+            where = ".".join([path.stem] + scope)
+            if (isinstance(child, (ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.DictComp))
+                    and where not in BAREISS_KERNELS
+                    and any(isinstance(gen.iter, ast.Call)
+                            and getattr(gen.iter.func, "id", None) == "zip"
+                            for gen in child.generators)
+                    and any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.FloorDiv)
+                            for sub in ast.walk(child))):
+                found.add(where)
+            walk(child, scope)
+
+    walk(ast.parse(path.read_text()), [])
+    return sorted(found)
+
+
+def test_one_bareiss_kernel(tmp_path):
+    """Fraction-free elimination lives in `matrices.det_int` alone: no
+    other library function floor-divides inside a comprehension over
+    `zip(...)`, the shape of a Bareiss row update.  The scan itself is
+    checked on a sample module."""
+    found = {}
+    for path in sorted(Path(cocenter.__file__).parent.glob("*.py")):
+        updates = _bareiss_updates(path)
+        if updates:
+            found[path.stem] = updates
+    assert not found, f"Bareiss elimination outside matrices.det_int: {found}"
+    sample = tmp_path / "matrices.py"
+    sample.write_text(
+        "def det_int(m, piv, prev):\n"
+        "    return [[(piv * x - r[0] * y) // prev for x, y in zip(r, m[0])] for r in m]\n"
+        "def halve(rows, p):\n    return [[x // p for x in row] for row in rows]\n"
+        "def reduce(col, f, big):\n    return [(x - f * y) % big for x, y in zip(col, col)]\n"
+        "class QMat:\n    def det(self, a, b, d):\n"
+        "        return sum((x * y) // d for x, y in zip(a, b))\n"
+        "def eliminate(m, piv, prev):\n"
+        "    return [[(piv * x - f * y) // prev for x, y in zip(r, m[0])] for f, *r in m]\n"
+    )
+    assert _bareiss_updates(sample) == ["matrices.QMat.det", "matrices.eliminate"]
 
 
 def test_traced_benchmark_names_resolve():

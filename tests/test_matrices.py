@@ -1,3 +1,4 @@
+import copy
 import itertools
 import operator
 import random
@@ -14,6 +15,7 @@ from cocenter.matrices import (
     block_gln_generators,
     congruence_equiv,
     coset_canonical_rep,
+    det_int,
     enumerate_gln_fq,
     enumerate_glnzm,
     enumerate_transversal_K0_mod_Km,
@@ -115,6 +117,56 @@ def test_det_matches_fraction_elimination_oracle():
                 assert det_by_fraction_elimination(singular) == 0
                 assert det_by_fraction_elimination(permuted) != 0
     assert zeros and nonzeros and swapped
+
+
+def test_det_int_matches_fraction_elimination_oracle():
+    """`det_int` itself against Fraction elimination for n = 0 to 6, on
+    list rows and on tuple rows: random integer matrices, a singular one and
+    one with a zero first column at every size, and for every elimination
+    depth k < n - 1 a nonsingular one whose leading principal minors are
+    nonzero up to order k and zero at order k + 1, so that step k meets a
+    zero leading entry (at k = n - 2, the (0, 0) entry of the final 2 x 2).
+    The input rows are never changed."""
+    rng = random.Random(34)
+
+    def draw(n):
+        return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+
+    def leading_minors(rows):
+        return [det_by_fraction_elimination([row[:j] for row in rows[:j]])
+                for j in range(1, len(rows) + 1)]
+
+    checked = 0
+    for n in range(7):
+        cases = [draw(n) for _ in range(8)]
+        if n:
+            # the last row a combination of the others (a zero row when n = 1)
+            rows = draw(n)
+            coeffs = [rng.randint(-2, 2) for _ in rows[:-1]]
+            singular = rows[:-1] + [[sum(c * row[j] for c, row in zip(coeffs, rows))
+                                     for j in range(n)]]
+            assert det_by_fraction_elimination(singular) == 0
+            cases += [singular, [[0] + row[1:] for row in draw(n)]]
+        for k in range(n - 1):
+            while True:
+                # row k agrees with a combination of rows 0 .. k-1 on columns 0 .. k
+                rows = draw(n)
+                coeffs = [rng.randint(-2, 2) for _ in range(k)]
+                rows[k][:k + 1] = [sum(c * row[j] for c, row in zip(coeffs, rows))
+                                   for j in range(k + 1)]
+                minors = leading_minors(rows)
+                if all(minors[:k]) and minors[k] == 0 and minors[-1]:
+                    break
+            cases.append(rows)
+        for rows in cases:
+            want = det_by_fraction_elimination(rows)
+            for form in (rows, tuple(map(tuple, rows))):
+                before = copy.deepcopy(form)
+                got = det_int(form)
+                assert type(got) is int and got == want, (form, got, want)
+                assert form == before
+                checked += 1
+    assert checked == 2 * (8 * 7 + 2 * 6 + sum(range(6)))
 
 
 def test_hermite_postconditions():

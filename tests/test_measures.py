@@ -1006,6 +1006,36 @@ def test_normalized_borel_restriction_is_weyl_invariant(level_basis_gl3):
     assert unnormalized_fails == 11
 
 
+def test_restriction_through_p_and_its_opposite(level_basis_gl3):
+    """Parabolic independence through P and P^- for the maximal block
+    parabolics P = (2, 1) and (1, 2) of GL_3(Q_2).  At m = 1, normalized
+    res_P h equals res_{P^-} h literally on the 11 orbit indicators of K_0
+    and K_0 diag(2,1,1) K_0, and the unnormalized restriction differs on 4
+    of them for each Levi.  At m = 2, on the 60 orbit indicators of K_0,
+    where every twist is 1, the paper claims equality only in the cocenter
+    of M: 4 of them differ literally for each Levi, and every difference
+    dies under res^M_{B meet M} through the upper and the lower Borel."""
+    for blocks in ((2, 1), (1, 2)):
+        parab = BlockParabolic(3, blocks)
+        assert all(res_normalized(h, parab) == res_normalized(h, parab.opposite())
+                   for h in level_basis_gl3)
+        assert sum(res_unnormalized(h, parab) != res_unnormalized(h, parab.opposite())
+                   for h in level_basis_gl3) == 4
+    ctx = PrimeContext(2, 2)
+    basis = ad_symmetrized_basis(unit_labels(3, ctx), ctx)
+    assert len(basis) == 60
+    borels = [BlockParabolic(3, (1, 1, 1), orientation) for orientation in ("upper", "lower")]
+    for blocks in ((2, 1), (1, 2)):
+        parab = BlockParabolic(3, blocks)
+        literal = 0
+        for h in basis:
+            upper, lower = res_normalized(h, parab), res_normalized(h, parab.opposite())
+            literal += upper != lower
+            for borel in borels:
+                assert res_normalized(upper, borel) == res_normalized(lower, borel), (blocks, h)
+        assert literal == 4
+
+
 def test_block_generators_embed_the_block_generators():
     """One block gives gln_generators; several give each block's generators
     on its diagonal block of the identity, as levi_generators over F_q."""
