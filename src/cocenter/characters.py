@@ -11,11 +11,14 @@ Each label x = (H / p^e) lift(kbar) is already the split of x on G, so
 only each product g_i H of a transversal rep and a distinct Hermite part
 is split, once, through P: g_i H = Q k' (`groups.iwasawa_int`, on the
 integer Hermite core `matrices.hermite_int`).  Then g_i x = (Q / p^e)
-lift(k' kbar) up to K_m, so each product costs only residues modulo p^m:
-k' kbar, its double coset and the parabolic part there.  Kept terms merge
-as integer Levi points, which `measures.levi_measure` labels on M, and
-characters read their values off the label's Hermite diagonal.  The QMat
-forms of the split and of T(h) are the oracles in tests/oracles.py.
+lift(k' kbar) up to K_m, so each product costs one residue product
+k' kbar modulo p^m and one read of the model's residue table, which holds
+the double coset and the parabolic part of every residue of GL_n(Z/p^m),
+each checked once when the model is built.  Kept terms merge as integer
+Levi points, which `measures.levi_measure` labels on M.  Characters read
+their values off the label's Hermite diagonal, and a pairing values chi
+once per distinct tuple of block valuations.  The QMat forms of the split,
+of T(h) and of the pairing are the oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -56,8 +59,12 @@ class UnramifiedCharacter:
         H's diagonal by `measures.block_valuations`."""
         if parab.blocks != self.blocks:
             raise DomainError("block mismatch")
+        return self.at_valuations(block_valuations(parab, label, p))
+
+    def at_valuations(self, valuations) -> Fraction:
+        """prod_i z_i^(v_i) for the block valuations v_i = v_p(det m_i)."""
         out = Fraction(1)
-        for z, v in zip(self.params, block_valuations(parab, label, p)):
+        for z, v in zip(self.params, valuations):
             out *= z**v
         return out
 
@@ -65,14 +72,20 @@ class UnramifiedCharacter:
 def character_pairing(chi: UnramifiedCharacter, h: HeckeMeasure) -> RootP:
     """Integral of chi against a measure on M: sum of c_x chi(x).
 
-    The blocks must match, so a measure on G pairs only with a one-block
-    character z^v(det)."""
-    parab = h.ambient.parab
+    chi(x) depends on x only through the `block_valuations` of its label,
+    so the c_x are summed by that tuple first and chi is valued once per
+    distinct tuple.  The blocks must match, so a measure on G pairs only
+    with a one-block character z^v(det)."""
+    parab, p = h.ambient.parab, h.ctx.p
     if parab.blocks != chi.blocks:
         raise DomainError("block mismatch")
-    out = RootP.rational(0, h.ctx.p)
+    mass = {}
     for label, c in h.items():
-        out = out + c * chi.value(parab, label, h.ctx.p)
+        v = tuple(block_valuations(parab, label, p))
+        mass[v] = mass[v] + c if v in mass else c
+    out = RootP.rational(0, p)
+    for v, c in mass.items():
+        out = out + c * chi.at_valuations(v)
     return out
 
 
@@ -83,6 +96,12 @@ class InducedModel:
     dimensional inflated character the dimension equals the number of
     double cosets.  A transversal that is passed must belong to the same
     parabolic and level; otherwise one is enumerated under the guard.
+
+    `located` maps every residue r of GL_n(Z/p^m) (every key of the
+    transversal's lookup) to (l, q2): l = lookup[r] and q2 = r g_l^-1 mod
+    p^m as tuple rows.  Each q2 is checked to lie in P mod p^m when the
+    model is built, once per residue, so a lookup that names a double
+    coset missing r is refused here and no split reads an unchecked entry.
     """
 
     def __init__(self, parab: BlockParabolic, ctx: PrimeContext, transversal=None,
@@ -94,27 +113,31 @@ class InducedModel:
         self.parab = parab
         self.ctx = ctx
         self.transversal = transversal
-        # the columns of g_l^-1 mod p^m and the integer rows of g_l, for each
-        # representative g_l in K_0
-        self.inverse_cols = [tuple(zip(*mat_mod(g.inverse(), ctx.modulus, ctx.p)))
-                             for g in transversal.reps]
+        # the integer rows of each representative g_l in K_0
         self.rep_rows = [integer_form(g.rows)[0] for g in transversal.reps]
+        modulus = ctx.modulus
+        inverse_cols = [tuple(zip(*mat_mod(g.inverse(), modulus, ctx.p)))
+                        for g in transversal.reps]
+        located = {}
+        for r, idx in transversal.lookup.items():
+            q2 = tuple([tuple([sum(map(mul, row, col)) % modulus for col in inverse_cols[idx]])
+                        for row in r])
+            if not parab.vanishes(q2, "G/P"):
+                raise DomainError("transversal lookup names a double coset that k misses")
+            located[r] = (idx, q2)
+        self.located = located
 
     @property
     def dim(self) -> int:
         return len(self.transversal)
 
     def locate_residue(self, kbar):
-        """(l, q2) for kbar in GL_n(Z/p^m): P g_l K_m is the double coset of
-        every k in K_0 with k = kbar mod p^m, and q2 = kbar g_l^-1 mod p^m,
-        lifted to integers, lies in P mod p^m, so that k lies in q2 g_l K_m.
-        A lookup that names a double coset missing k raises."""
-        idx = self.transversal.lookup[kbar]
-        modulus, cols = self.ctx.modulus, self.inverse_cols[idx]
-        q2 = [[sum(map(mul, row, col)) % modulus for col in cols] for row in kbar]
-        if not self.parab.vanishes(q2, "G/P"):
-            raise DomainError("transversal lookup names a double coset that k misses")
-        return idx, q2
+        """(l, q2) for kbar in GL_n(Z/p^m), tuple rows: P g_l K_m is the
+        double coset of every k in K_0 with k = kbar mod p^m, and q2 =
+        kbar g_l^-1 mod p^m, lifted to integers, lies in P mod p^m, so that
+        k lies in q2 g_l K_m.  A read of `located`, whose entries were all
+        checked when the model was built."""
+        return self.located[kbar]
 
     def locate_with_parabolic_part(self, a, d: int):
         """Write y = A / d as (q q2) g_l kappa with q q2 in P(Q), kappa level trivial.
@@ -144,10 +167,11 @@ def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:
     g_i H = Q k.  Then g_i x = (Q / p^e) k lift(kbar) up to K_m, which is
     the split `locate_with_parabolic_part` makes of g_i x up to K_m, by
     uniqueness of the Hermite form.  So each product costs the residue
-    product k kbar mod p^m and its `InducedModel.locate_residue`, whose
-    check runs for every product, kept or not.  Kept terms merge by their
-    integer Levi point Q q2 / p^e, and `levi_measure` labels those on M.
-    The labels grouped by H are the only table, and it lives for this call.
+    product k kbar mod p^m and one read of the model's `located` table,
+    whose parabolic check ran once per residue when the model was built.
+    Kept terms merge by their integer Levi point Q q2 / p^e, and
+    `levi_measure` labels those on M.  The labels grouped by H are the only
+    table this call builds, and it lives for this call.
     """
     if model.parab.n != h.ambient.n:
         raise DomainError(f"measure on GL_{h.ambient.n}, induced model of GL_{model.parab.n}")
@@ -157,7 +181,7 @@ def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:
         raise DomainError("trace needs a conjugation-invariant measure")
     if h.ctx != model.ctx:
         raise DomainError("measure and induced model at different levels")
-    parab, ctx = model.parab, model.ctx
+    parab, ctx, located = model.parab, model.ctx, model.located
     modulus = ctx.modulus
     # the labels by Hermite part H: (columns of kbar, p^e, c)
     parts = {}
@@ -169,8 +193,8 @@ def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:
             q, k = iwasawa_int([[sum(map(mul, row, col)) for col in zip(*hx)] for row in g_i],
                                parab, ctx.p)
             for cols, pe, c in labels:
-                l, q2 = model.locate_residue(tuple([
-                    tuple([sum(map(mul, row, col)) % modulus for col in cols]) for row in k]))
+                l, q2 = located[tuple([
+                    tuple([sum(map(mul, row, col)) % modulus for col in cols]) for row in k])]
                 if l == i:
                     key = (parab.levi_product(q, q2), pe)
                     kept[key] = kept[key] + c if key in kept else c

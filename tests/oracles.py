@@ -663,6 +663,19 @@ def character_by_block_determinants(chi, parab, g: QMat, p):
     return out
 
 
+def character_pairing_by_label(chi, h):
+    """`characters.character_pairing` as the sum of c_x chi(x) over the
+    labels x of h, chi valued at every label's matrix by
+    `character_by_block_determinants`, with no grouping by valuations."""
+    parab, p = h.ambient.parab, h.ctx.p
+    if parab.blocks != chi.blocks:
+        raise DomainError("block mismatch")
+    out = RootP.rational(0, p)
+    for x, c in matrix_items(h):
+        out = out + c * character_by_block_determinants(chi, parab, x, p)
+    return out
+
+
 def hecke_action_matrix(h, chi, model, normalized=False):
     """Matrix of the h action on the level invariants of the induced module.
 

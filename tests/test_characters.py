@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from cocenter.characters import (
 )
 from cocenter.exactnum import DomainError, ResourceGuardError, RootP
 from cocenter.groups import BlockParabolic, compositions
-from cocenter.matrices import PrimeContext, QMat, hermite_int, integer_form
+from cocenter.matrices import PrimeContext, QMat, hermite_int, integer_form, mat_mod
 from cocenter.measures import (
     Ambient,
     HeckeMeasure,
@@ -21,12 +22,14 @@ from cocenter.measures import (
     ad_symmetrized_basis,
     double_coset_measure,
     label_matrix,
+    normalize_on_levi,
     res_normalized,
     res_unnormalized,
     unit_measure,
 )
 from tests.oracles import (
     character_by_block_determinants,
+    character_pairing_by_label,
     gl2_level_basis,
     hecke_action_matrix,
     locate_by_fraction_split,
@@ -424,3 +427,72 @@ def test_trace_measure_refuses_a_corrupted_lookup(ctx2, borel2, unit_gl2):
     corrupted.lookup = {key: (idx + 1) % len(corrupted) for key, idx in corrupted.lookup.items()}
     with pytest.raises(DomainError, match="misses"):
         trace_measure(unit_gl2, InducedModel(borel2, ctx2, corrupted))
+
+
+def test_character_pairing_matches_the_sum_over_labels(level_basis_gl3):
+    """character_pairing, which values chi once per tuple of block
+    valuations, equals `character_pairing_by_label`, chi valued at every
+    label by block determinants, on the plain and normalized restrictions
+    and trace measures of the GL_2(Q_2) and GL_2(Q_3) level bases through
+    the upper Borel and of the GL_3(Q_2) level basis through (2,1), (1,2)
+    and (1,1,1), for one fixed and two seeded characters per Levi, with
+    negative and fractional Satake parameters.  An empty measure of other
+    blocks is still refused."""
+    rng = random.Random(35)
+    cases = [(BlockParabolic(2, (1, 1)), gl2_level_basis(PrimeContext(p, 1))) for p in (2, 3)]
+    cases += [(BlockParabolic(3, blocks), level_basis_gl3) for blocks in ((2, 1), (1, 2), (1, 1, 1))]
+    compared = 0
+    for parab, basis in cases:
+        model = InducedModel(parab, basis[0].ctx)
+        k = len(parab.blocks)
+        chars = [UnramifiedCharacter(parab.blocks, (-2, Fraction(1, 3), Fraction(-5, 2))[:k])]
+        chars += [UnramifiedCharacter(parab.blocks, [
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for _ in range(k)])
+            for _ in range(2)]
+        for h in basis:
+            for plain in (res_unnormalized(h, parab), trace_measure(h, model)):
+                for m in (plain, normalize_on_levi(plain, parab)):
+                    for chi in chars:
+                        assert character_pairing(chi, m) == character_pairing_by_label(chi, m), (
+                            parab, chi.params, m)
+                        compared += 1
+    # bases of 5, 14 and 3 x 11 measures, 4 measures and 3 characters each
+    assert compared == 12 * (5 + 14 + 3 * 11)
+    empty = HeckeMeasure(Ambient.levi(BlockParabolic(2, (1, 1))), PrimeContext(2, 1))
+    with pytest.raises(DomainError, match="block mismatch"):
+        character_pairing(UnramifiedCharacter((2,), (3,)), empty)
+
+
+def test_residue_table_locates_every_residue():
+    """`InducedModel.located` holds every residue r of GL_n(Z/p^m), the
+    keys of the transversal's lookup, as (l, q2) with l = lookup[r], q2 in
+    P mod p^m and q2 g_l = r mod p^m: through both Borels of GL_2(Q_3) and
+    of GL_2(Q_2) at m = 2, and through (2,1) and (1,2) of GL_3(Q_2).  A
+    lookup corrupted at one residue alone, for each residue of GL_2(Z/2)
+    and GL_2(Z/3) in turn, is refused when the model is built."""
+    borel = BlockParabolic(2, (1, 1))
+    models = [InducedModel(parab, ctx) for ctx in (PrimeContext(3, 1), PrimeContext(2, 2))
+              for parab in (borel, borel.opposite())]
+    models += [InducedModel(BlockParabolic(3, blocks), PrimeContext(2, 1))
+               for blocks in ((2, 1), (1, 2))]
+    checked = 0
+    for model in models:
+        transversal, ctx = model.transversal, model.ctx
+        assert model.located.keys() == transversal.lookup.keys()
+        for r, (l, q2) in model.located.items():
+            assert l == transversal.lookup[r]
+            assert model.parab.vanishes(q2, "G/P"), (model.parab, r)
+            assert mat_mod(QMat(q2) * transversal.reps[l], ctx.modulus, ctx.p) == r
+            checked += 1
+    # |GL_2(Z/3)| = 48 and |GL_2(Z/4)| = 96 twice each, |GL_3(Z/2)| = 168 twice
+    assert checked == 2 * (48 + 96 + 168)
+    refused = 0
+    for ctx in (PrimeContext(2, 1), PrimeContext(3, 1)):
+        transversal = ParabolicTransversal(borel, ctx)
+        for r, idx in transversal.lookup.items():
+            corrupted = copy.copy(transversal)
+            corrupted.lookup = {**transversal.lookup, r: (idx + 1) % len(transversal)}
+            with pytest.raises(DomainError, match="misses"):
+                InducedModel(borel, ctx, corrupted)
+            refused += 1
+    assert refused == 6 + 48
