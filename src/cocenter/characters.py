@@ -19,6 +19,8 @@ Levi points, which `measures.levi_measure` labels on M.  Characters read
 their values off the label's Hermite diagonal, and a pairing values chi
 once per distinct tuple of block valuations.  The QMat forms of the split,
 of T(h) and of the pairing are the oracles in tests/oracles.py.
+`induced_character_values` is the one checker of the identity; the
+`characters` CLI suite and the acceptance criteria run it.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def character_pairing(chi: UnramifiedCharacter, h: HeckeMeasure) -> RootP:
     for label, c in h.items():
         v = tuple(block_valuations(parab, label, p))
         mass[v] = mass[v] + c if v in mass else c
-    out = RootP.rational(0, p)
+    out = RootP._wrap(Fraction(0), Fraction(0), p)
     for v, c in mass.items():
         out = out + c * chi.at_valuations(v)
     return out
@@ -212,20 +214,15 @@ def trace_induced(
     return character_pairing(chi, t)
 
 
-def verify_induced_character_identity(
-    h: HeckeMeasure,
-    chi: UnramifiedCharacter,
-    parab: BlockParabolic,
-    model: InducedModel | None = None,
-    res_m: HeckeMeasure | None = None,
-):
-    """Both forms of the induced character identity, as exact equalities.
-
-    Unnormalized: trace of the induction of chi equals the pairing of chi
-    with the plain restriction.  Normalized: trace of the induction of
-    chi * |lambda_P|^(1/2) equals the pairing with the normalized
-    restriction.  Both traces pair with one trace measure.  Returns (ok,
-    details).  A model of another parabolic is refused.
+def induced_character_values(h: HeckeMeasure, chars, parab: BlockParabolic,
+                             model: InducedModel | None = None, res_m: HeckeMeasure | None = None):
+    """Both forms of the induced character identity, for each character of
+    `chars` against one trace measure T(h): (trace, pairing,
+    trace_normalized, pairing_normalized), the identity holding when the
+    first two and the last two agree.  Normalized means chi times
+    |lambda_P|^(1/2) on the trace side, the normalized restriction on the
+    other.  A model of another parabolic, or a res_m on another Levi, is
+    refused.
     """
     model = model or InducedModel(parab, h.ctx)
     if model.parab != parab:
@@ -234,14 +231,14 @@ def verify_induced_character_identity(
         res_m = res_unnormalized(h, parab)
     require_levi(res_m, parab)
     t = trace_measure(h, model)
-    lhs_plain = character_pairing(chi, t)
-    rhs_plain = character_pairing(chi, res_m)
-    lhs_norm = character_pairing(chi, normalize_on_levi(t, parab))
-    rhs_norm = character_pairing(chi, normalize_on_levi(res_m, parab))
-    ok = lhs_plain == rhs_plain and lhs_norm == rhs_norm
-    return ok, {
-        "trace": lhs_plain,
-        "pairing": rhs_plain,
-        "trace_normalized": lhs_norm,
-        "pairing_normalized": rhs_norm,
-    }
+    sides = (t, res_m, normalize_on_levi(t, parab), normalize_on_levi(res_m, parab))
+    return [tuple(character_pairing(chi, x) for x in sides) for chi in chars]
+
+
+def verify_induced_character_identity(h: HeckeMeasure, chi: UnramifiedCharacter,
+                                      parab: BlockParabolic, model: InducedModel | None = None,
+                                      res_m: HeckeMeasure | None = None):
+    """`induced_character_values` for the one character chi, as (ok, details)."""
+    values = induced_character_values(h, (chi,), parab, model, res_m)[0]
+    details = dict(zip(("trace", "pairing", "trace_normalized", "pairing_normalized"), values))
+    return values[0] == values[1] and values[2] == values[3], details

@@ -33,7 +33,7 @@ from cocenter.characters import (
     InducedModel,
     UnramifiedCharacter,
     character_pairing,
-    trace_measure,
+    induced_character_values,
 )
 from cocenter.measures import (
     Ambient,
@@ -41,13 +41,11 @@ from cocenter.measures import (
     double_coset_labels,
     double_coset_measure,
     measure_to_jsonable,
-    normalize_on_levi,
     res_normalized,
-    res_unnormalized,
     unit_measure,
 )
 from cocenter.orbital import (
-    descent_factor,
+    descent_values,
     gamma_grid,
     orbital_integral,
     separation_rank,
@@ -249,7 +247,8 @@ def _constant_term_row(p: int, config: RunConfig):
 
 
 def run_characters(config: RunConfig):
-    """Induced trace identity rows for the level basis and characters."""
+    """Induced trace identity rows, one `characters.induced_character_values`
+    call per level basis measure for all characters."""
     rows = []
     ctx = PrimeContext(config.p, config.m)
     parab = BlockParabolic(config.n, config.blocks, "upper")
@@ -257,28 +256,19 @@ def run_characters(config: RunConfig):
     basis = _level_one_basis(config, ctx)
     chars = [_character_for_blocks(config.blocks, z) for z in config.character_params]
     for idx, h in enumerate(basis):
-        res_plain = res_unnormalized(h, parab)
-        res_norm = normalize_on_levi(res_plain, parab)
-        trace_plain = trace_measure(h, model)
-        trace_norm = normalize_on_levi(trace_plain, parab)
-        for c_idx, chi in enumerate(chars):
-            lhs = character_pairing(chi, trace_plain)
-            rhs = character_pairing(chi, res_plain)
-            rows.append(
-                _row("characters", "induced-character-trace", f"h{idx}/chi{c_idx}",
-                     lhs == rhs, lhs, rhs)
-            )
-            lhs_n = character_pairing(chi, trace_norm)
-            rhs_n = character_pairing(chi, res_norm)
-            rows.append(
-                _row("characters", "induced-character-trace/normalized",
-                     f"h{idx}/chi{c_idx}", lhs_n == rhs_n, lhs_n, rhs_n)
-            )
+        values = induced_character_values(h, chars, parab, model)
+        for c_idx, (trace, pairing, trace_n, pairing_n) in enumerate(values):
+            case = f"h{idx}/chi{c_idx}"
+            rows.append(_row("characters", "induced-character-trace", case,
+                             trace == pairing, trace, pairing))
+            rows.append(_row("characters", "induced-character-trace/normalized", case,
+                             trace_n == pairing_n, trace_n, pairing_n))
     return rows
 
 
 def run_orbital(config: RunConfig):
-    """Descent identity rows plus the separation rank probe."""
+    """Descent identity rows, one `orbital.descent_values` call per level
+    basis measure through P and its opposite, plus the separation rank probe."""
     rows = []
     ctx = PrimeContext(config.p, config.m)
     parab = BlockParabolic(config.n, config.blocks, "upper")
@@ -289,23 +279,20 @@ def run_orbital(config: RunConfig):
         _row("orbital", "normalization-record", "all-values", True,
              f"Haar(G): K_{config.m} mass 1", f"Haar(T): T meet K_{config.m} mass 1")
     )
-    # each (measure, gamma) once: both orientations share the G side, the probe the upper one
-    def integrate(measures):
-        return [[orbital_integral(x, gam).value for gam in grid] for x in measures]
-
     upper = [res_normalized(h, parab) for h in basis]
     lower = [res_normalized(h, opp) for h in basis]
-    on_g, omat = integrate(basis), integrate(upper)
-    for orientation, par, on_m in (("upper", parab, omat), ("lower", opp, integrate(lower))):
-        factors = [descent_factor(gam, par, config.p, config.mutate_normalization) for gam in grid]
-        for idx in range(len(basis)):
-            for gam, lhs, factor, value in zip(grid, on_g[idx], factors, on_m[idx]):
+    values = [descent_values(h, grid, ((parab, up), (opp, low)), config.mutate_normalization)
+              for h, up, low in zip(basis, upper, lower)]
+    for side, orientation in enumerate(("upper", "lower")):
+        for idx, (on_g, on_m) in enumerate(values):
+            for gam, lhs, (factor, value) in zip(grid, on_g, on_m[side]):
                 rhs = factor * value
                 vals = ",".join(str(v) for v in gam.valuations(config.p))
                 rows.append(
                     _row("orbital", "orbital-descent",
                          f"{orientation}/h{idx}/gamma-val({vals})", lhs == rhs, lhs, rhs)
                 )
+    omat = [[value for _, value in on_m[0]] for _, on_m in values]
     chars = [_character_for_blocks(config.blocks, z) for z in config.character_params]
     xmat = [[character_pairing(chi, rm) for chi in chars] for rm in upper]
     ro, rx = separation_rank(omat), separation_rank(xmat)

@@ -24,6 +24,9 @@ its level subgroup mass 1; the value is the orbit density times
 |Delta_{T, GL_k}| on each block.  Only split diagonal tori are
 implemented; for GL_n these see a single rational orbit per stable class,
 which every value records.
+
+`descent_values` is the one checker of orbital descent; the `orbital` CLI
+suite and the acceptance criteria run it.
 """
 
 from __future__ import annotations
@@ -169,31 +172,37 @@ def orbital_integral(h: HeckeMeasure, gamma: RegularElement) -> OrbitalValue:
     ratios = [g.as_integer_ratio() for g in gamma.entries]
     hits = [c for label, c in h.items() if _meets_unipotent(label, ratios, ctx)]
     if not hits:
-        return OrbitalValue(RootP.rational(0, ctx.p), ctx.p, ctx.m)
+        return OrbitalValue(RootP._wrap(Fraction(0), Fraction(0), ctx.p), ctx.p, ctx.m)
     lower = [(i, j) for i, j in ambient.parab.positions("M") if i > j]
     const = _level_constant(ambient.parab.blocks, ctx, -_root_valuation(ratios, lower, ctx.p))
     a, b = sum(c.a for c in hits), sum(c.b for c in hits)
     return OrbitalValue(RootP._wrap(a * const, b * const, ctx.p), ctx.p, ctx.m)
 
 
-def descent_check(
-    h: HeckeMeasure,
-    gamma: RegularElement,
-    parab: BlockParabolic,
-    res_m: HeckeMeasure,
-    mutate_normalization: bool = False,
-):
-    """O_gamma(h) = |Delta_{M,G}(gamma)|^(1/2) * O_gamma(res_normalized h).
-
-    res_m must be the normalized restriction of h through parab; a measure
-    on another Levi is refused, and so is an unflagged h.  The mutation
-    flag replaces the half power by the full norm, which must break the
-    identity somewhere on a valuation grid.
+def descent_values(h: HeckeMeasure, grid, sides, mutate_normalization: bool = False):
+    """(on_g, per_side): on_g[g] = O_gamma(h) and, for each (parab, res_m)
+    of `sides`, per_side[s][g] = (|Delta_{M,G}(gamma)|^(1/2), O_gamma(res_m))
+    at gamma = grid[g].  Descent holds at gamma when O_gamma(h) is their
+    product, for res_m = res_normalized(h, parab).  O_gamma(h) is integrated
+    once per gamma for all sides; a res_m on another Levi, or an unflagged
+    measure, is refused.  The mutation flag takes the full norm instead of
+    the half power, which must break descent somewhere on a valuation grid.
     """
-    require_levi(res_m, parab)
-    lhs = orbital_integral(h, gamma).value
-    factor = descent_factor(gamma, parab, h.ctx.p, mutate_normalization)
-    rhs = factor * orbital_integral(res_m, gamma).value
+    for parab, res_m in sides:
+        require_levi(res_m, parab)
+    on_g = [orbital_integral(h, gamma).value for gamma in grid]
+    p = h.ctx.p
+    return on_g, [[(descent_factor(gamma, parab, p, mutate_normalization),
+                    orbital_integral(res_m, gamma).value) for gamma in grid]
+                  for parab, res_m in sides]
+
+
+def descent_check(h: HeckeMeasure, gamma: RegularElement, parab: BlockParabolic,
+                  res_m: HeckeMeasure, mutate_normalization: bool = False):
+    """`descent_values` at one gamma through one parabolic, as (ok, lhs, rhs)."""
+    (lhs,), (((factor, value),),) = descent_values(h, (gamma,), ((parab, res_m),),
+                                                   mutate_normalization)
+    rhs = factor * value
     return lhs == rhs, lhs, rhs
 
 

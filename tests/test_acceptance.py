@@ -22,8 +22,8 @@ from cocenter.characters import (
     InducedModel,
     UnramifiedCharacter,
     character_pairing,
+    induced_character_values,
     trace_induced,
-    verify_induced_character_identity,
 )
 from cocenter.exactnum import RootP, padic_valuation
 from cocenter.groups import BlockParabolic, compositions, discriminant_square_identity
@@ -38,7 +38,7 @@ from cocenter.measures import (
 )
 from cocenter.oracles import constant_term_oracle_gl2
 from cocenter.orbital import (
-    descent_check,
+    descent_values,
     gamma_grid,
     joint_kernel_dimension,
     orbital_integral,
@@ -135,17 +135,17 @@ def test_criterion_2_induced_character_identity(ctx2, borel2, transversal_gl2, l
     rows = 0
     for h in level_basis_gl2:
         res_plain = res_unnormalized(h, borel2, transversal_gl2)
-        for chi in _chars((1, 1)):
-            good, _ = verify_induced_character_identity(h, chi, borel2, model, res_plain)
-            ok = ok and good
+        for trace, pairing, trace_n, pairing_n in induced_character_values(
+                h, _chars((1, 1)), borel2, model, res_plain):
+            ok = ok and trace == pairing and trace_n == pairing_n
             rows += 1
     ctx3, unit3, _ = gl3_setup
     parab3 = BlockParabolic(3, (2, 1), "upper")
     model3 = InducedModel(parab3, ctx3)
-    good, _ = verify_induced_character_identity(
-        unit3, UnramifiedCharacter((2, 1), (Fraction(3), Fraction(1, 2))), parab3, model3
+    ((trace, pairing, trace_n, pairing_n),) = induced_character_values(
+        unit3, [UnramifiedCharacter((2, 1), (Fraction(3), Fraction(1, 2)))], parab3, model3
     )
-    ok = ok and good
+    ok = ok and trace == pairing and trace_n == pairing_n
     rows += 1
     elapsed = time.time() - start
     report(2, "induced-character-identity", ok, elapsed, f"{rows} identities")
@@ -208,15 +208,15 @@ def test_criterion_4_descent(ctx2, borel2, level_basis_gl2):
     ok = True
     mutation_failed_somewhere = False
     checks = 0
-    for parab in (borel2, borel2.opposite()):
-        for h in level_basis_gl2:
-            rm = res_normalized(h, parab)
-            for gam in grid:
-                good, _, _ = descent_check(h, gam, parab, rm)
-                ok = ok and good
+    for h in level_basis_gl2:
+        sides = [(parab, res_normalized(h, parab)) for parab in (borel2, borel2.opposite())]
+        on_g, plain = descent_values(h, grid, sides)
+        _, mutated = descent_values(h, grid, sides, mutate_normalization=True)
+        for good_side, bad_side in zip(plain, mutated):
+            for lhs, (factor, value), (bad_factor, bad_value) in zip(on_g, good_side, bad_side):
+                ok = ok and lhs == factor * value
                 checks += 1
-                bad, _, _ = descent_check(h, gam, parab, rm, mutate_normalization=True)
-                if not bad:
+                if lhs != bad_factor * bad_value:
                     mutation_failed_somewhere = True
     ok = ok and mutation_failed_somewhere
     elapsed = time.time() - start

@@ -8,10 +8,12 @@ from cocenter.characters import (
     InducedModel,
     UnramifiedCharacter,
     character_pairing,
+    induced_character_values,
     trace_induced,
     trace_measure,
     verify_induced_character_identity,
 )
+from cocenter.cli import RunConfig, run_characters
 from cocenter.exactnum import DomainError, ResourceGuardError, RootP
 from cocenter.groups import BlockParabolic, compositions
 from cocenter.matrices import PrimeContext, QMat, hermite_int, integer_form, mat_mod
@@ -85,6 +87,31 @@ def test_trace_identity_on_basis(ctx2, borel2, model2, level_basis_gl2, transver
                 h, chi, borel2, model2, res_plain
             )
             assert ok, details
+
+
+def test_character_family_is_the_one_character_check(monkeypatch, borel2, model2,
+                                                     level_basis_gl2):
+    """On the GL_2(Q_2) level basis, `induced_character_values` gives for
+    each of the four default characters the details of
+    `verify_induced_character_identity`, and the default `characters` CLI
+    run builds one trace measure per basis measure, for all characters."""
+    chars = [UnramifiedCharacter((1, 1), params) for params in CHAR_PARAMS]
+    keys = ("trace", "pairing", "trace_normalized", "pairing_normalized")
+    for h in level_basis_gl2:
+        values = induced_character_values(h, chars, borel2, model2)
+        assert len(values) == len(chars)
+        for chi, got in zip(chars, values):
+            ok, details = verify_induced_character_identity(h, chi, borel2, model2)
+            assert ok and got == tuple(details[k] for k in keys), (chi.params, got, details)
+    calls = []
+
+    def counting_trace(h, model):
+        calls.append(id(h))
+        return trace_measure(h, model)
+
+    monkeypatch.setattr("cocenter.characters.trace_measure", counting_trace)
+    run_characters(RunConfig().validate())
+    assert len(calls) == len(set(calls)) == len(level_basis_gl2) == 5
 
 
 def test_trace_identity_diag_double_coset_both_routes(ctx2, borel2, model2):

@@ -126,14 +126,15 @@ def test_orbital_suite_integrates_each_pair_once(monkeypatch):
     """The default orbital run integrates each of its 375 (measure, gamma)
     pairs once: 5 basis measures and their upper and lower restrictions, at
     25 grid points.  The descent rows of both orientations share the G side,
-    and the separation probe reuses the upper values."""
+    and the separation probe reuses the upper values.  The integrals run in
+    `orbital.descent_values`, so the count is taken there."""
     calls = []
 
     def counting_integral(h, gamma, *args):
         calls.append((id(h), gamma))
         return orbital_integral(h, gamma, *args)
 
-    monkeypatch.setattr("cocenter.cli.orbital_integral", counting_integral)
+    monkeypatch.setattr("cocenter.orbital.orbital_integral", counting_integral)
     run_orbital(RunConfig().validate())
     assert len(calls) == len(set(calls)) == 375
 

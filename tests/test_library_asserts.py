@@ -8,9 +8,10 @@ former assert is an explicit raise, and a test below trips each one.  No
 memo may outlive a call either, so module-level caches are refused.  A
 label becomes a QMat only for JSON and the unflagged orbital path, and
 the measures do not take the modulus twist through `modulus_lambda`.  One
-function, `matrices.det_int`, runs Bareiss elimination.  And no library
-name that the traced benchmark wraps or its workloads call may disappear
-or change its call shape unnoticed.
+function, `matrices.det_int`, runs Bareiss elimination.  The CLI names
+none of the pieces of an identity that a library checker computes.  And
+no library name that the traced benchmark wraps or its workloads call may
+disappear or change its call shape unnoticed.
 """
 
 import ast
@@ -306,6 +307,43 @@ def test_one_bareiss_kernel(tmp_path):
         "    return [[(piv * x - f * y) // prev for x, y in zip(r, m[0])] for f, *r in m]\n"
     )
     assert _bareiss_updates(sample) == ["matrices.QMat.det", "matrices.eliminate"]
+
+
+# what an inline copy of the induced character or the descent identity reads
+CHECKER_PIECES = {"trace_measure", "normalize_on_levi", "res_unnormalized", "descent_factor"}
+
+
+def _names(path):
+    """Every name a module reads, binds or imports, every attribute it
+    reads and every string constant in it."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found |= {node.name, node.asname}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_cli_runs_the_library_checkers(tmp_path):
+    """`cli.py` takes its induced character rows from
+    `characters.induced_character_values` and its descent rows from
+    `orbital.descent_values`: it names none of the CHECKER_PIECES, so it
+    cannot compute either identity a second time.  The scan itself is
+    checked on a sample module."""
+    found = _names(Path(cocenter.__file__).parent / "cli.py") & CHECKER_PIECES
+    assert not found, f"the CLI recomputes an identity its checker owns: {sorted(found)}"
+    sample = tmp_path / "cli.py"
+    sample.write_text(
+        "from cocenter.characters import trace_measure as tm\nimport cocenter.orbital\n"
+        "def run(h, g, parab, module):\n"
+        "    return cocenter.orbital.descent_factor(g, parab, 2), getattr(module, 'res_unnormalized')\n"
+    )
+    assert _names(sample) & CHECKER_PIECES == {"trace_measure", "descent_factor", "res_unnormalized"}
 
 
 def test_traced_benchmark_names_resolve():

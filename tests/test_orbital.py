@@ -26,6 +26,7 @@ from cocenter.orbital import (
     RegularElement,
     descent_check,
     descent_factor,
+    descent_values,
     gamma_grid,
     joint_kernel_dimension,
     orbital_integral,
@@ -232,6 +233,40 @@ def test_descent_check_refuses_a_restriction_to_another_levi(ctx2):
     assert descent_check(unit3, gamma, p21, res_normalized(unit3, p21))[0]
     with pytest.raises(DomainError, match="Levi"):
         descent_check(unit3, gamma, p21, borel_res)
+
+
+def test_descent_values_is_descent_check_at_each_point(ctx2, borel2, level_basis_gl2,
+                                                      level_basis_gl3):
+    """`descent_values` agrees with `descent_check` at every point of the
+    GL_2(Q_2) level basis x `gamma_grid(2, 2)` through both Borels, and of
+    the GL_3(Q_2) level basis x `gamma_grid(2, 3)` through P(2,1) and its
+    opposite; the identity holds at each, the mutated normalization fails
+    somewhere, and a restriction to another Levi is refused in any side."""
+    p21 = BlockParabolic(3, (2, 1), "upper")
+    caught = False
+    for basis, parab in ((level_basis_gl2, borel2), (level_basis_gl3, p21)):
+        grid = gamma_grid(2, parab.n)
+        for h in basis:
+            sides = [(q, res_normalized(h, q)) for q in (parab, parab.opposite())]
+            for mutate in (False, True):
+                on_g, per_side = descent_values(h, grid, sides, mutate)
+                for (q, rm), values in zip(sides, per_side):
+                    assert len(values) == len(on_g) == len(grid)
+                    for gamma, lhs, (factor, value) in zip(grid, on_g, values):
+                        ok, want_lhs, want_rhs = descent_check(h, gamma, q, rm, mutate)
+                        assert (lhs, factor * value) == (want_lhs, want_rhs), gamma.entries
+                        assert ok == (lhs == factor * value) and (ok or mutate)
+                        caught |= not ok
+    assert caught
+    unit3 = unit_measure(Ambient.general_linear(3), ctx2)
+    good = res_normalized(unit3, p21)
+    borel_res = res_normalized(unit3, BlockParabolic(3, (1, 1, 1), "upper"))
+    gamma = [RegularElement((1, 3, 5))]
+    (lhs,), per_side = descent_values(unit3, gamma, [(p21, good), (p21.opposite(), good)])
+    assert [lhs == factor * value for ((factor, value),) in per_side] == [True, True]
+    for sides in ([(p21, borel_res), (p21, good)], [(p21, good), (p21, borel_res)]):
+        with pytest.raises(DomainError, match="Levi"):
+            descent_values(unit3, gamma, sides)
 
 
 def test_unflagged_measures_are_refused(ctx2, borel2, unit_gl2):
