@@ -326,12 +326,16 @@ def jordan_type(u: FFMatrix):
     reaches 0.  Once rank(N^k) = rank(N^(k+1)), N maps the image of N^k
     onto itself, so a rank that stops falling above 0 means N is not
     nilpotent.  Every unipotent has trace n, so u is refused at once when
-    its trace is not n modulo q; that decides most non-unipotent u, and
-    for most of the others the first rank does.
+    its trace is not n modulo q; that decides most non-unipotent u.  A
+    nilpotent N is singular, so u is refused next when det(N) is nonzero
+    over F_q, read as the integer determinant of N's reduced entries
+    modulo q; that decides most of the others before any rank is taken.
     """
     if u.trace() != u.n % u.q:
         raise DomainError("matrix is not unipotent")
     nil = u.minus_identity()
+    if det_int(nil.rows) % u.q:
+        raise DomainError("matrix is not unipotent")
     conj = []
     rank, power = u.n, nil
     while rank:

@@ -8,9 +8,12 @@ closures of GL_n are governed by the dominance order on partitions.
 Output carries that bridge explicitly, and every number is the result of a
 finite enumeration, never of a formula taken on faith.
 
-The sweep is tallied class by class: each G(F_q) conjugacy class met by
-C * U is enumerated once, and its size is counted under the Jordan type of
-one representative, since the Jordan type is constant on a class.  Closures
+The sweep starts from rep * U alone, for rep the block Jordan
+representative of C: M normalizes U, so C * U is the union of the M
+conjugates of rep * U and meets the same G(F_q) conjugacy classes.  It is
+tallied class by class: each G(F_q) conjugacy class met by rep * U is
+enumerated once, and its size is counted under the Jordan type of one
+representative, since the Jordan type is constant on a class.  Closures
 conjugate by the generators only, not by their inverses (see
 `conjugation_closure`); the K_0 conjugation orbits of level cosets that
 `measures.ad_orbits` builds are closures of the same kind.
@@ -18,10 +21,10 @@ conjugate by the generators only, not by their inverses (see
 Over F_q the closures run on flat row-major entry tuples, not on
 `FFMatrix` objects: each generator g of `matrices.gln_generators` (one
 transvection, one permutation matrix and the unit scalings) becomes a
-`conjugation_map`, built once per call of `build_class` or `induced_set`
-from g and g^-1.  It reads every entry of g x g^-1 that is a single entry
-of x by one index map and computes only the others: the permutation is a
-pure index map, the transvection recomputes 2n - 1 of the n^2 entries and
+`conjugation_map`, built once per call of `induced_set` from g and
+g^-1.  It reads every entry of g x g^-1 that is a single entry of x by
+one index map and computes only the others: the permutation is a pure
+index map, the transvection recomputes 2n - 1 of the n^2 entries and
 a scaling 2n - 2.  Matrices are rebuilt only where a closure hands its
 elements on.
 """
@@ -40,7 +43,6 @@ from cocenter.exactnum import (
 from cocenter.groups import BlockParabolic, jordan_type
 from cocenter.matrices import (
     FFMatrix,
-    block_gln_generators,
     enumerate_gln_fq,
     gln_fq_order,
     gln_generators,
@@ -99,11 +101,6 @@ def gl_generators(n: int, q: int):
     """The `gln_generators` of GL_n(F_q) as FFMatrices: e_12(1), the
     n-cycle's permutation matrix and scalings by generators of F_q^*."""
     return [FFMatrix(rows, q) for rows in gln_generators(n, q)]
-
-
-def levi_generators(parab: BlockParabolic, q: int):
-    """Generators of M(F_q) = product of block general linear groups."""
-    return [FFMatrix(rows, q) for rows in block_gln_generators(parab.blocks, q)]
 
 
 def product_map(left, right, modulus: int):
@@ -179,27 +176,6 @@ def conjugation_closure(seeds, maps, guard=DEFAULT_GROUP_ORDER_GUARD):
     return seen
 
 
-def build_class(parab: BlockParabolic, block_partitions, q: int,
-                guard=DEFAULT_GROUP_ORDER_GUARD):
-    """The M(F_q) conjugacy class of the block Jordan representative."""
-    if len(block_partitions) != len(parab.blocks):
-        raise DomainError("one partition per Levi block")
-    for size, partition in zip(parab.blocks, block_partitions):
-        if sum(partition) != size:
-            raise DomainError(f"partition {partition} does not fit block of size {size}")
-    order = 1
-    for size in parab.blocks:
-        order *= gln_fq_order(size, q)
-    if order > guard:
-        raise ResourceGuardError(f"|M(F_{q})| = {order} exceeds guard {guard}")
-    parts = [part for partition in block_partitions for part in partition]
-    rep = jordan_block_matrix(parts, q)
-    maps = [conjugation_map(g) for g in levi_generators(parab, q)]
-    n = parab.n
-    return {FFMatrix([x[i:i + n] for i in range(0, n * n, n)], q)
-            for x in conjugation_closure([rep.entries()], maps, guard)}
-
-
 def radical_elements(parab: BlockParabolic, q: int):
     """All of U(F_q): free entries on the radical positions."""
     n = parab.n
@@ -241,27 +217,35 @@ def induced_set(parab: BlockParabolic, block_partitions, q: int,
                 guard=DEFAULT_GROUP_ORDER_GUARD) -> InducedSet:
     """Exhaustive union of G conjugates of C * U, tallied by Jordan type.
 
-    Swept one G conjugacy class at a time: each element of C * U that no
+    Only rep * U is swept, for rep the block Jordan representative of C.
+    For m in M, m rep m^-1 U = m (rep U) m^-1, since M normalizes U;
+    so G (C U) = G (rep U), with the same classes and the same total.
+
+    Swept one G conjugacy class at a time: each element of rep * U that no
     earlier class contains seeds a closure, which counts in full under the
     Jordan type of its seed.  The guard on |GL_n(F_q)| bounds the sweep.
     """
     if gln_fq_order(parab.n, q) > guard:
         raise ResourceGuardError("|GL_n(F_q)| exceeds guard")
-    levi_class = build_class(parab, block_partitions, q, guard)
-    radical = radical_elements(parab, q)
+    if len(block_partitions) != len(parab.blocks):
+        raise DomainError("one partition per Levi block")
+    for size, partition in zip(parab.blocks, block_partitions):
+        if sum(partition) != size:
+            raise DomainError(f"partition {partition} does not fit block of size {size}")
+    parts = [part for partition in block_partitions for part in partition]
+    rep = jordan_block_matrix(parts, q)
     maps = [conjugation_map(g) for g in gl_generators(parab.n, q)]
     swept = set()
     histogram = {}
-    for c in levi_class:
-        for urad in radical:
-            seed = c * urad
-            entries = seed.entries()
-            if entries in swept:
-                continue
-            orbit = conjugation_closure([entries], maps, guard)
-            lam = jordan_type(seed)
-            histogram[lam] = histogram.get(lam, 0) + len(orbit)
-            swept |= orbit
+    for urad in radical_elements(parab, q):
+        seed = rep * urad
+        entries = seed.entries()
+        if entries in swept:
+            continue
+        orbit = conjugation_closure([entries], maps, guard)
+        lam = jordan_type(seed)
+        histogram[lam] = histogram.get(lam, 0) + len(orbit)
+        swept |= orbit
     classes = tuple(sorted(histogram.items()))
     return InducedSet(
         parab.n,

@@ -15,10 +15,11 @@ from the full adjoint matrix on its positions instead of that test and
 that exponent, minors instead
 of Gauss-Jordan ranks, the transversal sum instead of its one-step
 collapse, the full action matrix of the induced module instead of the trace
-measure, a Jordan type per swept element instead of one per conjugacy
-class, conjugation by all of K_0 / K_level instead of a closure under
-generators, QMat conjugates canonicalized one by one instead of integer
-labels moved by tables of Hermite splits, a box of Hermite matrices
+measure, a Jordan type per swept element of all of C * U instead of
+one per conjugacy class met by rep * U, conjugation by all of
+K_0 / K_level instead of a closure under generators, QMat conjugates
+canonicalized one by one instead of integer labels moved by tables of
+Hermite splits, a box of Hermite matrices
 filtered by Smith exponents instead of the K_0 orbit of the diagonal,
 block-by-block canonicalization on M instead of one split of the whole
 matrix, Fraction splits and QMat inverses instead of integer residues in
@@ -48,20 +49,23 @@ from cocenter.exactnum import (
     DEFAULT_GROUP_ORDER_GUARD,
     DomainError,
     LevelError,
+    ResourceGuardError,
     RootP,
     padic_norm_halfpower,
     padic_valuation,
 )
-from cocenter.groups import SubgroupSpec, discriminant_delta, modulus_lambda
+from cocenter.groups import BlockParabolic, SubgroupSpec, discriminant_delta, modulus_lambda
 from cocenter.matrices import (
     FFMatrix,
     PrimeContext,
     QMat,
+    block_gln_generators,
     congruence_equiv,
     coset_canonical_rep,
     enumerate_transversal_K0_mod_Km,
     gln_zp_membership,
     glnzm_order,
+    gln_fq_order,
     integer_form,
     lift_mod,
     mat_mod,
@@ -83,9 +87,9 @@ from cocenter.measures import (
 from cocenter.orbital import orbital_single_coset_gl2
 from cocenter.unipotent import (
     conjugation_closure,
+    conjugation_map,
     gl_generators,
     jordan_block_matrix,
-    levi_generators,
     radical_elements,
 )
 
@@ -770,6 +774,32 @@ def jordan_type_all_powers(u):
         if size:
             parts.append(size)
     return tuple(sorted(parts, reverse=True))
+
+
+def levi_generators(parab: BlockParabolic, q: int):
+    """Generators of M(F_q) = product of block general linear groups."""
+    return [FFMatrix(rows, q) for rows in block_gln_generators(parab.blocks, q)]
+
+
+def build_class(parab: BlockParabolic, block_partitions, q: int,
+                guard=DEFAULT_GROUP_ORDER_GUARD):
+    """The M(F_q) conjugacy class of the block Jordan representative."""
+    if len(block_partitions) != len(parab.blocks):
+        raise DomainError("one partition per Levi block")
+    for size, partition in zip(parab.blocks, block_partitions):
+        if sum(partition) != size:
+            raise DomainError(f"partition {partition} does not fit block of size {size}")
+    order = 1
+    for size in parab.blocks:
+        order *= gln_fq_order(size, q)
+    if order > guard:
+        raise ResourceGuardError(f"|M(F_{q})| = {order} exceeds guard {guard}")
+    parts = [part for partition in block_partitions for part in partition]
+    rep = jordan_block_matrix(parts, q)
+    maps = [conjugation_map(g) for g in levi_generators(parab, q)]
+    n = parab.n
+    return {FFMatrix([x[i:i + n] for i in range(0, n * n, n)], q)
+            for x in conjugation_closure([rep.entries()], maps, guard)}
 
 
 def closure_both_ways(seeds, gens):

@@ -19,7 +19,7 @@ from cocenter.groups import (
     modulus_lambda,
 )
 from cocenter.matrices import (
-    FFMatrix, PrimeContext, QMat, charpoly, enumerate_gln_fq, gln_zp_membership,
+    FFMatrix, PrimeContext, QMat, charpoly, det_int, enumerate_gln_fq, gln_zp_membership,
 )
 from cocenter.measures import Ambient, HeckeMeasure, ad_pullback, unit_measure
 
@@ -363,6 +363,45 @@ def test_jordan_type_examples():
     assert jordan_type(FFMatrix([[0, 1], [1, 0]], 2)) == (2,)
     with pytest.raises(DomainError):
         jordan_type(FFMatrix([[0, 1], [1, 0]], 3))
+
+
+def test_jordan_type_refusal_stages(monkeypatch):
+    """Over F_5 each refusal of jordan_type has an example refused at its
+    own stage: diag(1,1,2) by its trace, diag(3,4) (trace 2,
+    det(u - 1) = 6 = 1) by the determinant before any rank, and
+    diag(1,3,4) (trace 3, det(u - 1) = 0, u - 1 not nilpotent) by the
+    rank sequence.  A conjugate of the Jordan form of each type of
+    GL_3(F_5) passes all three; for the regular one det(u - 1) is a
+    nonzero integer that vanishes only modulo 5."""
+    calls = []
+    rank = FFMatrix.rank
+
+    def counting_det(a):
+        calls.append("det")
+        return det_int(a)
+
+    def counting_rank(m):
+        calls.append("rank")
+        return rank(m)
+
+    monkeypatch.setattr("cocenter.groups.det_int", counting_det)
+    monkeypatch.setattr(FFMatrix, "rank", counting_rank)
+    for diagonal, stages in (((1, 1, 2), []),
+                             ((3, 4), ["det"]),
+                             ((1, 3, 4), ["det", "rank", "rank"])):
+        calls.clear()
+        n = len(diagonal)
+        with pytest.raises(DomainError):
+            jordan_type(FFMatrix([[x * (i == j) for j in range(n)]
+                                  for i, x in enumerate(diagonal)], 5))
+        assert calls == stages, diagonal
+    g = FFMatrix([[1, 2, 0], [0, 1, 3], [1, 0, 1]], 5)
+    for superdiagonal, lam in (((0, 0), (1, 1, 1)), ((1, 0), (2, 1)), ((1, 1), (3,))):
+        jordan = FFMatrix([[int(i == j) + (superdiagonal[i] if j == i + 1 else 0)
+                            for j in range(3)] for i in range(3)], 5)
+        u = g * jordan * g.inverse()
+        assert jordan_type(u) == lam, lam
+    assert det_int(u.minus_identity().rows) != 0
 
 
 def test_jordan_type_constant_on_conjugacy_orbits():

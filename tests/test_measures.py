@@ -39,7 +39,6 @@ from cocenter.measures import (
 )
 from cocenter.oracles import constant_term_oracle_gl2
 from cocenter.orbital import RegularElement, orbital_integral
-from cocenter.unipotent import levi_generators
 
 from tests.oracles import (
     ad_orbits_by_all_conjugators,
@@ -50,6 +49,7 @@ from tests.oracles import (
     gl2_level_basis,
     hermite_forms_by_smith_filter,
     k0_quotient_generators,
+    levi_generators,
     matrix_items,
     meets_parabolic_oracle_integral,
     normalize_by_modulus_lambda,

@@ -7,7 +7,6 @@ from cocenter.groups import BlockParabolic, compositions, jordan_type
 from cocenter.matrices import FFMatrix, enumerate_gln_fq
 from cocenter.unipotent import (
     InducedSet,
-    build_class,
     check_heart_independence,
     conjugate_partition,
     conjugation_closure,
@@ -18,12 +17,16 @@ from cocenter.unipotent import (
     heart,
     induced_set,
     jordan_block_matrix,
-    levi_generators,
     partitions_of,
     radical_elements,
     richardson_prediction,
 )
-from tests.oracles import induced_classes_by_element, jordan_type_all_powers
+from tests.oracles import (
+    build_class,
+    induced_classes_by_element,
+    jordan_type_all_powers,
+    levi_generators,
+)
 
 # (n, q) of the groups GL_n(F_q) checked against the element-by-element oracles
 ORACLE_CASES = ((2, 2), (2, 3), (2, 5), (3, 2))
@@ -175,11 +178,24 @@ def test_resource_guard():
         induced_set(BlockParabolic(3, (2, 1), "upper"), [(1, 1), (1,)], 5, guard=10)
 
 
+def test_induced_set_refuses_misfit_partitions():
+    """One partition per Levi block, each of its block's size: a list of
+    another length, or a partition of another size, is refused even where
+    the parts still add up to n."""
+    parab = BlockParabolic(3, (2, 1), "upper")
+    for combo in ([(2, 1)], [(1, 1), (1,), (1,)]):
+        with pytest.raises(DomainError, match="one partition per Levi block"):
+            induced_set(parab, combo, 2)
+    with pytest.raises(DomainError, match=r"partition \(1,\) does not fit block of size 2"):
+        induced_set(parab, [(1,), (2,)], 2)
+
+
 def test_induced_set_matches_element_sweep_oracle():
-    """Class-by-class tallies equal a Jordan type taken per swept element,
-    with closures that also conjugate by inverses, on every Levi class of
-    every parabolic, both orientations."""
-    for n, q in ORACLE_CASES:
+    """Class-by-class tallies of the rep * U sweep equal a Jordan type
+    taken per swept element of all of C * U, with closures that also
+    conjugate by inverses, on every Levi class of every parabolic, both
+    orientations, also on GL_3(F_3)."""
+    for n, q in ORACLE_CASES + ((3, 3),):
         for blocks in compositions(n):
             for combo in itertools.product(*(list(partitions_of(b)) for b in blocks)):
                 for orientation in ("upper", "lower"):
