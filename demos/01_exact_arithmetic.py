@@ -11,11 +11,11 @@ from cocenter.exactnum import RootP, padic_norm_halfpower, padic_valuation
 from cocenter.matrices import (
     PrimeContext,
     QMat,
-    congruence_equiv,
     coset_canonical_rep,
-    enumerate_transversal_K0_mod_Km,
+    enumerate_glnzm,
     hermite_padic,
 )
+from cocenter.measures import Ambient, canonical_rep
 
 # --- valuations ------------------------------------------------------------
 
@@ -45,10 +45,11 @@ print("g = H * k with k integral of unit determinant:", H * k == g)
 ctx = PrimeContext(2, 2)
 rep = coset_canonical_rep(g, ctx)
 level_elt = QMat([[5, 4], [8, 13]])  # congruent to 1 mod 4
-assert congruence_equiv(level_elt, QMat.identity(2), ctx)
+gl2 = Ambient.general_linear(2)
+assert canonical_rep(gl2, level_elt, ctx) == canonical_rep(gl2, QMat.identity(2), ctx)
 print("canonical rep stable under the level subgroup:",
       coset_canonical_rep(g * level_elt, ctx) == rep)
 
 # the finite quotient K_0 / K_m is enumerated exactly
-print("\n|GL_2(Z/2)| =", len(enumerate_transversal_K0_mod_Km(2, PrimeContext(2, 1))))
-print("|GL_2(Z/4)| =", len(enumerate_transversal_K0_mod_Km(2, PrimeContext(2, 2))))
+print("\n|GL_2(Z/2)| =", len(enumerate_glnzm(2, PrimeContext(2, 1))))
+print("|GL_2(Z/4)| =", len(enumerate_glnzm(2, PrimeContext(2, 2))))

@@ -11,7 +11,6 @@ from fractions import Fraction
 from cocenter.groups import (
     BlockParabolic,
     SubgroupSpec,
-    chevalley_map,
     discriminant_delta,
     discriminant_square_identity,
     iwasawa_decompose,
@@ -25,7 +24,8 @@ torus = SubgroupSpec.torus(2)
 g = QMat.diagonal([2, 1])
 print("Delta_{T,G}(diag(2,1)) =", discriminant_delta(torus, g))
 print("lambda_B(diag(3,5))    =", modulus_lambda(borel, QMat.diagonal([3, 5])))
-print("chevalley(diag(2,1))   =", chevalley_map(g))
+# on GL_2 the Chevalley coordinates (e_1, e_2) are the trace and determinant
+print("chevalley(diag(2,1))   =", f"ChevalleyPoint({g.trace()!r}, {g.det()!r})")
 
 # the square identity, on a random sample in a rank-three Levi
 parab = BlockParabolic(3, (2, 1), "upper")

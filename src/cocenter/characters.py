@@ -101,9 +101,11 @@ class InducedModel:
 
     `located` maps every residue r of GL_n(Z/p^m) (every key of the
     transversal's lookup) to (l, q2): l = lookup[r] and q2 = r g_l^-1 mod
-    p^m as tuple rows.  Each q2 is checked to lie in P mod p^m when the
-    model is built, once per residue, so a lookup that names a double
-    coset missing r is refused here and no split reads an unchecked entry.
+    p^m as tuple rows.  So P g_l K_m is the double coset of every k in K_0
+    with k = r mod p^m, and k lies in q2 g_l K_m.  Each q2 is checked to
+    lie in P mod p^m when the model is built, once per residue, so a
+    lookup that names a double coset missing r is refused here and no
+    split reads an unchecked entry.
     """
 
     def __init__(self, parab: BlockParabolic, ctx: PrimeContext, transversal=None,
@@ -133,26 +135,18 @@ class InducedModel:
     def dim(self) -> int:
         return len(self.transversal)
 
-    def locate_residue(self, kbar):
-        """(l, q2) for kbar in GL_n(Z/p^m), tuple rows: P g_l K_m is the
-        double coset of every k in K_0 with k = kbar mod p^m, and q2 =
-        kbar g_l^-1 mod p^m, lifted to integers, lies in P mod p^m, so that
-        k lies in q2 g_l K_m.  A read of `located`, whose entries were all
-        checked when the model was built."""
-        return self.located[kbar]
-
     def locate_with_parabolic_part(self, a, d: int):
         """Write y = A / d as (q q2) g_l kappa with q q2 in P(Q), kappa level trivial.
 
         Returns (l, Q(A), q2, p^e), all on integers, with q q2 =
         Q(A) q2 / p^e: for d = p^e d', d' prime to p, one split
         A = Q(A) k(A) by `iwasawa_mod` gives q = Q(A) / p^e and
-        k = k(A) / d', and `locate_residue` of k mod p^m = k(A) d'^-1 mod
-        p^m gives l and q2.  The product Q(A) q2 is left to the caller,
+        k = k(A) / d', and the `located` entry of k mod p^m = k(A) d'^-1
+        mod p^m gives l and q2.  The product Q(A) q2 is left to the caller,
         which forms it only for the terms it keeps.
         """
         h, kbar, pe = iwasawa_mod(a, d, self.parab, self.ctx)
-        idx, q2 = self.locate_residue(kbar)
+        idx, q2 = self.located[kbar]
         return idx, h, q2, pe
 
 

@@ -5,8 +5,8 @@ Reports are lists of flat string-valued rows, so the JSON and CSV writers
 carry identical data, and exact arithmetic plus sorted serialization makes
 identical configs produce byte-identical reports.
 
-Exit codes: 0 all rows pass, 1 a check failed, 2 configuration error,
-3 resource guard tripped.
+Exit codes: 0 all rows pass, 1 a check failed, 2 configuration or output
+error, 3 resource guard tripped.
 """
 
 from __future__ import annotations
@@ -438,8 +438,12 @@ def main(argv=None) -> int:
 
     report = render_json(rows) if args.format == "json" else render_csv(rows)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(report)
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(report)
     return 0 if all(r["pass"] == "true" for r in rows) else 1

@@ -3,6 +3,9 @@
 All p-adic numbers handled by this package are rational, so valuations and
 norms are exact integer computations.  Normalized quantities (half powers of
 the p-adic norm) live in Q(sqrt p), represented as `RootP` pairs.
+`json_field` reads one typed field of a loaded JSON payload for the readers
+at the trust boundary, `measures.measure_from_jsonable` and
+`saturation.CurveWitness.from_jsonable`.
 """
 
 from __future__ import annotations
@@ -231,3 +234,15 @@ def p_power_norm_halfpower(v: int, p: int, k: int) -> RootP:
     if e % 2 == 0:
         return RootP._wrap(Fraction(p) ** (e // 2), Fraction(0), p)
     return RootP._wrap(Fraction(0), Fraction(p) ** ((e - 1) // 2), p)
+
+
+def json_field(obj, key: str, kind=object):
+    """obj[key] from a loaded payload, refused with DomainError when obj is
+    not an object, the key is missing or the value is not of the given kind
+    (an int that is not a bool, for kind=int)."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise DomainError(f"payload {obj!r} has no field {key!r}")
+    value = obj[key]
+    if not (type(value) is int if kind is int else isinstance(value, kind)):
+        raise DomainError(f"field {key!r} is {value!r}, not of type {kind.__name__}")
+    return value

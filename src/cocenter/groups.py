@@ -25,7 +25,7 @@ from operator import mul
 
 from cocenter.exactnum import DomainError, int_valuation
 from cocenter.matrices import (
-    FFMatrix, PrimeContext, QMat, charpoly, det_int, hermite_int, integer_form, rational_split,
+    FFMatrix, PrimeContext, QMat, det_int, hermite_int, integer_form, rational_split,
 )
 
 
@@ -114,12 +114,6 @@ class BlockParabolic:
     def levi_contains(self, g: QMat) -> bool:
         return self.vanishes(g.rows, "G/M")
 
-    def levi_project(self, g: QMat) -> QMat:
-        """Projection P -> M killing the unipotent radical (diagonal blocks)."""
-        bi = self.block_index
-        return QMat([[x if bi[i] == bi[j] else 0 for j, x in enumerate(row)]
-                     for i, row in enumerate(g.rows)])
-
     def levi_product(self, a, b):
         """Integer rows of the Levi projection of the product of integer
         rows a and b: only its block diagonal entries are formed."""
@@ -127,9 +121,6 @@ class BlockParabolic:
         return tuple([tuple([sum(map(mul, row, col)) if bi[i] == bi[j] else 0
                              for j, col in enumerate(cols)])
                       for i, row in enumerate(a)])
-
-    def levi_blocks(self, g: QMat):
-        return [QMat([row[lo:hi] for row in g.rows[lo:hi]]) for lo, hi in self.block_ranges]
 
 
 @dataclass(frozen=True)
@@ -233,11 +224,6 @@ def modulus_lambda(parab: BlockParabolic, g: QMat) -> Fraction:
                     prod(dets[b] ** len(blocks[a]) for a, b in pairs))
 
 
-def is_regular(spec: SubgroupSpec, g: QMat) -> bool:
-    """Relative regularity of g in H: the discriminant does not vanish."""
-    return discriminant_delta(spec, g) != 0
-
-
 def discriminant_square_identity(parab: BlockParabolic, m: QMat) -> bool:
     """Delta_P^2 = (-1)^dim(U) * Delta_M * lambda_P on Levi elements.
 
@@ -250,35 +236,6 @@ def discriminant_square_identity(parab: BlockParabolic, m: QMat) -> bool:
     lam = modulus_lambda(parab, m)
     sign = -1 if len(parab.positions("U")) % 2 else 1
     return d_p * d_p == sign * d_m * lam
-
-
-class ChevalleyPoint:
-    """Conjugation-invariant coordinates: elementary symmetric functions of
-    the eigenvalues, i.e. sums of principal minors of the matrix."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, ChevalleyPoint) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"ChevalleyPoint{self.coeffs}"
-
-
-def chevalley_map(g: QMat) -> ChevalleyPoint:
-    """Characteristic-polynomial coordinates (e_1, ..., e_n) of g: for
-    g = A / d, e_k = (-1)^k c_(n-k) / d^k with det(x - A) = sum c_i x^i."""
-    a, d = integer_form(g.rows)
-    chi = charpoly(a)
-    if chi[-1] == 0:
-        raise DomainError("singular matrix")
-    return ChevalleyPoint(Fraction((-1) ** k * c, d**k) for k, c in enumerate(chi[1:], 1))
 
 
 def iwasawa_int(a, parab: BlockParabolic, p: int):

@@ -231,25 +231,6 @@ def gauss_jordan(rows, ncols: int, inverse, reduce) -> int:
     return rank
 
 
-def charpoly(a):
-    """Coefficients [1, c_(n-1), ..., c_0] of det(x - a), highest first.
-
-    Berkowitz's division-free recursion: bordering the leading k x k block
-    M by column c, row r and corner e multiplies the polynomial by the lower
-    triangular Toeplitz matrix with first column (1, -e, -rc, -rMc, ...).
-    """
-    poly = [1]
-    for k in range(len(a)):
-        lead = [row[:k] for row in a[:k]]
-        r, v = a[k][:k], [row[k] for row in a[:k]]
-        col = [1, -a[k][k]]
-        for _ in range(k):
-            col.append(-sum(map(mul, r, v)))
-            v = [sum(map(mul, row, v)) for row in lead]
-        poly = [sum(col[i - j] * poly[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
-    return poly
-
-
 def gln_zp_membership(g: QMat, p: int) -> bool:
     """Membership in K_0 = GL_n(Z_p): integral entries, unit determinant."""
     det = g.det()
@@ -258,22 +239,6 @@ def gln_zp_membership(g: QMat, p: int) -> bool:
     if any(padic_valuation(x, p) < 0 for x in g.entries()):
         return False
     return padic_valuation(det, p) == 0
-
-
-def in_level_subgroup(g: QMat, ctx: PrimeContext) -> bool:
-    """g in K_m, i.e. every entry of g - 1 has valuation >= m."""
-    n = g.n
-    for i in range(n):
-        for j in range(n):
-            x = g[i, j] - (1 if i == j else 0)
-            if x != 0 and padic_valuation(x, ctx.p) < ctx.m:
-                return False
-    return True
-
-
-def congruence_equiv(x: QMat, y: QMat, ctx: PrimeContext) -> bool:
-    """Same left K_m coset: x^-1 y in K_m."""
-    return in_level_subgroup(x.inverse() * y, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -504,13 +469,6 @@ def gln_fq_order(n: int, q: int) -> int:
     for i in range(n):
         order *= q**n - q**i
     return order
-
-
-def enumerate_transversal_K0_mod_Km(
-    n: int, ctx: PrimeContext, guard: int = DEFAULT_GROUP_ORDER_GUARD
-):
-    """Exact transversal of K_0 / K_m, one integral QMat per coset."""
-    return [lift_mod(rows, n) for rows in enumerate_glnzm(n, ctx, guard)]
 
 
 class FFMatrix:

@@ -41,6 +41,7 @@ from cocenter.exactnum import (
     LevelError,
     RootP,
     int_valuation,
+    json_field,
     p_power_norm_halfpower,
 )
 from cocenter.groups import BlockParabolic, iwasawa_decompose, iwasawa_int, iwasawa_mod
@@ -581,18 +582,6 @@ def measure_to_jsonable(h: HeckeMeasure) -> dict:
     }
 
 
-def _json_field(obj, key: str, kind=object):
-    """obj[key] from a loaded payload, refused with DomainError when obj is
-    not an object, the key is missing or the value is not of the given kind
-    (an int that is not a bool, for kind=int)."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise DomainError(f"payload {obj!r} has no field {key!r}")
-    value = obj[key]
-    if not (type(value) is int if kind is int else isinstance(value, kind)):
-        raise DomainError(f"field {key!r} is {value!r}, not of type {kind.__name__}")
-    return value
-
-
 def measure_from_jsonable(data: dict) -> HeckeMeasure:
     """Inverse of `measure_to_jsonable`, checked at the trust boundary: every
     field must be present with its JSON type (n, p, m and each block an
@@ -601,12 +590,12 @@ def measure_from_jsonable(data: dict) -> HeckeMeasure:
     string that parses, no level coset may be named twice, and the
     biinvariant flag must be a bool, and when true `is_ad_invariant` must
     confirm it."""
-    amb = _json_field(data, "ambient", dict)
-    group, n = _json_field(amb, "group"), _json_field(amb, "n", int)
+    amb = json_field(data, "ambient", dict)
+    group, n = json_field(amb, "group"), json_field(amb, "n", int)
     if group == "G":
         ambient = Ambient.general_linear(n)
     elif group == "M":
-        blocks = tuple(_json_field(amb, "blocks", list))
+        blocks = tuple(json_field(amb, "blocks", list))
         if any(type(b) is not int for b in blocks):
             raise DomainError(f"field 'blocks' is {list(blocks)!r}, not a list of ints")
         ambient = Ambient(BlockParabolic(n, blocks))
@@ -617,11 +606,11 @@ def measure_from_jsonable(data: dict) -> HeckeMeasure:
     biinvariant = data.get("biinvariant", False)
     if not isinstance(biinvariant, bool):
         raise DomainError(f"biinvariant flag {biinvariant!r} is not a bool")
-    level = _json_field(data, "level", dict)
-    ctx = PrimeContext(_json_field(level, "p", int), _json_field(level, "m", int))
+    level = json_field(data, "level", dict)
+    ctx = PrimeContext(json_field(level, "p", int), json_field(level, "m", int))
     support = {}
-    for row in _json_field(data, "support", list):
-        raw, coeff = _json_field(row, "rep", list), _json_field(row, "coeff")
+    for row in json_field(data, "support", list):
+        raw, coeff = json_field(row, "rep", list), json_field(row, "coeff")
         if any(type(x) is not str for x in raw):
             raise DomainError(f"field 'rep' is {raw!r}, not a list of strings")
         if len(raw) != n * n:

@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from cocenter.exactnum import DomainError, ResourceGuardError
+from cocenter.exactnum import DomainError, ResourceGuardError, json_field
 
 #: curves tried by one witness search, and rounds of the fixpoint iteration
 SEARCH_CAP = 400000
@@ -339,7 +339,22 @@ class CurveWitness:
 
     @classmethod
     def from_jsonable(cls, data):
-        return cls(data["components"], data["puncture"], data["excluded"])
+        """Inverse of `to_jsonable`, checked at the trust boundary: the
+        components must be a list of lists of strings, the puncture a string
+        and the excluded points a list of strings, each string parsing as a
+        rational; anything else is refused with DomainError."""
+        components = json_field(data, "components", list)
+        puncture = json_field(data, "puncture", str)
+        excluded = json_field(data, "excluded", list)
+        if not all(isinstance(comp, list) and all(isinstance(c, str) for c in comp)
+                   for comp in components):
+            raise DomainError(f"field 'components' is {components!r}, not lists of strings")
+        if not all(isinstance(x, str) for x in excluded):
+            raise DomainError(f"field 'excluded' is {excluded!r}, not a list of strings")
+        try:
+            return cls(components, puncture, excluded)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"witness {data!r} does not parse: {exc}") from None
 
 
 def _composed_atoms(curve, target: ConstructibleSet):

@@ -39,11 +39,17 @@ generators of the compact subgroup, and a determinant filter over all
 matrices mod p^m instead of rows chosen outside the span of the rows
 above them.  Oracles read a measure's labels as the QMats of
 `label_matrix` (`matrix_items`).
+
+The module also holds the QMat helpers that only the tests use: the
+characteristic polynomial and Chevalley coordinates of a matrix, the level
+subgroup test and a QMat transversal of K_0 / K_m, relative regularity,
+and the Levi projection and diagonal blocks of an element of P.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
+from operator import mul
 
 from cocenter.exactnum import (
     DEFAULT_GROUP_ORDER_GUARD,
@@ -60,9 +66,8 @@ from cocenter.matrices import (
     PrimeContext,
     QMat,
     block_gln_generators,
-    congruence_equiv,
     coset_canonical_rep,
-    enumerate_transversal_K0_mod_Km,
+    enumerate_glnzm,
     gln_zp_membership,
     glnzm_order,
     gln_fq_order,
@@ -92,6 +97,93 @@ from cocenter.unipotent import (
     jordan_block_matrix,
     radical_elements,
 )
+
+
+def charpoly(a):
+    """Coefficients [1, c_(n-1), ..., c_0] of det(x - a), highest first.
+
+    Berkowitz's division-free recursion: bordering the leading k x k block
+    M by column c, row r and corner e multiplies the polynomial by the lower
+    triangular Toeplitz matrix with first column (1, -e, -rc, -rMc, ...).
+    """
+    poly = [1]
+    for k in range(len(a)):
+        lead = [row[:k] for row in a[:k]]
+        r, v = a[k][:k], [row[k] for row in a[:k]]
+        col = [1, -a[k][k]]
+        for _ in range(k):
+            col.append(-sum(map(mul, r, v)))
+            v = [sum(map(mul, row, v)) for row in lead]
+        poly = [sum(col[i - j] * poly[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+    return poly
+
+
+def in_level_subgroup(g: QMat, ctx: PrimeContext) -> bool:
+    """g in K_m, i.e. every entry of g - 1 has valuation >= m."""
+    n = g.n
+    for i in range(n):
+        for j in range(n):
+            x = g[i, j] - (1 if i == j else 0)
+            if x != 0 and padic_valuation(x, ctx.p) < ctx.m:
+                return False
+    return True
+
+
+def congruence_equiv(x: QMat, y: QMat, ctx: PrimeContext) -> bool:
+    """Same left K_m coset: x^-1 y in K_m."""
+    return in_level_subgroup(x.inverse() * y, ctx)
+
+
+def enumerate_transversal_K0_mod_Km(
+    n: int, ctx: PrimeContext, guard: int = DEFAULT_GROUP_ORDER_GUARD
+):
+    """Exact transversal of K_0 / K_m, one integral QMat per coset."""
+    return [lift_mod(rows, n) for rows in enumerate_glnzm(n, ctx, guard)]
+
+
+class ChevalleyPoint:
+    """Conjugation-invariant coordinates: elementary symmetric functions of
+    the eigenvalues, i.e. sums of principal minors of the matrix."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+
+    def __eq__(self, other):
+        return isinstance(other, ChevalleyPoint) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"ChevalleyPoint{self.coeffs}"
+
+
+def chevalley_map(g: QMat) -> ChevalleyPoint:
+    """Characteristic-polynomial coordinates (e_1, ..., e_n) of g: for
+    g = A / d, e_k = (-1)^k c_(n-k) / d^k with det(x - A) = sum c_i x^i."""
+    a, d = integer_form(g.rows)
+    chi = charpoly(a)
+    if chi[-1] == 0:
+        raise DomainError("singular matrix")
+    return ChevalleyPoint(Fraction((-1) ** k * c, d**k) for k, c in enumerate(chi[1:], 1))
+
+
+def is_regular(spec: SubgroupSpec, g: QMat) -> bool:
+    """Relative regularity of g in H: the discriminant does not vanish."""
+    return discriminant_delta(spec, g) != 0
+
+
+def levi_project(parab: BlockParabolic, g: QMat) -> QMat:
+    """Projection P -> M killing the unipotent radical (diagonal blocks)."""
+    bi = parab.block_index
+    return QMat([[x if bi[i] == bi[j] else 0 for j, x in enumerate(row)]
+                 for i, row in enumerate(g.rows)])
+
+
+def levi_blocks(parab: BlockParabolic, g: QMat):
+    return [QMat([row[lo:hi] for row in g.rows[lo:hi]]) for lo, hi in parab.block_ranges]
 
 
 def gl2_level_basis(ctx):
@@ -250,7 +342,7 @@ def canonical_rep_by_blocks(ambient, g: QMat, ctx):
     parab = ambient.parab
     if not parab.levi_contains(g):
         raise DomainError("element not in the Levi")
-    blocks = [coset_canonical_rep(b, ctx) for b in parab.levi_blocks(g)]
+    blocks = [coset_canonical_rep(b, ctx) for b in levi_blocks(parab, g)]
     return assemble_from_blocks(blocks, parab)
 
 
@@ -427,8 +519,6 @@ def full_ad_det(g: QMat, positions):
 def meets_parabolic_oracle_integral(rep: QMat, parab, ctx):
     """Exhaustive decision for an integral coset: scan every block
     triangular matrix mod p^m for a match."""
-    from cocenter.matrices import enumerate_glnzm, lift_mod, mat_mod
-
     n = rep.n
     target = mat_mod(rep, ctx.modulus, ctx.p)
     for rows in enumerate_glnzm(n, ctx):
@@ -581,7 +671,7 @@ def orbital_by_quotient_sum(h, gamma, guard=DEFAULT_GROUP_ORDER_GUARD):
     total = RootP.rational(0, p)
     for rep, c in matrix_items(h):
         total = total + c * prod(orbital_single_coset_gl2(block, sub, h.ctx, guard)
-                                 for block, sub in zip(parab.levi_blocks(rep), subs))
+                                 for block, sub in zip(levi_blocks(parab, rep), subs))
     return total * padic_norm_halfpower(delta, p, 2)
 
 
@@ -639,7 +729,7 @@ def restriction_over_transversal(h, parab, reps):
         for rep, c in matrix_items(ad_pullback_by_qmat(h, g)):
             found = coset_meets_parabolic(rep, parab, h.ctx)
             if found is not None:
-                pairs.append((parab.levi_project(found), c))
+                pairs.append((levi_project(parab, found), c))
     return HeckeMeasure.from_pairs(Ambient.levi(parab), h.ctx, pairs)
 
 
@@ -652,7 +742,7 @@ def restriction_by_qmat_split(h, parab):
     for rep, c in matrix_items(h):
         found = coset_meets_parabolic(rep, parab, h.ctx)
         if found is not None:
-            pairs.append((parab.levi_project(found), c))
+            pairs.append((levi_project(parab, found), c))
     levi = HeckeMeasure.from_pairs(Ambient.levi(parab), h.ctx, pairs, True)
     return levi.scale(parabolic_double_coset_count(parab, h.ctx, h.ambient))
 
@@ -662,7 +752,7 @@ def character_by_block_determinants(chi, parab, g: QMat, p):
     over the determinants d_i of the diagonal blocks of g, each taken by
     Fraction elimination."""
     out = Fraction(1)
-    for z, block in zip(chi.params, parab.levi_blocks(g)):
+    for z, block in zip(chi.params, levi_blocks(parab, g)):
         out *= z ** padic_valuation(det_by_fraction_elimination(block.rows), p)
     return out
 
@@ -746,7 +836,7 @@ def trace_measure_by_qmat_products(h, model):
         for rep, c in matrix_items(h):
             l, q_part = locate_by_fraction_split(model, g_i * rep)
             if l == i:
-                pairs.append((parab.levi_project(q_part), c))
+                pairs.append((levi_project(parab, q_part), c))
     return HeckeMeasure.from_pairs(Ambient.levi(parab), model.ctx, pairs)
 
 

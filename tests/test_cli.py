@@ -153,6 +153,16 @@ def test_main_exit_codes(tmp_path):
     assert main(["unipotent", "--guard", "5"]) == 3
 
 
+def test_unwritable_out_is_an_output_error(tmp_path, capsys):
+    """A report path that cannot be opened exits 2 with one line on
+    stderr, not a traceback with status 1, and leaves no report."""
+    out = tmp_path / "missing" / "report.json"
+    assert main(["saturate", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_main_mutation_mode_fails(tmp_path):
     out = tmp_path / "mutated.json"
     code = main(

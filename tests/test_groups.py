@@ -7,27 +7,28 @@ import pytest
 from cocenter.exactnum import DomainError
 from cocenter.groups import (
     BlockParabolic,
-    ChevalleyPoint,
     SubgroupSpec,
-    chevalley_map,
     compositions,
     discriminant_delta,
     discriminant_square_identity,
-    is_regular,
     iwasawa_decompose,
     jordan_type,
     modulus_lambda,
 )
 from cocenter.matrices import (
-    FFMatrix, PrimeContext, QMat, charpoly, det_int, enumerate_gln_fq, gln_zp_membership,
+    FFMatrix, PrimeContext, QMat, det_int, enumerate_gln_fq, gln_zp_membership,
 )
 from cocenter.measures import Ambient, HeckeMeasure, ad_pullback, unit_measure
 
 from tests.oracles import (
+    ChevalleyPoint,
     assemble_from_blocks,
+    charpoly,
+    chevalley_map,
     det_by_fraction_elimination,
     full_ad_det,
     full_ad_minus_one_det,
+    is_regular,
 )
 from tests.test_matrices import random_invertible
 

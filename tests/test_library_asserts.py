@@ -9,9 +9,11 @@ memo may outlive a call either, so module-level caches are refused.  A
 label becomes a QMat only for JSON and the unflagged orbital path, and
 the measures do not take the modulus twist through `modulus_lambda`.  One
 function, `matrices.det_int`, runs Bareiss elimination.  The CLI names
-none of the pieces of an identity that a library checker computes.  And
-no library name that the traced benchmark wraps or its workloads call may
-disappear or change its call shape unnoticed.
+none of the pieces of an identity that a library checker computes.  No
+library name that the traced benchmark wraps or its workloads call may
+disappear or change its call shape unnoticed.  And every library function
+or class has a caller in the library, is pinned by the benchmark, or is
+listed with its reason.
 """
 
 import ast
@@ -346,14 +348,21 @@ def test_cli_runs_the_library_checkers(tmp_path):
     assert _names(sample) & CHECKER_PIECES == {"trace_measure", "descent_factor", "res_unnormalized"}
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def test_traced_benchmark_names_resolve():
     """Every (module, attribute) that `perfbench/tracer.py` wraps exists in
     the library, so deleting or renaming one fails here and not only in the
     traced benchmark run."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _tracer()
     missing = []
     for prefix, module_name, attr, _, _ in tracer.TARGETS:
         owner = importlib.import_module(module_name)
@@ -394,8 +403,7 @@ def test_benchmark_calls_bind_to_library_signatures():
     `cocenter` resolves, and its positional and keyword arguments bind to
     the callee's signature, so a renamed function, a dropped parameter or a
     changed arity fails here and not only in the benchmark run."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    tree = ast.parse(path.read_text())
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
     names = _library_bindings(tree)
     checked, broken = 0, []
     for node in ast.walk(tree):
@@ -417,3 +425,85 @@ def test_benchmark_calls_bind_to_library_signatures():
             broken.append(f"{where}: {exc}")
         checked += 1
     assert checked and not broken, f"benchmark calls that no longer fit: {broken}"
+
+
+# library names with no caller in the library, each with its reason; a
+# listed name that gains a caller or is gone fails, so the list only shrinks
+UNCALLED_BY_DESIGN = {
+    "groups.discriminant_square_identity": "the checker of criterion 1",
+    "orbital.joint_kernel_dimension": "the checker of criterion 8b",
+    "measures.measure_from_jsonable": "the reader of measures at the trust boundary",
+    "unipotent.richardson_prediction": "to be replaced in place by the part-wise sum",
+}
+
+
+def _benchmark_names():
+    """(module, name) of each top-level library name the benchmark pins:
+    the owner of every attribute `perfbench/tracer.py` wraps, every name
+    `perfbench/workloads.py` imports from a library module, and every
+    attribute it reads off a library module it imports."""
+    pinned = {(module.rpartition(".")[2], attr.split(".")[0])
+              for _, module, attr, _, _ in _tracer().TARGETS if module.startswith("cocenter.")}
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    modules = {}
+    for local, (label, owner) in _library_bindings(tree).items():
+        parts = label.split(".")
+        if inspect.ismodule(owner):
+            modules[local] = parts[1]
+        else:
+            pinned.add((parts[1], parts[2]))
+    pinned |= {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in modules}
+    return pinned
+
+
+def _uncalled_definitions(paths, pinned):
+    """module.name of each top-level function or class in paths that no
+    module among them refers to, by name or attribute or, in `__init__`, by
+    re-export, outside the body of its own definition, and that is not in
+    pinned.  Names are matched across modules, so a reference to one
+    module's name also counts for a namesake in another."""
+    defined, referred = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        own = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path.stem, node.name))
+                own.update((id(sub), node.name) for sub in ast.walk(node))
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) and path.stem == "__init__"
+                    else None)
+            if name is not None and own.get(id(node)) != name:
+                referred.add(name)
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if name not in referred and (module, name) not in pinned)
+
+
+def test_every_library_function_has_a_library_caller(tmp_path):
+    """A library function or class that only tests or demos reach belongs
+    in `tests/oracles.py`: each one is referred to by another part of the
+    library (an `__init__` re-export and `cli.SUITES` count), is pinned by
+    the benchmark, or is listed in UNCALLED_BY_DESIGN.  The scan itself is
+    checked on a sample package."""
+    pinned = _benchmark_names()
+    found = _uncalled_definitions(sorted(Path(cocenter.__file__).parent.glob("*.py")), pinned)
+    unlisted = sorted(set(found) - set(UNCALLED_BY_DESIGN))
+    assert not unlisted, f"library names that only tests, demos or nothing reach: {unlisted}"
+    stale = sorted(set(UNCALLED_BY_DESIGN) - set(found))
+    assert not stale, f"shrink UNCALLED_BY_DESIGN: {stale} now have a caller or are gone"
+    (tmp_path / "__init__.py").write_text("from pkg.a import exported\n")
+    (tmp_path / "a.py").write_text(
+        "def exported():\n    return 1\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+        "class Node:\n    def copy(self):\n        return Node()\n"
+        "def helper():\n    return 2\ndef pinned():\n    return 3\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from pkg import a\nSUITES = {'one': a.helper}\ndef _spare():\n    pass\n")
+    sample = sorted(tmp_path.glob("*.py"))
+    assert _uncalled_definitions(sample, {("a", "pinned")}) == [
+        "a.Node", "a.recursive", "b._spare"]

@@ -13,25 +13,25 @@ from cocenter.matrices import (
     PrimeContext,
     QMat,
     block_gln_generators,
-    congruence_equiv,
     coset_canonical_rep,
     det_int,
     enumerate_gln_fq,
     enumerate_glnzm,
-    enumerate_transversal_K0_mod_Km,
     gln_fq_order,
     gln_generators,
     glnzm_order,
     gln_zp_membership,
     hermite_padic,
-    in_level_subgroup,
 )
 from cocenter.measures import double_coset_measure
 
 from tests.oracles import (
+    congruence_equiv,
     det_by_fraction_elimination,
     enumerate_glnzm_by_determinant,
+    enumerate_transversal_K0_mod_Km,
     hermite_by_fraction_column_ops,
+    in_level_subgroup,
     rank_by_minors,
 )
 

@@ -8,7 +8,6 @@ from cocenter.exactnum import DomainError, ResourceGuardError, RootP, padic_norm
 from cocenter.groups import (
     BlockParabolic,
     SubgroupSpec,
-    chevalley_map,
     compositions,
     discriminant_delta,
 )
@@ -37,6 +36,7 @@ from cocenter.orbital import (
 from tests.oracles import (
     _ball_volume_gl2,
     _inverse_gl2,
+    chevalley_map,
     gl2_level_basis,
     grid_scan_orbital_gl2,
     matrix_items,

@@ -125,6 +125,23 @@ def test_witness_serialization_round_trip():
     assert CurveWitness.from_jsonable(w.to_jsonable()) == w
 
 
+def test_witness_from_jsonable_refuses_malformed_payloads():
+    """A string of digits is not a list of coordinates, JSON floats are not
+    exact, and a missing object, field or puncture is a DomainError, not a
+    KeyError or TypeError; a payload with no excluded points round-trips."""
+    w = CurveWitness(((Fraction(-3, 4), 2), (0,)), Fraction(-5, 2))
+    assert CurveWitness.from_jsonable(w.to_jsonable()) == w
+    for payload in (
+        {"components": "12", "puncture": "0", "excluded": []},
+        {"components": [[1.5]], "puncture": "0", "excluded": []},
+        {},
+        [{"components": [["1"]], "puncture": "0", "excluded": []}],
+        {"components": [["1"]], "puncture": None, "excluded": []},
+    ):
+        with pytest.raises(DomainError):
+            CurveWitness.from_jsonable(payload)
+
+
 def test_product_rule():
     x = var(1, 0)
     punctured = ConstructibleSet.inequation(x)
