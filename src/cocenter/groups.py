@@ -25,7 +25,8 @@ from operator import mul
 
 from cocenter.exactnum import DomainError, int_valuation
 from cocenter.matrices import (
-    FFMatrix, PrimeContext, QMat, det_int, hermite_int, integer_form, rational_split,
+    FFMatrix, PrimeContext, QMat, det_int, gauss_jordan, hermite_int, integer_form,
+    rational_split,
 )
 
 
@@ -287,22 +288,30 @@ def jordan_type(u: FFMatrix):
     nilpotent N is singular, so u is refused next when det(N) is nonzero
     over F_q, read as the integer determinant of N's reduced entries
     modulo q; that decides most of the others before any rank is taken.
+
+    Everything runs on integer rows of residues modulo q, read from u once:
+    each rank is `matrices.gauss_jordan` over F_q on a shallow copy of the
+    power's rows, and each next power is one integer product reduced
+    modulo q, with no `FFMatrix` built.
     """
-    if u.trace() != u.n % u.q:
+    rows, q = u.rows, u.q
+    n = len(rows)
+    if sum(row[i] for i, row in enumerate(rows)) % q != n % q:
         raise DomainError("matrix is not unipotent")
-    nil = u.minus_identity()
-    if det_int(nil.rows) % u.q:
+    nil = [[(x - (i == j)) % q for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    if det_int(nil) % q:
         raise DomainError("matrix is not unipotent")
+    cols = tuple(zip(*nil))
     conj = []
-    rank, power = u.n, nil
+    rank, power = n, nil
     while rank:
-        drop = rank - power.rank()
+        drop = rank - gauss_jordan(list(power), n, lambda x: pow(x, -1, q), q.__rmod__)
         if drop == 0:
             raise DomainError("matrix is not unipotent")
         conj.append(drop)
         rank -= drop
         if rank:
-            power = power * nil
+            power = [[sum(map(mul, row, col)) % q for col in cols] for row in power]
     # conjugate back to the block-size partition
     parts = []
     for k in range(1, (conj[0] if conj else 0) + 1):

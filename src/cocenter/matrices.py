@@ -213,7 +213,10 @@ def gauss_jordan(rows, ncols: int, inverse, reduce) -> int:
     echelon form, pivoting only in the first ncols columns; returns the rank.
 
     `inverse` inverts a nonzero entry and `reduce` maps every computed entry
-    to its canonical form, in which zero is the only falsy value.
+    to its canonical form, in which zero is the only falsy value.  Only the
+    outer list changes: each row is replaced by a new list, never mutated,
+    so rows that the caller keeps, lists or tuples, may be passed in a
+    shallow copy of the outer list.
     """
     rank = 0
     for c in range(ncols):
@@ -471,15 +474,26 @@ def gln_fq_order(n: int, q: int) -> int:
     return order
 
 
+def _integer_entry(x) -> int:
+    """x as an int: an int, or a Fraction whose denominator is 1.  Anything
+    else is refused, not truncated: 1/2 is 2 in F_3, not int(1/2) = 0."""
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    if not isinstance(x, int):
+        raise DomainError(f"entry {x!r} is not an integer")
+    return x
+
+
 class FFMatrix:
-    """Immutable n x n matrix over F_q, q prime."""
+    """Immutable n x n matrix over F_q, q prime, built from integer
+    entries (see `_integer_entry`)."""
 
     __slots__ = ("n", "q", "rows")
 
     def __init__(self, rows, q: int):
         if not is_prime(q):
             raise DomainError(f"{q} is not prime")
-        rows = tuple(tuple(int(x) % q for x in row) for row in rows)
+        rows = tuple(tuple(_integer_entry(x) % q for x in row) for row in rows)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise DomainError("matrix must be square")
@@ -532,20 +546,6 @@ class FFMatrix:
             ),
             q,
         )
-
-    def minus_identity(self) -> "FFMatrix":
-        """self - 1, with no identity matrix built."""
-        q = self.q
-        return FFMatrix._reduced(
-            tuple(
-                [tuple([(x - (i == j)) % q for j, x in enumerate(row)])
-                 for i, row in enumerate(self.rows)]
-            ),
-            q,
-        )
-
-    def trace(self) -> int:
-        return sum(row[i] for i, row in enumerate(self.rows)) % self.q
 
     def entries(self):
         """The entries in row-major order, as one flat tuple."""

@@ -13,26 +13,29 @@ representative of C: M normalizes U, so C * U is the union of the M
 conjugates of rep * U and meets the same G(F_q) conjugacy classes.  It is
 tallied class by class: each G(F_q) conjugacy class met by rep * U is
 enumerated once, and its size is counted under the Jordan type of one
-representative, since the Jordan type is constant on a class.  Closures
-conjugate by the generators only, not by their inverses (see
+representative, since the Jordan type is constant on a class.  The closed
+classes are kept in a `ClassTable`, which one heart check shares between
+its upper and its lower sweep, so each class is closed once per check.
+Closures conjugate by the generators only, not by their inverses (see
 `conjugation_closure`); the K_0 conjugation orbits of level cosets that
 `measures.ad_orbits` builds are closures of the same kind.
 
 Over F_q the closures run on flat row-major entry tuples, not on
 `FFMatrix` objects: each generator g of `matrices.gln_generators` (one
 transvection, one permutation matrix and the unit scalings) becomes a
-`conjugation_map`, built once per call of `induced_set` from g and
-g^-1.  It reads every entry of g x g^-1 that is a single entry of x by
-one index map and computes only the others: the permutation is a pure
-index map, the transvection recomputes 2n - 1 of the n^2 entries and
-a scaling 2n - 2.  Matrices are rebuilt only where a closure hands its
-elements on.
+`conjugation_map`, built once per heart check (once per `ClassTable`)
+from g and g^-1.  It reads every entry of g x g^-1 that is a single
+entry of x by one index map and computes only the others: the
+permutation is a pure index map, the transvection recomputes 2n - 1 of
+the n^2 entries and a scaling 2n - 2.  Matrices are rebuilt only where a
+closure hands its elements on.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from cocenter.exactnum import (
@@ -213,17 +216,58 @@ class InducedSet:
         return tuple(partition for partition, _ in self.classes)
 
 
+class ClassTable:
+    """The G(F_q) conjugacy classes of GL_n(F_q) closed so far, each an
+    orbit set of flat entry tuples with the Jordan type of the element that
+    seeded it, and the generator `conjugation_map`s that close them.
+
+    G(F_q) conjugacy classes are disjoint and do not depend on the sweep
+    that meets them, so a class closed by one sweep is the class that any
+    other sweep of the same GL_n(F_q) would close from any of its members.
+    A table lives for one call of `induced_set` or of
+    `check_heart_independence`; it is never kept across calls.
+    """
+
+    def __init__(self, n: int, q: int):
+        self.n, self.q = n, q
+        self.closed = []  # [(orbit, partition), ...]
+
+    @cached_property
+    def maps(self):
+        """Built at the first closure, so that a table costs nothing until
+        a sweep has passed the checks of `induced_set`."""
+        return [conjugation_map(g) for g in gl_generators(self.n, self.q)]
+
+    def index_of(self, seed: FFMatrix, guard=DEFAULT_GROUP_ORDER_GUARD) -> int:
+        """Index in `closed` of the class of seed; a seed that no closed
+        class contains is closed, under the guard, and appended."""
+        entries = seed.entries()
+        for k, (orbit, _) in enumerate(self.closed):
+            if entries in orbit:
+                return k
+        orbit = conjugation_closure([entries], self.maps, guard)
+        self.closed.append((orbit, jordan_type(seed)))
+        return len(self.closed) - 1
+
+
 def induced_set(parab: BlockParabolic, block_partitions, q: int,
-                guard=DEFAULT_GROUP_ORDER_GUARD) -> InducedSet:
+                guard=DEFAULT_GROUP_ORDER_GUARD, *, classes=None) -> InducedSet:
     """Exhaustive union of G conjugates of C * U, tallied by Jordan type.
 
     Only rep * U is swept, for rep the block Jordan representative of C.
     For m in M, m rep m^-1 U = m (rep U) m^-1, since M normalizes U;
     so G (C U) = G (rep U), with the same classes and the same total.
 
-    Swept one G conjugacy class at a time: each element of rep * U that no
-    earlier class contains seeds a closure, which counts in full under the
-    Jordan type of its seed.  The guard on |GL_n(F_q)| bounds the sweep.
+    Swept one G conjugacy class at a time: each element of rep * U finds
+    its class in the `ClassTable` `classes` (a fresh one by default), and
+    only an element that no closed class contains seeds a closure.  Each
+    class the sweep meets counts once, in full, under the Jordan type of
+    its seed, and `total` is the sum of their sizes: classes in the table
+    that this sweep does not meet count nothing, so a table shared with
+    other sweeps of the same GL_n(F_q) changes no number.  A table lives
+    for one call: the default one for this sweep, the one that
+    `check_heart_independence` passes for its two sweeps.  The guard on
+    |GL_n(F_q)| bounds the sweep.
     """
     if gln_fq_order(parab.n, q) > guard:
         raise ResourceGuardError("|GL_n(F_q)| exceeds guard")
@@ -232,29 +276,26 @@ def induced_set(parab: BlockParabolic, block_partitions, q: int,
     for size, partition in zip(parab.blocks, block_partitions):
         if sum(partition) != size:
             raise DomainError(f"partition {partition} does not fit block of size {size}")
+    if classes is None:
+        classes = ClassTable(parab.n, q)
+    elif (classes.n, classes.q) != (parab.n, q):
+        raise DomainError(f"a class table of GL_{classes.n}(F_{classes.q}) "
+                          f"cannot serve GL_{parab.n}(F_{q})")
     parts = [part for partition in block_partitions for part in partition]
     rep = jordan_block_matrix(parts, q)
-    maps = [conjugation_map(g) for g in gl_generators(parab.n, q)]
-    swept = set()
+    met = {classes.index_of(rep * urad, guard) for urad in radical_elements(parab, q)}
     histogram = {}
-    for urad in radical_elements(parab, q):
-        seed = rep * urad
-        entries = seed.entries()
-        if entries in swept:
-            continue
-        orbit = conjugation_closure([entries], maps, guard)
-        lam = jordan_type(seed)
+    for k in met:
+        orbit, lam = classes.closed[k]
         histogram[lam] = histogram.get(lam, 0) + len(orbit)
-        swept |= orbit
-    classes = tuple(sorted(histogram.items()))
     return InducedSet(
         parab.n,
         q,
         parab.blocks,
         tuple(tuple(partition) for partition in block_partitions),
         parab.orientation,
-        classes,
-        len(swept),
+        tuple(sorted(histogram.items())),
+        sum(histogram.values()),
     )
 
 
@@ -274,11 +315,19 @@ def check_heart_independence(n: int, blocks, block_partitions, q: int,
                              guard=DEFAULT_GROUP_ORDER_GUARD):
     """Upper and lower inductions from the same Levi class compared whole.
 
+    Both sweeps share one `ClassTable`, built for this call and dropped
+    with it: they sweep the same GL_n(F_q), whose conjugacy classes do not
+    depend on the parabolic, so a class met by both is closed once, and
+    each sweep still counts only the classes it meets.
+
     Returns (ok, upper_set, lower_set); ok demands the full class histogram
     and the heart to coincide.
     """
-    upper = induced_set(BlockParabolic(n, blocks, "upper"), block_partitions, q, guard)
-    lower = induced_set(BlockParabolic(n, blocks, "lower"), block_partitions, q, guard)
+    classes = ClassTable(n, q)
+    upper = induced_set(BlockParabolic(n, blocks, "upper"), block_partitions, q, guard,
+                        classes=classes)
+    lower = induced_set(BlockParabolic(n, blocks, "lower"), block_partitions, q, guard,
+                        classes=classes)
     ok = (
         upper.classes == lower.classes
         and upper.total == lower.total

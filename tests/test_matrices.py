@@ -380,6 +380,17 @@ def test_ffmatrix_rank_and_inverse():
     assert g * g.inverse() == FFMatrix.identity(2, 5)
 
 
+def test_ffmatrix_refuses_non_integer_entries():
+    """Entries are integers: a Fraction of denominator 1 is read as its
+    numerator, and 1/2 or 1.5 is refused rather than truncated to 0 or 1
+    (1/2 is 2 in F_3, which no truncation gives)."""
+    assert FFMatrix([[Fraction(4, 2), 0], [0, 1]], 3) == FFMatrix([[2, 0], [0, 1]], 3)
+    assert FFMatrix([[Fraction(-7), 0], [0, 1]], 3).rows == ((2, 0), (0, 1))
+    for bad in (Fraction(1, 2), 1.5):
+        with pytest.raises(DomainError, match="is not an integer"):
+            FFMatrix([[bad, 0], [0, 1]], 3)
+
+
 def _random_rows_of_every_rank(n, rng, entry):
     """Square rows of each rank 0..n as a product of n x k and k x n
     factors, then with a zero first column and with rows shuffled, so that

@@ -6,6 +6,7 @@ from cocenter.exactnum import DomainError, ResourceGuardError
 from cocenter.groups import BlockParabolic, compositions, jordan_type
 from cocenter.matrices import FFMatrix, enumerate_gln_fq
 from cocenter.unipotent import (
+    ClassTable,
     InducedSet,
     check_heart_independence,
     conjugate_partition,
@@ -163,6 +164,55 @@ def test_heart_independence_all_cases_small():
             for combo in itertools.product(*options):
                 ok, upper, lower = check_heart_independence(n, blocks, combo, q)
                 assert ok
+
+
+def _levi_classes(n):
+    """(blocks, combo) for every class of every Levi of GL_n."""
+    for blocks in compositions(n):
+        for combo in itertools.product(*(list(partitions_of(b)) for b in blocks)):
+            yield blocks, combo
+
+
+def test_shared_class_table_changes_nothing():
+    """Sharing a `ClassTable` changes no number, on every Levi class of
+    every parabolic: the heart check's two sweeps equal `induced_set`
+    called alone, and a sweep given a table that a sweep of another Levi
+    class of the same GL_n(F_q) filled first returns the same InducedSet,
+    so classes in the table that a sweep does not meet count nothing.  A
+    table of another GL_n(F_q) is refused."""
+    for n, q in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        cases = [(BlockParabolic(n, blocks, orientation), combo)
+                 for blocks, combo in _levi_classes(n) for orientation in ("upper", "lower")]
+        alone = {case: induced_set(*case, q) for case in cases}
+        for blocks, combo in _levi_classes(n):
+            _, upper, lower = check_heart_independence(n, blocks, combo, q)
+            assert upper == alone[(BlockParabolic(n, blocks, "upper"), combo)], (n, q, blocks, combo)
+            assert lower == alone[(BlockParabolic(n, blocks, "lower"), combo)], (n, q, blocks, combo)
+        for target in cases:
+            for other in cases:
+                if (other[0].blocks, other[1]) == (target[0].blocks, target[1]):
+                    continue
+                table = ClassTable(n, q)
+                induced_set(*other, q, classes=table)
+                assert induced_set(*target, q, classes=table) == alone[target], (n, q, other, target)
+    with pytest.raises(DomainError, match="cannot serve"):
+        induced_set(BlockParabolic(2, (1, 1)), [(1,), (1,)], 3, classes=ClassTable(2, 2))
+
+
+def test_heart_check_closes_each_class_once(monkeypatch):
+    """One heart check closes each G(F_q) class it meets once, not once per
+    orientation: on GL_3(F_3), Borel, trivial Levi classes, both sweeps
+    meet all three unipotent classes, and three closures run."""
+    closures = []
+
+    def counting_closure(*args, **kwargs):
+        closures.append(args[0])
+        return conjugation_closure(*args, **kwargs)
+
+    monkeypatch.setattr("cocenter.unipotent.conjugation_closure", counting_closure)
+    ok, upper, lower = check_heart_independence(3, (1, 1, 1), ((1,), (1,), (1,)), 3)
+    assert ok and upper.partitions_present() == ((1, 1, 1), (2, 1), (3,))
+    assert len(closures) == 3
 
 
 def test_different_levis_can_differ():
