@@ -27,11 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from cocenter.exactnum import DEFAULT_GROUP_ORDER_GUARD, DomainError, RootP
 from cocenter.groups import BlockParabolic, iwasawa_int, iwasawa_mod
-from cocenter.matrices import PrimeContext, integer_form, mat_mod
+from cocenter.matrices import PrimeContext, integer_form, mat_mod, mat_mul
 from cocenter.measures import HeckeMeasure, ParabolicTransversal, block_valuations, levi_measure
 from cocenter.measures import normalize_on_levi, require_levi, res_unnormalized
 
@@ -124,8 +123,7 @@ class InducedModel:
                         for g in transversal.reps]
         located = {}
         for r, idx in transversal.lookup.items():
-            q2 = tuple([tuple([sum(map(mul, row, col)) % modulus for col in inverse_cols[idx]])
-                        for row in r])
+            q2 = mat_mul(r, inverse_cols[idx], modulus)
             if not parab.vanishes(q2, "G/P"):
                 raise DomainError("transversal lookup names a double coset that k misses")
             located[r] = (idx, q2)
@@ -186,11 +184,9 @@ def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:
     kept = {}
     for i, g_i in enumerate(model.rep_rows):
         for hx, labels in parts.items():
-            q, k = iwasawa_int([[sum(map(mul, row, col)) for col in zip(*hx)] for row in g_i],
-                               parab, ctx.p)
+            q, k = iwasawa_int(mat_mul(g_i, tuple(zip(*hx))), parab, ctx.p)
             for cols, pe, c in labels:
-                l, q2 = located[tuple([
-                    tuple([sum(map(mul, row, col)) % modulus for col in cols]) for row in k])]
+                l, q2 = located[mat_mul(k, cols, modulus)]
                 if l == i:
                     key = (parab.levi_product(q, q2), pe)
                     kept[key] = kept[key] + c if key in kept else c

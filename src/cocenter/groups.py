@@ -25,7 +25,7 @@ from operator import mul
 
 from cocenter.exactnum import DomainError, int_valuation
 from cocenter.matrices import (
-    FFMatrix, PrimeContext, QMat, det_int, gauss_jordan, hermite_int, integer_form,
+    FFMatrix, PrimeContext, QMat, det_int, gauss_jordan, hermite_int, integer_form, mat_mul,
     rational_split,
 )
 
@@ -276,6 +276,13 @@ def iwasawa_decompose(g: QMat, parab: BlockParabolic, p: int):
     return rational_split(*iwasawa_int(a, parab, p), d, p)
 
 
+def conjugate_partition(lam):
+    """The transposed partition of a partition lam with descending parts."""
+    if not lam:
+        return ()
+    return tuple(sum(1 for part in lam if part > k) for k in range(lam[0]))
+
+
 def jordan_type(u: FFMatrix):
     """Partition of n listing the Jordan block sizes of a unipotent u.
 
@@ -291,7 +298,7 @@ def jordan_type(u: FFMatrix):
 
     Everything runs on integer rows of residues modulo q, read from u once:
     each rank is `matrices.gauss_jordan` over F_q on a shallow copy of the
-    power's rows, and each next power is one integer product reduced
+    power's rows, and each next power is one `matrices.mat_mul` reduced
     modulo q, with no `FFMatrix` built.
     """
     rows, q = u.rows, u.q
@@ -311,14 +318,9 @@ def jordan_type(u: FFMatrix):
         conj.append(drop)
         rank -= drop
         if rank:
-            power = [[sum(map(mul, row, col)) % q for col in cols] for row in power]
-    # conjugate back to the block-size partition
-    parts = []
-    for k in range(1, (conj[0] if conj else 0) + 1):
-        size = sum(1 for c in conj if c >= k)
-        if size:
-            parts.append(size)
-    return tuple(sorted(parts, reverse=True))
+            power = mat_mul(power, cols, q)
+    # the drops do not increase, so they form the conjugate partition
+    return conjugate_partition(conj)
 
 
 def compositions(n: int):

@@ -4,7 +4,13 @@
 invertible ones.  Rational matrices stand in for p-adic ones: every element
 this package constructs is rational, and p-adic valuations are exact on Q.
 Products run on integer forms, (A / d)(B / e) = AB / (de), with one
-Fraction built per entry.
+Fraction built per entry.  One integer product kernel, `mat_mul`, forms
+every product of integer rows, over Z or modulo p^m: QMat and FFMatrix
+products, labels, transversal residues, induced-trace residues and the
+powers in `groups.jordan_type`.  `product_map` precomputes x -> L x R on
+flat entry tuples, and `conjugation_closure` closes a set under such
+maps; both `measures` (K_0 orbits of labels) and `unipotent` (G(F_q)
+classes) use them.
 
 Two elimination kernels serve every field: `det_int` takes determinants by
 Bareiss's fraction-free elimination on integer forms, each step forming
@@ -34,7 +40,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from cocenter.exactnum import (
     DEFAULT_GROUP_ORDER_GUARD,
@@ -114,16 +120,12 @@ class QMat:
         return self.rows[i][j]
 
     def __mul__(self, other: "QMat") -> "QMat":
-        # (A / d)(B / e) = AB / (de): integer dot products, one Fraction per entry
+        # (A / d)(B / e) = AB / (de): one integer product, one Fraction per entry
         if self.n != other.n:
             raise DomainError("size mismatch")
         a, d = integer_form(self.rows)
         b, e = integer_form(other.rows)
-        de = d * e
-        cols = tuple(zip(*b))
-        return QMat._wrap(
-            tuple([tuple([Fraction(sum(map(mul, row, col)), de) for col in cols]) for row in a])
-        )
+        return QMat.over(mat_mul(a, tuple(zip(*b))), d * e)
 
     def _entrywise(self, op, other: "QMat") -> "QMat":
         if self.n != other.n:
@@ -167,6 +169,16 @@ class QMat:
 
     def __repr__(self):
         return "QMat(%s)" % (list(list(map(str, r)) for r in self.rows),)
+
+
+def mat_mul(a, cols, modulus: int = 0):
+    """Integer rows of a times the matrix whose integer columns are cols,
+    reduced modulo modulus unless it is 0: the one integer product kernel.
+    It takes columns, not rows, so that a caller that multiplies by one
+    matrix many times transposes it once."""
+    if modulus:
+        return tuple([tuple([sum(map(mul, row, col)) % modulus for col in cols]) for row in a])
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def integer_form(rows):
@@ -343,7 +355,7 @@ def coset_canonical_rep(g: QMat, ctx: PrimeContext) -> QMat:
     h, k = hermite_padic(g, ctx.p)
     if k.min_valuation(ctx.p) < 0:
         raise RuntimeError(f"Hermite cofactor of {g} is not p-integral")
-    return h * lift_mod(mat_mod(k, ctx.modulus, ctx.p), g.n)
+    return h * QMat(mat_mod(k, ctx.modulus, ctx.p))
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +373,6 @@ def mat_mod(g: QMat, modulus: int, p: int):
             r.append((x.numerator * pow(x.denominator, -1, modulus)) % modulus)
         out.append(tuple(r))
     return tuple(out)
-
-
-def lift_mod(rows, n: int) -> QMat:
-    return QMat([[rows[i][j] for j in range(n)] for i in range(n)])
 
 
 def enumerate_glnzm(n: int, ctx: PrimeContext, guard: int = DEFAULT_GROUP_ORDER_GUARD):
@@ -520,32 +528,14 @@ class FFMatrix:
         object.__setattr__(out, "rows", rows)
         return out
 
-    def _check_same_shape(self, other: "FFMatrix") -> None:
+    def __mul__(self, other: "FFMatrix") -> "FFMatrix":
+        # both factors are valid, so the product needs no re-validation
         if self.n != other.n or self.q != other.q:
             raise DomainError(
                 f"{self.n} x {self.n} over F_{self.q} against "
                 f"{other.n} x {other.n} over F_{other.q}"
             )
-
-    def __mul__(self, other: "FFMatrix") -> "FFMatrix":
-        # both factors are valid, so the product needs no re-validation
-        self._check_same_shape(other)
-        q = self.q
-        cols = tuple(zip(*other.rows))
-        return FFMatrix._reduced(
-            tuple([tuple([sum(map(mul, row, col)) % q for col in cols]) for row in self.rows]),
-            q,
-        )
-
-    def __sub__(self, other: "FFMatrix") -> "FFMatrix":
-        self._check_same_shape(other)
-        q = self.q
-        return FFMatrix._reduced(
-            tuple(
-                [tuple([(x - y) % q for x, y in zip(a, b)]) for a, b in zip(self.rows, other.rows)]
-            ),
-            q,
-        )
+        return FFMatrix._reduced(mat_mul(self.rows, tuple(zip(*other.rows)), self.q), self.q)
 
     def entries(self):
         """The entries in row-major order, as one flat tuple."""
@@ -582,3 +572,70 @@ class FFMatrix:
 def enumerate_gln_fq(n: int, q: int, guard: int = DEFAULT_GROUP_ORDER_GUARD):
     """All invertible n x n matrices over F_q, each exactly once; guarded."""
     return [FFMatrix._reduced(rows, q) for rows in enumerate_glnzm(n, PrimeContext(q, 1), guard)]
+
+
+def product_map(left, right, modulus: int):
+    """x -> left x right modulo modulus, on the flat row-major entries of x,
+    for integer rows left and right and entries of x already reduced.
+
+    Entry (a, b) of the product is sum over (c, d) of
+    left[a][c] x[c, d] right[d][b].  Every entry whose linear form is one
+    entry x[c, d] with coefficient 1 is read by a single `itemgetter` over
+    those source indices, so a permutation matrix and its inverse give a
+    pure reindexing; only the other entries are rewritten, each as a sum
+    of its nonzero terms.
+    """
+    n = len(left)
+    sources, sums = [], []
+    for a in range(n):
+        for b in range(n):
+            terms = [(c * n + d, left[a][c] * right[d][b] % modulus)
+                     for c in range(n) for d in range(n)]
+            terms = [(k, coef) for k, coef in terms if coef]
+            if len(terms) == 1 and terms[0][1] == 1:
+                sources.append(terms[0][0])
+            else:
+                sources.append(a * n + b)
+                sums.append((a * n + b, terms))
+    # itemgetter of one index returns the entry, not a tuple: at n = 1
+    # the only index is 0, so read the slice x[:1]
+    read = itemgetter(*sources) if n > 1 else itemgetter(slice(1))
+
+    def apply(x):
+        y = list(read(x))
+        for k, terms in sums:
+            y[k] = sum([x[i] * coef for i, coef in terms]) % modulus
+        return tuple(y)
+
+    return apply
+
+
+def conjugation_closure(seeds, maps, guard=DEFAULT_GROUP_ORDER_GUARD):
+    """Closure of a set of elements under the given conjugation maps (and
+    hence under the group their generators generate).
+
+    Each map sends an element to the representative, kept in the set, of
+    its conjugate by one generator: a `unipotent.conjugation_map` on flat
+    entry tuples over F_q, the integer label (p^e, H, kbar) of a conjugated
+    level coset (`measures.ad_orbits`), or the Hermite form of a
+    conjugated K_0 coset (`measures.hermite_reps_with_divisors`).  Callers
+    build the maps once, before the closure runs, from the few generators
+    of `gln_generators`; each element meets each map once, so the
+    closure costs its size times the number of maps.  Conjugating by the
+    inverses adds nothing: the closure is finite and conjugation by g maps
+    it into itself injectively, hence onto itself, so it is already closed
+    under conjugation by g^-1.  It lives here, not in `unipotent`, which
+    re-imports it, so that `measures` needs nothing of the F_q model.
+    """
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        if len(seen) > guard:
+            raise ResourceGuardError("conjugation closure exceeds guard")
+        cur = frontier.pop()
+        for conjugate in maps:
+            nxt = conjugate(cur)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen

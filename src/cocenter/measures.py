@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from operator import mul
 
 from cocenter.exactnum import (
     DEFAULT_GROUP_ORDER_GUARD,
@@ -49,16 +48,17 @@ from cocenter.matrices import (
     PrimeContext,
     QMat,
     block_gln_generators,
+    conjugation_closure,
     enumerate_glnzm,
     gln_zp_membership,
     gln_generators,
     glnzm_order,
     hermite_int,
     integer_form,
-    lift_mod,
     mat_mod,
+    mat_mul,
+    product_map,
 )
-from cocenter.unipotent import conjugation_closure, product_map
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def canonical_rep(ambient: Ambient, g: QMat, ctx: PrimeContext):
 def label_matrix(label) -> QMat:
     """The canonical QMat H lift(kbar) / p^e of the label (p^e, H, kbar)."""
     pe, h, kbar = label
-    return QMat.over(_product(h, tuple(zip(*kbar))), pe)
+    return QMat.over(mat_mul(h, tuple(zip(*kbar))), pe)
 
 
 def coset_meets_parabolic(rep: QMat, parab: BlockParabolic, ctx: PrimeContext):
@@ -128,7 +128,7 @@ def coset_meets_parabolic(rep: QMat, parab: BlockParabolic, ctx: PrimeContext):
     kbar = mat_mod(k, ctx.modulus, ctx.p)
     if not parab.vanishes(kbar, "G/P"):
         return None
-    return q * lift_mod(kbar, parab.n)
+    return q * QMat(kbar)
 
 
 class HeckeMeasure:
@@ -251,8 +251,7 @@ class ParabolicTransversal:
     def __init__(self, parab: BlockParabolic, ctx: PrimeContext, guard=DEFAULT_GROUP_ORDER_GUARD):
         self.parab = parab
         self.ctx = ctx
-        n = parab.n
-        all_elements = enumerate_glnzm(n, ctx, guard)
+        all_elements = enumerate_glnzm(parab.n, ctx, guard)
         pbar = [rows for rows in all_elements if parab.vanishes(rows, "G/P")]
         modulus = ctx.modulus
         lookup = {}
@@ -261,10 +260,9 @@ class ParabolicTransversal:
             if rows in lookup:
                 continue
             cols = tuple(zip(*rows))
-            orbit = {tuple([tuple([sum(map(mul, row, col)) % modulus for col in cols])
-                            for row in q]) for q in pbar}
+            orbit = {mat_mul(q, cols, modulus) for q in pbar}
             idx = len(reps)
-            reps.append(lift_mod(rows, n))
+            reps.append(QMat(rows))
             for member in orbit:
                 if member in lookup:
                     raise RuntimeError(f"P-orbits {lookup[member]} and {idx} overlap")
@@ -336,10 +334,7 @@ def res_unnormalized(
             q, k = iwasawa_int(hx, parab, ctx.p)
             splits[hx] = q, None if k == one else k
         q, k = splits[hx]
-        moved = kbar
-        if k is not None:
-            cols = tuple(zip(*kbar))
-            moved = [[sum(map(mul, row, col)) % modulus for col in cols] for row in k]
+        moved = kbar if k is None else mat_mul(k, tuple(zip(*kbar)), modulus)
         if parab.vanishes(moved, "G/P"):
             points.append(((parab.levi_product(q, moved), pe), c))
     return levi_measure(parab, ctx, points, True).scale(count)
@@ -448,15 +443,10 @@ def is_ad_invariant(h: HeckeMeasure) -> bool:
     return all(h.support.get(conjugate(x)) == c for conjugate in maps for x, c in h.items())
 
 
-def _product(a, cols):
-    """Integer rows of a times the matrix with the given columns."""
-    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
-
-
 def _hermite_of_product(g, h, p: int):
     """`hermite_int`(g H) for integer rows g and H: the Hermite form H' of
     the coset g H K_0 and the cofactor k with g H = H' k."""
-    h2, k = hermite_int(_product(g, tuple(zip(*h))), p)
+    h2, k = hermite_int(mat_mul(g, tuple(zip(*h))), p)
     return tuple(map(tuple, h2)), k
 
 
@@ -502,7 +492,7 @@ def ad_orbits(labels, ctx: PrimeContext):
             raise RuntimeError(f"conjugation took the coset {key} out of the given cosets")
         seen |= orbit
         # one p^e per orbit, so integer numerators sort as the entries do
-        orbits.append(sorted(orbit, key=lambda x: _product(x[1], tuple(zip(*x[2])))))
+        orbits.append(sorted(orbit, key=lambda x: mat_mul(x[1], tuple(zip(*x[2])))))
     return orbits
 
 

@@ -17,8 +17,11 @@ representative, since the Jordan type is constant on a class.  The closed
 classes are kept in a `ClassTable`, which one heart check shares between
 its upper and its lower sweep, so each class is closed once per check.
 Closures conjugate by the generators only, not by their inverses (see
-`conjugation_closure`); the K_0 conjugation orbits of level cosets that
-`measures.ad_orbits` builds are closures of the same kind.
+`matrices.conjugation_closure`); the K_0 conjugation orbits of level
+cosets that `measures.ad_orbits` builds are closures of the same kind.
+`conjugation_closure` and `product_map` live in `matrices`, and
+`conjugate_partition` in `groups`; this module re-imports them, and
+within the library only `cli` imports this module.
 
 Over F_q the closures run on flat row-major entry tuples, not on
 `FFMatrix` objects: each generator g of `matrices.gln_generators` (one
@@ -36,19 +39,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 
 from cocenter.exactnum import (
     DEFAULT_GROUP_ORDER_GUARD,
     DomainError,
     ResourceGuardError,
 )
-from cocenter.groups import BlockParabolic, jordan_type
+from cocenter.groups import BlockParabolic, conjugate_partition, jordan_type
 from cocenter.matrices import (
     FFMatrix,
+    conjugation_closure,
     enumerate_gln_fq,
     gln_fq_order,
     gln_generators,
+    product_map,
 )
 
 
@@ -65,17 +69,8 @@ def dominates(lam, mu) -> bool:
     return True
 
 
-def conjugate_partition(lam):
-    if not lam:
-        return ()
-    return tuple(sum(1 for part in lam if part > k) for k in range(lam[0]))
-
-
 def partitions_of(n: int):
     """All partitions of n, descending parts."""
-    if n == 0:
-        yield ()
-        return
     def rec(remaining, cap):
         if remaining == 0:
             yield ()
@@ -106,77 +101,11 @@ def gl_generators(n: int, q: int):
     return [FFMatrix(rows, q) for rows in gln_generators(n, q)]
 
 
-def product_map(left, right, modulus: int):
-    """x -> left x right modulo modulus, on the flat row-major entries of x,
-    for integer rows left and right and entries of x already reduced.
-
-    Entry (a, b) of the product is sum over (c, d) of
-    left[a][c] x[c, d] right[d][b].  Every entry whose linear form is one
-    entry x[c, d] with coefficient 1 is read by a single `itemgetter` over
-    those source indices, so a permutation matrix and its inverse give a
-    pure reindexing; only the other entries are rewritten, each as a sum
-    of its nonzero terms.
-    """
-    n = len(left)
-    sources, sums = [], []
-    for a in range(n):
-        for b in range(n):
-            terms = [(c * n + d, left[a][c] * right[d][b] % modulus)
-                     for c in range(n) for d in range(n)]
-            terms = [(k, coef) for k, coef in terms if coef]
-            if len(terms) == 1 and terms[0][1] == 1:
-                sources.append(terms[0][0])
-            else:
-                sources.append(a * n + b)
-                sums.append((a * n + b, terms))
-    # itemgetter of one index returns the entry, not a tuple: at n = 1
-    # the only index is 0, so read the slice x[:1]
-    read = itemgetter(*sources) if n > 1 else itemgetter(slice(1))
-
-    def apply(x):
-        y = list(read(x))
-        for k, terms in sums:
-            y[k] = sum([x[i] * coef for i, coef in terms]) % modulus
-        return tuple(y)
-
-    return apply
-
-
 def conjugation_map(g: FFMatrix):
     """x -> g x g^-1 on the flat row-major entries of x over F_q, as a
     `product_map` built from g and g^-1 alone, with no assumption on their
     shape."""
     return product_map(g.rows, g.inverse().rows, g.q)
-
-
-def conjugation_closure(seeds, maps, guard=DEFAULT_GROUP_ORDER_GUARD):
-    """Closure of a set of elements under the given conjugation maps (and
-    hence under the group their generators generate).
-
-    Each map sends an element to the representative, kept in the set, of
-    its conjugate by one generator: a `conjugation_map` on flat entry
-    tuples over F_q, the integer label (p^e, H, kbar) of a conjugated
-    level coset (`measures.ad_orbits`), or the Hermite form of a
-    conjugated K_0 coset (`measures.hermite_reps_with_divisors`).  Callers
-    build the maps once, before the closure runs, from the few generators
-    of `matrices.gln_generators`; each element meets each map once, so the
-    closure costs its size times the number of maps.  Conjugating by the
-    inverses adds nothing: the closure is finite and conjugation by g maps
-    it into itself injectively, hence onto itself, so it is already closed
-    under conjugation by g^-1.
-    """
-    seen = set(seeds)
-    frontier = list(seen)
-    while frontier:
-        if len(seen) > guard:
-            raise ResourceGuardError("conjugation closure exceeds guard")
-        cur = frontier.pop()
-        for conjugate in maps:
-            nxt = conjugate(cur)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
 
 
 def radical_elements(parab: BlockParabolic, q: int):
@@ -196,9 +125,9 @@ def radical_elements(parab: BlockParabolic, q: int):
 class InducedSet:
     """G(F_q) sweep of C * U: Jordan class histogram plus provenance.
 
-    finite_field_bridge documents the identification used downstream:
-    dominance-maximal Jordan type in place of Zariski density of a class in
-    the closure of the induced set.
+    The finite-field analog used downstream: dominance-maximal Jordan type
+    in place of Zariski density of a class in the closure of the induced
+    set.
     """
 
     n: int
@@ -208,9 +137,6 @@ class InducedSet:
     orientation: str
     classes: tuple  # sorted ((partition, count), ...)
     total: int
-    finite_field_bridge: str = (
-        "finite-field analog: 'dense class' read as dominance-maximal Jordan type"
-    )
 
     def partitions_present(self):
         return tuple(partition for partition, _ in self.classes)

@@ -43,7 +43,8 @@ above them.  Oracles read a measure's labels as the QMats of
 The module also holds the QMat helpers that only the tests use: the
 characteristic polynomial and Chevalley coordinates of a matrix, the level
 subgroup test and a QMat transversal of K_0 / K_m, relative regularity,
-and the Levi projection and diagonal blocks of an element of P.
+and the Levi projection and diagonal blocks of an element of P; and the
+one FFMatrix helper they use, the difference `ff_sub`.
 """
 
 from fractions import Fraction
@@ -72,7 +73,6 @@ from cocenter.matrices import (
     glnzm_order,
     gln_fq_order,
     integer_form,
-    lift_mod,
     mat_mod,
     unit_group_generators,
 )
@@ -138,7 +138,7 @@ def enumerate_transversal_K0_mod_Km(
     n: int, ctx: PrimeContext, guard: int = DEFAULT_GROUP_ORDER_GUARD
 ):
     """Exact transversal of K_0 / K_m, one integral QMat per coset."""
-    return [lift_mod(rows, n) for rows in enumerate_glnzm(n, ctx, guard)]
+    return [QMat(rows) for rows in enumerate_glnzm(n, ctx, guard)]
 
 
 class ChevalleyPoint:
@@ -525,7 +525,7 @@ def meets_parabolic_oracle_integral(rep: QMat, parab, ctx):
         if any(rows[i][j] != 0 for i, j in parab.positions("G/P")):
             continue
         if rows == target:
-            return lift_mod(rows, n)
+            return QMat(rows)
     return None
 
 
@@ -823,7 +823,7 @@ def locate_by_fraction_split(model, y: QMat):
     prod = mat_mod(k * model.transversal.reps[idx].inverse(), ctx.modulus, ctx.p)
     if any(prod[i][j] for i, j in parab.positions("G/P")):
         raise DomainError("transversal lookup names a double coset that k misses")
-    return idx, q * lift_mod(prod, parab.n)
+    return idx, q * QMat(prod)
 
 
 def trace_measure_by_qmat_products(h, model):
@@ -840,12 +840,20 @@ def trace_measure_by_qmat_products(h, model):
     return HeckeMeasure.from_pairs(Ambient.levi(parab), model.ctx, pairs)
 
 
+def ff_sub(a: FFMatrix, b: FFMatrix) -> FFMatrix:
+    """a - b over F_q, entrywise; DomainError unless both are n x n over
+    the same F_q."""
+    if (a.n, a.q) != (b.n, b.q):
+        raise DomainError(f"{a.n} x {a.n} over F_{a.q} against {b.n} x {b.n} over F_{b.q}")
+    return FFMatrix([[x - y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)], a.q)
+
+
 def jordan_type_all_powers(u):
     """Jordan type of a unipotent u from all n powers of u - 1 and their
     n + 1 ranks; raises DomainError when (u - 1)^n is not zero."""
     n = u.n
     one = FFMatrix.identity(n, u.q)
-    nil = u - one
+    nil = ff_sub(u, one)
     powers = [FFMatrix.identity(n, u.q)]
     for _ in range(n):
         powers.append(powers[-1] * nil)

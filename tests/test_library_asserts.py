@@ -8,7 +8,9 @@ former assert is an explicit raise, and a test below trips each one.  No
 memo may outlive a call either, so module-level caches are refused.  A
 label becomes a QMat only for JSON and the unflagged orbital path, and
 the measures do not take the modulus twist through `modulus_lambda`.  One
-function, `matrices.det_int`, runs Bareiss elimination.  The CLI names
+function, `matrices.det_int`, runs Bareiss elimination, and one,
+`matrices.mat_mul`, forms integer products (beside the block diagonal
+`BlockParabolic.levi_product`).  The CLI names
 none of the pieces of an identity that a library checker computes.  No
 library name that the traced benchmark wraps or its workloads call may
 disappear or change its call shape unnoticed.  And every library function
@@ -309,6 +311,57 @@ def test_one_bareiss_kernel(tmp_path):
         "    return [[(piv * x - f * y) // prev for x, y in zip(r, m[0])] for f, *r in m]\n"
     )
     assert _bareiss_updates(sample) == ["matrices.QMat.det", "matrices.eliminate"]
+
+
+PRODUCT_KERNELS = {"matrices.mat_mul", "groups.BlockParabolic.levi_product"}
+
+
+def _row_products(path):
+    """module.scope of each `sum(map(mul, ...))`, an integer row times a
+    column, outside PRODUCT_KERNELS; `operator.mul` counts as `mul`."""
+    found = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, scope + [child.name])
+                continue
+            where = ".".join([path.stem] + scope)
+            if (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "sum"
+                    and child.args and isinstance(child.args[0], ast.Call)
+                    and getattr(child.args[0].func, "id", None) == "map"
+                    and child.args[0].args
+                    and (getattr(child.args[0].args[0], "id", None) == "mul"
+                         or getattr(child.args[0].args[0], "attr", None) == "mul")
+                    and where not in PRODUCT_KERNELS):
+                found.add(where)
+            walk(child, scope)
+
+    walk(ast.parse(path.read_text()), [])
+    return sorted(found)
+
+
+def test_one_product_kernel(tmp_path):
+    """Integer matrix products go through `matrices.mat_mul`: no other
+    library function forms `sum(map(mul, row, col))`, except
+    `BlockParabolic.levi_product`, which forms only the block diagonal
+    entries.  The scan itself is checked on a sample module."""
+    found = {}
+    for path in sorted(Path(cocenter.__file__).parent.glob("*.py")):
+        products = _row_products(path)
+        if products:
+            found[path.stem] = products
+    assert not found, f"integer products outside matrices.mat_mul: {found}"
+    sample = tmp_path / "matrices.py"
+    sample.write_text(
+        "import operator\nfrom operator import mul\n"
+        "def mat_mul(a, cols):\n    return [[sum(map(mul, r, c)) for c in cols] for r in a]\n"
+        "def sizes(rows):\n    return sum(map(len, rows))\n"
+        "class FFMatrix:\n    def __mul__(self, cols):\n"
+        "        return [[sum(map(mul, r, c)) % 5 for c in cols] for r in self.rows]\n"
+        "def dot(r, c):\n    return sum(map(operator.mul, r, c))\n"
+    )
+    assert _row_products(sample) == ["matrices.FFMatrix.__mul__", "matrices.dot"]
 
 
 # what an inline copy of the induced character or the descent identity reads

