@@ -13,7 +13,7 @@ from cocenter.unipotent import (
     heart,
     induced_set,
     partitions_of,
-    richardson_prediction,
+    partwise_sum,
 )
 
 print("unipotent element counts in rank two:")
@@ -36,7 +36,7 @@ for blocks in compositions(3):
     trivial = [tuple([1] * b) for b in blocks]
     ind = induced_set(BlockParabolic(3, blocks, "upper"), trivial, 3)
     print(f"   blocks {blocks}: heart {heart(ind)}"
-          f"  transposed shape {richardson_prediction(blocks)}")
+          f"  transposed shape {partwise_sum(trivial)}")
 
 print("\nnontrivial classes, every Levi of GL_3(F_2):")
 import itertools

@@ -177,14 +177,16 @@ def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:
         raise DomainError("measure and induced model at different levels")
     parab, ctx, located = model.parab, model.ctx, model.located
     modulus = ctx.modulus
-    # the labels by Hermite part H: (columns of kbar, p^e, c)
+    # the labels by Hermite part H: (columns of H, [(columns of kbar, p^e, c)])
     parts = {}
     for (pe, hx, kbar), c in h.items():
-        parts.setdefault(hx, []).append((tuple(zip(*kbar)), pe, c))
+        if hx not in parts:
+            parts[hx] = (tuple(zip(*hx)), [])
+        parts[hx][1].append((tuple(zip(*kbar)), pe, c))
     kept = {}
     for i, g_i in enumerate(model.rep_rows):
-        for hx, labels in parts.items():
-            q, k = iwasawa_int(mat_mul(g_i, tuple(zip(*hx))), parab, ctx.p)
+        for hx_cols, labels in parts.values():
+            q, k = iwasawa_int(mat_mul(g_i, hx_cols), parab, ctx.p)
             for cols, pe, c in labels:
                 l, q2 = located[mat_mul(k, cols, modulus)]
                 if l == i:

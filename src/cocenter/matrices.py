@@ -9,8 +9,7 @@ every product of integer rows, over Z or modulo p^m: QMat and FFMatrix
 products, labels, transversal residues, induced-trace residues and the
 powers in `groups.jordan_type`.  `product_map` precomputes x -> L x R on
 flat entry tuples, and `conjugation_closure` closes a set under such
-maps; both `measures` (K_0 orbits of labels) and `unipotent` (G(F_q)
-classes) use them.
+maps; `measures` uses them for the K_0 orbits of labels.
 
 Two elimination kernels serve every field: `det_int` takes determinants by
 Bareiss's fraction-free elimination on integer forms, each step forming
@@ -615,17 +614,15 @@ def conjugation_closure(seeds, maps, guard=DEFAULT_GROUP_ORDER_GUARD):
     hence under the group their generators generate).
 
     Each map sends an element to the representative, kept in the set, of
-    its conjugate by one generator: a `unipotent.conjugation_map` on flat
-    entry tuples over F_q, the integer label (p^e, H, kbar) of a conjugated
-    level coset (`measures.ad_orbits`), or the Hermite form of a
+    its conjugate by one generator: the integer label (p^e, H, kbar) of a
+    conjugated level coset (`measures.ad_orbits`), or the Hermite form of a
     conjugated K_0 coset (`measures.hermite_reps_with_divisors`).  Callers
     build the maps once, before the closure runs, from the few generators
     of `gln_generators`; each element meets each map once, so the
     closure costs its size times the number of maps.  Conjugating by the
     inverses adds nothing: the closure is finite and conjugation by g maps
     it into itself injectively, hence onto itself, so it is already closed
-    under conjugation by g^-1.  It lives here, not in `unipotent`, which
-    re-imports it, so that `measures` needs nothing of the F_q model.
+    under conjugation by g^-1.
     """
     seen = set(seeds)
     frontier = list(seen)

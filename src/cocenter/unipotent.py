@@ -1,44 +1,31 @@
-"""Induced unipotent classes over F_q, by exhaustive conjugation.
+"""Induced unipotent classes over F_q, by counting.
 
 For a unipotent class C of a Levi M of GL_n(F_q), the induced set is the
 union of all G conjugates of C * U.  The ground field here is finite (the
 natural setting is an infinite field), so Zariski density in the closure is
 replaced by dominance maximality of the Jordan type: nilpotent orbit
 closures of GL_n are governed by the dominance order on partitions.
-Output carries that bridge explicitly, and every number is the result of a
-finite enumeration, never of a formula taken on faith.
+Output carries that bridge explicitly.
 
-The sweep starts from rep * U alone, for rep the block Jordan
-representative of C: M normalizes U, so C * U is the union of the M
-conjugates of rep * U and meets the same G(F_q) conjugacy classes.  It is
-tallied class by class: each G(F_q) conjugacy class met by rep * U is
-enumerated once, and its size is counted under the Jordan type of one
-representative, since the Jordan type is constant on a class.  The closed
-classes are kept in a `ClassTable`, which one heart check shares between
-its upper and its lower sweep, so each class is closed once per check.
-Closures conjugate by the generators only, not by their inverses (see
-`matrices.conjugation_closure`); the K_0 conjugation orbits of level
-cosets that `measures.ad_orbits` builds are closures of the same kind.
-`conjugation_closure` and `product_map` live in `matrices`, and
-`conjugate_partition` in `groups`; this module re-imports them, and
-within the library only `cli` imports this module.
-
-Over F_q the closures run on flat row-major entry tuples, not on
-`FFMatrix` objects: each generator g of `matrices.gln_generators` (one
-transvection, one permutation matrix and the unit scalings) becomes a
-`conjugation_map`, built once per heart check (once per `ClassTable`)
-from g and g^-1.  It reads every entry of g x g^-1 that is a single
-entry of x by one index map and computes only the others: the
-permutation is a pure index map, the transvection recomputes 2n - 1 of
-the n^2 entries and a scaling 2n - 2.  Matrices are rebuilt only where a
-closure hands its elements on.
+The sweep runs over rep * U alone, for rep the block Jordan representative
+of C: M normalizes U, so C * U is the union of the M conjugates of rep * U
+and meets the same G(F_q) conjugacy classes.  A unipotent class of GL_n(F_q)
+is fixed by its Jordan type lam, so the sweep takes one Jordan type per
+element of rep * U and reads the size of each class it meets as
+|GL_n(F_q)| / |C_G(u_lam)|, with the centralizer order in closed form
+(`centralizer_order`).  No class is enumerated.  The formula is not taken
+on faith: the tests compare every histogram with a sweep of all of C * U
+that closes it under conjugation and takes a Jordan type per element, and
+the class sizes with Jordan type histograms of all of GL_n(F_q) and with
+Steinberg's count q^(n^2 - n) of unipotent elements.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from math import prod
 
 from cocenter.exactnum import (
     DEFAULT_GROUP_ORDER_GUARD,
@@ -46,14 +33,9 @@ from cocenter.exactnum import (
     ResourceGuardError,
 )
 from cocenter.groups import BlockParabolic, conjugate_partition, jordan_type
-from cocenter.matrices import (
-    FFMatrix,
-    conjugation_closure,
-    enumerate_gln_fq,
-    gln_fq_order,
-    gln_generators,
-    product_map,
-)
+from cocenter.matrices import FFMatrix, enumerate_gln_fq, gln_fq_order
+# only the traced benchmark's span reads this name here (ROADMAP item 7)
+from cocenter.matrices import conjugation_closure  # noqa: F401
 
 
 def dominates(lam, mu) -> bool:
@@ -95,19 +77,6 @@ def jordan_block_matrix(partition, q: int) -> FFMatrix:
     return FFMatrix(rows, q)
 
 
-def gl_generators(n: int, q: int):
-    """The `gln_generators` of GL_n(F_q) as FFMatrices: e_12(1), the
-    n-cycle's permutation matrix and scalings by generators of F_q^*."""
-    return [FFMatrix(rows, q) for rows in gln_generators(n, q)]
-
-
-def conjugation_map(g: FFMatrix):
-    """x -> g x g^-1 on the flat row-major entries of x over F_q, as a
-    `product_map` built from g and g^-1 alone, with no assumption on their
-    shape."""
-    return product_map(g.rows, g.inverse().rows, g.q)
-
-
 def radical_elements(parab: BlockParabolic, q: int):
     """All of U(F_q): free entries on the radical positions."""
     n = parab.n
@@ -142,78 +111,45 @@ class InducedSet:
         return tuple(partition for partition, _ in self.classes)
 
 
-class ClassTable:
-    """The G(F_q) conjugacy classes of GL_n(F_q) closed so far, each an
-    orbit set of flat entry tuples with the Jordan type of the element that
-    seeded it, and the generator `conjugation_map`s that close them.
+def centralizer_order(lam, q: int) -> int:
+    """|C_G(u)| for u unipotent of Jordan type lam in G = GL_n(F_q).
 
-    G(F_q) conjugacy classes are disjoint and do not depend on the sweep
-    that meets them, so a class closed by one sweep is the class that any
-    other sweep of the same GL_n(F_q) would close from any of its members.
-    A table lives for one call of `induced_set` or of
-    `check_heart_independence`; it is never kept across calls.
+    With lam' the conjugate partition and m_i the number of parts of lam
+    equal to i, |C_G(u)| = q^(sum lam'_i^2 - sum m_i^2) prod |GL_{m_i}(F_q)|
+    (Macdonald, Symmetric Functions and Hall Polynomials, ch. II and IV).
     """
-
-    def __init__(self, n: int, q: int):
-        self.n, self.q = n, q
-        self.closed = []  # [(orbit, partition), ...]
-
-    @cached_property
-    def maps(self):
-        """Built at the first closure, so that a table costs nothing until
-        a sweep has passed the checks of `induced_set`."""
-        return [conjugation_map(g) for g in gl_generators(self.n, self.q)]
-
-    def index_of(self, seed: FFMatrix, guard=DEFAULT_GROUP_ORDER_GUARD) -> int:
-        """Index in `closed` of the class of seed; a seed that no closed
-        class contains is closed, under the guard, and appended."""
-        entries = seed.entries()
-        for k, (orbit, _) in enumerate(self.closed):
-            if entries in orbit:
-                return k
-        orbit = conjugation_closure([entries], self.maps, guard)
-        self.closed.append((orbit, jordan_type(seed)))
-        return len(self.closed) - 1
+    mults = Counter(lam).values()
+    exponent = sum(c * c for c in conjugate_partition(lam)) - sum(m * m for m in mults)
+    return q**exponent * prod(gln_fq_order(m, q) for m in mults)
 
 
 def induced_set(parab: BlockParabolic, block_partitions, q: int,
-                guard=DEFAULT_GROUP_ORDER_GUARD, *, classes=None) -> InducedSet:
-    """Exhaustive union of G conjugates of C * U, tallied by Jordan type.
+                guard=DEFAULT_GROUP_ORDER_GUARD) -> InducedSet:
+    """Union of G conjugates of C * U, tallied by Jordan type.
 
     Only rep * U is swept, for rep the block Jordan representative of C.
     For m in M, m rep m^-1 U = m (rep U) m^-1, since M normalizes U;
     so G (C U) = G (rep U), with the same classes and the same total.
 
-    Swept one G conjugacy class at a time: each element of rep * U finds
-    its class in the `ClassTable` `classes` (a fresh one by default), and
-    only an element that no closed class contains seeds a closure.  Each
-    class the sweep meets counts once, in full, under the Jordan type of
-    its seed, and `total` is the sum of their sizes: classes in the table
-    that this sweep does not meet count nothing, so a table shared with
-    other sweeps of the same GL_n(F_q) changes no number.  A table lives
-    for one call: the default one for this sweep, the one that
-    `check_heart_independence` passes for its two sweeps.  The guard on
-    |GL_n(F_q)| bounds the sweep.
+    Each element of rep * U is given its Jordan type lam.  The G(F_q)
+    conjugacy class of type lam is met, and counts in full:
+    |GL_n(F_q)| / `centralizer_order`(lam, q) elements.  `total` is the
+    sum of the sizes of the classes met.  The guard bounds |U(F_q)|, the
+    one enumeration that runs.
     """
-    if gln_fq_order(parab.n, q) > guard:
-        raise ResourceGuardError("|GL_n(F_q)| exceeds guard")
+    size = q ** len(parab.positions("U"))
+    if size > guard:
+        raise ResourceGuardError(f"|U(F_{q})| = {size} exceeds guard {guard}")
     if len(block_partitions) != len(parab.blocks):
         raise DomainError("one partition per Levi block")
-    for size, partition in zip(parab.blocks, block_partitions):
-        if sum(partition) != size:
-            raise DomainError(f"partition {partition} does not fit block of size {size}")
-    if classes is None:
-        classes = ClassTable(parab.n, q)
-    elif (classes.n, classes.q) != (parab.n, q):
-        raise DomainError(f"a class table of GL_{classes.n}(F_{classes.q}) "
-                          f"cannot serve GL_{parab.n}(F_{q})")
+    for block, partition in zip(parab.blocks, block_partitions):
+        if sum(partition) != block:
+            raise DomainError(f"partition {partition} does not fit block of size {block}")
     parts = [part for partition in block_partitions for part in partition]
     rep = jordan_block_matrix(parts, q)
-    met = {classes.index_of(rep * urad, guard) for urad in radical_elements(parab, q)}
-    histogram = {}
-    for k in met:
-        orbit, lam = classes.closed[k]
-        histogram[lam] = histogram.get(lam, 0) + len(orbit)
+    met = {jordan_type(rep * urad) for urad in radical_elements(parab, q)}
+    order = gln_fq_order(parab.n, q)
+    histogram = {lam: order // centralizer_order(lam, q) for lam in met}
     return InducedSet(
         parab.n,
         q,
@@ -239,21 +175,14 @@ def heart(induced: InducedSet):
 
 def check_heart_independence(n: int, blocks, block_partitions, q: int,
                              guard=DEFAULT_GROUP_ORDER_GUARD):
-    """Upper and lower inductions from the same Levi class compared whole.
-
-    Both sweeps share one `ClassTable`, built for this call and dropped
-    with it: they sweep the same GL_n(F_q), whose conjugacy classes do not
-    depend on the parabolic, so a class met by both is closed once, and
-    each sweep still counts only the classes it meets.
+    """Upper and lower inductions from the same Levi class compared whole:
+    one `induced_set` per orientation.
 
     Returns (ok, upper_set, lower_set); ok demands the full class histogram
     and the heart to coincide.
     """
-    classes = ClassTable(n, q)
-    upper = induced_set(BlockParabolic(n, blocks, "upper"), block_partitions, q, guard,
-                        classes=classes)
-    lower = induced_set(BlockParabolic(n, blocks, "lower"), block_partitions, q, guard,
-                        classes=classes)
+    upper = induced_set(BlockParabolic(n, blocks, "upper"), block_partitions, q, guard)
+    lower = induced_set(BlockParabolic(n, blocks, "lower"), block_partitions, q, guard)
     ok = (
         upper.classes == lower.classes
         and upper.total == lower.total
@@ -274,7 +203,10 @@ def count_unipotent_elements(n: int, q: int, guard=DEFAULT_GROUP_ORDER_GUARD) ->
     return count
 
 
-def richardson_prediction(blocks):
-    """Transpose of the sorted block sizes; regression data only, asserted
-    against the exhaustive computation, never trusted on its own."""
-    return conjugate_partition(tuple(sorted(blocks, reverse=True)))
+def partwise_sum(block_partitions):
+    """lam^1 + ... + lam^k, summed part by part (missing parts are 0): the
+    Jordan type that Lusztig-Spaltenstein predict for the heart induced
+    from the Levi class of the block partitions; regression data only,
+    asserted against the sweep, never trusted on its own."""
+    width = max(len(lam) for lam in block_partitions)
+    return tuple(sum(lam[i] for lam in block_partitions if i < len(lam)) for i in range(width))

@@ -15,9 +15,11 @@ from the full adjoint matrix on its positions instead of that test and
 that exponent, minors instead
 of Gauss-Jordan ranks, the transversal sum instead of its one-step
 collapse, the full action matrix of the induced module instead of the trace
-measure, a Jordan type per swept element of all of C * U instead of
-one per conjugacy class met by rep * U, conjugation by all of
-K_0 / K_level instead of a closure under generators, QMat conjugates
+measure, a Jordan type per swept element of all of C * U, closed under
+conjugation, with powers of u - 1 by plain triple loops, instead of one
+per element of rep * U and class sizes read off centralizer orders,
+conjugation by all of K_0 / K_level instead of a closure under
+generators, QMat conjugates
 canonicalized one by one instead of integer labels moved by tables of
 Hermite splits, a box of Hermite matrices
 filtered by Smith exponents instead of the K_0 orbit of the diagonal,
@@ -44,7 +46,8 @@ The module also holds the QMat helpers that only the tests use: the
 characteristic polynomial and Chevalley coordinates of a matrix, the level
 subgroup test and a QMat transversal of K_0 / K_m, relative regularity,
 and the Levi projection and diagonal blocks of an element of P; and the
-one FFMatrix helper they use, the difference `ff_sub`.
+FFMatrix helpers they use: the difference `ff_sub`, the generators of
+GL_n(F_q) and of a Levi, and the sparse `conjugation_map` of a generator.
 """
 
 from fractions import Fraction
@@ -67,13 +70,16 @@ from cocenter.matrices import (
     PrimeContext,
     QMat,
     block_gln_generators,
+    conjugation_closure,
     coset_canonical_rep,
     enumerate_glnzm,
     gln_zp_membership,
     glnzm_order,
     gln_fq_order,
+    gln_generators,
     integer_form,
     mat_mod,
+    product_map,
     unit_group_generators,
 )
 from cocenter.measures import (
@@ -90,13 +96,7 @@ from cocenter.measures import (
     unit_measure,
 )
 from cocenter.orbital import orbital_single_coset_gl2
-from cocenter.unipotent import (
-    conjugation_closure,
-    conjugation_map,
-    gl_generators,
-    jordan_block_matrix,
-    radical_elements,
-)
+from cocenter.unipotent import jordan_block_matrix, radical_elements
 
 
 def charpoly(a):
@@ -850,16 +850,18 @@ def ff_sub(a: FFMatrix, b: FFMatrix) -> FFMatrix:
 
 def jordan_type_all_powers(u):
     """Jordan type of a unipotent u from all n powers of u - 1 and their
-    n + 1 ranks; raises DomainError when (u - 1)^n is not zero."""
-    n = u.n
-    one = FFMatrix.identity(n, u.q)
-    nil = ff_sub(u, one)
-    powers = [FFMatrix.identity(n, u.q)]
+    n + 1 ranks; raises DomainError when (u - 1)^n is not zero.  The
+    powers are plain triple loops mod q, not the library's product kernel."""
+    n, q = u.n, u.q
+    nil = [[(u[i, j] - (i == j)) % q for j in range(n)] for i in range(n)]
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
     for _ in range(n):
-        powers.append(powers[-1] * nil)
-    if any(x != 0 for row in powers[n].rows for x in row):
+        last = powers[-1]
+        powers.append([[sum(last[i][k] * nil[k][j] for k in range(n)) % q
+                        for j in range(n)] for i in range(n)])
+    if any(x != 0 for row in powers[n] for x in row):
         raise DomainError("matrix is not unipotent")
-    ranks = [m.rank() for m in powers]
+    ranks = [FFMatrix(m, q).rank() for m in powers]
     conj = []
     for k in range(1, n + 1):
         d = ranks[k - 1] - ranks[k]
@@ -872,6 +874,19 @@ def jordan_type_all_powers(u):
         if size:
             parts.append(size)
     return tuple(sorted(parts, reverse=True))
+
+
+def gl_generators(n: int, q: int):
+    """The `gln_generators` of GL_n(F_q) as FFMatrices: e_12(1), the
+    n-cycle's permutation matrix and scalings by generators of F_q^*."""
+    return [FFMatrix(rows, q) for rows in gln_generators(n, q)]
+
+
+def conjugation_map(g: FFMatrix):
+    """x -> g x g^-1 on the flat row-major entries of x over F_q, as a
+    `product_map` built from g and g^-1 alone, with no assumption on their
+    shape."""
+    return product_map(g.rows, g.inverse().rows, g.q)
 
 
 def levi_generators(parab: BlockParabolic, q: int):

@@ -486,7 +486,7 @@ UNCALLED_BY_DESIGN = {
     "groups.discriminant_square_identity": "the checker of criterion 1",
     "orbital.joint_kernel_dimension": "the checker of criterion 8b",
     "measures.measure_from_jsonable": "the reader of measures at the trust boundary",
-    "unipotent.richardson_prediction": "to be replaced in place by the part-wise sum",
+    "unipotent.partwise_sum": "the predicted heart, asserted against the sweep by tests and demo 06",
 }
 
 

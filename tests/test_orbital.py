@@ -17,7 +17,6 @@ from cocenter.measures import (
     HeckeMeasure,
     ad_pullback,
     ad_symmetrized_basis,
-    double_coset_measure,
     res_normalized,
     unit_measure,
 )

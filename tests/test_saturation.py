@@ -8,7 +8,6 @@ from cocenter.saturation import (
     ConstructibleSet,
     CurveWitness,
     MPoly,
-    poly_eval,
     poly_mul,
     product_rule_check,
     rational_roots,

@@ -1,29 +1,28 @@
 import itertools
+from collections import Counter
 
 import pytest
 
-from cocenter.exactnum import DomainError, ResourceGuardError
+from cocenter.exactnum import DEFAULT_GROUP_ORDER_GUARD, DomainError, ResourceGuardError
 from cocenter.groups import BlockParabolic, compositions, jordan_type
-from cocenter.matrices import FFMatrix, enumerate_gln_fq
+from cocenter.matrices import FFMatrix, conjugation_closure, enumerate_gln_fq, gln_fq_order
 from cocenter.unipotent import (
-    ClassTable,
     InducedSet,
+    centralizer_order,
     check_heart_independence,
     conjugate_partition,
-    conjugation_closure,
-    conjugation_map,
     count_unipotent_elements,
     dominates,
-    gl_generators,
     heart,
     induced_set,
-    jordan_block_matrix,
     partitions_of,
+    partwise_sum,
     radical_elements,
-    richardson_prediction,
 )
 from tests.oracles import (
     build_class,
+    conjugation_map,
+    gl_generators,
     induced_classes_by_element,
     jordan_type_all_powers,
     levi_generators,
@@ -152,7 +151,7 @@ def test_richardson_pattern_all_levis_gl2_gl3():
             trivial = [tuple([1] * b) for b in blocks]
             ind = induced_set(parab, trivial, q)
             ht = heart(ind)
-            assert ht == (richardson_prediction(blocks),), (blocks, ht)
+            assert ht == (partwise_sum(trivial),), (blocks, ht)
 
 
 def test_heart_independence_all_cases_small():
@@ -173,46 +172,64 @@ def _levi_classes(n):
             yield blocks, combo
 
 
-def test_shared_class_table_changes_nothing():
-    """Sharing a `ClassTable` changes no number, on every Levi class of
-    every parabolic: the heart check's two sweeps equal `induced_set`
-    called alone, and a sweep given a table that a sweep of another Levi
-    class of the same GL_n(F_q) filled first returns the same InducedSet,
-    so classes in the table that a sweep does not meet count nothing.  A
-    table of another GL_n(F_q) is refused."""
-    for n, q in ((2, 2), (2, 3), (3, 2), (3, 3)):
-        cases = [(BlockParabolic(n, blocks, orientation), combo)
-                 for blocks, combo in _levi_classes(n) for orientation in ("upper", "lower")]
-        alone = {case: induced_set(*case, q) for case in cases}
-        for blocks, combo in _levi_classes(n):
-            _, upper, lower = check_heart_independence(n, blocks, combo, q)
-            assert upper == alone[(BlockParabolic(n, blocks, "upper"), combo)], (n, q, blocks, combo)
-            assert lower == alone[(BlockParabolic(n, blocks, "lower"), combo)], (n, q, blocks, combo)
-        for target in cases:
-            for other in cases:
-                if (other[0].blocks, other[1]) == (target[0].blocks, target[1]):
-                    continue
-                table = ClassTable(n, q)
-                induced_set(*other, q, classes=table)
-                assert induced_set(*target, q, classes=table) == alone[target], (n, q, other, target)
-    with pytest.raises(DomainError, match="cannot serve"):
-        induced_set(BlockParabolic(2, (1, 1)), [(1,), (1,)], 3, classes=ClassTable(2, 2))
+def test_heart_check_takes_one_jordan_type_per_radical_element(monkeypatch):
+    """One heart check takes one Jordan type per element of U(F_q) in each
+    orientation and closes no class: on GL_3(F_3), Borel, trivial Levi
+    classes, 2 * 3^3 Jordan types, and both sweeps meet all three
+    unipotent classes."""
+    calls, closures = [], []
 
-
-def test_heart_check_closes_each_class_once(monkeypatch):
-    """One heart check closes each G(F_q) class it meets once, not once per
-    orientation: on GL_3(F_3), Borel, trivial Levi classes, both sweeps
-    meet all three unipotent classes, and three closures run."""
-    closures = []
+    def counting_jordan_type(u):
+        calls.append(u)
+        return jordan_type(u)
 
     def counting_closure(*args, **kwargs):
         closures.append(args[0])
         return conjugation_closure(*args, **kwargs)
 
+    monkeypatch.setattr("cocenter.unipotent.jordan_type", counting_jordan_type)
     monkeypatch.setattr("cocenter.unipotent.conjugation_closure", counting_closure)
     ok, upper, lower = check_heart_independence(3, (1, 1, 1), ((1,), (1,), (1,)), 3)
     assert ok and upper.partitions_present() == ((1, 1, 1), (2, 1), (3,))
-    assert len(closures) == 3
+    assert len(calls) == 54 and not closures
+
+
+def test_class_sizes_from_centralizer_orders():
+    """|GL_n(F_q)| / `centralizer_order`(lam, q) is a whole number for every
+    partition lam of n, and these class sizes add up to Steinberg's count
+    q^(n^2 - n) of unipotent elements, for n <= 5 and q in {2, 3, 5}; for
+    n <= 3 and q in {2, 3}, each is the number of elements of GL_n(F_q) of
+    Jordan type lam."""
+    for n in range(1, 6):
+        for q in (2, 3, 5):
+            order = gln_fq_order(n, q)
+            sizes = {}
+            for lam in partitions_of(n):
+                assert order % centralizer_order(lam, q) == 0, (n, q, lam)
+                sizes[lam] = order // centralizer_order(lam, q)
+            assert sum(sizes.values()) == q ** (n * n - n), (n, q)
+            if n <= 3 and q <= 3:
+                histogram = Counter()
+                for g in enumerate_gln_fq(n, q):
+                    try:
+                        histogram[jordan_type(g)] += 1
+                    except DomainError:
+                        pass
+                assert histogram == sizes, (n, q)
+
+
+def test_heart_is_partwise_sum_beyond_the_group_order_guard():
+    """Lusztig-Spaltenstein on every class of every proper Levi of GL_4(F_3)
+    and GL_5(F_2), under the default guard, which |GL_n(F_q)| exceeds and
+    |U(F_q)| does not: upper and lower inductions agree whole, and the
+    heart is the part-wise sum of the Levi partitions."""
+    for n, q, count in ((4, 3, 17), (5, 2, 52)):
+        assert gln_fq_order(n, q) > DEFAULT_GROUP_ORDER_GUARD
+        cases = [(blocks, combo) for blocks, combo in _levi_classes(n) if blocks != (n,)]
+        for blocks, combo in cases:
+            ok, upper, _ = check_heart_independence(n, blocks, combo, q)
+            assert ok and heart(upper) == (partwise_sum(combo),), (n, q, blocks, combo)
+        assert len(cases) == count
 
 
 def test_different_levis_can_differ():
@@ -244,15 +261,16 @@ def test_induced_set_matches_element_sweep_oracle():
     """Class-by-class tallies of the rep * U sweep equal a Jordan type
     taken per swept element of all of C * U, with closures that also
     conjugate by inverses, on every Levi class of every parabolic, both
-    orientations, also on GL_3(F_3)."""
-    for n, q in ORACLE_CASES + ((3, 3),):
-        for blocks in compositions(n):
-            for combo in itertools.product(*(list(partitions_of(b)) for b in blocks)):
-                for orientation in ("upper", "lower"):
-                    parab = BlockParabolic(n, blocks, orientation)
-                    ind = induced_set(parab, combo, q)
-                    expected = induced_classes_by_element(parab, combo, q)
-                    assert (ind.classes, ind.total) == expected, (n, q, blocks, combo, orientation)
+    orientations, also on GL_3(F_3); on GL_4(F_2), the Borel alone."""
+    cases = [(n, q, blocks, combo) for n, q in ORACLE_CASES + ((3, 3),)
+             for blocks, combo in _levi_classes(n)]
+    cases.append((4, 2, (1, 1, 1, 1), ((1,),) * 4))
+    for n, q, blocks, combo in cases:
+        for orientation in ("upper", "lower"):
+            parab = BlockParabolic(n, blocks, orientation)
+            ind = induced_set(parab, combo, q)
+            expected = induced_classes_by_element(parab, combo, q)
+            assert (ind.classes, ind.total) == expected, (n, q, blocks, combo, orientation)
 
 
 def test_jordan_type_matches_all_powers_oracle():
@@ -270,12 +288,6 @@ def test_jordan_type_matches_all_powers_oracle():
                 assert jordan_type(g) == expected, g
 
 
-def _partwise_sum(partitions):
-    """lam^1 + ... + lam^k, summed part by part (missing parts are 0)."""
-    width = max(len(lam) for lam in partitions)
-    return tuple(sum(lam[i] for lam in partitions if i < len(lam)) for i in range(width))
-
-
 def test_gl4_f2_heart_is_partwise_sum():
     """Lusztig-Spaltenstein for GL_4(F_2), on every class of every Levi:
     upper and lower inductions agree whole, and the heart is the class whose
@@ -285,6 +297,6 @@ def test_gl4_f2_heart_is_partwise_sum():
         for combo in itertools.product(*(list(partitions_of(b)) for b in blocks)):
             ok, upper, _ = check_heart_independence(4, blocks, combo, 2)
             assert ok, (blocks, combo)
-            assert heart(upper) == (_partwise_sum(combo),), (blocks, combo)
+            assert heart(upper) == (partwise_sum(combo),), (blocks, combo)
             cases += 1
     assert cases == 22
