@@ -331,40 +331,39 @@ def run_unipotent(config: RunConfig):
 
 
 def run_saturate(config: RunConfig):
-    """Curated saturation instances: boundary cases, product rule, covers."""
+    """Curated saturation instances: boundary cases, product rule, covers.
+    Every witness search tries at most `config.guard` curves."""
     rows = []
+    bounds = (config.sat_degree, config.sat_height, config.guard)
     x = MPoly.variable(1, 0)
     punctured_line = ConstructibleSet.inequation(x)
-    w = sat_prime_member(punctured_line, (0,), config.sat_degree, config.sat_height)
+    w = sat_prime_member(punctured_line, (0,), *bounds)
     rows.append(
         _row("saturate", "cofinite-line-boundary", "origin-of-punctured-line",
              w is not None and verify_witness(w, punctured_line),
              json.dumps(w.to_jsonable()) if w else "none", "witness required")
     )
     origin_only = ConstructibleSet.equation(x)
-    missing = sat_prime_member(origin_only, (1,), config.sat_degree, config.sat_height)
+    missing = sat_prime_member(origin_only, (1,), *bounds)
     rows.append(
         _row("saturate", "finite-set-boundary", "point-outside-a-finite-set",
              missing is None, "none" if missing is None else "witness", "no witness")
     )
     x1, x2 = MPoly.variable(2, 0), MPoly.variable(2, 1)
     axes_complement = ConstructibleSet.inequation(x1 * x2)
-    w2 = sat_prime_member(axes_complement, (0, 0), 1, config.sat_height)
+    w2 = sat_prime_member(axes_complement, (0, 0), 1, config.sat_height, config.guard)
     rows.append(
         _row("saturate", "open-dense-line-cover", "origin-of-axes-complement",
              w2 is not None and verify_witness(w2, axes_complement),
              json.dumps(w2.to_jsonable()) if w2 else "none", "degree-1 witness")
     )
-    okp, _ = product_rule_check(
-        punctured_line, punctured_line, (0,), (0,), config.sat_degree, config.sat_height
-    )
+    okp, _ = product_rule_check(punctured_line, punctured_line, (0,), (0,), *bounds)
     rows.append(_row("saturate", "saturation-product-rule", "punctured-lines",
                      okp, okp, True))
     both = ConstructibleSet.inequation(x) & ConstructibleSet.inequation(
         x - MPoly.constant(1, 1)
     )
-    certified, rounds = sat_fixpoint(both, [(0,), (1,)], config.sat_degree,
-                                     config.sat_height)
+    certified, rounds = sat_fixpoint(both, [(0,), (1,)], *bounds)
     rows.append(
         _row("saturate", "saturation-fixpoint", "doubly-punctured-line",
              len(certified) == 2 and rounds == 2, sorted(map(str, certified)), rounds)

@@ -2,15 +2,17 @@
 
 A point belongs to the saturation operator's image when a punctured
 rational curve through it lands in the set.  The search side below is a
-bounded enumeration (degree and coefficient height limits) and is allowed
-to miss witnesses; the verification side is exact and depends on nothing
-from the search but the witness itself, so everything returned is sound.
-Non-membership is never claimed.
+bounded enumeration (degree and coefficient height limits, and at most
+`guard` curves, the same `--guard` that bounds every other enumeration)
+and is allowed to miss witnesses; the verification side is exact and
+depends on nothing from the search but the witness itself, so everything
+returned is sound.  Non-membership is never claimed.
 
 A constructible set is one boolean tree whose leaves are polynomial
-equations and inequations.  One fold evaluates the tree from a truth value
-per leaf: membership of a point reads each leaf at the point, and the
-generic step of verification reads it off the leaf composed with the curve.
+equations and inequations, and there is one evaluation step: the generic
+step along a curve, which composes each leaf read with the curve and folds
+the tree from whether the composites vanish identically.  Membership of a
+point is that step at the constant curve t -> point.
 
 Ground field: Q (the construction needs an infinite field).  Polynomial
 arithmetic is exact over Fraction; rational roots come from divisor
@@ -26,10 +28,10 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from cocenter.exactnum import DomainError, ResourceGuardError, json_field
+from cocenter.exactnum import (
+    DEFAULT_GROUP_ORDER_GUARD, DomainError, ResourceGuardError, json_field)
 
-#: curves tried by one witness search, and rounds of the fixpoint iteration
-SEARCH_CAP = 400000
+#: rounds of the fixpoint iteration
 MAX_ROUNDS = 8
 
 
@@ -67,13 +69,6 @@ def poly_eval(a, t: Fraction) -> Fraction:
     out = Fraction(0)
     for c in reversed(a):
         out = out * t + c
-    return out
-
-
-def poly_pow(a, k: int):
-    out = [Fraction(1)]
-    for _ in range(k):
-        out = poly_mul(out, a)
     return out
 
 
@@ -165,23 +160,14 @@ class MPoly:
             return other
         return MPoly.constant(self.nvars, other)
 
-    def evaluate(self, point) -> Fraction:
-        out = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for x, k in zip(point, e):
-                term *= Fraction(x) ** k
-            out += term
-        return out
-
     def compose_curve(self, curve):
         """Univariate coefficients of p(f_1(t), ..., f_n(t))."""
         out = []
         for e, c in self.terms.items():
-            term = [Fraction(c)]
+            term = [c]
             for f, k in zip(curve, e):
-                if k:
-                    term = poly_mul(term, poly_pow(f, k))
+                for _ in range(k):
+                    term = poly_mul(term, f)
             out = poly_add(out, term)
         return out
 
@@ -190,68 +176,35 @@ class MPoly:
 
 
 @dataclass(frozen=True)
-class Node:
-    """Boolean tree over polynomial conditions.
+class ConstructibleSet:
+    """Boolean combination of polynomial (in)equations over Q^n, as a tree.
 
     A leaf has op "eq" (poly = 0) or "ne" (poly != 0) and holds its poly;
     an inner node has op "and", "or" or "not" and holds its children.
+    Membership of a rational point is decided exactly.
     """
 
     op: str
     children: tuple = ()
     poly: MPoly | None = None
 
-    def holds(self, vanishes: bool) -> bool:
-        """Truth of this leaf when its poly does or does not vanish."""
-        return vanishes == (self.op == "eq")
-
-    def fold(self, truth) -> bool:
-        """Truth value of the tree, given truth(leaf) for every leaf."""
-        if self.poly is not None:
-            return truth(self)
-        if self.op == "not":
-            return not self.children[0].fold(truth)
-        if self.op == "and":
-            return all(c.fold(truth) for c in self.children)
-        return any(c.fold(truth) for c in self.children)
-
-    def leaves(self):
-        """The leaves of the tree, left to right."""
-        if self.poly is not None:
-            yield self
-        for c in self.children:
-            yield from c.leaves()
-
-    def map_leaves(self, f) -> "Node":
-        """The same tree with every leaf replaced by f(leaf)."""
-        if self.poly is not None:
-            return f(self)
-        return Node(self.op, tuple(c.map_leaves(f) for c in self.children))
-
-
-class ConstructibleSet:
-    """Boolean combination of polynomial (in)equations over Q^n.
-
-    Membership of a rational point is decided exactly by evaluation.
-    """
-
-    def __init__(self, nvars: int, root: Node):
-        self.nvars = nvars
-        self.root = root
+    @property
+    def nvars(self) -> int:
+        return self.poly.nvars if self.poly is not None else self.children[0].nvars
 
     # tree builders
     @classmethod
     def equation(cls, poly: MPoly) -> "ConstructibleSet":
-        return cls(poly.nvars, Node("eq", poly=poly))
+        return cls("eq", poly=poly)
 
     @classmethod
     def inequation(cls, poly: MPoly) -> "ConstructibleSet":
-        return cls(poly.nvars, Node("ne", poly=poly))
+        return cls("ne", poly=poly)
 
     def _join(self, op, other):
         if other.nvars != self.nvars:
             raise DomainError(f"cannot combine sets in {self.nvars} and {other.nvars} variables")
-        return ConstructibleSet(self.nvars, Node(op, (self.root, other.root)))
+        return ConstructibleSet(op, (self, other))
 
     def __and__(self, other):
         return self._join("and", other)
@@ -260,7 +213,7 @@ class ConstructibleSet:
         return self._join("or", other)
 
     def __invert__(self):
-        return ConstructibleSet(self.nvars, Node("not", (self.root,)))
+        return ConstructibleSet("not", (self,))
 
     @classmethod
     def single_point(cls, point) -> "ConstructibleSet":
@@ -272,27 +225,39 @@ class ConstructibleSet:
     def finite_set(cls, points) -> "ConstructibleSet":
         return functools.reduce(operator.or_, map(cls.single_point, points))
 
+    def fold(self, vanishes) -> bool:
+        """Truth value of the tree, given vanishes(poly) for the leaves.
+
+        Children are read left to right and reading stops as soon as the
+        value is fixed, so only the leaves read can change it.
+        """
+        if self.poly is not None:
+            return vanishes(self.poly) == (self.op == "eq")
+        values = (child.fold(vanishes) for child in self.children)
+        if self.op == "not":
+            return not next(values)
+        return all(values) if self.op == "and" else any(values)
+
     def contains(self, point) -> bool:
+        """The generic step at the constant curve t -> point, where each
+        composite is the constant value of its leaf."""
         point = tuple(Fraction(x) for x in point)
         if len(point) != self.nvars:
             raise DomainError(f"point {point} does not have {self.nvars} coordinates")
-        return self.root.fold(lambda leaf: leaf.holds(leaf.poly.evaluate(point) == 0))
+        curve = [(x,) for x in point]
+        return self.fold(lambda poly: not poly.compose_curve(curve))
 
-    def atoms(self):
-        """The leaf conditions of the tree, left to right."""
-        return list(self.root.leaves())
+    def _padded(self, before: tuple, after: tuple) -> "ConstructibleSet":
+        """The same tree with every exponent padded by zeros on both sides."""
+        if self.poly is None:
+            children = tuple(child._padded(before, after) for child in self.children)
+            return ConstructibleSet(self.op, children)
+        terms = {before + e + after: c for e, c in self.poly.terms.items()}
+        return ConstructibleSet(self.op, poly=MPoly(len(before) + self.nvars + len(after), terms))
 
     def product(self, other: "ConstructibleSet") -> "ConstructibleSet":
         """The product set inside Q^(m+n)."""
-        n_total = self.nvars + other.nvars
-
-        def pad(leaf, before, after):
-            terms = {before + e + after: c for e, c in leaf.poly.terms.items()}
-            return Node(leaf.op, poly=MPoly(n_total, terms))
-
-        left = self.root.map_leaves(lambda leaf: pad(leaf, (), (0,) * other.nvars))
-        right = other.root.map_leaves(lambda leaf: pad(leaf, (0,) * self.nvars, ()))
-        return ConstructibleSet(n_total, Node("and", (left, right)))
+        return self._padded((), (0,) * other.nvars) & other._padded((0,) * self.nvars, ())
 
 
 # ---------------------------------------------------------------------------
@@ -315,17 +280,14 @@ class CurveWitness:
         comps = tuple(tuple(Fraction(c) for c in comp) for comp in self.components)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "puncture", Fraction(self.puncture))
-        object.__setattr__(
-            self, "excluded", frozenset(Fraction(x) for x in self.excluded)
-        )
+        object.__setattr__(self, "excluded", frozenset(Fraction(x) for x in self.excluded))
 
     @property
     def nvars(self):
         return len(self.components)
 
     def value_at(self, t) -> tuple:
-        t = Fraction(t)
-        return tuple(poly_eval(list(comp), t) for comp in self.components)
+        return tuple(poly_eval(comp, Fraction(t)) for comp in self.components)
 
     def certified_point(self) -> tuple:
         return self.value_at(self.puncture)
@@ -357,32 +319,38 @@ class CurveWitness:
             raise DomainError(f"witness {data!r} does not parse: {exc}") from None
 
 
-def _composed_atoms(curve, target: ConstructibleSet):
-    """Every atom of the target composed with the curve, as a dict from the
-    id of the atom's leaf to the composite h(t), and the set of rational
-    roots of the composites that do not vanish identically.  Away from
-    those roots each atom's truth value is fixed by whether h vanishes."""
-    composed = {id(atom): atom.poly.compose_curve(curve) for atom in target.atoms()}
-    roots = set().union(*(rational_roots(h) for h in composed.values() if h))
-    return composed, roots
+def _failures(w: CurveWitness, target: ConstructibleSet):
+    """The exceptional points of w's domain that map off the target, or
+    None when the generic step fails.
 
-
-def verify_witness(w: CurveWitness, target: ConstructibleSet) -> bool:
-    """Exact certificate check that uses nothing from a search but w.
-
-    Generic step: each atom composed with the curve is either identically
-    zero or not, which fixes a truth value away from finitely many t; the
-    boolean tree must evaluate true generically.  Exceptional step: every
-    rational root of a non-vanishing composite that is not excluded and not
-    the puncture is rechecked pointwise.
+    Generic step: each leaf the fold reads, composed with the curve, either
+    vanishes identically or not, which fixes its truth value away from the
+    rational roots of the composite; the tree must fold true.  Only the
+    leaves read can change the value, so the exceptional points are those
+    roots, less the excluded points and the puncture, each rechecked
+    pointwise.
     """
     if w.nvars != target.nvars:
         raise DomainError("dimension mismatch")
-    composed, roots = _composed_atoms(w.components, target)
-    if not target.root.fold(lambda leaf: leaf.holds(not composed[id(leaf)])):
-        return False
+    roots = set()
+
+    def vanishes(poly):
+        h = poly.compose_curve(w.components)
+        if h:
+            roots.update(rational_roots(h))
+        return not h
+
+    if not target.fold(vanishes):
+        return None
     exceptional = roots - w.excluded - {w.puncture}
-    return all(target.contains(w.value_at(t)) for t in exceptional)
+    return {t for t in exceptional if not target.contains(w.value_at(t))}
+
+
+def verify_witness(w: CurveWitness, target: ConstructibleSet) -> bool:
+    """Exact certificate check that uses nothing from a search but w: the
+    generic step holds and no exceptional point of w's domain maps off the
+    target."""
+    return _failures(w, target) == set()
 
 
 # ---------------------------------------------------------------------------
@@ -401,70 +369,60 @@ def _height_ladder(height: int):
     return out
 
 
-def sat_prime_member(
-    target: ConstructibleSet,
-    point,
-    degree_bound: int = 2,
-    height_bound: int = 2,
-):
+def _curves(point, degree_bound: int, height_bound: int):
+    """The constant curve at point, then f_i(t) = point_i + sum c_ik t^k
+    for k <= degree_bound, the c_ik from the height ladder, not all zero."""
+    yield tuple((x,) for x in point)
+    ladder = _height_ladder(height_bound)
+    for degree in range(1, degree_bound + 1):
+        rows = itertools.product(ladder, repeat=degree)
+        for coeff_rows in itertools.product(rows, repeat=len(point)):
+            if any(any(row) for row in coeff_rows):
+                yield tuple((x,) + row for x, row in zip(point, coeff_rows))
+
+
+def sat_prime_member(target: ConstructibleSet, point, degree_bound: int = 2,
+                     height_bound: int = 2, guard: int = DEFAULT_GROUP_ORDER_GUARD):
     """Bounded search for a curve witness certifying point in sat'(target).
 
-    Curves are f_i(t) = point_i + sum c_ik t^k with the puncture at t = 0;
-    exceptional roots failing the pointwise check are excluded into the
-    curve's domain, which the construction permits (any cofinite open part
-    of the line is a valid domain).  Returns a verified witness or None;
-    None never proves non-membership.  At most SEARCH_CAP curves are tried.
+    Curves pass through the point at the puncture t = 0, the constant curve
+    first, which certifies a point of the target itself; the exceptional
+    points mapping off the target are excluded from the curve's domain,
+    which the construction permits (any cofinite open part of the line is a
+    valid domain).  Returns a witness, re-verified by `verify_witness`, or
+    None; None never proves non-membership.  More than `guard` non-constant
+    curves are refused with ResourceGuardError.
     """
     point = tuple(Fraction(x) for x in point)
-    if target.contains(point):
-        witness = CurveWitness(tuple((x,) for x in point), 0)
+    for tried, components in enumerate(_curves(point, degree_bound, height_bound)):
+        if tried > guard:
+            raise ResourceGuardError(f"witness search exceeds guard {guard}")
+        failures = _failures(CurveWitness(components, 0), target)
+        if failures is None:
+            continue
+        witness = CurveWitness(components, 0, failures)
         if not verify_witness(witness, target):
-            raise RuntimeError(f"the constant curve at {point} fails verification")
+            raise RuntimeError(f"the curve {witness.to_jsonable()} fails verification")
         return witness
-    ladder = _height_ladder(height_bound)
-    tried = 0
-    for degree in range(1, degree_bound + 1):
-        for coeff_rows in itertools.product(
-            itertools.product(ladder, repeat=degree), repeat=target.nvars
-        ):
-            if all(all(c == 0 for c in row) for row in coeff_rows):
-                continue
-            tried += 1
-            if tried > SEARCH_CAP:
-                raise ResourceGuardError("witness search exceeded its cap")
-            curve = CurveWitness(tuple((x,) + row for x, row in zip(point, coeff_rows)), 0)
-            _, roots = _composed_atoms(curve.components, target)
-            failing = {t for t in roots if t != 0 and not target.contains(curve.value_at(t))}
-            candidate = CurveWitness(curve.components, 0, failing)
-            if verify_witness(candidate, target):
-                return candidate
     return None
 
 
-def product_rule_check(
-    a: ConstructibleSet,
-    b: ConstructibleSet,
-    point_a,
-    point_b,
-    degree_bound=2,
-    height_bound=2,
-):
+def product_rule_check(a: ConstructibleSet, b: ConstructibleSet, point_a, point_b,
+                       degree_bound=2, height_bound=2, guard=DEFAULT_GROUP_ORDER_GUARD):
     """Both directions of sat'(A x B) = sat'(A) x sat'(B) at a sample point.
 
     Combines per-factor witnesses into a product witness on a common
     punctured domain, and projects the product witness back to the factors;
     every step is re-verified.  Returns (ok, combined_witness).
     """
-    wa = sat_prime_member(a, point_a, degree_bound, height_bound)
-    wb = sat_prime_member(b, point_b, degree_bound, height_bound)
+    wa = sat_prime_member(a, point_a, degree_bound, height_bound, guard)
+    wb = sat_prime_member(b, point_b, degree_bound, height_bound, guard)
     if wa is None or wb is None:
         return False, None
     # common domain: both searches puncture at t = 0 already
     if wa.puncture != 0 or wb.puncture != 0:
         raise RuntimeError("a factor witness is not punctured at t = 0")
-    combined = CurveWitness(
-        wa.components + wb.components, 0, wa.excluded | wb.excluded
-    )
+    combined = CurveWitness(wa.components + wb.components, 0, wa.excluded | wb.excluded)
     prod = a.product(b)
     if not verify_witness(combined, prod):
         return False, None
@@ -476,12 +434,8 @@ def product_rule_check(
     return True, combined
 
 
-def sat_fixpoint(
-    target: ConstructibleSet,
-    cloud,
-    degree_bound=2,
-    height_bound=2,
-):
+def sat_fixpoint(target: ConstructibleSet, cloud, degree_bound=2, height_bound=2,
+                 guard=DEFAULT_GROUP_ORDER_GUARD):
     """Certified points of the cloud in the saturation, iterated to a fixpoint.
 
     Each round augments the membership oracle with the points certified so
@@ -499,7 +453,7 @@ def sat_fixpoint(
         for pt in cloud:
             if pt in certified:
                 continue
-            w = sat_prime_member(augmented, pt, degree_bound, height_bound)
+            w = sat_prime_member(augmented, pt, degree_bound, height_bound, guard)
             if w is not None:
                 certified[pt] = w
         if len(certified) == before:

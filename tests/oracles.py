@@ -39,8 +39,10 @@ this oracle, so it shares no code with the label map), and
 the modulus twist, every elementary transvection instead of the library's
 generators of the compact subgroup, and a determinant filter over all
 matrices mod p^m instead of rows chosen outside the span of the rows
-above them.  Oracles read a measure's labels as the QMats of
-`label_matrix` (`matrix_items`).
+above them, and each leaf of a constructible set evaluated term by term,
+every node read, instead of the generic step at a constant curve.
+Oracles read a measure's labels as the QMats of `label_matrix`
+(`matrix_items`).
 
 The module also holds the QMat helpers that only the tests use: the
 characteristic polynomial and Chevalley coordinates of a matrix, the level
@@ -953,3 +955,25 @@ def induced_classes_by_element(parab, block_partitions, q):
         lam = jordan_type_all_powers(element)
         histogram[lam] = histogram.get(lam, 0) + 1
     return tuple(sorted(histogram.items())), len(swept)
+
+
+def mpoly_value(poly, point) -> Fraction:
+    """p(point) for an MPoly, summed term by term."""
+    out = Fraction(0)
+    for e, c in poly.terms.items():
+        term = c
+        for x, k in zip(point, e):
+            term *= Fraction(x) ** k
+        out += term
+    return out
+
+
+def contains_by_terms(s, point) -> bool:
+    """Membership of a point in a ConstructibleSet: every node is read and
+    every leaf's poly evaluated by `mpoly_value`."""
+    if s.poly is not None:
+        return (mpoly_value(s.poly, point) == 0) == (s.op == "eq")
+    values = [contains_by_terms(child, point) for child in s.children]
+    if s.op == "not":
+        return not values[0]
+    return all(values) if s.op == "and" else any(values)

@@ -153,6 +153,18 @@ def test_main_exit_codes(tmp_path):
     assert main(["unipotent", "--guard", "5"]) == 3
 
 
+def test_guard_bounds_the_witness_search(tmp_path, capsys):
+    """The largest default witness search, the finite-set-boundary row at
+    degree 2 and height 2, tries 54 curves: `--guard 53` trips the resource
+    guard and `--guard 54` prints the pinned report."""
+    out = tmp_path / "report.json"
+    assert main(["saturate", "--guard", "53", "--out", str(out)]) == 3
+    assert "exceeds guard 53" in capsys.readouterr().err and not out.exists()
+    assert main(["saturate", "--guard", "54", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == REPORT_DIGESTS["saturate"][1]
+
+
 def test_unwritable_out_is_an_output_error(tmp_path, capsys):
     """A report path that cannot be opened exits 2 with one line on
     stderr, not a traceback with status 1, and leaves no report."""

@@ -22,6 +22,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -38,32 +39,48 @@ from cocenter.saturation import (
 
 REMAINING_ASSERTS = {}
 
+LIBRARY = sorted(Path(cocenter.__file__).parent.glob("*.py"))
 
-def _asserts_by_function(path):
-    counts = {}
+
+def _scoped_nodes(path):
+    """(module.scope, node) for every node of a module but the function and
+    class definitions, scope being the dotted names of the functions and
+    classes around the node."""
 
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                walk(child, scope + [child.name])
+                yield from walk(child, f"{scope}.{child.name}")
                 continue
-            if isinstance(child, ast.Assert):
-                name = ".".join([path.stem] + scope)
-                counts[name] = counts.get(name, 0) + 1
-            walk(child, scope)
+            yield scope, child
+            yield from walk(child, scope)
 
-    walk(ast.parse(path.read_text()), [])
-    return counts
+    return walk(ast.parse(path.read_text()), path.stem)
 
 
-def test_library_asserts_only_shrink():
+def _scan_library(scan):
+    """{module: scan(path)} for each library module where the scan finds something."""
+    return {path.stem: found for path in LIBRARY if (found := scan(path))}
+
+
+def _asserts_by_function(path):
+    return Counter(where for where, node in _scoped_nodes(path) if isinstance(node, ast.Assert))
+
+
+def test_library_asserts_only_shrink(tmp_path):
+    """The library holds no more asserts than REMAINING_ASSERTS lists, and
+    no fewer.  The scan itself is checked on a sample module."""
     found = {}
-    for path in sorted(Path(cocenter.__file__).parent.glob("*.py")):
-        found.update(_asserts_by_function(path))
+    for counts in _scan_library(_asserts_by_function).values():
+        found.update(counts)
     new = {k: v for k, v in found.items() if v > REMAINING_ASSERTS.get(k, 0)}
     assert not new, f"raise an exception instead of asserting in {new}"
     gone = {k: v for k, v in REMAINING_ASSERTS.items() if found.get(k, 0) < v}
     assert not gone, f"shrink REMAINING_ASSERTS: {gone} now hold fewer asserts"
+    sample = tmp_path / "sample.py"
+    sample.write_text("assert True\ndef f(x):\n    assert x\n    assert not x\n"
+                      "class C:\n    def g(self):\n        assert self\n")
+    assert _asserts_by_function(sample) == {"sample": 1, "sample.f": 2, "sample.C.g": 1}
 
 
 def test_coset_reps_checks_raise(monkeypatch):
@@ -119,11 +136,7 @@ def test_no_memo_outlives_a_call(tmp_path):
     library: a memo that outlives a call grows without bound and answers
     from state a guard never saw.  Per-instance cached_property stays.
     The scan itself is checked on a module that holds each kind."""
-    found = {}
-    for path in sorted(Path(cocenter.__file__).parent.glob("*.py")):
-        caches = _module_level_caches(path)
-        if caches:
-            found[path.stem] = caches
+    found = _scan_library(_module_level_caches)
     assert not found, f"module-level memos in {found}"
     sample = tmp_path / "sample.py"
     sample.write_text(
@@ -146,21 +159,12 @@ def _qmat_label_reads(path):
     LABEL_MATRIX_READERS, and of `modulus_lambda` in `measures` or
     `characters`: called, passed on or reached as an attribute."""
     found = set()
-
-    def walk(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                walk(child, scope + [child.name])
-                continue
-            name = (child.id if isinstance(child, ast.Name)
-                    else child.attr if isinstance(child, ast.Attribute) else None)
-            where = ".".join([path.stem] + scope)
-            if (name == "label_matrix" and where not in LABEL_MATRIX_READERS
-                    or name == "modulus_lambda" and path.stem in ("measures", "characters")):
-                found.add((where, name))
-            walk(child, scope)
-
-    walk(ast.parse(path.read_text()), [])
+    for where, node in _scoped_nodes(path):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if (name == "label_matrix" and where not in LABEL_MATRIX_READERS
+                or name == "modulus_lambda" and path.stem in ("measures", "characters")):
+            found.add((where, name))
     return sorted(found)
 
 
@@ -169,11 +173,7 @@ def test_labels_become_qmats_only_for_json(tmp_path):
     labels: no library function but `measure_to_jsonable` reads
     `label_matrix`, and neither `measures` nor `characters` reads
     `modulus_lambda`.  The scan itself is checked on a sample module."""
-    found = {}
-    for path in sorted(Path(cocenter.__file__).parent.glob("*.py")):
-        reads = _qmat_label_reads(path)
-        if reads:
-            found[path.stem] = reads
+    found = _scan_library(_qmat_label_reads)
     assert not found, f"labels made QMats outside JSON: {found}"
     sample = tmp_path / "measures.py"
     sample.write_text(
@@ -212,24 +212,15 @@ def _membership_loops(path):
                 bound |= {t.id for t, v in pairs
                           if isinstance(t, ast.Name) and _is_positions_call(v)}
     found = set()
-
-    def walk(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                walk(child, scope + [child.name])
-                continue
-            where = ".".join([path.stem] + scope)
-            if (isinstance(child, ast.Call) and getattr(child.func, "id", None) in ("any", "all")
-                    and where not in MEMBERSHIP_TESTS):
-                iters = [gen.iter for arg in child.args
-                         if isinstance(arg, (ast.GeneratorExp, ast.ListComp, ast.SetComp))
-                         for gen in arg.generators]
-                if any(_is_positions_call(it) or isinstance(it, ast.Name) and it.id in bound
-                       for it in iters):
-                    found.add(where)
-            walk(child, scope)
-
-    walk(tree, [])
+    for where, node in _scoped_nodes(path):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("any", "all")
+                and where not in MEMBERSHIP_TESTS):
+            iters = [gen.iter for arg in node.args
+                     if isinstance(arg, (ast.GeneratorExp, ast.ListComp, ast.SetComp))
+                     for gen in arg.generators]
+            if any(_is_positions_call(it) or isinstance(it, ast.Name) and it.id in bound
+                   for it in iters):
+                found.add(where)
     return sorted(found)
 
 
@@ -238,11 +229,7 @@ def test_membership_is_one_vanishing_test(tmp_path):
     `BlockParabolic.vanishes`, which also refuses rows of another size: no
     other library function runs `any` or `all` over the positions of a
     pattern.  The scan itself is checked on a sample module."""
-    found = {}
-    for path in sorted(Path(cocenter.__file__).parent.glob("*.py")):
-        loops = _membership_loops(path)
-        if loops:
-            found[path.stem] = loops
+    found = _scan_library(_membership_loops)
     assert not found, f"membership decided outside BlockParabolic.vanishes: {found}"
     sample = tmp_path / "groups.py"
     sample.write_text(
@@ -267,24 +254,15 @@ def _bareiss_updates(path):
     and holds a floor division, the Bareiss row update, outside
     BAREISS_KERNELS."""
     found = set()
-
-    def walk(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                walk(child, scope + [child.name])
-                continue
-            where = ".".join([path.stem] + scope)
-            if (isinstance(child, (ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.DictComp))
-                    and where not in BAREISS_KERNELS
-                    and any(isinstance(gen.iter, ast.Call)
-                            and getattr(gen.iter.func, "id", None) == "zip"
-                            for gen in child.generators)
-                    and any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.FloorDiv)
-                            for sub in ast.walk(child))):
-                found.add(where)
-            walk(child, scope)
-
-    walk(ast.parse(path.read_text()), [])
+    for where, node in _scoped_nodes(path):
+        if (isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.DictComp))
+                and where not in BAREISS_KERNELS
+                and any(isinstance(gen.iter, ast.Call)
+                        and getattr(gen.iter.func, "id", None) == "zip"
+                        for gen in node.generators)
+                and any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.FloorDiv)
+                        for sub in ast.walk(node))):
+            found.add(where)
     return sorted(found)
 
 
@@ -293,11 +271,7 @@ def test_one_bareiss_kernel(tmp_path):
     other library function floor-divides inside a comprehension over
     `zip(...)`, the shape of a Bareiss row update.  The scan itself is
     checked on a sample module."""
-    found = {}
-    for path in sorted(Path(cocenter.__file__).parent.glob("*.py")):
-        updates = _bareiss_updates(path)
-        if updates:
-            found[path.stem] = updates
+    found = _scan_library(_bareiss_updates)
     assert not found, f"Bareiss elimination outside matrices.det_int: {found}"
     sample = tmp_path / "matrices.py"
     sample.write_text(
@@ -320,24 +294,15 @@ def _row_products(path):
     """module.scope of each `sum(map(mul, ...))`, an integer row times a
     column, outside PRODUCT_KERNELS; `operator.mul` counts as `mul`."""
     found = set()
-
-    def walk(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                walk(child, scope + [child.name])
-                continue
-            where = ".".join([path.stem] + scope)
-            if (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "sum"
-                    and child.args and isinstance(child.args[0], ast.Call)
-                    and getattr(child.args[0].func, "id", None) == "map"
-                    and child.args[0].args
-                    and (getattr(child.args[0].args[0], "id", None) == "mul"
-                         or getattr(child.args[0].args[0], "attr", None) == "mul")
-                    and where not in PRODUCT_KERNELS):
-                found.add(where)
-            walk(child, scope)
-
-    walk(ast.parse(path.read_text()), [])
+    for where, node in _scoped_nodes(path):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum"
+                and node.args and isinstance(node.args[0], ast.Call)
+                and getattr(node.args[0].func, "id", None) == "map"
+                and node.args[0].args
+                and (getattr(node.args[0].args[0], "id", None) == "mul"
+                     or getattr(node.args[0].args[0], "attr", None) == "mul")
+                and where not in PRODUCT_KERNELS):
+            found.add(where)
     return sorted(found)
 
 
@@ -346,11 +311,7 @@ def test_one_product_kernel(tmp_path):
     library function forms `sum(map(mul, row, col))`, except
     `BlockParabolic.levi_product`, which forms only the block diagonal
     entries.  The scan itself is checked on a sample module."""
-    found = {}
-    for path in sorted(Path(cocenter.__file__).parent.glob("*.py")):
-        products = _row_products(path)
-        if products:
-            found[path.stem] = products
+    found = _scan_library(_row_products)
     assert not found, f"integer products outside matrices.mat_mul: {found}"
     sample = tmp_path / "matrices.py"
     sample.write_text(
@@ -543,7 +504,7 @@ def test_every_library_function_has_a_library_caller(tmp_path):
     the benchmark, or is listed in UNCALLED_BY_DESIGN.  The scan itself is
     checked on a sample package."""
     pinned = _benchmark_names()
-    found = _uncalled_definitions(sorted(Path(cocenter.__file__).parent.glob("*.py")), pinned)
+    found = _uncalled_definitions(LIBRARY, pinned)
     unlisted = sorted(set(found) - set(UNCALLED_BY_DESIGN))
     assert not unlisted, f"library names that only tests, demos or nothing reach: {unlisted}"
     stale = sorted(set(UNCALLED_BY_DESIGN) - set(found))

@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from cocenter.exactnum import DomainError
+from cocenter.exactnum import DomainError, ResourceGuardError
 from cocenter.saturation import (
     ConstructibleSet,
     CurveWitness,
@@ -15,6 +16,7 @@ from cocenter.saturation import (
     sat_prime_member,
     verify_witness,
 )
+from tests.oracles import contains_by_terms, mpoly_value
 
 
 def var(n, i):
@@ -52,6 +54,54 @@ def test_constructible_membership():
     assert parabola_off_point.contains((2, 4))
     assert not parabola_off_point.contains((1, 1))
     assert not parabola_off_point.contains((1, 2))
+
+
+def _random_set(rng, n, depth, leaves):
+    """A seeded random set in n variables built with &, |, ~, product and
+    finite_set over small integer points; the poly of each leaf built here
+    is appended to leaves.  Leaves are products of factors x_i - a with a
+    in [-1, 2], so the points of that grid often lie on their zero sets."""
+    if depth and n > 1 and rng.random() < 0.25:
+        k = rng.randint(1, n - 1)
+        return _random_set(rng, k, depth - 1, leaves).product(
+            _random_set(rng, n - k, depth - 1, leaves))
+    if depth and rng.random() < 0.7:
+        op = rng.choice("&|~")
+        left = _random_set(rng, n, depth - 1, leaves)
+        if op == "~":
+            return ~left
+        right = _random_set(rng, n, depth - 1, leaves)
+        return left & right if op == "&" else left | right
+    if rng.random() < 0.2:
+        points = [tuple(rng.randint(-1, 2) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        return ConstructibleSet.finite_set(points)
+    poly = MPoly.constant(n, rng.choice((1, -2, Fraction(1, 3))))
+    for _ in range(rng.randint(1, 2)):
+        poly = poly * (var(n, rng.randrange(n)) - MPoly.constant(n, rng.randint(-1, 2)))
+    leaves.append(poly)
+    return rng.choice((ConstructibleSet.equation, ConstructibleSet.inequation))(poly)
+
+
+def test_membership_matches_the_term_by_term_oracle():
+    """`contains`, the generic step at a constant curve with a fold that
+    stops early, agrees with evaluating every leaf term by term on seeded
+    random trees, at every point of a small grid and at a few fractions,
+    many of them on the zero set of a leaf."""
+    rng = random.Random(43)
+    answers, on_zero_sets = set(), 0
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        leaves = []
+        target = _random_set(rng, n, 3, leaves)
+        grid = list(itertools.product(range(-1, 3), repeat=n))
+        points = grid + [tuple(Fraction(rng.randint(-3, 3), 2) for _ in range(n))
+                         for _ in range(4)]
+        for point in points:
+            got = target.contains(point)
+            assert got == contains_by_terms(target, point), (target, point)
+            answers.add(got)
+            on_zero_sets += any(mpoly_value(poly, point) == 0 for poly in leaves)
+    assert answers == {True, False} and on_zero_sets > 100
 
 
 def test_verify_witness_punctured_line():
@@ -217,3 +267,28 @@ def test_open_dense_complement_100_random_points():
             point = tuple(Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(n))
             w = sat_prime_member(target, point, 1, 1)
             assert w is not None and verify_witness(w, target)
+
+
+def test_fixpoint_refuses_more_rounds_than_its_cap(monkeypatch):
+    """The doubly punctured line needs two rounds on the cloud {0, 1}: the
+    first certifies both points and the second adds nothing.  With the cap
+    at one round the iteration is refused."""
+    x = var(1, 0)
+    doubly = ConstructibleSet.inequation(x) & ConstructibleSet.inequation(
+        x - MPoly.constant(1, 1)
+    )
+    monkeypatch.setattr("cocenter.saturation.MAX_ROUNDS", 1)
+    with pytest.raises(ResourceGuardError, match="iteration cap exceeded"):
+        sat_fixpoint(doubly, [(0,), (1,)])
+
+
+def test_witness_search_is_bounded_by_its_guard():
+    """Degree 2 at height 2 has 6 + 48 non-constant curves through a point
+    of the line, all tried when none certifies it: a guard of 54 lets the
+    search end with None, 53 refuses it.  A point of the target needs only
+    the constant curve, whatever the guard."""
+    finite = ConstructibleSet.equation(var(1, 0))
+    assert sat_prime_member(finite, (1,), 2, 2, guard=54) is None
+    with pytest.raises(ResourceGuardError, match="guard 53"):
+        sat_prime_member(finite, (1,), 2, 2, guard=53)
+    assert sat_prime_member(finite, (0,), 2, 2, guard=0) is not None
