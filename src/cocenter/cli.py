@@ -332,7 +332,8 @@ def run_unipotent(config: RunConfig):
 
 def run_saturate(config: RunConfig):
     """Curated saturation instances: boundary cases, product rule, covers.
-    Every witness search tries at most `config.guard` curves."""
+    Every witness search tries at most `config.guard` curves, and every
+    root search at most `config.guard` divisor candidates."""
     rows = []
     bounds = (config.sat_degree, config.sat_height, config.guard)
     x = MPoly.variable(1, 0)
@@ -340,7 +341,7 @@ def run_saturate(config: RunConfig):
     w = sat_prime_member(punctured_line, (0,), *bounds)
     rows.append(
         _row("saturate", "cofinite-line-boundary", "origin-of-punctured-line",
-             w is not None and verify_witness(w, punctured_line),
+             w is not None and verify_witness(w, punctured_line, config.guard),
              json.dumps(w.to_jsonable()) if w else "none", "witness required")
     )
     origin_only = ConstructibleSet.equation(x)
@@ -354,7 +355,7 @@ def run_saturate(config: RunConfig):
     w2 = sat_prime_member(axes_complement, (0, 0), 1, config.sat_height, config.guard)
     rows.append(
         _row("saturate", "open-dense-line-cover", "origin-of-axes-complement",
-             w2 is not None and verify_witness(w2, axes_complement),
+             w2 is not None and verify_witness(w2, axes_complement, config.guard),
              json.dumps(w2.to_jsonable()) if w2 else "none", "degree-1 witness")
     )
     okp, _ = product_rule_check(punctured_line, punctured_line, (0,), (0,), *bounds)

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import lcm, prod
 from operator import mul
 
 from cocenter.exactnum import DomainError, int_valuation
@@ -155,12 +155,13 @@ class SubgroupSpec:
 
 def _integer_blocks(parab: BlockParabolic, g: QMat):
     """The integer diagonal blocks A_a of g, g_a = A_a / d over one common
-    denominator d, and their determinants; callers drop d because
-    Ad(c g) = Ad(g).  A singular block is refused, so every composition
-    refuses the same singular g."""
-    ranges = parab.block_ranges
-    ints = integer_form([row[lo:hi] for lo, hi in ranges for row in g.rows[lo:hi]])[0]
-    blocks = [ints[lo:hi] for lo, hi in ranges]
+    denominator d, the lcm of the block entries' denominators, and their
+    determinants; callers drop d because Ad(c g) = Ad(g).  A singular
+    block is refused, so every composition refuses the same singular g."""
+    ranges, rows = parab.block_ranges, g.rows
+    d = lcm(*[x.denominator for lo, hi in ranges for row in rows[lo:hi] for x in row[lo:hi]])
+    blocks = [[[x.numerator * (d // x.denominator) for x in row[lo:hi]] for row in rows[lo:hi]]
+              for lo, hi in ranges]
     dets = [det_int(x) for x in blocks]
     if 0 in dets:
         raise DomainError("singular matrix")
@@ -176,10 +177,18 @@ def _levi_delta(parab: BlockParabolic, g: QMat, pairs) -> Fraction:
     determinant prod (mu_j - lambda_i) over the eigenvalues lambda of A_a
     and mu of A_b; scaling it by 1 / d and then by g_a^-1 = d A_a^-1 on the
     n_a n_b-dimensional block divides that determinant by det(A_a)^(n_b).
+    The operator of (b, a) has the n_a n_b eigenvalues lambda_i - mu_j,
+    the negatives of those of (a, b), so its determinant is
+    (-1)^(n_a n_b) times theirs: each unordered pair takes one `det_int`.
     """
     blocks, dets = _integer_blocks(parab, g)
-    return Fraction(prod(det_int(_sylvester(blocks[a], blocks[b])) for a, b in pairs),
-                    prod(dets[a] ** len(blocks[b]) for a, b in pairs))
+    sylvester = {}
+    for a, b in pairs:
+        if (b, a) in sylvester:
+            sylvester[a, b] = (-1) ** (len(blocks[a]) * len(blocks[b])) * sylvester[b, a]
+        else:
+            sylvester[a, b] = det_int(_sylvester(blocks[a], blocks[b]))
+    return Fraction(prod(sylvester.values()), prod(dets[a] ** len(blocks[b]) for a, b in pairs))
 
 
 def _sylvester(x, y):

@@ -13,10 +13,11 @@ maps; `measures` uses them for the K_0 orbits of labels.
 
 Two elimination kernels serve every field: `det_int` takes determinants by
 Bareiss's fraction-free elimination on integer forms, each step forming
-only the trailing block, down to a 2 x 2 closed by one exact division; and
-`gauss_jordan` does all other elimination over a field (inverses over Q
-and F_q, ranks over F_q and Q(sqrt p)), given the field's inverse and
-canonical form.
+only the trailing block, down to a 2 x 2 closed by one exact division, and
+inverses over Q are its cofactors, (A / d)^-1 = d adj(A) / det(A); and
+`gauss_jordan` does all other elimination over a field (inverses over F_q,
+ranks over F_q and Q(sqrt p)), given the field's inverse and canonical
+form.
 
 The p-adic column Hermite form computed here is the workhorse behind coset
 canonicalization and Iwasawa decomposition: for invertible rational g there
@@ -79,9 +80,8 @@ class QMat:
     __slots__ = ("n", "rows")
 
     def __init__(self, rows):
-        rows = tuple(
-            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in rows
-        )
+        rows = tuple([tuple([x if isinstance(x, Fraction) else Fraction(x) for x in row])
+                      for row in rows])
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise DomainError("matrix must be square")
@@ -145,11 +145,20 @@ class QMat:
         return det_rational(self.rows)
 
     def inverse(self) -> "QMat":
-        n = self.n
-        m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self.rows)]
-        if gauss_jordan(m, n, lambda x: 1 / x, lambda x: x) < n:
+        """(A / d)^-1 = d adj(A) / det(A) on the integer form: one `det_int`
+        for det(A) and one for each (n - 1)-minor, entry (j, i) of the
+        inverse being d (-1)^(i + j) det(A without row i and column j) /
+        det(A).  That is O(n^5) integer work, cheap at the n <= 5 this
+        package runs."""
+        a, d = integer_form(self.rows)
+        det = det_int(a)
+        if det == 0:
             raise DomainError("singular matrix")
-        return QMat._wrap(tuple([tuple(row[n:]) for row in m]))
+        n = self.n
+        minors = [[det_int([row[:j] + row[j + 1:] for row in a[:i] + a[i + 1:]])
+                   for j in range(n)] for i in range(n)]
+        return QMat._wrap(tuple([tuple([Fraction((-1) ** (i + j) * d * minors[i][j], det)
+                                        for i in range(n)]) for j in range(n)]))
 
     def trace(self) -> Fraction:
         return sum(self.rows[i][i] for i in range(self.n))

@@ -36,22 +36,24 @@ def left_coset_reps_diag_p(p: int):
         if not any(padic_valuation(x, p) == 0 for x in r.entries()):
             raise RuntimeError(f"{r} vanishes mod {p}")
     for i, a in enumerate(reps):
+        ainv = a.inverse()
         for b in reps[i + 1 :]:
-            if gln_zp_membership(a.inverse() * b, p):
+            if gln_zp_membership(ainv * b, p):
                 raise RuntimeError(f"{a} and {b} lie in one left K_0 coset")
     return reps
 
 
-def _fiber_volume(t1: Fraction, t2: Fraction, rep: QMat, p: int) -> Fraction:
-    """vol{xi : diag(t1,t2) u(xi) in rep K_0}, with vol(Z_p) = 1.
+def _fiber_volume(t1: Fraction, t2: Fraction, rinv: QMat, vdet: int, p: int) -> Fraction:
+    """vol{xi : diag(t1,t2) u(xi) in rep K_0}, with vol(Z_p) = 1, given
+    rinv = rep^-1 and vdet = v_p(det rep), which the caller takes once per
+    rep rather than once per torus point.
 
     Membership asks rep^-1 diag(t1,t2) u(xi) to be integral with unit
-    determinant; each entry is affine in xi, giving an intersection of
-    ultrametric balls.
+    determinant, so v_p(t1 t2) must be vdet; each entry is affine in xi,
+    giving an intersection of ultrametric balls.
     """
-    if padic_valuation(t1 * t2, p) != padic_valuation(rep.det(), p):
+    if padic_valuation(t1 * t2, p) != vdet:
         return Fraction(0)
-    rinv = rep.inverse()
     # entries of rinv * [[t1, t1 xi], [0, t2]]
     balls = []
     for i in range(2):
@@ -87,7 +89,7 @@ def constant_term_oracle_gl2(ctx: PrimeContext, normalized: bool = False) -> Hec
     |lambda_B|^(1/2).
     """
     p, m = ctx.p, ctx.m
-    reps = left_coset_reps_diag_p(p)
+    reps = [(r.inverse(), padic_valuation(r.det(), p)) for r in left_coset_reps_diag_p(p)]
     parab = BlockParabolic(2, (1, 1), "upper")
     ambient = Ambient.levi(parab)
     # index of the mod p^m Borel inside the mod p^m group
@@ -102,8 +104,8 @@ def constant_term_oracle_gl2(ctx: PrimeContext, normalized: bool = False) -> Hec
                 t1 = Fraction(u1) * Fraction(p) ** va
                 t2 = Fraction(u2) * Fraction(p) ** vb
                 vol = Fraction(0)
-                for rep in reps:
-                    vol += _fiber_volume(t1, t2, rep, p)
+                for rinv, vdet in reps:
+                    vol += _fiber_volume(t1, t2, rinv, vdet, p)
                 if vol == 0:
                     continue
                 coeff = scale * vol

@@ -6,7 +6,8 @@ bounded enumeration (degree and coefficient height limits, and at most
 `guard` curves, the same `--guard` that bounds every other enumeration)
 and is allowed to miss witnesses; the verification side is exact and
 depends on nothing from the search but the witness itself, so everything
-returned is sound.  Non-membership is never claimed.
+returned is sound.  Non-membership is never claimed.  Both sides take
+rational roots by trial division, and the guard bounds that too.
 
 A constructible set is one boolean tree whose leaves are polynomial
 equations and inequations, and there is one evaluation step: the generic
@@ -72,12 +73,14 @@ def poly_eval(a, t: Fraction) -> Fraction:
     return out
 
 
-def rational_roots(a):
+def rational_roots(a, guard: int = DEFAULT_GROUP_ORDER_GUARD):
     """All rational roots of a nonzero polynomial, exactly.
 
     Clears denominators to a primitive integer polynomial, strips the root
     at zero, then tries every divisor ratio of trailing and leading
-    coefficients.
+    coefficients.  The divisors come by trial division up to the square
+    root of each; a range isqrt|a_0| + isqrt|a_n| beyond `guard` is
+    refused with ResourceGuardError before any division.
     """
     a = poly_trim(a)
     if not a:
@@ -85,10 +88,15 @@ def rational_roots(a):
     low = next(i for i, c in enumerate(a) if c)
     roots = {Fraction(0)} if low else set()
     a = a[low:]
+    if len(a) == 1:
+        return roots  # a nonzero constant times t^low: no divisor search
     denom = math.lcm(*(c.denominator for c in a))
     ints = [int(c * denom) for c in a]
     content = math.gcd(*ints)
     ints = [c // content for c in ints]
+    span = math.isqrt(abs(ints[0])) + math.isqrt(abs(ints[-1]))
+    if span > guard:
+        raise ResourceGuardError(f"divisor search over {span} candidates exceeds guard {guard}")
 
     def divisors(x):
         small = [d for d in range(1, math.isqrt(abs(x)) + 1) if x % d == 0]
@@ -319,9 +327,9 @@ class CurveWitness:
             raise DomainError(f"witness {data!r} does not parse: {exc}") from None
 
 
-def _failures(w: CurveWitness, target: ConstructibleSet):
+def _failures(w: CurveWitness, target: ConstructibleSet, guard: int):
     """The exceptional points of w's domain that map off the target, or
-    None when the generic step fails.
+    None when the generic step fails; `guard` bounds each root search.
 
     Generic step: each leaf the fold reads, composed with the curve, either
     vanishes identically or not, which fixes its truth value away from the
@@ -337,7 +345,7 @@ def _failures(w: CurveWitness, target: ConstructibleSet):
     def vanishes(poly):
         h = poly.compose_curve(w.components)
         if h:
-            roots.update(rational_roots(h))
+            roots.update(rational_roots(h, guard))
         return not h
 
     if not target.fold(vanishes):
@@ -346,11 +354,12 @@ def _failures(w: CurveWitness, target: ConstructibleSet):
     return {t for t in exceptional if not target.contains(w.value_at(t))}
 
 
-def verify_witness(w: CurveWitness, target: ConstructibleSet) -> bool:
+def verify_witness(w: CurveWitness, target: ConstructibleSet,
+                   guard: int = DEFAULT_GROUP_ORDER_GUARD) -> bool:
     """Exact certificate check that uses nothing from a search but w: the
     generic step holds and no exceptional point of w's domain maps off the
-    target."""
-    return _failures(w, target) == set()
+    target.  A root search past `guard` divisor candidates is refused."""
+    return _failures(w, target, guard) == set()
 
 
 # ---------------------------------------------------------------------------
@@ -391,17 +400,18 @@ def sat_prime_member(target: ConstructibleSet, point, degree_bound: int = 2,
     which the construction permits (any cofinite open part of the line is a
     valid domain).  Returns a witness, re-verified by `verify_witness`, or
     None; None never proves non-membership.  More than `guard` non-constant
-    curves are refused with ResourceGuardError.
+    curves, or a root search past `guard` divisor candidates, are refused
+    with ResourceGuardError.
     """
     point = tuple(Fraction(x) for x in point)
     for tried, components in enumerate(_curves(point, degree_bound, height_bound)):
         if tried > guard:
             raise ResourceGuardError(f"witness search exceeds guard {guard}")
-        failures = _failures(CurveWitness(components, 0), target)
+        failures = _failures(CurveWitness(components, 0), target, guard)
         if failures is None:
             continue
         witness = CurveWitness(components, 0, failures)
-        if not verify_witness(witness, target):
+        if not verify_witness(witness, target, guard):
             raise RuntimeError(f"the curve {witness.to_jsonable()} fails verification")
         return witness
     return None
@@ -424,12 +434,12 @@ def product_rule_check(a: ConstructibleSet, b: ConstructibleSet, point_a, point_
         raise RuntimeError("a factor witness is not punctured at t = 0")
     combined = CurveWitness(wa.components + wb.components, 0, wa.excluded | wb.excluded)
     prod = a.product(b)
-    if not verify_witness(combined, prod):
+    if not verify_witness(combined, prod, guard):
         return False, None
     # projections of the product witness certify the factors
     proj_a = CurveWitness(combined.components[: a.nvars], 0, combined.excluded)
     proj_b = CurveWitness(combined.components[a.nvars :], 0, combined.excluded)
-    if not (verify_witness(proj_a, a) and verify_witness(proj_b, b)):
+    if not (verify_witness(proj_a, a, guard) and verify_witness(proj_b, b, guard)):
         return False, None
     return True, combined
 

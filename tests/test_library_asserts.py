@@ -104,7 +104,7 @@ def test_saturation_checks_raise(monkeypatch):
     puncture of the product rule raise when they fail."""
     punctured = ConstructibleSet.inequation(MPoly.variable(1, 0))
     with monkeypatch.context() as patch:
-        patch.setattr("cocenter.saturation.verify_witness", lambda w, target: False)
+        patch.setattr("cocenter.saturation.verify_witness", lambda *args: False)
         with pytest.raises(RuntimeError, match="fails verification"):
             sat_prime_member(punctured, (1,))
     off_zero = CurveWitness(((1, 1),), 1)

@@ -189,13 +189,25 @@ def test_res_requires_invariance(ctx2, borel2, unit_gl2):
 
 def test_res_diagonal_double_coset_matches_oracle():
     """Unnormalized and normalized restriction of the diag(p,1) double coset
-    against the direct-integration oracle, p in {2, 3}."""
-    for p in (2, 3):
-        ctx = PrimeContext(p, 1)
+    against the direct-integration oracle, p in {2, 3, 5} at level 1 and
+    levels 2 and 3 at p = 2, level 2 at p = 3."""
+    for p, m in ((2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)):
+        ctx = PrimeContext(p, m)
         borel = BlockParabolic(2, (1, 1), "upper")
         h = double_coset_measure(2, ctx, (1, 0))
         assert res_unnormalized(h, borel) == constant_term_oracle_gl2(ctx, False)
         assert res_normalized(h, borel) == constant_term_oracle_gl2(ctx, True)
+
+
+def test_constant_term_oracle_inverts_each_rep_once(monkeypatch):
+    """The oracle inverts each of the p + 1 coset reps once for its
+    pairwise certificate and once for the fiber volumes, not once per
+    torus point: at most 2(p + 1) inverses at p = 3."""
+    calls = []
+    inverse = QMat.inverse
+    monkeypatch.setattr(QMat, "inverse", lambda g: calls.append(g) or inverse(g))
+    constant_term_oracle_gl2(PrimeContext(3, 1))
+    assert 0 < len(calls) <= 2 * (3 + 1)
 
 
 def test_res_normalized_equal_through_opposite_parabolics(ctx2, borel2, level_basis_gl2):

@@ -34,6 +34,21 @@ def test_rational_roots_exact():
     assert rational_roots(poly) == {Fraction(0), Fraction(2, 3), Fraction(-3)}
 
 
+def test_rational_roots_is_bounded_by_its_guard():
+    """Trial division runs up to isqrt|a_0| + isqrt|a_n| candidates, and a
+    range past the guard is refused before it starts: 10^7 + 1 candidates
+    exceed the default guard of 10^6, 10^5 + 1 do not.  A nonzero constant,
+    after the root at zero, needs no search at any guard."""
+    with pytest.raises(ResourceGuardError, match="exceeds guard 1000000"):
+        rational_roots([10**14 + 1, 0, 1])
+    assert rational_roots([10**10 + 1, 0, 1]) == set()
+    assert rational_roots([0, 0, 7], guard=0) == {Fraction(0)}
+    # t^2 - 4 tries isqrt 4 + isqrt 1 = 3 candidates
+    with pytest.raises(ResourceGuardError, match="guard 2"):
+        rational_roots([-4, 0, 1], guard=2)
+    assert rational_roots([-4, 0, 1], guard=3) == {Fraction(2), Fraction(-2)}
+
+
 def test_mismatched_variable_counts_are_refused():
     x, y2 = var(1, 0), var(2, 1)
     with pytest.raises(DomainError, match="cannot combine"):
