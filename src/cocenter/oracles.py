@@ -54,20 +54,19 @@ def _fiber_volume(t1: Fraction, t2: Fraction, rinv: QMat, vdet: int, p: int) -> 
     """
     if padic_valuation(t1 * t2, p) != vdet:
         return Fraction(0)
-    # entries of rinv * [[t1, t1 xi], [0, t2]]
+    # row i of rinv * [[t1, t1 xi], [0, t2]] is (slope, slope xi + const)
     balls = []
     for i in range(2):
-        const0 = rinv[i, 0] * t1
-        const1 = rinv[i, 1] * t2
-        slope = rinv[i, 0] * t1  # coefficient of xi in column 2
-        if padic_valuation(const0, p) < 0 and const0 != 0:
-            return Fraction(0)
+        slope, const = rinv[i, 0] * t1, rinv[i, 1] * t2
         if slope == 0:
-            if const1 != 0 and padic_valuation(const1, p) < 0:
+            if const != 0 and padic_valuation(const, p) < 0:
                 return Fraction(0)
             continue
-        # v(const1 + slope * xi) >= 0
-        balls.append((-const1 / slope, -padic_valuation(slope, p)))
+        v = padic_valuation(slope, p)
+        if v < 0:
+            return Fraction(0)
+        # v(const + slope * xi) >= 0
+        balls.append((-const / slope, -v))
     if not balls:
         return Fraction(1)
     radius = max(r for _, r in balls)
