@@ -9,10 +9,11 @@ equals the character pairing of the parabolic restriction, and both sides
 are computed through independent code paths and compared in Q(sqrt p).
 Each label x = (H / p^e) lift(kbar) is already the split of x on G, so
 only each product g_i H of a transversal rep and a distinct Hermite part
-is split, once, through P: g_i H = Q k' (`groups.iwasawa_int`, on the
-integer Hermite core `matrices.hermite_int`).  Then g_i x = (Q / p^e)
-lift(k' kbar) up to K_m, so each product costs one residue product
-k' kbar modulo p^m and one read of the model's residue table, which holds
+H != 1 is split, once, through P: g_i H = Q k' (`groups.iwasawa_int`, on
+the integer Hermite core `matrices.hermite_int`); g_i itself lies in K_0
+and is its own split (1, g_i).  Then g_i x = (Q / p^e) lift(k' kbar) up
+to K_m, so each product costs one residue product k' kbar modulo p^m and
+one read of the model's residue table, which holds
 the double coset and the parabolic part of every residue of GL_n(Z/p^m),
 each checked once when the model is built.  Kept terms merge as integer
 Levi points, which `measures.levi_measure` labels on M.  Characters read
@@ -104,7 +105,9 @@ class InducedModel:
     with k = r mod p^m, and k lies in q2 g_l K_m.  Each q2 is checked to
     lie in P mod p^m when the model is built, once per residue, so a
     lookup that names a double coset missing r is refused here and no
-    split reads an unchecked entry.
+    split reads an unchecked entry.  Each g_l must have integer entries
+    and, through `mat_mod` of its inverse, a p-integral inverse: so g_l
+    lies in K_0, and its determinant is prime to p.
     """
 
     def __init__(self, parab: BlockParabolic, ctx: PrimeContext, transversal=None,
@@ -117,7 +120,10 @@ class InducedModel:
         self.ctx = ctx
         self.transversal = transversal
         # the integer rows of each representative g_l in K_0
-        self.rep_rows = [integer_form(g.rows)[0] for g in transversal.reps]
+        forms = [integer_form(g.rows) for g in transversal.reps]
+        if any(d != 1 for _, d in forms):
+            raise DomainError("transversal rep with a non-integer entry")
+        self.rep_rows = [rows for rows, _ in forms]
         modulus = ctx.modulus
         inverse_cols = [tuple(zip(*mat_mod(g.inverse(), modulus, ctx.p)))
                         for g in transversal.reps]
@@ -157,10 +163,12 @@ def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:
     because g_i lies in K_0, which normalizes K_m.
 
     All on integers: the labels (p^e, H, kbar) are grouped by H, and one
-    split through P of each product g_i H of a rep and a distinct H gives
-    g_i H = Q k.  Then g_i x = (Q / p^e) k lift(kbar) up to K_m, which is
-    the split `locate_with_parabolic_part` makes of g_i x up to K_m, by
-    uniqueness of the Hermite form.  So each product costs the residue
+    split through P of each product g_i H of a rep and a distinct H != 1
+    gives g_i H = Q k.  A label with H = 1 is not split: g_i 1 = g_i lies
+    in K_0, as `InducedModel` checks, so its split is (1, g_i).  Then
+    g_i x = (Q / p^e) k lift(kbar) up to K_m, which is the split
+    `locate_with_parabolic_part` makes of g_i x up to K_m, by uniqueness
+    of the Hermite form.  So each product costs the residue
     product k kbar mod p^m and one read of the model's `located` table,
     whose parabolic check ran once per residue when the model was built.
     Kept terms merge by their integer Levi point Q q2 / p^e, and
@@ -176,17 +184,22 @@ def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:
     if h.ctx != model.ctx:
         raise DomainError("measure and induced model at different levels")
     parab, ctx, located = model.parab, model.ctx, model.located
-    modulus = ctx.modulus
+    modulus, n = ctx.modulus, parab.n
+    one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     # the labels by Hermite part H: (columns of H, [(columns of kbar, p^e, c)])
     parts = {}
     for (pe, hx, kbar), c in h.items():
         if hx not in parts:
-            parts[hx] = (tuple(zip(*hx)), [])
+            parts[hx] = (None if hx == one else tuple(zip(*hx)), [])
         parts[hx][1].append((tuple(zip(*kbar)), pe, c))
     kept = {}
     for i, g_i in enumerate(model.rep_rows):
         for hx_cols, labels in parts.values():
-            q, k = iwasawa_int(mat_mul(g_i, hx_cols), parab, ctx.p)
+            if hx_cols is None:
+                # g_i 1 = g_i lies in K_0, so its split through P is (1, g_i)
+                q, k = one, g_i
+            else:
+                q, k = iwasawa_int(mat_mul(g_i, hx_cols), parab, ctx.p)
             for cols, pe, c in labels:
                 l, q2 = located[mat_mul(k, cols, modulus)]
                 if l == i:

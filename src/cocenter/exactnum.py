@@ -77,8 +77,13 @@ class RootP:
     componentwise.  Pure rationals are the b = 0 elements and lie in every
     Q(sqrt p), so a binary operation takes the prime of its operand with
     b != 0; operations accept int/Fraction on either side and act on the
-    components directly.  Results are built by `_wrap`, which trusts its
-    Fraction components and prime; the public constructor validates.
+    components directly.  When either operand of +, - or * has b = 0 (an
+    int or a Fraction has none), the products and sums that must be zero
+    are skipped and the other operand's b (or its negative, or its product
+    with the rational a) is the result's; only two irrational operands take
+    the general formula, which refuses two different primes.  Results are
+    built by `_wrap`, which trusts its Fraction components and prime; the
+    public constructor validates.
     """
 
     __slots__ = ("a", "b", "p")
@@ -101,17 +106,19 @@ class RootP:
     def rational(cls, a, p: int) -> "RootP":
         return cls(a, 0, p)
 
-    def _prime(self, other: "RootP") -> int:
-        """The prime of the result of an operation with another RootP."""
-        if other.b == 0:
-            return self.p
-        if self.b != 0 and other.p != self.p:
+    def _same_prime(self, other: "RootP") -> int:
+        """The common prime of two irrational operands, refused if they differ."""
+        if other.p != self.p:
             raise DomainError("mixed sqrt fields")
-        return other.p
+        return self.p
 
     def __add__(self, other):
         if isinstance(other, RootP):
-            return RootP._wrap(self.a + other.a, self.b + other.b, self._prime(other))
+            if not other.b:
+                return RootP._wrap(self.a + other.a, self.b, self.p)
+            if not self.b:
+                return RootP._wrap(self.a + other.a, other.b, other.p)
+            return RootP._wrap(self.a + other.a, self.b + other.b, self._same_prime(other))
         if isinstance(other, (int, Fraction)):
             return RootP._wrap(self.a + other, self.b, self.p)
         return NotImplemented
@@ -123,7 +130,11 @@ class RootP:
 
     def __sub__(self, other):
         if isinstance(other, RootP):
-            return RootP._wrap(self.a - other.a, self.b - other.b, self._prime(other))
+            if not other.b:
+                return RootP._wrap(self.a - other.a, self.b, self.p)
+            if not self.b:
+                return RootP._wrap(self.a - other.a, -other.b, other.p)
+            return RootP._wrap(self.a - other.a, self.b - other.b, self._same_prime(other))
         if isinstance(other, (int, Fraction)):
             return RootP._wrap(self.a - other, self.b, self.p)
         return NotImplemented
@@ -135,11 +146,16 @@ class RootP:
 
     def __mul__(self, other):
         if isinstance(other, RootP):
-            p = self._prime(other)
+            if not other.b:
+                return RootP._wrap(self.a * other.a, self.b * other.a if self.b else self.b,
+                                   self.p)
+            if not self.b:
+                return RootP._wrap(self.a * other.a, self.a * other.b, other.p)
+            p = self._same_prime(other)
             return RootP._wrap(self.a * other.a + p * self.b * other.b,
                                self.a * other.b + self.b * other.a, p)
         if isinstance(other, (int, Fraction)):
-            return RootP._wrap(self.a * other, self.b * other, self.p)
+            return RootP._wrap(self.a * other, self.b * other if self.b else self.b, self.p)
         return NotImplemented
 
     __rmul__ = __mul__

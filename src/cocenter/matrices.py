@@ -295,11 +295,14 @@ def hermite_int(a, p: int):
     column operations modulo p^N, N = v_p(det A) + 1 (Domich-Kannan-
     Trotter): a matrix congruent to A, A + p^N X = A (1 + p^N A^-1 X), spans
     the same Z_(p)-lattice, because A^-1 has valuation > -N and so the
-    factor lies in GL_n(Z_(p)); the same holds at every step.
-    k(A) = H(A)^-1 A lies in GL_n(Z_(p)) and in M_n(Z[1/p]), so it is
-    integral and back substitution divides exactly.  When p does not
-    divide det A, A lies in GL_n(Z_(p)) and spans the standard lattice, so
-    (H(A), k(A)) = (1, A) with no elimination.
+    factor lies in GL_n(Z_(p)); the same holds at every step.  Each pivot
+    is the first entry of least valuation in its row, found by one pass
+    that stops at the first unit.  k(A) = H(A)^-1 A lies in GL_n(Z_(p))
+    and in M_n(Z[1/p]), so it is integral and back substitution divides
+    exactly; it runs as row updates, one per nonzero entry of H above the
+    diagonal, and one exact division of each row by its pivot.  When p
+    does not divide det A, A lies in GL_n(Z_(p)) and spans the standard
+    lattice, so (H(A), k(A)) = (1, A) with no elimination.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
@@ -312,12 +315,20 @@ def hermite_int(a, p: int):
     big = p ** (int_valuation(det, p) + 1)
     cols = [[x % big for x in col] for col in zip(*a)]
     for i in range(n - 1, -1, -1):
-        # pivot: the entry of least valuation in row i, columns 0..i
-        piv = min((c for c in range(i + 1) if cols[c][i]),
-                  key=lambda c: int_valuation(cols[c][i], p))
+        # pivot: the first entry of least valuation in row i, columns 0..i;
+        # no entry has a valuation below 0, so the first unit ends the search
+        piv, least = None, None
+        for c in range(i + 1):
+            x = cols[c][i]
+            if x:
+                v = int_valuation(x, p)
+                if least is None or v < least:
+                    piv, least = c, v
+                    if not v:
+                        break
         cols[piv], cols[i] = cols[i], cols[piv]
         top = cols[i][i]
-        scale = p ** int_valuation(top, p)
+        scale = p**least
         inv = pow(top // scale, -1, big)
         col_i = cols[i] = [x * inv % big for x in cols[i]]
         for c in range(i):
@@ -332,14 +343,17 @@ def hermite_int(a, p: int):
             if f:
                 cols[j] = [(x - f * y) % big for x, y in zip(cols[j], col_i)]
     h = [list(row) for row in zip(*cols)]
-    # back substitution: k(A) = H(A)^-1 A, bottom row first
+    # back substitution: k(A) = H(A)^-1 A, bottom row first, as row updates
+    # that skip the zero entries of H above its diagonal
     k = [None] * n
     for i in range(n - 1, -1, -1):
-        row, piv = h[i], h[i][i]
-        k[i] = [
-            (a[i][j] - sum(row[t] * k[t][j] for t in range(i + 1, n))) // piv
-            for j in range(n)
-        ]
+        row = a[i]
+        for t in range(i + 1, n):
+            f = h[i][t]
+            if f:
+                row = [x - f * y for x, y in zip(row, k[t])]
+        piv = h[i][i]
+        k[i] = [x // piv for x in row]
     return h, k
 
 

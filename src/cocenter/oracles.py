@@ -20,33 +20,39 @@ from cocenter.measures import Ambient, HeckeMeasure
 
 
 def left_coset_reps_diag_p(p: int):
-    """The p + 1 left K_0 cosets of K_0 diag(p,1) K_0, with certificates.
+    """The p + 1 left K_0 cosets of K_0 diag(p,1) K_0, with certificates,
+    as pairs (rep, v_p(det rep)).
 
     Column lattices of index p in Z_p^2 biject with the p + 1 points of the
     projective line over F_p; the representatives are checked pairwise
-    inequivalent and individually inside the double coset.
+    inequivalent and individually inside the double coset.  Each comes with
+    the determinant valuation its certificate took, so that no caller takes
+    the determinant again.
     """
     reps = [QMat([[p, j], [0, 1]]) for j in range(p)] + [QMat([[1, 0], [0, p]])]
+    out = []
     for r in reps:
         # inside K_0 diag(p,1) K_0: integral, v(det) = 1, nonzero mod p
         if not all(padic_valuation(x, p) >= 0 for x in r.entries()):
             raise RuntimeError(f"{r} is not integral")
-        if padic_valuation(r.det(), p) != 1:
+        vdet = padic_valuation(r.det(), p)
+        if vdet != 1:
             raise RuntimeError(f"det {r} does not have valuation 1")
         if not any(padic_valuation(x, p) == 0 for x in r.entries()):
             raise RuntimeError(f"{r} vanishes mod {p}")
+        out.append((r, vdet))
     for i, a in enumerate(reps):
         ainv = a.inverse()
         for b in reps[i + 1 :]:
             if gln_zp_membership(ainv * b, p):
                 raise RuntimeError(f"{a} and {b} lie in one left K_0 coset")
-    return reps
+    return out
 
 
 def _fiber_volume(t1: Fraction, t2: Fraction, rinv: QMat, vdet: int, p: int) -> Fraction:
     """vol{xi : diag(t1,t2) u(xi) in rep K_0}, with vol(Z_p) = 1, given
-    rinv = rep^-1 and vdet = v_p(det rep), which the caller takes once per
-    rep rather than once per torus point.
+    rinv = rep^-1, taken once per rep rather than once per torus point,
+    and vdet = v_p(det rep), which `left_coset_reps_diag_p` certified.
 
     Membership asks rep^-1 diag(t1,t2) u(xi) to be integral with unit
     determinant, so v_p(t1 t2) must be vdet; each entry is affine in xi,
@@ -88,7 +94,7 @@ def constant_term_oracle_gl2(ctx: PrimeContext, normalized: bool = False) -> Hec
     |lambda_B|^(1/2).
     """
     p, m = ctx.p, ctx.m
-    reps = [(r.inverse(), padic_valuation(r.det(), p)) for r in left_coset_reps_diag_p(p)]
+    reps = [(r.inverse(), vdet) for r, vdet in left_coset_reps_diag_p(p)]
     parab = BlockParabolic(2, (1, 1), "upper")
     ambient = Ambient.levi(parab)
     # index of the mod p^m Borel inside the mod p^m group

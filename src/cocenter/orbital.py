@@ -6,7 +6,9 @@ variable with Jacobian prod_{i<j} |1 - gamma_j / gamma_i|, and the n with
 gamma n in x K_m form one coset of U meet K_m or none.  That coset is
 read off the label (p^e, H, kbar) of x = (H / p^e) lift(kbar): gamma^-1
 x K_m meets U exactly when kbar is upper triangular and x_ii / gamma_i =
-H_ii kbar_ii / (p^e gamma_i) lies in 1 + p^m Z_p.
+H_ii kbar_ii / (p^e gamma_i) lies in 1 + p^m Z_p.  That test is built once
+per gamma, with one divisor per diagonal entry, and costs each label one
+integer remainder per diagonal entry.
 Only measures flagged invariant under conjugation by the maximal compact
 subgroup (K_0 on G, M meet K_0 on a Levi) are integrated: all conjugates
 of a label contribute equally, so each label is tested once and weighted
@@ -86,27 +88,37 @@ class OrbitalValue:
         )
 
 
-def _meets_unipotent(label, ratios, ctx: PrimeContext) -> bool:
-    """[gamma^-1 x K_m meets U] for the label (p^e, H, kbar) of x, U the
-    upper unipotent, gamma_i = u_i / w_i given as the integer ratios
-    (u_i, w_i): kbar is upper triangular and x_ii / gamma_i is in 1 + p^m Z_p.
+def _unipotent_test(ratios, ctx: PrimeContext):
+    """The label test [gamma^-1 x K_m meets U], U the upper unipotent, for
+    gamma_i = u_i / w_i given as the integer ratios (u_i, w_i), as a
+    function of the label (p^e, H, kbar) of x: kbar is upper triangular and
+    x_ii / gamma_i is in 1 + p^m Z_p.
 
     With x = (H / p^e) lift(kbar), gamma^-1 H is upper triangular, so the
     coset meets the Borel B exactly when lift(kbar) is upper triangular.
     The coset then meets B in gamma^-1 x (B meet K_m), which meets U iff
     the diagonal of gamma^-1 x lies in T meet K_m.  With x_ii = a / b,
     a = H_ii kbar_ii and b = p^e, that is v_p(a w_i - b u_i) - v_p(b u_i)
-    >= m unless a w_i = b u_i, on integers.
+    >= m unless a w_i = b u_i, on integers.  As b is a power of p, this
+    holds exactly when b p^(m + v_p(u_i)) divides a w_i - b u_i, so the
+    strictly lower positions and the divisors p^(m + v_p(u_i)) are built
+    once, here, and each label costs one remainder per diagonal entry.
     """
-    b, h, kbar = label
-    if any(kbar[i][j] for i in range(len(h)) for j in range(i)):
-        return False
-    p, m = ctx.p, ctx.m
-    for i, (u, w) in enumerate(ratios):
-        diff = h[i][i] * kbar[i][i] * w - b * u
-        if diff and int_valuation(diff, p) - int_valuation(b * u, p) < m:
-            return False
-    return True
+    p, m, n = ctx.p, ctx.m, len(ratios)
+    lower = [(i, j) for i in range(n) for j in range(i)]
+    diagonal = [(i, u, w, p ** (m + int_valuation(u, p))) for i, (u, w) in enumerate(ratios)]
+
+    def meets(label) -> bool:
+        b, h, kbar = label
+        for i, j in lower:
+            if kbar[i][j]:
+                return False
+        for i, u, w, q in diagonal:
+            if (h[i][i] * kbar[i][i] * w - b * u) % (b * q):
+                return False
+        return True
+
+    return meets
 
 
 def _root_valuation(ratios, positions, p: int) -> int:
@@ -145,7 +157,8 @@ def orbital_single_coset_gl2(
     x = canonical_rep(Ambient.general_linear(y.n), y, ctx)
     quotient = enumerate_glnzm(y.n, PrimeContext(ctx.p, conjugation_level([x], ctx)), guard)
     ratios = [g.as_integer_ratio() for g in gamma]
-    hits = sum(_meets_unipotent(label_conjugation(k, ctx)(x), ratios, ctx) for k in quotient)
+    meets = _unipotent_test(ratios, ctx)
+    hits = sum(meets(label_conjugation(k, ctx)(x)) for k in quotient)
     v = _root_valuation(ratios, [(i, j) for i in range(y.n) for j in range(i + 1, y.n)], ctx.p)
     return _level_constant((y.n,), ctx, v) * Fraction(hits, len(quotient))
 
@@ -154,15 +167,17 @@ def orbital_integral(h: HeckeMeasure, gamma: RegularElement) -> OrbitalValue:
     """Orbital integral of h at a regular diagonal gamma, on any Levi ambient.
 
     O_gamma(h) = |Delta_{T, M}(gamma)| E_M(gamma) * sum of c_x over the
-    labels x that pass `_meets_unipotent`, each Levi block of a label on M
-    being the label of that block.  h must carry the flag of invariance
+    labels x that pass the label test of `_unipotent_test`, built once for
+    this call, each Levi block of a label on M being the label of that
+    block.  h must carry the flag of invariance
     under conjugation by the ambient's maximal compact subgroup, so each
     label is tested once; an unflagged measure is refused.  |Delta_{T, M}|
     is the product of |1 - gamma_j / gamma_i| over i != j in one block of M
     and the Jacobian in E_M cancels its roots i < j: the constant is
     `_level_constant` at minus the valuation of the roots i > j, built only
     when some label passes.  The passing c_x are summed by component into
-    one exact element of Q(sqrt p).
+    one exact element of Q(sqrt p); the sqrt(p) parts that are zero are
+    skipped, and a zero sum shares one zero Fraction.
     """
     ctx, ambient = h.ctx, h.ambient
     if gamma.n != ambient.n:
@@ -170,13 +185,15 @@ def orbital_integral(h: HeckeMeasure, gamma: RegularElement) -> OrbitalValue:
     if not h.biinvariant:
         raise DomainError("orbital integrals take measures flagged conjugation-invariant")
     ratios = [g.as_integer_ratio() for g in gamma.entries]
-    hits = [c for label, c in h.items() if _meets_unipotent(label, ratios, ctx)]
+    meets = _unipotent_test(ratios, ctx)
+    hits = [c for label, c in h.items() if meets(label)]
+    zero = Fraction(0)
     if not hits:
-        return OrbitalValue(RootP._wrap(Fraction(0), Fraction(0), ctx.p), ctx.p, ctx.m)
+        return OrbitalValue(RootP._wrap(zero, zero, ctx.p), ctx.p, ctx.m)
     lower = [(i, j) for i, j in ambient.parab.positions("M") if i > j]
     const = _level_constant(ambient.parab.blocks, ctx, -_root_valuation(ratios, lower, ctx.p))
-    a, b = sum(c.a for c in hits), sum(c.b for c in hits)
-    return OrbitalValue(RootP._wrap(a * const, b * const, ctx.p), ctx.p, ctx.m)
+    a, b = sum(c.a for c in hits), sum(c.b for c in hits if c.b)
+    return OrbitalValue(RootP._wrap(a * const, b * const if b else zero, ctx.p), ctx.p, ctx.m)
 
 
 def descent_values(h: HeckeMeasure, grid, sides, mutate_normalization: bool = False):

@@ -6,7 +6,8 @@ full adjoint matrices instead of block and Sylvester determinants, column
 operations on Fractions instead of the integer Hermite kernel, exhaustive
 mod p^m scans instead of Iwasawa reductions, cell-by-cell integration and
 GL_2 ball intersections instead of the orbital test read off canonical
-labels, the label test summed over the conjugation quotient of each Levi
+labels, the label test as two valuation loops per diagonal entry instead
+of one remainder by a divisor built once per gamma, the label test summed over the conjugation quotient of each Levi
 block, with |Delta| from `discriminant_delta`, instead of one test per
 label of an invariant measure and one integer p-exponent read off gamma's
 integer ratios (the Jacobian cancelling the roots i < j of |Delta_{T,M}|),
@@ -63,6 +64,7 @@ from cocenter.exactnum import (
     LevelError,
     ResourceGuardError,
     RootP,
+    int_valuation,
     padic_norm_halfpower,
     padic_valuation,
 )
@@ -675,6 +677,29 @@ def orbital_by_quotient_sum(h, gamma, guard=DEFAULT_GROUP_ORDER_GUARD):
         total = total + c * prod(orbital_single_coset_gl2(block, sub, h.ctx, guard)
                                  for block, sub in zip(levi_blocks(parab, rep), subs))
     return total * padic_norm_halfpower(delta, p, 2)
+
+
+def _meets_unipotent(label, ratios, ctx: PrimeContext) -> bool:
+    """[gamma^-1 x K_m meets U] for the label (p^e, H, kbar) of x, U the
+    upper unipotent, gamma_i = u_i / w_i given as the integer ratios
+    (u_i, w_i): kbar is upper triangular and x_ii / gamma_i is in 1 + p^m Z_p.
+
+    With x = (H / p^e) lift(kbar), gamma^-1 H is upper triangular, so the
+    coset meets the Borel B exactly when lift(kbar) is upper triangular.
+    The coset then meets B in gamma^-1 x (B meet K_m), which meets U iff
+    the diagonal of gamma^-1 x lies in T meet K_m.  With x_ii = a / b,
+    a = H_ii kbar_ii and b = p^e, that is v_p(a w_i - b u_i) - v_p(b u_i)
+    >= m unless a w_i = b u_i, on integers.
+    """
+    b, h, kbar = label
+    if any(kbar[i][j] for i in range(len(h)) for j in range(i)):
+        return False
+    p, m = ctx.p, ctx.m
+    for i, (u, w) in enumerate(ratios):
+        diff = h[i][i] * kbar[i][i] * w - b * u
+        if diff and int_valuation(diff, p) - int_valuation(b * u, p) < m:
+            return False
+    return True
 
 
 def perturbed_reps(transversal):

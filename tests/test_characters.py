@@ -301,11 +301,12 @@ def test_character_reads_the_hermite_diagonal_of_a_label():
 
 def test_identity_check_splits_each_product_once(monkeypatch):
     """One identity check splits no support label again, and each product
-    g_i H of a transversal rep and a distinct Hermite part H once through
-    P, for the plain and the normalized trace together: the integer
-    Hermite core runs dim * |distinct H| times through `groups`, fewer
-    than the dim * |supp h| products g_i x.  The restriction is passed in,
-    and `measures.levi_measure` splits the Levi points of T(h) outside
+    g_i H of a transversal rep and each distinct H != 1 once through P,
+    for the plain and the normalized trace together: on this double coset
+    measure, where no label has H = 1, the integer Hermite core runs
+    dim * |distinct H| times through `groups`, fewer than the
+    dim * |supp h| products g_i x.  The restriction is passed in, and
+    `measures.levi_measure` splits the Levi points of T(h) outside
     `groups`, so neither is counted."""
     ctx = PrimeContext(3, 1)
     borel = BlockParabolic(2, (1, 1), "upper")
@@ -326,6 +327,37 @@ def test_identity_check_splits_each_product_once(monkeypatch):
     )
     assert ok, details
     assert 0 < len(calls) == model.dim * len(parts) < model.dim * len(h)
+
+
+def test_identity_hermite_part_is_not_split(monkeypatch):
+    """A measure supported on K_0, whose labels all have H = 1, is traced
+    through both Borels at (p, m) = (3, 1) with no call of the integer
+    Hermite core through `groups`: each g_i 1 = g_i lies in K_0 and is its
+    own split (1, g_i).  The traces equal the QMat oracle's, and a model
+    whose transversal has a rep with a non-integer entry, which could lie
+    outside K_0, is refused."""
+    ctx = PrimeContext(3, 1)
+    h = gl2_level_basis(ctx)[0]
+    assert {hx for _, hx, _ in h.support} == {((1, 0), (0, 1))}
+    borel = BlockParabolic(2, (1, 1), "upper")
+    models = [InducedModel(parab, ctx) for parab in (borel, borel.opposite())]
+    want = [trace_measure_by_qmat_products(h, model) for model in models]
+    calls = []
+
+    def counting_core(a, p):
+        calls.append(p)
+        return hermite_int(a, p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr("cocenter.groups.hermite_int", counting_core)
+        got = [trace_measure(h, model) for model in models]
+    assert calls == []
+    assert [t.support for t in got] == [t.support for t in want]
+    assert all(t.support for t in got)
+    scaled = ParabolicTransversal(borel, ctx)
+    scaled.reps[0] = scaled.reps[0].scale(Fraction(1, 3))
+    with pytest.raises(DomainError, match="non-integer"):
+        InducedModel(borel, ctx, scaled)
 
 
 def _split_models():

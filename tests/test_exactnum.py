@@ -162,3 +162,46 @@ def test_rootp_rational_operands_match_the_coerced_operand():
     for zero in (0, Fraction(0)):
         with pytest.raises(ZeroDivisionError):
             RootP(1, 1, 2) / zero
+
+
+def test_rootp_fast_paths_match_the_general_formula():
+    """+, - and * of two RootP operands, at least one of them rational
+    (b = 0), on either side, give the general formula written out here,
+    components, prime and hash alike: (a + b sqrt q)(c + d sqrt r) in the
+    field of the irrational operand, or of the left one when both are
+    rational, with products p b d and sums b + d formed in full.  Operands
+    are seeded, over primes 2, 3, 5 and 7 drawn independently per side,
+    zero elements included.  Two irrational operands of different primes
+    are still refused."""
+    rng = random.Random(45)
+
+    def rational():
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 30))
+
+    def general(name, x, y):
+        p = x.p if y.b == 0 else y.p
+        if name == "+":
+            a, b = x.a + y.a, x.b + y.b
+        elif name == "-":
+            a, b = x.a - y.a, x.b - y.b
+        else:
+            a, b = x.a * y.a + p * x.b * y.b, x.a * y.b + x.b * y.a
+        return a, b, p, hash(RootP(a, b, p))
+
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+    compared = 0
+    for trial in range(400):
+        p, q = rng.choice((2, 3, 5, 7)), rng.choice((2, 3, 5, 7))
+        rat = RootP(0 if trial % 20 == 0 else rational(), 0, q)
+        other = RootP(rational(), 0 if trial % 4 == 1 else rational(), p)
+        if trial % 40 == 3:
+            other = RootP(0, 0, p)
+        for x, y in ((rat, other), (other, rat)):
+            for name, op in ops.items():
+                assert _outcome(op, x, y) == general(name, x, y), (name, x, y)
+                compared += 1
+    assert compared == 400 * 2 * 3
+    for p, q in ((2, 3), (5, 7), (3, 2)):
+        for op in ops.values():
+            with pytest.raises(DomainError):
+                op(RootP(1, 1, p), RootP(2, -1, q))

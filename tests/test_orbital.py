@@ -22,6 +22,7 @@ from cocenter.measures import (
 )
 from cocenter.orbital import (
     RegularElement,
+    _unipotent_test,
     descent_check,
     descent_factor,
     descent_values,
@@ -35,6 +36,7 @@ from cocenter.orbital import (
 from tests.oracles import (
     _ball_volume_gl2,
     _inverse_gl2,
+    _meets_unipotent,
     chevalley_map,
     gl2_level_basis,
     grid_scan_orbital_gl2,
@@ -127,6 +129,61 @@ def test_label_test_matches_the_ball_oracle_gl2():
             for gamma in gamma_grid(p, 2):
                 assert orbital_integral(h, gamma).value == orbital_by_balls_gl2(h, gamma), (
                     p, m, gamma.entries)
+
+
+def _signed_ratio_grid(p, n, rng):
+    """25 seeded regular diagonals (+-u_i / w_i) p^(v_i), u_i and w_i
+    units below 40, (v_1, v_2) running over [-2, 2]^2 and the other v_i
+    drawn from [-2, 2]: numerators and denominators other than 1, of both
+    signs, with numerators that carry p."""
+    units = [u for u in range(1, 40) if u % p]
+    points = []
+    for v1 in range(-2, 3):
+        for v2 in range(-2, 3):
+            while True:
+                vals = (v1, v2) + tuple(rng.randint(-2, 2) for _ in range(n - 2))
+                entries = tuple(Fraction(rng.choice((-1, 1)) * rng.choice(units), rng.choice(units))
+                                * Fraction(p) ** v for v in vals)
+                if len(set(entries)) == n:
+                    points.append(RegularElement(entries))
+                    break
+    return points
+
+
+def test_label_test_matches_the_valuation_oracle(level_basis_gl3):
+    """The label test that `orbital_integral` builds once per gamma, one
+    remainder per diagonal entry, equals the two-valuation oracle
+    `_meets_unipotent` on every label of the level bases of GL_2(Q_2),
+    GL_2(Q_3) and GL_2(Q_2) at m = 2 and of the K_0 and diag(2,1,1) orbit
+    indicators of GL_3(Q_2), and of their restrictions through every block
+    parabolic in both orientations, at every point of `gamma_grid` and of a
+    seeded grid of signed unit ratios times p^v, v in [-2, 2].  Labels pass
+    at points whose numerators carry p, so the divisor's p^(v_p(u_i)) is
+    exercised."""
+    rng = random.Random(45)
+    cases = [(PrimeContext(p, m), gl2_level_basis(PrimeContext(p, m)), 2)
+             for p, m in ((2, 1), (3, 1), (2, 2))]
+    cases.append((PrimeContext(2, 1), level_basis_gl3, 3))
+    compared = passed_with_p = 0
+    for ctx, basis, n in cases:
+        measures = list(basis)
+        for blocks in compositions(n):
+            if len(blocks) > 1:
+                for orientation in ("upper", "lower"):
+                    parab = BlockParabolic(n, blocks, orientation)
+                    measures += [res_normalized(h, parab) for h in basis]
+        labels = {label for h in measures for label in h.support}
+        for gamma in gamma_grid(ctx.p, n) + _signed_ratio_grid(ctx.p, n, rng):
+            ratios = [g.as_integer_ratio() for g in gamma.entries]
+            meets = _unipotent_test(ratios, ctx)
+            p_in_numerator = any(u % ctx.p == 0 for u, _ in ratios)
+            for label in labels:
+                got = meets(label)
+                assert got == _meets_unipotent(label, ratios, ctx), (ctx, gamma.entries, label)
+                compared += 1
+                passed_with_p += got and p_in_numerator
+    # 50 points per case; 108 labels pass where a numerator carries p
+    assert (compared, passed_with_p) == (99_600, 108)
 
 
 def test_gl3_orbital_formula_and_descent(level_basis_gl3):
