@@ -13,9 +13,9 @@ H != 1 is split, once, through P: g_i H = Q k' (`groups.iwasawa_int`, on
 the integer Hermite core `matrices.hermite_int`); g_i itself lies in K_0
 and is its own split (1, g_i).  Then g_i x = (Q / p^e) lift(k' kbar) up
 to K_m, so each product costs one residue product k' kbar modulo p^m and
-one read of the model's residue table, which holds
-the double coset and the parabolic part of every residue of GL_n(Z/p^m),
-each checked once when the model is built.  Kept terms merge as integer
+one read of the model's residue table, which holds the double coset and
+the parabolic part of every residue of GL_n(Z/p^m), each checked once
+when the model is built.  Kept terms merge as integer
 Levi points, which `measures.levi_measure` labels on M.  Characters read
 their values off the label's Hermite diagonal, and a pairing values chi
 once per distinct tuple of block valuations.  The QMat forms of the split,
@@ -168,9 +168,9 @@ def trace_measure(h: HeckeMeasure, model: InducedModel) -> HeckeMeasure:
     in K_0, as `InducedModel` checks, so its split is (1, g_i).  Then
     g_i x = (Q / p^e) k lift(kbar) up to K_m, which is the split
     `locate_with_parabolic_part` makes of g_i x up to K_m, by uniqueness
-    of the Hermite form.  So each product costs the residue
-    product k kbar mod p^m and one read of the model's `located` table,
-    whose parabolic check ran once per residue when the model was built.
+    of the Hermite form.  So each product costs the residue product
+    k kbar mod p^m and one read of the model's `located` table, whose
+    parabolic check ran once per residue when the model was built.
     Kept terms merge by their integer Levi point Q q2 / p^e, and
     `levi_measure` labels those on M.  The labels grouped by H are the only
     table this call builds, and it lives for this call.

@@ -169,9 +169,9 @@ def orbital_integral(h: HeckeMeasure, gamma: RegularElement) -> OrbitalValue:
     O_gamma(h) = |Delta_{T, M}(gamma)| E_M(gamma) * sum of c_x over the
     labels x that pass the label test of `_unipotent_test`, built once for
     this call, each Levi block of a label on M being the label of that
-    block.  h must carry the flag of invariance
-    under conjugation by the ambient's maximal compact subgroup, so each
-    label is tested once; an unflagged measure is refused.  |Delta_{T, M}|
+    block.  h must carry the flag of invariance under conjugation by the
+    ambient's maximal compact subgroup, so each label is tested once; an
+    unflagged measure is refused.  |Delta_{T, M}|
     is the product of |1 - gamma_j / gamma_i| over i != j in one block of M
     and the Jacobian in E_M cancels its roots i < j: the constant is
     `_level_constant` at minus the valuation of the roots i > j, built only
